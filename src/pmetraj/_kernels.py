@@ -1,10 +1,11 @@
 """Hot per-iteration kernels: residual assembly, Hessian assembly, tridiagonal solve.
 
-Each kernel has a numba @njit build and a pure-numpy twin.  The active set is
-picked once at import from the PMETRAJ_BACKEND environment variable:
-"numba", "numpy", or "auto" (default: numba when importable).
+All three are whole-array numpy.  The tridiagonal solve is odd-even cyclic
+reduction (Buzbee, Golub & Nielson 1970): O(n) work in about log2(n)
+vectorized passes, stable without pivoting because every reduced system is a
+Schur complement of the SPD input and hence SPD itself.
 
-Numerical note shared by both lanes: the slope increment d = D_h x_new - D_h x_curr
+Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed once and reused inside log1p(d/y0)/d and the linear terms, so the
 near-cancellation when the trajectory barely moves propagates only through the
 smooth derivative of the secant ratio instead of blowing up the assembled
@@ -12,25 +13,12 @@ residual at fine meshes.
 """
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but stay runnable
-    njit = None
-    HAVE_NUMBA = False
+_ONE, _ZERO = np.ones(1), np.zeros(1)  # the padding row of cyclic reduction
 
 
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-def secant_ratio_numpy(y, y0, eps_switch):
+def secant_ratio(y, y0, eps_switch):
     """Elementwise (ln y - ln y0)/(y - y0) with the near-equal midpoint branch."""
     y = np.asarray(y, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -42,7 +30,7 @@ def secant_ratio_numpy(y, y0, eps_switch):
     return np.where(near, 2.0 / (y + y0), exact)
 
 
-def slope_derivative_numpy(y, y0, eps_switch):
+def slope_derivative(y, y0, eps_switch):
     """Elementwise [(1 - y0/y) + ln(y0/y)]/(y - y0)^2, equal branch -1/(2y^2)."""
     y = np.asarray(y, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -55,8 +43,8 @@ def slope_derivative_numpy(y, y0, eps_switch):
     return np.where(near, -0.5 / (y * y), exact)
 
 
-def residual_interior_numpy(x_new, x_curr, slope_curr, mass, f0_cells,
-                            h, tau, a0, eps_switch, damped_start=False):
+def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
+                      h, tau, a0, eps_switch, damped_start=False):
     """Scheme residual g on nodes (Dirichlet end slots 0).
 
     g_i = mass_i (x_new_i - x_curr_i)/tau
@@ -82,8 +70,8 @@ def residual_interior_numpy(x_new, x_curr, slope_curr, mass, f0_cells,
     return g
 
 
-def hessian_tridiag_numpy(x_new, slope_curr, mass, f0_cells, h, tau, a0,
-                          eps_switch, damped_start=False):
+def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
+                    eps_switch, damped_start=False):
     """Tridiagonal of the interior linearized system (diag M-1, offdiag M-2).
 
     Cell coefficient c = -f0 W + a0 tau + tau^2/y^2, all addends nonnegative
@@ -94,7 +82,7 @@ def hessian_tridiag_numpy(x_new, slope_curr, mass, f0_cells, h, tau, a0,
     if damped_start:
         c = f0_cells / (y * y) + a0 * tau
     else:
-        w = slope_derivative_numpy(y, slope_curr, eps_switch)
+        w = slope_derivative(y, slope_curr, eps_switch)
         c = -f0_cells * w + a0 * tau + (tau * tau) / (y * y)
     inv_h2 = 1.0 / (h * h)
     diag = mass[1:-1] / tau + (c[:-1] + c[1:]) * inv_h2
@@ -102,143 +90,49 @@ def hessian_tridiag_numpy(x_new, slope_curr, mass, f0_cells, h, tau, a0,
     return diag, off
 
 
-def thomas_spd_numpy(diag, off, rhs):
-    """Thomas elimination for a symmetric tridiagonal system (loop lane).
+def thomas_spd(diag, off, rhs):
+    """Solve the SPD tridiagonal system (diagonal `diag`, off-diagonal `off`)
+    by odd-even cyclic reduction (`newton.solve_tridiagonal` looks the
+    kernel up under this name).
 
-    Stable without pivoting for the SPD systems assembled here; nonpositive
-    pivots indicate a broken system and raise.
+    Each level eliminates the even-indexed unknowns, leaving the Schur
+    complement on the odd ones: again symmetric tridiagonal, half the size,
+    and SPD.  An even-length level is padded with one decoupled unit row so
+    every kept row has two neighbours.  A diagonal entry that is not positive
+    (NaN included) means the input was not SPD and raises ValueError.
     """
-    n = diag.shape[0]
-    cp = np.empty(n)
-    x = np.empty(n)
-    piv = diag[0]
-    if piv <= 0.0:
-        raise ValueError("nonpositive pivot in tridiagonal elimination")
-    x[0] = rhs[0] / piv
-    for i in range(1, n):
-        cp[i - 1] = off[i - 1] / piv
-        piv = diag[i] - off[i - 1] * cp[i - 1]
-        if piv <= 0.0:
+    d, e, f = diag, off, rhs
+    levels = []
+    while True:
+        if not (d > 0.0).all():
             raise ValueError("nonpositive pivot in tridiagonal elimination")
-        x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+        n = d.shape[0]
+        if n <= 1:
+            break
+        if n % 2 == 0:
+            d = np.concatenate((d, _ONE))
+            e = np.concatenate((e, _ZERO))
+            f = np.concatenate((f, _ZERO))
+        d_even, f_even = d[0::2], f[0::2]
+        e_left, e_right = e[0::2], e[1::2]  # odd row i couples to i-1, i+1
+        alpha = e_left / d_even[:-1]
+        beta = e_right / d_even[1:]
+        levels.append((n, d_even, e_left, e_right, f_even))
+        d = d[1::2] - alpha * e_left - beta * e_right
+        f = f[1::2] - alpha * f_even[:-1] - beta * f_even[1:]
+        e = -beta[:-1] * e_left[1:]
+    x = f / d
+    for n, d_even, e_left, e_right, f_even in reversed(levels):
+        num = f_even.copy()
+        num[:-1] -= e_left * x
+        num[1:] -= e_right * x
+        full = np.empty(d_even.shape[0] + x.shape[0])
+        full[0::2] = num / d_even
+        full[1::2] = x
+        x = full[:n]
     return x
 
 
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def residual_interior_numba(x_new, x_curr, slope_curr, mass, f0_cells,
-                                h, tau, a0, eps_switch, damped_start=False):
-        M = x_new.shape[0] - 1
-        t2 = tau * tau
-        flux = np.empty(M)
-        for j in range(M):
-            y0 = slope_curr[j]
-            y = (x_new[j + 1] - x_new[j]) / h
-            d = y - y0
-            if damped_start:
-                flux[j] = f0_cells[j] / y - (a0 * tau) * d
-            else:
-                if abs(d) <= eps_switch * max(y, y0):
-                    r = 2.0 / (y + y0)
-                else:
-                    r = math.log1p(d / y0) / d
-                flux[j] = f0_cells[j] * r - (a0 * tau) * d - t2 * d / (y * y0)
-        g = np.zeros(M + 1)
-        for i in range(1, M):
-            g[i] = mass[i] * (x_new[i] - x_curr[i]) / tau + (flux[i] - flux[i - 1]) / h
-        return g
-
-    @njit(cache=True)
-    def hessian_tridiag_numba(x_new, slope_curr, mass, f0_cells,
-                              h, tau, a0, eps_switch, damped_start=False):
-        M = x_new.shape[0] - 1
-        t2 = tau * tau
-        c = np.empty(M)
-        for j in range(M):
-            y0 = slope_curr[j]
-            y = (x_new[j + 1] - x_new[j]) / h
-            d = y - y0
-            if damped_start:
-                c[j] = f0_cells[j] / (y * y) + a0 * tau
-            else:
-                if abs(d) <= eps_switch * max(y, y0):
-                    w = -0.5 / (y * y)
-                else:
-                    z = d / y0
-                    w = (z / (1.0 + z) - math.log1p(z)) / (d * d)
-                c[j] = -f0_cells[j] * w + a0 * tau + t2 / (y * y)
-        inv_h2 = 1.0 / (h * h)
-        diag = np.empty(M - 1)
-        for i in range(1, M):
-            diag[i - 1] = mass[i] / tau + (c[i - 1] + c[i]) * inv_h2
-        off = np.empty(M - 2)
-        for i in range(1, M - 1):
-            off[i - 1] = -c[i] * inv_h2
-        return diag, off
-
-    @njit(cache=True)
-    def thomas_spd_numba(diag, off, rhs):
-        n = diag.shape[0]
-        cp = np.empty(n)
-        x = np.empty(n)
-        piv = diag[0]
-        if piv <= 0.0:
-            raise ValueError("nonpositive pivot in tridiagonal elimination")
-        x[0] = rhs[0] / piv
-        for i in range(1, n):
-            cp[i - 1] = off[i - 1] / piv
-            piv = diag[i] - off[i - 1] * cp[i - 1]
-            if piv <= 0.0:
-                raise ValueError("nonpositive pivot in tridiagonal elimination")
-            x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / piv
-        for i in range(n - 2, -1, -1):
-            x[i] -= cp[i] * x[i + 1]
-        return x
-
-else:  # pragma: no cover
-    residual_interior_numba = None
-    hessian_tridiag_numba = None
-    thomas_spd_numba = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_ENV_VAR = "PMETRAJ_BACKEND"
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(f"{_ENV_VAR}=numba requested but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise RuntimeError(f"{_ENV_VAR}={choice!r} not understood (use numba, numpy, or auto)")
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    residual_interior = residual_interior_numba
-    hessian_tridiag = hessian_tridiag_numba
-    thomas_spd = thomas_spd_numba
-else:
-    residual_interior = residual_interior_numpy
-    hessian_tridiag = hessian_tridiag_numpy
-    thomas_spd = thomas_spd_numpy
-
-
 def backend_name() -> str:
-    return BACKEND
+    """The kernel lane: numpy is the only one."""
+    return "numpy"

@@ -104,7 +104,7 @@ def secant_ratio_R(y, y0, eps_switch: float = 1e-8):
     """(ln y - ln y0)/(y - y0); midpoint value 2/(y + y0) when |y - y0| is below
     eps_switch * max(y, y0).  Scalar in, scalar out; arrays broadcast."""
     _check_slopes(y, y0)
-    out = _kernels.secant_ratio_numpy(y, y0, eps_switch)
+    out = _kernels.secant_ratio(y, y0, eps_switch)
     return float(out) if np.isscalar(y) and np.isscalar(y0) else out
 
 
@@ -112,7 +112,7 @@ def slope_derivative_W(y, y0, eps_switch: float = 1e-8):
     """d/dy of the secant ratio: [(1 - y0/y) + ln(y0/y)]/(y - y0)^2, equal branch
     -1/(2 y^2).  Always <= 0."""
     _check_slopes(y, y0)
-    out = _kernels.slope_derivative_numpy(y, y0, eps_switch)
+    out = _kernels.slope_derivative(y, y0, eps_switch)
     return float(out) if np.isscalar(y) and np.isscalar(y0) else out
 
 

@@ -1,4 +1,4 @@
-"""The numba lane and the numpy lane must be interchangeable."""
+"""The cyclic-reduction tridiagonal solve and the numpy-only import footprint."""
 import os
 import subprocess
 import sys
@@ -6,69 +6,112 @@ import sys
 import numpy as np
 import pytest
 
-from pmetraj import _kernels
-from pmetraj.checks import random_admissible
-from pmetraj import Grid, SolverParams, build_coefficients, make_problem, quadratic_bump
+import pmetraj
+from pmetraj import (Grid, SingularSystemError, SolverParams, bootstrap,
+                     build_coefficients, hessian_coefficients, make_problem,
+                     quadratic_bump, residual, solve_tridiagonal)
 
-pytestmark = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
-def _setup(rng, M=40):
-    grid = Grid(0.0, 1.0, M)
-    spec = make_problem(1.8, grid, quadratic_bump)
-    params = SolverParams(tau=grid.h, a0=0.7)
-    x_curr = random_admissible(rng, grid)
-    x_new = random_admissible(rng, grid)
-    coeffs = build_coefficients(x_curr, x_curr, spec, params)
-    args = (x_new, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells,
-            grid.h, params.tau, params.a0, params.eps_switch)
-    return args
+# Every padding path of the reduction: odd and even lengths, powers of two
+# and their neighbours, and the n = 9599 interior of the M = 9600 reference.
+SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 1023, 1024, 1025, 9599]
+DENSE_MAX = 1025  # a dense 9599 x 9599 matrix would take 737 MB
 
 
-@pytest.mark.parametrize("damped", [False, True])
-def test_residual_lanes_agree(rng, damped):
-    for _ in range(10):
-        args = _setup(rng)
-        a = _kernels.residual_interior_numpy(*args, damped)
-        b = _kernels.residual_interior_numba(*args, damped)
-        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+def _matvec(diag, off, x):
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
 
 
-@pytest.mark.parametrize("damped", [False, True])
-def test_hessian_lanes_agree(rng, damped):
-    for _ in range(10):
-        x_new, x_curr, slope, mass, f0c, h, tau, a0, eps = _setup(rng)
-        d1, o1 = _kernels.hessian_tridiag_numpy(x_new, slope, mass, f0c, h, tau, a0, eps, damped)
-        d2, o2 = _kernels.hessian_tridiag_numba(x_new, slope, mass, f0c, h, tau, a0, eps, damped)
-        np.testing.assert_allclose(d1, d2, rtol=1e-13)
-        np.testing.assert_allclose(o1, o2, rtol=1e-13)
+def _thomas_reference(diag, off, rhs):
+    """Plain Thomas elimination, an oracle independent of cyclic reduction."""
+    n = diag.shape[0]
+    cp = np.zeros(n)
+    x = np.empty(n)
+    piv = diag[0]
+    x[0] = rhs[0] / piv
+    for i in range(1, n):
+        cp[i - 1] = off[i - 1] / piv
+        piv = diag[i] - off[i - 1] * cp[i - 1]
+        x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / piv
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return x
 
 
-def test_thomas_lanes_agree_and_match_dense(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 60))
-        diag = rng.uniform(2.0, 4.0, n)
-        off = rng.uniform(-0.9, 0.9, max(n - 1, 0))
-        rhs = rng.standard_normal(n)
-        xa = _kernels.thomas_spd_numpy(diag, off, rhs)
-        xb = _kernels.thomas_spd_numba(diag, off, rhs)
-        np.testing.assert_allclose(xa, xb, rtol=1e-13, atol=1e-15)
+def _random_spd(rng, n):
+    # SPD by diagonal dominance
+    diag = rng.uniform(2.0, 4.0, n)
+    off = rng.uniform(-0.9, 0.9, n - 1)
+    return diag, off, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_solve_matches_dense(rng, n):
+    diag, off, rhs = _random_spd(rng, n)
+    x = solve_tridiagonal(diag, off, rhs)
+    assert x.shape == (n,)
+    rel_residual = np.max(np.abs(_matvec(diag, off, x) - rhs)) / np.max(np.abs(rhs))
+    assert rel_residual <= 1e-12
+    if n <= DENSE_MAX:
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        np.testing.assert_allclose(xa, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
+        want = np.linalg.solve(dense, rhs)
+    else:
+        want = _thomas_reference(diag, off, rhs)
+    np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-14)
 
 
-def test_backend_env_selection():
-    code = "import pmetraj; print(pmetraj.backend_name())"
-    for want in ("numpy", "numba"):
-        env = dict(os.environ, PMETRAJ_BACKEND=want)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == want
+@pytest.mark.parametrize("M", [200, 9600])
+def test_solve_scheme_hessian_matches_thomas(M):
+    spec = make_problem(2.0, Grid(0.0, 1.0, M), quadratic_bump)
+    params = SolverParams(tau=spec.grid.h)
+    state = bootstrap(spec)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    x = state.x_curr.copy()
+    x[1:-1] += 1e-3 * spec.grid.h * np.sin(np.pi * x[1:-1])
+    rhs = -residual(x, state.x_curr, coeffs, spec, params)[1:-1]
+    diag, off = hessian_coefficients(x, coeffs, spec, params)
+    got = solve_tridiagonal(diag, off, rhs)
+    want = _thomas_reference(diag, off, rhs)
+    np.testing.assert_allclose(got, want, rtol=1e-10,
+                               atol=1e-12 * np.max(np.abs(want)))
+    # The fine-mesh Hessian is ill conditioned (c/h^2 against mass/tau), so
+    # the residual is measured normwise backward: |Ax - b| / (|A| |x| + |b|).
+    norm_a = np.max(_matvec(np.abs(diag), np.abs(off), np.ones_like(diag)))
+    backward = np.max(np.abs(_matvec(diag, off, got) - rhs)) / (
+        norm_a * np.max(np.abs(got)) + np.max(np.abs(rhs)))
+    assert backward <= 1e-15
 
 
-def test_backend_env_rejects_garbage():
-    env = dict(os.environ, PMETRAJ_BACKEND="fortran")
-    out = subprocess.run([sys.executable, "-c", "import pmetraj"], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "PMETRAJ_BACKEND" in out.stderr
+@pytest.mark.parametrize("n", [3, 16, 17, 1025])
+def test_indefinite_raises_singular(n):
+    # diag 1, off 0.9 is indefinite for n >= 3, with a positive input diagonal:
+    # the nonpositive pivot only shows in a reduced system.
+    with pytest.raises(SingularSystemError):
+        solve_tridiagonal(np.ones(n), np.full(n - 1, 0.9), np.ones(n))
+
+
+@pytest.mark.parametrize("where", ["diag", "off"])
+@pytest.mark.parametrize("index", [0, 1, 6])
+def test_nan_raises_singular(rng, where, index):
+    diag, off, rhs = _random_spd(rng, 9)
+    {"diag": diag, "off": off}[where][index] = np.nan
+    with pytest.raises(SingularSystemError):
+        solve_tridiagonal(diag, off, rhs)
+
+
+def test_import_pulls_in_numpy_and_stdlib_only():
+    """The import footprint keeps start-up time and resident memory small:
+    beyond the standard library, pmetraj imports numpy and nothing else (no
+    compiled-kernel or LAPACK wrapper packages)."""
+    code = ("import sys; before = set(sys.modules); import pmetraj; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(m for m in new - set(sys.stdlib_module_names) "
+            "if not m.startswith('_'))); "
+            "print(pmetraj.backend_name())")
+    src = os.path.dirname(os.path.dirname(pmetraj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["['numpy', 'pmetraj']", "numpy"]

@@ -48,8 +48,10 @@ def test_tridiagonal_singular_raises():
 
 
 def test_tridiagonal_shape_validation():
-    with pytest.raises(ValueError):
-        solve_tridiagonal(np.ones(3), np.zeros(3), np.ones(3))
+    for diag, off, rhs in ((np.ones(3), np.zeros(3), np.ones(3)),
+                           (np.ones(3), np.zeros(2), np.ones(4))):
+        with pytest.raises(ValueError):
+            solve_tridiagonal(diag, off, rhs)
 
 
 # ---------------------------------------------------------------------------
