@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -109,22 +108,17 @@ def _run_case(m: float, M: int, t_eval: float, initial_data, domain,
     return run(RunConfig(spec=spec, params=params, t_final=t_eval))
 
 
-def _run_case_args(args) -> RunResult:
-    return _run_case(*args)
-
-
 def convergence_study(m: float,
                       h_list: list,
                       reference_M: int,
                       t_eval: float,
                       initial_data: Union[str, Callable],
                       domain=(0.0, 1.0),
-                      params_base: Optional[SolverParams] = None,
-                      jobs: int = 1) -> StudyResult:
+                      params_base: Optional[SolverParams] = None) -> StudyResult:
     """Run the reference once and every coarse resolution with tau = h, then
     assemble per-resolution error records and observed orders.
 
-    `initial_data` is a catalog key (or a sampling callable when jobs == 1).
+    `initial_data` is a catalog key or a sampling callable.
     Every coarse cell count must divide reference_M.
     """
     if params_base is None:
@@ -149,15 +143,8 @@ def convergence_study(m: float,
                 f"t_eval={t_eval} is not a whole number of steps at M={M} (tau = h)"
             )
 
-    cases = [(m, M, t_eval, initial_data, domain, params_base)
-             for M in [reference_M] + m_list]
-    if jobs > 1:
-        if not isinstance(initial_data, str):
-            raise ConfigurationError("parallel studies need a catalog key for initial data")
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_case_args, cases))
-    else:
-        results = [_run_case_args(args) for args in cases]
+    results = [_run_case(m, M, t_eval, initial_data, domain, params_base)
+               for M in [reference_M] + m_list]
 
     runs = {"reference": results[0]}
     ref_state = results[0].final_state

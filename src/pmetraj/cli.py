@@ -135,7 +135,7 @@ def cmd_convergence(args) -> int:
     for m in m_values:
         study = analysis.convergence_study(
             m, h_list, reference_M, t_eval, initial_key,
-            domain=(left, right), params_base=params, jobs=args.jobs,
+            domain=(left, right), params_base=params,
         )
         tag = f"{m:g}"
         write_csv_atomic(out_dir / f"convergence_{tag}.csv",
@@ -171,8 +171,6 @@ def main(argv=None) -> int:
 
     p_conv = sub.add_parser("convergence", help="run a grid-refinement study")
     p_conv.add_argument("--config", required=True, help="path to a config file")
-    p_conv.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for coarse cases (default 1)")
 
     p_check = sub.add_parser("check", help="run the property sweeps")
     p_check.add_argument("--seed", type=int, default=0, help="sweep RNG seed")

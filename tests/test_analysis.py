@@ -129,8 +129,6 @@ def test_convergence_study_accepts_callable_initial_data():
     by_key = convergence_study(2.0, [1.0 / 20], 40, 0.05, "paper-quadratic")
     by_fn = convergence_study(2.0, [1.0 / 20], 40, 0.05, quadratic_bump)
     assert by_fn.report.records[0].err_f_l2 == by_key.report.records[0].err_f_l2
-    with pytest.raises(ConfigurationError):
-        convergence_study(2.0, [1.0 / 20], 40, 0.05, quadratic_bump, jobs=2)
 
 
 def test_convergence_study_rejects_bad_setups():

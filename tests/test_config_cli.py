@@ -184,15 +184,6 @@ def test_cmd_convergence_requires_study_section(tmp_path, capsys):
     assert "[study]" in capsys.readouterr().err
 
 
-def test_cmd_convergence_parallel_jobs(tmp_path):
-    out = tmp_path / "study"
-    text = STUDY_CONFIG.replace("m = 5/3, 2", "m = 2")
-    rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=out),
-                   "--jobs", "2"])
-    assert rc == 0
-    assert (out / "convergence_2.csv").exists()
-
-
 # ---------------------------------------------------------------------------
 # check command
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pmetraj import (Grid, LAMBDA_STAR, NonconvergenceError,
-                     SingularSystemError, SolverParams, bootstrap,
+                     SingularSystemError, SolverParams, advance, bootstrap,
                      build_coefficients, damping_omega, eval_F,
                      initial_data_from_key, make_problem,
                      newton_decrement_lambda, newton_step, quadratic_bump,
                      residual, self_concordance_a, solve_tridiagonal)
 from pmetraj.newton import _guarded_update
+from pmetraj.problem import TrajectoryState
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +212,37 @@ def test_newton_budget_exhaustion_carries_report():
     assert err.value.report is not None
     assert err.value.report.iterations == 2
     assert not err.value.report.converged
+
+
+def test_newton_extrapolated_start_is_used_when_admissible():
+    g = Grid(0.0, 1.0, 100)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    state = advance(bootstrap(spec), spec, params)[0]
+    assert np.all(np.diff(2.0 * state.x_curr - state.x_prev) > 0.0)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    x_pred, report = newton_step(state, coeffs, spec, params)
+    assert report.predicted and report.converged
+    x_base, base = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
+    assert not base.predicted
+    assert report.lambda_history[0] < base.lambda_history[0]  # a closer start
+    assert report.iterations <= base.iterations
+    assert np.max(np.abs(x_pred - x_base)) <= 1e-12
+
+
+def test_newton_falls_back_to_current_when_extrapolation_crosses():
+    g = Grid(0.0, 1.0, 50)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    x_curr = g.nodes()
+    x_prev = x_curr.copy()
+    x_prev[20] -= 0.9 * g.h
+    x_prev[21] += 0.9 * g.h
+    state = TrajectoryState(n=1, t=g.h, x_curr=x_curr, x_prev=x_prev)
+    assert np.all(np.diff(x_prev) > 0.0)
+    assert not np.all(np.diff(2.0 * x_curr - x_prev) > 0.0)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    x_new, report = newton_step(state, coeffs, spec, params)
+    assert not report.predicted and report.converged
+    x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
+    assert np.max(np.abs(x_new - x_base)) <= 1e-12

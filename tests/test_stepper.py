@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pmetraj import (Grid, RunConfig, SolverParams, advance, bootstrap,
-                     compute_s_h, initial_data_from_key, make_problem,
-                     quadratic_bump, recover_density, run)
+                     build_coefficients, compute_s_h, initial_data_from_key,
+                     make_problem, newton_step, quadratic_bump,
+                     recover_density, run)
 from pmetraj.problem import TrajectoryState
 
 
@@ -152,3 +153,23 @@ def test_run_config_validation():
         RunConfig(spec=spec, params=params, t_final=-1.0)
     with pytest.raises(ValueError):
         RunConfig(spec=spec, params=params, t_final=1.0, snapshot_every=-2)
+
+
+def test_extrapolated_start_halves_iterations_with_same_trajectory():
+    """m = 2 bump at M = 400, tau = h, t = 0.05: the extrapolated Newton start
+    keeps the mean iteration count at or below 4 (5.25 when every step starts
+    from x^n) and lands on the trajectory stepped from x^n to 1e-12."""
+    g, spec, params = _quad_setup(M=400)
+    result = run(RunConfig(spec=spec, params=params, t_final=0.05))
+    reports = result.newton_reports
+    assert len(reports) == 20
+    assert np.mean([r.iterations for r in reports]) <= 4.0
+
+    state = bootstrap(spec)
+    for _ in range(20):
+        coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+        x_new, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr,
+                               damped_start=(state.n == 0))
+        state = TrajectoryState(n=state.n + 1, t=state.t + params.tau,
+                                x_curr=x_new, x_prev=state.x_curr)
+    assert np.max(np.abs(result.final_state.x_curr - state.x_curr)) <= 1e-12
