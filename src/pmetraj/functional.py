@@ -153,43 +153,60 @@ def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
 
 
 # ---------------------------------------------------------------------------
-# Convex functional (diagnostics; never inside the Newton loop)
+# Convex functional in closed form (diagnostics; never inside the Newton loop)
 # ---------------------------------------------------------------------------
 
-def _secant_integrand(s_over_x0_minus_1: float, x0: float) -> float:
-    # (ln s - ln x0)/(s - x0) evaluated stably via the relative offset u = s/x0 - 1.
-    u = s_over_x0_minus_1
-    if abs(u) < 1e-6:
-        return (1.0 - u * (0.5 - u / 3.0)) / x0
-    return math.log1p(u) / (x0 * u)
+_PI2_6 = math.pi ** 2 / 6.0
+
+#: B_2k/(2k+1)! for k = 1..9, the odd tail of the Bernoulli series of Li2;
+#: at |u| <= ln 2 the first omitted term is below 5e-21.
+_LI2_SERIES = (
+    0.027777777777777776,     # 1/6 / 3!
+    -0.0002777777777777778,   # -1/30 / 5!
+    4.72411186696901e-06,     # 1/42 / 7!
+    -9.185773074661964e-08,   # -1/30 / 9!
+    1.8978869988971e-09,      # 5/66 / 11!
+    -4.0647616451442256e-11,  # -691/2730 / 13!
+    8.921691020456452e-13,    # 7/6 / 15!
+    -1.9939295860721074e-14,  # -3617/510 / 17!
+    4.518980029619918e-16,    # 43867/798 / 19!
+)
 
 
-def _adaptive_simpson(f, a, b, tol):
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _spence(w):
+    """Spence's function Li2(1 - w) for w > 0, elementwise.
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+    Every argument is mapped to z in [-1, 1/2], where u = -ln(1 - z) has
+    |u| <= ln 2 and one Horner pass of the Bernoulli series
+    Li2(z) = u - u^2/4 + sum_k B_2k u^(2k+1)/(2k+1)! is exact to roundoff:
+    w in [1/2, 2] directly (z = 1 - w); w < 1/2 by the reflection
+    Li2(z) = pi^2/6 - ln z ln(1 - z) - Li2(1 - z); w > 2 by the inversion
+    Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2.  Each branch reads w clipped
+    to its own range, so the lanes it does not own stay finite.
+    """
+    w = np.asarray(w, dtype=float)
+    low = w < 0.5
+    high = w > 2.0
+    w_high = np.maximum(w, 2.0)
+    ln_1mw = np.log1p(-np.minimum(w, 0.5))  # ln(1 - w), reflection lanes
+    ln_wm1 = np.log(w_high - 1.0)           # ln(w - 1), inversion lanes
+    ln_w = np.log(w)
+    u = np.where(low, -ln_1mw, np.where(high, np.log1p(-1.0 / w_high), -ln_w))
+    v = u * u
+    p = _LI2_SERIES[-1]
+    for c in _LI2_SERIES[-2::-1]:
+        p = p * v + c
+    series = u * (1.0 + u * (-0.25 + u * p))
+    offset = np.where(low, _PI2_6 - ln_1mw * ln_w, -_PI2_6 - 0.5 * ln_wm1 * ln_wm1)
+    return np.where(low | high, offset - series, series)
 
-    return recurse(a, b, fa, fm, fb, whole, tol, 50)
 
-
-def g_convex_integral(x: float, x0: float, tol: float = 1e-12) -> float:
+def g_convex_integral(x: float, x0: float) -> float:
     """G(x, x0) = integral from x to 0 of (ln(1+t) - ln x0)/(1+t-x0) dt, x > -1.
 
-    The removable singularity at 1+t = x0 is patched by the limit 1/x0; the
-    convex part of F is <f0 G(D_h x_hat, D_h x_curr), 1>.
+    Closed form G = spence((1+x)/x0) - spence(1/x0) with spence(w) = Li2(1-w);
+    the removable singularity at 1+t = x0 needs no patch.  The convex part of
+    F is <f0 G(D_h x_hat, D_h x_curr), 1>.
     """
     if not x > -1.0:
         raise ValueError(f"G is defined for x > -1, got {x}")
@@ -197,11 +214,8 @@ def g_convex_integral(x: float, x0: float, tol: float = 1e-12) -> float:
         raise ValueError(f"G needs a positive base slope, got x0={x0}")
     if x == 0.0:
         return 0.0
-
-    def integrand(t):
-        return _secant_integrand((1.0 + t - x0) / x0, x0)
-
-    return -_adaptive_simpson(integrand, 0.0, x, tol)
+    top, base = _spence(np.array([(1.0 + x) / x0, 1.0 / x0]))
+    return float(top - base)
 
 
 def g_convex_second(x: float, x0: float) -> float:
@@ -210,13 +224,15 @@ def g_convex_second(x: float, x0: float) -> float:
 
 
 def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-           spec: ProblemSpec, params: SolverParams, quad_tol: float = 1e-12,
+           spec: ProblemSpec, params: SolverParams,
            damped_start: bool = False) -> float:
     """Value of the convex step functional at displacement x_hat = x_new - X.
 
     All inner products carry the weight h, so the gradient of this value is
-    h times the residual.  Quadrature-backed, intended for verification and
-    monitoring only.
+    h times the residual.  The convex part <f0 G, 1> is evaluated in closed
+    form through the dilogarithm Li2 (see g_convex_integral) in one
+    vectorized pass; at rest (x_hat = 0) both spence arguments coincide and
+    F is exactly 0.  Intended for verification and monitoring.
     """
     grid = spec.grid
     x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
@@ -232,10 +248,10 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     if damped_start:
         f2 = -h * float(np.sum(spec.f0_cells * np.log1p(yhat)))
         return f1 + f2 + f3
-    f2 = h * float(np.sum(spec.f0_cells * np.array(
-        [g_convex_integral(float(yh), float(base), quad_tol)
-         for yh, base in zip(yhat, y0)]
-    )))
+    if not np.all(y0 > 0.0):
+        raise ValueError("G needs positive base slopes")
+    ends = _spence(np.concatenate(((1.0 + yhat) / y0, 1.0 / y0)))
+    f2 = h * float(np.sum(spec.f0_cells * (ends[:yhat.size] - ends[yhat.size:])))
     f4 = tau * tau * h * float(np.sum(-np.log1p(yhat) + yhat / y0))
     return f1 + f2 + f3 + f4
 

@@ -2,6 +2,7 @@
 enforcement, and trace/snapshot emission."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import functional, newton
 from .csvio import write_csv_atomic
-from .errors import EnergyViolationError
+from .errors import EnergyViolationError, SolverError
 from .functional import SolverParams
 from .newton import NewtonReport
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
@@ -84,8 +85,7 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     lhs = e_new - e_old
     if lhs > rhs + ENERGY_SLACK:
         raise EnergyViolationError(
-            f"step {state.n + 1}: energy change {lhs:.6e} exceeds dissipation "
-            f"bound {rhs:.6e}"
+            f"energy change {lhs:.6e} exceeds dissipation bound {rhs:.6e}"
         )
 
     new_state = TrajectoryState(
@@ -101,6 +101,14 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
         min_slope=float(np.min(np.diff(x_new)) / spec.grid.h),
     )
     return new_state, diag
+
+
+def _located(exc: SolverError, n: int, t: float) -> SolverError:
+    """A copy of exc (same class, same attributes such as a Newton report)
+    whose message starts with the step number and the time it reaches."""
+    located = copy.copy(exc)
+    located.args = (f"step {n} (t = {t:.6g}): {exc}",)
+    return located
 
 
 def _write_snapshot(out_dir: Path, state: TrajectoryState, spec: ProblemSpec) -> None:
@@ -141,7 +149,10 @@ def run(config: RunConfig) -> RunResult:
         step_params = params
         if k == n_full:  # truncated final step lands exactly on t_final
             step_params = dataclasses.replace(params, tau=tail)
-        state, diag = advance(state, spec, step_params)
+        try:
+            state, diag = advance(state, spec, step_params)
+        except SolverError as exc:
+            raise _located(exc, state.n + 1, state.t + step_params.tau) from exc
         result.energy_trace.append((
             state.n, state.t, diag.energy,
             diag.dissipation_lhs, diag.dissipation_rhs,

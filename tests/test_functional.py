@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pmetraj import (DegenerateMeshError, Grid, SolverParams, LAMBDA_STAR,
                      q1_oracle, quadratic_bump, residual, secant_ratio_R,
                      slope_derivative_W)
 from pmetraj.checks import gradient_vs_fd, hessian_vs_fd, random_admissible
-from pmetraj.functional import g_convex_second
+from pmetraj.functional import _LI2_SERIES, _spence, g_convex_second
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_eval_F_zero_at_rest():
     params = SolverParams(tau=g.h)
     X = g.nodes()
     coeffs = build_coefficients(X, X, spec, params)
-    assert eval_F(np.zeros(13), X, coeffs, spec, params) == pytest.approx(0.0, abs=1e-15)
+    assert eval_F(np.zeros(13), X, coeffs, spec, params) == 0.0
 
 
 def test_eval_F_directional_fd(rng):
@@ -291,7 +292,7 @@ def test_g_integral_zero_and_domain():
 
 
 def test_g_second_derivative_consistency(rng):
-    # closed form vs central differences of the quadrature
+    # closed-form G'' vs central differences of G
     for _ in range(10):
         x = float(rng.uniform(-0.5, 2.0))
         x0 = float(rng.uniform(0.3, 2.0))
@@ -300,6 +301,69 @@ def test_g_second_derivative_consistency(rng):
               + g_convex_integral(x - eps, x0)) / eps ** 2
         assert g_convex_second(x, x0) == pytest.approx(fd, rel=5e-5, abs=1e-7)
         assert g_convex_second(x, x0) >= 0.0
+
+
+def test_spence_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    # geometric sweep plus the branch edges 1/2 and 2 and the zero at w = 1
+    w = np.concatenate((np.geomspace(1e-12, 1e12, 481), [0.5, 1.0, 2.0]))
+    got = _spence(w)
+    for wi, gi in zip(w, got):
+        exact = float(mp.polylog(2, 1 - mp.mpf(float(wi))))
+        assert abs(gi - exact) <= 1e-15 * max(1.0, abs(exact)), wi
+    assert _spence(np.array([1.0]))[0] == 0.0
+
+
+def test_g_integral_against_mpmath_quadrature(rng):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+
+    def integrand(t, x0):
+        s = 1 + t - x0
+        return (mp.log(1 + t) - mp.log(x0)) / s if s != 0 else 1 / x0
+
+    for k in range(200):
+        x0 = float(rng.uniform(0.05, 5.0))
+        if k % 4 == 0:   # base slope within 1e-6 of 1 + x: the removable singularity
+            x = x0 - 1.0 + float(rng.uniform(-1e-6, 1e-6))
+        else:
+            x = float(rng.uniform(-0.95, 3.0))
+        if x <= -1.0 or x == 0.0:
+            continue
+        mx, mx0 = mp.mpf(x), mp.mpf(x0)
+        inner = [mx0 - 1] if min(x, 0.0) < x0 - 1.0 < max(x, 0.0) else []
+        exact = -mp.quad(lambda t: integrand(t, mx0), [0] + inner + [mx])
+        assert g_convex_integral(x, x0) == pytest.approx(float(exact), rel=1e-11, abs=1e-12)
+
+
+def test_li2_series_coefficients_are_bernoulli():
+    # B_2k/(2k+1)! with the Bernoulli numbers from their defining recurrence
+    bern = [Fraction(1)]
+    for n in range(1, 2 * len(_LI2_SERIES) + 1):
+        bern.append(-sum(math.comb(n + 1, j) * bern[j] for j in range(n)) / (n + 1))
+    for k, coeff in enumerate(_LI2_SERIES, start=1):
+        assert coeff == float(bern[2 * k] / math.factorial(2 * k + 1))
+
+
+def test_eval_F_convex_part_matches_scalar_g(rng):
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    for _ in range(5):
+        x_new = random_admissible(rng, g)
+        x_hat = x_new - g.nodes()
+        h, tau = g.h, params.tau
+        yhat = np.diff(x_hat) / h
+        y0 = coeffs.slope_curr
+        dx = x_new - x_curr
+        rest = (0.5 / tau * h * np.sum(coeffs.mass[1:-1] * dx[1:-1] ** 2)
+                + params.a0 * tau * h * np.sum(0.5 * yhat ** 2 - yhat * y0)
+                + tau * tau * h * np.sum(-np.log1p(yhat) + yhat / y0))
+        cells = h * spec.f0_cells * np.array(
+            [g_convex_integral(float(a), float(b)) for a, b in zip(yhat, y0)])
+        convex = eval_F(x_hat, x_curr, coeffs, spec, params) - rest
+        # relative to the size of the summands, which may cancel
+        scale = float(np.sum(np.abs(cells))) + abs(rest)
+        assert abs(convex - float(np.sum(cells))) <= 1e-13 * scale
 
 
 def test_q1_oracle_values():

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, RunConfig, SolverParams, advance, bootstrap,
+from pmetraj import (Grid, NonconvergenceError, RunConfig, SolverParams, advance, bootstrap,
                      build_coefficients, compute_s_h, initial_data_from_key,
                      make_problem, newton_step, quadratic_bump,
                      recover_density, run)
@@ -71,6 +71,21 @@ def test_run_expected_step_count_and_energy_monotone():
     assert all(b <= a for a, b in zip(energies[:-1], energies[1:]))
     assert energies[-1] <= energies[0]
     assert result.final_state.t == pytest.approx(0.05)
+
+
+def test_run_error_names_step_and_time():
+    # near-vacuum data needs far more than two Newton iterations per step
+    g = Grid(0.0, 1.0, 40)
+    spec = make_problem(2.0, g, initial_data_from_key("poly:1e-4,0,1"))
+    params = SolverParams(tau=0.005, newton_max_iter=2)
+    with pytest.raises(NonconvergenceError) as err:
+        run(RunConfig(spec=spec, params=params, t_final=0.05))
+    assert str(err.value).startswith("step 1 (t = 0.005): ")
+    assert isinstance(err.value.__cause__, NonconvergenceError)
+    report = err.value.report
+    assert report is err.value.__cause__.report
+    assert report is not None and not report.converged
+    assert report.iterations == 2
 
 
 def test_run_truncated_final_step():
