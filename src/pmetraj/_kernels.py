@@ -17,25 +17,29 @@ import numpy as np
 
 _ONE, _ZERO = np.ones(1), np.zeros(1)  # the padding row of cyclic reduction
 
+#: Relative width of the equal-slope branch: where |y - y0| <= EPS_SWITCH *
+#: max(y, y0) the secant ratio and its derivative take their limit values.
+EPS_SWITCH = 1e-8
 
-def secant_ratio(y, y0, eps_switch):
+
+def secant_ratio(y, y0):
     """Elementwise (ln y - ln y0)/(y - y0) with the near-equal midpoint branch."""
     y = np.asarray(y, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     d = y - y0
-    near = np.abs(d) <= eps_switch * np.maximum(y, y0)
+    near = np.abs(d) <= EPS_SWITCH * np.maximum(y, y0)
     d_safe = np.where(near, 1.0, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = np.log1p(d_safe / y0) / d_safe
     return np.where(near, 2.0 / (y + y0), exact)
 
 
-def slope_derivative(y, y0, eps_switch):
+def slope_derivative(y, y0):
     """Elementwise [(1 - y0/y) + ln(y0/y)]/(y - y0)^2, equal branch -1/(2y^2)."""
     y = np.asarray(y, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     d = y - y0
-    near = np.abs(d) <= eps_switch * np.maximum(y, y0)
+    near = np.abs(d) <= EPS_SWITCH * np.maximum(y, y0)
     d_safe = np.where(near, 1.0, d)
     z = d_safe / y0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -44,7 +48,7 @@ def slope_derivative(y, y0, eps_switch):
 
 
 def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
-                      h, tau, a0, eps_switch, damped_start=False):
+                      h, tau, a0, damped_start=False):
     """Scheme residual g on nodes (Dirichlet end slots 0).
 
     g_i = mass_i (x_new_i - x_curr_i)/tau
@@ -59,7 +63,7 @@ def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
     if damped_start:
         flux = f0_cells / y - (a0 * tau) * d
     else:
-        near = np.abs(d) <= eps_switch * np.maximum(y, y0)
+        near = np.abs(d) <= EPS_SWITCH * np.maximum(y, y0)
         d_safe = np.where(near, 1.0, d)
         with np.errstate(divide="ignore", invalid="ignore"):
             r_exact = np.log1p(d_safe / y0) / d_safe
@@ -71,7 +75,7 @@ def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
 
 
 def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
-                    eps_switch, damped_start=False):
+                    damped_start=False):
     """Tridiagonal of the interior linearized system (diag M-1, offdiag M-2).
 
     Cell coefficient c = -f0 W + a0 tau + tau^2/y^2, all addends nonnegative
@@ -82,7 +86,7 @@ def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
     if damped_start:
         c = f0_cells / (y * y) + a0 * tau
     else:
-        w = slope_derivative(y, slope_curr, eps_switch)
+        w = slope_derivative(y, slope_curr)
         c = -f0_cells * w + a0 * tau + (tau * tau) / (y * y)
     inv_h2 = 1.0 / (h * h)
     diag = mass[1:-1] / tau + (c[:-1] + c[1:]) * inv_h2

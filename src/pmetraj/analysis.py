@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .functional import SolverParams
 from .grid import Grid
-from .problem import initial_data_from_key, make_problem, recover_density
+from .problem import (ProblemSpec, initial_data_from_key, make_problem,
+                      recover_density)
 from .stepper import RunConfig, RunResult, run
 
 NORM_KEYS = ("f_l2", "f_inf", "x_l2", "x_inf")
@@ -98,13 +99,10 @@ def observed_orders(records: list) -> dict:
     return orders
 
 
-def _run_case(m: float, M: int, t_eval: float, initial_data, domain,
+def _run_case(spec: ProblemSpec, t_eval: float,
               params_base: SolverParams) -> RunResult:
-    """One solve at resolution M with tau = h (linear refinement)."""
-    grid = Grid(domain[0], domain[1], M)
-    f0 = initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data
-    spec = make_problem(m, grid, f0)
-    params = dataclasses.replace(params_base, tau=grid.h)
+    """One solve of spec with tau = h (linear refinement)."""
+    params = dataclasses.replace(params_base, tau=spec.grid.h)
     return run(RunConfig(spec=spec, params=params, t_final=t_eval))
 
 
@@ -143,26 +141,19 @@ def convergence_study(m: float,
                 f"t_eval={t_eval} is not a whole number of steps at M={M} (tau = h)"
             )
 
-    results = [_run_case(m, M, t_eval, initial_data, domain, params_base)
-               for M in [reference_M] + m_list]
+    f0 = initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data
+    specs = [make_problem(m, Grid(domain[0], domain[1], M), f0)
+             for M in [reference_M] + m_list]
+    results = [_run_case(spec, t_eval, params_base) for spec in specs]
 
     runs = {"reference": results[0]}
     ref_state = results[0].final_state
-    grid_ref = Grid(domain[0], domain[1], reference_M)
-    spec_ref = make_problem(
-        m, grid_ref,
-        initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data,
-    )
-    f_ref = recover_density(ref_state.x_curr, spec_ref)
+    f_ref = recover_density(ref_state.x_curr, specs[0])
 
     records = []
-    for M, res in zip(m_list, results[1:]):
+    for M, spec, res in zip(m_list, specs[1:], results[1:]):
         runs[M] = res
-        grid = Grid(domain[0], domain[1], M)
-        spec = make_problem(
-            m, grid,
-            initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data,
-        )
+        grid = spec.grid
         x = res.final_state.x_curr
         f = recover_density(x, spec)
         stride = reference_M // M

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functional
+from . import _kernels, functional
 from .functional import SolverParams
 from .grid import Grid, d_centered_to_nodes, d_forward, d_wide
 from .problem import make_problem, quadratic_bump
@@ -96,14 +96,15 @@ def check_g_second_nonnegative(rng, samples=1000) -> CheckResult:
     return CheckResult("convex-part curvature G'' >= 0", True)
 
 
-def check_branch_continuity(eps_switch: float = 1e-8) -> CheckResult:
+def check_branch_continuity() -> CheckResult:
     """Both evaluation branches sit within 1e-6 of the equal-slope limit values
     at the switching threshold, for base slopes across [0.1, 10]."""
+    eps = _kernels.EPS_SWITCH
     for y0 in np.geomspace(0.1, 10.0, 61):
-        for rel in (0.9 * eps_switch, 1.1 * eps_switch):  # just inside / outside
+        for rel in (0.9 * eps, 1.1 * eps):  # just inside / outside
             y = y0 * (1.0 + rel)
-            r = functional.secant_ratio_R(y, y0, eps_switch)
-            w = functional.slope_derivative_W(y, y0, eps_switch)
+            r = functional.secant_ratio_R(y, y0)
+            w = functional.slope_derivative_W(y, y0)
             dr = abs(r - 1.0 / y0)
             dw = abs(w + 0.5 / y0 ** 2)
             if dr > 1e-6 or dw > 1e-6:

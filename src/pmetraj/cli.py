@@ -10,15 +10,14 @@ from . import analysis, stepper
 from .config import Config, parse_number
 from .csvio import write_csv_atomic, write_text_atomic
 from .errors import ConfigurationError, SolverError
-from .functional import LAMBDA_STAR, SolverParams
+from .functional import SolverParams
 from .grid import Grid
 from .problem import initial_data_from_key, make_problem
 
 _SCHEMA = {
     "problem": {"m", "domain", "initial_data"},
     "discretization": {"M", "tau", "t_final", "A0"},
-    "newton": {"tol_lambda", "tol_residual", "max_iter", "lambda_prime",
-               "c_newton", "eps_switch"},
+    "newton": {"tol_lambda", "tol_residual", "max_iter"},
     "study": {"h_list", "reference_M", "t_eval"},
     "output": {"dir", "snapshot_every"},
 }
@@ -27,15 +26,14 @@ _SCHEMA = {
 def _parse_domain(cfg: Config):
     raw = cfg.get_str("problem", "domain", "0,1")
     parts = [p.strip() for p in raw.split(",")]
-    cv = cfg.sections.get("problem", {}).get("domain")
     if len(parts) != 2:
-        cfg._fail(cv, "problem", "domain", f"expected 'left,right', got {raw!r}")
+        cfg.fail("problem", "domain", f"expected 'left,right', got {raw!r}")
     try:
         left, right = parse_number(parts[0]), parse_number(parts[1])
     except ValueError:
-        cfg._fail(cv, "problem", "domain", f"expected two numbers, got {raw!r}")
+        cfg.fail("problem", "domain", f"expected two numbers, got {raw!r}")
     if not right > left:
-        cfg._fail(cv, "problem", "domain", "right end must exceed left end")
+        cfg.fail("problem", "domain", "right end must exceed left end")
     return left, right
 
 
@@ -43,30 +41,20 @@ def _parse_m_values(cfg: Config) -> list[float]:
     values = cfg.get_number_list("problem", "m")
     for v in values:
         if not v > 1.0:
-            cv = cfg.sections["problem"]["m"]
-            cfg._fail(cv, "problem", "m", f"exponent must exceed 1, got {v!r}")
+            cfg.fail("problem", "m", f"exponent must exceed 1, got {v!r}")
     return values
 
 
 def _build_params(cfg: Config, tau: float) -> SolverParams:
-    lam_prime = cfg.get_number("newton", "lambda_prime", 0.9)
-    if not (LAMBDA_STAR <= lam_prime < 1.0):
-        cv = cfg.sections.get("newton", {}).get("lambda_prime")
-        cfg._fail(cv, "newton", "lambda_prime",
-                  f"must lie in [{LAMBDA_STAR:.6f}, 1), got {lam_prime!r}")
     max_iter = cfg.get_int("newton", "max_iter", 100)
     if max_iter < 1:
-        cv = cfg.sections.get("newton", {}).get("max_iter")
-        cfg._fail(cv, "newton", "max_iter", "must be at least 1")
+        cfg.fail("newton", "max_iter", "must be at least 1")
     return SolverParams(
         tau=tau,
         a0=cfg.get_number("discretization", "A0", 1.0),
-        eps_switch=cfg.get_number("newton", "eps_switch", 1e-8),
         newton_tol_lambda=cfg.get_number("newton", "tol_lambda", 1e-9),
         newton_tol_residual=cfg.get_number("newton", "tol_residual", 1e-12),
         newton_max_iter=max_iter,
-        lambda_prime=lam_prime,
-        c_newton=cfg.get_number("newton", "c_newton", 1.0),
     )
 
 
@@ -82,19 +70,16 @@ def cmd_solve(args) -> int:
     cfg.reject_unknown(_SCHEMA)
     m_values = _parse_m_values(cfg)
     if len(m_values) != 1:
-        cv = cfg.sections["problem"]["m"]
-        cfg._fail(cv, "problem", "m", "solve expects a single exponent")
+        cfg.fail("problem", "m", "solve expects a single exponent")
     left, right = _parse_domain(cfg)
     M = cfg.get_int("discretization", "M")
     if M < 2:
-        cfg._fail(cfg.sections["discretization"]["M"], "discretization", "M",
-                  "need at least 2 cells")
+        cfg.fail("discretization", "M", "need at least 2 cells")
     tau = cfg.get_number("discretization", "tau")
     cfg.require_positive(tau, "discretization", "tau")
     t_final = cfg.get_number("discretization", "t_final")
     if t_final < 0.0:
-        cfg._fail(cfg.sections["discretization"]["t_final"], "discretization",
-                  "t_final", "must be nonnegative")
+        cfg.fail("discretization", "t_final", "must be nonnegative")
 
     grid = Grid(left, right, M)
     f0 = initial_data_from_key(cfg.get_str("problem", "initial_data"))

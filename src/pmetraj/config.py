@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ConfigurationError
 
@@ -72,61 +73,47 @@ class Config:
 
     # -- accessors ----------------------------------------------------------
 
-    def _fail(self, cv: ConfigValue | None, section: str, key: str, message: str):
+    def fail(self, section: str, key: str, message: str) -> NoReturn:
+        """Raise ConfigurationError for section.key, at its line if it is set."""
+        cv = self.sections.get(section, {}).get(key)
         where = f"{self.path}:{cv.line}: " if cv is not None else f"{self.path}: "
         raise ConfigurationError(f"{where}{section}.{key}: {message}")
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
+    def _lookup(self, section: str, key: str, default, parse, what: str = ""):
+        """parse(text) of section.key (its ConfigValue if parse is None), or
+        `default` when the key is unset; with no default the key is required.
+        A ValueError from parse is reported as `what` at the key's line."""
+        cv = self.sections.get(section, {}).get(key)
+        if cv is None:
+            if default is None:
+                self.fail(section, key, "missing required key")
+            return default
+        if parse is None:
+            return cv
+        try:
+            return parse(cv.raw)
+        except ValueError:
+            self.fail(section, key, f"{what}: {cv.raw!r}")
 
     def raw(self, section: str, key: str, default=None):
-        cv = self.sections.get(section, {}).get(key)
-        if cv is None:
-            if default is not None:
-                return default
-            self._fail(None, section, key, "missing required key")
-        return cv
+        return self._lookup(section, key, default, None)
 
     def get_str(self, section: str, key: str, default: str | None = None) -> str:
-        cv = self.raw(section, key, default)
-        return cv if isinstance(cv, str) else cv.raw
+        return self._lookup(section, key, default, str)
 
     def get_number(self, section: str, key: str, default: float | None = None) -> float:
-        cv = self.sections.get(section, {}).get(key)
-        if cv is None:
-            if default is not None:
-                return default
-            self._fail(None, section, key, "missing required key")
-        try:
-            return parse_number(cv.raw)
-        except ValueError:
-            self._fail(cv, section, key, f"not a number: {cv.raw!r}")
+        return self._lookup(section, key, default, parse_number, "not a number")
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int:
-        cv = self.sections.get(section, {}).get(key)
-        if cv is None:
-            if default is not None:
-                return default
-            self._fail(None, section, key, "missing required key")
-        try:
-            value = int(cv.raw)
-        except ValueError:
-            self._fail(cv, section, key, f"not an integer: {cv.raw!r}")
-        return value
+        return self._lookup(section, key, default, int, "not an integer")
 
     def get_number_list(self, section: str, key: str) -> list[float]:
-        cv = self.sections.get(section, {}).get(key)
-        if cv is None:
-            self._fail(None, section, key, "missing required key")
-        try:
-            return [parse_number(tok) for tok in cv.raw.split(",") if tok.strip()]
-        except ValueError:
-            self._fail(cv, section, key, f"not a comma-separated number list: {cv.raw!r}")
+        return self._lookup(section, key, None, _parse_number_list,
+                            "not a comma-separated number list")
 
     def require_positive(self, value: float, section: str, key: str) -> float:
         if not value > 0.0:
-            cv = self.sections.get(section, {}).get(key)
-            self._fail(cv, section, key, f"must be positive, got {value!r}")
+            self.fail(section, key, f"must be positive, got {value!r}")
         return value
 
     def reject_unknown(self, known: dict[str, set[str]]) -> None:
@@ -151,3 +138,7 @@ def parse_number(token: str) -> float:
         num, _, den = token.partition("/")
         return float(num) / float(den)
     return float(token)
+
+
+def _parse_number_list(text: str) -> list[float]:
+    return [parse_number(tok) for tok in text.split(",") if tok.strip()]

@@ -15,19 +15,9 @@ def format_value(v) -> str:
 
 
 def write_csv_atomic(path: Path, header: list[str], rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(format_value(v) for v in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_text_atomic(path: Path, text: str) -> None:

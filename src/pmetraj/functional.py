@@ -24,39 +24,24 @@ from .errors import DegenerateMeshError
 from .grid import Grid, d_forward, d_wide
 from .problem import ProblemSpec, is_admissible
 
-#: Damping threshold below which full Newton steps are taken.
-LAMBDA_STAR = 2.0 - math.sqrt(3.0)
-
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Time step, regularization weight, and Newton controls."""
+    """Time step, regularization weight, and Newton stopping controls."""
 
     tau: float
     a0: float = 1.0
-    eps_switch: float = 1e-8
     newton_tol_lambda: float = 1e-9
     newton_tol_residual: float = 1e-12
     newton_max_iter: int = 100
-    lambda_star: float = LAMBDA_STAR
-    lambda_prime: float = 0.9
-    c_newton: float = 1.0
 
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.a0 < 0.0:
             raise ValueError(f"a0 must be nonnegative, got {self.a0}")
-        if abs(self.lambda_star - LAMBDA_STAR) > 1e-15:
-            raise ValueError("lambda_star is fixed at 2 - sqrt(3)")
-        if not (self.lambda_star <= self.lambda_prime < 1.0):
-            raise ValueError(
-                f"lambda_prime must lie in [{LAMBDA_STAR:.6f}, 1), got {self.lambda_prime}"
-            )
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be positive")
-        if not self.c_newton > 0.0:
-            raise ValueError("c_newton must be positive")
 
 
 @dataclass
@@ -100,19 +85,19 @@ def _check_slopes(y, y0):
         raise DegenerateMeshError("secant ratio requires positive slopes")
 
 
-def secant_ratio_R(y, y0, eps_switch: float = 1e-8):
+def secant_ratio_R(y, y0):
     """(ln y - ln y0)/(y - y0); midpoint value 2/(y + y0) when |y - y0| is below
-    eps_switch * max(y, y0).  Scalar in, scalar out; arrays broadcast."""
+    _kernels.EPS_SWITCH * max(y, y0).  Scalar in, scalar out; arrays broadcast."""
     _check_slopes(y, y0)
-    out = _kernels.secant_ratio(y, y0, eps_switch)
+    out = _kernels.secant_ratio(y, y0)
     return float(out) if np.isscalar(y) and np.isscalar(y0) else out
 
 
-def slope_derivative_W(y, y0, eps_switch: float = 1e-8):
+def slope_derivative_W(y, y0):
     """d/dy of the secant ratio: [(1 - y0/y) + ln(y0/y)]/(y - y0)^2, equal branch
     -1/(2 y^2).  Always <= 0."""
     _check_slopes(y, y0)
-    out = _kernels.slope_derivative(y, y0, eps_switch)
+    out = _kernels.slope_derivative(y, y0)
     return float(out) if np.isscalar(y) and np.isscalar(y0) else out
 
 
@@ -135,7 +120,7 @@ def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     return _kernels.residual_interior(
         np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float),
         coeffs.slope_curr, coeffs.mass, spec.f0_cells,
-        spec.grid.h, params.tau, params.a0, params.eps_switch, damped_start,
+        spec.grid.h, params.tau, params.a0, damped_start,
     )
 
 
@@ -147,8 +132,7 @@ def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     return _kernels.hessian_tridiag(
         np.asarray(x_new, dtype=float), coeffs.slope_curr, coeffs.mass,
-        spec.f0_cells, spec.grid.h, params.tau, params.a0, params.eps_switch,
-        damped_start,
+        spec.f0_cells, spec.grid.h, params.tau, params.a0, damped_start,
     )
 
 
@@ -220,7 +204,7 @@ def g_convex_integral(x: float, x0: float) -> float:
 
 def g_convex_second(x: float, x0: float) -> float:
     """Closed-form G''(x, x0) >= 0; equals -W(1+x, x0)."""
-    return -slope_derivative_W(1.0 + x, x0, eps_switch=1e-8)
+    return -slope_derivative_W(1.0 + x, x0)
 
 
 def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,

@@ -11,7 +11,8 @@ Each iteration solves the SPD tridiagonal linearization, measures the scaled
 decrement lambda = sqrt((h/a) g^T H^{-1} g), damps by the three-branch rule
 omega(lambda), and halves omega further (at most 60 times) should an update
 try to leave the admissible set.  Convergence is declared when lambda drops
-below its tolerance or the residual max-norm does.
+below its tolerance or the residual max-norm does.  The damping constants
+are fixed: like the start, they change the iteration count, not the answer.
 """
 from __future__ import annotations
 
@@ -23,11 +24,18 @@ import numpy as np
 from . import _kernels
 from .errors import (DegenerateMeshError, NonconvergenceError,
                      SingularSystemError, SpdViolationError)
-from .functional import LAMBDA_STAR, SchemeCoefficients, SolverParams
+from .functional import SchemeCoefficients, SolverParams
 from .grid import Grid
 from .problem import ProblemSpec, TrajectoryState, is_admissible
 
 MAX_GUARD_HALVINGS = 60
+
+#: Damping threshold below which full Newton steps are taken.
+LAMBDA_STAR = 2.0 - math.sqrt(3.0)
+#: Decrement above which the step is scaled by 1/lambda.
+LAMBDA_PRIME = 0.9
+#: Scale of the self-concordance parameter a = h min f0 / (2 C_NEWTON^2).
+C_NEWTON = 1.0
 
 
 @dataclass
@@ -75,19 +83,19 @@ def newton_decrement_lambda(g: np.ndarray, delta: np.ndarray, a: float,
     return math.sqrt(grid.h / a * max(inner, 0.0))
 
 
-def damping_omega(lam: float, params: SolverParams) -> float:
-    """Three-branch damping: 1/lambda above lambda', (1-l)/(l(3-l)) in the
-    middle band, full steps below lambda* = 2 - sqrt(3)."""
-    if lam > params.lambda_prime:
+def damping_omega(lam: float) -> float:
+    """Three-branch damping: 1/lambda above lambda' = 0.9, (1-l)/(l(3-l)) in
+    the middle band, full steps below lambda* = 2 - sqrt(3)."""
+    if lam > LAMBDA_PRIME:
         return 1.0 / lam
     if lam >= LAMBDA_STAR:
         return (1.0 - lam) / (lam * (3.0 - lam))
     return 1.0
 
 
-def self_concordance_a(spec: ProblemSpec, params: SolverParams) -> float:
-    """Self-concordance parameter a = h * min f0 / (2 c_newton^2)."""
-    return spec.grid.h * spec.f0_min / (2.0 * params.c_newton ** 2)
+def self_concordance_a(spec: ProblemSpec) -> float:
+    """Self-concordance parameter a = h * min f0 / (2 C_NEWTON^2)."""
+    return spec.grid.h * spec.f0_min / (2.0 * C_NEWTON ** 2)
 
 
 def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float, grid: Grid):
@@ -129,13 +137,13 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
         x = np.array(x_init, dtype=float)
         if not is_admissible(x, grid):
             raise DegenerateMeshError("Newton starting point is outside the admissible set")
-    a = self_concordance_a(spec, params)
+    a = self_concordance_a(spec)
     report = NewtonReport(predicted=predicted)
 
     def interior_residual(y):
         return _kernels.residual_interior(
             y, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, params.eps_switch, damped_start)[1:-1]
+            params.tau, params.a0, damped_start)[1:-1]
 
     for _ in range(params.newton_max_iter):
         gi = interior_residual(x)
@@ -147,13 +155,13 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
 
         diag, off = _kernels.hessian_tridiag(
             x, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, params.eps_switch, damped_start)
+            params.tau, params.a0, damped_start)
         delta = solve_tridiagonal(diag, off, -gi)
         lam = newton_decrement_lambda(gi, delta, a, grid)
         report.lambda_history.append(lam)
 
         finishing = lam < params.newton_tol_lambda
-        omega = 1.0 if finishing else damping_omega(lam, params)
+        omega = 1.0 if finishing else damping_omega(lam)
         omega, x = _guarded_update(x, delta, omega, grid)
         report.iterations += 1
         if omega < 1.0:

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from pmetraj import cli, functional
 from pmetraj.config import Config, parse_number
 from pmetraj.errors import ConfigurationError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SOLVE_CONFIG = """
 # quadratic bump, ten steps
@@ -98,6 +101,34 @@ def test_config_missing_key(tmp_path):
     cfg = Config.load(path)
     with pytest.raises(ConfigurationError, match=r"study\.h_list: missing"):
         cfg.get_number_list("study", "h_list")
+
+
+# ---------------------------------------------------------------------------
+# committed configs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["solve.cfg", "table.cfg"])
+def test_committed_config_matches_schema(name):
+    Config.load(CONFIGS / name).reject_unknown(cli._SCHEMA)
+
+
+def test_committed_solve_config_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PME_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["solve", "--config", str(CONFIGS / "solve.cfg")]) == 0
+    assert capsys.readouterr().out.startswith("solve: 10 steps")
+    with open(tmp_path / "energy.csv") as fh:
+        assert len(list(csv.reader(fh))) == 12  # header and steps 0..10
+    assert (tmp_path / "snap_10.csv").exists() and (tmp_path / "mass.csv").exists()
+
+
+def test_removed_newton_key_is_rejected(tmp_path, capsys):
+    lines = (CONFIGS / "solve.cfg").read_text().splitlines()
+    at = lines.index("[newton]") + 1
+    lines.insert(at, "c_newton = 1.0")
+    path = tmp_path / "old.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    assert f"old.cfg:{at + 1}: unknown key newton.c_newton" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +230,7 @@ def test_cmd_check_passes(capsys):
 def test_cmd_check_flipped_sign_is_caught(monkeypatch, capsys):
     original = functional.slope_derivative_W
     monkeypatch.setattr(functional, "slope_derivative_W",
-                        lambda y, y0, eps_switch=1e-8: -original(y, y0, eps_switch))
+                        lambda y, y0: -original(y, y0))
     rc = cli.main(["check", "--seed", "7"])
     out = capsys.readouterr().out
     assert rc == 1

@@ -24,12 +24,6 @@ def test_params_validation():
         SolverParams(tau=0.0)
     with pytest.raises(ValueError):
         SolverParams(tau=0.1, a0=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(tau=0.1, lambda_prime=1.0)
-    with pytest.raises(ValueError):
-        SolverParams(tau=0.1, lambda_prime=0.2)  # below 2 - sqrt(3)
-    with pytest.raises(ValueError):
-        SolverParams(tau=0.1, lambda_star=0.3)
     assert LAMBDA_STAR == pytest.approx(2.0 - math.sqrt(3.0), abs=0)
 
 

@@ -88,22 +88,19 @@ def test_decrement_identity_with_quadratic_form(rng):
 
 
 def test_damping_branches():
-    p = SolverParams(tau=0.1, lambda_prime=0.9)
-    assert damping_omega(0.1, p) == 1.0
-    assert damping_omega(0.0, p) == 1.0
-    assert damping_omega(0.5, p) == pytest.approx(0.4, rel=1e-15)
-    assert damping_omega(2.0, p) == pytest.approx(0.5, rel=1e-15)
+    assert damping_omega(0.1) == 1.0
+    assert damping_omega(0.0) == 1.0
+    assert damping_omega(0.5) == pytest.approx(0.4, rel=1e-15)
+    assert damping_omega(2.0) == pytest.approx(0.5, rel=1e-15)
     # continuous at lambda*
-    assert damping_omega(LAMBDA_STAR, p) == pytest.approx(1.0, rel=1e-12)
+    assert damping_omega(LAMBDA_STAR) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_self_concordance_parameter():
     g = Grid(0.0, 1.0, 200)
     spec = make_problem(2.0, g, quadratic_bump)
     assert spec.f0_min == 0.25
-    assert self_concordance_a(spec, SolverParams(tau=g.h)) == pytest.approx(0.000625)
-    assert self_concordance_a(spec, SolverParams(tau=g.h, c_newton=2.0)) == \
-        pytest.approx(0.000625 / 4.0)
+    assert self_concordance_a(spec) == pytest.approx(0.000625)
 
 
 def test_guarded_update_halves_until_admissible():
@@ -169,7 +166,7 @@ def test_newton_functional_decreases_along_iterates():
     from pmetraj import hessian_coefficients
     from pmetraj.newton import _guarded_update, damping_omega as omega_rule
     values = [eval_F(x - X, state.x_curr, coeffs, spec, params)]
-    a = self_concordance_a(spec, params)
+    a = self_concordance_a(spec)
     for _ in range(30):
         gvec = residual(x, state.x_curr, coeffs, spec, params)[1:-1]
         if np.max(np.abs(gvec)) < params.newton_tol_residual:
@@ -179,7 +176,7 @@ def test_newton_functional_decreases_along_iterates():
         lam = newton_decrement_lambda(gvec, delta, a, g)
         if lam < params.newton_tol_lambda:
             break
-        omega, x = _guarded_update(x, delta, omega_rule(lam, params), g)
+        omega, x = _guarded_update(x, delta, omega_rule(lam), g)
         values.append(eval_F(x - X, state.x_curr, coeffs, spec, params))
     assert len(values) > 2
     assert all(b <= a_ + 1e-12 for a_, b in zip(values[:-1], values[1:]))
