@@ -21,9 +21,8 @@ from .functional import (SchemeCoefficients, SolverParams,
                          mass_coefficient, q1_oracle, residual,
                          secant_ratio_R, slope_derivative_W)
 from .grid import Grid, d_centered_to_nodes, d_forward, d_wide
-from .newton import (LAMBDA_STAR, NewtonReport, damping_omega,
-                     newton_decrement_lambda, newton_step,
-                     self_concordance_a, solve_tridiagonal)
+from .newton import (LAMBDA_STAR, NewtonReport, newton_decrement_lambda,
+                     newton_step, self_concordance_a, solve_tridiagonal)
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
                       discrete_mass, initial_data_from_key, is_admissible,
                       make_problem, quadratic_bump, recover_density)

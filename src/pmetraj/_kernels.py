@@ -1,6 +1,7 @@
-"""Hot per-iteration kernels: residual assembly, Hessian assembly, tridiagonal solve.
+"""Hot per-iteration kernels: residual assembly, Hessian assembly, the step
+functional of the line search, and the tridiagonal solve.
 
-All three are whole-array numpy.  The tridiagonal solve is odd-even cyclic
+All are whole-array numpy.  The tridiagonal solve is odd-even cyclic
 reduction (Buzbee, Golub & Nielson 1970): O(n) work in about log2(n)
 vectorized passes, stable without pivoting because every reduced system is a
 Schur complement of the SPD input and hence SPD itself.
@@ -12,6 +13,8 @@ smooth derivative of the secant ratio instead of blowing up the assembled
 residual at fine meshes.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -92,6 +95,73 @@ def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
     diag = mass[1:-1] / tau + (c[:-1] + c[1:]) * inv_h2
     off = -c[1:-1] * inv_h2
     return diag, off
+
+
+_PI2_6 = math.pi ** 2 / 6.0
+
+#: B_2k/(2k+1)! for k = 1..9, the odd tail of the Bernoulli series of Li2;
+#: at |u| <= ln 2 the first omitted term is below 5e-21.
+_LI2_SERIES = (
+    0.027777777777777776,     # 1/6 / 3!
+    -0.0002777777777777778,   # -1/30 / 5!
+    4.72411186696901e-06,     # 1/42 / 7!
+    -9.185773074661964e-08,   # -1/30 / 9!
+    1.8978869988971e-09,      # 5/66 / 11!
+    -4.0647616451442256e-11,  # -691/2730 / 13!
+    8.921691020456452e-13,    # 7/6 / 15!
+    -1.9939295860721074e-14,  # -3617/510 / 17!
+    4.518980029619918e-16,    # 43867/798 / 19!
+)
+
+
+def _spence(w):
+    """Spence's function Li2(1 - w) for w > 0, elementwise.
+
+    Every argument is mapped to z in [-1, 1/2], where u = -ln(1 - z) has
+    |u| <= ln 2 and one Horner pass of the Bernoulli series
+    Li2(z) = u - u^2/4 + sum_k B_2k u^(2k+1)/(2k+1)! is exact to roundoff:
+    w in [1/2, 2] directly (z = 1 - w); w < 1/2 by the reflection
+    Li2(z) = pi^2/6 - ln z ln(1 - z) - Li2(1 - z); w > 2 by the inversion
+    Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2.  Each branch reads w clipped
+    to its own range, so the lanes it does not own stay finite.
+    """
+    w = np.asarray(w, dtype=float)
+    low = w < 0.5
+    high = w > 2.0
+    w_high = np.maximum(w, 2.0)
+    ln_1mw = np.log1p(-np.minimum(w, 0.5))  # ln(1 - w), reflection lanes
+    ln_wm1 = np.log(w_high - 1.0)           # ln(w - 1), inversion lanes
+    ln_w = np.log(w)
+    u = np.where(low, -ln_1mw, np.where(high, np.log1p(-1.0 / w_high), -ln_w))
+    v = u * u
+    p = _LI2_SERIES[-1]
+    for c in _LI2_SERIES[-2::-1]:
+        p = p * v + c
+    series = u * (1.0 + u * (-0.25 + u * p))
+    offset = np.where(low, _PI2_6 - ln_1mw * ln_w, -_PI2_6 - 0.5 * ln_wm1 * ln_wm1)
+    return np.where(low | high, offset - series, series)
+
+
+def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
+                    damped_start=False):
+    """The convex step functional F at x_new, up to a constant of the step.
+
+    The residual is the gradient of this value divided by h, as it is of
+    functional.eval_F; the two differ by a constant: this one drops the
+    spence(1/y0) half of the dilogarithm pass and every term linear in
+    sum(D_h x), which the pinned ends hold fixed.  No admissibility check:
+    the Newton loop calls it only on admissible iterates.
+    """
+    y = np.diff(x_new) / h
+    d = y - slope_curr
+    dx = x_new[1:-1] - x_curr[1:-1]
+    value = (0.5 / tau) * np.dot(mass[1:-1], dx * dx) + (0.5 * a0 * tau) * np.dot(d, d)
+    if damped_start:
+        value -= np.dot(f0_cells, np.log(y))
+    else:
+        w = y / slope_curr
+        value += np.dot(f0_cells, _spence(w)) + (tau * tau) * np.sum(w - np.log(y))
+    return h * float(value)
 
 
 def thomas_spd(diag, off, rhs):

@@ -80,23 +80,18 @@ class Config:
         raise ConfigurationError(f"{where}{section}.{key}: {message}")
 
     def _lookup(self, section: str, key: str, default, parse, what: str = ""):
-        """parse(text) of section.key (its ConfigValue if parse is None), or
-        `default` when the key is unset; with no default the key is required.
-        A ValueError from parse is reported as `what` at the key's line."""
+        """parse(text) of section.key, or `default` when the key is unset;
+        with no default the key is required.  A ValueError from parse is
+        reported as `what` at the key's line."""
         cv = self.sections.get(section, {}).get(key)
         if cv is None:
             if default is None:
                 self.fail(section, key, "missing required key")
             return default
-        if parse is None:
-            return cv
         try:
             return parse(cv.raw)
         except ValueError:
             self.fail(section, key, f"{what}: {cv.raw!r}")
-
-    def raw(self, section: str, key: str, default=None):
-        return self._lookup(section, key, default, None)
 
     def get_str(self, section: str, key: str, default: str | None = None) -> str:
         return self._lookup(section, key, default, str)
@@ -132,11 +127,15 @@ class Config:
 
 
 def parse_number(token: str) -> float:
-    """Float literal or exact fraction 'a/b'."""
+    """Float literal or exact fraction 'a/b'; ValueError if it is neither or
+    the denominator is zero."""
     token = token.strip()
     if "/" in token:
         num, _, den = token.partition("/")
-        return float(num) / float(den)
+        num, den = float(num), float(den)
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {token!r}")
+        return num / den
     return float(token)
 
 

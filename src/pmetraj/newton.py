@@ -7,12 +7,18 @@ iteration count, not the answer.  Admissibility of the base and the start is
 checked once at entry: the ordering guard keeps every later iterate inside
 the admissible set, so the loop calls the assembly kernels unchecked.
 
-Each iteration solves the SPD tridiagonal linearization, measures the scaled
-decrement lambda = sqrt((h/a) g^T H^{-1} g), damps by the three-branch rule
-omega(lambda), and halves omega further (at most 60 times) should an update
-try to leave the admissible set.  Convergence is declared when lambda drops
-below its tolerance or the residual max-norm does.  The damping constants
-are fixed: like the start, they change the iteration count, not the answer.
+Each iteration solves the SPD tridiagonal linearization and measures the
+scaled decrement lambda = sqrt((h/a) g^T H^{-1} g).  Every update goes
+through the ordering guard, which halves the step (at most 60 times) should
+it try to leave the admissible set.  In the far phase (lambda >= LAMBDA_STAR)
+the step starts at omega = 1 and is halved until F drops by the Armijo
+fraction of the predicted decrease (backtracking, Boyd & Vandenberghe,
+Convex Optimization, 9.5); in the near phase the full step is taken without
+evaluating F, which keeps the quadratic contraction.  The iteration stops
+when the residual max-norm or lambda drops below its tolerance, or when
+lambda has reached the roundoff floor: below FLOOR_LAMBDA it no longer
+falls by the factor FLOOR_RATIO.  The line-search and floor constants are
+fixed: like the start, they change the iteration count, not the answer.
 """
 from __future__ import annotations
 
@@ -30,12 +36,18 @@ from .problem import ProblemSpec, TrajectoryState, is_admissible
 
 MAX_GUARD_HALVINGS = 60
 
-#: Damping threshold below which full Newton steps are taken.
+#: Decrement below which full Newton steps are taken (the near phase).
 LAMBDA_STAR = 2.0 - math.sqrt(3.0)
-#: Decrement above which the step is scaled by 1/lambda.
-LAMBDA_PRIME = 0.9
 #: Scale of the self-concordance parameter a = h min f0 / (2 C_NEWTON^2).
 C_NEWTON = 1.0
+#: Share of the predicted decrease h g^T H^{-1} g a far-phase step must win.
+ARMIJO_C = 1e-4
+#: Shortest far-phase step tried before the line search gives up.
+MIN_OMEGA = 2.0 ** -30
+#: Roundoff floor: a decrement below FLOOR_LAMBDA that is still above
+#: FLOOR_RATIO times its predecessor has stopped contracting.
+FLOOR_LAMBDA = 1e-4
+FLOOR_RATIO = 0.25
 
 
 @dataclass
@@ -46,8 +58,12 @@ class NewtonReport:
     lambda_history: list = field(default_factory=list)
     final_residual_norm: float = math.inf
     damped_steps: int = 0
+    backtracks: int = 0  # Armijo halvings of the far-phase line search
     converged: bool = False
     predicted: bool = False  # started from the extrapolation 2 x^n - x^{n-1}
+    #: why the iteration ended: "residual", "lambda" or "floor" when it
+    #: converged, "line_search" or "max_iter" when it raised
+    stop: str = ""
 
 
 def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -83,16 +99,6 @@ def newton_decrement_lambda(g: np.ndarray, delta: np.ndarray, a: float,
     return math.sqrt(grid.h / a * max(inner, 0.0))
 
 
-def damping_omega(lam: float) -> float:
-    """Three-branch damping: 1/lambda above lambda' = 0.9, (1-l)/(l(3-l)) in
-    the middle band, full steps below lambda* = 2 - sqrt(3)."""
-    if lam > LAMBDA_PRIME:
-        return 1.0 / lam
-    if lam >= LAMBDA_STAR:
-        return (1.0 - lam) / (lam * (3.0 - lam))
-    return 1.0
-
-
 def self_concordance_a(spec: ProblemSpec) -> float:
     """Self-concordance parameter a = h * min f0 / (2 C_NEWTON^2)."""
     return spec.grid.h * spec.f0_min / (2.0 * C_NEWTON ** 2)
@@ -121,7 +127,8 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     that is admissible, from x^n otherwise, or from x_init when given.
 
     Returns the admissible solution and a NewtonReport.  Raises
-    NonconvergenceError (carrying the report) if the iteration budget runs out.
+    NonconvergenceError (carrying the report) if the iteration budget runs out
+    or the far-phase line search finds no decrease of F.
     """
     grid = spec.grid
     x_curr = np.asarray(state.x_curr, dtype=float)
@@ -145,11 +152,28 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
             y, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
             params.tau, params.a0, damped_start)[1:-1]
 
+    def functional_value(y):
+        return _kernels.step_functional(
+            y, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
+            params.tau, params.a0, damped_start)
+
+    def failure(stop, message):
+        report.stop = stop
+        report.final_residual_norm = float(np.max(np.abs(interior_residual(x))))
+        return NonconvergenceError(
+            f"{message} (last lambda {report.lambda_history[-1]:.3e}, "
+            f"residual {report.final_residual_norm:.3e})",
+            report=report,
+        )
+
+    f_x = None  # F at x, carried over from an accepted far-phase step
+    lam_prev = math.inf
     for _ in range(params.newton_max_iter):
         gi = interior_residual(x)
         gnorm = float(np.max(np.abs(gi)))
         if gnorm < params.newton_tol_residual:
             report.converged = True
+            report.stop = "residual"
             report.final_residual_norm = gnorm
             return x, report
 
@@ -160,21 +184,36 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
         lam = newton_decrement_lambda(gi, delta, a, grid)
         report.lambda_history.append(lam)
 
-        finishing = lam < params.newton_tol_lambda
-        omega = 1.0 if finishing else damping_omega(lam)
-        omega, x = _guarded_update(x, delta, omega, grid)
+        if lam < params.newton_tol_lambda:
+            report.stop = "lambda"
+        elif FLOOR_RATIO * lam_prev < lam < FLOOR_LAMBDA:
+            report.stop = "floor"
+        if report.stop or lam < LAMBDA_STAR:
+            omega, x = _guarded_update(x, delta, 1.0, grid)
+            f_x = None
+        else:
+            if f_x is None:
+                f_x = functional_value(x)
+            armijo = ARMIJO_C * a * lam * lam  # ARMIJO_C h g^T H^{-1} g
+            omega = 1.0
+            while True:
+                omega, cand = _guarded_update(x, delta, omega, grid)
+                f_cand = functional_value(cand)
+                if f_cand <= f_x - omega * armijo:
+                    break
+                if omega <= MIN_OMEGA:
+                    raise failure("line_search", "line search found no decrease "
+                                  f"of F down to step {MIN_OMEGA:.1e}")
+                omega *= 0.5
+                report.backtracks += 1
+            x, f_x = cand, f_cand
         report.iterations += 1
         if omega < 1.0:
             report.damped_steps += 1
-        if finishing:
+        if report.stop:
             report.converged = True
             report.final_residual_norm = float(np.max(np.abs(interior_residual(x))))
             return x, report
+        lam_prev = lam
 
-    report.final_residual_norm = float(np.max(np.abs(interior_residual(x))))
-    raise NonconvergenceError(
-        f"Newton did not converge in {params.newton_max_iter} iterations "
-        f"(last lambda {report.lambda_history[-1]:.3e}, "
-        f"residual {report.final_residual_norm:.3e})",
-        report=report,
-    )
+    raise failure("max_iter", f"Newton did not converge in {params.newton_max_iter} iterations")

@@ -63,6 +63,8 @@ def test_parse_number_fractions():
     assert parse_number(" 2.5e-3 ") == 2.5e-3
     with pytest.raises(ValueError):
         parse_number("abc")
+    with pytest.raises(ValueError):
+        parse_number("1/0")
 
 
 def test_config_tracks_lines(tmp_path):
@@ -168,6 +170,18 @@ def test_cmd_solve_malformed_config_names_key(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "discretization.tau" in err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("tau = 1/100", "tau = 1/0", "discretization.tau: not a number: '1/0'"),
+    ("domain = 0,1", "domain = 0,1/0", "problem.domain: expected two numbers"),
+])
+def test_cmd_solve_zero_denominator_names_line(tmp_path, capsys, old, new, key):
+    text = SOLVE_CONFIG.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 1
+    assert f"case.cfg:{line}: {key}" in capsys.readouterr().err
 
 
 def test_cmd_solve_env_output_override(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from pmetraj import (Grid, LAMBDA_STAR, NonconvergenceError,
                      SingularSystemError, SolverParams, advance, bootstrap,
-                     build_coefficients, damping_omega, eval_F,
+                     build_coefficients, eval_F, hessian_coefficients,
                      initial_data_from_key, make_problem,
                      newton_decrement_lambda, newton_step, quadratic_bump,
                      residual, self_concordance_a, solve_tridiagonal)
-from pmetraj.newton import _guarded_update
+from pmetraj import _kernels
+from pmetraj.newton import (FLOOR_LAMBDA, FLOOR_RATIO, MIN_OMEGA,
+                            _guarded_update)
 from pmetraj.problem import TrajectoryState
 
 
@@ -87,15 +90,6 @@ def test_decrement_identity_with_quadratic_form(rng):
         assert lam ** 2 == pytest.approx(g.h / a * quad, rel=1e-10)
 
 
-def test_damping_branches():
-    assert damping_omega(0.1) == 1.0
-    assert damping_omega(0.0) == 1.0
-    assert damping_omega(0.5) == pytest.approx(0.4, rel=1e-15)
-    assert damping_omega(2.0) == pytest.approx(0.5, rel=1e-15)
-    # continuous at lambda*
-    assert damping_omega(LAMBDA_STAR) == pytest.approx(1.0, rel=1e-12)
-
-
 def test_self_concordance_parameter():
     g = Grid(0.0, 1.0, 200)
     spec = make_problem(2.0, g, quadratic_bump)
@@ -124,6 +118,7 @@ def test_newton_constant_density_is_immediate():
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.converged and report.iterations == 0
+    assert report.stop == "residual"
     np.testing.assert_array_equal(x_new, state.x_curr)
 
 
@@ -155,18 +150,21 @@ def test_newton_quadratic_phase():
 
 
 def test_newton_functional_decreases_along_iterates():
-    # replay the damped iteration by hand and watch the functional
+    # replay the two-phase iteration by hand and watch the functional
     g = Grid(0.0, 1.0, 64)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     X = g.nodes()
+
+    def F(y):
+        return eval_F(y - X, state.x_curr, coeffs, spec, params)
+
     x = state.x_curr.copy()
-    from pmetraj import hessian_coefficients
-    from pmetraj.newton import _guarded_update, damping_omega as omega_rule
-    values = [eval_F(x - X, state.x_curr, coeffs, spec, params)]
+    values = [F(x)]
     a = self_concordance_a(spec)
+    far = 0
     for _ in range(30):
         gvec = residual(x, state.x_curr, coeffs, spec, params)[1:-1]
         if np.max(np.abs(gvec)) < params.newton_tol_residual:
@@ -176,10 +174,18 @@ def test_newton_functional_decreases_along_iterates():
         lam = newton_decrement_lambda(gvec, delta, a, g)
         if lam < params.newton_tol_lambda:
             break
-        omega, x = _guarded_update(x, delta, omega_rule(lam), g)
-        values.append(eval_F(x - X, state.x_curr, coeffs, spec, params))
-    assert len(values) > 2
+        omega, cand = _guarded_update(x, delta, 1.0, g)
+        if lam >= LAMBDA_STAR:  # far phase: halve until Armijo holds
+            far += 1
+            while F(cand) > values[-1] - 1e-4 * omega * a * lam ** 2:
+                omega, cand = _guarded_update(x, delta, 0.5 * omega, g)
+        x = cand
+        values.append(F(x))
+    assert far >= 1 and len(values) > far + 2
     assert all(b <= a_ + 1e-12 for a_, b in zip(values[:-1], values[1:]))
+    # the replay lands on newton_step's answer
+    x_newton, _ = newton_step(state, coeffs, spec, params)
+    assert np.max(np.abs(x - x_newton)) <= 1e-12
     # the minimizer beats the zero displacement (x_new = X) as well
     assert values[-1] <= eval_F(np.zeros(g.M + 1), state.x_curr, coeffs, spec, params)
 
@@ -209,6 +215,44 @@ def test_newton_budget_exhaustion_carries_report():
     assert err.value.report is not None
     assert err.value.report.iterations == 2
     assert not err.value.report.converged
+    assert err.value.report.stop == "max_iter"
+
+
+def test_newton_line_search_exhaustion_carries_report(monkeypatch):
+    # a functional that only grows: Armijo rejects every step length from 1
+    # down to MIN_OMEGA, and the error keeps the report
+    g = Grid(0.0, 1.0, 64)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    state = bootstrap(spec)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    values = itertools.count()
+    monkeypatch.setattr(_kernels, "step_functional", lambda *args: float(next(values)))
+    with pytest.raises(NonconvergenceError, match="line search") as err:
+        newton_step(state, coeffs, spec, params)
+    report = err.value.report
+    assert report.stop == "line_search" and not report.converged
+    assert report.lambda_history[0] >= LAMBDA_STAR and report.iterations == 0
+    assert 2.0 ** -report.backtracks == MIN_OMEGA
+
+
+@pytest.mark.parametrize("key, m, stop", [
+    ("paper-quadratic", 2.0, "lambda"),
+    ("poly:1e-3,0,1", 8.0, "floor"),
+])
+def test_newton_stop_reasons(key, m, stop):
+    # the opening step; "residual" is covered by the constant density above
+    g = Grid(0.0, 1.0, 400)
+    spec = make_problem(m, g, initial_data_from_key(key))
+    params = SolverParams(tau=g.h)
+    state = bootstrap(spec)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    _, report = newton_step(state, coeffs, spec, params, damped_start=True)
+    assert report.converged and report.stop == stop
+    if stop == "floor":
+        prev, last = report.lambda_history[-2:]
+        assert params.newton_tol_lambda <= last < FLOOR_LAMBDA
+        assert last > FLOOR_RATIO * prev
 
 
 def test_newton_extrapolated_start_is_used_when_admissible():

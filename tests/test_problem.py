@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (ConfigurationError, DegenerateMeshError, Grid,
+from pmetraj import (ConfigurationError, DegenerateMeshError, Grid, d_wide,
                      discrete_energy, discrete_mass, initial_data_from_key,
                      is_admissible, make_problem, quadratic_bump,
                      recover_density)
@@ -63,11 +63,30 @@ def test_recover_density_identity_on_reference():
 def test_recover_density_names_degenerate_node():
     g = Grid(0.0, 1.0, 3)
     spec = make_problem(2.0, g, quadratic_bump)
-    # strictly increasing but with a nonpositive one-sided wide slope at node 0
+    # strictly increasing but with a nonpositive one-sided wide slope at node 0:
+    # the wall node falls back to D_h x of its cell
     x = np.array([0.0, 0.001, 0.999, 1.0])
     assert is_admissible(x, g)
+    f = recover_density(x, spec)
+    assert f[0] == spec.f0_nodes[0] / ((x[1] - x[0]) / g.h)
+    assert np.all(f > 0.0)
+    # a trajectory that is not increasing still names the node: there the wall
+    # cell's slope is nonpositive too
+    crossed = np.array([0.0, -0.1, 0.5, 1.0])
     with pytest.raises(DegenerateMeshError, match="node 0"):
-        recover_density(x, spec)
+        recover_density(crossed, spec)
+
+
+def test_recover_density_wall_fallback_only_where_stencil_fails():
+    g = Grid(0.0, 1.0, 4)
+    spec = make_problem(2.0, g, quadratic_bump)
+    x = np.array([0.0, 0.3, 0.5, 0.999, 1.0])
+    slope = d_wide(x, g)
+    assert slope[0] > 0.0 and slope[-1] <= 0.0
+    f = recover_density(x, spec)
+    assert f[0] == spec.f0_nodes[0] / slope[0]  # the stencil, kept
+    np.testing.assert_array_equal(f[1:-1], spec.f0_nodes[1:-1] / slope[1:-1])
+    assert f[-1] == spec.f0_nodes[-1] / ((x[-1] - x[-2]) / g.h)
 
 
 def test_discrete_energy_reference_zero():
