@@ -7,7 +7,7 @@ vectorized passes, stable without pivoting because every reduced system is a
 Schur complement of the SPD input and hence SPD itself.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
-is formed once and reused inside log1p(d/y0)/d and the linear terms, so the
+is formed directly and enters log1p(d/y0)/d and the linear terms, so the
 near-cancellation when the trajectory barely moves propagates only through the
 smooth derivative of the secant ratio instead of blowing up the assembled
 residual at fine meshes.
@@ -66,12 +66,8 @@ def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
     if damped_start:
         flux = f0_cells / y - (a0 * tau) * d
     else:
-        near = np.abs(d) <= EPS_SWITCH * np.maximum(y, y0)
-        d_safe = np.where(near, 1.0, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_exact = np.log1p(d_safe / y0) / d_safe
-        r = np.where(near, 2.0 / (y + y0), r_exact)
-        flux = f0_cells * r - (a0 * tau) * d - (tau * tau) * d / (y * y0)
+        flux = (f0_cells * secant_ratio(y, y0) - (a0 * tau) * d
+                - (tau * tau) * d / (y * y0))
     g = np.zeros_like(x_new)
     g[1:-1] = mass[1:-1] * (x_new[1:-1] - x_curr[1:-1]) / tau + np.diff(flux) / h
     return g

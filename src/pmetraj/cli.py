@@ -17,7 +17,7 @@ from .problem import initial_data_from_key, make_problem
 _SCHEMA = {
     "problem": {"m", "domain", "initial_data"},
     "discretization": {"M", "tau", "t_final", "A0"},
-    "newton": {"tol_lambda", "tol_residual", "max_iter"},
+    "newton": {"max_iter"},
     "study": {"h_list", "reference_M", "t_eval"},
     "output": {"dir", "snapshot_every"},
 }
@@ -52,8 +52,6 @@ def _build_params(cfg: Config, tau: float) -> SolverParams:
     return SolverParams(
         tau=tau,
         a0=cfg.get_number("discretization", "A0", 1.0),
-        newton_tol_lambda=cfg.get_number("newton", "tol_lambda", 1e-9),
-        newton_tol_residual=cfg.get_number("newton", "tol_residual", 1e-12),
         newton_max_iter=max_iter,
     )
 

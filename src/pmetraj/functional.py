@@ -28,12 +28,13 @@ from .problem import ProblemSpec, is_admissible
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Time step, regularization weight, and Newton stopping controls."""
+    """Time step, regularization weight, and the Newton iteration budget.
+
+    The stopping tolerances are the constants newton.TOL_LAMBDA and
+    newton.TOL_RESIDUAL."""
 
     tau: float
     a0: float = 1.0
-    newton_tol_lambda: float = 1e-9
-    newton_tol_residual: float = 1e-12
     newton_max_iter: int = 100
 
     def __post_init__(self):
@@ -47,11 +48,10 @@ class SolverParams:
 
 @dataclass
 class SchemeCoefficients:
-    """Per-step frozen quantities: the guarded slope S_h, the mass coefficient,
-    and the cell slopes of the step's base state."""
+    """Per-step frozen quantities: the mass coefficient (formed from the
+    guarded slope S_h) and the cell slopes of the step's base state."""
 
     mass: np.ndarray        # node field; interior entries feed the scheme
-    s_h: np.ndarray         # node field
     slope_curr: np.ndarray  # cell field, D_h of the base state
 
 
@@ -76,7 +76,6 @@ def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec
     s_h = compute_s_h(x_curr, x_prev, params, spec.grid)
     return SchemeCoefficients(
         mass=mass_coefficient(s_h, spec),
-        s_h=s_h,
         slope_curr=d_forward(x_curr, spec.grid),
     )
 

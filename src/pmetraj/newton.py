@@ -15,10 +15,12 @@ the step starts at omega = 1 and is halved until F drops by the Armijo
 fraction of the predicted decrease (backtracking, Boyd & Vandenberghe,
 Convex Optimization, 9.5); in the near phase the full step is taken without
 evaluating F, which keeps the quadratic contraction.  The iteration stops
-when the residual max-norm or lambda drops below its tolerance, or when
-lambda has reached the roundoff floor: below FLOOR_LAMBDA it no longer
-falls by the factor FLOOR_RATIO.  The line-search and floor constants are
-fixed: like the start, they change the iteration count, not the answer.
+when the residual max-norm drops below TOL_RESIDUAL or lambda below
+TOL_LAMBDA, or when lambda has reached the roundoff floor: below
+FLOOR_LAMBDA it no longer falls by the factor FLOOR_RATIO.  All of these
+constants are fixed: the line search and the floor change the iteration
+count, the tolerances how tightly the step's minimiser is resolved, and
+none changes which scheme is solved.
 """
 from __future__ import annotations
 
@@ -44,6 +46,9 @@ C_NEWTON = 1.0
 ARMIJO_C = 1e-4
 #: Shortest far-phase step tried before the line search gives up.
 MIN_OMEGA = 2.0 ** -30
+#: Stopping tolerances on the residual max-norm and on the decrement.
+TOL_RESIDUAL = 1e-12
+TOL_LAMBDA = 1e-9
 #: Roundoff floor: a decrement below FLOOR_LAMBDA that is still above
 #: FLOOR_RATIO times its predecessor has stopped contracting.
 FLOOR_LAMBDA = 1e-4
@@ -171,7 +176,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     for _ in range(params.newton_max_iter):
         gi = interior_residual(x)
         gnorm = float(np.max(np.abs(gi)))
-        if gnorm < params.newton_tol_residual:
+        if gnorm < TOL_RESIDUAL:
             report.converged = True
             report.stop = "residual"
             report.final_residual_norm = gnorm
@@ -184,7 +189,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
         lam = newton_decrement_lambda(gi, delta, a, grid)
         report.lambda_history.append(lam)
 
-        if lam < params.newton_tol_lambda:
+        if lam < TOL_LAMBDA:
             report.stop = "lambda"
         elif FLOOR_RATIO * lam_prev < lam < FLOOR_LAMBDA:
             report.stop = "floor"

@@ -105,20 +105,24 @@ def is_admissible(x: np.ndarray, grid: Grid) -> bool:
 def recover_density(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Density at nodes from the conservation map f = f0 / (wide slope of x).
 
-    At a wall node the second-order one-sided slope of d_wide is kept where
+    The cell slopes D_h x must all be positive: a trajectory whose nodes
+    cross raises DegenerateMeshError naming the first pair that does.  The
+    interior wide slopes are then averages of positive cell slopes.  At a
+    wall node the second-order one-sided slope of d_wide is kept where
     it is positive and replaced by D_h x of the wall cell where it is not,
     so every admissible trajectory has a positive density."""
-    slope = d_wide(x, spec.grid)
-    bad = np.flatnonzero(slope <= 0.0)
-    if bad.size:
-        cells = d_forward(x, spec.grid)
-        slope[0] = slope[0] if slope[0] > 0.0 else cells[0]
-        slope[-1] = slope[-1] if slope[-1] > 0.0 else cells[-1]
-        bad = np.flatnonzero(slope <= 0.0)
+    cells = d_forward(x, spec.grid)
+    bad = np.flatnonzero(~(cells > 0.0))
     if bad.size:
         raise DegenerateMeshError(
-            f"nonpositive wide slope at node {bad[0]} while recovering density"
+            f"nonpositive cell slope between node {bad[0]} and node {bad[0] + 1} "
+            "while recovering density"
         )
+    slope = d_wide(x, spec.grid)
+    if not slope[0] > 0.0:
+        slope[0] = cells[0]
+    if not slope[-1] > 0.0:
+        slope[-1] = cells[-1]
     return spec.f0_nodes / slope
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (ConfigurationError, Grid, convergence_study,
-                     density_error_norms, observed_orders,
+from pmetraj import (ConfigurationError, Grid, RunConfig, SolverParams,
+                     convergence_study, density_error_norms, make_problem,
+                     observed_orders, quadratic_bump, run,
                      trajectory_error_norms)
 from pmetraj.analysis import (CSV_HEADER, ErrorRecord, format_table,
                               report_rows)
@@ -152,3 +153,28 @@ def test_report_rows_and_table():
     assert rows[1][3] == pytest.approx(2.0)
     table = format_table(rep)
     assert "2.000" in table and "m = 2" in table
+
+
+def _final_x(M, steps):
+    spec = make_problem(2.0, Grid(0.0, 1.0, M), quadratic_bump)
+    config = RunConfig(spec=spec, params=SolverParams(tau=0.05 / steps), t_final=0.05)
+    return run(config).final_state.x_curr
+
+
+def _orders(errors):
+    return [math.log2(coarse / fine) for coarse, fine in zip(errors[:-1], errors[1:])]
+
+
+def test_second_order_in_time_and_in_space_separately():
+    # the published table fixes tau = h; here each half of the claim is
+    # checked alone, against a reference that shares the other resolution
+    M, steps = 200, (10, 20, 40)
+    ref = _final_x(M, 320)
+    in_time = [trajectory_error_norms(_final_x(M, n), ref, 1, Grid(0.0, 1.0, M))[1]
+               for n in steps]
+    n, cells = 40, (50, 100, 200)
+    ref = _final_x(800, n)
+    in_space = [trajectory_error_norms(_final_x(c, n), ref, 800 // c,
+                                       Grid(0.0, 1.0, c))[1] for c in cells]
+    for orders in (_orders(in_time), _orders(in_space)):
+        assert all(abs(p - 2.0) <= 0.2 for p in orders), orders

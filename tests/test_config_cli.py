@@ -24,7 +24,6 @@ t_final = 0.1
 A0 = 1.0
 
 [newton]
-tol_lambda = 1e-9
 max_iter = 60
 
 [output]
@@ -114,6 +113,23 @@ def test_committed_config_matches_schema(name):
     Config.load(CONFIGS / name).reject_unknown(cli._SCHEMA)
 
 
+def test_readme_config_block_lists_the_schema():
+    # the indented example under "### Config format" documents every key
+    readme = (CONFIGS.parent / "README.md").read_text()
+    lines = readme.split("### Config format", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("    ["))
+    documented, keys = {}, None
+    for line in lines[start:]:
+        if line and not line.startswith("    "):
+            break
+        entry = line.split("#", 1)[0].strip()
+        if entry.startswith("["):
+            keys = documented.setdefault(entry.strip("[]"), set())
+        elif "=" in entry:
+            keys.add(entry.split("=", 1)[0].strip())
+    assert documented == cli._SCHEMA
+
+
 def test_committed_solve_config_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PME_OUTPUT_DIR", str(tmp_path))
     assert cli.main(["solve", "--config", str(CONFIGS / "solve.cfg")]) == 0
@@ -124,13 +140,15 @@ def test_committed_solve_config_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_removed_newton_key_is_rejected(tmp_path, capsys):
+    # a damping constant and both stopping tolerances are constants, not keys
     lines = (CONFIGS / "solve.cfg").read_text().splitlines()
     at = lines.index("[newton]") + 1
-    lines.insert(at, "c_newton = 1.0")
-    path = tmp_path / "old.cfg"
-    path.write_text("\n".join(lines) + "\n")
-    assert cli.main(["solve", "--config", str(path)]) == 1
-    assert f"old.cfg:{at + 1}: unknown key newton.c_newton" in capsys.readouterr().err
+    for key, value in (("c_newton", "1.0"), ("tol_lambda", "1e-9"),
+                       ("tol_residual", "1e-12")):
+        path = tmp_path / "old.cfg"
+        path.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
+        assert cli.main(["solve", "--config", str(path)]) == 1
+        assert f"old.cfg:{at + 1}: unknown key newton.{key}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

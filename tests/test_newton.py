@@ -11,8 +11,8 @@ from pmetraj import (Grid, LAMBDA_STAR, NonconvergenceError,
                      newton_decrement_lambda, newton_step, quadratic_bump,
                      residual, self_concordance_a, solve_tridiagonal)
 from pmetraj import _kernels
-from pmetraj.newton import (FLOOR_LAMBDA, FLOOR_RATIO, MIN_OMEGA,
-                            _guarded_update)
+from pmetraj.newton import (FLOOR_LAMBDA, FLOOR_RATIO, MIN_OMEGA, TOL_LAMBDA,
+                            TOL_RESIDUAL, _guarded_update)
 from pmetraj.problem import TrajectoryState
 
 
@@ -130,7 +130,7 @@ def test_newton_first_step_postconditions():
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.converged
-    assert report.lambda_history[-1] < params.newton_tol_lambda
+    assert report.lambda_history[-1] < TOL_LAMBDA
     assert np.all(np.diff(x_new) > 0.0)
     assert x_new[0] == 0.0 and x_new[-1] == 1.0
 
@@ -145,7 +145,7 @@ def test_newton_quadratic_phase():
     hist = report.lambda_history
     assert len(hist) >= 2
     for lam_k, lam_next in zip(hist[:-1], hist[1:]):
-        if lam_k < LAMBDA_STAR and lam_next >= params.newton_tol_lambda:
+        if lam_k < LAMBDA_STAR and lam_next >= TOL_LAMBDA:
             assert lam_next <= 2.0 * lam_k ** 2
 
 
@@ -167,12 +167,12 @@ def test_newton_functional_decreases_along_iterates():
     far = 0
     for _ in range(30):
         gvec = residual(x, state.x_curr, coeffs, spec, params)[1:-1]
-        if np.max(np.abs(gvec)) < params.newton_tol_residual:
+        if np.max(np.abs(gvec)) < TOL_RESIDUAL:
             break
         diag, off = hessian_coefficients(x, coeffs, spec, params)
         delta = solve_tridiagonal(diag, off, -gvec)
         lam = newton_decrement_lambda(gvec, delta, a, g)
-        if lam < params.newton_tol_lambda:
+        if lam < TOL_LAMBDA:
             break
         omega, cand = _guarded_update(x, delta, 1.0, g)
         if lam >= LAMBDA_STAR:  # far phase: halve until Armijo holds
@@ -251,7 +251,7 @@ def test_newton_stop_reasons(key, m, stop):
     assert report.converged and report.stop == stop
     if stop == "floor":
         prev, last = report.lambda_history[-2:]
-        assert params.newton_tol_lambda <= last < FLOOR_LAMBDA
+        assert TOL_LAMBDA <= last < FLOOR_LAMBDA
         assert last > FLOOR_RATIO * prev
 
 

@@ -77,6 +77,17 @@ def test_recover_density_names_degenerate_node():
         recover_density(crossed, spec)
 
 
+def test_recover_density_rejects_crossed_interior_nodes():
+    # nodes 1 and 2 cross, yet every wide slope is positive: the cell slopes
+    # are checked first, so no density is returned
+    g = Grid(0.0, 1.0, 3)
+    spec = make_problem(2.0, g, quadratic_bump)
+    x = np.array([0.0, 0.5, 0.4, 1.0])
+    assert np.all(d_wide(x, g) > 0.0)
+    with pytest.raises(DegenerateMeshError, match="node 1 and node 2"):
+        recover_density(x, spec)
+
+
 def test_recover_density_wall_fallback_only_where_stencil_fails():
     g = Grid(0.0, 1.0, 4)
     spec = make_problem(2.0, g, quadratic_bump)
