@@ -76,7 +76,7 @@ def cmd_solve(args) -> int:
     tau = cfg.get_number("discretization", "tau")
     cfg.require_positive(tau, "discretization", "tau")
     t_final = cfg.get_number("discretization", "t_final")
-    if t_final < 0.0:
+    if not t_final >= 0.0:
         cfg.fail("discretization", "t_final", "must be nonnegative")
 
     grid = Grid(left, right, M)

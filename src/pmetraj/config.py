@@ -12,6 +12,7 @@ exact in intent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -127,16 +128,20 @@ class Config:
 
 
 def parse_number(token: str) -> float:
-    """Float literal or exact fraction 'a/b'; ValueError if it is neither or
-    the denominator is zero."""
+    """Finite float literal or exact fraction 'a/b'; ValueError if it is
+    neither, the denominator is zero, or the value is nan or infinite."""
     token = token.strip()
     if "/" in token:
         num, _, den = token.partition("/")
         num, den = float(num), float(den)
         if den == 0.0:
             raise ValueError(f"zero denominator in {token!r}")
-        return num / den
-    return float(token)
+        value = num / den
+    else:
+        value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {token!r}")
+    return value
 
 
 def _parse_number_list(text: str) -> list[float]:

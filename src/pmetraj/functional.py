@@ -38,10 +38,10 @@ class SolverParams:
     newton_max_iter: int = 100
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.a0 < 0.0:
-            raise ValueError(f"a0 must be nonnegative, got {self.a0}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 <= self.a0 < math.inf:
+            raise ValueError(f"a0 must be nonnegative and finite, got {self.a0}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be positive")
 

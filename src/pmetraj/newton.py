@@ -7,8 +7,9 @@ iteration count, not the answer.  Admissibility of the base and the start is
 checked once at entry: the ordering guard keeps every later iterate inside
 the admissible set, so the loop calls the assembly kernels unchecked.
 
-Each iteration solves the SPD tridiagonal linearization and measures the
-scaled decrement lambda = sqrt((h/a) g^T H^{-1} g).  Every update goes
+Each iteration assembles the residual and the SPD tridiagonal linearization
+in one pass (_kernels.residual_hessian), solves it, and measures the scaled
+decrement lambda = sqrt((h/a) g^T H^{-1} g).  Every update goes
 through the ordering guard, which halves the step (at most 60 times) should
 it try to leave the admissible set.  In the far phase (lambda >= LAMBDA_STAR)
 the step starts at omega = 1 and is halved until F drops by the Armijo
@@ -115,7 +116,7 @@ def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float, grid: Grid):
     cand = x.copy()
     for _ in range(MAX_GUARD_HALVINGS + 1):
         cand[1:-1] = x[1:-1] + omega * delta
-        if np.all(np.diff(cand) > 0.0):
+        if (cand[1:] > cand[:-1]).all():
             return omega, cand
         omega *= 0.5
     raise DegenerateMeshError(
@@ -174,7 +175,9 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     f_x = None  # F at x, carried over from an accepted far-phase step
     lam_prev = math.inf
     for _ in range(params.newton_max_iter):
-        gi = interior_residual(x)
+        gi, diag, off = _kernels.residual_hessian(
+            x, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
+            params.tau, params.a0, damped_start)
         gnorm = float(np.max(np.abs(gi)))
         if gnorm < TOL_RESIDUAL:
             report.converged = True
@@ -182,10 +185,8 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
             report.final_residual_norm = gnorm
             return x, report
 
-        diag, off = _kernels.hessian_tridiag(
-            x, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, damped_start)
         delta = solve_tridiagonal(diag, off, -gi)
+        del diag, off  # not kept alive through the next assembly
         lam = newton_decrement_lambda(gi, delta, a, grid)
         report.lambda_history.append(lam)
 

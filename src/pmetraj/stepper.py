@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -32,8 +33,8 @@ class RunConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative")
 

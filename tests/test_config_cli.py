@@ -66,6 +66,12 @@ def test_parse_number_fractions():
         parse_number("1/0")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "inf/2", "1/nan"])
+def test_parse_number_rejects_non_finite(token):
+    with pytest.raises(ValueError):
+        parse_number(token)
+
+
 def test_config_tracks_lines(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[problem]\nm = 2\n\n[discretization]\nM = twenty\n")
@@ -200,6 +206,22 @@ def test_cmd_solve_zero_denominator_names_line(tmp_path, capsys, old, new, key):
     rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
     assert rc == 1
     assert f"case.cfg:{line}: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("A0 = 1.0", "A0 = nan", "discretization.A0: not a number: 'nan'"),
+    ("tau = 1/100", "tau = inf", "discretization.tau: not a number: 'inf'"),
+    ("t_final = 0.1", "t_final = nan", "discretization.t_final: not a number: 'nan'"),
+])
+def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key):
+    # each used to slip past the range checks: a pivot error at step 1, a
+    # run of 0 steps, and a raw ValueError traceback
+    text = SOLVE_CONFIG.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 1
+    assert f"case.cfg:{line}: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_solve_env_output_override(tmp_path, monkeypatch):

@@ -71,7 +71,8 @@ def test_step_functional_differences_match_eval_F(damped_start):
 
 @pytest.mark.parametrize("step", [1, 2])
 def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
-    # the Hessian is assembled once per iteration, at the current iterate
+    # residual and Hessian are assembled in one call per iteration, at the
+    # current iterate
     spec = _spec(M_SMALL, 2.0, "poly:1e-4,0,1")
     params = SolverParams(tau=100 * spec.grid.h)
     state = bootstrap(spec)
@@ -79,13 +80,13 @@ def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
         state = advance(state, spec, params)[0]
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     iterates = []
-    assemble = _kernels.hessian_tridiag
+    assemble = _kernels.residual_hessian
 
     def recording(x, *rest):
         iterates.append(x.copy())
         return assemble(x, *rest)
 
-    monkeypatch.setattr(_kernels, "hessian_tridiag", recording)
+    monkeypatch.setattr(_kernels, "residual_hessian", recording)
     damped_start = step == 1
     x_new, report = newton_step(state, coeffs, spec, params, damped_start=damped_start)
     iterates.append(x_new)

@@ -24,6 +24,10 @@ def test_params_validation():
         SolverParams(tau=0.0)
     with pytest.raises(ValueError):
         SolverParams(tau=0.1, a0=-1.0)
+    for bad in ({"tau": math.inf}, {"tau": math.nan}, {"tau": 0.1, "a0": math.nan},
+                {"tau": 0.1, "a0": math.inf}):
+        with pytest.raises(ValueError):
+            SolverParams(**bad)
     assert LAMBDA_STAR == pytest.approx(2.0 - math.sqrt(3.0), abs=0)
 
 

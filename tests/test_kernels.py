@@ -1,4 +1,6 @@
-"""The cyclic-reduction tridiagonal solve and the numpy-only import footprint."""
+"""The fused assembly pass, the cyclic-reduction tridiagonal solve with its
+scalar base, and the numpy-only import footprint."""
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +12,16 @@ import pmetraj
 from pmetraj import (Grid, SingularSystemError, SolverParams, bootstrap,
                      build_coefficients, hessian_coefficients, make_problem,
                      quadratic_bump, residual, solve_tridiagonal)
+from pmetraj import _kernels
+from pmetraj._kernels import EPS_SWITCH, SCALAR_BASE
 
 # Every padding path of the reduction: odd and even lengths, powers of two
-# and their neighbours, and the n = 9599 interior of the M = 9600 reference.
-SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 1023, 1024, 1025, 9599]
+# and their neighbours, both sides of the scalar base (a system solved by
+# the scalar elimination alone, and one and two levels above it), and the
+# n = 9599 interior of the M = 9600 reference.
+SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17,
+         SCALAR_BASE - 1, SCALAR_BASE, SCALAR_BASE + 1, 2 * SCALAR_BASE + 1,
+         1023, 1024, 1025, 9599]
 DENSE_MAX = 1025  # a dense 9599 x 9599 matrix would take 737 MB
 
 
@@ -99,6 +107,87 @@ def test_nan_raises_singular(rng, where, index):
     {"diag": diag, "off": off}[where][index] = np.nan
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(diag, off, rhs)
+
+
+def _shifted_laplacian(n):
+    """tridiag(-1, 2 - s, -1) with s between its two smallest eigenvalues
+    2 - 2 cos(k pi/(n + 1)), k = 1, 2: exactly one negative eigenvalue.  A
+    reduction level above the base sees the diagonal 2 - s and hands on one
+    near 1, both positive, so only a pivot of the scalar elimination can show
+    that the system is indefinite."""
+    lam1, lam2 = (2.0 - 2.0 * math.cos(k * math.pi / (n + 1)) for k in (1, 2))
+    return np.full(n, 2.0 - 0.5 * (lam1 + lam2)), np.full(n - 1, -1.0)
+
+
+def _raised_in_scalar_base(monkeypatch):
+    raised = []
+    scalar = _kernels._thomas_scalar
+
+    def recording(*args):
+        try:
+            return scalar(*args)
+        except ValueError:
+            raised.append(len(args[0]))
+            raise
+
+    monkeypatch.setattr(_kernels, "_thomas_scalar", recording)
+    return raised
+
+
+@pytest.mark.parametrize("n", [SCALAR_BASE - 1, SCALAR_BASE + 1, 2 * SCALAR_BASE + 1])
+def test_indefinite_caught_in_scalar_base(monkeypatch, n):
+    raised = _raised_in_scalar_base(monkeypatch)
+    diag, off = _shifted_laplacian(n)
+    with pytest.raises(SingularSystemError):
+        solve_tridiagonal(diag, off, np.ones(n))
+    assert len(raised) == 1 and raised[0] <= SCALAR_BASE
+
+
+@pytest.mark.parametrize("n", [SCALAR_BASE + 1, 2 * SCALAR_BASE + 1])
+def test_nan_caught_in_scalar_base(monkeypatch, rng, n):
+    # a NaN off-diagonal leaves the input diagonal intact: the first
+    # diagonal it spoils is that of the reduced system the base receives
+    raised = _raised_in_scalar_base(monkeypatch)
+    diag, off, rhs = _random_spd(rng, n)
+    off[5] = np.nan
+    with pytest.raises(SingularSystemError):
+        solve_tridiagonal(diag, off, rhs)
+    assert len(raised) == 1 and raised[0] <= SCALAR_BASE
+
+
+def _assembly_inputs(rng, M, equal_cells):
+    """A base trajectory and a candidate near it on M cells; the candidate
+    keeps the base's slope exactly on `equal_cells` cells."""
+    h = 1.0 / M
+    x_curr = np.linspace(0.0, 1.0, M + 1)
+    x_curr[1:-1] += 0.3 * h * rng.uniform(-1.0, 1.0, M - 1)
+    x_new = x_curr.copy()
+    x_new[1:-1] += 0.2 * h * rng.uniform(-1.0, 1.0, M - 1)
+    for i in np.linspace(1, M - 2, equal_cells).astype(int):
+        x_new[i + 1] = x_new[i] + (x_curr[i + 1] - x_curr[i])
+    slope_curr = np.diff(x_curr) / h
+    mass = rng.uniform(0.5, 2.0, M + 1)
+    f0_cells = rng.uniform(1e-3, 1.0, M)
+    return x_new, x_curr, slope_curr, mass, f0_cells, h
+
+
+@pytest.mark.parametrize("damped_start", [False, True])
+@pytest.mark.parametrize("equal_cells", [0, 5])
+def test_fused_assembly_is_bitwise_equal(rng, equal_cells, damped_start):
+    x_new, x_curr, slope_curr, mass, f0_cells, h = _assembly_inputs(rng, 9600, equal_cells)
+    y = np.diff(x_new) / h
+    near = np.abs(y - slope_curr) <= EPS_SWITCH * np.maximum(y, slope_curr)
+    assert np.count_nonzero(near) == equal_cells
+    tau, a0 = 10.0 * h, 0.7
+    g, diag, off = _kernels.residual_hessian(
+        x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+    want_g = _kernels.residual_interior(
+        x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)[1:-1]
+    want_diag, want_off = _kernels.hessian_tridiag(
+        x_new, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+    for got, want in ((g, want_g), (diag, want_diag), (off, want_off)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_import_pulls_in_numpy_and_stdlib_only():

@@ -287,3 +287,27 @@ def test_newton_falls_back_to_current_when_extrapolation_crosses():
     assert not report.predicted and report.converged
     x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
     assert np.max(np.abs(x_new - x_base)) <= 1e-12
+
+
+@pytest.mark.parametrize("damped_start", [True, False])
+def test_newton_assembles_once_per_iteration(monkeypatch, damped_start):
+    # one fused residual-and-Hessian pass per iteration, and the residual
+    # alone once more, at the accepted iterate, for the report
+    g = Grid(0.0, 1.0, 400)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    state = bootstrap(spec)
+    if not damped_start:
+        state = advance(state, spec, params)[0]
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    calls = {"residual_hessian": 0, "residual_interior": 0, "hessian_tridiag": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(_kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(_kernels, name, counted)
+    _, report = newton_step(state, coeffs, spec, params, damped_start=damped_start)
+    assert report.converged and report.stop in ("lambda", "floor")
+    assert report.iterations >= 2
+    assert calls == {"residual_hessian": report.iterations,
+                     "residual_interior": 1, "hessian_tridiag": 0}

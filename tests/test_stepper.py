@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -164,8 +165,9 @@ def test_advance_across_exponents(m):
 
 def test_run_config_validation():
     g, spec, params = _quad_setup(M=8)
-    with pytest.raises(ValueError):
-        RunConfig(spec=spec, params=params, t_final=-1.0)
+    for t_final in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RunConfig(spec=spec, params=params, t_final=t_final)
     with pytest.raises(ValueError):
         RunConfig(spec=spec, params=params, t_final=1.0, snapshot_every=-2)
 
