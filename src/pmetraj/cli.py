@@ -49,11 +49,10 @@ def _build_params(cfg: Config, tau: float) -> SolverParams:
     max_iter = cfg.get_int("newton", "max_iter", 100)
     if max_iter < 1:
         cfg.fail("newton", "max_iter", "must be at least 1")
-    return SolverParams(
-        tau=tau,
-        a0=cfg.get_number("discretization", "A0", 1.0),
-        newton_max_iter=max_iter,
-    )
+    a0 = cfg.get_number("discretization", "A0", 1.0)
+    if not a0 >= 0.0:
+        cfg.fail("discretization", "A0", "must be nonnegative")
+    return SolverParams(tau=tau, a0=a0, newton_max_iter=max_iter)
 
 
 def _output_dir(cfg: Config) -> Path:
@@ -83,11 +82,13 @@ def cmd_solve(args) -> int:
     f0 = initial_data_from_key(cfg.get_str("problem", "initial_data"))
     spec = make_problem(m_values[0], grid, f0)
     params = _build_params(cfg, tau)
+    snapshot_every = cfg.get_int("output", "snapshot_every", 0)
+    if snapshot_every < 0:
+        cfg.fail("output", "snapshot_every", "must be nonnegative")
     out_dir = _output_dir(cfg)
     config = stepper.RunConfig(
         spec=spec, params=params, t_final=t_final,
-        snapshot_every=cfg.get_int("output", "snapshot_every", 0),
-        output_dir=out_dir,
+        snapshot_every=snapshot_every, output_dir=out_dir,
     )
     result = stepper.run(config)
     total_newton = sum(r.iterations for r in result.newton_reports)
@@ -165,6 +166,11 @@ def main(argv=None) -> int:
         return handler(args)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # Config.load reports read errors as ConfigurationError, so an
+        # OSError here comes from writing outputs; its text names the path.
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
 
 

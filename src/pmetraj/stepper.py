@@ -114,8 +114,8 @@ def _located(exc: SolverError, n: int, t: float) -> SolverError:
 
 def _write_snapshot(out_dir: Path, state: TrajectoryState, spec: ProblemSpec) -> None:
     f = recover_density(state.x_curr, spec)
-    nodes = spec.grid.nodes()
-    rows = [(i, nodes[i], state.x_curr[i], f[i]) for i in range(spec.grid.M + 1)]
+    rows = zip(range(spec.grid.M + 1), spec.grid.nodes().tolist(),
+               state.x_curr.tolist(), f.tolist())
     write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"], rows)
 
 

@@ -224,6 +224,37 @@ def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("A0 = 1.0", "A0 = -1", "discretization.A0"),
+    ("snapshot_every = 5", "snapshot_every = -1", "output.snapshot_every"),
+], ids=["A0", "snapshot_every"])
+def test_cmd_solve_negative_value_names_line(tmp_path, capsys, old, new, key):
+    # rejected at the config line, before SolverParams/RunConfig see the value
+    text = SOLVE_CONFIG.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 1
+    assert f"case.cfg:{line}: {key}: must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+def test_cmd_solve_unwritable_output_is_one_error_line(tmp_path, monkeypatch,
+                                                      capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / below if below else blocker
+    monkeypatch.setenv("PME_OUTPUT_DIR", str(out))
+    rc = cli.main(["solve", "--config",
+                   _write(tmp_path, SOLVE_CONFIG, out=tmp_path / "ignored")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(blocker) in err
+    assert blocker.read_text() == "not a directory\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_cmd_solve_env_output_override(tmp_path, monkeypatch):
     env_out = tmp_path / "env-out"
     monkeypatch.setenv("PME_OUTPUT_DIR", str(env_out))
