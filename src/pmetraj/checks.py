@@ -1,9 +1,14 @@
 """Property sweeps behind the `check` command.
 
 Each check returns (name, ok, detail); the sweep oracles here are independent
-of the assembly path they audit: finite differences for gradients and
-Hessians, analytic signs for the secant building blocks, and direct summation
-for the discrete identities.
+of the assembly path they audit: finite differences of eval_F for gradients
+and of residual for Hessians, analytic signs for the secant building blocks,
+and direct summation for the discrete identities.
+
+Each sweep is evaluated on arrays: a sign sweep draws all its samples at once
+and makes one call, and each finite-difference oracle stacks its probes as
+rows and makes one eval_F or residual call per state.  A failing sweep still
+reports its first counterexample in sample order.
 """
 from __future__ import annotations
 
@@ -51,67 +56,73 @@ def _random_setup(rng, M=24):
 # analytic sign sweeps
 # ---------------------------------------------------------------------------
 
+def _first(bad) -> int | None:
+    """Index of the first True of a flat mask in sample order, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
 def check_q1_signs(rng, samples=1000) -> CheckResult:
-    for _ in range(samples):
-        x = rng.uniform(1e-3, 10.0)
-        x0 = rng.uniform(1e-3, 10.0)
-        _, d1, d2 = functional.q1_oracle(x, x0)
-        if not (d1 > 0.0 and d2 <= 0.0):
-            return CheckResult(
-                "q1 monotone increasing and concave", False,
-                f"counterexample x={x!r}, x0={x0!r}: q1'={d1!r}, q1''={d2!r}",
-            )
+    x, x0 = rng.uniform(1e-3, 10.0, size=(samples, 2)).T
+    _, d1, d2 = functional.q1_oracle(x, x0)
+    i = _first(~((d1 > 0.0) & (d2 <= 0.0)))
+    if i is not None:
+        return CheckResult(
+            "q1 monotone increasing and concave", False,
+            f"counterexample x={float(x[i])!r}, x0={float(x0[i])!r}: "
+            f"q1'={float(d1[i])!r}, q1''={float(d2[i])!r}",
+        )
     return CheckResult("q1 monotone increasing and concave", True)
 
 
 def check_w_nonpositive(rng, samples=1000) -> CheckResult:
-    for _ in range(samples):
-        y = rng.uniform(1e-3, 10.0)
-        y0 = rng.uniform(1e-3, 10.0)
-        w = functional.slope_derivative_W(y, y0)
-        if not w <= 0.0:
-            return CheckResult(
-                "secant slope derivative W <= 0", False,
-                f"counterexample y={y!r}, y0={y0!r}: W={w!r}",
-            )
+    y, y0 = rng.uniform(1e-3, 10.0, size=(samples, 2)).T
+    w = functional.slope_derivative_W(y, y0)
+    i = _first(~(w <= 0.0))
+    if i is not None:
+        return CheckResult(
+            "secant slope derivative W <= 0", False,
+            f"counterexample y={float(y[i])!r}, y0={float(y0[i])!r}: W={float(w[i])!r}",
+        )
     return CheckResult("secant slope derivative W <= 0", True)
 
 
 def check_g_second_nonnegative(rng, samples=1000) -> CheckResult:
-    for _ in range(samples):
-        y = rng.uniform(1e-3, 10.0)
-        y0 = rng.uniform(1e-3, 10.0)
-        gpp = functional.g_convex_second(y - 1.0, y0)
-        w = functional.slope_derivative_W(y, y0)
-        if not gpp >= 0.0:
-            return CheckResult(
-                "convex-part curvature G'' >= 0", False,
-                f"counterexample x={y - 1.0!r}, x0={y0!r}: G''={gpp!r}",
-            )
-        if abs(gpp + w) > 1e-12 * max(1.0, abs(gpp)):
-            return CheckResult(
-                "convex-part curvature G'' >= 0", False,
-                f"G'' and -W disagree at y={y!r}, y0={y0!r}",
-            )
-    return CheckResult("convex-part curvature G'' >= 0", True)
+    """G'' >= 0, and G''(y - 1, y0) = q1'(y) at x0 = y0 (relative 1e-9): the
+    closed-form curvature against the q1 oracle's independent closed and
+    series forms."""
+    y, y0 = rng.uniform(1e-3, 10.0, size=(samples, 2)).T
+    gpp = functional.g_convex_second(y - 1.0, y0)
+    _, d1, _ = functional.q1_oracle(y, y0)
+    negative = ~(gpp >= 0.0)
+    i = _first(negative | ~(np.abs(gpp - d1) <= 1e-9 * np.abs(d1)))
+    if i is None:
+        return CheckResult("convex-part curvature G'' >= 0", True)
+    if negative[i]:
+        detail = (f"counterexample x={float(y[i]) - 1.0!r}, x0={float(y0[i])!r}: "
+                  f"G''={float(gpp[i])!r}")
+    else:
+        detail = (f"G'' and the q1 oracle's q1' disagree at y={float(y[i])!r}, "
+                  f"y0={float(y0[i])!r}: G''={float(gpp[i])!r}, q1'={float(d1[i])!r}")
+    return CheckResult("convex-part curvature G'' >= 0", False, detail)
 
 
 def check_branch_continuity() -> CheckResult:
     """Both evaluation branches sit within 1e-6 of the equal-slope limit values
     at the switching threshold, for base slopes across [0.1, 10]."""
     eps = _kernels.EPS_SWITCH
-    for y0 in np.geomspace(0.1, 10.0, 61):
-        for rel in (0.9 * eps, 1.1 * eps):  # just inside / outside
-            y = y0 * (1.0 + rel)
-            r = functional.secant_ratio_R(y, y0)
-            w = functional.slope_derivative_W(y, y0)
-            dr = abs(r - 1.0 / y0)
-            dw = abs(w + 0.5 / y0 ** 2)
-            if dr > 1e-6 or dw > 1e-6:
-                return CheckResult(
-                    "R/W branch continuity at the switch", False,
-                    f"counterexample y0={y0!r}, offset={rel!r}: |dR|={dr:.3e}, |dW|={dw:.3e}",
-                )
+    y0 = np.repeat(np.geomspace(0.1, 10.0, 61), 2)
+    rel = np.tile((0.9 * eps, 1.1 * eps), 61)  # just inside / outside
+    y = y0 * (1.0 + rel)
+    dr = np.abs(functional.secant_ratio_R(y, y0) - 1.0 / y0)
+    dw = np.abs(functional.slope_derivative_W(y, y0) + 0.5 / y0 ** 2)
+    i = _first(~((dr <= 1e-6) & (dw <= 1e-6)))
+    if i is not None:
+        return CheckResult(
+            "R/W branch continuity at the switch", False,
+            f"counterexample y0={float(y0[i])!r}, offset={float(rel[i])!r}: "
+            f"|dR|={dr[i]:.3e}, |dW|={dw[i]:.3e}",
+        )
     return CheckResult("R/W branch continuity at the switch", True)
 
 
@@ -121,21 +132,22 @@ def check_branch_continuity() -> CheckResult:
 
 def gradient_vs_fd(spec, params, x_curr, coeffs, x_new, rel_tol=1e-6, step=5e-4):
     """Max relative mismatch between h*residual and a fourth-order central
-    difference of the functional."""
+    difference of the functional, from one eval_F call on all 4(M-1)
+    probes."""
     grid = spec.grid
-    X = grid.nodes()
-    x_hat = x_new - X
+    n = grid.M - 1
+    x_hat = x_new - grid.nodes()
     g = functional.residual(x_new, x_curr, coeffs, spec, params)
     grad = grid.h * g[1:-1]
 
-    fd = np.empty_like(grad)
-    for i in range(1, grid.M):
-        probes = []
-        for k in (-2.0, -1.0, 1.0, 2.0):
-            xp = x_hat.copy()
-            xp[i] += k * step
-            probes.append(functional.eval_F(xp, x_curr, coeffs, spec, params))
-        fd[i - 1] = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * step)
+    # probes[i - 1, j] is x_hat with node i moved by shifts[j]
+    shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * step
+    probes = np.tile(x_hat, (n, 4, 1))
+    nodes = np.arange(1, grid.M)
+    probes[nodes - 1, :, nodes] += shifts
+    f = functional.eval_F(probes.reshape(4 * n, grid.M + 1),
+                          x_curr, coeffs, spec, params).reshape(n, 4)
+    fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * step)
     scale = float(np.max(np.abs(grad)))
     err = float(np.max(np.abs(fd - grad))) / scale
     return err, err <= rel_tol
@@ -143,22 +155,23 @@ def gradient_vs_fd(spec, params, x_curr, coeffs, x_new, rel_tol=1e-6, step=5e-4)
 
 def hessian_vs_fd(spec, params, x_curr, coeffs, x_new, rel_tol=1e-6, step=1e-6):
     """Max relative mismatch between the assembled tridiagonal and central
-    differences of the residual."""
+    differences of the residual, from one residual call on all 2(M-1)
+    probes.  The comparison is dense, so a coupling outside the tridiagonal
+    counts too."""
     grid = spec.grid
     n = grid.M - 1
     diag, off = functional.hessian_coefficients(x_new, coeffs, spec, params)
     dense = np.diag(diag)
     dense += np.diag(off, 1) + np.diag(off, -1)
 
-    fd = np.empty((n, n))
-    for j in range(n):
-        xp = x_new.copy()
-        xp[j + 1] += step
-        xm = x_new.copy()
-        xm[j + 1] -= step
-        gp = functional.residual(xp, x_curr, coeffs, spec, params)[1:-1]
-        gm = functional.residual(xm, x_curr, coeffs, spec, params)[1:-1]
-        fd[:, j] = (gp - gm) / (2.0 * step)
+    # probes[0, j] and probes[1, j] are x_new with node j + 1 moved by +step and -step
+    probes = np.tile(x_new, (2, n, 1))
+    cols = np.arange(n)
+    probes[0, cols, cols + 1] += step
+    probes[1, cols, cols + 1] -= step
+    g = functional.residual(probes.reshape(2 * n, grid.M + 1),
+                            x_curr, coeffs, spec, params)[:, 1:-1]
+    fd = ((g[:n] - g[n:]) / (2.0 * step)).T  # fd[i, j] = d g_i / d x_j
     scale = float(np.max(np.abs(dense)))
     err = float(np.max(np.abs(fd - dense))) / scale
     return err, err <= rel_tol

@@ -142,6 +142,17 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pmetraj",
@@ -157,7 +168,8 @@ def main(argv=None) -> int:
     p_conv.add_argument("--config", required=True, help="path to a config file")
 
     p_check = sub.add_parser("check", help="run the property sweeps")
-    p_check.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
+    p_check.add_argument("--seed", type=_seed, default=0,
+                         help="sweep RNG seed (a nonnegative integer)")
 
     args = parser.parse_args(argv)
     handler = {"solve": cmd_solve, "convergence": cmd_convergence,

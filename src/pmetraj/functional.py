@@ -23,7 +23,7 @@ from . import _kernels
 from ._kernels import _LI2_SERIES, _spence
 from .errors import DegenerateMeshError
 from .grid import Grid, d_forward, d_wide
-from .problem import ProblemSpec, is_admissible
+from .problem import ProblemSpec, admissible_rows, is_admissible
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,43 @@ def _require_admissible(x, grid, label):
         raise DegenerateMeshError(f"{label} is outside the admissible set")
 
 
+def _require_admissible_rows(x, grid, label):
+    """_require_admissible for one trajectory, or for every row of a stack of
+    shape (k, M+1), naming the first bad row."""
+    if np.ndim(x) == 1:
+        return _require_admissible(x, grid, label)
+    bad = np.flatnonzero(~admissible_rows(x, grid))
+    if bad.size:
+        raise DegenerateMeshError(f"{label} row {bad[0]} is outside the admissible set")
+
+
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
              spec: ProblemSpec, params: SolverParams,
              damped_start: bool = False) -> np.ndarray:
     """Scheme residual g on nodes; g = 0 is exactly one time step of the scheme
     and g equals the gradient of eval_F divided by the weight h.
 
+    x_new may also be a stack of candidates, one per row (shape (k, M+1));
+    the residuals come back as the rows of a (k, M+1) array, each bitwise
+    equal to the residual of its row alone.
+
     damped_start selects the fully implicit first-order flux used for the
     opening step (L-stable, so the incompatible-corner transient of rough
     initial data cannot ring)."""
-    _require_admissible(x_new, spec.grid, "candidate trajectory")
+    _require_admissible_rows(x_new, spec.grid, "candidate trajectory")
     _require_admissible(x_curr, spec.grid, "base trajectory")
+    x_new = np.asarray(x_new, dtype=float)
+    fields = (np.asarray(x_curr, dtype=float), coeffs.slope_curr, coeffs.mass,
+              spec.f0_cells)
+    if x_new.ndim == 1:
+        return _kernels.residual_interior(
+            x_new, *fields, spec.grid.h, params.tau, params.a0, damped_start)
+    # The kernel slices along the nodes on axis 0 and is elementwise
+    # otherwise, so with the candidates as columns and the shared fields as
+    # one column each it assembles every row in one pass.
     return _kernels.residual_interior(
-        np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float),
-        coeffs.slope_curr, coeffs.mass, spec.f0_cells,
-        spec.grid.h, params.tau, params.a0, damped_start,
-    )
+        x_new.T, *(a[:, None] for a in fields),
+        spec.grid.h, params.tau, params.a0, damped_start).T
 
 
 def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
@@ -165,7 +186,7 @@ def g_convex_second(x: float, x0: float) -> float:
 
 def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
            spec: ProblemSpec, params: SolverParams,
-           damped_start: bool = False) -> float:
+           damped_start: bool = False):
     """Value of the convex step functional at displacement x_hat = x_new - X.
 
     All inner products carry the weight h, so the gradient of this value is
@@ -173,53 +194,75 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     form through the dilogarithm Li2 (see g_convex_integral) in one
     vectorized pass; at rest (x_hat = 0) both spence arguments coincide and
     F is exactly 0.  Intended for verification and monitoring.
+
+    A 1-D x_hat gives a float.  A stack of displacements, one per row (shape
+    (k, M+1)), gives the k values as an array, each bitwise equal to the
+    float of its row alone: every sum runs along the last axis.
     """
     grid = spec.grid
-    x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
-    _require_admissible(x_new, grid, "displaced trajectory")
+    x_hat = np.asarray(x_hat, dtype=float)
+    x_new = grid.nodes() + x_hat
+    _require_admissible_rows(x_new, grid, "displaced trajectory")
     h, tau = grid.h, params.tau
 
     y0 = coeffs.slope_curr
     yhat = np.diff(x_hat) / h
 
     dx = x_new - np.asarray(x_curr, dtype=float)
-    f1 = 0.5 / tau * h * float(np.sum(coeffs.mass[1:-1] * dx[1:-1] ** 2))
-    f3 = params.a0 * tau * h * float(np.sum(0.5 * yhat ** 2 - yhat * y0))
+    f1 = 0.5 / tau * h * np.sum(coeffs.mass[1:-1] * dx[..., 1:-1] ** 2, axis=-1)
+    f3 = params.a0 * tau * h * np.sum(0.5 * yhat ** 2 - yhat * y0, axis=-1)
     if damped_start:
-        f2 = -h * float(np.sum(spec.f0_cells * np.log1p(yhat)))
-        return f1 + f2 + f3
-    if not np.all(y0 > 0.0):
-        raise ValueError("G needs positive base slopes")
-    ends = _spence(np.concatenate(((1.0 + yhat) / y0, 1.0 / y0)))
-    f2 = h * float(np.sum(spec.f0_cells * (ends[:yhat.size] - ends[yhat.size:])))
-    f4 = tau * tau * h * float(np.sum(-np.log1p(yhat) + yhat / y0))
-    return f1 + f2 + f3 + f4
+        f2 = -h * np.sum(spec.f0_cells * np.log1p(yhat), axis=-1)
+        value = f1 + f2 + f3
+    else:
+        if not np.all(y0 > 0.0):
+            raise ValueError("G needs positive base slopes")
+        ends = _spence(np.concatenate(
+            ((1.0 + yhat) / y0, np.broadcast_to(1.0 / y0, yhat.shape)), axis=-1))
+        f2 = h * np.sum(spec.f0_cells * (ends[..., :grid.M] - ends[..., grid.M:]), axis=-1)
+        f4 = tau * tau * h * np.sum(-np.log1p(yhat) + yhat / y0, axis=-1)
+        value = f1 + f2 + f3 + f4
+    return float(value) if x_hat.ndim == 1 else value
 
 
 # ---------------------------------------------------------------------------
 # Analytic oracle for the secant ratio's building block
 # ---------------------------------------------------------------------------
 
-def q1_oracle(x: float, x0: float):
+def q1_oracle(x, x0):
     """q1(x) = -(ln x - ln x0)/(x - x0) with first and second derivatives.
 
     Series fallback near x = x0 (limits -1/x0, 1/(2 x0^2), -2/(3 x0^3)).
     The secant ratio satisfies R(y, y0) = -q1(y) at x0 = y0 and
-    W(y, y0) = -q1'(y).
+    W(y, y0) = -q1'(y).  Scalars in, floats out; arrays broadcast, and each
+    lane takes the series or the closed form as its own scalar call would.
     """
-    if not (x > 0.0 and x0 > 0.0):
+    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if not (np.all(x > 0.0) and np.all(x0 > 0.0)):
         raise ValueError("q1 needs positive arguments")
     u = (x - x0) / x0
-    if abs(u) < 5e-3:
+    near = np.abs(u) < 5e-3
+    # Both forms run on every lane and np.where keeps one.  The closed form
+    # reads x = 2 x0 on the series lanes, so it never divides by zero there;
+    # the errstate keeps quiet the lanes a form does not own, where the
+    # series can overflow once x/x0 is extreme.  Products, not powers, keep
+    # a scalar call bitwise equal to its lane of an array call.
+    xc = np.where(near, 2.0 * x0, x)
+    s = xc - x0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the closed second derivative loses ~eps/u^2 to cancellation, so the
         # series window is wide and carries enough terms for ~1e-12 there
-        val = -(1.0 - u * (1 / 2 - u * (1 / 3 - u * (1 / 4 - u * (1 / 5 - u * (1 / 6 - u / 7)))))) / x0
-        d1 = (1 / 2 - u * (2 / 3 - u * (3 / 4 - u * (4 / 5 - u * (5 / 6 - u * (6 / 7 - u * 7 / 8)))))) / x0 ** 2
-        d2 = (-2 / 3 + u * (3 / 2 - u * (12 / 5 - u * (10 / 3 - u * (30 / 7 - u * 21 / 4))))) / x0 ** 3
-        return val, d1, d2
-    s = x - x0
-    p = math.log1p(u)
-    val = -p / s
-    d1 = -(s / x - p) / s ** 2
-    d2 = 1.0 / (x * x * s) + 2.0 * (s / x - p) / s ** 3
-    return val, d1, d2
+        series = (
+            -(1.0 - u * (1 / 2 - u * (1 / 3 - u * (1 / 4 - u * (1 / 5 - u * (1 / 6 - u / 7)))))) / x0,
+            (1 / 2 - u * (2 / 3 - u * (3 / 4 - u * (4 / 5 - u * (5 / 6 - u * (6 / 7 - u * 7 / 8)))))) / (x0 * x0),
+            (-2 / 3 + u * (3 / 2 - u * (12 / 5 - u * (10 / 3 - u * (30 / 7 - u * 21 / 4))))) / (x0 * x0 * x0),
+        )
+        p = np.log1p(s / x0)
+        closed = (
+            -p / s,
+            -(s / xc - p) / (s * s),
+            1.0 / (xc * xc * s) + 2.0 * (s / xc - p) / (s * s * s),
+        )
+    out = tuple(np.where(near, a, b) for a, b in zip(series, closed))
+    return tuple(map(float, out)) if out[0].ndim == 0 else out

@@ -102,6 +102,17 @@ def is_admissible(x: np.ndarray, grid: Grid) -> bool:
     return bool(np.all(np.diff(x) > 0.0))
 
 
+def admissible_rows(xs: np.ndarray, grid: Grid) -> np.ndarray:
+    """is_admissible for every row of a stack of trajectories (shape
+    (k, M+1)), as one boolean array."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != grid.M + 1:
+        raise ValueError(
+            f"trajectory stack has shape {xs.shape}, expected (k, {grid.M + 1})")
+    return ((xs[:, 0] == grid.x_left) & (xs[:, -1] == grid.x_right)
+            & np.all(np.diff(xs) > 0.0, axis=1))
+
+
 def recover_density(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Density at nodes from the conservation map f = f0 / (wide slope of x).
 

@@ -304,8 +304,9 @@ def test_cmd_convergence_requires_study_section(tmp_path, capsys):
 # check command
 # ---------------------------------------------------------------------------
 
-def test_cmd_check_passes(capsys):
-    rc = cli.main(["check", "--seed", "7"])
+@pytest.mark.parametrize("seed", range(10))
+def test_cmd_check_passes(capsys, seed):
+    rc = cli.main(["check", "--seed", str(seed)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
@@ -320,3 +321,12 @@ def test_cmd_check_flipped_sign_is_caught(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out and "counterexample" in out
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_cmd_check_rejects_bad_seed(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "nonnegative integer" in err

@@ -194,6 +194,33 @@ def test_residual_rejects_inadmissible(rng):
         residual(bad, x_curr, coeffs, spec, params)
 
 
+@pytest.mark.parametrize("damped_start", [False, True])
+def test_stacked_eval_F_and_residual_equal_row_calls(rng, damped_start):
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    X = g.nodes()
+    # x_curr itself puts every cell of one row on the equal-slope branch
+    xs = np.array([random_admissible(rng, g) for _ in range(6)] + [x_curr])
+    values = eval_F(xs - X, x_curr, coeffs, spec, params, damped_start)
+    residuals = residual(xs, x_curr, coeffs, spec, params, damped_start)
+    assert values.shape == (7,) and residuals.shape == (7, 17)
+    for k, x in enumerate(xs):
+        value = eval_F(x - X, x_curr, coeffs, spec, params, damped_start)
+        row = residual(x, x_curr, coeffs, spec, params, damped_start)
+        assert type(value) is float and value == values[k]
+        assert type(row) is np.ndarray and row.shape == (17,)
+        np.testing.assert_array_equal(row, residuals[k])
+
+
+def test_stack_with_inadmissible_row_names_it(rng):
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    xs = np.array([random_admissible(rng, g) for _ in range(4)])
+    xs[2, 5] = xs[2, 4]
+    with pytest.raises(DegenerateMeshError, match="row 2 "):
+        residual(xs, x_curr, coeffs, spec, params)
+    with pytest.raises(DegenerateMeshError, match="row 2 "):
+        eval_F(xs - g.nodes(), x_curr, coeffs, spec, params)
+
+
 def test_gradient_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=16, m=float(rng.uniform(1.3, 2.8)))
@@ -393,6 +420,20 @@ def test_q1_oracle_against_mpmath(rng):
                 float(mp.diff(lambda t: q1(t, mp.mpf(x0)), mp.mpf(x), 2)))
         for g_, w_ in zip(got, want):
             assert g_ == pytest.approx(w_, rel=1e-9)
+
+
+def test_q1_oracle_arrays_equal_scalar_calls(rng):
+    x0 = rng.uniform(1e-3, 10.0, 400)
+    # even lanes inside the series window |x/x0 - 1| < 5e-3, odd lanes anywhere
+    x = np.where(np.arange(400) % 2 == 0, x0 * (1.0 + rng.uniform(-6e-3, 6e-3, 400)),
+                 rng.uniform(1e-3, 10.0, 400))
+    got = q1_oracle(x, x0)
+    for i in range(400):
+        scalar = q1_oracle(float(x[i]), float(x0[i]))
+        assert all(type(v) is float for v in scalar)
+        assert scalar == tuple(float(a[i]) for a in got)
+    with pytest.raises(ValueError):
+        q1_oracle(x, -x0)
 
 
 def test_q1_sign_properties(rng):

@@ -7,6 +7,7 @@ from pmetraj import (ConfigurationError, DegenerateMeshError, Grid, d_wide,
                      discrete_energy, discrete_mass, initial_data_from_key,
                      is_admissible, make_problem, quadratic_bump,
                      recover_density)
+from pmetraj.problem import admissible_rows
 
 
 def test_initial_data_catalog():
@@ -50,6 +51,12 @@ def test_is_admissible():
     assert not is_admissible(twisted, g)
     unpinned = g.nodes() + 0.01
     assert not is_admissible(unpinned, g)
+    # the stack form applies the same rule row by row
+    stack = np.array([g.nodes(), twisted, unpinned, g.nodes()[::-1]])
+    np.testing.assert_array_equal(admissible_rows(stack, g),
+                                  [is_admissible(x, g) for x in stack])
+    with pytest.raises(ValueError):
+        admissible_rows(g.nodes(), g)
 
 
 def test_recover_density_identity_on_reference():
