@@ -12,9 +12,10 @@ from ._kernels import backend_name
 from .analysis import (ConvergenceReport, ErrorRecord, StudyResult,
                        convergence_study, density_error_norms,
                        observed_orders, trajectory_error_norms)
-from .errors import (ConfigurationError, DegenerateMeshError,
-                     EnergyViolationError, NonconvergenceError,
-                     SingularSystemError, SolverError, SpdViolationError)
+from .errors import (CoefficientOverflowError, ConfigurationError,
+                     DegenerateMeshError, EnergyViolationError,
+                     NonconvergenceError, SingularSystemError, SolverError,
+                     SpdViolationError)
 from .functional import (SchemeCoefficients, SolverParams,
                          build_coefficients, compute_s_h, eval_F,
                          g_convex_integral, hessian_coefficients,

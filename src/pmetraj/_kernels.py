@@ -1,5 +1,6 @@
 """Hot per-iteration kernels: residual assembly, Hessian assembly, the step
-functional of the line search, and the tridiagonal solve.
+functional F (minimised by the line search, checked by the oracles), and
+the tridiagonal solve.
 
 All are whole-array numpy, and at the sizes in use their cost is the count of
 numpy calls more than the arithmetic.  So the Newton loop assembles with one
@@ -218,23 +219,33 @@ def _spence(w):
 
 def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
                     damped_start=False):
-    """The convex step functional F at x_new, up to a constant of the step.
+    """The convex step functional F at x_new, the only formula of F in the
+    package: the Newton line search minimises it, and functional.eval_F adds
+    a constant of the step to it for the finite-difference oracles.
 
-    The residual is the gradient of this value divided by h, as it is of
-    functional.eval_F; the two differ by a constant: this one drops the
-    spence(1/y0) half of the dilogarithm pass and every term linear in
-    sum(D_h x), which the pinned ends hold fixed.  No admissibility check:
-    the Newton loop calls it only on admissible iterates.
+    F(x) = h [ sum mass (x - x_curr)^2/(2 tau) + a0 tau/2 sum d^2
+               + sum f0 spence(y/y0) + tau^2 sum (y/y0 - ln y) ]
+    with y = D_h x, y0 = slope_curr and d = y - y0; damped_start replaces
+    the last two sums by -sum f0 ln y.  The residual is its gradient divided
+    by h.
+
+    x_new may be a stack of shape (k, M+1), one candidate per row: every
+    sum runs along the last axis, so each of the k values is bitwise equal
+    to its row's own call; a 1-D x_new gives a float.  No admissibility
+    check: the Newton loop calls it only on admissible iterates.
     """
-    y, d = _slopes(x_new, slope_curr, h)
-    dx = x_new[1:-1] - x_curr[1:-1]
-    value = (0.5 / tau) * np.dot(mass[1:-1], dx * dx) + (0.5 * a0 * tau) * np.dot(d, d)
+    y = (x_new[..., 1:] - x_new[..., :-1]) / h
+    d = y - slope_curr
+    dx = x_new[..., 1:-1] - x_curr[1:-1]
+    value = ((0.5 / tau) * np.add.reduce(mass[1:-1] * (dx * dx), axis=-1)
+             + (0.5 * a0 * tau) * np.add.reduce(d * d, axis=-1))
     if damped_start:
-        value -= np.dot(f0_cells, np.log(y))
+        value -= np.add.reduce(f0_cells * np.log(y), axis=-1)
     else:
         w = y / slope_curr
-        value += np.dot(f0_cells, _spence(w)) + (tau * tau) * np.sum(w - np.log(y))
-    return h * float(value)
+        value += (np.add.reduce(f0_cells * _spence(w), axis=-1)
+                  + (tau * tau) * np.add.reduce(w - np.log(y), axis=-1))
+    return h * (float(value) if x_new.ndim == 1 else value)
 
 
 def _thomas_scalar(d, e, f):

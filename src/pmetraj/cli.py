@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,6 +75,8 @@ def cmd_solve(args) -> int:
         cfg.fail("discretization", "M", "need at least 2 cells")
     tau = cfg.get_number("discretization", "tau")
     cfg.require_positive(tau, "discretization", "tau")
+    if not tau * tau < math.inf:
+        cfg.fail("discretization", "tau", "too large: tau^2 overflows")
     t_final = cfg.get_number("discretization", "t_final")
     if not t_final >= 0.0:
         cfg.fail("discretization", "t_final", "must be nonnegative")

@@ -9,6 +9,11 @@ class ConfigurationError(SolverError):
     """Invalid configuration file, key, or value."""
 
 
+class CoefficientOverflowError(SolverError):
+    """A scheme coefficient (the mass coefficient f0^(2-m) S_h^(m-1)/m) is
+    not a finite number."""
+
+
 class DegenerateMeshError(SolverError):
     """A trajectory left the admissible set (node crossing or nonpositive slope)."""
 

@@ -7,7 +7,8 @@ One time step solves, for the next trajectory x, the interior equations
                                    + tau^2 (1/D_h x - 1/D_h xc) ]_i = 0,
 
 which is the gradient (per node, up to the uniform inner-product weight h) of
-the strictly convex functional F evaluated by eval_F.  R is the logarithmic
+the strictly convex functional F: _kernels.step_functional holds its one
+formula, and eval_F adds the per-step constant.  R is the logarithmic
 secant ratio; its derivative W <= 0 feeds the tridiagonal linearization with
 cell coefficients -f0 W + a0 tau + tau^2/(D_h x)^2 > 0, so the linearized
 operator is symmetric positive definite on the admissible set.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _LI2_SERIES, _spence
-from .errors import DegenerateMeshError
+from .errors import CoefficientOverflowError, DegenerateMeshError
 from .grid import Grid, d_forward, d_wide
 from .problem import ProblemSpec, admissible_rows, is_admissible
 
@@ -31,7 +32,8 @@ class SolverParams:
     """Time step, regularization weight, and the Newton iteration budget.
 
     The stopping tolerances are the constants newton.TOL_LAMBDA and
-    newton.TOL_RESIDUAL."""
+    newton.TOL_RESIDUAL.  tau^2 must be finite: it guards S_h and weighs
+    the tau^2 terms of the flux."""
 
     tau: float
     a0: float = 1.0
@@ -40,6 +42,8 @@ class SolverParams:
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not self.tau * self.tau < math.inf:
+            raise ValueError(f"tau^2 must be finite, got tau = {self.tau}")
         if not 0.0 <= self.a0 < math.inf:
             raise ValueError(f"a0 must be nonnegative and finite, got {self.a0}")
         if self.newton_max_iter < 1:
@@ -63,12 +67,20 @@ def compute_s_h(x_curr: np.ndarray, x_prev: np.ndarray, params: SolverParams,
 
 
 def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """f0^(2-m) * S_h^(m-1) / m at every node (only interior slots are read)."""
+    """f0^(2-m) * S_h^(m-1) / m at every node (only interior slots are read).
+
+    A large m can overflow the powers; a coefficient that is not finite
+    raises CoefficientOverflowError naming m."""
     s_h = np.asarray(s_h, dtype=float)
     if np.any(s_h <= 0.0):
         raise ValueError("S_h must be positive (the tau^2 guard should ensure this)")
     m = spec.m
-    return spec.f0_nodes ** (2.0 - m) * s_h ** (m - 1.0) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = spec.f0_nodes ** (2.0 - m) * s_h ** (m - 1.0) / m
+    if not np.all(np.isfinite(mass)):
+        raise CoefficientOverflowError(
+            f"mass coefficient f0^(2-m) S_h^(m-1)/m is not finite at m = {m:g}")
+    return mass
 
 
 def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec,
@@ -158,8 +170,9 @@ def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
 
 
 # ---------------------------------------------------------------------------
-# Convex functional in closed form (checked; the Newton loop uses the lean
-# _kernels.step_functional, equal to it up to a per-step constant)
+# Convex functional in closed form: _kernels.step_functional is its one
+# formula, minimised by the Newton line search; eval_F adds the per-step
+# constant and is what the finite-difference oracles difference
 # ---------------------------------------------------------------------------
 
 def g_convex_integral(x: float, x0: float) -> float:
@@ -189,40 +202,34 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
            damped_start: bool = False):
     """Value of the convex step functional at displacement x_hat = x_new - X.
 
-    All inner products carry the weight h, so the gradient of this value is
-    h times the residual.  The convex part <f0 G, 1> is evaluated in closed
-    form through the dilogarithm Li2 (see g_convex_integral) in one
-    vectorized pass; at rest (x_hat = 0) both spence arguments coincide and
-    F is exactly 0.  Intended for verification and monitoring.
+    F is _kernels.step_functional at X + x_hat (the function the Newton line
+    search minimises) plus a closed-form constant of the step,
+    -h <f0, spence(1/y0)> - tau^2 h <1/y0, 1> - a0 tau h |1 - y0|^2/2 with
+    y0 = D_h x_curr (damped_start: the last term alone).  With it the convex
+    part is exactly <f0 G(D_h x_hat, y0), 1>, G as in g_convex_integral; the
+    terms linear in sum(D_h x_hat) vanish because the ends are pinned.  All
+    inner products carry the weight h, so the gradient of this value is h
+    times the residual.  At x_hat = 0 only the mass term is left:
+    F = h <mass, (X - x_curr)^2>/(2 tau), which is 0 when x_curr = X.
 
     A 1-D x_hat gives a float.  A stack of displacements, one per row (shape
     (k, M+1)), gives the k values as an array, each bitwise equal to the
-    float of its row alone: every sum runs along the last axis.
+    float of its row alone.
     """
     grid = spec.grid
-    x_hat = np.asarray(x_hat, dtype=float)
-    x_new = grid.nodes() + x_hat
+    x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
     _require_admissible_rows(x_new, grid, "displaced trajectory")
-    h, tau = grid.h, params.tau
-
-    y0 = coeffs.slope_curr
-    yhat = np.diff(x_hat) / h
-
-    dx = x_new - np.asarray(x_curr, dtype=float)
-    f1 = 0.5 / tau * h * np.sum(coeffs.mass[1:-1] * dx[..., 1:-1] ** 2, axis=-1)
-    f3 = params.a0 * tau * h * np.sum(0.5 * yhat ** 2 - yhat * y0, axis=-1)
-    if damped_start:
-        f2 = -h * np.sum(spec.f0_cells * np.log1p(yhat), axis=-1)
-        value = f1 + f2 + f3
-    else:
+    h, tau, y0 = grid.h, params.tau, coeffs.slope_curr
+    constant = -0.5 * params.a0 * tau * h * np.sum((1.0 - y0) ** 2)
+    if not damped_start:
         if not np.all(y0 > 0.0):
             raise ValueError("G needs positive base slopes")
-        ends = _spence(np.concatenate(
-            ((1.0 + yhat) / y0, np.broadcast_to(1.0 / y0, yhat.shape)), axis=-1))
-        f2 = h * np.sum(spec.f0_cells * (ends[..., :grid.M] - ends[..., grid.M:]), axis=-1)
-        f4 = tau * tau * h * np.sum(-np.log1p(yhat) + yhat / y0, axis=-1)
-        value = f1 + f2 + f3 + f4
-    return float(value) if x_hat.ndim == 1 else value
+        inv_y0 = 1.0 / y0
+        constant -= h * (np.sum(spec.f0_cells * _spence(inv_y0))
+                         + tau * tau * np.sum(inv_y0))
+    return _kernels.step_functional(
+        x_new, np.asarray(x_curr, dtype=float), y0, coeffs.mass, spec.f0_cells,
+        h, tau, params.a0, damped_start) + float(constant)
 
 
 # ---------------------------------------------------------------------------

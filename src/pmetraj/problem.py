@@ -74,9 +74,12 @@ def initial_data_from_key(key: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -> ProblemSpec:
-    """Sample f0 on the grid and validate m > 1 and strict positivity."""
+    """Sample f0 on the grid and validate m > 1, M >= 2 and strict positivity."""
     if not m > 1.0:
         raise ConfigurationError(f"exponent m must exceed 1, got {m}")
+    if grid.M < 2:
+        # the extrapolated slope S_h uses the wide difference, which needs two cells
+        raise ConfigurationError(f"the scheme needs at least 2 cells, got M = {grid.M}")
     f0_nodes = np.asarray(f0(grid.nodes()), dtype=float)
     f0_cells = np.asarray(f0(grid.cell_centers()), dtype=float)
     worst = min(f0_nodes.min(), f0_cells.min())

@@ -212,10 +212,12 @@ def test_cmd_solve_zero_denominator_names_line(tmp_path, capsys, old, new, key):
     ("A0 = 1.0", "A0 = nan", "discretization.A0: not a number: 'nan'"),
     ("tau = 1/100", "tau = inf", "discretization.tau: not a number: 'inf'"),
     ("t_final = 0.1", "t_final = nan", "discretization.t_final: not a number: 'nan'"),
+    ("tau = 1/100", "tau = 1e300", "discretization.tau: too large: tau^2 overflows"),
 ])
 def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key):
     # each used to slip past the range checks: a pivot error at step 1, a
-    # run of 0 steps, and a raw ValueError traceback
+    # run of 0 steps, a raw ValueError traceback, and (tau^2 = inf) a run of
+    # 0 steps here or an OverflowError traceback when t_final >= tau
     text = SOLVE_CONFIG.replace(old, new)
     line = text.splitlines().index(new) + 1
     rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
@@ -236,6 +238,18 @@ def test_cmd_solve_negative_value_names_line(tmp_path, capsys, old, new, key):
     assert rc == 1
     assert f"case.cfg:{line}: {key}: must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_solve_overflowing_mass_coefficient_is_one_error_line(tmp_path, capsys):
+    # f0^(2-m) overflows at m = 1e6: named as such at step 1, with no numpy
+    # warning and no blame on the admissibility safeguard
+    text = SOLVE_CONFIG.replace("m = 2", "m = 1e6")
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: step 1 (t = ")
+    assert "mass coefficient" in err and "m = 1e+06" in err
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pmetraj import (DegenerateMeshError, Grid, SolverParams, LAMBDA_STAR,
-                     build_coefficients, compute_s_h, d_centered_to_nodes,
-                     d_forward, eval_F, g_convex_integral, hessian_coefficients,
+from pmetraj import _kernels
+from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
+                     SolverParams, LAMBDA_STAR, build_coefficients,
+                     compute_s_h, d_centered_to_nodes, d_forward, eval_F,
+                     g_convex_integral, hessian_coefficients,
                      initial_data_from_key, make_problem, mass_coefficient,
                      q1_oracle, quadratic_bump, residual, secant_ratio_R,
                      slope_derivative_W)
@@ -20,12 +22,13 @@ from pmetraj.functional import _LI2_SERIES, _spence, g_convex_second
 
 def test_params_validation():
     SolverParams(tau=0.1)
+    SolverParams(tau=1e150)  # tau^2 = 1e300 is still finite
     with pytest.raises(ValueError):
         SolverParams(tau=0.0)
     with pytest.raises(ValueError):
         SolverParams(tau=0.1, a0=-1.0)
     for bad in ({"tau": math.inf}, {"tau": math.nan}, {"tau": 0.1, "a0": math.nan},
-                {"tau": 0.1, "a0": math.inf}):
+                {"tau": 0.1, "a0": math.inf}, {"tau": 1e300}):  # tau^2 = inf
         with pytest.raises(ValueError):
             SolverParams(**bad)
     assert LAMBDA_STAR == pytest.approx(2.0 - math.sqrt(3.0), abs=0)
@@ -34,6 +37,14 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 # S_h and the mass coefficient
 # ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+def test_mass_coefficient_overflow_names_m():
+    g = Grid(0.0, 1.0, 8)
+    spec = make_problem(1e6, g, quadratic_bump)  # f0 <= 1/2, so f0^(2-m) = inf
+    with pytest.raises(CoefficientOverflowError, match="m = 1e\\+06"):
+        mass_coefficient(np.ones(9), spec)
+
 
 def test_s_h_reference_state():
     g = Grid(0.0, 1.0, 8)
@@ -271,6 +282,35 @@ def test_eval_F_zero_at_rest():
     X = g.nodes()
     coeffs = build_coefficients(X, X, spec, params)
     assert eval_F(np.zeros(13), X, coeffs, spec, params) == 0.0
+
+
+@pytest.mark.parametrize("damped_start", [False, True])
+def test_eval_F_at_zero_is_the_mass_term(rng, damped_start):
+    # x_curr != X: at x_hat = 0 the per-step constant must cancel every term
+    # of step_functional(X) but the mass term
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    X = g.nodes()
+    mass_term = 0.5 / params.tau * g.h * np.sum(coeffs.mass[1:-1] * (X - x_curr)[1:-1] ** 2)
+    value = eval_F(np.zeros(g.M + 1), x_curr, coeffs, spec, params, damped_start)
+    assert value == pytest.approx(mass_term, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("damped_start", [False, True])
+def test_eval_F_makes_one_step_functional_call(rng, monkeypatch, damped_start):
+    # eval_F has no formula of its own: one kernel call per 1-D or stacked call
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    shapes = []
+    original = _kernels.step_functional
+
+    def counting(x_new, *rest):
+        shapes.append(np.shape(x_new))
+        return original(x_new, *rest)
+
+    monkeypatch.setattr(_kernels, "step_functional", counting)
+    xs = np.array([random_admissible(rng, g) for _ in range(3)]) - g.nodes()
+    eval_F(xs[0], x_curr, coeffs, spec, params, damped_start)
+    eval_F(xs, x_curr, coeffs, spec, params, damped_start)
+    assert shapes == [(17,), (3, 17)]
 
 
 def test_eval_F_directional_fd(rng):

@@ -35,6 +35,12 @@ def test_make_problem_rejects_nonpositive_data():
         make_problem(1.0, g, quadratic_bump)
 
 
+def test_make_problem_rejects_one_cell_grid():
+    # a Grid of one cell is valid, but S_h's wide difference needs two cells
+    with pytest.raises(ConfigurationError, match="M = 1"):
+        make_problem(2.0, Grid(0.0, 1.0, 1), quadratic_bump)
+
+
 def test_make_problem_samples_both_grids():
     g = Grid(0.0, 1.0, 8)
     spec = make_problem(2.0, g, quadratic_bump)
