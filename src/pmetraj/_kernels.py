@@ -7,8 +7,9 @@ numpy calls more than the arithmetic.  So the Newton loop assembles with one
 fused pass, residual_hessian: the slopes, the equal-slope mask, z = d/y0 and
 log1p(z) are formed once, and the residual and both Hessian diagonals come
 from them, bitwise equal to residual_interior and hessian_tridiag (which stay
-for the callers that need only one of the two, and share every formula with
-the fused pass through the same helpers).
+for functional.residual and functional.hessian_coefficients, the oracles'
+entry points, and share every formula with the fused pass through the same
+helpers).
 
 The tridiagonal solve is odd-even cyclic reduction (Buzbee, Golub & Nielson
 1970): O(n) work in about log2(n) vectorized passes, stable without pivoting
@@ -77,20 +78,6 @@ def _secant_terms(y, y0, d, ratio=True, derivative=True):
         if derivative:
             w = np.where(near, -0.5 / (y * y), w)
     return r, w
-
-
-def secant_ratio(y, y0):
-    """Elementwise (ln y - ln y0)/(y - y0) with the near-equal midpoint branch."""
-    y = np.asarray(y, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    return _secant_terms(y, y0, y - y0, derivative=False)[0]
-
-
-def slope_derivative(y, y0):
-    """Elementwise [(1 - y0/y) + ln(y0/y)]/(y - y0)^2, equal branch -1/(2y^2)."""
-    y = np.asarray(y, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    return _secant_terms(y, y0, y - y0, ratio=False)[1]
 
 
 def _slopes(x_new, slope_curr, h):

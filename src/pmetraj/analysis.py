@@ -106,6 +106,56 @@ def _run_case(spec: ProblemSpec, t_eval: float,
     return run(RunConfig(spec=spec, params=params, t_final=t_eval))
 
 
+def _study_error(key: str, message: str):
+    raise ConfigurationError(f"study.{key}: {message}")
+
+
+def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
+                      length: float, fail=_study_error) -> list:
+    """The coarse cell counts of a refinement study on a domain of the given
+    length, coarsest first, once the study's keys are checked: every h tiles
+    the domain in at least 2 cells, no two give the same count, every coarse
+    count divides reference_M, and t_eval is a whole number of at least one
+    step (tau = h) at every resolution.  fail(key, message) reports a bad key and must raise; by
+    default it raises ConfigurationError.
+    """
+    if not h_list:
+        fail("h_list", "needs at least one mesh width")
+    m_list = []
+    for h in sorted(h_list, reverse=True):
+        if not h > 0.0:
+            fail("h_list", f"mesh widths must be positive, got {h!r}")
+        cells = length / h
+        if cells == math.inf:
+            fail("h_list", f"h={h} is too small for the domain of length {length}")
+        M = round(cells)
+        if M < 2:
+            fail("h_list", f"h={h} gives fewer than 2 cells on the domain of "
+                 f"length {length}")
+        if abs(M * h - length) > 1e-12 * length:
+            fail("h_list", f"h={h} does not tile the domain of length {length}")
+        if M in m_list:
+            fail("h_list", f"h={h} gives M={M} a second time")
+        m_list.append(M)
+    if reference_M < 2:
+        fail("reference_M", f"need at least 2 cells, got {reference_M}")
+    for M in m_list:
+        if reference_M % M != 0:
+            fail("reference_M", f"coarse cell count {M} does not divide the "
+                 f"reference count {reference_M}")
+    if not t_eval > 0.0:
+        fail("t_eval", "must be positive")
+    for M in m_list + [reference_M]:
+        steps = t_eval * M / length
+        if abs(steps - round(steps)) > 1e-9:
+            fail("t_eval", f"t_eval={t_eval} is not a whole number of steps at "
+                 f"M={M} (tau = h)")
+        if round(steps) < 1:
+            fail("t_eval", f"t_eval={t_eval} is shorter than one step at M={M} "
+                 "(tau = h)")
+    return m_list
+
+
 def convergence_study(m: float,
                       h_list: list,
                       reference_M: int,
@@ -116,30 +166,13 @@ def convergence_study(m: float,
     """Run the reference once and every coarse resolution with tau = h, then
     assemble per-resolution error records and observed orders.
 
-    `initial_data` is a catalog key or a sampling callable.
-    Every coarse cell count must divide reference_M.
+    `initial_data` is a catalog key or a sampling callable.  The study's
+    keys are checked by study_cell_counts; a bad one raises
+    ConfigurationError.
     """
     if params_base is None:
         params_base = SolverParams(tau=1.0)
-    length = domain[1] - domain[0]
-    m_list = []
-    for h in sorted(h_list, reverse=True):
-        M = round(length / h)
-        if abs(M * h - length) > 1e-12 * length:
-            raise ConfigurationError(f"h={h} does not tile the domain of length {length}")
-        if reference_M % M != 0:
-            raise ConfigurationError(
-                f"coarse cell count {M} does not divide the reference count {reference_M}"
-            )
-        m_list.append(M)
-    if t_eval <= 0.0:
-        raise ConfigurationError("t_eval must be positive")
-    for M in m_list + [reference_M]:
-        steps = t_eval * M / length
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigurationError(
-                f"t_eval={t_eval} is not a whole number of steps at M={M} (tau = h)"
-            )
+    m_list = study_cell_counts(h_list, reference_M, t_eval, domain[1] - domain[0])
 
     f0 = initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data
     specs = [make_problem(m, Grid(domain[0], domain[1], M), f0)

@@ -13,7 +13,7 @@ from .csvio import write_csv_atomic, write_text_atomic
 from .errors import ConfigurationError, SolverError
 from .functional import SolverParams
 from .grid import Grid
-from .problem import initial_data_from_key, make_problem
+from .problem import initial_data_from_key, make_problem, mesh_width_ok
 
 _SCHEMA = {
     "problem": {"m", "domain", "initial_data"},
@@ -35,7 +35,16 @@ def _parse_domain(cfg: Config):
         cfg.fail("problem", "domain", f"expected two numbers, got {raw!r}")
     if not right > left:
         cfg.fail("problem", "domain", "right end must exceed left end")
+    if not right - left < math.inf:
+        cfg.fail("problem", "domain", "too wide: right - left overflows")
     return left, right
+
+
+def _require_mesh_width(cfg: Config, left: float, right: float, M: int) -> None:
+    h = (right - left) / M
+    if not mesh_width_ok(h):
+        cfg.fail("problem", "domain", f"mesh width h = {h:.6g} at M = {M}: "
+                 "h^2 or 1/h^2 is not a positive finite number")
 
 
 def _parse_m_values(cfg: Config) -> list[float]:
@@ -73,6 +82,7 @@ def cmd_solve(args) -> int:
     M = cfg.get_int("discretization", "M")
     if M < 2:
         cfg.fail("discretization", "M", "need at least 2 cells")
+    _require_mesh_width(cfg, left, right, M)
     tau = cfg.get_number("discretization", "tau")
     cfg.require_positive(tau, "discretization", "tau")
     if not tau * tau < math.inf:
@@ -114,7 +124,11 @@ def cmd_convergence(args) -> int:
     h_list = cfg.get_number_list("study", "h_list")
     reference_M = cfg.get_int("study", "reference_M")
     t_eval = cfg.get_number("study", "t_eval")
-    cfg.require_positive(t_eval, "study", "t_eval")
+    m_list = analysis.study_cell_counts(
+        h_list, reference_M, t_eval, right - left,
+        fail=lambda key, message: cfg.fail("study", key, message))
+    for M in m_list + [reference_M]:
+        _require_mesh_width(cfg, left, right, M)
     initial_key = cfg.get_str("problem", "initial_data")
     params = _build_params(cfg, tau=1.0)
     out_dir = _output_dir(cfg)

@@ -92,25 +92,28 @@ def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec
     )
 
 
-def _check_slopes(y, y0):
-    if np.any(np.asarray(y) <= 0.0) or np.any(np.asarray(y0) <= 0.0):
+def _secant(y, y0, ratio):
+    """The secant ratio (ratio=True) or its derivative from
+    _kernels._secant_terms, for positive slopes; a float for two scalars."""
+    scalar = np.isscalar(y) and np.isscalar(y0)
+    y, y0 = np.asarray(y, dtype=float), np.asarray(y0, dtype=float)
+    if np.any(y <= 0.0) or np.any(y0 <= 0.0):
         raise DegenerateMeshError("secant ratio requires positive slopes")
+    r, w = _kernels._secant_terms(y, y0, y - y0, ratio=ratio, derivative=not ratio)
+    out = r if ratio else w
+    return float(out) if scalar else out
 
 
 def secant_ratio_R(y, y0):
     """(ln y - ln y0)/(y - y0); midpoint value 2/(y + y0) when |y - y0| is below
     _kernels.EPS_SWITCH * max(y, y0).  Scalar in, scalar out; arrays broadcast."""
-    _check_slopes(y, y0)
-    out = _kernels.secant_ratio(y, y0)
-    return float(out) if np.isscalar(y) and np.isscalar(y0) else out
+    return _secant(y, y0, ratio=True)
 
 
 def slope_derivative_W(y, y0):
     """d/dy of the secant ratio: [(1 - y0/y) + ln(y0/y)]/(y - y0)^2, equal branch
     -1/(2 y^2).  Always <= 0."""
-    _check_slopes(y, y0)
-    out = _kernels.slope_derivative(y, y0)
-    return float(out) if np.isscalar(y) and np.isscalar(y0) else out
+    return _secant(y, y0, ratio=False)
 
 
 def _require_admissible(x, grid, label):

@@ -4,6 +4,7 @@ mass).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,13 +74,24 @@ def initial_data_from_key(key: str) -> Callable[[np.ndarray], np.ndarray]:
     )
 
 
+def mesh_width_ok(h: float) -> bool:
+    """Whether h^2 and 1/h^2, which scale the Hessian's entries, are
+    positive finite numbers."""
+    return 0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf
+
+
 def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -> ProblemSpec:
-    """Sample f0 on the grid and validate m > 1, M >= 2 and strict positivity."""
+    """Sample f0 on the grid and validate m > 1, M >= 2, the mesh width
+    (mesh_width_ok) and strict positivity."""
     if not m > 1.0:
         raise ConfigurationError(f"exponent m must exceed 1, got {m}")
     if grid.M < 2:
         # the extrapolated slope S_h uses the wide difference, which needs two cells
         raise ConfigurationError(f"the scheme needs at least 2 cells, got M = {grid.M}")
+    if not mesh_width_ok(grid.h):
+        raise ConfigurationError(
+            f"mesh width h = {grid.h:.6g}: h^2 or 1/h^2 is not a positive "
+            "finite number")
     f0_nodes = np.asarray(f0(grid.nodes()), dtype=float)
     f0_cells = np.asarray(f0(grid.cell_centers()), dtype=float)
     worst = min(f0_nodes.min(), f0_cells.min())

@@ -139,6 +139,14 @@ def test_convergence_study_rejects_bad_setups():
         convergence_study(2.0, [0.013], 100, 0.05, "paper-quadratic")
     with pytest.raises(ConfigurationError):  # t_eval not a whole number of steps
         convergence_study(2.0, [1.0 / 20], 40, 0.013, "paper-quadratic")
+    with pytest.raises(ConfigurationError, match="shorter than one step"):
+        convergence_study(2.0, [1.0 / 20], 40, 1e-12, "paper-quadratic")
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        convergence_study(2.0, [0.0], 40, 0.05, "paper-quadratic")
+    with pytest.raises(ConfigurationError, match="at least 2 cells"):
+        convergence_study(2.0, [1.0 / 20], 0, 0.05, "paper-quadratic")
+    with pytest.raises(ConfigurationError, match="at least one mesh width"):
+        convergence_study(2.0, [], 40, 0.05, "paper-quadratic")
 
 
 def test_report_rows_and_table():

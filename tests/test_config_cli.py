@@ -213,11 +213,16 @@ def test_cmd_solve_zero_denominator_names_line(tmp_path, capsys, old, new, key):
     ("tau = 1/100", "tau = inf", "discretization.tau: not a number: 'inf'"),
     ("t_final = 0.1", "t_final = nan", "discretization.t_final: not a number: 'nan'"),
     ("tau = 1/100", "tau = 1e300", "discretization.tau: too large: tau^2 overflows"),
+    ("domain = 0,1", "domain = 0,1e-300", "problem.domain: mesh width h = 1e-302 at M = 100"),
+    ("domain = 0,1", "domain = -1e300,1e300", "problem.domain: mesh width h = 2e+298 at M = 100"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key):
     # each used to slip past the range checks: a pivot error at step 1, a
-    # run of 0 steps, a raw ValueError traceback, and (tau^2 = inf) a run of
-    # 0 steps here or an OverflowError traceback when t_final >= tau
+    # run of 0 steps, a raw ValueError traceback, (tau^2 = inf) a run of 0
+    # steps here or an OverflowError traceback when t_final >= tau, and
+    # (h^2 = 0 or inf) a ZeroDivisionError traceback in the Hessian assembly
+    # or an overflow warning from the mass diagnostic
     text = SOLVE_CONFIG.replace(old, new)
     line = text.splitlines().index(new) + 1
     rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
@@ -304,6 +309,28 @@ def test_cmd_convergence_non_nested_reference(tmp_path, capsys):
     rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])
     assert rc == 1
     assert "does not divide" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("h_list = 1/10, 1/20", "h_list = 0, 1/20", "study.h_list: mesh widths must be positive"),
+    ("h_list = 1/10, 1/20", "h_list = -1/10", "study.h_list: mesh widths must be positive"),
+    ("h_list = 1/10, 1/20", "h_list = ,", "study.h_list: needs at least one mesh width"),
+    ("h_list = 1/10, 1/20", "h_list = 1/10, 0.1, 1/20", "study.h_list: h=0.1 gives M=10 a second time"),
+    ("reference_M = 80", "reference_M = 0", "study.reference_M: need at least 2 cells"),
+    ("t_eval = 0.1", "t_eval = 1e-12", "study.t_eval: t_eval=1e-12 is shorter than one step"),
+])
+@pytest.mark.filterwarnings("error")
+def test_cmd_convergence_bad_study_names_line(tmp_path, capsys, old, new, key):
+    # each used to give a traceback (ZeroDivisionError, or ValueError from
+    # Grid), an error without its line, or a run with an empty table, of
+    # zero steps, or with one resolution twice and an order of 0
+    text = STUDY_CONFIG.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"case.cfg:{line}: {key}" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_cmd_convergence_requires_study_section(tmp_path, capsys):

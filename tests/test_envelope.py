@@ -40,13 +40,29 @@ def test_accepted_input_completes(M, m, key, tau):
     iterations = [r.iterations for r in result.newton_reports]
     assert len(iterations) == 10
     assert max(iterations) <= MAX_ITERS_PER_STEP, iterations
-    assert all(r.converged and r.stop in ("lambda", "residual", "floor")
+    assert all(r.converged and r.stop in ("lambda", "residual")
                for r in result.newton_reports)
     assert all(ok for *_, ok in result.energy_trace)
 
 
+@pytest.mark.parametrize("m, k", [(8.0, 1), (1.05, 100)], ids=["m=8-tau=1h", "m=1.05-tau=100h"])
+def test_envelope_corner_stops_on_certified_decrement(m, k):
+    # M = 1e5 at min f0 = 1e-4: the decrement's roundoff floor is highest
+    # here (5e-6 at m = 8), and the certified stop fires below about
+    # sqrt(TOL_LAMBDA) = 3.2e-5 with no rule for a stalled decrement, so a
+    # floor that rose past the threshold would run out the iteration budget
+    spec = _spec(100_000, m, "poly:1e-4,0,1")
+    tau = k * spec.grid.h
+    result = run(RunConfig(spec=spec, params=SolverParams(tau=tau), t_final=4 * tau))
+    assert len(result.newton_reports) == 4
+    for r in result.newton_reports:
+        assert r.converged and r.stop == "lambda", r.stop
+        assert r.iterations <= MAX_ITERS_PER_STEP, r.iterations
+
+
 @pytest.mark.parametrize("damped_start", [True, False])
-def test_step_functional_differences_match_eval_F(damped_start):
+def test_newton_solution_minimises_F(damped_start):
+    # F falls from the base through the midpoint to Newton's answer
     spec = _spec(M_SMALL, 2.0, "poly:1e-3,0,1")
     params = SolverParams(tau=10 * spec.grid.h)
     state = bootstrap(spec)
@@ -55,18 +71,9 @@ def test_step_functional_differences_match_eval_F(damped_start):
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     x_new, _ = newton_step(state, coeffs, spec, params, damped_start=damped_start)
     X = spec.grid.nodes()
-    args = (state.x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells,
-            spec.grid.h, params.tau, params.a0)
-    # the base, the solution, and a point between them
-    points = [state.x_curr, x_new, 0.5 * (state.x_curr + x_new)]
-    for x, x_other in ((points[0], points[1]), (points[2], points[1]),
-                       (points[0], points[2])):
-        lean = (_kernels.step_functional(x, *args, damped_start)
-                - _kernels.step_functional(x_other, *args, damped_start))
-        full = (eval_F(x - X, state.x_curr, coeffs, spec, params, damped_start)
-                - eval_F(x_other - X, state.x_curr, coeffs, spec, params, damped_start))
-        assert full > 0.0  # x_new is the minimiser
-        assert abs(lean - full) <= 1e-12 * abs(full)
+    base, mid, best = (eval_F(x - X, state.x_curr, coeffs, spec, params, damped_start)
+                       for x in (state.x_curr, 0.5 * (state.x_curr + x_new), x_new))
+    assert best < mid < base
 
 
 @pytest.mark.parametrize("step", [1, 2])

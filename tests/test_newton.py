@@ -11,8 +11,8 @@ from pmetraj import (Grid, LAMBDA_STAR, NonconvergenceError,
                      newton_decrement_lambda, newton_step, quadratic_bump,
                      residual, self_concordance_a, solve_tridiagonal)
 from pmetraj import _kernels
-from pmetraj.newton import (FLOOR_LAMBDA, FLOOR_RATIO, MIN_OMEGA, TOL_LAMBDA,
-                            TOL_RESIDUAL, _guarded_update)
+from pmetraj.newton import (MIN_OMEGA, TOL_LAMBDA, TOL_RESIDUAL,
+                            _guarded_update)
 from pmetraj.problem import TrajectoryState
 
 
@@ -122,15 +122,29 @@ def test_newton_constant_density_is_immediate():
     np.testing.assert_array_equal(x_new, state.x_curr)
 
 
+def _newton_step_at(x, state, coeffs, spec, params, damped_start=False):
+    """One more Newton step from x, assembled with the public residual and
+    Hessian: the step delta and the decrement lambda measured at x."""
+    gvec = residual(x, state.x_curr, coeffs, spec, params, damped_start)[1:-1]
+    diag, off = hessian_coefficients(x, coeffs, spec, params, damped_start)
+    delta = solve_tridiagonal(diag, off, -gvec)
+    lam = newton_decrement_lambda(gvec, delta, self_concordance_a(spec), spec.grid)
+    return delta, lam
+
+
 def test_newton_first_step_postconditions():
+    # the stop is certified without assembling at the returned point, so
+    # measure there: one more Newton step barely moves it
     g = Grid(0.0, 1.0, 200)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
-    assert report.converged
-    assert report.lambda_history[-1] < TOL_LAMBDA
+    assert report.converged and report.stop == "lambda"
+    delta, lam = _newton_step_at(x_new, state, coeffs, spec, params)
+    assert lam < TOL_LAMBDA
+    assert np.max(np.abs(delta)) <= 1e-10 * g.h
     assert np.all(np.diff(x_new) > 0.0)
     assert x_new[0] == 0.0 and x_new[-1] == 1.0
 
@@ -236,23 +250,31 @@ def test_newton_line_search_exhaustion_carries_report(monkeypatch):
     assert 2.0 ** -report.backtracks == MIN_OMEGA
 
 
-@pytest.mark.parametrize("key, m, stop", [
+@pytest.mark.parametrize("key, m, certified", [
     ("paper-quadratic", 2.0, "lambda"),
-    ("poly:1e-3,0,1", 8.0, "floor"),
+    ("poly:1e-3,0,1", 8.0, "step"),
 ])
-def test_newton_stop_reasons(key, m, stop):
-    # the opening step; "residual" is covered by the constant density above
+def test_newton_stop_reasons(key, m, certified):
+    # the opening step; "residual" is covered by the constant density above.
+    # Both stop on the certified decrement bound; measured at the returned
+    # point, one more Newton step is below 1e-10 h, and for the bump the
+    # decrement is below TOL_LAMBDA too.  At m = 8 near vacuum the measured
+    # decrement sits on its roundoff floor (2e-8 to 1.5e-7), so only the
+    # step is required there.
     g = Grid(0.0, 1.0, 400)
     spec = make_problem(m, g, initial_data_from_key(key))
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
-    _, report = newton_step(state, coeffs, spec, params, damped_start=True)
-    assert report.converged and report.stop == stop
-    if stop == "floor":
-        prev, last = report.lambda_history[-2:]
-        assert TOL_LAMBDA <= last < FLOOR_LAMBDA
-        assert last > FLOOR_RATIO * prev
+    x_new, report = newton_step(state, coeffs, spec, params, damped_start=True)
+    assert report.converged and report.stop == "lambda"
+    lam = report.lambda_history[-1]
+    assert (lam / (1.0 - lam)) ** 2 < TOL_LAMBDA
+    delta, lam_after = _newton_step_at(x_new, state, coeffs, spec, params,
+                                       damped_start=True)
+    assert np.max(np.abs(delta)) <= 1e-10 * g.h
+    if certified == "lambda":
+        assert lam_after < TOL_LAMBDA
 
 
 def test_newton_extrapolated_start_is_used_when_admissible():
@@ -291,8 +313,8 @@ def test_newton_falls_back_to_current_when_extrapolation_crosses():
 
 @pytest.mark.parametrize("damped_start", [True, False])
 def test_newton_assembles_once_per_iteration(monkeypatch, damped_start):
-    # one fused residual-and-Hessian pass per iteration, and the residual
-    # alone once more, at the accepted iterate, for the report
+    # one fused residual-and-Hessian pass per iteration and nothing else:
+    # the certified stop needs no assembly at the returned iterate
     g = Grid(0.0, 1.0, 400)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
@@ -307,7 +329,7 @@ def test_newton_assembles_once_per_iteration(monkeypatch, damped_start):
             return _fn(*args)
         monkeypatch.setattr(_kernels, name, counted)
     _, report = newton_step(state, coeffs, spec, params, damped_start=damped_start)
-    assert report.converged and report.stop in ("lambda", "floor")
+    assert report.converged and report.stop == "lambda"
     assert report.iterations >= 2
     assert calls == {"residual_hessian": report.iterations,
-                     "residual_interior": 1, "hessian_tridiag": 0}
+                     "residual_interior": 0, "hessian_tridiag": 0}

@@ -41,6 +41,15 @@ def test_make_problem_rejects_one_cell_grid():
         make_problem(2.0, Grid(0.0, 1.0, 1), quadratic_bump)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("left, right", [(0.0, 1e-300), (0.0, 1e-153), (-1e300, 1e300)])
+def test_make_problem_rejects_mesh_width_out_of_range(left, right):
+    # h^2 underflows, 1/h^2 overflows, or h^2 overflows: the Hessian
+    # assembly would divide by zero or produce inf
+    with pytest.raises(ConfigurationError, match="mesh width"):
+        make_problem(2.0, Grid(left, right, 100), initial_data_from_key("constant:1"))
+
+
 def test_make_problem_samples_both_grids():
     g = Grid(0.0, 1.0, 8)
     spec = make_problem(2.0, g, quadratic_bump)
