@@ -13,7 +13,7 @@ from .analysis import (ConvergenceReport, ErrorRecord, StudyResult,
                        convergence_study, density_error_norms,
                        observed_orders, trajectory_error_norms)
 from .errors import (CoefficientOverflowError, ConfigurationError,
-                     DegenerateMeshError, EnergyViolationError,
+                     DataScaleError, DegenerateMeshError, EnergyViolationError,
                      NonconvergenceError, SingularSystemError, SolverError,
                      SpdViolationError)
 from .functional import (SchemeCoefficients, SolverParams,

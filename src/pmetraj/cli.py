@@ -10,7 +10,7 @@ from pathlib import Path
 from . import analysis, stepper
 from .config import Config, parse_number
 from .csvio import write_csv_atomic, write_text_atomic
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, DataScaleError, SolverError
 from .functional import SolverParams
 from .grid import Grid
 from .problem import initial_data_from_key, make_problem, mesh_width_ok
@@ -45,6 +45,15 @@ def _require_mesh_width(cfg: Config, left: float, right: float, M: int) -> None:
     if not mesh_width_ok(h):
         cfg.fail("problem", "domain", f"mesh width h = {h:.6g} at M = {M}: "
                  "h^2 or 1/h^2 is not a positive finite number")
+
+
+def _at_domain_line(cfg: Config, build):
+    """build(), with a DataScaleError of make_problem reported at the domain
+    line."""
+    try:
+        return build()
+    except DataScaleError as exc:
+        cfg.fail("problem", "domain", str(exc))
 
 
 def _parse_m_values(cfg: Config) -> list[float]:
@@ -93,7 +102,7 @@ def cmd_solve(args) -> int:
 
     grid = Grid(left, right, M)
     f0 = initial_data_from_key(cfg.get_str("problem", "initial_data"))
-    spec = make_problem(m_values[0], grid, f0)
+    spec = _at_domain_line(cfg, lambda: make_problem(m_values[0], grid, f0))
     params = _build_params(cfg, tau)
     snapshot_every = cfg.get_int("output", "snapshot_every", 0)
     if snapshot_every < 0:
@@ -134,10 +143,10 @@ def cmd_convergence(args) -> int:
     out_dir = _output_dir(cfg)
 
     for m in m_values:
-        study = analysis.convergence_study(
+        study = _at_domain_line(cfg, lambda: analysis.convergence_study(
             m, h_list, reference_M, t_eval, initial_key,
             domain=(left, right), params_base=params,
-        )
+        ))
         tag = f"{m:g}"
         write_csv_atomic(out_dir / f"convergence_{tag}.csv",
                          analysis.CSV_HEADER, analysis.report_rows(study.report))

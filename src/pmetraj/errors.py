@@ -9,6 +9,11 @@ class ConfigurationError(SolverError):
     """Invalid configuration file, key, or value."""
 
 
+class DataScaleError(ConfigurationError):
+    """The grid and the initial data form a scale (f0/h^2, or the domain
+    length times f0) beyond problem.SCALE_LIMIT."""
+
+
 class CoefficientOverflowError(SolverError):
     """A scheme coefficient (the mass coefficient f0^(2-m) S_h^(m-1)/m) is
     not a finite number."""

@@ -84,11 +84,14 @@ def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
 
 def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec,
-                       params: SolverParams) -> SchemeCoefficients:
+                       params: SolverParams,
+                       slope_curr: np.ndarray | None = None) -> SchemeCoefficients:
+    """The step's coefficients; slope_curr, D_h x_curr, is computed when not
+    given."""
     s_h = compute_s_h(x_curr, x_prev, params, spec.grid)
     return SchemeCoefficients(
         mass=mass_coefficient(s_h, spec),
-        slope_curr=d_forward(x_curr, spec.grid),
+        slope_curr=d_forward(x_curr, spec.grid) if slope_curr is None else slope_curr,
     )
 
 

@@ -5,12 +5,13 @@ mass).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateMeshError
+from .errors import ConfigurationError, DataScaleError, DegenerateMeshError
 from .grid import Grid, d_forward, d_wide, _require_node_field
 
 
@@ -32,12 +33,24 @@ class ProblemSpec:
 
 @dataclass
 class TrajectoryState:
-    """Current and previous trajectory fields x^n, x^{n-1} at step n."""
+    """The trajectory fields x^n, x^{n-1} at step n, plus what the next step
+    may reuse.
+
+    x_prev2 is x^{n-2} when the Newton start may extrapolate quadratically
+    (newton.newton_step; stepper.advance sets it only after a step that
+    began in the near phase), None otherwise.  e_curr = E_h(x^n) and
+    slope_curr = D_h x^n are the energy and cell slopes the step that made
+    x^n already formed; None means the next step computes them from x_curr,
+    to the same bits.
+    """
 
     n: int
     t: float
     x_curr: np.ndarray
     x_prev: np.ndarray
+    x_prev2: np.ndarray | None = None
+    e_curr: float | None = None
+    slope_curr: np.ndarray | None = None
 
 
 def quadratic_bump(x: np.ndarray) -> np.ndarray:
@@ -80,9 +93,19 @@ def mesh_width_ok(h: float) -> bool:
     return 0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf
 
 
+#: Bound on the scales the solver forms from the grid and the initial data
+#: alone: max f0/h^2, the flux part of the Hessian's entries at unit slope,
+#: and (right - left) max f0, the scale of the energy, the mass and F.  It is
+#: the square root of the largest float, so either scale can still be
+#: multiplied by a factor as large (a slope ratio, tau^2, a sum over the
+#: cells) without overflowing.
+SCALE_LIMIT = math.sqrt(sys.float_info.max)
+
+
 def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -> ProblemSpec:
     """Sample f0 on the grid and validate m > 1, M >= 2, the mesh width
-    (mesh_width_ok) and strict positivity."""
+    (mesh_width_ok), strict positivity and the data scales (SCALE_LIMIT,
+    DataScaleError)."""
     if not m > 1.0:
         raise ConfigurationError(f"exponent m must exceed 1, got {m}")
     if grid.M < 2:
@@ -92,14 +115,27 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
         raise ConfigurationError(
             f"mesh width h = {grid.h:.6g}: h^2 or 1/h^2 is not a positive "
             "finite number")
-    f0_nodes = np.asarray(f0(grid.nodes()), dtype=float)
-    f0_cells = np.asarray(f0(grid.cell_centers()), dtype=float)
+    # A sample that overflows is infinite and fails the scale check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0_nodes = np.asarray(f0(grid.nodes()), dtype=float)
+        f0_cells = np.asarray(f0(grid.cell_centers()), dtype=float)
     worst = min(f0_nodes.min(), f0_cells.min())
     if not worst > 0.0:
         raise ConfigurationError(
             f"initial density must be strictly positive on the closed domain; "
             f"min sample is {worst:.6g}"
         )
+    # Python floats: an overflowing product is inf, and no numpy warning
+    f0_max = float(max(f0_nodes.max(), f0_cells.max()))
+    h, length = float(grid.h), float(grid.x_right - grid.x_left)
+    if f0_max / (h * h) > SCALE_LIMIT:
+        raise DataScaleError(
+            f"max f0/h^2 = {f0_max:.6g}/{h * h:.6g} at M = {grid.M} exceeds "
+            f"{SCALE_LIMIT:.3g}")
+    if length * f0_max > SCALE_LIMIT:
+        raise DataScaleError(
+            f"domain length times max f0 = {length:.6g} * {f0_max:.6g} exceeds "
+            f"{SCALE_LIMIT:.3g}")
     return ProblemSpec(
         m=float(m),
         grid=grid,
@@ -128,16 +164,19 @@ def admissible_rows(xs: np.ndarray, grid: Grid) -> np.ndarray:
             & np.all(np.diff(xs) > 0.0, axis=1))
 
 
-def recover_density(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def recover_density(x: np.ndarray, spec: ProblemSpec,
+                    cells: np.ndarray | None = None) -> np.ndarray:
     """Density at nodes from the conservation map f = f0 / (wide slope of x).
 
-    The cell slopes D_h x must all be positive: a trajectory whose nodes
-    cross raises DegenerateMeshError naming the first pair that does.  The
-    interior wide slopes are then averages of positive cell slopes.  At a
-    wall node the second-order one-sided slope of d_wide is kept where
-    it is positive and replaced by D_h x of the wall cell where it is not,
-    so every admissible trajectory has a positive density."""
-    cells = d_forward(x, spec.grid)
+    The cell slopes D_h x (cells, computed when not given) must all be
+    positive: a trajectory whose nodes cross raises DegenerateMeshError
+    naming the first pair that does.  The interior wide slopes are then
+    averages of positive cell slopes.  At a wall node the second-order
+    one-sided slope of d_wide is kept where it is positive and replaced by
+    D_h x of the wall cell where it is not, so every admissible trajectory
+    has a positive density."""
+    if cells is None:
+        cells = d_forward(x, spec.grid)
     bad = np.flatnonzero(~(cells > 0.0))
     if bad.size:
         raise DegenerateMeshError(
@@ -152,14 +191,17 @@ def recover_density(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return spec.f0_nodes / slope
 
 
-def discrete_energy(x: np.ndarray, spec: ProblemSpec) -> float:
-    """Discrete free energy E_h(x) = -h * sum f0(cell) ln(D_h x).
+def discrete_energy(x: np.ndarray, spec: ProblemSpec,
+                    slope: np.ndarray | None = None) -> float:
+    """Discrete free energy E_h(x) = -h * sum f0(cell) ln(D_h x), from the
+    cell slopes D_h x when given.
 
     Matches the integral of f ln f in trajectory coordinates up to the
     x-independent constant h * sum f0 ln f0; the scheme dissipates it by at
     least a0 * tau * ||D_h(x_new - x_old)||_2^2 per accepted step.
     """
-    slope = d_forward(x, spec.grid)
+    if slope is None:
+        slope = d_forward(x, spec.grid)
     bad = np.flatnonzero(slope <= 0.0)
     if bad.size:
         raise DegenerateMeshError(

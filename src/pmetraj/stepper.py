@@ -15,6 +15,7 @@ from . import functional, newton
 from .csvio import write_csv_atomic
 from .errors import EnergyViolationError, SolverError
 from .functional import SolverParams
+from .grid import d_forward
 from .newton import NewtonReport
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
                       discrete_mass, recover_density)
@@ -75,12 +76,16 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     The damped step satisfies the same dissipation bound and costs one O(tau^2)
     local error, preserving second-order accuracy globally.
     """
-    coeffs = functional.build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = functional.build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                           state.slope_curr)
     x_new, report = newton.newton_step(state, coeffs, spec, params,
                                        damped_start=(state.n == 0))
 
-    e_old = discrete_energy(state.x_curr, spec)
-    e_new = discrete_energy(x_new, spec)
+    e_old = state.e_curr
+    if e_old is None:
+        e_old = discrete_energy(state.x_curr, spec, coeffs.slope_curr)
+    slope_new = d_forward(x_new, spec.grid)
+    e_new = discrete_energy(x_new, spec, slope_new)
     dslope = (np.diff(x_new) - np.diff(state.x_curr)) / spec.grid.h
     rhs = -params.a0 * params.tau * spec.grid.h * float(np.sum(dslope ** 2))
     lhs = e_new - e_old
@@ -89,17 +94,24 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
             f"energy change {lhs:.6e} exceeds dissipation bound {rhs:.6e}"
         )
 
+    # The next step may start from the quadratic extrapolation only after a
+    # step that began in the near phase: with tau up to 100 h near vacuum it
+    # would overshoot into the far phase and cost iterations.
+    lams = report.lambda_history
+    near = state.n >= 1 and (not lams or lams[0] < newton.LAMBDA_STAR)
     new_state = TrajectoryState(
         n=state.n + 1, t=state.t + params.tau,
         x_curr=x_new, x_prev=state.x_curr,
+        x_prev2=state.x_prev if near else None,
+        e_curr=e_new, slope_curr=slope_new,
     )
     diag = StepDiagnostics(
         report=report,
         energy=e_new,
         dissipation_lhs=lhs,
         dissipation_rhs=rhs,
-        mass=discrete_mass(x_new, recover_density(x_new, spec)),
-        min_slope=float(np.min(np.diff(x_new)) / spec.grid.h),
+        mass=discrete_mass(x_new, recover_density(x_new, spec, slope_new)),
+        min_slope=float(np.min(slope_new)),
     )
     return new_state, diag
 
@@ -113,7 +125,7 @@ def _located(exc: SolverError, n: int, t: float) -> SolverError:
 
 
 def _write_snapshot(out_dir: Path, state: TrajectoryState, spec: ProblemSpec) -> None:
-    f = recover_density(state.x_curr, spec)
+    f = recover_density(state.x_curr, spec, state.slope_curr)
     rows = zip(range(spec.grid.M + 1), spec.grid.nodes().tolist(),
                state.x_curr.tolist(), f.tolist())
     write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"], rows)

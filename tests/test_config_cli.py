@@ -46,6 +46,9 @@ dir = {out}
 """
 
 
+DATA = "domain = 0,1\ninitial_data = paper-quadratic"
+
+
 def _write(tmp_path, text, **fmt):
     path = tmp_path / "case.cfg"
     path.write_text(text.format(**fmt))
@@ -215,16 +218,24 @@ def test_cmd_solve_zero_denominator_names_line(tmp_path, capsys, old, new, key):
     ("tau = 1/100", "tau = 1e300", "discretization.tau: too large: tau^2 overflows"),
     ("domain = 0,1", "domain = 0,1e-300", "problem.domain: mesh width h = 1e-302 at M = 100"),
     ("domain = 0,1", "domain = -1e300,1e300", "problem.domain: mesh width h = 2e+298 at M = 100"),
+    (DATA, "domain = 0,1e-152\ninitial_data = constant:1",
+     "problem.domain: max f0/h^2 = 1/1e-308 at M = 100 exceeds 1.34e+154"),
+    (DATA, "domain = 0,1e150\ninitial_data = poly:1e-3,0,1",
+     "problem.domain: domain length times max f0 = 1e+150 * 1e+300 exceeds 1.34e+154"),
+    (DATA, "domain = 0,1e110\ninitial_data = poly:1,0,0,1",
+     "problem.domain: max f0/h^2 = inf/1e+216 at M = 100 exceeds 1.34e+154"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key):
     # each used to slip past the range checks: a pivot error at step 1, a
     # run of 0 steps, a raw ValueError traceback, (tau^2 = inf) a run of 0
-    # steps here or an OverflowError traceback when t_final >= tau, and
+    # steps here or an OverflowError traceback when t_final >= tau,
     # (h^2 = 0 or inf) a ZeroDivisionError traceback in the Hessian assembly
-    # or an overflow warning from the mass diagnostic
+    # or an overflow warning from the mass diagnostic, and (f0/h^2 or the
+    # length times f0 beyond the float range) an overflow warning from the
+    # Hessian assembly, the energy or the sampling of f0
     text = SOLVE_CONFIG.replace(old, new)
-    line = text.splitlines().index(new) + 1
+    line = text.splitlines().index(new.splitlines()[0]) + 1
     rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
     assert rc == 1
     assert f"case.cfg:{line}: {key}" in capsys.readouterr().err
@@ -330,6 +341,24 @@ def test_cmd_convergence_bad_study_names_line(tmp_path, capsys, old, new, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"case.cfg:{line}: {key}" in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_convergence_data_scale_names_domain_line(tmp_path, capsys):
+    # on a domain of length 1e-152 every level has f0/h^2 beyond
+    # SCALE_LIMIT; the study builds the reference M = 80 first
+    text = STUDY_CONFIG.replace(
+        "initial_data = paper-quadratic",
+        "domain = 0,1e-152\ninitial_data = constant:1").replace(
+        "h_list = 1/10, 1/20", "h_list = 1e-153, 5e-154").replace(
+        "t_eval = 0.1", "t_eval = 1e-153")
+    line = text.splitlines().index("domain = 0,1e-152") + 1
+    rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"case.cfg:{line}: problem.domain: max f0/h^2 = 1/1.5625e-308 at M = 80" in err
     assert not (tmp_path / "s").exists()
 
 

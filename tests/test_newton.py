@@ -285,9 +285,9 @@ def test_newton_extrapolated_start_is_used_when_admissible():
     assert np.all(np.diff(2.0 * state.x_curr - state.x_prev) > 0.0)
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     x_pred, report = newton_step(state, coeffs, spec, params)
-    assert report.predicted and report.converged
+    assert report.start == "linear" and report.converged
     x_base, base = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
-    assert not base.predicted
+    assert base.start == "given"
     assert report.lambda_history[0] < base.lambda_history[0]  # a closer start
     assert report.iterations <= base.iterations
     assert np.max(np.abs(x_pred - x_base)) <= 1e-12
@@ -306,7 +306,46 @@ def test_newton_falls_back_to_current_when_extrapolation_crosses():
     assert not np.all(np.diff(2.0 * x_curr - x_prev) > 0.0)
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
-    assert not report.predicted and report.converged
+    assert report.start == "current" and report.converged
+    x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
+    assert np.max(np.abs(x_new - x_base)) <= 1e-12
+
+
+def test_newton_quadratic_start_is_used_after_a_near_phase_step():
+    g = Grid(0.0, 1.0, 100)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    state = bootstrap(spec)
+    for _ in range(6):  # steps 1-4 begin in the far phase at this M
+        state = advance(state, spec, params)[0]
+    assert state.x_prev2 is not None
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    x_quad, quad = newton_step(state, coeffs, spec, params)
+    assert quad.start == "quadratic" and quad.converged
+    linear_state = TrajectoryState(n=state.n, t=state.t, x_curr=state.x_curr,
+                                   x_prev=state.x_prev)
+    x_lin, lin = newton_step(linear_state, coeffs, spec, params)
+    assert lin.start == "linear"
+    assert quad.lambda_history[0] < lin.lambda_history[0]  # a closer start
+    assert np.max(np.abs(x_quad - x_lin)) <= 1e-12
+
+
+def test_newton_falls_back_to_linear_when_quadratic_crosses():
+    # x^{n-1} = x^{n-2} = X + p: the linear start X - p is admissible, the
+    # quadratic start X - 2p crosses nodes 20 and 21
+    g = Grid(0.0, 1.0, 50)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    x_curr = g.nodes()
+    x_prev = x_curr.copy()
+    x_prev[20] -= 0.4 * g.h
+    x_prev[21] += 0.4 * g.h
+    state = TrajectoryState(n=2, t=2 * g.h, x_curr=x_curr, x_prev=x_prev,
+                            x_prev2=x_prev.copy())
+    assert not np.all(np.diff(3.0 * (x_curr - x_prev) + x_prev) > 0.0)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    x_new, report = newton_step(state, coeffs, spec, params)
+    assert report.start == "linear" and report.converged
     x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
     assert np.max(np.abs(x_new - x_base)) <= 1e-12
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (ConfigurationError, DegenerateMeshError, Grid, d_wide,
+from pmetraj import (ConfigurationError, DataScaleError, DegenerateMeshError,
+                     Grid, d_wide,
                      discrete_energy, discrete_mass, initial_data_from_key,
                      is_admissible, make_problem, quadratic_bump,
                      recover_density)
-from pmetraj.problem import admissible_rows
+from pmetraj.problem import SCALE_LIMIT, admissible_rows
 
 
 def test_initial_data_catalog():
@@ -48,6 +49,28 @@ def test_make_problem_rejects_mesh_width_out_of_range(left, right):
     # assembly would divide by zero or produce inf
     with pytest.raises(ConfigurationError, match="mesh width"):
         make_problem(2.0, Grid(left, right, 100), initial_data_from_key("constant:1"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("right, key, match", [
+    (1e-152, "constant:1", r"max f0/h\^2 = 1/1e-308"),
+    (1e150, "poly:1e-3,0,1", r"domain length times max f0 = 1e\+150 \* 1e\+300"),
+    (1e110, "poly:1,0,0,1", r"max f0/h\^2 = inf"),
+], ids=["f0/h^2", "length*f0", "f0-overflows"])
+def test_make_problem_rejects_data_scale_beyond_limit(right, key, match):
+    # each passes the mesh width check; it used to leak an overflow warning
+    # from the Hessian assembly, the energy or the sampling of f0
+    with pytest.raises(DataScaleError, match=match):
+        make_problem(2.0, Grid(0.0, right, 100), initial_data_from_key(key))
+
+
+def test_make_problem_data_scale_limit_is_sharp():
+    # f0/h^2 at half SCALE_LIMIT is accepted, at twice it is not
+    g = Grid(0.0, 1.0, 100)
+    f0 = SCALE_LIMIT * g.h * g.h
+    make_problem(2.0, g, initial_data_from_key(f"constant:{0.5 * f0!r}"))
+    with pytest.raises(DataScaleError):
+        make_problem(2.0, g, initial_data_from_key(f"constant:{2.0 * f0!r}"))
 
 
 def test_make_problem_samples_both_grids():

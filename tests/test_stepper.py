@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, NonconvergenceError, RunConfig, SolverParams, advance, bootstrap,
+from pmetraj import (LAMBDA_STAR, Grid, NonconvergenceError, RunConfig, SolverParams, advance, bootstrap,
                      build_coefficients, compute_s_h, initial_data_from_key,
                      make_problem, newton_step, quadratic_bump,
                      recover_density, run)
@@ -121,24 +121,37 @@ def test_snapshot_and_trace_schemas(tmp_path):
 
 
 def test_csv_roundtrip_restart_is_bitwise(tmp_path):
-    """Two advances in sequence equal one advance restarted from a state whose
-    trajectory went through the 17-significant-digit snapshot format."""
-    g, spec, params = _quad_setup(M=100)
-    state0 = bootstrap(spec)
-    state1, _ = advance(state0, spec, params)
-    state2, _ = advance(state1, spec, params)
+    """A continuous run equals one restarted from states whose trajectories
+    went through the 17-significant-digit snapshot format: at n = 1 from
+    x^1 and x^0, and at n = 3, after a near-phase step, from x^3, x^2 and
+    x^1, with the quadratic Newton start.  Neither restart carries the
+    energy or the cell slopes, so the carried ones must be the same bits."""
+    g, spec, params = _quad_setup(M=400)
+    states = [bootstrap(spec)]
+    for _ in range(4):
+        states.append(advance(states[-1], spec, params)[0])
 
-    run(RunConfig(spec=spec, params=params, t_final=params.tau,
+    run(RunConfig(spec=spec, params=params, t_final=3 * params.tau,
                   snapshot_every=1, output_dir=tmp_path))
-    with open(tmp_path / "snap_1.csv") as fh:
-        rows = list(csv.reader(fh))[1:]
-    x_read = np.array([float(r[2]) for r in rows])
-    np.testing.assert_array_equal(x_read, state1.x_curr)  # exact round-trip
+    x_read = [states[0].x_curr.copy()]
+    for n in (1, 2, 3):
+        with open(tmp_path / f"snap_{n}.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        x_read.append(np.array([float(r[2]) for r in rows]))
+        np.testing.assert_array_equal(x_read[n], states[n].x_curr)  # exact round-trip
 
-    restarted = TrajectoryState(n=1, t=params.tau, x_curr=x_read,
-                                x_prev=state0.x_curr.copy())
+    restarted = TrajectoryState(n=1, t=params.tau, x_curr=x_read[1],
+                                x_prev=x_read[0])
     replay, _ = advance(restarted, spec, params)
-    np.testing.assert_array_equal(replay.x_curr, state2.x_curr)
+    np.testing.assert_array_equal(replay.x_curr, states[2].x_curr)
+
+    assert states[3].x_prev2 is not None
+    restarted = TrajectoryState(n=3, t=3 * params.tau, x_curr=x_read[3],
+                                x_prev=x_read[2], x_prev2=x_read[1])
+    replay, diag = advance(restarted, spec, params)
+    assert diag.report.start == "quadratic"
+    np.testing.assert_array_equal(replay.x_curr, states[4].x_curr)
+    assert replay.e_curr == states[4].e_curr
 
 
 def test_determinism_identical_configs():
@@ -190,3 +203,48 @@ def test_extrapolated_start_halves_iterations_with_same_trajectory():
         state = TrajectoryState(n=state.n + 1, t=state.t + params.tau,
                                 x_curr=x_new, x_prev=state.x_curr)
     assert np.max(np.abs(result.final_state.x_curr - state.x_curr)) <= 1e-12
+
+
+def test_quadratic_start_takes_under_1_6_iterations_per_step_at_m9600():
+    """The m = 2 reference of the refinement study (M = 9600, tau = h,
+    t = 0.05): the quadratic start after near-phase steps keeps the mean at
+    or below 1.6 iterations per step (2.006 from the linear start).  The
+    first 208 steps take 2 or 3 iterations either way, so a shorter run
+    shows little."""
+    g, spec, params = _quad_setup(M=9600)
+    result = run(RunConfig(spec=spec, params=params, t_final=0.05))
+    reports = result.newton_reports
+    assert len(reports) == 480
+    assert all(r.converged for r in reports)
+    assert sum(r.start == "quadratic" for r in reports) >= 470
+    assert np.mean([r.iterations for r in reports]) <= 1.6
+
+
+def test_far_phase_step_hands_on_a_linear_start():
+    # near vacuum with tau = 10 h every step begins in the far phase, where
+    # a quadratic start would overshoot
+    g = Grid(0.0, 1.0, 400)
+    spec = make_problem(8.0, g, initial_data_from_key("poly:1e-3,0,1"))
+    params = SolverParams(tau=10 * g.h)
+    state = bootstrap(spec)
+    far = prev_far = 0
+    for _ in range(10):
+        state, diag = advance(state, spec, params)
+        if prev_far:
+            assert diag.report.start == "linear"
+        prev_far = diag.report.lambda_history[0] >= LAMBDA_STAR
+        far += prev_far
+    assert far >= 5
+
+
+def test_truncated_final_step_after_quadratic_starts():
+    g, spec, params = _quad_setup(M=400)
+    t_final = 10.5 * params.tau
+    result = run(RunConfig(spec=spec, params=params, t_final=t_final))
+    reports = result.newton_reports
+    assert len(reports) == 11
+    # the truncated step, too, starts from the full-step extrapolation
+    assert [r.start for r in reports[2:]] == ["quadratic"] * 9
+    assert reports[-1].converged
+    assert all(ok for *_, ok in result.energy_trace)
+    assert result.final_state.t == pytest.approx(t_final, abs=1e-14)
