@@ -1,15 +1,16 @@
-"""Hot per-iteration kernels: residual assembly, Hessian assembly, the step
+"""Hot per-iteration kernels: the residual-and-Hessian assembly, the step
 functional F (minimised by the line search, checked by the oracles), and
 the tridiagonal solve.
 
 All are whole-array numpy, and at the sizes in use their cost is the count of
-numpy calls more than the arithmetic.  So the Newton loop assembles with one
-fused pass, residual_hessian: the slopes, the equal-slope mask, z = d/y0 and
-log1p(z) are formed once, and the residual and both Hessian diagonals come
-from them, bitwise equal to residual_interior and hessian_tridiag (which stay
-for functional.residual and functional.hessian_coefficients, the oracles'
-entry points, and share every formula with the fused pass through the same
-helpers).
+numpy calls more than the arithmetic.  So residual_hessian is the package's
+one assembly: the slopes, the equal-slope mask, z = d/y0 and log1p(z) are
+formed once, and the residual and both Hessian diagonals come from them.
+The Newton loop calls it; residual_interior and hessian_tridiag, behind
+functional.residual and functional.hessian_coefficients and so behind the
+finite-difference oracles, are views of it, so the oracles check the code
+Newton runs.  Every kernel indexes the nodes along the last axis, so one call
+takes a single trajectory or a (k, M+1) stack of candidates, one per row.
 
 The tridiagonal solve is odd-even cyclic reduction (Buzbee, Golub & Nielson
 1970): O(n) work in about log2(n) vectorized passes, stable without pivoting
@@ -17,9 +18,9 @@ because every reduced system is a Schur complement of the SPD input and hence
 SPD itself.  Once a level has at most SCALAR_BASE unknowns it is finished by
 a Thomas elimination on Python floats, which checks every pivot.
 
-Measured, fastest of repeated calls on a 2-core Xeon with numpy 2.4 (fused
-pass against the two separate kernels, reduction with the scalar base
-against reduction down to one unknown): assembly 55 -> 30 us at M = 400,
+Measured, fastest of repeated calls on a 2-core Xeon with numpy 2.4 (one
+assembly pass against the two separate ones it replaced, reduction with the
+scalar base against reduction down to one unknown): assembly 55 -> 30 us at M = 400,
 565 -> 345 us at M = 9600, 8.8 -> 4.7 ms at M = 1e5; solve 125 -> 61 us at
 n = 399 and 320 -> 249 us at n = 9599.
 
@@ -50,10 +51,9 @@ SCALAR_BASE = 64
 EPS_SWITCH = 1e-8
 
 
-def _secant_terms(y, y0, d, ratio=True, derivative=True):
-    """The secant ratio R = ln(y/y0)/d and/or its derivative
-    W = [z/(1 + z) - log1p(z)]/d^2 (z = d/y0, d = y - y0) from one log1p pass,
-    each None when not asked for.
+def _secant_terms(y, y0, d):
+    """The secant ratio R = ln(y/y0)/d and its derivative
+    W = [z/(1 + z) - log1p(z)]/d^2 (z = d/y0, d = y - y0) from one log1p pass.
 
     Where |d| <= EPS_SWITCH * max(y, y0), R and W take their limits 2/(y + y0)
     and -1/(2 y^2); the np.where passes of that branch run only when some lane
@@ -65,24 +65,19 @@ def _secant_terms(y, y0, d, ratio=True, derivative=True):
     else:
         near, d_safe = None, d
     z = d_safe / y0
-    r = w = None
     with np.errstate(divide="ignore", invalid="ignore"):
         log1p_z = np.log1p(z)
-        if derivative:
-            w = (z / (1.0 + z) - log1p_z) / (d_safe * d_safe)
-        if ratio:
-            r = log1p_z / d_safe
+        w = (z / (1.0 + z) - log1p_z) / (d_safe * d_safe)
+        r = log1p_z / d_safe
     if near is not None:
-        if ratio:
-            r = np.where(near, 2.0 / (y + y0), r)
-        if derivative:
-            w = np.where(near, -0.5 / (y * y), w)
+        r = np.where(near, 2.0 / (y + y0), r)
+        w = np.where(near, -0.5 / (y * y), w)
     return r, w
 
 
 def _slopes(x_new, slope_curr, h):
     """Cell slopes y = D_h x_new and their increments d = y - y0."""
-    y = (x_new[1:] - x_new[:-1]) / h
+    y = (x_new[..., 1:] - x_new[..., :-1]) / h
     return y, y - slope_curr
 
 
@@ -104,50 +99,30 @@ def _cell_coefficient(y, w, f0_cells, tau, a0, damped_start):
 
 
 def _interior_residual(x_new, x_curr, mass, flux, h, tau):
-    return mass[1:-1] * (x_new[1:-1] - x_curr[1:-1]) / tau + (flux[1:] - flux[:-1]) / h
+    return (mass[1:-1] * (x_new[..., 1:-1] - x_curr[..., 1:-1]) / tau
+            + (flux[..., 1:] - flux[..., :-1]) / h)
 
 
 def _tridiag(c, mass, h, tau):
     inv_h2 = 1.0 / (h * h)
-    return mass[1:-1] / tau + (c[:-1] + c[1:]) * inv_h2, c[1:-1] * -inv_h2
-
-
-def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
-                      h, tau, a0, damped_start=False):
-    """Scheme residual g on nodes (Dirichlet end slots 0).
-
-    g_i = mass_i (x_new_i - x_curr_i)/tau
-          + d_h[ f0 R - a0 tau (y - y0) - tau^2 (y - y0)/(y y0) ]_i
-    with y = D_h x_new, y0 = D_h x_curr.  With damped_start the secant average
-    R is replaced by the fully implicit 1/y and the tau^2 difference is
-    dropped (first-order L-stable step used once at startup).
-    """
-    y, d = _slopes(x_new, slope_curr, h)
-    r = None if damped_start else _secant_terms(y, slope_curr, d, derivative=False)[0]
-    g = np.zeros_like(x_new)
-    g[1:-1] = _interior_residual(
-        x_new, x_curr, mass,
-        _flux(y, slope_curr, d, r, f0_cells, tau, a0, damped_start), h, tau)
-    return g
-
-
-def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
-                    damped_start=False):
-    """Tridiagonal of the interior linearized system (diag M-1, offdiag M-2),
-    from the cell coefficient c of _cell_coefficient."""
-    y, d = _slopes(x_new, slope_curr, h)
-    w = None if damped_start else _secant_terms(y, slope_curr, d, ratio=False)[1]
-    return _tridiag(_cell_coefficient(y, w, f0_cells, tau, a0, damped_start),
-                    mass, h, tau)
+    return mass[1:-1] / tau + (c[..., :-1] + c[..., 1:]) * inv_h2, c[..., 1:-1] * -inv_h2
 
 
 def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
                      damped_start=False):
-    """The interior residual, diagonal and off-diagonal at x_new in one pass.
+    """The scheme residual on the interior nodes, and the diagonal and
+    off-diagonal of its tridiagonal derivative, at x_new in one pass.
 
-    Bitwise equal to residual_interior(...)[1:-1] and hessian_tridiag(...):
-    the slopes, the equal-slope mask, z and log1p(z) are formed once and
-    both R and W are derived from them.
+    g_i = mass_i (x_new_i - x_curr_i)/tau
+          + d_h[ f0 R - a0 tau (y - y0) - tau^2 (y - y0)/(y y0) ]_i
+    with y = D_h x_new, y0 = D_h x_curr; the derivative's cell coefficient
+    is _cell_coefficient's c.  With damped_start the secant average R is
+    replaced by the fully implicit 1/y and the tau^2 difference is dropped
+    (first-order L-stable step used once at startup).
+
+    x_new may be a stack of shape (k, M+1), one candidate per row; the
+    three results then have k rows, each bitwise equal to its row's own
+    call.
     """
     y, d = _slopes(x_new, slope_curr, h)
     r, w = (None, None) if damped_start else _secant_terms(y, slope_curr, d)
@@ -157,6 +132,23 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     del y, w
     return (_interior_residual(x_new, x_curr, mass, flux, h, tau),
             *_tridiag(c, mass, h, tau))
+
+
+def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
+                      h, tau, a0, damped_start=False):
+    """The residual of residual_hessian on every node, end slots 0."""
+    g = np.zeros_like(x_new)
+    g[..., 1:-1] = residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells,
+                                    h, tau, a0, damped_start)[0]
+    return g
+
+
+def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
+                    damped_start=False):
+    """The diagonal and off-diagonal of residual_hessian.  They do not
+    depend on the base trajectory, so x_new stands in for it."""
+    return residual_hessian(x_new, x_new, slope_curr, mass, f0_cells,
+                            h, tau, a0, damped_start)[1:]
 
 
 _PI2_6 = math.pi ** 2 / 6.0

@@ -24,16 +24,15 @@ from . import _kernels
 from ._kernels import _LI2_SERIES, _spence
 from .errors import CoefficientOverflowError, DegenerateMeshError
 from .grid import Grid, d_forward, d_wide
-from .problem import ProblemSpec, admissible_rows, is_admissible
+from .problem import ProblemSpec, is_admissible
 
 
 @dataclass(frozen=True)
 class SolverParams:
     """Time step, regularization weight, and the Newton iteration budget.
 
-    The stopping tolerances are the constants newton.TOL_LAMBDA and
-    newton.TOL_RESIDUAL.  tau^2 must be finite: it guards S_h and weighs
-    the tau^2 terms of the flux."""
+    The stopping tolerance is the constant newton.TOL_LAMBDA.  tau^2 must
+    be finite: it guards S_h and weighs the tau^2 terms of the flux."""
 
     tau: float
     a0: float = 1.0
@@ -95,43 +94,39 @@ def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec
     )
 
 
-def _secant(y, y0, ratio):
-    """The secant ratio (ratio=True) or its derivative from
-    _kernels._secant_terms, for positive slopes; a float for two scalars."""
+def _secant(y, y0):
+    """The secant ratio and its derivative from _kernels._secant_terms, for
+    positive slopes; floats for two scalars."""
     scalar = np.isscalar(y) and np.isscalar(y0)
     y, y0 = np.asarray(y, dtype=float), np.asarray(y0, dtype=float)
     if np.any(y <= 0.0) or np.any(y0 <= 0.0):
         raise DegenerateMeshError("secant ratio requires positive slopes")
-    r, w = _kernels._secant_terms(y, y0, y - y0, ratio=ratio, derivative=not ratio)
-    out = r if ratio else w
-    return float(out) if scalar else out
+    r, w = _kernels._secant_terms(y, y0, y - y0)
+    return (float(r), float(w)) if scalar else (r, w)
 
 
 def secant_ratio_R(y, y0):
     """(ln y - ln y0)/(y - y0); midpoint value 2/(y + y0) when |y - y0| is below
     _kernels.EPS_SWITCH * max(y, y0).  Scalar in, scalar out; arrays broadcast."""
-    return _secant(y, y0, ratio=True)
+    return _secant(y, y0)[0]
 
 
 def slope_derivative_W(y, y0):
     """d/dy of the secant ratio: [(1 - y0/y) + ln(y0/y)]/(y - y0)^2, equal branch
     -1/(2 y^2).  Always <= 0."""
-    return _secant(y, y0, ratio=False)
+    return _secant(y, y0)[1]
 
 
 def _require_admissible(x, grid, label):
-    if not is_admissible(x, grid):
-        raise DegenerateMeshError(f"{label} is outside the admissible set")
-
-
-def _require_admissible_rows(x, grid, label):
-    """_require_admissible for one trajectory, or for every row of a stack of
-    shape (k, M+1), naming the first bad row."""
-    if np.ndim(x) == 1:
-        return _require_admissible(x, grid, label)
-    bad = np.flatnonzero(~admissible_rows(x, grid))
-    if bad.size:
-        raise DegenerateMeshError(f"{label} row {bad[0]} is outside the admissible set")
+    """Raise DegenerateMeshError unless x, one trajectory or a stack of
+    rows, is admissible; for a stack, name the first bad row."""
+    ok = is_admissible(x, grid)
+    if isinstance(ok, bool):
+        if not ok:
+            raise DegenerateMeshError(f"{label} is outside the admissible set")
+    elif not ok.all():
+        raise DegenerateMeshError(
+            f"{label} row {ok.argmin()} is outside the admissible set")
 
 
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
@@ -147,20 +142,12 @@ def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     damped_start selects the fully implicit first-order flux used for the
     opening step (L-stable, so the incompatible-corner transient of rough
     initial data cannot ring)."""
-    _require_admissible_rows(x_new, spec.grid, "candidate trajectory")
+    _require_admissible(x_new, spec.grid, "candidate trajectory")
     _require_admissible(x_curr, spec.grid, "base trajectory")
-    x_new = np.asarray(x_new, dtype=float)
-    fields = (np.asarray(x_curr, dtype=float), coeffs.slope_curr, coeffs.mass,
-              spec.f0_cells)
-    if x_new.ndim == 1:
-        return _kernels.residual_interior(
-            x_new, *fields, spec.grid.h, params.tau, params.a0, damped_start)
-    # The kernel slices along the nodes on axis 0 and is elementwise
-    # otherwise, so with the candidates as columns and the shared fields as
-    # one column each it assembles every row in one pass.
     return _kernels.residual_interior(
-        x_new.T, *(a[:, None] for a in fields),
-        spec.grid.h, params.tau, params.a0, damped_start).T
+        np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float),
+        coeffs.slope_curr, coeffs.mass, spec.f0_cells, spec.grid.h,
+        params.tau, params.a0, damped_start)
 
 
 def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
@@ -224,7 +211,7 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     """
     grid = spec.grid
     x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
-    _require_admissible_rows(x_new, grid, "displaced trajectory")
+    _require_admissible(x_new, grid, "displaced trajectory")
     h, tau, y0 = grid.h, params.tau, coeffs.slope_curr
     constant = -0.5 * params.a0 * tau * h * np.sum((1.0 - y0) ** 2)
     if not damped_start:

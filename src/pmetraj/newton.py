@@ -23,19 +23,20 @@ fraction of the predicted decrease (backtracking, Boyd & Vandenberghe,
 Convex Optimization, 9.5); in the near phase the full step is taken without
 evaluating F, which keeps the quadratic contraction.
 
-The iteration stops when the residual max-norm at an iterate drops below
-TOL_RESIDUAL, or after the full near-phase step once (lambda/(1 - lambda))^2
-< TOL_LAMBDA.  The second rule is certified: a is scaled so that F is
-self-concordant, and a full Newton step from a decrement lambda < 1 then
-lands at a decrement of at most (lambda/(1 - lambda))^2 (Nesterov &
-Nemirovskii 1994; Boyd & Vandenberghe, 9.6.4).  So the point returned is
-inside the tolerance without being assembled again, and no rule for a
-decrement stuck on its roundoff floor is needed: the rule fires once lambda
-is below about sqrt(TOL_LAMBDA), some 6 times above the worst floor seen
-(5e-6, at M = 1e5, m = 8, min f0 = 1e-4).  All of these constants are
-fixed: the line search changes the iteration count, the tolerances how
-tightly the step's minimiser is resolved, and none changes which scheme is
-solved.
+The iteration has one stop rule: it ends after the full near-phase step once
+(lambda/(1 - lambda))^2 < TOL_LAMBDA.  The rule is certified: a is scaled so
+that F is self-concordant, and a full Newton step from a decrement
+lambda < 1 then lands at a decrement of at most (lambda/(1 - lambda))^2
+(Nesterov & Nemirovskii 1994; Boyd & Vandenberghe, 9.6.4).  So the point
+returned is inside the tolerance without being assembled again, and no
+rule for a decrement stuck on its roundoff floor is needed: the rule fires
+once lambda is below about sqrt(TOL_LAMBDA), some 6 times above the worst
+floor seen (5e-6, at M = 1e5, m = 8, min f0 = 1e-4).  At an exact solution (constant
+density, residual 0) the decrement is 0 and the full step is zero, so the
+point comes back bitwise unchanged after one iteration.  All of these
+constants are fixed: the line search changes the iteration count, the
+tolerance how tightly the step's minimiser is resolved, and none changes
+which scheme is solved.
 """
 from __future__ import annotations
 
@@ -61,9 +62,8 @@ C_NEWTON = 1.0
 ARMIJO_C = 1e-4
 #: Shortest far-phase step tried before the line search gives up.
 MIN_OMEGA = 2.0 ** -30
-#: Stopping tolerances on the residual max-norm and on the certified bound
-#: (lambda/(1 - lambda))^2 of the decrement after a full step.
-TOL_RESIDUAL = 1e-12
+#: Stopping tolerance on the certified bound (lambda/(1 - lambda))^2 of the
+#: decrement after a full step.
 TOL_LAMBDA = 1e-9
 
 
@@ -76,11 +76,10 @@ class NewtonReport:
     #: entry is the one before the final full step, whose own decrement is
     #: at most (lambda/(1 - lambda))^2 < TOL_LAMBDA and is not measured
     lambda_history: list = field(default_factory=list)
-    #: unscaled residual max-norm at the last assembled iterate: the returned
-    #: point on a "residual" stop, the one before the final step on a
-    #: "lambda" stop.  Not a convergence measure: it carries the scale of
-    #: the Hessian (up to f0/h^2), and on converged steps at M = 1e5, m = 8,
-    #: min f0 = 1e-4 it reads about 0.2
+    #: unscaled residual max-norm at the last assembled iterate, the one
+    #: before the final step on a "lambda" stop.  Not a convergence measure:
+    #: it carries the scale of the Hessian (up to f0/h^2), and on converged
+    #: steps at M = 1e5, m = 8, min f0 = 1e-4 it reads about 0.2
     final_residual_norm: float = math.inf
     damped_steps: int = 0
     backtracks: int = 0  # Armijo halvings of the far-phase line search
@@ -88,8 +87,8 @@ class NewtonReport:
     #: the first iterate: "quadratic" (3 x^n - 3 x^{n-1} + x^{n-2}),
     #: "linear" (2 x^n - x^{n-1}), "current" (x^n) or "given" (x_init)
     start: str = ""
-    #: why the iteration ended: "residual" or "lambda" when it converged,
-    #: "line_search" or "max_iter" when it raised
+    #: why the iteration ended: "lambda" when it converged, "line_search" or
+    #: "max_iter" when it raised
     stop: str = ""
 
 
@@ -116,14 +115,15 @@ def newton_decrement_lambda(g: np.ndarray, delta: np.ndarray, a: float,
     """lambda = sqrt((h/a) * (-g . delta)) for delta solving H delta = -g.
 
     The factor h reinstates the inner-product weight carried by the functional;
-    -g . delta = g^T H^{-1} g >= 0 whenever H is SPD.
+    -g . delta = g^T H^{-1} g >= 0 whenever H is SPD.  A zero residual gives
+    +0.0, although -g . delta is then -0.0.
     """
     inner = -float(np.dot(g, delta))
     if inner < -1e-14:
         raise SpdViolationError(
             f"negative curvature inner product {inner:.3e} in decrement"
         )
-    return math.sqrt(grid.h / a * max(inner, 0.0))
+    return math.sqrt(grid.h / a * max(0.0, inner))  # max keeps 0.0 over -0.0
 
 
 def self_concordance_a(spec: ProblemSpec) -> float:
@@ -212,11 +212,6 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
             x, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
             params.tau, params.a0, damped_start)
         report.final_residual_norm = float(np.max(np.abs(gi)))
-        if report.final_residual_norm < TOL_RESIDUAL:
-            report.converged = True
-            report.stop = "residual"
-            return x, report
-
         delta = solve_tridiagonal(diag, off, -gi)
         del diag, off  # not kept alive through the next assembly
         lam = newton_decrement_lambda(gi, delta, a, grid)

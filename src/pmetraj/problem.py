@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DataScaleError, DegenerateMeshError
-from .grid import Grid, d_forward, d_wide, _require_node_field
+from .grid import Grid, d_forward, d_wide
 
 
 @dataclass(frozen=True)
@@ -145,23 +145,18 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
     )
 
 
-def is_admissible(x: np.ndarray, grid: Grid) -> bool:
-    """Strictly increasing nodes with both endpoints pinned to the domain."""
-    x = _require_node_field(x, grid, "trajectory")
-    if x[0] != grid.x_left or x[-1] != grid.x_right:
-        return False
-    return bool(np.all(np.diff(x) > 0.0))
-
-
-def admissible_rows(xs: np.ndarray, grid: Grid) -> np.ndarray:
-    """is_admissible for every row of a stack of trajectories (shape
-    (k, M+1)), as one boolean array."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != grid.M + 1:
+def is_admissible(x: np.ndarray, grid: Grid) -> bool | np.ndarray:
+    """Strictly increasing nodes with both endpoints pinned to the domain,
+    along the last axis: a bool for one trajectory (shape (M+1,)), one bool
+    per row for a stack of trajectories (shape (k, M+1))."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != grid.M + 1:
         raise ValueError(
-            f"trajectory stack has shape {xs.shape}, expected (k, {grid.M + 1})")
-    return ((xs[:, 0] == grid.x_left) & (xs[:, -1] == grid.x_right)
-            & np.all(np.diff(xs) > 0.0, axis=1))
+            f"trajectory has shape {x.shape}, expected ({grid.M + 1},) or "
+            f"(k, {grid.M + 1})")
+    ok = ((x[..., 1:] > x[..., :-1]).all(axis=-1)
+          & (x[..., 0] == grid.x_left) & (x[..., -1] == grid.x_right))
+    return bool(ok) if x.ndim == 1 else ok
 
 
 def recover_density(x: np.ndarray, spec: ProblemSpec,

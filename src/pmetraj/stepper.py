@@ -97,8 +97,7 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     # The next step may start from the quadratic extrapolation only after a
     # step that began in the near phase: with tau up to 100 h near vacuum it
     # would overshoot into the far phase and cost iterations.
-    lams = report.lambda_history
-    near = state.n >= 1 and (not lams or lams[0] < newton.LAMBDA_STAR)
+    near = state.n >= 1 and report.lambda_history[0] < newton.LAMBDA_STAR
     new_state = TrajectoryState(
         n=state.n + 1, t=state.t + params.tau,
         x_curr=x_new, x_prev=state.x_curr,

@@ -40,8 +40,7 @@ def test_accepted_input_completes(M, m, key, tau):
     iterations = [r.iterations for r in result.newton_reports]
     assert len(iterations) == 10
     assert max(iterations) <= MAX_ITERS_PER_STEP, iterations
-    assert all(r.converged and r.stop in ("lambda", "residual")
-               for r in result.newton_reports)
+    assert all(r.converged and r.stop == "lambda" for r in result.newton_reports)
     assert all(ok for *_, ok in result.energy_trace)
 
 

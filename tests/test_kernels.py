@@ -1,4 +1,4 @@
-"""The fused assembly pass, the cyclic-reduction tridiagonal solve with its
+"""The one assembly pass, the cyclic-reduction tridiagonal solve with its
 scalar base, and the numpy-only import footprint."""
 import math
 import os
@@ -156,38 +156,73 @@ def test_nan_caught_in_scalar_base(monkeypatch, rng, n):
 
 
 def _assembly_inputs(rng, M, equal_cells):
-    """A base trajectory and a candidate near it on M cells; the candidate
-    keeps the base's slope exactly on `equal_cells` cells."""
+    """A base trajectory and a stack of candidates near it on M cells: row 0
+    keeps the base's slope exactly on `equal_cells` cells, rows 1 and 2 on
+    none, and row 3, the base itself, on every cell."""
     h = 1.0 / M
     x_curr = np.linspace(0.0, 1.0, M + 1)
     x_curr[1:-1] += 0.3 * h * rng.uniform(-1.0, 1.0, M - 1)
-    x_new = x_curr.copy()
-    x_new[1:-1] += 0.2 * h * rng.uniform(-1.0, 1.0, M - 1)
+    xs = np.tile(x_curr, (4, 1))
+    xs[:3, 1:-1] += 0.2 * h * rng.uniform(-1.0, 1.0, (3, M - 1))
     for i in np.linspace(1, M - 2, equal_cells).astype(int):
-        x_new[i + 1] = x_new[i] + (x_curr[i + 1] - x_curr[i])
+        xs[0, i + 1] = xs[0, i] + (x_curr[i + 1] - x_curr[i])
     slope_curr = np.diff(x_curr) / h
     mass = rng.uniform(0.5, 2.0, M + 1)
     f0_cells = rng.uniform(1e-3, 1.0, M)
-    return x_new, x_curr, slope_curr, mass, f0_cells, h
+    return xs, x_curr, slope_curr, mass, f0_cells, h
 
 
 @pytest.mark.parametrize("damped_start", [False, True])
 @pytest.mark.parametrize("equal_cells", [0, 5])
 def test_fused_assembly_is_bitwise_equal(rng, equal_cells, damped_start):
-    x_new, x_curr, slope_curr, mass, f0_cells, h = _assembly_inputs(rng, 9600, equal_cells)
-    y = np.diff(x_new) / h
+    # one assembly for one trajectory or a stack of rows: each row of a
+    # stacked residual_interior / hessian_tridiag call equals its own 1-D
+    # call bitwise, whether or not the rows take the equal-slope branch
+    xs, x_curr, slope_curr, mass, f0_cells, h = _assembly_inputs(rng, 9600, equal_cells)
+    y = np.diff(xs) / h
     near = np.abs(y - slope_curr) <= EPS_SWITCH * np.maximum(y, slope_curr)
-    assert np.count_nonzero(near) == equal_cells
+    assert near.sum(axis=1).tolist() == [equal_cells, 0, 0, 9600]
     tau, a0 = 10.0 * h, 0.7
-    g, diag, off = _kernels.residual_hessian(
-        x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
-    want_g = _kernels.residual_interior(
-        x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)[1:-1]
-    want_diag, want_off = _kernels.hessian_tridiag(
-        x_new, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
-    for got, want in ((g, want_g), (diag, want_diag), (off, want_off)):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    for stack in (xs, xs[1:3]):  # with and without equal-slope lanes
+        g = _kernels.residual_interior(
+            stack, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+        diag, off = _kernels.hessian_tridiag(
+            stack, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+        assert g.shape == stack.shape
+        assert diag.shape == (len(stack), 9599) and off.shape == (len(stack), 9598)
+        for k, x in enumerate(stack):
+            want_g = _kernels.residual_interior(
+                x, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+            want_diag, want_off = _kernels.hessian_tridiag(
+                x, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+            for got, want in ((g[k], want_g), (diag[k], want_diag), (off[k], want_off)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert want_g[0] == want_g[-1] == 0.0
+
+
+def test_public_residual_and_hessian_run_the_newton_assembly(rng, monkeypatch):
+    # functional.residual (one trajectory or a stack) and
+    # hessian_coefficients, and so the finite-difference oracles, reach
+    # residual_hessian, the assembly the Newton loop calls
+    g = Grid(0.0, 1.0, 16)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    state = bootstrap(spec)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    shapes = []
+    assemble = _kernels.residual_hessian
+
+    def recording(x_new, *rest):
+        shapes.append(x_new.shape)
+        return assemble(x_new, *rest)
+
+    monkeypatch.setattr(_kernels, "residual_hessian", recording)
+    x = state.x_curr
+    residual(x, state.x_curr, coeffs, spec, params)
+    residual(np.array([x, x, x]), state.x_curr, coeffs, spec, params)
+    hessian_coefficients(x, coeffs, spec, params)
+    assert shapes == [(17,), (3, 17), (17,)]
 
 
 def test_import_pulls_in_numpy_and_stdlib_only():

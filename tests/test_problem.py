@@ -8,7 +8,7 @@ from pmetraj import (ConfigurationError, DataScaleError, DegenerateMeshError,
                      discrete_energy, discrete_mass, initial_data_from_key,
                      is_admissible, make_problem, quadratic_bump,
                      recover_density)
-from pmetraj.problem import SCALE_LIMIT, admissible_rows
+from pmetraj.problem import SCALE_LIMIT
 
 
 def test_initial_data_catalog():
@@ -89,12 +89,15 @@ def test_is_admissible():
     assert not is_admissible(twisted, g)
     unpinned = g.nodes() + 0.01
     assert not is_admissible(unpinned, g)
-    # the stack form applies the same rule row by row
+    assert type(is_admissible(g.nodes(), g)) is bool
+    # a stack applies the same rule along the last axis, row by row
     stack = np.array([g.nodes(), twisted, unpinned, g.nodes()[::-1]])
-    np.testing.assert_array_equal(admissible_rows(stack, g),
-                                  [is_admissible(x, g) for x in stack])
-    with pytest.raises(ValueError):
-        admissible_rows(g.nodes(), g)
+    rows = is_admissible(stack, g)
+    assert type(rows) is np.ndarray and rows.shape == (4,)
+    np.testing.assert_array_equal(rows, [is_admissible(x, g) for x in stack])
+    for shape in ((4,), (2, 4), (2, 2, 5), ()):
+        with pytest.raises(ValueError):
+            is_admissible(np.zeros(shape), g)
 
 
 def test_recover_density_identity_on_reference():
