@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .functional import SolverParams
-from .grid import Grid
+from .grid import Grid, domain_length
 from .problem import (ProblemSpec, initial_data_from_key, make_problem,
                       recover_density)
 from .stepper import RunConfig, RunResult, run
@@ -106,53 +106,53 @@ def _run_case(spec: ProblemSpec, t_eval: float,
     return run(RunConfig(spec=spec, params=params, t_final=t_eval))
 
 
-def _study_error(key: str, message: str):
-    raise ConfigurationError(f"study.{key}: {message}")
-
-
 def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
-                      length: float, fail=_study_error) -> list:
+                      length: float) -> list:
     """The coarse cell counts of a refinement study on a domain of the given
     length, coarsest first, once the study's keys are checked: every h tiles
     the domain in at least 2 cells, no two give the same count, every coarse
     count divides reference_M, and t_eval is a whole number of at least one
-    step (tau = h) at every resolution.  fail(key, message) reports a bad key and must raise; by
-    default it raises ConfigurationError.
+    step (tau = h) at every resolution.  A bad key raises ConfigurationError
+    with key "h_list", "reference_M" or "t_eval".
     """
     if not h_list:
-        fail("h_list", "needs at least one mesh width")
+        raise ConfigurationError("needs at least one mesh width", key="h_list")
     m_list = []
     for h in sorted(h_list, reverse=True):
         if not h > 0.0:
-            fail("h_list", f"mesh widths must be positive, got {h!r}")
+            raise ConfigurationError(f"mesh widths must be positive, got {h!r}",
+                                     key="h_list")
         cells = length / h
         if cells == math.inf:
-            fail("h_list", f"h={h} is too small for the domain of length {length}")
+            raise ConfigurationError(f"h={h} is too small for the domain of length "
+                                     f"{length}", key="h_list")
         M = round(cells)
         if M < 2:
-            fail("h_list", f"h={h} gives fewer than 2 cells on the domain of "
-                 f"length {length}")
+            raise ConfigurationError(f"h={h} gives fewer than 2 cells on the domain of "
+                                     f"length {length}", key="h_list")
         if abs(M * h - length) > 1e-12 * length:
-            fail("h_list", f"h={h} does not tile the domain of length {length}")
+            raise ConfigurationError(f"h={h} does not tile the domain of length "
+                                     f"{length}", key="h_list")
         if M in m_list:
-            fail("h_list", f"h={h} gives M={M} a second time")
+            raise ConfigurationError(f"h={h} gives M={M} a second time", key="h_list")
         m_list.append(M)
     if reference_M < 2:
-        fail("reference_M", f"need at least 2 cells, got {reference_M}")
+        raise ConfigurationError(f"need at least 2 cells, got {reference_M}",
+                                 key="reference_M")
     for M in m_list:
         if reference_M % M != 0:
-            fail("reference_M", f"coarse cell count {M} does not divide the "
-                 f"reference count {reference_M}")
+            raise ConfigurationError(f"coarse cell count {M} does not divide the reference "
+                                     f"count {reference_M}", key="reference_M")
     if not t_eval > 0.0:
-        fail("t_eval", "must be positive")
+        raise ConfigurationError("must be positive", key="t_eval")
     for M in m_list + [reference_M]:
         steps = t_eval * M / length
         if abs(steps - round(steps)) > 1e-9:
-            fail("t_eval", f"t_eval={t_eval} is not a whole number of steps at "
-                 f"M={M} (tau = h)")
+            raise ConfigurationError(f"t_eval={t_eval} is not a whole number of steps at "
+                                     f"M={M} (tau = h)", key="t_eval")
         if round(steps) < 1:
-            fail("t_eval", f"t_eval={t_eval} is shorter than one step at M={M} "
-                 "(tau = h)")
+            raise ConfigurationError(f"t_eval={t_eval} is shorter than one step at M={M} "
+                                     "(tau = h)", key="t_eval")
     return m_list
 
 
@@ -166,13 +166,15 @@ def convergence_study(m: float,
     """Run the reference once and every coarse resolution with tau = h, then
     assemble per-resolution error records and observed orders.
 
-    `initial_data` is a catalog key or a sampling callable.  The study's
-    keys are checked by study_cell_counts; a bad one raises
-    ConfigurationError.
+    `initial_data` is a catalog key or a sampling callable.  The domain
+    (grid.domain_length), the study's keys (study_cell_counts) and every
+    problem (make_problem) are checked before the first run; a bad one
+    raises ConfigurationError.
     """
     if params_base is None:
         params_base = SolverParams(tau=1.0)
-    m_list = study_cell_counts(h_list, reference_M, t_eval, domain[1] - domain[0])
+    length = domain_length(*domain)
+    m_list = study_cell_counts(h_list, reference_M, t_eval, length)
 
     f0 = initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data
     specs = [make_problem(m, Grid(domain[0], domain[1], M), f0)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import argparse
-import math
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -10,10 +10,10 @@ from pathlib import Path
 from . import analysis, stepper
 from .config import Config, parse_number
 from .csvio import write_csv_atomic, write_text_atomic
-from .errors import ConfigurationError, DataScaleError, SolverError
+from .errors import ConfigurationError, SolverError
 from .functional import SolverParams
 from .grid import Grid
-from .problem import initial_data_from_key, make_problem, mesh_width_ok
+from .problem import initial_data_from_key, make_problem, require_exponent
 
 _SCHEMA = {
     "problem": {"m", "domain", "initial_data"},
@@ -23,55 +23,45 @@ _SCHEMA = {
     "output": {"dir", "snapshot_every"},
 }
 
+#: The config line of each parameter a library object rejects, by the key
+#: of its ConfigurationError.
+_CONFIG_LINE = {
+    "m": "problem.m", "domain": "problem.domain", "initial_data": "problem.initial_data",
+    "M": "discretization.M", "tau": "discretization.tau", "a0": "discretization.A0",
+    "t_final": "discretization.t_final", "newton_max_iter": "newton.max_iter",
+    "h_list": "study.h_list", "reference_M": "study.reference_M", "t_eval": "study.t_eval",
+    "snapshot_every": "output.snapshot_every",
+}
+
+
+@contextlib.contextmanager
+def _loaded(path):
+    """The config at path, checked against _SCHEMA.  A ConfigurationError
+    that names a parameter is reported at the parameter's line."""
+    cfg = Config.load(path)
+    cfg.reject_unknown(_SCHEMA)
+    try:
+        yield cfg
+    except ConfigurationError as exc:
+        if exc.key is None:
+            raise
+        cfg.fail(*_CONFIG_LINE[exc.key].split("."), exc.reason)
+
 
 def _parse_domain(cfg: Config):
     raw = cfg.get_str("problem", "domain", "0,1")
-    parts = [p.strip() for p in raw.split(",")]
+    parts = raw.split(",")
     if len(parts) != 2:
         cfg.fail("problem", "domain", f"expected 'left,right', got {raw!r}")
     try:
-        left, right = parse_number(parts[0]), parse_number(parts[1])
+        return parse_number(parts[0]), parse_number(parts[1])
     except ValueError:
         cfg.fail("problem", "domain", f"expected two numbers, got {raw!r}")
-    if not right > left:
-        cfg.fail("problem", "domain", "right end must exceed left end")
-    if not right - left < math.inf:
-        cfg.fail("problem", "domain", "too wide: right - left overflows")
-    return left, right
-
-
-def _require_mesh_width(cfg: Config, left: float, right: float, M: int) -> None:
-    h = (right - left) / M
-    if not mesh_width_ok(h):
-        cfg.fail("problem", "domain", f"mesh width h = {h:.6g} at M = {M}: "
-                 "h^2 or 1/h^2 is not a positive finite number")
-
-
-def _at_domain_line(cfg: Config, build):
-    """build(), with a DataScaleError of make_problem reported at the domain
-    line."""
-    try:
-        return build()
-    except DataScaleError as exc:
-        cfg.fail("problem", "domain", str(exc))
-
-
-def _parse_m_values(cfg: Config) -> list[float]:
-    values = cfg.get_number_list("problem", "m")
-    for v in values:
-        if not v > 1.0:
-            cfg.fail("problem", "m", f"exponent must exceed 1, got {v!r}")
-    return values
 
 
 def _build_params(cfg: Config, tau: float) -> SolverParams:
-    max_iter = cfg.get_int("newton", "max_iter", 100)
-    if max_iter < 1:
-        cfg.fail("newton", "max_iter", "must be at least 1")
-    a0 = cfg.get_number("discretization", "A0", 1.0)
-    if not a0 >= 0.0:
-        cfg.fail("discretization", "A0", "must be nonnegative")
-    return SolverParams(tau=tau, a0=a0, newton_max_iter=max_iter)
+    return SolverParams(tau=tau, a0=cfg.get_number("discretization", "A0", 1.0),
+                        newton_max_iter=cfg.get_int("newton", "max_iter", 100))
 
 
 def _output_dir(cfg: Config) -> Path:
@@ -82,36 +72,20 @@ def _output_dir(cfg: Config) -> Path:
 
 
 def cmd_solve(args) -> int:
-    cfg = Config.load(args.config)
-    cfg.reject_unknown(_SCHEMA)
-    m_values = _parse_m_values(cfg)
-    if len(m_values) != 1:
-        cfg.fail("problem", "m", "solve expects a single exponent")
-    left, right = _parse_domain(cfg)
-    M = cfg.get_int("discretization", "M")
-    if M < 2:
-        cfg.fail("discretization", "M", "need at least 2 cells")
-    _require_mesh_width(cfg, left, right, M)
-    tau = cfg.get_number("discretization", "tau")
-    cfg.require_positive(tau, "discretization", "tau")
-    if not tau * tau < math.inf:
-        cfg.fail("discretization", "tau", "too large: tau^2 overflows")
-    t_final = cfg.get_number("discretization", "t_final")
-    if not t_final >= 0.0:
-        cfg.fail("discretization", "t_final", "must be nonnegative")
-
-    grid = Grid(left, right, M)
-    f0 = initial_data_from_key(cfg.get_str("problem", "initial_data"))
-    spec = _at_domain_line(cfg, lambda: make_problem(m_values[0], grid, f0))
-    params = _build_params(cfg, tau)
-    snapshot_every = cfg.get_int("output", "snapshot_every", 0)
-    if snapshot_every < 0:
-        cfg.fail("output", "snapshot_every", "must be nonnegative")
-    out_dir = _output_dir(cfg)
-    config = stepper.RunConfig(
-        spec=spec, params=params, t_final=t_final,
-        snapshot_every=snapshot_every, output_dir=out_dir,
-    )
+    with _loaded(args.config) as cfg:
+        m_values = cfg.get_number_list("problem", "m")
+        if len(m_values) != 1:
+            cfg.fail("problem", "m", "solve expects a single exponent")
+        grid = Grid(*_parse_domain(cfg), cfg.get_int("discretization", "M"))
+        f0 = initial_data_from_key(cfg.get_str("problem", "initial_data"))
+        out_dir = _output_dir(cfg)
+        config = stepper.RunConfig(
+            spec=make_problem(m_values[0], grid, f0),
+            params=_build_params(cfg, cfg.get_number("discretization", "tau")),
+            t_final=cfg.get_number("discretization", "t_final"),
+            snapshot_every=cfg.get_int("output", "snapshot_every", 0),
+            output_dir=out_dir,
+        )
     result = stepper.run(config)
     total_newton = sum(r.iterations for r in result.newton_reports)
     e_start = result.energy_trace[0][2]
@@ -124,35 +98,31 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = Config.load(args.config)
-    cfg.reject_unknown(_SCHEMA)
-    if "study" not in cfg.sections:
-        raise ConfigurationError(f"{cfg.path}: convergence needs a [study] section")
-    m_values = _parse_m_values(cfg)
-    left, right = _parse_domain(cfg)
-    h_list = cfg.get_number_list("study", "h_list")
-    reference_M = cfg.get_int("study", "reference_M")
-    t_eval = cfg.get_number("study", "t_eval")
-    m_list = analysis.study_cell_counts(
-        h_list, reference_M, t_eval, right - left,
-        fail=lambda key, message: cfg.fail("study", key, message))
-    for M in m_list + [reference_M]:
-        _require_mesh_width(cfg, left, right, M)
-    initial_key = cfg.get_str("problem", "initial_data")
-    params = _build_params(cfg, tau=1.0)
-    out_dir = _output_dir(cfg)
+    with _loaded(args.config) as cfg:
+        if "study" not in cfg.sections:
+            raise ConfigurationError(f"{cfg.path}: convergence needs a [study] section")
+        m_values = cfg.get_number_list("problem", "m")
+        domain = _parse_domain(cfg)
+        h_list = cfg.get_number_list("study", "h_list")
+        reference_M = cfg.get_int("study", "reference_M")
+        t_eval = cfg.get_number("study", "t_eval")
+        initial_key = cfg.get_str("problem", "initial_data")
+        out_dir = _output_dir(cfg)
+        for m in m_values:  # every exponent, before the first study writes
+            require_exponent(m)
+        params = _build_params(cfg, tau=1.0)
 
-    for m in m_values:
-        study = _at_domain_line(cfg, lambda: analysis.convergence_study(
-            m, h_list, reference_M, t_eval, initial_key,
-            domain=(left, right), params_base=params,
-        ))
-        tag = f"{m:g}"
-        write_csv_atomic(out_dir / f"convergence_{tag}.csv",
-                         analysis.CSV_HEADER, analysis.report_rows(study.report))
-        table = analysis.format_table(study.report)
-        write_text_atomic(out_dir / f"convergence_{tag}.txt", table)
-        print(table, end="")
+        for m in m_values:
+            study = analysis.convergence_study(
+                m, h_list, reference_M, t_eval, initial_key,
+                domain=domain, params_base=params,
+            )
+            tag = f"{m:g}"
+            write_csv_atomic(out_dir / f"convergence_{tag}.csv",
+                             analysis.CSV_HEADER, analysis.report_rows(study.report))
+            table = analysis.format_table(study.report)
+            write_text_atomic(out_dir / f"convergence_{tag}.txt", table)
+            print(table, end="")
     return 0
 
 

@@ -107,11 +107,6 @@ class Config:
         return self._lookup(section, key, None, _parse_number_list,
                             "not a comma-separated number list")
 
-    def require_positive(self, value: float, section: str, key: str) -> float:
-        if not value > 0.0:
-            self.fail(section, key, f"must be positive, got {value!r}")
-        return value
-
     def reject_unknown(self, known: dict[str, set[str]]) -> None:
         """Error on sections/keys outside the given schema (catches typos)."""
         for section, keys in self.sections.items():

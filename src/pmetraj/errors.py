@@ -5,13 +5,20 @@ class SolverError(Exception):
     """Base class for all pmetraj errors."""
 
 
-class ConfigurationError(SolverError):
-    """Invalid configuration file, key, or value."""
+class ConfigurationError(SolverError, ValueError):
+    """An input outside the set the method is defined on, or an unreadable
+    config file.  The library object that owns a parameter rejects it with
+    the parameter's name as `key` ("m", "M", "domain", "tau", ...); str(exc)
+    is "key: reason".  A config-file error has key None and names its line."""
+
+    def __init__(self, reason: str, key: str | None = None):
+        super().__init__(reason if key is None else f"{key}: {reason}")
+        self.reason, self.key = reason, key
 
 
 class DataScaleError(ConfigurationError):
     """The grid and the initial data form a scale (f0/h^2, or the domain
-    length times f0) beyond problem.SCALE_LIMIT."""
+    length times f0) beyond problem.SCALE_LIMIT; its key is "domain"."""
 
 
 class CoefficientOverflowError(SolverError):

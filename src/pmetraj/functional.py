@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _LI2_SERIES, _spence
-from .errors import CoefficientOverflowError, DegenerateMeshError
+from .errors import (CoefficientOverflowError, ConfigurationError,
+                     DegenerateMeshError)
 from .grid import Grid, d_forward, d_wide
 from .problem import ProblemSpec, is_admissible
 
@@ -32,7 +33,8 @@ class SolverParams:
     """Time step, regularization weight, and the Newton iteration budget.
 
     The stopping tolerance is the constant newton.TOL_LAMBDA.  tau^2 must
-    be finite: it guards S_h and weighs the tau^2 terms of the flux."""
+    be finite: it guards S_h and weighs the tau^2 terms of the flux.  A bad
+    field raises ConfigurationError keyed by the field's name."""
 
     tau: float
     a0: float = 1.0
@@ -40,13 +42,16 @@ class SolverParams:
 
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+            raise ConfigurationError(f"must be positive and finite, got {self.tau!r}",
+                                     key="tau")
         if not self.tau * self.tau < math.inf:
-            raise ValueError(f"tau^2 must be finite, got tau = {self.tau}")
+            raise ConfigurationError("too large: tau^2 overflows", key="tau")
         if not 0.0 <= self.a0 < math.inf:
-            raise ValueError(f"a0 must be nonnegative and finite, got {self.a0}")
+            raise ConfigurationError(f"must be nonnegative and finite, got {self.a0!r}",
+                                     key="a0")
         if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be positive")
+            raise ConfigurationError(f"must be at least 1, got {self.newton_max_iter!r}",
+                                     key="newton_max_iter")
 
 
 @dataclass

@@ -6,9 +6,21 @@ at array slot i-1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigurationError
+
+
+def domain_length(x_left: float, x_right: float) -> float:
+    """x_right - x_left, which must be a positive finite number."""
+    if not x_right > x_left:
+        raise ConfigurationError("right end must exceed left end", key="domain")
+    if not x_right - x_left < math.inf:
+        raise ConfigurationError("too wide: right - left overflows", key="domain")
+    return x_right - x_left
 
 
 @dataclass(frozen=True)
@@ -21,9 +33,8 @@ class Grid:
 
     def __post_init__(self):
         if self.M < 1:
-            raise ValueError(f"grid needs at least one cell, got M={self.M}")
-        if not self.x_right > self.x_left:
-            raise ValueError("grid requires x_right > x_left")
+            raise ConfigurationError(f"needs at least one cell, got M = {self.M}", key="M")
+        domain_length(self.x_left, self.x_right)
 
     @property
     def h(self) -> float:

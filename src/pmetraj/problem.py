@@ -70,27 +70,21 @@ def initial_data_from_key(key: str) -> Callable[[np.ndarray], np.ndarray]:
         try:
             c = float(key.split(":", 1)[1])
         except ValueError as exc:
-            raise ConfigurationError(f"bad constant initial data {key!r}") from exc
+            raise ConfigurationError(f"bad constant initial data {key!r}",
+                                     key="initial_data") from exc
         return lambda x: np.full_like(np.asarray(x, dtype=float), c)
     if key.startswith("poly:"):
         try:
             coeffs = [float(tok) for tok in key.split(":", 1)[1].split(",")]
         except ValueError as exc:
-            raise ConfigurationError(f"bad polynomial initial data {key!r}") from exc
-        if not coeffs:
-            raise ConfigurationError(f"empty polynomial initial data {key!r}")
+            raise ConfigurationError(f"bad polynomial initial data {key!r}",
+                                     key="initial_data") from exc
         poly = np.polynomial.Polynomial(coeffs)
         return lambda x: poly(np.asarray(x, dtype=float))
     raise ConfigurationError(
         f"unknown initial data key {key!r} "
-        "(expected paper-quadratic, constant:<c>, or poly:<c0,c1,...>)"
-    )
-
-
-def mesh_width_ok(h: float) -> bool:
-    """Whether h^2 and 1/h^2, which scale the Hessian's entries, are
-    positive finite numbers."""
-    return 0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf
+        "(expected paper-quadratic, constant:<c>, or poly:<c0,c1,...>)",
+        key="initial_data")
 
 
 #: Bound on the scales the solver forms from the grid and the initial data
@@ -102,19 +96,29 @@ def mesh_width_ok(h: float) -> bool:
 SCALE_LIMIT = math.sqrt(sys.float_info.max)
 
 
-def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -> ProblemSpec:
-    """Sample f0 on the grid and validate m > 1, M >= 2, the mesh width
-    (mesh_width_ok), strict positivity and the data scales (SCALE_LIMIT,
-    DataScaleError)."""
+def require_exponent(m: float) -> None:
+    """The exponent rule of make_problem, m > 1, for a caller that checks a
+    list of exponents before it builds the first problem."""
     if not m > 1.0:
-        raise ConfigurationError(f"exponent m must exceed 1, got {m}")
+        raise ConfigurationError(f"exponent must exceed 1, got {m!r}", key="m")
+
+
+def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -> ProblemSpec:
+    """Sample f0 on the grid and validate m > 1, M >= 2, the mesh width (h^2
+    and 1/h^2 scale the Hessian's entries), strict positivity and the data
+    scales (SCALE_LIMIT); a ConfigurationError names "m", "M", "domain" or
+    "initial_data"."""
+    require_exponent(m)
     if grid.M < 2:
         # the extrapolated slope S_h uses the wide difference, which needs two cells
-        raise ConfigurationError(f"the scheme needs at least 2 cells, got M = {grid.M}")
-    if not mesh_width_ok(grid.h):
+        raise ConfigurationError(f"the scheme needs at least 2 cells, got M = {grid.M}",
+                                 key="M")
+    # Python floats: an overflowing product is inf, and no numpy warning
+    h, length = float(grid.h), float(grid.x_right - grid.x_left)
+    if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
         raise ConfigurationError(
-            f"mesh width h = {grid.h:.6g}: h^2 or 1/h^2 is not a positive "
-            "finite number")
+            f"mesh width h = {h:.6g} at M = {grid.M}: h^2 or 1/h^2 is not a "
+            "positive finite number", key="domain")
     # A sample that overflows is infinite and fails the scale check below.
     with np.errstate(over="ignore", invalid="ignore"):
         f0_nodes = np.asarray(f0(grid.nodes()), dtype=float)
@@ -123,19 +127,16 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
     if not worst > 0.0:
         raise ConfigurationError(
             f"initial density must be strictly positive on the closed domain; "
-            f"min sample is {worst:.6g}"
-        )
-    # Python floats: an overflowing product is inf, and no numpy warning
+            f"min sample is {worst:.6g}", key="initial_data")
     f0_max = float(max(f0_nodes.max(), f0_cells.max()))
-    h, length = float(grid.h), float(grid.x_right - grid.x_left)
     if f0_max / (h * h) > SCALE_LIMIT:
         raise DataScaleError(
             f"max f0/h^2 = {f0_max:.6g}/{h * h:.6g} at M = {grid.M} exceeds "
-            f"{SCALE_LIMIT:.3g}")
+            f"{SCALE_LIMIT:.3g}", key="domain")
     if length * f0_max > SCALE_LIMIT:
         raise DataScaleError(
             f"domain length times max f0 = {length:.6g} * {f0_max:.6g} exceeds "
-            f"{SCALE_LIMIT:.3g}")
+            f"{SCALE_LIMIT:.3g}", key="domain")
     return ProblemSpec(
         m=float(m),
         grid=grid,

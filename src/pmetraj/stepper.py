@@ -13,7 +13,7 @@ import numpy as np
 
 from . import functional, newton
 from .csvio import write_csv_atomic
-from .errors import EnergyViolationError, SolverError
+from .errors import ConfigurationError, EnergyViolationError, SolverError
 from .functional import SolverParams
 from .grid import d_forward
 from .newton import NewtonReport
@@ -27,6 +27,9 @@ ENERGY_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run.  t_final and t_final/tau must be nonnegative and finite,
+    snapshot_every nonnegative, or ConfigurationError names the field."""
+
     spec: ProblemSpec
     params: SolverParams
     t_final: float
@@ -34,10 +37,12 @@ class RunConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.t_final < math.inf:
-            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
+        if not 0.0 <= self.t_final / self.params.tau < math.inf:
+            raise ConfigurationError("must be nonnegative with t_final/tau finite, got "
+                                     f"{self.t_final!r}/{self.params.tau!r}", key="t_final")
         if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be nonnegative")
+            raise ConfigurationError(f"must be nonnegative, got {self.snapshot_every!r}",
+                                     key="snapshot_every")
 
 
 @dataclass

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmetraj import cli, functional
+from pmetraj import (Grid, RunConfig, SolverParams, cli, functional,
+                     initial_data_from_key, make_problem, quadratic_bump)
+from pmetraj.analysis import study_cell_counts
 from pmetraj.config import Config, parse_number
 from pmetraj.errors import ConfigurationError
 
@@ -161,6 +163,62 @@ def test_removed_newton_key_is_rejected(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# library rejections and their config lines
+# ---------------------------------------------------------------------------
+
+def _run_config(tau=0.1, **kw):
+    spec = make_problem(2.0, Grid(0.0, 1.0, 4), quadratic_bump)
+    return RunConfig(spec=spec, params=SolverParams(tau=tau), **kw)
+
+
+REJECTIONS = {
+    "Grid-M": ("M", lambda: Grid(0.0, 1.0, 0)),
+    "Grid-reversed": ("domain", lambda: Grid(1.0, 0.0, 4)),
+    "Grid-too-wide": ("domain", lambda: Grid(-1e308, 1e308, 4)),
+    "make_problem-m": ("m", lambda: make_problem(1.0, Grid(0.0, 1.0, 4), quadratic_bump)),
+    "make_problem-M": ("M", lambda: make_problem(2.0, Grid(0.0, 1.0, 1), quadratic_bump)),
+    "make_problem-h": ("domain", lambda: make_problem(
+        2.0, Grid(0.0, 1e-300, 100), quadratic_bump)),
+    "make_problem-scale": ("domain", lambda: make_problem(
+        2.0, Grid(0.0, 1e-152, 100), initial_data_from_key("constant:1"))),
+    "make_problem-f0": ("initial_data", lambda: make_problem(
+        2.0, Grid(0.0, 1.0, 4), initial_data_from_key("constant:-1"))),
+    "initial_data-unknown": ("initial_data", lambda: initial_data_from_key("bogus")),
+    "initial_data-constant": ("initial_data", lambda: initial_data_from_key("constant:x")),
+    "initial_data-poly": ("initial_data", lambda: initial_data_from_key("poly:1,q")),
+    "SolverParams-tau": ("tau", lambda: SolverParams(tau=0.0)),
+    "SolverParams-tau^2": ("tau", lambda: SolverParams(tau=1e300)),
+    "SolverParams-a0": ("a0", lambda: SolverParams(tau=0.1, a0=-1.0)),
+    "SolverParams-max_iter": ("newton_max_iter",
+                              lambda: SolverParams(tau=0.1, newton_max_iter=0)),
+    "RunConfig-t_final": ("t_final", lambda: _run_config(t_final=-1.0)),
+    "RunConfig-steps": ("t_final", lambda: _run_config(tau=1e-10, t_final=1e300)),
+    "RunConfig-snapshot_every": ("snapshot_every",
+                                 lambda: _run_config(t_final=1.0, snapshot_every=-1)),
+    "study-h_list": ("h_list", lambda: study_cell_counts([], 40, 0.05, 1.0)),
+    "study-reference_M": ("reference_M", lambda: study_cell_counts([0.05], 30, 0.05, 1.0)),
+    "study-t_eval": ("t_eval", lambda: study_cell_counts([0.05], 40, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("key, reject", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_library_rejection_is_a_keyed_value_error(key, reject):
+    with pytest.raises(ValueError) as info:
+        reject()
+    exc = info.value
+    assert isinstance(exc, ConfigurationError)
+    assert exc.key == key and str(exc) == f"{key}: {exc.reason}"
+
+
+def test_config_line_map_names_schema_entries():
+    # every key a library object rejects with has a config line, and only those
+    assert set(cli._CONFIG_LINE) == {key for key, _ in REJECTIONS.values()}
+    for entry in cli._CONFIG_LINE.values():
+        section, name = entry.split(".")
+        assert name in cli._SCHEMA[section], entry
+
+
+# ---------------------------------------------------------------------------
 # solve command
 # ---------------------------------------------------------------------------
 
@@ -224,6 +282,20 @@ def test_cmd_solve_zero_denominator_names_line(tmp_path, capsys, old, new, key):
      "problem.domain: domain length times max f0 = 1e+150 * 1e+300 exceeds 1.34e+154"),
     (DATA, "domain = 0,1e110\ninitial_data = poly:1,0,0,1",
      "problem.domain: max f0/h^2 = inf/1e+216 at M = 100 exceeds 1.34e+154"),
+    ("m = 2", "m = 1", "problem.m: exponent must exceed 1, got 1.0"),
+    ("M = 100", "M = 1", "discretization.M: the scheme needs at least 2 cells, got M = 1"),
+    ("domain = 0,1", "domain = 1,0", "problem.domain: right end must exceed left end"),
+    ("t_final = 0.1", "t_final = -1", "discretization.t_final: must be nonnegative"),
+    ("max_iter = 60", "max_iter = 0", "newton.max_iter: must be at least 1"),
+    ("paper-quadratic", "constant:-1",
+     "problem.initial_data: initial density must be strictly positive"),
+    ("paper-quadratic", "constant:x",
+     "problem.initial_data: bad constant initial data 'constant:x'"),
+    ("paper-quadratic", "bogus", "problem.initial_data: unknown initial data key 'bogus'"),
+    ("paper-quadratic", "poly:0,1",
+     "problem.initial_data: initial density must be strictly positive"),
+    ("tau = 1/100\nt_final = 0.1", "tau = 1e-10\nt_final = 1e300",
+     "discretization.t_final: must be nonnegative with t_final/tau finite, got 1e+300/1e-10"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key):
@@ -233,12 +305,17 @@ def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key)
     # (h^2 = 0 or inf) a ZeroDivisionError traceback in the Hessian assembly
     # or an overflow warning from the mass diagnostic, and (f0/h^2 or the
     # length times f0 beyond the float range) an overflow warning from the
-    # Hessian assembly, the energy or the sampling of f0
+    # Hessian assembly, the energy or the sampling of f0.  A rule the library
+    # held alone (initial data) gave an error without its line, and a
+    # t_final/tau that overflows an OverflowError traceback after snap_0.csv
     text = SOLVE_CONFIG.replace(old, new)
-    line = text.splitlines().index(new.splitlines()[0]) + 1
+    name = key.split(":")[0].split(".")[1]
+    line = next(i for i, entry in enumerate(text.splitlines(), start=1)
+                if entry.startswith(f"{name} = "))
     rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
     assert rc == 1
-    assert f"case.cfg:{line}: {key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"case.cfg:{line}: {key}" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -247,7 +324,6 @@ def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key)
     ("snapshot_every = 5", "snapshot_every = -1", "output.snapshot_every"),
 ], ids=["A0", "snapshot_every"])
 def test_cmd_solve_negative_value_names_line(tmp_path, capsys, old, new, key):
-    # rejected at the config line, before SolverParams/RunConfig see the value
     text = SOLVE_CONFIG.replace(old, new)
     line = text.splitlines().index(new) + 1
     rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
@@ -329,12 +405,14 @@ def test_cmd_convergence_non_nested_reference(tmp_path, capsys):
     ("h_list = 1/10, 1/20", "h_list = 1/10, 0.1, 1/20", "study.h_list: h=0.1 gives M=10 a second time"),
     ("reference_M = 80", "reference_M = 0", "study.reference_M: need at least 2 cells"),
     ("t_eval = 0.1", "t_eval = 1e-12", "study.t_eval: t_eval=1e-12 is shorter than one step"),
+    ("m = 5/3, 2", "m = 2, 1", "problem.m: exponent must exceed 1, got 1.0"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cmd_convergence_bad_study_names_line(tmp_path, capsys, old, new, key):
     # each used to give a traceback (ZeroDivisionError, or ValueError from
     # Grid), an error without its line, or a run with an empty table, of
-    # zero steps, or with one resolution twice and an order of 0
+    # zero steps, or with one resolution twice and an order of 0; a bad
+    # exponent anywhere in the m list fails before the first study writes
     text = STUDY_CONFIG.replace(old, new)
     line = text.splitlines().index(new) + 1
     rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])

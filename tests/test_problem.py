@@ -20,7 +20,7 @@ def test_initial_data_catalog():
                                0.5 + 0.25 * x - 0.125 * x ** 2)
 
 
-@pytest.mark.parametrize("key", ["gaussian", "constant:abc", "poly:1,q", "poly:"])
+@pytest.mark.parametrize("key", ["gaussian", "constant:abc", "poly:1,q", "poly:", "poly:,"])
 def test_initial_data_bad_keys(key):
     with pytest.raises(ConfigurationError):
         initial_data_from_key(key)
