@@ -108,6 +108,8 @@ def cmd_convergence(args) -> int:
         t_eval = cfg.get_number("study", "t_eval")
         initial_key = cfg.get_str("problem", "initial_data")
         out_dir = _output_dir(cfg)
+        if not m_values:  # the list parser drops empty tokens
+            cfg.fail("problem", "m", "needs at least one exponent")
         for m in m_values:  # every exponent, before the first study writes
             require_exponent(m)
         params = _build_params(cfg, tau=1.0)

@@ -64,24 +64,34 @@ class SchemeCoefficients:
 
 
 def compute_s_h(x_curr: np.ndarray, x_prev: np.ndarray, params: SolverParams,
-                grid: Grid) -> np.ndarray:
-    """Guarded extrapolated slope max(D~_h(1.5 x^n - 0.5 x^{n-1}), tau^2)."""
-    extrapolated = d_wide(1.5 * np.asarray(x_curr) - 0.5 * np.asarray(x_prev), grid)
-    return np.maximum(extrapolated, params.tau ** 2)
+                grid: Grid, wide_curr: np.ndarray | None = None,
+                wide_prev: np.ndarray | None = None) -> np.ndarray:
+    """Guarded extrapolated slope S_h = max(D~_h(1.5 x^n - 0.5 x^{n-1}), tau^2).
+
+    d_wide is linear, so S_h is formed as max(1.5 W^n - 0.5 W^{n-1}, tau^2)
+    from the wide slopes W^n = D~_h x^n (wide_curr) and W^{n-1} = D~_h
+    x^{n-1} (wide_prev), each computed from its trajectory when not given:
+    a caller that carries them gets the same bits as one that does not."""
+    if wide_curr is None:
+        wide_curr = d_wide(x_curr, grid)
+    if wide_prev is None:
+        wide_prev = d_wide(x_prev, grid)
+    return np.maximum(1.5 * wide_curr - 0.5 * wide_prev, params.tau ** 2)
 
 
 def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """f0^(2-m) * S_h^(m-1) / m at every node (only interior slots are read).
+    """f0^(2-m) * S_h^(m-1) / m at every node (only interior slots are read),
+    as spec.mass_factor * S_h^(m-1).
 
     A large m can overflow the powers; a coefficient that is not finite
     raises CoefficientOverflowError naming m."""
     s_h = np.asarray(s_h, dtype=float)
-    if np.any(s_h <= 0.0):
+    if np.min(s_h) <= 0.0:
         raise ValueError("S_h must be positive (the tau^2 guard should ensure this)")
     m = spec.m
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = spec.f0_nodes ** (2.0 - m) * s_h ** (m - 1.0) / m
-    if not np.all(np.isfinite(mass)):
+        mass = spec.mass_factor * s_h ** (m - 1.0)
+    if not np.max(mass) < math.inf:  # inf, or nan from inf * 0
         raise CoefficientOverflowError(
             f"mass coefficient f0^(2-m) S_h^(m-1)/m is not finite at m = {m:g}")
     return mass
@@ -89,10 +99,12 @@ def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
 def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec,
                        params: SolverParams,
-                       slope_curr: np.ndarray | None = None) -> SchemeCoefficients:
-    """The step's coefficients; slope_curr, D_h x_curr, is computed when not
-    given."""
-    s_h = compute_s_h(x_curr, x_prev, params, spec.grid)
+                       slope_curr: np.ndarray | None = None,
+                       wide_curr: np.ndarray | None = None,
+                       wide_prev: np.ndarray | None = None) -> SchemeCoefficients:
+    """The step's coefficients.  slope_curr = D_h x_curr and the wide slopes
+    of compute_s_h are computed when not given, to the same bits."""
+    s_h = compute_s_h(x_curr, x_prev, params, spec.grid, wide_curr, wide_prev)
     return SchemeCoefficients(
         mass=mass_coefficient(s_h, spec),
         slope_curr=d_forward(x_curr, spec.grid) if slope_curr is None else slope_curr,

@@ -7,6 +7,7 @@ at array slot i-1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ def domain_length(x_left: float, x_right: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [x_left, x_right] with M cells."""
+    """Uniform grid on [x_left, x_right] with M cells; 1 <= M <= the largest
+    float, since the mesh width divides by it."""
 
     x_left: float
     x_right: float
@@ -34,6 +36,9 @@ class Grid:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigurationError(f"needs at least one cell, got M = {self.M}", key="M")
+        if not self.M <= sys.float_info.max:  # an int compares exactly
+            raise ConfigurationError(
+                f"too large: M exceeds the float range ({sys.float_info.max:.6g})", key="M")
         domain_length(self.x_left, self.x_right)
 
     @property

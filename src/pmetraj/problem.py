@@ -21,7 +21,9 @@ class ProblemSpec:
 
     The scheme needs f0 both at integer points (mass term) and at half-integer
     points (flux term); both samplings are analytic, never interpolated from
-    one another.
+    one another.  mass_factor = f0_nodes^(2-m)/m is the part of the mass
+    coefficient that no step changes; it is inf where the power overflows,
+    which functional.mass_coefficient reports at the first step.
     """
 
     m: float
@@ -29,6 +31,7 @@ class ProblemSpec:
     f0_nodes: np.ndarray
     f0_cells: np.ndarray
     f0_min: float
+    mass_factor: np.ndarray
 
 
 @dataclass
@@ -40,8 +43,11 @@ class TrajectoryState:
     (newton.newton_step; stepper.advance sets it only after a step that
     began in the near phase), None otherwise.  e_curr = E_h(x^n) and
     slope_curr = D_h x^n are the energy and cell slopes the step that made
-    x^n already formed; None means the next step computes them from x_curr,
-    to the same bits.
+    x^n already formed, and wide_curr = D~_h x^n and wide_prev = D~_h x^{n-1}
+    the wide slopes that S_h extrapolates; None means the next step computes
+    the field from x_curr or x_prev, to the same bits, so a state rebuilt
+    from the trajectories alone (a restart) steps exactly like the carried
+    one.
     """
 
     n: int
@@ -51,6 +57,8 @@ class TrajectoryState:
     x_prev2: np.ndarray | None = None
     e_curr: float | None = None
     slope_curr: np.ndarray | None = None
+    wide_curr: np.ndarray | None = None
+    wide_prev: np.ndarray | None = None
 
 
 def quadratic_bump(x: np.ndarray) -> np.ndarray:
@@ -137,12 +145,16 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
         raise DataScaleError(
             f"domain length times max f0 = {length:.6g} * {f0_max:.6g} exceeds "
             f"{SCALE_LIMIT:.3g}", key="domain")
+    m = float(m)
+    with np.errstate(over="ignore"):  # an overflow fails at the first step
+        mass_factor = f0_nodes ** (2.0 - m) / m
     return ProblemSpec(
-        m=float(m),
+        m=m,
         grid=grid,
         f0_nodes=f0_nodes,
         f0_cells=f0_cells,
         f0_min=float(f0_nodes.min()),
+        mass_factor=mass_factor,
     )
 
 
@@ -160,50 +172,66 @@ def is_admissible(x: np.ndarray, grid: Grid) -> bool | np.ndarray:
     return bool(ok) if x.ndim == 1 else ok
 
 
+_ENERGY_SLOPE = "nonpositive cell slope at cell {0} in energy evaluation"
+_DENSITY_SLOPE = ("nonpositive cell slope between node {0} and node {1} "
+                  "while recovering density")
+
+
+def min_cell_slope(slope: np.ndarray, message: str = _ENERGY_SLOPE) -> float:
+    """The least cell slope D_h x, which must be positive: one min
+    reduction, and only when it fails a scan for the first cell that is not
+    positive (or nan), named in the DegenerateMeshError."""
+    least = float(np.min(slope))
+    if not least > 0.0:
+        i = int(np.flatnonzero(~(slope > 0.0))[0])
+        raise DegenerateMeshError(message.format(i, i + 1))
+    return least
+
+
 def recover_density(x: np.ndarray, spec: ProblemSpec,
-                    cells: np.ndarray | None = None) -> np.ndarray:
+                    cells: np.ndarray | None = None,
+                    wide: np.ndarray | None = None) -> np.ndarray:
     """Density at nodes from the conservation map f = f0 / (wide slope of x).
 
-    The cell slopes D_h x (cells, computed when not given) must all be
-    positive: a trajectory whose nodes cross raises DegenerateMeshError
-    naming the first pair that does.  The interior wide slopes are then
+    The cell slopes D_h x (cells) and the wide slopes D~_h x (wide) are
+    computed when not given.  Computed cell slopes must all be positive: a
+    trajectory whose nodes cross raises DegenerateMeshError naming the
+    first pair that does.  Given ones are the caller's, checked where they
+    were formed (min_cell_slope).  The interior wide slopes are then
     averages of positive cell slopes.  At a wall node the second-order
     one-sided slope of d_wide is kept where it is positive and replaced by
     D_h x of the wall cell where it is not, so every admissible trajectory
-    has a positive density."""
+    has a positive density.  A given wide is never written to: it is copied
+    before a wall slope is replaced."""
     if cells is None:
         cells = d_forward(x, spec.grid)
-    bad = np.flatnonzero(~(cells > 0.0))
-    if bad.size:
-        raise DegenerateMeshError(
-            f"nonpositive cell slope between node {bad[0]} and node {bad[0] + 1} "
-            "while recovering density"
-        )
-    slope = d_wide(x, spec.grid)
-    if not slope[0] > 0.0:
-        slope[0] = cells[0]
-    if not slope[-1] > 0.0:
-        slope[-1] = cells[-1]
-    return spec.f0_nodes / slope
+        min_cell_slope(cells, _DENSITY_SLOPE)
+    if wide is None:
+        wide = d_wide(x, spec.grid)
+    if not (wide[0] > 0.0 and wide[-1] > 0.0):
+        wide = wide.copy()
+        if not wide[0] > 0.0:
+            wide[0] = cells[0]
+        if not wide[-1] > 0.0:
+            wide[-1] = cells[-1]
+    return spec.f0_nodes / wide
 
 
 def discrete_energy(x: np.ndarray, spec: ProblemSpec,
                     slope: np.ndarray | None = None) -> float:
-    """Discrete free energy E_h(x) = -h * sum f0(cell) ln(D_h x), from the
-    cell slopes D_h x when given.
+    """Discrete free energy E_h(x) = -h * sum f0(cell) ln(D_h x).
 
-    Matches the integral of f ln f in trajectory coordinates up to the
-    x-independent constant h * sum f0 ln f0; the scheme dissipates it by at
-    least a0 * tau * ||D_h(x_new - x_old)||_2^2 per accepted step.
+    The cell slopes D_h x are computed and checked positive
+    (min_cell_slope) when slope is not given; a given slope is the
+    caller's, checked where it was formed.  Matches the integral of f ln f
+    in trajectory coordinates up to the x-independent constant
+    h * sum f0 ln f0; the scheme dissipates it by at least
+    a0 * tau * ||D_h(x_new - x_old)||_2^2 per accepted step.
     """
     if slope is None:
         slope = d_forward(x, spec.grid)
-    bad = np.flatnonzero(slope <= 0.0)
-    if bad.size:
-        raise DegenerateMeshError(
-            f"nonpositive cell slope at cell {bad[0]} in energy evaluation"
-        )
-    return float(-spec.grid.h * np.sum(spec.f0_cells * np.log(slope)))
+        min_cell_slope(slope)
+    return -spec.grid.h * float(np.dot(spec.f0_cells, np.log(slope)))
 
 
 def discrete_mass(x: np.ndarray, f: np.ndarray) -> float:

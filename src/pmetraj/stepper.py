@@ -15,10 +15,10 @@ from . import functional, newton
 from .csvio import write_csv_atomic
 from .errors import ConfigurationError, EnergyViolationError, SolverError
 from .functional import SolverParams
-from .grid import d_forward
+from .grid import d_forward, d_wide
 from .newton import NewtonReport
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
-                      discrete_mass, recover_density)
+                      discrete_mass, min_cell_slope, recover_density)
 
 #: Absolute slack on the per-step dissipation inequality, absorbing the Newton
 #: stopping tolerance.
@@ -80,24 +80,36 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     (rough initial data) would otherwise freeze a kink into the wall cells.
     The damped step satisfies the same dissipation bound and costs one O(tau^2)
     local error, preserving second-order accuracy globally.
+
+    Around the Newton solve every field is formed once: the new cell slopes
+    D_h x^{n+1} (one min reduction gives the least slope and checks that all
+    are positive) feed the energy, the dissipation bound and the mass, and
+    the new wide slopes D~_h x^{n+1} the density.  The returned state
+    carries the energy and both slope kinds to the next step, which then
+    forms S_h without differencing x^n or x^{n-1} again.
     """
+    grid = spec.grid
     coeffs = functional.build_coefficients(state.x_curr, state.x_prev, spec, params,
-                                           state.slope_curr)
+                                           state.slope_curr, state.wide_curr,
+                                           state.wide_prev)
     x_new, report = newton.newton_step(state, coeffs, spec, params,
                                        damped_start=(state.n == 0))
 
     e_old = state.e_curr
     if e_old is None:
-        e_old = discrete_energy(state.x_curr, spec, coeffs.slope_curr)
-    slope_new = d_forward(x_new, spec.grid)
+        e_old = discrete_energy(state.x_curr, spec)
+    slope_new = d_forward(x_new, grid)
+    min_slope = min_cell_slope(slope_new)
     e_new = discrete_energy(x_new, spec, slope_new)
-    dslope = (np.diff(x_new) - np.diff(state.x_curr)) / spec.grid.h
-    rhs = -params.a0 * params.tau * spec.grid.h * float(np.sum(dslope ** 2))
+    dslope = slope_new - coeffs.slope_curr
+    rhs = -params.a0 * params.tau * grid.h * float(np.dot(dslope, dslope))
     lhs = e_new - e_old
     if lhs > rhs + ENERGY_SLACK:
         raise EnergyViolationError(
             f"energy change {lhs:.6e} exceeds dissipation bound {rhs:.6e}"
         )
+    wide_new = d_wide(x_new, grid)
+    f_new = recover_density(x_new, spec, slope_new, wide_new)
 
     # The next step may start from the quadratic extrapolation only after a
     # step that began in the near phase: with tau up to 100 h near vacuum it
@@ -108,14 +120,16 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
         x_curr=x_new, x_prev=state.x_curr,
         x_prev2=state.x_prev if near else None,
         e_curr=e_new, slope_curr=slope_new,
+        wide_curr=wide_new, wide_prev=state.wide_curr,
     )
     diag = StepDiagnostics(
         report=report,
         energy=e_new,
         dissipation_lhs=lhs,
         dissipation_rhs=rhs,
-        mass=discrete_mass(x_new, recover_density(x_new, spec, slope_new)),
-        min_slope=float(np.min(slope_new)),
+        # the trapezoid of discrete_mass, with x_{i+1} - x_i = h y_i
+        mass=0.5 * grid.h * float(np.dot(f_new[:-1] + f_new[1:], slope_new)),
+        min_slope=min_slope,
     )
     return new_state, diag
 
@@ -129,7 +143,9 @@ def _located(exc: SolverError, n: int, t: float) -> SolverError:
 
 
 def _write_snapshot(out_dir: Path, state: TrajectoryState, spec: ProblemSpec) -> None:
-    f = recover_density(state.x_curr, spec, state.slope_curr)
+    """snap_<n>.csv: reference node, trajectory and density at every node,
+    the density from the slopes the state carries."""
+    f = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
     rows = zip(range(spec.grid.M + 1), spec.grid.nodes().tolist(),
                state.x_curr.tolist(), f.tolist())
     write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"], rows)

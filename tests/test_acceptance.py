@@ -7,18 +7,15 @@ the nested resolution M = 9600 (stride 48/24/12/6); its own error sits >=39x
 below the finest coarse error, so the windows are unaffected.
 """
 import numpy as np
-import pytest
 
 from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
-                     bootstrap, build_coefficients, convergence_study,
-                     initial_data_from_key, make_problem, newton_step,
-                     quadratic_bump, recover_density, run)
+                     bootstrap, build_coefficients, initial_data_from_key,
+                     make_problem, newton_step, quadratic_bump,
+                     recover_density, run)
 from pmetraj import checks
 from pmetraj.stepper import ENERGY_SLACK
 
-H_LIST = [1.0 / 200, 1.0 / 400, 1.0 / 800, 1.0 / 1600]
-REFERENCE_M = 9600
-T_EVAL = 0.05
+from conftest import REFERENCE_M, T_EVAL
 
 TABLE = {
     5.0 / 3.0: {
@@ -60,12 +57,6 @@ def _verdict(name, ok, detail=""):
     suffix = f"  ({detail})" if detail else ""
     print(f"[{tag}] {name}{suffix}")
     assert ok, f"{name}{suffix}"
-
-
-@pytest.fixture(scope="module")
-def studies():
-    return {m: convergence_study(m, H_LIST, REFERENCE_M, T_EVAL, "paper-quadratic")
-            for m in TABLE}
 
 
 def _all_runs(studies):

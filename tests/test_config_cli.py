@@ -173,6 +173,7 @@ def _run_config(tau=0.1, **kw):
 
 REJECTIONS = {
     "Grid-M": ("M", lambda: Grid(0.0, 1.0, 0)),
+    "Grid-huge-M": ("M", lambda: Grid(0.0, 1.0, 10 ** 400)),
     "Grid-reversed": ("domain", lambda: Grid(1.0, 0.0, 4)),
     "Grid-too-wide": ("domain", lambda: Grid(-1e308, 1e308, 4)),
     "make_problem-m": ("m", lambda: make_problem(1.0, Grid(0.0, 1.0, 4), quadratic_bump)),
@@ -344,6 +345,19 @@ def test_cmd_solve_overflowing_mass_coefficient_is_one_error_line(tmp_path, caps
     assert "mass coefficient" in err and "m = 1e+06" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_cmd_solve_huge_M_names_its_line(tmp_path, capsys):
+    # a 401-digit M has no float mesh width: once an OverflowError traceback
+    text = SOLVE_CONFIG.replace("M = 100", "M = 1" + "0" * 400)
+    line = text.splitlines().index("M = 1" + "0" * 400) + 1
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"case.cfg:{line}: discretization.M: too large" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
 def test_cmd_solve_unwritable_output_is_one_error_line(tmp_path, monkeypatch,
                                                       capsys, below):
@@ -419,6 +433,22 @@ def test_cmd_convergence_bad_study_names_line(tmp_path, capsys, old, new, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"case.cfg:{line}: {key}" in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("m = 5/3, 2", "m = ,", "problem.m: needs at least one exponent"),
+    ("m = 5/3, 2", "m =", "problem.m: needs at least one exponent"),
+    ("h_list = 1/10, 1/20", "h_list =", "study.h_list: needs at least one mesh width"),
+], ids=["m-comma", "m-blank", "h_list-blank"])
+def test_cmd_convergence_empty_number_list_names_line(tmp_path, capsys, old, new, key):
+    # an empty m list used to exit 0 having run and written nothing
+    text = STUDY_CONFIG.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"case.cfg:{line}: {key}" in err
     assert not (tmp_path / "s").exists()
 
 

@@ -8,7 +8,7 @@ from pmetraj import (ConfigurationError, DataScaleError, DegenerateMeshError,
                      discrete_energy, discrete_mass, initial_data_from_key,
                      is_admissible, make_problem, quadratic_bump,
                      recover_density)
-from pmetraj.problem import SCALE_LIMIT
+from pmetraj.problem import SCALE_LIMIT, min_cell_slope
 
 
 def test_initial_data_catalog():
@@ -146,6 +146,25 @@ def test_recover_density_wall_fallback_only_where_stencil_fails():
     assert f[0] == spec.f0_nodes[0] / slope[0]  # the stencil, kept
     np.testing.assert_array_equal(f[1:-1], spec.f0_nodes[1:-1] / slope[1:-1])
     assert f[-1] == spec.f0_nodes[-1] / ((x[-1] - x[-2]) / g.h)
+
+
+def test_recover_density_copies_a_given_wide_slope_before_the_wall_fix():
+    g = Grid(0.0, 1.0, 4)
+    spec = make_problem(2.0, g, quadratic_bump)
+    x = np.array([0.0, 0.3, 0.5, 0.999, 1.0])
+    wide = d_wide(x, g)
+    kept = wide.copy()
+    f = recover_density(x, spec, np.diff(x) / g.h, wide)
+    np.testing.assert_array_equal(f, recover_density(x, spec))
+    np.testing.assert_array_equal(wide, kept)  # the wall fix went to a copy
+
+
+def test_min_cell_slope_names_the_first_bad_cell():
+    assert min_cell_slope(np.array([2.0, 0.5, 3.0])) == 0.5
+    with pytest.raises(DegenerateMeshError, match="at cell 1 in energy evaluation"):
+        min_cell_slope(np.array([1.0, -1.0, 0.0]))
+    with pytest.raises(DegenerateMeshError, match="at cell 2 "):
+        min_cell_slope(np.array([1.0, 2.0, np.nan]))
 
 
 def test_discrete_energy_reference_zero():

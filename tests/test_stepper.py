@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pmetraj import (LAMBDA_STAR, Grid, NonconvergenceError, RunConfig, SolverParams, advance, bootstrap,
-                     build_coefficients, compute_s_h, initial_data_from_key,
+                     build_coefficients, compute_s_h, discrete_mass,
+                     initial_data_from_key,
                      make_problem, newton_step, quadratic_bump,
                      recover_density, run)
 from pmetraj.problem import TrajectoryState
@@ -205,15 +207,15 @@ def test_extrapolated_start_halves_iterations_with_same_trajectory():
     assert np.max(np.abs(result.final_state.x_curr - state.x_curr)) <= 1e-12
 
 
-def test_quadratic_start_takes_under_1_6_iterations_per_step_at_m9600():
+def test_quadratic_start_takes_under_1_6_iterations_per_step_at_m9600(studies):
     """The m = 2 reference of the refinement study (M = 9600, tau = h,
-    t = 0.05): the quadratic start after near-phase steps keeps the mean at
-    or below 1.6 iterations per step (2.006 from the linear start).  The
-    first 208 steps take 2 or 3 iterations either way, so a shorter run
-    shows little."""
-    g, spec, params = _quad_setup(M=9600)
-    result = run(RunConfig(spec=spec, params=params, t_final=0.05))
-    reports = result.newton_reports
+    a0 = 1, t = 0.05), as the session's acceptance study ran it: the
+    quadratic start after near-phase steps keeps the mean at or below 1.6
+    iterations per step (2.006 from the linear start).  The first 208 steps
+    take 2 or 3 iterations either way, so a shorter run shows little."""
+    reference = studies[2.0].runs["reference"]
+    assert reference.final_state.x_curr.shape == (9601,)
+    reports = reference.newton_reports
     assert len(reports) == 480
     assert all(r.converged for r in reports)
     assert sum(r.start == "quadratic" for r in reports) >= 470
@@ -248,3 +250,41 @@ def test_truncated_final_step_after_quadratic_starts():
     assert reports[-1].converged
     assert all(ok for *_, ok in result.energy_trace)
     assert result.final_state.t == pytest.approx(t_final, abs=1e-14)
+
+
+def test_carried_slopes_give_the_bits_of_fresh_ones():
+    """The cell and wide slopes a step carries are the bits the next step
+    would compute from the trajectories: build_coefficients fed them equals
+    the call that forms them, and advance from a state that carries nothing
+    (a restart) follows the carried run bitwise, step after step."""
+    g, spec, params = _quad_setup(M=400, m=5.0 / 3.0)
+    carried = bootstrap(spec)
+    for _ in range(3):
+        carried, _ = advance(carried, spec, params)
+    assert carried.wide_curr is not None and carried.wide_prev is not None
+    fed = build_coefficients(carried.x_curr, carried.x_prev, spec, params,
+                             carried.slope_curr, carried.wide_curr, carried.wide_prev)
+    fresh = build_coefficients(carried.x_curr, carried.x_prev, spec, params)
+    np.testing.assert_array_equal(fed.mass, fresh.mass)
+    np.testing.assert_array_equal(fed.slope_curr, fresh.slope_curr)
+
+    bare = dataclasses.replace(carried, e_curr=None, slope_curr=None,
+                               wide_curr=None, wide_prev=None)
+    for _ in range(4):
+        wide_curr = carried.wide_curr.copy()
+        carried, diag_c = advance(carried, spec, params)
+        bare, diag_b = advance(bare, spec, params)
+        np.testing.assert_array_equal(bare.x_curr, carried.x_curr)
+        np.testing.assert_array_equal(bare.wide_curr, carried.wide_curr)
+        assert (bare.e_curr, diag_b.dissipation_rhs, diag_b.mass) == \
+            (carried.e_curr, diag_c.dissipation_rhs, diag_c.mass)
+        # the carried wide slopes are handed on, never written to
+        np.testing.assert_array_equal(carried.wide_prev, wide_curr)
+
+
+def test_step_mass_is_the_trapezoid_of_the_density():
+    g, spec, params = _quad_setup(M=200)
+    state, diag = advance(bootstrap(spec), spec, params)
+    f = recover_density(state.x_curr, spec)
+    assert diag.mass == pytest.approx(discrete_mass(state.x_curr, f), rel=1e-14)
+    assert diag.min_slope == float(np.min(np.diff(state.x_curr) / g.h))
