@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from pathlib import Path
@@ -151,7 +152,10 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every
+    later main call in the process."""
     parser = argparse.ArgumentParser(
         prog="pmetraj",
         description="Second-order Lagrangian trajectory solver for the porous "
@@ -168,8 +172,11 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run the property sweeps")
     p_check.add_argument("--seed", type=_seed, default=0,
                          help="sweep RNG seed (a nonnegative integer)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handler = {"solve": cmd_solve, "convergence": cmd_convergence,
                "check": cmd_check}[args.command]
     try:

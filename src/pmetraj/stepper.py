@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import functional, newton
-from .csvio import write_csv_atomic
+from .csvio import format_rows, write_csv_atomic
 from .errors import ConfigurationError, EnergyViolationError, SolverError
 from .functional import SolverParams
 from .grid import d_forward, d_wide
@@ -142,12 +142,14 @@ def _located(exc: SolverError, n: int, t: float) -> SolverError:
     return located
 
 
-def _write_snapshot(out_dir: Path, state: TrajectoryState, spec: ProblemSpec) -> None:
+def _write_snapshot(out_dir: Path, state: TrajectoryState, spec: ProblemSpec,
+                    labels: list[str]) -> None:
     """snap_<n>.csv: reference node, trajectory and density at every node,
-    the density from the slopes the state carries."""
+    the density from the slopes the state carries.  labels holds the columns
+    i and X of every row as "i,X" strings: they depend on the grid alone, so
+    run formats them once per run, and each snapshot formats only x and f."""
     f = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
-    rows = zip(range(spec.grid.M + 1), spec.grid.nodes().tolist(),
-               state.x_curr.tolist(), f.tolist())
+    rows = zip(labels, state.x_curr.tolist(), f.tolist())
     write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"], rows)
 
 
@@ -174,7 +176,8 @@ def run(config: RunConfig) -> RunResult:
     result.mass_trace.append((0, 0.0, m0))
 
     if out_dir is not None:
-        _write_snapshot(out_dir, state, spec)
+        labels = format_rows(zip(range(spec.grid.M + 1), spec.grid.nodes().tolist()))
+        _write_snapshot(out_dir, state, spec, labels)
 
     n_full, tail = _plan_steps(config.t_final, params.tau)
     total_steps = n_full + (1 if tail > 0.0 else 0)
@@ -197,7 +200,7 @@ def run(config: RunConfig) -> RunResult:
         if out_dir is not None:
             periodic = config.snapshot_every > 0 and state.n % config.snapshot_every == 0
             if periodic or state.n == total_steps:
-                _write_snapshot(out_dir, state, spec)
+                _write_snapshot(out_dir, state, spec, labels)
 
     result.final_state = state
     if out_dir is not None:

@@ -5,6 +5,7 @@ module attributes by name.  A renamed or deleted name makes their install()
 raise, so installing and restoring both here keeps such a change from
 passing the suite unnoticed; the benchmark's own tests run outside it.
 """
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -71,3 +72,33 @@ def test_host_clock_installs_and_restores(perfbench_path):
     _install_and_restore(clock)
     assert clock._saved == []
     assert np.isfinite(hostspeed.probe())
+
+
+def _csv_spans(tracer):
+    return [span for span in tracer.spans if span[0] == "csvio.write_csv_atomic"]
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 3])
+def test_tracer_sees_every_file_a_run_writes(perfbench_path, tmp_path, snapshot_every):
+    """Snapshots, energy.csv and mass.csv all go through the writer that
+    the tracer wraps: one csvio span per file, and csvio.bytes the files'
+    total size.  A run without an output directory writes and records
+    nothing."""
+    import tracing
+    g = Grid(0.0, 1.0, 20)
+    spec = make_problem(2.0, g, quadratic_bump)
+    config = stepper.RunConfig(spec=spec, params=SolverParams(tau=g.h),
+                               t_final=7.5 * g.h, snapshot_every=snapshot_every)
+    out_dir = tmp_path / "out"
+    tracer = tracing.Tracer().install()
+    try:
+        stepper.run(config)
+        assert _csv_spans(tracer) == [] and tracer.counts["csvio.bytes"] == 0
+        stepper.run(dataclasses.replace(config, output_dir=out_dir))
+    finally:
+        tracer.restore()
+    files = sorted(out_dir.iterdir())
+    snapshots = [p.name for p in files if p.name.startswith("snap_")]
+    assert len(snapshots) == (4 if snapshot_every else 2)
+    assert len(_csv_spans(tracer)) == len(files) == len(snapshots) + 2
+    assert tracer.counts["csvio.bytes"] == sum(p.stat().st_size for p in files)

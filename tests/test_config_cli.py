@@ -508,3 +508,29 @@ def test_cmd_check_rejects_bad_seed(capsys, seed):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "nonnegative integer" in err
+
+
+def test_reused_parser_gives_the_same_exits_and_outputs(tmp_path, capsys):
+    """One process: solve, a rejected --seed, then the same solve again.
+    The parser main builds once serves all three: the rejection exits 2
+    with the text a freshly built parser prints, and the second solve
+    writes the first one's bytes."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["solve", "--config", _write(tmp_path, SOLVE_CONFIG, out=first)]) == 0
+    capsys.readouterr()
+
+    argv = ["check", "--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    reused = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli._parser.__wrapped__().parse_args(argv)
+    assert reused == capsys.readouterr().err
+    assert "--seed" in reused and "nonnegative integer" in reused
+
+    assert cli.main(["solve", "--config", _write(tmp_path, SOLVE_CONFIG, out=second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name

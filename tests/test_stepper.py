@@ -9,7 +9,7 @@ from pmetraj import (LAMBDA_STAR, Grid, NonconvergenceError, RunConfig, SolverPa
                      build_coefficients, compute_s_h, discrete_mass,
                      initial_data_from_key,
                      make_problem, newton_step, quadratic_bump,
-                     recover_density, run)
+                     recover_density, run, stepper)
 from pmetraj.problem import TrajectoryState
 
 
@@ -105,6 +105,34 @@ def test_snapshot_cadence(tmp_path):
     names = sorted(p.name for p in tmp_path.glob("snap_*.csv"))
     assert names == ["snap_0.csv", "snap_10.csv", "snap_4.csv", "snap_8.csv"]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_snapshot_bytes_are_the_value_by_value_rendering(tmp_path, monkeypatch):
+    """Every snap_<n>.csv, the truncated last step's too, is str(i) and
+    17 significant digits of X, x and f, row by row: the columns i and X,
+    formatted once per run, are the same bytes in every snapshot."""
+    g, spec, params = _quad_setup(M=40)
+    states = {}
+    original = stepper.advance
+
+    def recording(*args):
+        new_state, diag = original(*args)
+        states[new_state.n] = new_state
+        return new_state, diag
+
+    monkeypatch.setattr(stepper, "advance", recording)
+    run(RunConfig(spec=spec, params=params, t_final=7.5 * params.tau,
+                  snapshot_every=3, output_dir=tmp_path))
+    states[0] = bootstrap(spec)
+    assert sorted(p.name for p in tmp_path.glob("snap_*.csv")) == [
+        "snap_0.csv", "snap_3.csv", "snap_6.csv", "snap_8.csv"]
+    for n in (0, 3, 6, 8):
+        x = states[n].x_curr
+        columns = (g.nodes().tolist(), x.tolist(), recover_density(x, spec).tolist())
+        lines = ["i,X,x,f"] + [
+            ",".join([str(i)] + [f"{v:.17g}" for v in values])
+            for i, values in enumerate(zip(*columns))]
+        assert (tmp_path / f"snap_{n}.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_snapshot_and_trace_schemas(tmp_path):
