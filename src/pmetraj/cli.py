@@ -16,23 +16,20 @@ from .functional import SolverParams
 from .grid import Grid
 from .problem import initial_data_from_key, make_problem, require_exponent
 
-_SCHEMA = {
-    "problem": {"m", "domain", "initial_data"},
-    "discretization": {"M", "tau", "t_final", "A0"},
-    "newton": {"max_iter"},
-    "study": {"h_list", "reference_M", "t_eval"},
-    "output": {"dir", "snapshot_every"},
+#: Every config parameter, as "section.name", and the key of the
+#: ConfigurationError a library object rejects it with (None: no object owns it).
+_PARAMETERS = {
+    "problem.m": "m", "problem.domain": "domain", "problem.initial_data": "initial_data",
+    "discretization.M": "M", "discretization.tau": "tau", "discretization.A0": "a0",
+    "discretization.t_final": "t_final", "newton.max_iter": "newton_max_iter",
+    "study.h_list": "h_list", "study.reference_M": "reference_M", "study.t_eval": "t_eval",
+    "output.dir": None, "output.snapshot_every": "snapshot_every",
 }
-
-#: The config line of each parameter a library object rejects, by the key
-#: of its ConfigurationError.
-_CONFIG_LINE = {
-    "m": "problem.m", "domain": "problem.domain", "initial_data": "problem.initial_data",
-    "M": "discretization.M", "tau": "discretization.tau", "a0": "discretization.A0",
-    "t_final": "discretization.t_final", "newton_max_iter": "newton.max_iter",
-    "h_list": "study.h_list", "reference_M": "study.reference_M", "t_eval": "study.t_eval",
-    "snapshot_every": "output.snapshot_every",
-}
+_SCHEMA: dict[str, set[str]] = {}
+for _section, _name in (line.split(".") for line in _PARAMETERS):
+    _SCHEMA.setdefault(_section, set()).add(_name)
+#: The config line of each parameter a library object rejects, by its key.
+_CONFIG_LINE = {key: line for line, key in _PARAMETERS.items() if key is not None}
 
 
 @contextlib.contextmanager

@@ -53,21 +53,17 @@ class Grid:
         return 0.5 * (x[:-1] + x[1:])
 
 
-def _require_node_field(l: np.ndarray, grid: Grid, name: str = "field") -> np.ndarray:
+def _require_node_field(l: np.ndarray, grid: Grid) -> np.ndarray:
     l = np.asarray(l, dtype=float)
     if l.shape != (grid.M + 1,):
-        raise ValueError(
-            f"{name} has length {l.shape}, expected {grid.M + 1} node values"
-        )
+        raise ValueError(f"field has length {l.shape}, expected {grid.M + 1} node values")
     return l
 
 
-def _require_cell_field(phi: np.ndarray, grid: Grid, name: str = "field") -> np.ndarray:
+def _require_cell_field(phi: np.ndarray, grid: Grid) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.M,):
-        raise ValueError(
-            f"{name} has length {phi.shape}, expected {grid.M} cell values"
-        )
+        raise ValueError(f"field has length {phi.shape}, expected {grid.M} cell values")
     return phi
 
 

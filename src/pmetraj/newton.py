@@ -198,8 +198,12 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
             y, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
             params.tau, params.a0, damped_start)
 
-    def failure(stop, message):
+    def finish(stop):  # the residual norm at the last assembled iterate
         report.stop = stop
+        report.final_residual_norm = float(np.max(np.abs(gi)))
+
+    def failure(stop, message):
+        finish(stop)
         return NonconvergenceError(
             f"{message} (last lambda {report.lambda_history[-1]:.3e}, "
             f"residual {report.final_residual_norm:.3e})",
@@ -211,7 +215,6 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
         gi, diag, off = _kernels.residual_hessian(
             x, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
             params.tau, params.a0, damped_start)
-        report.final_residual_norm = float(np.max(np.abs(gi)))
         delta = solve_tridiagonal(diag, off, -gi)
         del diag, off  # not kept alive through the next assembly
         lam = newton_decrement_lambda(gi, delta, a, grid)
@@ -219,7 +222,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
 
         if lam < LAMBDA_STAR:
             if (lam / (1.0 - lam)) ** 2 < TOL_LAMBDA:
-                report.stop = "lambda"
+                finish("lambda")
             omega, x = _guarded_update(x, delta, 1.0, grid)
             f_x = None
         else:

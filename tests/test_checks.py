@@ -1,11 +1,14 @@
 """The property sweeps behind `pmetraj check`: each batched oracle and sweep
 against the per-probe or per-sample loop it replaced, the number of calls
 each one makes, and the defects each one must catch."""
+import math
+
 import numpy as np
 import pytest
 
 from pmetraj import checks, functional
 from pmetraj.checks import CheckResult
+from pmetraj.grid import Grid
 
 
 # ---------------------------------------------------------------------------
@@ -196,3 +199,143 @@ def test_branch_continuity_names_first_counterexample(monkeypatch):
     first = next(float(y0) for y0 in np.geomspace(0.1, 10.0, 61) if y0 > 1.0)
     assert not result.ok
     assert result.detail.startswith(f"counterexample y0={first!r}, offset=")
+
+
+def _q1_loop(rng, samples=1000):
+    name = "q1 monotone increasing and concave"
+    for _ in range(samples):
+        x = rng.uniform(1e-3, 10.0)
+        x0 = rng.uniform(1e-3, 10.0)
+        _, d1, d2 = (float(v) for v in functional.q1_oracle(x, x0))
+        if not (d1 > 0.0 and d2 <= 0.0):
+            return CheckResult(name, False, f"counterexample x={x!r}, x0={x0!r}: "
+                                            f"q1'={d1!r}, q1''={d2!r}")
+    return CheckResult(name, True)
+
+
+def test_q1_sweep_names_first_counterexample(monkeypatch):
+    # q1'' > 0 wherever x > 7: the first such sample is the counterexample
+    assert checks.check_q1_signs(np.random.default_rng(0)).ok
+    original = functional.q1_oracle
+
+    def convex_above_7(x, x0):
+        q, d1, d2 = original(x, x0)
+        return q, d1, d2 * np.where(np.asarray(x) > 7.0, -1.0, 1.0)
+
+    monkeypatch.setattr(functional, "q1_oracle", convex_above_7)
+    for seed in range(4):
+        result = checks.check_q1_signs(np.random.default_rng(seed))
+        assert not result.ok
+        assert result == _q1_loop(np.random.default_rng(seed))
+        assert float(result.detail.split("x=", 1)[1].split(",", 1)[0]) > 7.0
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference checks report their first failing state
+# ---------------------------------------------------------------------------
+
+def _first_state_above(seed, M, m_limit):
+    """The states check_*_fd visits from seed up to the first with m > m_limit,
+    and the index of that one."""
+    states = []
+    for spec, *rest in _states(M, 20, seed):
+        states.append((spec, *rest))
+        if spec.m > m_limit:
+            return states, len(states) - 1
+    raise AssertionError("no state above the limit")
+
+
+@pytest.mark.parametrize("check, loop, patched, M", [
+    (checks.check_gradient_fd, _gradient_loop, "eval_F", 16),
+    (checks.check_hessian_fd, _hessian_loop, "residual", 24),
+])
+def test_fd_check_names_first_failing_state(monkeypatch, check, loop, patched, M):
+    # the functional (for the gradient oracle) or the residual (for the
+    # Hessian oracle) is wrong on states with m > 2 only
+    original = getattr(functional, patched)
+
+    def wrong_above_2(x, x_curr, coeffs, spec, params, *args):
+        value = original(x, x_curr, coeffs, spec, params, *args)
+        if spec.m <= 2.0:
+            return value
+        if patched == "eval_F":  # d/dx_i of the added term is 1e-3
+            return value + 1e-3 * np.sum(np.asarray(x), axis=-1)
+        value[..., 1:-3] += 1e-2 * np.asarray(x)[..., 3:-1]  # row j sees node j + 2
+        return value
+
+    seed = 3
+    states, first = _first_state_above(seed, M, 2.0)
+    assert first >= 1
+    passing = [loop(*state)[0] for state in states[:first]]
+    monkeypatch.setattr(functional, patched, wrong_above_2)
+    err, ok = loop(*states[first])
+    assert not ok
+    spec, params = states[first][:2]
+    result = check(np.random.default_rng(seed))
+    assert result == CheckResult(
+        result.name, False, f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")
+    assert max(passing) <= 1e-6
+
+
+@pytest.mark.parametrize("check, loop, M", [
+    (checks.check_gradient_fd, _gradient_loop, 16),
+    (checks.check_hessian_fd, _hessian_loop, 24),
+])
+def test_fd_check_reports_worst_error_on_a_pass(check, loop, M):
+    worst = max(loop(*state)[0] for state in _states(M, 20, seed=7))
+    result = check(np.random.default_rng(7))
+    assert result.ok and result.detail == f"worst relative error {worst:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# the discrete identities stop at their first failing trial
+# ---------------------------------------------------------------------------
+
+def _sbp_loop(rng, trials):
+    name = "summation by parts"
+    for _ in range(trials):
+        M = int(rng.integers(4, 129))
+        grid = Grid(0.0, 1.0, M)
+        u = rng.standard_normal(M + 1)
+        u[0] = u[-1] = 0.0
+        c = rng.uniform(0.5, 2.0, M)
+        du = checks.d_forward(u, grid)
+        lhs = grid.h * float(np.sum(checks.d_centered_to_nodes(c * du, grid)[1:-1] * u[1:-1]))
+        rhs = -grid.h * float(np.sum(c * du * du))
+        if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
+            return CheckResult(name, False, f"mismatch {abs(lhs - rhs):.3e} at M={M}")
+    return CheckResult(name, True)
+
+
+def _wide_loop(rng, trials):
+    name = "wide-slope norm bounded by forward-slope norm"
+    for _ in range(trials):
+        M = int(rng.integers(4, 129))
+        grid = Grid(0.0, 1.0, M)
+        f = rng.standard_normal(M + 1)
+        f[0] = f[-1] = 0.0
+        wide = math.sqrt(grid.h * float(np.sum(checks.d_wide(f, grid)[1:-1] ** 2)))
+        forward = math.sqrt(grid.h * float(np.sum(checks.d_forward(f, grid) ** 2)))
+        if wide > forward * (1.0 + 1e-12):
+            return CheckResult(name, False, f"||wide||={wide!r} > ||forward||={forward!r} at M={M}")
+    return CheckResult(name, True)
+
+
+@pytest.mark.parametrize("check, loop, operator", [
+    (checks.check_summation_by_parts, _sbp_loop, "d_centered_to_nodes"),
+    (checks.check_wide_slope_norm, _wide_loop, "d_wide"),
+])
+@pytest.mark.parametrize("broken", [False, True])
+def test_identity_check_equals_reference_loop(monkeypatch, check, loop, operator, broken):
+    if broken:
+        # the operator doubles on grids finer than 64 cells: the first such
+        # trial fails, and the check draws nothing after it
+        original = getattr(checks, operator)
+        monkeypatch.setattr(checks, operator, lambda v, grid: original(v, grid)
+                            * (2.0 if grid.M > 64 else 1.0))
+    for seed in range(3):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = check(rng, 40)
+        assert result == loop(reference, 40)
+        assert result.ok != broken
+        assert rng.random() == reference.random()

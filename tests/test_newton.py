@@ -222,18 +222,36 @@ def test_newton_unique_solution_from_perturbed_start(rng):
     assert np.max(np.abs(x_a - x_b)) <= 1e-8
 
 
-def test_newton_budget_exhaustion_carries_report():
+def _record_residuals(monkeypatch):
+    """Patch the fused assembly to keep the residual of every call."""
+    residuals, original = [], _kernels.residual_hessian
+
+    def recorder(*args):
+        out = original(*args)
+        residuals.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(_kernels, "residual_hessian", recorder)
+    return residuals
+
+
+def test_newton_budget_exhaustion_carries_report(monkeypatch):
     g = Grid(0.0, 1.0, 100)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h, newton_max_iter=2)
     state = bootstrap(spec)
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    residuals = _record_residuals(monkeypatch)
     with pytest.raises(NonconvergenceError) as err:
         newton_step(state, coeffs, spec, params)
     assert err.value.report is not None
     assert err.value.report.iterations == 2
     assert not err.value.report.converged
     assert err.value.report.stop == "max_iter"
+    # the residual norm is read at the last assembled iterate
+    norm = float(np.max(np.abs(residuals[-1])))
+    assert len(residuals) == 2 and err.value.report.final_residual_norm == norm
+    assert f"residual {norm:.3e})" in str(err.value)
 
 
 def test_newton_line_search_exhaustion_carries_report(monkeypatch):
@@ -351,6 +369,20 @@ def test_newton_falls_back_to_linear_when_quadratic_crosses():
     assert report.start == "linear" and report.converged
     x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
     assert np.max(np.abs(x_new - x_base)) <= 1e-12
+
+
+def test_final_residual_norm_is_read_at_the_last_assembled_iterate(monkeypatch):
+    g = Grid(0.0, 1.0, 200)
+    spec = make_problem(5.0 / 3.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    state = bootstrap(spec)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    residuals = _record_residuals(monkeypatch)
+    _, report = newton_step(state, coeffs, spec, params)
+    assert report.converged and report.iterations >= 2
+    assert len(residuals) == report.iterations
+    assert report.final_residual_norm == float(np.max(np.abs(residuals[-1])))
+    assert report.final_residual_norm != float(np.max(np.abs(residuals[0])))
 
 
 @pytest.mark.parametrize("damped_start", [True, False])

@@ -10,6 +10,7 @@ from pmetraj import (LAMBDA_STAR, Grid, NonconvergenceError, RunConfig, SolverPa
                      initial_data_from_key,
                      make_problem, newton_step, quadratic_bump,
                      recover_density, run, stepper)
+from pmetraj.errors import EnergyViolationError
 from pmetraj.problem import TrajectoryState
 
 
@@ -89,6 +90,31 @@ def test_run_error_names_step_and_time():
     assert report is err.value.__cause__.report
     assert report is not None and not report.converged
     assert report.iterations == 2
+
+
+def test_dissipation_check_allows_rounding_of_a_large_energy():
+    # E_h is about -1.6e6 here: ENERGY_SLACK = 1e-10 is under one ulp of it,
+    # and a one-ulp rise of E_h once failed step 2
+    g = Grid(0.0, 1.0, 20)
+    spec = make_problem(3.0, g, initial_data_from_key("poly:1e-3,0,0,0,1e7"))
+    result = run(RunConfig(spec=spec, params=SolverParams(tau=1.0 / 20), t_final=1.0))
+    assert len(result.newton_reports) == 20
+    assert abs(result.energy_trace[1][2]) > 1e6
+    assert all(row[5] for row in result.energy_trace)
+
+
+@pytest.mark.parametrize("rise, raises", [(0.5e-10, False), (2e-10, True), (1.0, True)])
+def test_dissipation_check_raises_above_the_slack(rise, raises):
+    # constant density: the step returns x^n unchanged, so E_h stays 0 and the
+    # bound is 0; a carried energy below the true one fakes a rise
+    g = Grid(0.0, 1.0, 16)
+    spec = make_problem(2.0, g, initial_data_from_key("constant:1"))
+    state = dataclasses.replace(bootstrap(spec), e_curr=-rise)
+    if not raises:
+        assert advance(state, spec, SolverParams(tau=0.01))[1].dissipation_lhs == rise
+        return
+    with pytest.raises(EnergyViolationError, match="exceeds dissipation bound"):
+        advance(state, spec, SolverParams(tau=0.01))
 
 
 def test_run_truncated_final_step():
