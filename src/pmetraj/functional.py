@@ -57,10 +57,15 @@ class SolverParams:
 @dataclass
 class SchemeCoefficients:
     """Per-step frozen quantities: the mass coefficient (formed from the
-    guarded slope S_h) and the cell slopes of the step's base state."""
+    guarded slope S_h), the cell slopes of the step's base state, and the
+    step's flux form.  damped_start selects the fully implicit first-order
+    flux of the opening step (L-stable, so the incompatible-corner transient
+    of rough initial data cannot ring); the residual, its Hessian, F and
+    Newton all read it from here."""
 
     mass: np.ndarray        # node field; interior entries feed the scheme
     slope_curr: np.ndarray  # cell field, D_h of the base state
+    damped_start: bool = False
 
 
 def compute_s_h(x_curr: np.ndarray, x_prev: np.ndarray, params: SolverParams,
@@ -101,13 +106,16 @@ def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec
                        params: SolverParams,
                        slope_curr: np.ndarray | None = None,
                        wide_curr: np.ndarray | None = None,
-                       wide_prev: np.ndarray | None = None) -> SchemeCoefficients:
-    """The step's coefficients.  slope_curr = D_h x_curr and the wide slopes
-    of compute_s_h are computed when not given, to the same bits."""
+                       wide_prev: np.ndarray | None = None,
+                       damped_start: bool = False) -> SchemeCoefficients:
+    """The step's coefficients, with the opening step's flux when
+    damped_start.  slope_curr = D_h x_curr and the wide slopes of
+    compute_s_h are computed when not given, to the same bits."""
     s_h = compute_s_h(x_curr, x_prev, params, spec.grid, wide_curr, wide_prev)
     return SchemeCoefficients(
         mass=mass_coefficient(s_h, spec),
         slope_curr=d_forward(x_curr, spec.grid) if slope_curr is None else slope_curr,
+        damped_start=damped_start,
     )
 
 
@@ -147,35 +155,30 @@ def _require_admissible(x, grid, label):
 
 
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-             spec: ProblemSpec, params: SolverParams,
-             damped_start: bool = False) -> np.ndarray:
-    """Scheme residual g on nodes; g = 0 is exactly one time step of the scheme
-    and g equals the gradient of eval_F divided by the weight h.
+             spec: ProblemSpec, params: SolverParams) -> np.ndarray:
+    """Scheme residual g on nodes, with the flux form coeffs.damped_start
+    selects; g = 0 is exactly one time step of the scheme and g equals the
+    gradient of eval_F divided by the weight h.
 
     x_new may also be a stack of candidates, one per row (shape (k, M+1));
     the residuals come back as the rows of a (k, M+1) array, each bitwise
-    equal to the residual of its row alone.
-
-    damped_start selects the fully implicit first-order flux used for the
-    opening step (L-stable, so the incompatible-corner transient of rough
-    initial data cannot ring)."""
+    equal to the residual of its row alone."""
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     _require_admissible(x_curr, spec.grid, "base trajectory")
     return _kernels.residual_interior(
         np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float),
         coeffs.slope_curr, coeffs.mass, spec.f0_cells, spec.grid.h,
-        params.tau, params.a0, damped_start)
+        params.tau, params.a0, coeffs.damped_start)
 
 
 def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
-                         spec: ProblemSpec, params: SolverParams,
-                         damped_start: bool = False):
+                         spec: ProblemSpec, params: SolverParams):
     """Assembled interior tridiagonal (diag of length M-1, offdiag of length M-2)
     of the exact derivative of the residual; SPD on the admissible set."""
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     return _kernels.hessian_tridiag(
         np.asarray(x_new, dtype=float), coeffs.slope_curr, coeffs.mass,
-        spec.f0_cells, spec.grid.h, params.tau, params.a0, damped_start,
+        spec.f0_cells, spec.grid.h, params.tau, params.a0, coeffs.damped_start,
     )
 
 
@@ -208,18 +211,18 @@ def g_convex_second(x: float, x0: float) -> float:
 
 
 def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-           spec: ProblemSpec, params: SolverParams,
-           damped_start: bool = False):
+           spec: ProblemSpec, params: SolverParams):
     """Value of the convex step functional at displacement x_hat = x_new - X.
 
     F is _kernels.step_functional at X + x_hat (the function the Newton line
     search minimises) plus a closed-form constant of the step,
     -h <f0, spence(1/y0)> - tau^2 h <1/y0, 1> - a0 tau h |1 - y0|^2/2 with
-    y0 = D_h x_curr (damped_start: the last term alone).  With it the convex
-    part is exactly <f0 G(D_h x_hat, y0), 1>, G as in g_convex_integral; the
-    terms linear in sum(D_h x_hat) vanish because the ends are pinned.  All
-    inner products carry the weight h, so the gradient of this value is h
-    times the residual.  At x_hat = 0 only the mass term is left:
+    y0 = D_h x_curr (the last term alone when coeffs.damped_start).  With it
+    the convex part is exactly <f0 G(D_h x_hat, y0), 1>, G as in
+    g_convex_integral; the terms linear in sum(D_h x_hat) vanish because the
+    ends are pinned.  All inner products carry the weight h, so the gradient
+    of this value is h times the residual.  At x_hat = 0 only the mass term
+    is left:
     F = h <mass, (X - x_curr)^2>/(2 tau), which is 0 when x_curr = X.
 
     A 1-D x_hat gives a float.  A stack of displacements, one per row (shape
@@ -231,7 +234,7 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     _require_admissible(x_new, grid, "displaced trajectory")
     h, tau, y0 = grid.h, params.tau, coeffs.slope_curr
     constant = -0.5 * params.a0 * tau * h * np.sum((1.0 - y0) ** 2)
-    if not damped_start:
+    if not coeffs.damped_start:
         if not np.all(y0 > 0.0):
             raise ValueError("G needs positive base slopes")
         inv_y0 = 1.0 / y0
@@ -239,7 +242,7 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
                          + tau * tau * np.sum(inv_y0))
     return _kernels.step_functional(
         x_new, np.asarray(x_curr, dtype=float), y0, coeffs.mass, spec.f0_cells,
-        h, tau, params.a0, damped_start) + float(constant)
+        h, tau, params.a0, coeffs.damped_start) + float(constant)
 
 
 # ---------------------------------------------------------------------------

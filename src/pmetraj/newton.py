@@ -169,11 +169,11 @@ def _extrapolated_start(state: TrajectoryState, x_curr: np.ndarray, grid: Grid):
 
 def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
                 spec: ProblemSpec, params: SolverParams,
-                x_init: np.ndarray | None = None,
-                damped_start: bool = False):
-    """Solve one implicit step from x_init when given, else from the first
-    admissible of 3 x^n - 3 x^{n-1} + x^{n-2} (when state.x_prev2 is set),
-    2 x^n - x^{n-1} and x^n.
+                x_init: np.ndarray | None = None):
+    """Solve one implicit step, in the flux form coeffs.damped_start selects,
+    from x_init when given, else from the first admissible of
+    3 x^n - 3 x^{n-1} + x^{n-2} (when state.x_prev2 is set), 2 x^n - x^{n-1}
+    and x^n.
 
     Returns the admissible solution and a NewtonReport.  Raises
     NonconvergenceError (carrying the report) if the iteration budget runs out
@@ -196,7 +196,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     def functional_value(y):
         return _kernels.step_functional(
             y, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, damped_start)
+            params.tau, params.a0, coeffs.damped_start)
 
     def finish(stop):  # the residual norm at the last assembled iterate
         report.stop = stop
@@ -214,7 +214,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     for _ in range(params.newton_max_iter):
         gi, diag, off = _kernels.residual_hessian(
             x, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, damped_start)
+            params.tau, params.a0, coeffs.damped_start)
         delta = solve_tridiagonal(diag, off, -gi)
         del diag, off  # not kept alive through the next assembly
         lam = newton_decrement_lambda(gi, delta, a, grid)

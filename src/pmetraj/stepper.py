@@ -83,7 +83,9 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     averaged flux is not L-stable, so an under-resolved startup transient
     (rough initial data) would otherwise freeze a kink into the wall cells.
     The damped step satisfies the same dissipation bound and costs one O(tau^2)
-    local error, preserving second-order accuracy globally.
+    local error, preserving second-order accuracy globally.  The choice is
+    made here once, as the damped_start field of the step's coefficients,
+    which Newton and the functional read.
 
     Around the Newton solve every field is formed once: the new cell slopes
     D_h x^{n+1} (one min reduction gives the least slope and checks that all
@@ -95,9 +97,8 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     grid = spec.grid
     coeffs = functional.build_coefficients(state.x_curr, state.x_prev, spec, params,
                                            state.slope_curr, state.wide_curr,
-                                           state.wide_prev)
-    x_new, report = newton.newton_step(state, coeffs, spec, params,
-                                       damped_start=(state.n == 0))
+                                           state.wide_prev, damped_start=state.n == 0)
+    x_new, report = newton.newton_step(state, coeffs, spec, params)
 
     e_old = state.e_curr
     if e_old is None:

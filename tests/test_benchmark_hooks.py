@@ -66,6 +66,34 @@ def test_tracer_sees_the_residual_kernel(perfbench_path):
     assert tracer.counts["residual.cells"] == g.M
 
 
+def test_tracer_sees_the_layers_of_one_step(perfbench_path):
+    """A traced advance records the step's coefficients and its Newton
+    solve under it, and each Newton iteration's tridiagonal solve with the
+    kernel under that."""
+    import tracing
+    g = Grid(0.0, 1.0, 8)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    tracer = tracing.Tracer().install()
+    try:
+        _, diag = stepper.advance(bootstrap(spec), spec, params)
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+
+    def children(parent):
+        return [k for k, span in enumerate(spans) if span[3] == parent]
+
+    assert spans[0][0] == "stepper.advance" and spans[0][3] == -1
+    step = children(0)
+    assert [spans[k][0] for k in step[:2]] == ["functional.build_coefficients",
+                                              "newton.newton_step"]
+    solves = [k for k in children(step[1]) if spans[k][0] == "newton.solve_tridiagonal"]
+    assert len(solves) == diag.report.iterations >= 1
+    for k in solves:
+        assert [spans[c][0] for c in children(k)] == ["kernels.thomas_spd"]
+
+
 def test_host_clock_installs_and_restores(perfbench_path):
     import hostspeed
     clock = hostspeed.HostClock()

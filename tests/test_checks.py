@@ -79,9 +79,12 @@ def _g_second_loop(rng, samples=1000):
 
 
 def _states(M, count, seed=11):
+    """The states of check_*_fd: every odd-numbered one has the opening
+    step's flux."""
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        spec, params, x_curr, coeffs = checks._random_setup(rng, M=M)
+    for i in range(count):
+        spec, params, x_curr, coeffs = checks._random_setup(rng, M=M,
+                                                            damped_start=i % 2 == 1)
         yield spec, params, x_curr, coeffs, checks.random_admissible(rng, spec.grid)
 
 

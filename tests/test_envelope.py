@@ -67,10 +67,11 @@ def test_newton_solution_minimises_F(damped_start):
     state = bootstrap(spec)
     if not damped_start:
         state = advance(state, spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
-    x_new, _ = newton_step(state, coeffs, spec, params, damped_start=damped_start)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                damped_start=damped_start)
+    x_new, _ = newton_step(state, coeffs, spec, params)
     X = spec.grid.nodes()
-    base, mid, best = (eval_F(x - X, state.x_curr, coeffs, spec, params, damped_start)
+    base, mid, best = (eval_F(x - X, state.x_curr, coeffs, spec, params)
                        for x in (state.x_curr, 0.5 * (state.x_curr + x_new), x_new))
     assert best < mid < base
 
@@ -84,7 +85,8 @@ def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
     state = bootstrap(spec)
     for _ in range(step - 1):
         state = advance(state, spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                damped_start=step == 1)
     iterates = []
     assemble = _kernels.residual_hessian
 
@@ -93,13 +95,12 @@ def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
         return assemble(x, *rest)
 
     monkeypatch.setattr(_kernels, "residual_hessian", recording)
-    damped_start = step == 1
-    x_new, report = newton_step(state, coeffs, spec, params, damped_start=damped_start)
+    x_new, report = newton_step(state, coeffs, spec, params)
     iterates.append(x_new)
     X = spec.grid.nodes()
 
     def F(x):
-        return eval_F(x - X, state.x_curr, coeffs, spec, params, damped_start)
+        return eval_F(x - X, state.x_curr, coeffs, spec, params)
 
     far = [k for k, lam in enumerate(report.lambda_history) if lam >= LAMBDA_STAR]
     assert len(far) >= 2

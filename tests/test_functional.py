@@ -172,12 +172,13 @@ def test_vectorized_r_w(rng):
 # Residual and Hessian
 # ---------------------------------------------------------------------------
 
-def _setup(rng, M=24, m=2.0, a0=1.0):
+def _setup(rng, M=24, m=2.0, a0=1.0, damped_start=False):
     g = Grid(0.0, 1.0, M)
     spec = make_problem(m, g, quadratic_bump)
     params = SolverParams(tau=g.h, a0=a0)
     x_curr = random_admissible(rng, g)
-    coeffs = build_coefficients(x_curr, random_admissible(rng, g), spec, params)
+    coeffs = build_coefficients(x_curr, random_admissible(rng, g), spec, params,
+                                damped_start=damped_start)
     return g, spec, params, x_curr, coeffs
 
 
@@ -207,16 +208,16 @@ def test_residual_rejects_inadmissible(rng):
 
 @pytest.mark.parametrize("damped_start", [False, True])
 def test_stacked_eval_F_and_residual_equal_row_calls(rng, damped_start):
-    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16, damped_start=damped_start)
     X = g.nodes()
     # x_curr itself puts every cell of one row on the equal-slope branch
     xs = np.array([random_admissible(rng, g) for _ in range(6)] + [x_curr])
-    values = eval_F(xs - X, x_curr, coeffs, spec, params, damped_start)
-    residuals = residual(xs, x_curr, coeffs, spec, params, damped_start)
+    values = eval_F(xs - X, x_curr, coeffs, spec, params)
+    residuals = residual(xs, x_curr, coeffs, spec, params)
     assert values.shape == (7,) and residuals.shape == (7, 17)
     for k, x in enumerate(xs):
-        value = eval_F(x - X, x_curr, coeffs, spec, params, damped_start)
-        row = residual(x, x_curr, coeffs, spec, params, damped_start)
+        value = eval_F(x - X, x_curr, coeffs, spec, params)
+        row = residual(x, x_curr, coeffs, spec, params)
         assert type(value) is float and value == values[k]
         assert type(row) is np.ndarray and row.shape == (17,)
         np.testing.assert_array_equal(row, residuals[k])
@@ -241,15 +242,15 @@ def test_gradient_matches_fd(rng):
 
 def test_gradient_matches_fd_damped_mode(rng):
     # directional probe of the startup functional against its residual
-    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16, damped_start=True)
     x_new = random_admissible(rng, g)
     x_hat = x_new - g.nodes()
-    gvec = residual(x_new, x_curr, coeffs, spec, params, damped_start=True)
+    gvec = residual(x_new, x_curr, coeffs, spec, params)
     direction = np.zeros(g.M + 1)
     direction[1:-1] = np.sin(np.pi * g.nodes()[1:-1])
     eps = 1e-6
-    fp = eval_F(x_hat + eps * direction, x_curr, coeffs, spec, params, damped_start=True)
-    fm = eval_F(x_hat - eps * direction, x_curr, coeffs, spec, params, damped_start=True)
+    fp = eval_F(x_hat + eps * direction, x_curr, coeffs, spec, params)
+    fm = eval_F(x_hat - eps * direction, x_curr, coeffs, spec, params)
     fd = (fp - fm) / (2 * eps)
     analytic = g.h * float(np.dot(gvec[1:-1], direction[1:-1]))
     assert fd == pytest.approx(analytic, rel=1e-6)
@@ -288,17 +289,17 @@ def test_eval_F_zero_at_rest():
 def test_eval_F_at_zero_is_the_mass_term(rng, damped_start):
     # x_curr != X: at x_hat = 0 the per-step constant must cancel every term
     # of step_functional(X) but the mass term
-    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16, damped_start=damped_start)
     X = g.nodes()
     mass_term = 0.5 / params.tau * g.h * np.sum(coeffs.mass[1:-1] * (X - x_curr)[1:-1] ** 2)
-    value = eval_F(np.zeros(g.M + 1), x_curr, coeffs, spec, params, damped_start)
+    value = eval_F(np.zeros(g.M + 1), x_curr, coeffs, spec, params)
     assert value == pytest.approx(mass_term, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("damped_start", [False, True])
 def test_eval_F_makes_one_step_functional_call(rng, monkeypatch, damped_start):
     # eval_F has no formula of its own: one kernel call per 1-D or stacked call
-    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16, damped_start=damped_start)
     shapes = []
     original = _kernels.step_functional
 
@@ -308,8 +309,8 @@ def test_eval_F_makes_one_step_functional_call(rng, monkeypatch, damped_start):
 
     monkeypatch.setattr(_kernels, "step_functional", counting)
     xs = np.array([random_admissible(rng, g) for _ in range(3)]) - g.nodes()
-    eval_F(xs[0], x_curr, coeffs, spec, params, damped_start)
-    eval_F(xs, x_curr, coeffs, spec, params, damped_start)
+    eval_F(xs[0], x_curr, coeffs, spec, params)
+    eval_F(xs, x_curr, coeffs, spec, params)
     assert shapes == [(17,), (3, 17)]
 
 

@@ -128,11 +128,11 @@ def test_newton_constant_density_is_immediate():
     assert x_new.tobytes() == state.x_curr.tobytes()
 
 
-def _newton_step_at(x, state, coeffs, spec, params, damped_start=False):
+def _newton_step_at(x, state, coeffs, spec, params):
     """One more Newton step from x, assembled with the public residual and
     Hessian: the step delta and the decrement lambda measured at x."""
-    gvec = residual(x, state.x_curr, coeffs, spec, params, damped_start)[1:-1]
-    diag, off = hessian_coefficients(x, coeffs, spec, params, damped_start)
+    gvec = residual(x, state.x_curr, coeffs, spec, params)[1:-1]
+    diag, off = hessian_coefficients(x, coeffs, spec, params)
     delta = solve_tridiagonal(diag, off, -gvec)
     lam = newton_decrement_lambda(gvec, delta, self_concordance_a(spec), spec.grid)
     return delta, lam
@@ -286,13 +286,13 @@ def test_newton_stop_reasons(key, m, certified):
     spec = make_problem(m, g, initial_data_from_key(key))
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
-    x_new, report = newton_step(state, coeffs, spec, params, damped_start=True)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                damped_start=True)
+    x_new, report = newton_step(state, coeffs, spec, params)
     assert report.converged and report.stop == "lambda"
     lam = report.lambda_history[-1]
     assert (lam / (1.0 - lam)) ** 2 < TOL_LAMBDA
-    delta, lam_after = _newton_step_at(x_new, state, coeffs, spec, params,
-                                       damped_start=True)
+    delta, lam_after = _newton_step_at(x_new, state, coeffs, spec, params)
     assert np.max(np.abs(delta)) <= 1e-10 * g.h
     if certified == "lambda":
         assert lam_after < TOL_LAMBDA
@@ -395,14 +395,15 @@ def test_newton_assembles_once_per_iteration(monkeypatch, damped_start):
     state = bootstrap(spec)
     if not damped_start:
         state = advance(state, spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                damped_start=damped_start)
     calls = {"residual_hessian": 0, "residual_interior": 0, "hessian_tridiag": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(_kernels, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(_kernels, name, counted)
-    _, report = newton_step(state, coeffs, spec, params, damped_start=damped_start)
+    _, report = newton_step(state, coeffs, spec, params)
     assert report.converged and report.stop == "lambda"
     assert report.iterations >= 2
     assert calls == {"residual_hessian": report.iterations,

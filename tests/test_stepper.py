@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (LAMBDA_STAR, Grid, NonconvergenceError, RunConfig, SolverParams, advance, bootstrap,
-                     build_coefficients, compute_s_h, discrete_mass,
-                     initial_data_from_key,
+from pmetraj import (LAMBDA_STAR, Grid, NonconvergenceError, RunConfig, SolverParams, _kernels,
+                     advance, bootstrap, build_coefficients, compute_s_h, discrete_mass,
+                     functional, initial_data_from_key,
                      make_problem, newton_step, quadratic_bump,
                      recover_density, run, stepper)
 from pmetraj.errors import EnergyViolationError
@@ -54,6 +54,35 @@ def test_advance_enforces_dissipation_bound():
         assert diag.dissipation_rhs <= 0.0
         assert diag.min_slope > 0.0
         assert diag.report.converged
+
+
+def test_advance_chooses_the_opening_flux_once(monkeypatch):
+    # the coefficients carry the flux form: only step 0 builds them with
+    # damped_start, and every Newton assembly of a step runs the flag of
+    # that step's coefficients
+    g, spec, params = _quad_setup(M=50)
+    built, assembled = [], []
+    build, assemble = functional.build_coefficients, _kernels.residual_hessian
+
+    def building(*args, **kwargs):
+        coeffs = build(*args, **kwargs)
+        built.append(coeffs.damped_start)
+        return coeffs
+
+    def assembling(*args):
+        assembled.append(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(functional, "build_coefficients", building)
+    monkeypatch.setattr(_kernels, "residual_hessian", assembling)
+    state = bootstrap(spec)
+    for n in range(3):
+        first = len(assembled)
+        state, diag = advance(state, spec, params)
+        assert built[n] is (n == 0)
+        assert assembled[first:] == [n == 0] * diag.report.iterations
+    assert built == [True, False, False]
+    assert all(type(flag) is bool for flag in assembled)
 
 
 def test_run_zero_final_time_initial_snapshot_only(tmp_path):
@@ -253,9 +282,9 @@ def test_extrapolated_start_halves_iterations_with_same_trajectory():
 
     state = bootstrap(spec)
     for _ in range(20):
-        coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
-        x_new, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr,
-                               damped_start=(state.n == 0))
+        coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                    damped_start=state.n == 0)
+        x_new, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
         state = TrajectoryState(n=state.n + 1, t=state.t + params.tau,
                                 x_curr=x_new, x_prev=state.x_curr)
     assert np.max(np.abs(result.final_state.x_curr - state.x_curr)) <= 1e-12
