@@ -175,14 +175,18 @@ def test_criterion_7_calculus_oracles():
     rng = np.random.default_rng(20260809)
     grad_ok, hess_ok = True, True
     worst_g, worst_h = 0.0, 0.0
-    for _ in range(20):
-        spec, params, x_curr, coeffs = checks._random_setup(rng, M=16)
+    # every odd-numbered state runs the opening step's flux, as in
+    # checks._fd_states; the flag takes no draw from rng
+    for i in range(20):
+        spec, params, x_curr, coeffs = checks._random_setup(
+            rng, M=16, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
         err, ok = checks.gradient_vs_fd(spec, params, x_curr, coeffs, x_new)
         grad_ok &= ok
         worst_g = max(worst_g, err)
-    for _ in range(20):
-        spec, params, x_curr, coeffs = checks._random_setup(rng, M=24)
+    for i in range(20):
+        spec, params, x_curr, coeffs = checks._random_setup(
+            rng, M=24, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
         err, ok = checks.hessian_vs_fd(spec, params, x_curr, coeffs, x_new)
         hess_ok &= ok
