@@ -24,6 +24,9 @@ class ProblemSpec:
     one another.  mass_factor = f0_nodes^(2-m)/m is the part of the mass
     coefficient that no step changes; it is inf where the power overflows,
     which functional.mass_coefficient reports at the first step.
+    energy_scale = h * sum(f0_cells) is the scale of the rounding error of
+    E_h = -h sum f0 ln(D_h x): each term carries an error of about eps f0
+    from its slope, however close ln(D_h x) is to 0.
     """
 
     m: float
@@ -32,6 +35,7 @@ class ProblemSpec:
     f0_cells: np.ndarray
     f0_min: float
     mass_factor: np.ndarray
+    energy_scale: float
 
 
 @dataclass
@@ -155,6 +159,7 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
         f0_cells=f0_cells,
         f0_min=float(f0_nodes.min()),
         mass_factor=mass_factor,
+        energy_scale=h * float(np.sum(f0_cells)),
     )
 
 

@@ -23,9 +23,11 @@ from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
 #: Absolute slack on the per-step dissipation inequality, absorbing the Newton
 #: stopping tolerance.
 ENERGY_SLACK = 1e-10
-#: Relative slack added to it, as a share of the larger |E_h| of the step: the
-#: difference of two energies cannot be resolved below an ulp of either, and
-#: ENERGY_SLACK alone is under one ulp once |E_h| exceeds about 5e5.
+#: Relative slack added to it, as a share of the larger |E_h| of the step plus
+#: ProblemSpec.energy_scale = h sum f0: the difference of two energies cannot
+#: be resolved below an ulp of either, nor below the rounding of their terms,
+#: which is about eps h sum f0 even where ln(D_h x) and so E_h are near 0.
+#: ENERGY_SLACK alone is under that once |E_h| or h sum f0 exceeds about 5e5.
 ENERGY_ROUNDING = 16.0 * np.finfo(float).eps
 
 
@@ -109,7 +111,8 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     dslope = slope_new - coeffs.slope_curr
     rhs = -params.a0 * params.tau * grid.h * float(np.dot(dslope, dslope))
     lhs = e_new - e_old
-    if lhs > rhs + ENERGY_SLACK + ENERGY_ROUNDING * max(abs(e_old), abs(e_new)):
+    rounding = ENERGY_ROUNDING * (max(abs(e_old), abs(e_new)) + spec.energy_scale)
+    if lhs > rhs + ENERGY_SLACK + rounding:
         raise EnergyViolationError(
             f"energy change {lhs:.6e} exceeds dissipation bound {rhs:.6e}"
         )

@@ -132,6 +132,18 @@ def test_dissipation_check_allows_rounding_of_a_large_energy():
     assert all(row[5] for row in result.energy_trace)
 
 
+@pytest.mark.parametrize("key", ["constant:1e8", "poly:1e8,1", "constant:3e7"])
+def test_dissipation_check_allows_rounding_of_a_dense_stationary_state(key):
+    # E_h is near 0 (ln D_h x near 0) but each of its terms rounds at about
+    # eps f0, so a rounding-level rise of 1.1e-10 once failed steps 2, 7
+    # and 100 of these runs
+    g = Grid(0.0, 1.0, 200)
+    spec = make_problem(2.0, g, initial_data_from_key(key))
+    result = run(RunConfig(spec=spec, params=SolverParams(tau=0.005), t_final=0.5))
+    assert len(result.newton_reports) == 100
+    assert all(row[5] for row in result.energy_trace)
+
+
 @pytest.mark.parametrize("rise, raises", [(0.5e-10, False), (2e-10, True), (1.0, True)])
 def test_dissipation_check_raises_above_the_slack(rise, raises):
     # constant density: the step returns x^n unchanged, so E_h stays 0 and the
