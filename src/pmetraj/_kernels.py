@@ -36,7 +36,6 @@ import math
 
 import numpy as np
 
-_ONE, _ZERO = np.ones(1), np.zeros(1)  # the padding row of cyclic reduction
 _NONPOSITIVE_PIVOT = "nonpositive pivot in tridiagonal elimination"
 
 #: Cyclic reduction stops at a level of at most this many unknowns and
@@ -51,32 +50,106 @@ SCALAR_BASE = 64
 EPS_SWITCH = 1e-8
 
 
-def _secant_terms(y, y0, d):
+def _reduced_length(k):
+    """Stored length of a reduced system of k unknowns: one more, for the
+    decoupled unit row that pads it, when k is even and the system is
+    reduced again."""
+    return k + 1 if k > SCALAR_BASE and k % 2 == 0 else k
+
+
+class Workspace:
+    """Every buffer the assembly and the cyclic reduction write, for
+    trajectories of one shape: a node field (M+1,), or a stack (k, M+1) of
+    candidates for the assembly alone.
+
+    cells holds the five scratch cell fields of residual_hessian and mask
+    its equal-slope lanes; g (the residual on every node, end slots 0), diag
+    and off are its results.  A 1-D workspace also holds the cyclic
+    reduction of the n = M-1 interior unknowns: rhs, the right-hand side
+    that the solution replaces; alpha and beta, the elimination factors
+    every level reuses; levels, the (d, e, f) of each reduced system, padded
+    as _reduced_length says, whose f the level's solution replaces; and
+    pad0, a padded copy of an even-length input.  The assembly scratch and
+    the reduction are views of one array: each is dead while the other
+    runs.  newton_step's ordering guard reuses mask.
+    """
+
+    def __init__(self, shape):
+        *rows, nodes = shape
+        M, n = nodes - 1, nodes - 2
+        cells = (*rows, M)
+        size = math.prod(cells)
+        self.g = np.zeros((*rows, nodes))
+        self.diag = np.empty((*rows, n))
+        self.off = np.empty((*rows, max(n - 1, 0)))
+        self.mask = np.empty(cells, dtype=bool)
+        lengths = []  # rhs, alpha, beta, then the (d, e, f) of every padded level
+        if not rows:
+            k = n // 2 if n > SCALAR_BASE else 0
+            lengths = [n, k, k]
+            if _reduced_length(n) > n:
+                lengths += [n + 1, n, n + 1]
+            reduced = n
+            while reduced > SCALAR_BASE:
+                reduced //= 2
+                p = _reduced_length(reduced)
+                lengths += [p, p - 1, p]
+        flat = np.empty(max(5 * size, sum(lengths)))
+        self.cells = tuple(flat[i * size:(i + 1) * size].reshape(cells)
+                           for i in range(5))
+        self.pad0 = None
+        if rows:
+            return
+        bounds = np.cumsum([0] + lengths).tolist()
+        views = [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self.rhs, self.alpha, self.beta = views[:3]
+        self.levels = [tuple(views[i:i + 3]) for i in range(3, len(views), 3)]
+        if _reduced_length(n) > n:
+            self.pad0 = self.levels.pop(0)
+
+
+def _secant_terms(y, y0, d, out=None):
     """The secant ratio R = ln(y/y0)/d and its derivative
     W = [z/(1 + z) - log1p(z)]/d^2 (z = d/y0, d = y - y0) from one log1p pass.
 
     Where |d| <= EPS_SWITCH * max(y, y0), R and W take their limits 2/(y + y0)
-    and -1/(2 y^2); the np.where passes of that branch run only when some lane
-    is inside it, and give the same bits as running them on every call.
+    and -1/(2 y^2); the passes of that branch run only when some lane is
+    inside it, and give the same bits as running them on every call.  out is
+    (z, r, w, near), three float buffers and a bool one of the broadcast
+    shape, fresh when not given; R comes back in r, W in w.
     """
-    near = np.abs(d) <= EPS_SWITCH * np.maximum(y, y0)
-    if near.any():
-        d_safe = np.where(near, 1.0, d)
-    else:
-        near, d_safe = None, d
-    z = d_safe / y0
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(y), np.shape(y0), np.shape(d))
+        out = (np.empty(shape), np.empty(shape), np.empty(shape),
+               np.empty(shape, dtype=bool))
+    z, r, w, near = out
+    np.less_equal(np.abs(d, out=z),
+                  np.multiply(np.maximum(y, y0, out=w), EPS_SWITCH, out=w), out=near)
+    any_near = near.any()
+
+    def d_safe():  # d with 1.0 on the equal-slope lanes, formed in z
+        if not any_near:
+            return d
+        np.copyto(z, d)
+        np.copyto(z, 1.0, where=near)
+        return z
+
+    np.divide(d_safe(), y0, out=z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log1p_z = np.log1p(z)
-        w = (z / (1.0 + z) - log1p_z) / (d_safe * d_safe)
-        r = log1p_z / d_safe
-    if near is not None:
-        r = np.where(near, 2.0 / (y + y0), r)
-        w = np.where(near, -0.5 / (y * y), w)
+        log1p_z = np.log1p(z, out=r)
+        np.divide(z, np.add(z, 1.0, out=w), out=w)
+        w -= log1p_z
+        ds = d_safe()
+        np.divide(log1p_z, ds, out=r)
+        w /= np.multiply(ds, ds, out=z)
+    if any_near:
+        np.copyto(r, np.divide(2.0, np.add(y, y0, out=z), out=z), where=near)
+        np.copyto(w, np.divide(-0.5, np.multiply(y, y, out=z), out=z), where=near)
     return r, w
 
 
 def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
-                     damped_start=False):
+                     work, damped_start=False):
     """The scheme residual on the interior nodes, and the diagonal and
     off-diagonal of its tridiagonal derivative, at x_new in one pass.
 
@@ -88,50 +161,65 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     1/y and the tau^2 difference is dropped (the first-order L-stable step
     used once at startup), so c = f0/y^2 + a0 tau.
 
-    x_new may be a stack of shape (k, M+1), one candidate per row; the
-    three results then have k rows, each bitwise equal to its row's own
-    call.
+    Every field is written into work, a Workspace of x_new's shape, and
+    the three results are its buffers g[..., 1:-1], diag and off: they hold
+    until the next call with the same work.  x_new may be a stack of shape
+    (k, M+1), one candidate per row; the results then have k rows, each
+    bitwise equal to its row's own call.
     """
-    y = (x_new[..., 1:] - x_new[..., :-1]) / h
-    d = y - slope_curr
+    y, d, z, flux, c = work.cells
+    np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
+    y /= h
+    np.subtract(y, slope_curr, out=d)
+    a0_tau, tau2 = a0 * tau, tau * tau
     if damped_start:
-        flux = f0_cells / y - (a0 * tau) * d
-        del d
-        c = f0_cells / (y * y) + a0 * tau
+        np.divide(f0_cells, y, out=flux)
+        flux -= np.multiply(d, a0_tau, out=z)
+        np.divide(f0_cells, np.multiply(y, y, out=c), out=c)
+        c += a0_tau
     else:
-        r, w = _secant_terms(y, slope_curr, d)
-        flux = f0_cells * r - (a0 * tau) * d - (tau * tau) * d / (y * slope_curr)
-        del d, r  # drop each cell field once used: at M = 1e5 each is 0.8 MB
-        # y^2 is formed first: in this allocation order the pass ran 2-7%
-        # faster at M = 1e5 (2-core Xeon, numpy 2.4) than with y * y inside
-        # the sum.  a0 tau - f0 W rounds as -f0 W + a0 tau does, without
-        # negating f0
-        yy = y * y
-        c = a0 * tau - f0_cells * w + (tau * tau) / yy
-        del w, yy
-    del y
+        r, w = _secant_terms(y, slope_curr, d, (z, flux, c, work.mask))
+        # flux = f0 R - a0 tau d - tau^2 d/(y y0) over r, then c over w as
+        # a0 tau - f0 W + tau^2/y^2 (no negation of f0); d, once used, is
+        # scratch
+        np.multiply(f0_cells, r, out=flux)
+        flux -= np.multiply(d, a0_tau, out=z)
+        np.multiply(d, tau2, out=z)
+        z /= np.multiply(y, slope_curr, out=d)
+        flux -= z
+        np.subtract(a0_tau, np.multiply(f0_cells, w, out=c), out=c)
+        c += np.divide(tau2, np.multiply(y, y, out=d), out=d)
+    g, diag, off = work.g[..., 1:-1], work.diag, work.off
+    tmp = y[..., :-1]
+    np.subtract(x_new[..., 1:-1], x_curr[..., 1:-1], out=g)
+    np.multiply(mass[1:-1], g, out=g)
+    g /= tau
+    g += np.divide(np.subtract(flux[..., 1:], flux[..., :-1], out=tmp), h, out=tmp)
     inv_h2 = 1.0 / (h * h)
-    return (mass[1:-1] * (x_new[..., 1:-1] - x_curr[..., 1:-1]) / tau
-            + (flux[..., 1:] - flux[..., :-1]) / h,
-            mass[1:-1] / tau + (c[..., :-1] + c[..., 1:]) * inv_h2,
-            c[..., 1:-1] * -inv_h2)
+    np.add(c[..., :-1], c[..., 1:], out=diag)
+    diag *= inv_h2
+    diag += np.divide(mass[1:-1], tau, out=tmp)
+    np.multiply(c[..., 1:-1], -inv_h2, out=off)
+    return g, diag, off
 
 
 def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
                       h, tau, a0, damped_start=False):
-    """The residual of residual_hessian on every node, end slots 0."""
-    g = np.zeros_like(x_new)
-    g[..., 1:-1] = residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells,
-                                    h, tau, a0, damped_start)[0]
-    return g
+    """The residual of residual_hessian on every node, end slots 0, from a
+    fresh workspace."""
+    work = Workspace(x_new.shape)
+    residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
+                     work, damped_start)
+    return work.g
 
 
 def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
                     damped_start=False):
-    """The diagonal and off-diagonal of residual_hessian.  They do not
-    depend on the base trajectory, so x_new stands in for it."""
+    """The diagonal and off-diagonal of residual_hessian, from a fresh
+    workspace.  They do not depend on the base trajectory, so x_new stands
+    in for it."""
     return residual_hessian(x_new, x_new, slope_curr, mass, f0_cells,
-                            h, tau, a0, damped_start)[1:]
+                            h, tau, a0, Workspace(x_new.shape), damped_start)[1:]
 
 
 _PI2_6 = math.pi ** 2 / 6.0
@@ -232,7 +320,7 @@ def _thomas_scalar(d, e, f):
     return x
 
 
-def thomas_spd(diag, off, rhs):
+def thomas_spd(diag, off, rhs, work=None):
     """Solve the SPD tridiagonal system (diagonal `diag`, off-diagonal `off`)
     by odd-even cyclic reduction down to SCALAR_BASE unknowns and a scalar
     Thomas elimination of the rest (`newton.solve_tridiagonal` looks the
@@ -244,34 +332,56 @@ def thomas_spd(diag, off, rhs):
     every kept row has two neighbours.  A diagonal entry of a level, or a
     pivot of the scalar elimination, that is not positive (NaN included)
     means the input was not SPD and raises ValueError.
+
+    Every level is written into work, a 1-D Workspace for len(diag) + 2
+    nodes (fresh when not given), and the solution is its buffer rhs[:n],
+    or pad0's f for an even n: it holds until the next solve with the same
+    work.  A rhs that is work.rhs is solved in place; any other is copied.
     """
-    d, e, f = diag, off, rhs
+    if work is None:
+        work = Workspace((diag.shape[0] + 2,))
+    n = diag.shape[0]
+    d, e, f = diag, off, work.rhs
+    if work.pad0 is not None:
+        d, e, f = work.pad0
+        d[:n], e[:n - 1], f[:n] = diag, off, rhs
+        d[n], e[n - 1], f[n] = 1.0, 0.0, 0.0
+    elif rhs is not f:
+        f[:] = rhs
     levels = []
-    while d.shape[0] > SCALAR_BASE:
+    for d_next, e_next, f_next in work.levels:
         if not d.min() > 0.0:
             raise ValueError(_NONPOSITIVE_PIVOT)
-        n = d.shape[0]
-        if n % 2 == 0:
-            d = np.concatenate((d, _ONE))
-            e = np.concatenate((e, _ZERO))
-            f = np.concatenate((f, _ZERO))
         d_even, f_even = d[0::2], f[0::2]
         e_left, e_right = e[0::2], e[1::2]  # odd row i couples to i-1, i+1
-        alpha = e_left / d_even[:-1]
-        beta = e_right / d_even[1:]
-        levels.append((n, d_even, e_left, e_right, f_even))
-        d = d[1::2] - alpha * e_left - beta * e_right
-        f = f[1::2] - alpha * f_even[:-1] - beta * f_even[1:]
-        e = -beta[:-1] * e_left[1:]
-    x = np.array(_thomas_scalar(d.tolist(), e.tolist(), f.tolist()))
-    for n, d_even, e_left, e_right, f_even in reversed(levels):
-        num = f_even.copy()
-        num[:-1] -= e_left * x
-        num[1:] -= e_right * x
-        full = np.empty(d_even.shape[0] + x.shape[0])
-        full[0::2] = num / d_even
-        full[1::2] = x
-        x = full[:n]
+        k = e_left.shape[0]
+        alpha = np.divide(e_left, d_even[:-1], out=work.alpha[:k])
+        beta = np.divide(e_right, d_even[1:], out=work.beta[:k])
+        levels.append((n, d_even, e_left, e_right, f))
+        # d[1::2] - alpha e_left - beta e_right, f[1::2] - alpha f_even[:-1]
+        # - beta f_even[1:] and -beta[:-1] e_left[1:]; alpha, once used,
+        # takes the beta products
+        dk, ek, fk = d_next[:k], e_next[:k - 1], f_next[:k]
+        np.subtract(d[1::2], np.multiply(alpha, e_left, out=dk), out=dk)
+        np.subtract(f[1::2], np.multiply(alpha, f_even[:-1], out=fk), out=fk)
+        dk -= np.multiply(beta, e_right, out=alpha)
+        fk -= np.multiply(beta, f_even[1:], out=alpha)
+        np.negative(np.multiply(beta[:-1], e_left[1:], out=ek), out=ek)
+        if d_next.shape[0] > k:  # the pad slot: a decoupled unit row
+            d_next[k], e_next[k - 1], f_next[k] = 1.0, 0.0, 0.0
+        d, e, f, n = d_next, e_next, f_next, k
+    x = f[:n]
+    x[:] = _thomas_scalar(d[:n].tolist(), e[:n - 1].tolist(), x.tolist())
+    for n, d_even, e_left, e_right, f in reversed(levels):
+        # the level's solution replaces its f, whose odd entries the
+        # reduction has consumed
+        k = x.shape[0]
+        even = f[0::2]
+        even[:-1] -= np.multiply(e_left, x, out=work.alpha[:k])
+        even[1:] -= np.multiply(e_right, x, out=work.alpha[:k])
+        even /= d_even
+        f[1::2] = x
+        x = f[:n]
     return x
 
 

@@ -69,8 +69,9 @@ def _require_cell_field(phi: np.ndarray, grid: Grid) -> np.ndarray:
 
 def d_forward(l: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward difference node -> cell: (l_i - l_{i-1})/h at i-1/2."""
-    l = _require_node_field(l, grid)
-    return np.diff(l) / grid.h
+    out = np.diff(_require_node_field(l, grid))
+    out /= grid.h
+    return out
 
 
 def d_centered_to_nodes(phi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -97,7 +98,8 @@ def d_wide(l: np.ndarray, grid: Grid) -> np.ndarray:
         raise ValueError("d_wide needs M >= 2")
     two_h = 2.0 * grid.h
     out = np.empty(grid.M + 1)
-    out[1:-1] = (l[2:] - l[:-2]) / two_h
+    np.subtract(l[2:], l[:-2], out=out[1:-1])
+    out[1:-1] /= two_h
     out[0] = (4.0 * l[1] - l[2] - 3.0 * l[0]) / two_h
     out[-1] = (l[-3] - 4.0 * l[-2] + 3.0 * l[-1]) / two_h
     return out

@@ -92,9 +92,12 @@ class NewtonReport:
     stop: str = ""
 
 
-def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray,
+                      work: _kernels.Workspace | None = None) -> np.ndarray:
     """Solve the symmetric tridiagonal system with diagonal `diag` and
-    off-diagonal entries `offdiag` (one fewer)."""
+    off-diagonal entries `offdiag` (one fewer).  The solution is a buffer
+    of work (a fresh workspace when not given), valid until its next
+    solve."""
     diag = np.ascontiguousarray(diag, dtype=float)
     offdiag = np.ascontiguousarray(offdiag, dtype=float)
     rhs = np.ascontiguousarray(rhs, dtype=float)
@@ -105,7 +108,7 @@ def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray) ->
             f"rhs {rhs.shape[0]}"
         )
     try:
-        return _kernels.thomas_spd(diag, offdiag, rhs)
+        return _kernels.thomas_spd(diag, offdiag, rhs, work)
     except ValueError as exc:
         raise SingularSystemError(str(exc)) from exc
 
@@ -131,13 +134,21 @@ def self_concordance_a(spec: ProblemSpec) -> float:
     return spec.grid.h * spec.f0_min / (2.0 * C_NEWTON ** 2)
 
 
-def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float, grid: Grid):
+def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float, grid: Grid,
+                    cand: np.ndarray | None = None, mask: np.ndarray | None = None):
     """Apply x += omega*delta on the interior, halving omega while the update
-    would cross nodes."""
-    cand = x.copy()
+    would cross nodes.  The candidate is written into cand and the ordering
+    test into mask (M bools), each fresh when not given."""
+    if cand is None:
+        cand = np.empty_like(x)
+    if mask is None:
+        mask = np.empty(x.shape[0] - 1, dtype=bool)
+    cand[0], cand[-1] = x[0], x[-1]
+    inner = cand[1:-1]
     for _ in range(MAX_GUARD_HALVINGS + 1):
-        cand[1:-1] = x[1:-1] + omega * delta
-        if (cand[1:] > cand[:-1]).all():
+        np.multiply(delta, omega, out=inner)
+        inner += x[1:-1]
+        if np.greater(cand[1:], cand[:-1], out=mask).all():
             return omega, cand
         omega *= 0.5
     raise DegenerateMeshError(
@@ -175,6 +186,11 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     3 x^n - 3 x^{n-1} + x^{n-2} (when state.x_prev2 is set), 2 x^n - x^{n-1}
     and x^n.
 
+    Every iteration writes the assembly and the solve into state.work (a
+    fresh Workspace when the state carries none), and the iterate into one
+    of two node fields of this step, the start and one more: the solution
+    returned is one of them, which the next state keeps.
+
     Returns the admissible solution and a NewtonReport.  Raises
     NonconvergenceError (carrying the report) if the iteration budget runs out
     or the far-phase line search finds no decrease of F.
@@ -192,6 +208,8 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
             raise DegenerateMeshError("Newton starting point is outside the admissible set")
     a = self_concordance_a(spec)
     report = NewtonReport(start=start)
+    work = state.work if state.work is not None else _kernels.Workspace(x_curr.shape)
+    spare = np.empty_like(x)  # the iterate buffer x does not hold
 
     def functional_value(y):
         return _kernels.step_functional(
@@ -200,7 +218,8 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
 
     def finish(stop):  # the residual norm at the last assembled iterate
         report.stop = stop
-        report.final_residual_norm = float(np.max(np.abs(gi)))
+        # diag is free once the step is solved
+        report.final_residual_norm = float(np.max(np.abs(gi, out=work.diag)))
 
     def failure(stop, message):
         finish(stop)
@@ -214,24 +233,23 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     for _ in range(params.newton_max_iter):
         gi, diag, off = _kernels.residual_hessian(
             x, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, coeffs.damped_start)
-        delta = solve_tridiagonal(diag, off, -gi)
-        del diag, off  # not kept alive through the next assembly
+            params.tau, params.a0, work, coeffs.damped_start)
+        delta = solve_tridiagonal(diag, off, np.negative(gi, out=work.rhs), work)
         lam = newton_decrement_lambda(gi, delta, a, grid)
         report.lambda_history.append(lam)
 
         if lam < LAMBDA_STAR:
             if (lam / (1.0 - lam)) ** 2 < TOL_LAMBDA:
                 finish("lambda")
-            omega, x = _guarded_update(x, delta, 1.0, grid)
-            f_x = None
+            omega, cand = _guarded_update(x, delta, 1.0, grid, spare, work.mask)
+            x, spare, f_x = cand, x, None
         else:
             if f_x is None:
                 f_x = functional_value(x)
             armijo = ARMIJO_C * a * lam * lam  # ARMIJO_C h g^T H^{-1} g
             omega = 1.0
             while True:
-                omega, cand = _guarded_update(x, delta, omega, grid)
+                omega, cand = _guarded_update(x, delta, omega, grid, spare, work.mask)
                 f_cand = functional_value(cand)
                 if f_cand <= f_x - omega * armijo:
                     break
@@ -240,7 +258,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
                                   f"of F down to step {MIN_OMEGA:.1e}")
                 omega *= 0.5
                 report.backtracks += 1
-            x, f_x = cand, f_cand
+            x, spare, f_x = cand, x, f_cand
         report.iterations += 1
         if omega < 1.0:
             report.damped_steps += 1

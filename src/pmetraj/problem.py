@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigurationError, DataScaleError, DegenerateMeshError
 from .grid import Grid, d_forward, d_wide
 
@@ -51,7 +52,8 @@ class TrajectoryState:
     the wide slopes that S_h extrapolates; None means the next step computes
     the field from x_curr or x_prev, to the same bits, so a state rebuilt
     from the trajectories alone (a restart) steps exactly like the carried
-    one.
+    one.  work is the run's _kernels.Workspace, which every Newton
+    iteration of the run writes into; None gives each step a fresh one.
     """
 
     n: int
@@ -63,6 +65,7 @@ class TrajectoryState:
     slope_curr: np.ndarray | None = None
     wide_curr: np.ndarray | None = None
     wide_prev: np.ndarray | None = None
+    work: _kernels.Workspace | None = None
 
 
 def quadratic_bump(x: np.ndarray) -> np.ndarray:

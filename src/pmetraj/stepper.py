@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import functional, newton
+from . import _kernels, functional, newton
 from .csvio import format_rows, write_csv_atomic
 from .errors import ConfigurationError, EnergyViolationError, SolverError
 from .functional import SolverParams
@@ -73,9 +73,11 @@ class RunResult:
 def bootstrap(spec: ProblemSpec) -> TrajectoryState:
     """Initial state: trajectory equals the reference map, and the undefined
     pre-initial field is set equal to it so the extrapolated slope collapses
-    to the initial slope."""
+    to the initial slope.  It carries the workspace the run's Newton
+    iterations share, which advance hands on from state to state."""
     x0 = spec.grid.nodes()
-    return TrajectoryState(n=0, t=0.0, x_curr=x0.copy(), x_prev=x0.copy())
+    return TrajectoryState(n=0, t=0.0, x_curr=x0.copy(), x_prev=x0.copy(),
+                           work=_kernels.Workspace(x0.shape))
 
 
 def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
@@ -110,6 +112,7 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     e_new = discrete_energy(x_new, spec, slope_new)
     dslope = slope_new - coeffs.slope_curr
     rhs = -params.a0 * params.tau * grid.h * float(np.dot(dslope, dslope))
+    del dslope  # not kept alive beside the density
     lhs = e_new - e_old
     rounding = ENERGY_ROUNDING * (max(abs(e_old), abs(e_new)) + spec.energy_scale)
     if lhs > rhs + ENERGY_SLACK + rounding:
@@ -128,7 +131,7 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
         x_curr=x_new, x_prev=state.x_curr,
         x_prev2=state.x_prev if near else None,
         e_curr=e_new, slope_curr=slope_new,
-        wide_curr=wide_new, wide_prev=state.wide_curr,
+        wide_curr=wide_new, wide_prev=state.wide_curr, work=state.work,
     )
     diag = StepDiagnostics(
         report=report,
@@ -179,7 +182,9 @@ def run(config: RunConfig) -> RunResult:
     state = bootstrap(spec)
     e0 = discrete_energy(state.x_curr, spec)
     m0 = discrete_mass(state.x_curr, recover_density(state.x_curr, spec))
-    result = RunResult(final_state=state)
+    # final_state is set when the run ends: holding the initial state here
+    # would keep its two node fields alive through every step
+    result = RunResult(final_state=None)
     result.energy_trace.append((0, 0.0, e0, 0.0, 0.0, True))
     result.mass_trace.append((0, 0.0, m0))
 
@@ -208,7 +213,7 @@ def run(config: RunConfig) -> RunResult:
             if periodic or state.n == total_steps:
                 _write_snapshot(out_dir, state, spec, labels)
 
-    result.final_state = state
+    result.final_state = dataclasses.replace(state, work=None)  # freed with the run
     if out_dir is not None:
         write_csv_atomic(
             out_dir / "energy.csv",
