@@ -57,6 +57,59 @@ def _reduced_length(k):
     return k + 1 if k > SCALAR_BASE and k % 2 == 0 else k
 
 
+class _Level:
+    """One level of the cyclic reduction, as views into a Workspace: its
+    system (d, e, f) of n unknowns, padded to an odd length, and the reduced
+    system on its odd rows, written into the next level's buffers.  The
+    level's solution replaces f, whose odd entries the reduction consumed."""
+
+    __slots__ = ("d", "d_even", "d_lo", "d_hi", "d_odd", "e_left", "e_left_hi",
+                 "e_right", "f_even", "f_lo", "f_hi", "f_odd", "x", "alpha",
+                 "beta", "beta_lo", "dk", "ek", "fk", "pad")
+
+    def __init__(self, n, d, e, f, alpha, beta, d_next, e_next, f_next):
+        self.d, self.d_even, self.d_odd = d, d[0::2], d[1::2]
+        self.d_lo, self.d_hi = self.d_even[:-1], self.d_even[1:]
+        self.e_left, self.e_right = e[0::2], e[1::2]  # odd row i couples to i-1, i+1
+        self.e_left_hi = self.e_left[1:]
+        self.f_even, self.f_odd, self.x = f[0::2], f[1::2], f[:n]
+        self.f_lo, self.f_hi = self.f_even[:-1], self.f_even[1:]
+        k = self.e_left.shape[0]
+        self.alpha, self.beta, self.beta_lo = alpha[:k], beta[:k], beta[:k - 1]
+        self.dk, self.ek, self.fk = d_next[:k], e_next[:k - 1], f_next[:k]
+        # the next level's pad slot, a decoupled unit row, rewritten every
+        # solve: the assembly shares the memory
+        self.pad = (d_next[k:], e_next[k - 1:], f_next[k:]) if d_next.shape[0] > k else None
+
+    def reduce(self):
+        """The Schur complement on the odd rows: d[1::2] - alpha e_left -
+        beta e_right, f[1::2] - alpha f_even[:-1] - beta f_even[1:] and
+        -beta[:-1] e_left[1:], with alpha = e_left/d_even[:-1] and beta =
+        e_right/d_even[1:]; alpha, once used, takes the beta products."""
+        if not self.d.min() > 0.0:
+            raise ValueError(_NONPOSITIVE_PIVOT)
+        alpha, beta, dk, fk = self.alpha, self.beta, self.dk, self.fk
+        np.divide(self.e_left, self.d_lo, out=alpha)
+        np.divide(self.e_right, self.d_hi, out=beta)
+        np.subtract(self.d_odd, np.multiply(alpha, self.e_left, out=dk), out=dk)
+        np.subtract(self.f_odd, np.multiply(alpha, self.f_lo, out=fk), out=fk)
+        dk -= np.multiply(beta, self.e_right, out=alpha)
+        fk -= np.multiply(beta, self.f_hi, out=alpha)
+        np.negative(np.multiply(self.beta_lo, self.e_left_hi, out=self.ek), out=self.ek)
+        if self.pad is not None:
+            d_pad, e_pad, f_pad = self.pad
+            d_pad[0], e_pad[0], f_pad[0] = 1.0, 0.0, 0.0
+
+    def back_substitute(self, x_odd):
+        """The level's solution from that of the reduced system, x_odd."""
+        tmp = self.alpha
+        self.f_lo -= np.multiply(self.e_left, x_odd, out=tmp)
+        self.f_hi -= np.multiply(self.e_right, x_odd, out=tmp)
+        self.f_even /= self.d_even
+        self.f_odd[:] = x_odd
+        return self.x
+
+
 class Workspace:
     """Every buffer the assembly and the cyclic reduction write, for
     trajectories of one shape: a node field (M+1,), or a stack (k, M+1) of
@@ -65,13 +118,14 @@ class Workspace:
     cells holds the five scratch cell fields of residual_hessian and mask
     its equal-slope lanes; g (the residual on every node, end slots 0), diag
     and off are its results.  A 1-D workspace also holds the cyclic
-    reduction of the n = M-1 interior unknowns: rhs, the right-hand side
-    that the solution replaces; alpha and beta, the elimination factors
-    every level reuses; levels, the (d, e, f) of each reduced system, padded
-    as _reduced_length says, whose f the level's solution replaces; and
-    pad0, a padded copy of an even-length input.  The assembly scratch and
-    the reduction are views of one array: each is dead while the other
-    runs.  newton_step's ordering guard reuses mask.
+    reduction of the n = M-1 interior unknowns (thomas_spd): rhs, the
+    right-hand side, which the solution replaces; pad0, the padded copy of
+    an even-length system; alpha and beta, the elimination factors every
+    level reuses; the (d, e, f) of every reduced system, padded as
+    _reduced_length says; levels, one _Level per reduction; and base, the
+    system the scalar elimination finishes.  The assembly scratch and the
+    reduction are views of one array: each is dead while the other runs.
+    newton_step's ordering guard reuses mask.
     """
 
     def __init__(self, shape):
@@ -83,29 +137,33 @@ class Workspace:
         self.diag = np.empty((*rows, n))
         self.off = np.empty((*rows, max(n - 1, 0)))
         self.mask = np.empty(cells, dtype=bool)
-        lengths = []  # rhs, alpha, beta, then the (d, e, f) of every padded level
-        if not rows:
-            k = n // 2 if n > SCALAR_BASE else 0
-            lengths = [n, k, k]
-            if _reduced_length(n) > n:
-                lengths += [n + 1, n, n + 1]
-            reduced = n
-            while reduced > SCALAR_BASE:
-                reduced //= 2
-                p = _reduced_length(reduced)
-                lengths += [p, p - 1, p]
-        flat = np.empty(max(5 * size, sum(lengths)))
+        sizes = [n]  # unknowns of each system, reduced until the base
+        while not rows and sizes[-1] > SCALAR_BASE:
+            sizes.append(sizes[-1] // 2)
+        padded = _reduced_length(n) > n
+        k = sizes[1] if len(sizes) > 1 else 0
+        lengths = [n, k, k] + [n + 1, n, n + 1] * padded
+        for m in sizes[1:]:
+            p = _reduced_length(m)
+            lengths += [p, p - 1, p]
+        flat = np.empty(max(5 * size, sum(lengths) if not rows else 0))
         self.cells = tuple(flat[i * size:(i + 1) * size].reshape(cells)
                            for i in range(5))
         self.pad0 = None
         if rows:
             return
-        bounds = np.cumsum([0] + lengths).tolist()
-        views = [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        views = np.split(flat[:sum(lengths)], np.cumsum(lengths[:-1]))
         self.rhs, self.alpha, self.beta = views[:3]
-        self.levels = [tuple(views[i:i + 3]) for i in range(3, len(views), 3)]
-        if _reduced_length(n) > n:
-            self.pad0 = self.levels.pop(0)
+        systems = [tuple(views[i:i + 3]) for i in range(3, len(views), 3)]
+        if padded:
+            self.pad0 = systems[0]
+        else:
+            systems.insert(0, (self.diag, self.off, self.rhs))
+        self.levels = [_Level(m, *system, self.alpha, self.beta, *reduced)
+                       for m, system, reduced in zip(sizes, systems, systems[1:])]
+        d, e, f = systems[-1]
+        m = sizes[-1]
+        self.base = (d[:m], e[:m - 1], f[:m])
 
 
 def _secant_terms(y, y0, d, out=None):
@@ -334,54 +392,28 @@ def thomas_spd(diag, off, rhs, work=None):
     means the input was not SPD and raises ValueError.
 
     Every level is written into work, a 1-D Workspace for len(diag) + 2
-    nodes (fresh when not given), and the solution is its buffer rhs[:n],
-    or pad0's f for an even n: it holds until the next solve with the same
-    work.  A rhs that is work.rhs is solved in place; any other is copied.
+    nodes (fresh when not given), and the solution is work.rhs, or pad0's f
+    for an even length, cut to n: it holds until the next solve with the
+    same work.  Inputs that are not work's own diag, off and rhs are copied
+    in, so the caller's arrays are only read.
     """
     if work is None:
         work = Workspace((diag.shape[0] + 2,))
-    n = diag.shape[0]
-    d, e, f = diag, off, work.rhs
     if work.pad0 is not None:
+        n = diag.shape[0]
         d, e, f = work.pad0
         d[:n], e[:n - 1], f[:n] = diag, off, rhs
         d[n], e[n - 1], f[n] = 1.0, 0.0, 0.0
-    elif rhs is not f:
-        f[:] = rhs
-    levels = []
-    for d_next, e_next, f_next in work.levels:
-        if not d.min() > 0.0:
-            raise ValueError(_NONPOSITIVE_PIVOT)
-        d_even, f_even = d[0::2], f[0::2]
-        e_left, e_right = e[0::2], e[1::2]  # odd row i couples to i-1, i+1
-        k = e_left.shape[0]
-        alpha = np.divide(e_left, d_even[:-1], out=work.alpha[:k])
-        beta = np.divide(e_right, d_even[1:], out=work.beta[:k])
-        levels.append((n, d_even, e_left, e_right, f))
-        # d[1::2] - alpha e_left - beta e_right, f[1::2] - alpha f_even[:-1]
-        # - beta f_even[1:] and -beta[:-1] e_left[1:]; alpha, once used,
-        # takes the beta products
-        dk, ek, fk = d_next[:k], e_next[:k - 1], f_next[:k]
-        np.subtract(d[1::2], np.multiply(alpha, e_left, out=dk), out=dk)
-        np.subtract(f[1::2], np.multiply(alpha, f_even[:-1], out=fk), out=fk)
-        dk -= np.multiply(beta, e_right, out=alpha)
-        fk -= np.multiply(beta, f_even[1:], out=alpha)
-        np.negative(np.multiply(beta[:-1], e_left[1:], out=ek), out=ek)
-        if d_next.shape[0] > k:  # the pad slot: a decoupled unit row
-            d_next[k], e_next[k - 1], f_next[k] = 1.0, 0.0, 0.0
-        d, e, f, n = d_next, e_next, f_next, k
-    x = f[:n]
-    x[:] = _thomas_scalar(d[:n].tolist(), e[:n - 1].tolist(), x.tolist())
-    for n, d_even, e_left, e_right, f in reversed(levels):
-        # the level's solution replaces its f, whose odd entries the
-        # reduction has consumed
-        k = x.shape[0]
-        even = f[0::2]
-        even[:-1] -= np.multiply(e_left, x, out=work.alpha[:k])
-        even[1:] -= np.multiply(e_right, x, out=work.alpha[:k])
-        even /= d_even
-        f[1::2] = x
-        x = f[:n]
+    else:
+        for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):
+            if given is not own:
+                own[:] = given
+    for level in work.levels:
+        level.reduce()
+    d, e, x = work.base
+    x[:] = _thomas_scalar(d.tolist(), e.tolist(), x.tolist())
+    for level in reversed(work.levels):
+        x = level.back_substitute(x)
     return x
 
 
