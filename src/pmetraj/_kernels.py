@@ -18,11 +18,28 @@ because every reduced system is a Schur complement of the SPD input and hence
 SPD itself.  Once a level has at most SCALAR_BASE unknowns it is finished by
 a Thomas elimination on Python floats, which checks every pivot.
 
-Measured, fastest of repeated calls on a 2-core Xeon with numpy 2.4 (one
-assembly pass against the two separate ones it replaced, reduction with the
-scalar base against reduction down to one unknown): assembly 55 -> 30 us at M = 400,
-565 -> 345 us at M = 9600, 8.8 -> 4.7 ms at M = 1e5; solve 125 -> 61 us at
-n = 399 and 320 -> 249 us at n = 9599.
+Buffer rule: a Newton iteration allocates no cell-sized array.
+residual_hessian and thomas_spd write every field into a Workspace, made
+once per run (stepper.bootstrap) and handed from state to state; a caller
+without one gets a fresh one for that call, so each kernel has one code
+path.  Every ufunc writes with out= in the order of the plain expression,
+so the results are bitwise those of the expression.  A result that is a
+workspace buffer holds until the next call with the same workspace; what a
+caller keeps (newton_step's solution, the results of residual_interior and
+hessian_tridiag) is a fresh array.  At M = 9600 a cell field is 77 KB, and
+the temporaries each iteration used to free left more than glibc's 128 KB
+trim threshold free at the top of the heap: the memory went back to the
+system and was faulted in again, some 60 minor page faults per iteration,
+under 1 now.
+
+Measured per call as newton_step makes it, median of 30 alternating rounds
+(each the fastest of 3) on a 2-core Xeon with numpy 2.4, before -> after
+the workspace: assembly 39 -> 38 us at M = 400, 471 -> 248 us at M = 9600
+and 5.0 -> 3.0 ms at M = 1e5; solve of H delta = -g (negation included)
+75 -> 64 us at n = 399, 256 -> 208 us at n = 9599 and 4.4 -> 2.1 ms at
+n = 99999.  The host is shared and its speed drifts, so these medians moved
+by up to 40% between runs; in each of four runs every entry but the
+assembly at M = 400, which is even, was faster.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed directly and enters log1p(d/y0)/d and the linear terms, so the
