@@ -154,8 +154,14 @@ class Workspace:
         self.diag = np.empty((*rows, n))
         self.off = np.empty((*rows, max(n - 1, 0)))
         self.mask = np.empty(cells, dtype=bool)
+        self.pad0 = None
+        if rows:
+            flat = np.empty(5 * size)
+            self.cells = tuple(flat[i * size:(i + 1) * size].reshape(cells)
+                               for i in range(5))
+            return
         sizes = [n]  # unknowns of each system, reduced until the base
-        while not rows and sizes[-1] > SCALAR_BASE:
+        while sizes[-1] > SCALAR_BASE:
             sizes.append(sizes[-1] // 2)
         padded = _reduced_length(n) > n
         k = sizes[1] if len(sizes) > 1 else 0
@@ -163,13 +169,12 @@ class Workspace:
         for m in sizes[1:]:
             p = _reduced_length(m)
             lengths += [p, p - 1, p]
-        flat = np.empty(max(5 * size, sum(lengths) if not rows else 0))
-        self.cells = tuple(flat[i * size:(i + 1) * size].reshape(cells)
-                           for i in range(5))
-        self.pad0 = None
-        if rows:
-            return
-        views = np.split(flat[:sum(lengths)], np.cumsum(lengths[:-1]))
+        flat = np.empty(max(5 * size, sum(lengths)))
+        self.cells = tuple(flat[i * size:(i + 1) * size] for i in range(5))
+        views, start = [], 0
+        for length in lengths:
+            views.append(flat[start:start + length])
+            start += length
         self.rhs, self.alpha, self.beta = views[:3]
         systems = [tuple(views[i:i + 3]) for i in range(3, len(views), 3)]
         if padded:
@@ -194,7 +199,7 @@ def _secant_terms(y, y0, d, out=None):
     shape, fresh when not given; R comes back in r, W in w.
     """
     if out is None:
-        shape = np.broadcast_shapes(np.shape(y), np.shape(y0), np.shape(d))
+        shape = np.broadcast(y, y0, d).shape
         out = (np.empty(shape), np.empty(shape), np.empty(shape),
                np.empty(shape, dtype=bool))
     z, r, w, near = out

@@ -162,7 +162,7 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
         f0_cells=f0_cells,
         f0_min=float(f0_nodes.min()),
         mass_factor=mass_factor,
-        energy_scale=h * float(np.sum(f0_cells)),
+        energy_scale=h * float(f0_cells.sum()),
     )
 
 
