@@ -127,20 +127,33 @@ class _Level:
         return self.x
 
 
+def _reduction_plan(n):
+    """The unknowns of every system in the cyclic reduction of n unknowns,
+    down to the base, and the lengths of its buffers: rhs, alpha, beta, then
+    the (d, e, f) of the padded copy of an even-length input, if any, and of
+    every reduced system."""
+    sizes = [n]
+    while sizes[-1] > SCALAR_BASE:
+        sizes.append(sizes[-1] // 2)
+    k = sizes[1] if len(sizes) > 1 else 0
+    lengths = [n, k, k] + [n + 1, n, n + 1] * (_reduced_length(n) > n)
+    for m in sizes[1:]:
+        p = _reduced_length(m)
+        lengths += [p, p - 1, p]
+    return sizes, lengths
+
+
 class Workspace:
     """Every buffer the assembly and the cyclic reduction write, for
     trajectories of one shape: a node field (M+1,), or a stack (k, M+1) of
     candidates for the assembly alone.
 
     cells holds the five scratch cell fields of residual_hessian and mask
-    its equal-slope lanes; g (the residual on every node, end slots 0), diag
-    and off are its results.  A 1-D workspace also holds the cyclic
+    its equal-slope lanes; g (the residual on the interior nodes), diag and
+    off are its results.  A 1-D workspace also holds the cyclic
     reduction of the n = M-1 interior unknowns (thomas_spd): rhs, the
-    right-hand side, which the solution replaces; pad0, the padded copy of
-    an even-length system; alpha and beta, the elimination factors every
-    level reuses; the (d, e, f) of every reduced system, padded as
-    _reduced_length says; levels, one _Level per reduction; and base, the
-    system the scalar elimination finishes.  The assembly scratch and the
+    right-hand side, which the solution replaces, and the buffers and views
+    of reduction(), made at the first solve.  The assembly scratch and the
     reduction are views of one array: each is dead while the other runs.
     newton_step's ordering guard reuses mask.
     """
@@ -150,42 +163,39 @@ class Workspace:
         M, n = nodes - 1, nodes - 2
         cells = (*rows, M)
         size = math.prod(cells)
-        self.g = np.zeros((*rows, nodes))
+        self.g = np.empty((*rows, n))
         self.diag = np.empty((*rows, n))
         self.off = np.empty((*rows, max(n - 1, 0)))
         self.mask = np.empty(cells, dtype=bool)
-        self.pad0 = None
-        if rows:
-            flat = np.empty(5 * size)
-            self.cells = tuple(flat[i * size:(i + 1) * size].reshape(cells)
-                               for i in range(5))
-            return
-        sizes = [n]  # unknowns of each system, reduced until the base
-        while sizes[-1] > SCALAR_BASE:
-            sizes.append(sizes[-1] // 2)
-        padded = _reduced_length(n) > n
-        k = sizes[1] if len(sizes) > 1 else 0
-        lengths = [n, k, k] + [n + 1, n, n + 1] * padded
-        for m in sizes[1:]:
-            p = _reduced_length(m)
-            lengths += [p, p - 1, p]
-        flat = np.empty(max(5 * size, sum(lengths)))
-        self.cells = tuple(flat[i * size:(i + 1) * size] for i in range(5))
-        views, start = [], 0
-        for length in lengths:
-            views.append(flat[start:start + length])
-            start += length
-        self.rhs, self.alpha, self.beta = views[:3]
-        systems = [tuple(views[i:i + 3]) for i in range(3, len(views), 3)]
-        if padded:
-            self.pad0 = systems[0]
-        else:
-            systems.insert(0, (self.diag, self.off, self.rhs))
-        self.levels = [_Level(m, *system, self.alpha, self.beta, *reduced)
-                       for m, system, reduced in zip(sizes, systems, systems[1:])]
-        d, e, f = systems[-1]
-        m = sizes[-1]
-        self.base = (d[:m], e[:m - 1], f[:m])
+        self._plan = None if rows else _reduction_plan(n)
+        self._flat = np.empty(max(5 * size, sum(self._plan[1]) if self._plan else 0))
+        self.cells = tuple(self._flat[:5 * size].reshape(5, *cells))
+        self.rhs = None if rows else self._flat[:n]
+        self._reduction = None
+
+    def reduction(self):
+        """(pad0, levels, base): the padded copy (d, e, f) of an even-length
+        system, else None; one _Level per reduction, with the shared
+        elimination factors and every reduced system, padded as
+        _reduced_length says; and the (d, e, f) the scalar elimination
+        finishes."""
+        if self._reduction is None:
+            sizes, lengths = self._plan
+            views, start = [], 0
+            for length in lengths:
+                views.append(self._flat[start:start + length])
+                start += length
+            alpha, beta = views[1:3]
+            systems = [tuple(views[i:i + 3]) for i in range(3, len(views), 3)]
+            pad0 = systems[0] if _reduced_length(sizes[0]) > sizes[0] else None
+            if pad0 is None:
+                systems.insert(0, (self.diag, self.off, self.rhs))
+            levels = [_Level(m, *system, alpha, beta, *reduced)
+                      for m, system, reduced in zip(sizes, systems, systems[1:])]
+            d, e, f = systems[-1]
+            m = sizes[-1]
+            self._reduction = (pad0, levels, (d[:m], e[:m - 1], f[:m]))
+        return self._reduction
 
 
 def _secant_terms(y, y0, d, out=None):
@@ -242,8 +252,8 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     used once at startup), so c = f0/y^2 + a0 tau.
 
     Every field is written into work, a Workspace of x_new's shape, and
-    the three results are its buffers g[..., 1:-1], diag and off: they hold
-    until the next call with the same work.  x_new may be a stack of shape
+    the three results are its buffers g, diag and off: they hold until the
+    next call with the same work.  x_new may be a stack of shape
     (k, M+1), one candidate per row; the results then have k rows, each
     bitwise equal to its row's own call.
     """
@@ -269,8 +279,8 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
         flux -= z
         np.subtract(a0_tau, np.multiply(f0_cells, w, out=c), out=c)
         c += np.divide(tau2, np.multiply(y, y, out=d), out=d)
-    g, diag, off = work.g[..., 1:-1], work.diag, work.off
-    tmp = y[..., :-1]
+    g, diag, off = work.g, work.diag, work.off
+    tmp = y.reshape(-1)[:g.size].reshape(g.shape)  # contiguous, like g
     np.subtract(x_new[..., 1:-1], x_curr[..., 1:-1], out=g)
     np.multiply(mass[1:-1], g, out=g)
     g /= tau
@@ -287,10 +297,11 @@ def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
                       h, tau, a0, damped_start=False):
     """The residual of residual_hessian on every node, end slots 0, from a
     fresh workspace."""
-    work = Workspace(x_new.shape)
-    residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
-                     work, damped_start)
-    return work.g
+    g = np.zeros_like(x_new)
+    g[..., 1:-1] = residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells,
+                                    h, tau, a0, Workspace(x_new.shape),
+                                    damped_start)[0]
+    return g
 
 
 def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
@@ -414,27 +425,27 @@ def thomas_spd(diag, off, rhs, work=None):
     means the input was not SPD and raises ValueError.
 
     Every level is written into work, a 1-D Workspace for len(diag) + 2
-    nodes (fresh when not given), and the solution is work.rhs, or pad0's f
-    for an even length, cut to n: it holds until the next solve with the
-    same work.  Inputs that are not work's own diag, off and rhs are copied
+    nodes (fresh when not given), and the solution is work.rhs, or the f of
+    the padded copy of an even-length system, cut to n: it holds until the
+    next solve with the same work.  Inputs that are not work's own diag, off and rhs are copied
     in, so the caller's arrays are only read.
     """
     if work is None:
         work = Workspace((diag.shape[0] + 2,))
-    if work.pad0 is not None:
+    pad0, levels, (d, e, x) = work.reduction()
+    if pad0 is not None:
         n = diag.shape[0]
-        d, e, f = work.pad0
-        d[:n], e[:n - 1], f[:n] = diag, off, rhs
-        d[n], e[n - 1], f[n] = 1.0, 0.0, 0.0
+        d0, e0, f0 = pad0
+        d0[:n], e0[:n - 1], f0[:n] = diag, off, rhs
+        d0[n], e0[n - 1], f0[n] = 1.0, 0.0, 0.0
     else:
         for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):
             if given is not own:
                 own[:] = given
-    for level in work.levels:
+    for level in levels:
         level.reduce()
-    d, e, x = work.base
     x[:] = _thomas_scalar(d.tolist(), e.tolist(), x.tolist())
-    for level in reversed(work.levels):
+    for level in reversed(levels):
         x = level.back_substitute(x)
     return x
 
