@@ -69,7 +69,8 @@ def _require_cell_field(phi: np.ndarray, grid: Grid) -> np.ndarray:
 
 def d_forward(l: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward difference node -> cell: (l_i - l_{i-1})/h at i-1/2."""
-    out = np.diff(_require_node_field(l, grid))
+    l = _require_node_field(l, grid)
+    out = np.subtract(l[1:], l[:-1])
     out /= grid.h
     return out
 

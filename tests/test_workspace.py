@@ -154,8 +154,9 @@ def test_run_shares_one_workspace_and_frees_it():
 
 def test_warm_newton_step_allocates_at_most_three_node_fields():
     # a warm solve allocates its start, the second iterate buffer and a few
-    # bool masks: 2.46 node fields at M = 4096 (the per-call temporaries of
-    # the assembly and the reduction made it 11.8 before the workspace)
+    # bool masks: 2.36 node fields at M = 4096, so the bound is 3 (the
+    # per-call temporaries of the assembly and the reduction made it 11.8
+    # before the workspace)
     M = 4096
     spec, params = _quad(M)
     state = bootstrap(spec)
