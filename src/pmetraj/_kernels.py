@@ -34,12 +34,12 @@ under 1 now.
 
 Measured per call as newton_step makes it, median of 30 alternating rounds
 (each the fastest of 3) on a 2-core Xeon with numpy 2.4, before -> after
-the workspace: assembly 39 -> 38 us at M = 400, 471 -> 248 us at M = 9600
-and 5.0 -> 3.0 ms at M = 1e5; solve of H delta = -g (negation included)
-75 -> 64 us at n = 399, 256 -> 208 us at n = 9599 and 4.4 -> 2.1 ms at
-n = 99999.  The host is shared and its speed drifts, so these medians moved
-by up to 40% between runs; in each of four runs every entry but the
-assembly at M = 400, which is even, was faster.
+the workspace: assembly 49 -> 48 us at M = 400, 524 -> 279 us at M = 9600
+and 6.2 -> 3.4 ms at M = 1e5; solve of H delta = -g (negation included)
+95 -> 75 us at n = 399, 429 -> 341 us at n = 9599 and 4.9 -> 2.5 ms at
+n = 99999.  The host is shared and its speed drifts, so the absolute times
+moved by up to 40% between runs of this comparison; the assembly at
+M = 400 stayed even and every other entry was faster in each of five runs.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed directly and enters log1p(d/y0)/d and the linear terms, so the
