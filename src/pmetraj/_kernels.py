@@ -39,7 +39,7 @@ and 6.2 -> 3.4 ms at M = 1e5; solve of H delta = -g (negation included)
 95 -> 75 us at n = 399, 429 -> 341 us at n = 9599 and 4.9 -> 2.5 ms at
 n = 99999.  The host is shared and its speed drifts, so the absolute times
 moved by up to 40% between runs of this comparison; the assembly at
-M = 400 stayed even and every other entry was faster in each of five runs.
+M = 400 stayed even, and every other median was faster in every run.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed directly and enters log1p(d/y0)/d and the linear terms, so the
