@@ -155,10 +155,13 @@ class Workspace:
     right-hand side, which the solution replaces, and the buffers and views
     of reduction(), made at the first solve.  The assembly scratch and the
     reduction are views of one array: each is dead while the other runs.
-    newton_step's ordering guard reuses mask.
+    newton_step's ordering guard reuses mask.  A copy or an unpickled
+    workspace is a fresh one of the same shape: the buffers hold nothing
+    between calls, and copied views would no longer share their memory.
     """
 
     def __init__(self, shape):
+        self.shape = tuple(shape)
         *rows, nodes = shape
         M, n = nodes - 1, nodes - 2
         cells = (*rows, M)
@@ -172,6 +175,9 @@ class Workspace:
         self.cells = tuple(self._flat[:5 * size].reshape(5, *cells))
         self.rhs = None if rows else self._flat[:n]
         self._reduction = None
+
+    def __reduce__(self):
+        return Workspace, (self.shape,)
 
     def reduction(self):
         """(pad0, levels, base): the padded copy (d, e, f) of an even-length

@@ -1,6 +1,8 @@
 """The per-run workspace: kernels that write into reused buffers give the
 bits of a fresh call, no result aliases a buffer a later call writes, and a
 warm Newton solve allocates only the node fields of its own step."""
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -39,6 +41,21 @@ def test_reused_workspace_solves_bitwise_as_a_fresh_one(rng, n):
             assert a.tobytes() == b.tobytes()
         work.rhs[:] = rhs
         assert _kernels.thomas_spd(diag, off, work.rhs, work).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda w: pickle.loads(pickle.dumps(w))])
+def test_copied_workspace_solves_as_a_fresh_one(rng, clone):
+    # a used workspace's views share one array; a copy must not keep views
+    # that no longer do
+    n = 300
+    work = Workspace((n + 2,))
+    _kernels.thomas_spd(*_random_spd(rng, n), work)
+    twin = clone(work)
+    assert twin.shape == work.shape
+    diag, off, rhs = _random_spd(rng, n)
+    want = _kernels.thomas_spd(diag, off, rhs)
+    assert _kernels.thomas_spd(diag, off, rhs, twin).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("damped_start", [False, True])
