@@ -141,8 +141,6 @@ def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float, grid: Grid,
     test into mask (M bools), each fresh when not given."""
     if cand is None:
         cand = np.empty_like(x)
-    if mask is None:
-        mask = np.empty(x.shape[0] - 1, dtype=bool)
     cand[0], cand[-1] = x[0], x[-1]
     inner = cand[1:-1]
     for _ in range(MAX_GUARD_HALVINGS + 1):
