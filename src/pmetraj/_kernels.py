@@ -18,19 +18,20 @@ because every reduced system is a Schur complement of the SPD input and hence
 SPD itself.  Once a level has at most SCALAR_BASE unknowns it is finished by
 a Thomas elimination on Python floats, which checks every pivot.
 
-Buffer rule: a Newton iteration allocates no cell-sized array.
-residual_hessian and thomas_spd write every field into a Workspace, made
-once per run (stepper.bootstrap) and handed from state to state; a caller
-without one gets a fresh one for that call, so each kernel has one code
-path.  Every ufunc writes with out= in the order of the plain expression,
-so the results are bitwise those of the expression.  A result that is a
-workspace buffer holds until the next call with the same workspace; what a
-caller keeps (newton_step's solution, the results of residual_interior and
-hessian_tridiag) is a fresh array.  At M = 9600 a cell field is 77 KB, and
-the temporaries each iteration used to free left more than glibc's 128 KB
-trim threshold free at the top of the heap: the memory went back to the
-system and was faulted in again, some 60 minor page faults per iteration,
-under 1 now.
+Buffer rule: a Newton iteration, near phase or far, allocates no
+cell-sized array.  residual_hessian, step_functional and thomas_spd write
+every field into a Workspace, made once per run (stepper.bootstrap) and
+handed from state to state; a caller without one gets a fresh one for that
+call, so each kernel has one code path.  Every ufunc writes with out= in
+the order of the plain expression, so the results are bitwise those of the
+expression.  A result that is a workspace buffer holds until the next call
+with the same workspace; what a caller keeps (newton_step's solution, the
+residual of residual_interior) is a fresh array.  At M = 9600 a cell field
+is 77 KB, and the temporaries each iteration used to free left more than
+glibc's 128 KB trim threshold free at the top of the heap: the memory went
+back to the system and was faulted in again, some 60 minor page faults per
+near-phase iteration and 119 per iteration of a far-phase run, under 5
+now.
 
 Measured per call as newton_step makes it, median of 30 alternating rounds
 (each the fastest of 3) on a 2-core Xeon with numpy 2.4, before -> after
@@ -40,6 +41,12 @@ and 6.2 -> 3.4 ms at M = 1e5; solve of H delta = -g (negation included)
 n = 99999.  The host is shared and its speed drifts, so the absolute times
 moved by up to 40% between runs of this comparison; the assembly at
 M = 400 stayed even, and every other median was faster in every run.
+step_functional in the workspace, before -> after, median of 10
+alternating runs (each the fastest of 3): at a far-phase iterate of
+M = 400 to 1e5, m = 8, poly:1e-4,0,1, tau = 10h, where every Spence lane
+is in [1/2, 2], 68 -> 38 us, 963 -> 233 us and 14.2 -> 2.4 ms; on states
+with lanes in all three branches 67 -> 68 us, 922 -> 552 us and
+14.0 -> 5.6 ms.  The assembly beside it takes 45 us, 318 us and 3.8 ms.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed directly and enters log1p(d/y0)/d and the linear terms, so the
@@ -150,14 +157,21 @@ class Workspace:
 
     cells holds the five scratch cell fields of residual_hessian and mask
     its equal-slope lanes; g (the residual on the interior nodes), diag and
-    off are its results.  A 1-D workspace also holds the cyclic
+    off are its results.  step_functional writes its temporaries into
+    cells and mask too.  A 1-D workspace also holds the cyclic
     reduction of the n = M-1 interior unknowns (thomas_spd): rhs, the
     right-hand side, which the solution replaces, and the buffers and views
     of reduction(), made at the first solve.  The assembly scratch and the
     reduction are views of one array: each is dead while the other runs.
-    newton_step's ordering guard reuses mask.  A copy or an unpickled
+    newton_step's ordering guard reuses mask, and its far phase keeps the
+    Newton step in step (n floats of a 1-D workspace), which no kernel
+    writes, across the assemblies at its trial points.  A copy or an unpickled
     workspace is a fresh one of the same shape: the buffers hold nothing
     between calls, and copied views would no longer share their memory.
+
+    A caller that makes calls of two shapes, one trajectory and stacks of
+    its probes as the finite-difference oracles do, passes one workspace to
+    all of them: for_shape gives the stack's, which this one keeps.
     """
 
     def __init__(self, shape):
@@ -174,7 +188,18 @@ class Workspace:
         self._flat = np.empty(max(5 * size, sum(self._plan[1]) if self._plan else 0))
         self.cells = tuple(self._flat[:5 * size].reshape(5, *cells))
         self.rhs = None if rows else self._flat[:n]
+        self.step = None if rows else np.empty(n)
         self._reduction = None
+        self._other = None
+
+    def for_shape(self, shape):
+        """This workspace if shape is its own, else the one of that shape it
+        keeps, made at the first call for that shape."""
+        if shape == self.shape:
+            return self
+        if self._other is None or self._other.shape != shape:
+            self._other = Workspace(shape)
+        return self._other
 
     def __reduce__(self):
         return Workspace, (self.shape,)
@@ -300,23 +325,30 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
 
 
 def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
-                      h, tau, a0, damped_start=False):
-    """The residual of residual_hessian on every node, end slots 0, from a
-    fresh workspace."""
+                      h, tau, a0, damped_start=False, work=None):
+    """The residual of residual_hessian on every node, end slots 0, a fresh
+    array; the assembly writes into work.for_shape(x_new.shape), or into a
+    fresh workspace when work is None."""
     g = np.zeros_like(x_new)
     g[..., 1:-1] = residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells,
-                                    h, tau, a0, Workspace(x_new.shape),
+                                    h, tau, a0, _fitted(work, x_new.shape),
                                     damped_start)[0]
     return g
 
 
 def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
-                    damped_start=False):
-    """The diagonal and off-diagonal of residual_hessian, from a fresh
-    workspace.  They do not depend on the base trajectory, so x_new stands
-    in for it."""
+                    damped_start=False, work=None):
+    """The diagonal and off-diagonal of residual_hessian, the buffers of
+    work.for_shape(x_new.shape) (valid until its next assembly), or of a
+    fresh workspace when work is None.  They do not depend on the base
+    trajectory, so x_new stands in for it."""
     return residual_hessian(x_new, x_new, slope_curr, mass, f0_cells,
-                            h, tau, a0, Workspace(x_new.shape), damped_start)[1:]
+                            h, tau, a0, _fitted(work, x_new.shape), damped_start)[1:]
+
+
+def _fitted(work, shape):
+    """work.for_shape(shape), or a fresh Workspace when work is None."""
+    return Workspace(shape) if work is None else work.for_shape(shape)
 
 
 _PI2_6 = math.pi ** 2 / 6.0
@@ -336,7 +368,7 @@ _LI2_SERIES = (
 )
 
 
-def _spence(w):
+def _spence(w, out=None):
     """Spence's function Li2(1 - w) for w > 0, elementwise.
 
     Every argument is mapped to z in [-1, 1/2], where u = -ln(1 - z) has
@@ -346,26 +378,54 @@ def _spence(w):
     Li2(z) = pi^2/6 - ln z ln(1 - z) - Li2(1 - z); w > 2 by the inversion
     Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2.  Each branch reads w clipped
     to its own range, so the lanes it does not own stay finite.
+
+    The passes of the reflection and the inversion run only when some lane
+    is in their range, and give the same bits as running them on every
+    lane.  out is (a, b, c, e, lanes), four float buffers and a bool one of
+    w's shape, fresh when not given; the result comes back in e.
     """
     w = np.asarray(w, dtype=float)
-    low = w < 0.5
-    high = w > 2.0
-    w_high = np.maximum(w, 2.0)
-    ln_1mw = np.log1p(-np.minimum(w, 0.5))  # ln(1 - w), reflection lanes
-    ln_wm1 = np.log(w_high - 1.0)           # ln(w - 1), inversion lanes
-    ln_w = np.log(w)
-    u = np.where(low, -ln_1mw, np.where(high, np.log1p(-1.0 / w_high), -ln_w))
-    v = u * u
-    p = _LI2_SERIES[-1]
-    for c in _LI2_SERIES[-2::-1]:
-        p = p * v + c
-    series = u * (1.0 + u * (-0.25 + u * p))
-    offset = np.where(low, _PI2_6 - ln_1mw * ln_w, -_PI2_6 - 0.5 * ln_wm1 * ln_wm1)
-    return np.where(low | high, offset - series, series)
+    if out is None:
+        out = (*(np.empty(w.shape) for _ in range(4)), np.empty(w.shape, dtype=bool))
+    ln_w, u, t, p, lanes = out
+    any_low = np.less(w, 0.5, out=lanes).any()
+    any_high = np.greater(w, 2.0, out=lanes).any()
+
+    def ln_1mw():  # ln(1 - w) on the reflection lanes, in t
+        return np.log1p(np.negative(np.minimum(w, 0.5, out=t), out=t), out=t)
+
+    np.negative(np.log(w, out=ln_w), out=u)
+    if any_high:  # lanes holds w > 2
+        w_high = np.maximum(w, 2.0, out=t)
+        np.copyto(u, np.log1p(np.divide(-1.0, w_high, out=p), out=p), where=lanes)
+    if any_low:
+        np.less(w, 0.5, out=lanes)
+        np.copyto(u, np.negative(ln_1mw(), out=t), where=lanes)
+    v = np.multiply(u, u, out=t)
+    p.fill(_LI2_SERIES[-1])
+    for coef in _LI2_SERIES[-2::-1]:
+        p *= v
+        p += coef
+    # the series u (1 + u (-1/4 + u p)), in p
+    p *= u
+    p += -0.25
+    p *= u
+    p += 1.0
+    p *= u
+    if any_low:  # lanes holds w < 1/2: pi^2/6 - ln(1 - w) ln w - series
+        offset = np.multiply(ln_1mw(), ln_w, out=t)
+        np.copyto(p, np.subtract(np.subtract(_PI2_6, offset, out=t), p, out=t),
+                  where=lanes)
+    if any_high:  # -pi^2/6 - ln^2(w - 1)/2 - series
+        ln_wm1 = np.log(np.subtract(np.maximum(w, 2.0, out=t), 1.0, out=t), out=t)
+        offset = np.multiply(np.multiply(ln_wm1, 0.5, out=u), ln_wm1, out=u)
+        np.copyto(p, np.subtract(np.subtract(-_PI2_6, offset, out=u), p, out=u),
+                  where=np.greater(w, 2.0, out=lanes))
+    return p
 
 
 def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
-                    damped_start=False):
+                    damped_start=False, work=None):
     """The convex step functional F at x_new, the only formula of F in the
     package: the Newton line search minimises it, and functional.eval_F adds
     a constant of the step to it for the finite-difference oracles.
@@ -376,22 +436,34 @@ def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     the last two sums by -sum f0 ln y.  The residual is its gradient divided
     by h.
 
-    x_new may be a stack of shape (k, M+1), one candidate per row: every
-    sum runs along the last axis, so each of the k values is bitwise equal
-    to its row's own call; a 1-D x_new gives a float.  No admissibility
-    check: the Newton loop calls it only on admissible iterates.
+    Every temporary is written into the cell scratch and the mask of
+    work.for_shape(x_new.shape) (a fresh workspace when work is None), in
+    the order of the plain expression, so the value is bitwise that of the
+    expression; the assembly's results g, diag and off are left as they
+    are.  x_new may be a stack of shape (k, M+1), one candidate per row:
+    every sum runs along the last axis, so each of the k values is bitwise
+    equal to its row's own call; a 1-D x_new gives a float.  No
+    admissibility check: the Newton loop calls it only on admissible
+    iterates.
     """
-    y = (x_new[..., 1:] - x_new[..., :-1]) / h
-    d = y - slope_curr
-    dx = x_new[..., 1:-1] - x_curr[1:-1]
-    value = ((0.5 / tau) * np.add.reduce(mass[1:-1] * (dx * dx), axis=-1)
-             + (0.5 * a0 * tau) * np.add.reduce(d * d, axis=-1))
+    work = _fitted(work, x_new.shape)
+    y, d, a, b, c = work.cells
+    np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
+    y /= h
+    np.subtract(y, slope_curr, out=d)
+    dx = a.reshape(-1)[:work.g.size].reshape(work.g.shape)  # contiguous, like g
+    np.subtract(x_new[..., 1:-1], x_curr[1:-1], out=dx)
+    value = ((0.5 / tau) * np.add.reduce(np.multiply(mass[1:-1], np.multiply(dx, dx, out=dx),
+                                                     out=dx), axis=-1)
+             + (0.5 * a0 * tau) * np.add.reduce(np.multiply(d, d, out=d), axis=-1))
     if damped_start:
-        value -= np.add.reduce(f0_cells * np.log(y), axis=-1)
+        value -= np.add.reduce(np.multiply(f0_cells, np.log(y, out=y), out=y), axis=-1)
     else:
-        w = y / slope_curr
-        value += (np.add.reduce(f0_cells * _spence(w), axis=-1)
-                  + (tau * tau) * np.add.reduce(w - np.log(y), axis=-1))
+        w = np.divide(y, slope_curr, out=d)
+        # the tau^2 sum first: y is then free for the Spence passes
+        flow = (tau * tau) * np.add.reduce(np.subtract(w, np.log(y, out=y), out=y), axis=-1)
+        s = _spence(w, (y, a, b, c, work.mask))
+        value += np.add.reduce(np.multiply(f0_cells, s, out=s), axis=-1) + flow
     return h * (float(value) if x_new.ndim == 1 else value)
 
 

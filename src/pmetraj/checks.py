@@ -138,14 +138,17 @@ def check_branch_continuity() -> CheckResult:
 # calculus oracles
 # ---------------------------------------------------------------------------
 
-def gradient_vs_fd(spec, params, x_curr, coeffs, x_new):
+def gradient_vs_fd(spec, params, x_curr, coeffs, x_new, work=None):
     """Max relative mismatch between h*residual and a fourth-order central
     difference of the functional, from one eval_F call on all 4(M-1)
-    probes."""
+    probes.  Both calls write into work, a Workspace for one trajectory
+    (fresh when not given)."""
     grid = spec.grid
     n = grid.M - 1
     x_hat = x_new - grid.nodes()
-    g = functional.residual(x_new, x_curr, coeffs, spec, params)
+    if work is None:
+        work = _kernels.Workspace(x_new.shape)
+    g = functional.residual(x_new, x_curr, coeffs, spec, params, work)
     grad = grid.h * g[1:-1]
 
     # probes[i - 1, j] is x_hat with node i moved by shifts[j]
@@ -154,20 +157,23 @@ def gradient_vs_fd(spec, params, x_curr, coeffs, x_new):
     nodes = np.arange(1, grid.M)
     probes[nodes - 1, :, nodes] += shifts
     f = functional.eval_F(probes.reshape(4 * n, grid.M + 1),
-                          x_curr, coeffs, spec, params).reshape(n, 4)
+                          x_curr, coeffs, spec, params, work).reshape(n, 4)
     fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * GRADIENT_STEP)
     err = float(np.max(np.abs(fd - grad))) / float(np.max(np.abs(grad)))
     return err, err <= FD_REL_TOL
 
 
-def hessian_vs_fd(spec, params, x_curr, coeffs, x_new):
+def hessian_vs_fd(spec, params, x_curr, coeffs, x_new, work=None):
     """Max relative mismatch between the assembled tridiagonal and central
     differences of the residual, from one residual call on all 2(M-1)
     probes.  The comparison is dense, so a coupling outside the tridiagonal
-    counts too."""
+    counts too.  Both calls write into work, a Workspace for one trajectory
+    (fresh when not given)."""
     grid = spec.grid
     n = grid.M - 1
-    diag, off = functional.hessian_coefficients(x_new, coeffs, spec, params)
+    if work is None:
+        work = _kernels.Workspace(x_new.shape)
+    diag, off = functional.hessian_coefficients(x_new, coeffs, spec, params, work)
     dense = np.diag(diag)
     dense += np.diag(off, 1) + np.diag(off, -1)
 
@@ -178,7 +184,7 @@ def hessian_vs_fd(spec, params, x_curr, coeffs, x_new):
     probes[0, cols, cols + 1] += HESSIAN_STEP
     probes[1, cols, cols + 1] -= HESSIAN_STEP
     g = functional.residual(probes.reshape(2 * n, grid.M + 1),
-                            x_curr, coeffs, spec, params)[:, 1:-1]
+                            x_curr, coeffs, spec, params, work)[:, 1:-1]
     fd = ((g[:n] - g[n:]) / (2.0 * HESSIAN_STEP)).T  # fd[i, j] = d g_i / d x_j
     err = float(np.max(np.abs(fd - dense))) / float(np.max(np.abs(dense)))
     return err, err <= FD_REL_TOL
@@ -187,11 +193,14 @@ def hessian_vs_fd(spec, params, x_curr, coeffs, x_new):
 def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     """name over FD_STATES random states on M cells, every odd-numbered one
     with the opening step's flux: it fails at the first state where oracle
-    does, else passes with the worst relative error."""
+    does, else passes with the worst relative error.  The states share M,
+    so one workspace serves every oracle call."""
     worst = 0.0
+    work = _kernels.Workspace((M + 1,))
     for i in range(FD_STATES):
         spec, params, x_curr, coeffs = _random_setup(rng, M, damped_start=i % 2 == 1)
-        err, ok = oracle(spec, params, x_curr, coeffs, random_admissible(rng, spec.grid))
+        err, ok = oracle(spec, params, x_curr, coeffs, random_admissible(rng, spec.grid),
+                         work)
         if not ok:
             return CheckResult(name, False,
                                f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")

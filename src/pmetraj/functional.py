@@ -155,31 +155,36 @@ def _require_admissible(x, grid, label):
 
 
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-             spec: ProblemSpec, params: SolverParams) -> np.ndarray:
+             spec: ProblemSpec, params: SolverParams,
+             work: _kernels.Workspace | None = None) -> np.ndarray:
     """Scheme residual g on nodes, with the flux form coeffs.damped_start
     selects; g = 0 is exactly one time step of the scheme and g equals the
     gradient of eval_F divided by the weight h.
 
     x_new may also be a stack of candidates, one per row (shape (k, M+1));
     the residuals come back as the rows of a (k, M+1) array, each bitwise
-    equal to the residual of its row alone."""
+    equal to the residual of its row alone.  The assembly writes into
+    work.for_shape(x_new.shape), a fresh workspace when work is None."""
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     _require_admissible(x_curr, spec.grid, "base trajectory")
     return _kernels.residual_interior(
         np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float),
         coeffs.slope_curr, coeffs.mass, spec.f0_cells, spec.grid.h,
-        params.tau, params.a0, coeffs.damped_start)
+        params.tau, params.a0, coeffs.damped_start, work)
 
 
 def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
-                         spec: ProblemSpec, params: SolverParams):
+                         spec: ProblemSpec, params: SolverParams,
+                         work: _kernels.Workspace | None = None):
     """Assembled interior tridiagonal (diag of length M-1, offdiag of length M-2)
-    of the exact derivative of the residual; SPD on the admissible set."""
+    of the exact derivative of the residual; SPD on the admissible set.
+    Fresh arrays when work is None, else buffers of work.for_shape, valid
+    until its next assembly."""
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     return _kernels.hessian_tridiag(
         np.asarray(x_new, dtype=float), coeffs.slope_curr, coeffs.mass,
         spec.f0_cells, spec.grid.h, params.tau, params.a0, coeffs.damped_start,
-    )
+        work)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,8 @@ def g_convex_second(x: float, x0: float) -> float:
 
 
 def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-           spec: ProblemSpec, params: SolverParams):
+           spec: ProblemSpec, params: SolverParams,
+           work: _kernels.Workspace | None = None):
     """Value of the convex step functional at displacement x_hat = x_new - X.
 
     F is _kernels.step_functional at X + x_hat (the function the Newton line
@@ -227,7 +233,8 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
 
     A 1-D x_hat gives a float.  A stack of displacements, one per row (shape
     (k, M+1)), gives the k values as an array, each bitwise equal to the
-    float of its row alone.
+    float of its row alone.  step_functional writes into
+    work.for_shape(x_new.shape), a fresh workspace when work is None.
     """
     grid = spec.grid
     x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
@@ -242,7 +249,7 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
                          + tau * tau * np.sum(inv_y0))
     return _kernels.step_functional(
         x_new, np.asarray(x_curr, dtype=float), y0, coeffs.mass, spec.f0_cells,
-        h, tau, params.a0, coeffs.damped_start) + float(constant)
+        h, tau, params.a0, coeffs.damped_start, work) + float(constant)
 
 
 # ---------------------------------------------------------------------------

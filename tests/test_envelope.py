@@ -11,8 +11,9 @@ import pytest
 
 from pmetraj import (LAMBDA_STAR, Grid, RunConfig, SolverParams, advance,
                      bootstrap, build_coefficients, eval_F,
-                     initial_data_from_key, make_problem, newton_step, run)
-from pmetraj import _kernels
+                     initial_data_from_key, make_problem, newton_step,
+                     residual, run)
+from pmetraj import _kernels, newton
 
 MAX_ITERS_PER_STEP = 20
 M_SMALL = 400
@@ -106,3 +107,90 @@ def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
     assert len(far) >= 2
     for k in far:
         assert F(iterates[k + 1]) < F(iterates[k])
+
+
+def _record_far_phase(monkeypatch, spec, params, steps):
+    """Run steps steps and return the events of their Newton solves, in
+    order: ("step", x_curr, coeffs) per solve, ("lambda", lam) per
+    decrement, ("trial", x, step, omega, cand) per guarded update and ("F",)
+    per evaluation of F."""
+    events = []
+    solve, decrement = newton.newton_step, newton.newton_decrement_lambda
+    guard, functional = newton._guarded_update, _kernels.step_functional
+
+    def solving(state, coeffs, *rest):
+        events.append(("step", state.x_curr.copy(), coeffs))
+        return solve(state, coeffs, *rest)
+
+    def deciding(*args):
+        events.append(("lambda", decrement(*args)))
+        return events[-1][1]
+
+    def trying(x, delta, *rest):
+        omega, cand = guard(x, delta, *rest)
+        events.append(("trial", x.copy(), delta.copy(), omega, cand.copy()))
+        return omega, cand
+
+    def evaluating(*args):
+        events.append(("F",))
+        return functional(*args)
+
+    monkeypatch.setattr(newton, "newton_step", solving)
+    monkeypatch.setattr(newton, "newton_decrement_lambda", deciding)
+    monkeypatch.setattr(newton, "_guarded_update", trying)
+    monkeypatch.setattr(_kernels, "step_functional", evaluating)
+    state = bootstrap(spec)
+    for _ in range(steps):
+        state = advance(state, spec, params)[0]
+    return events
+
+
+@pytest.mark.parametrize("m, k", [(1.05, 10), (1.05, 100), (8.0, 10), (8.0, 100)])
+def test_certified_far_steps_pass_armijo_on_F(monkeypatch, m, k):
+    # a far-phase trial point is accepted without evaluating F (no F call
+    # before the next trial) exactly when h g(cand) . step <= -ARMIJO_C a
+    # lambda^2, and every point so accepted decreases F by the Armijo
+    # fraction of the predicted decrease, on F itself
+    spec = _spec(M_SMALL, m, "poly:1e-4,0,1")
+    params = SolverParams(tau=k * spec.grid.h)
+    events = _record_far_phase(monkeypatch, spec, params, 10)
+    a, h, X = newton.self_concordance_a(spec), spec.grid.h, spec.grid.nodes()
+    certified = 0
+    for i, event in enumerate(events):
+        if event[0] == "step":
+            _, x_curr, coeffs = event
+        elif event[0] == "lambda":
+            lam = event[1]
+        elif event[0] == "trial" and lam >= LAMBDA_STAR:
+            _, x, step, omega, cand = event
+            armijo = newton.ARMIJO_C * a * lam * lam
+            g = residual(cand, x_curr, coeffs, spec, params)[1:-1]
+            evaluated = i + 1 < len(events) and events[i + 1][0] == "F"
+            assert (h * float(np.dot(g, step)) <= -armijo) is not evaluated
+            if not evaluated:
+                f_x, f_cand = (eval_F(y - X, x_curr, coeffs, spec, params)
+                               for y in (x, cand))
+                assert f_cand <= f_x - omega * armijo
+                certified += 1
+    assert certified >= 10
+
+
+def test_far_phase_evaluates_F_rarely():
+    # the far phase decides its steps from the gradient at the trial point:
+    # 2 evaluations of F in 39 far-phase iterations over these 10 steps,
+    # where the Armijo test on F made 49 (1.26 per iteration)
+    spec = _spec(M_SMALL, 8.0, "poly:1e-4,0,1")
+    params = SolverParams(tau=100 * spec.grid.h)
+    calls = []
+    functional = _kernels.step_functional
+
+    def counting(*args):
+        calls.append(1)
+        return functional(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "step_functional", counting)
+        result = run(RunConfig(spec=spec, params=params, t_final=10 * params.tau))
+    far = sum(lam >= LAMBDA_STAR for r in result.newton_reports for lam in r.lambda_history)
+    assert far >= 20
+    assert len(calls) <= 0.25 * far

@@ -225,6 +225,87 @@ def test_public_residual_and_hessian_run_the_newton_assembly(rng, monkeypatch):
     assert shapes == [(17,), (3, 17), (17,)]
 
 
+_PI2_6 = math.pi ** 2 / 6.0
+
+
+def _spence_plain(w):
+    """Li2(1 - w) as plain expressions, every branch on every lane."""
+    low, high = w < 0.5, w > 2.0
+    w_high = np.maximum(w, 2.0)
+    ln_1mw = np.log1p(-np.minimum(w, 0.5))
+    ln_wm1 = np.log(w_high - 1.0)
+    ln_w = np.log(w)
+    u = np.where(low, -ln_1mw, np.where(high, np.log1p(-1.0 / w_high), -ln_w))
+    v = u * u
+    p = _kernels._LI2_SERIES[-1]
+    for c in _kernels._LI2_SERIES[-2::-1]:
+        p = p * v + c
+    series = u * (1.0 + u * (-0.25 + u * p))
+    offset = np.where(low, _PI2_6 - ln_1mw * ln_w, -_PI2_6 - 0.5 * ln_wm1 * ln_wm1)
+    return np.where(low | high, offset - series, series)
+
+
+def _step_functional_plain(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
+                           damped_start):
+    """F as plain expressions, each temporary a fresh array."""
+    y = (x_new[..., 1:] - x_new[..., :-1]) / h
+    d = y - slope_curr
+    dx = x_new[..., 1:-1] - x_curr[1:-1]
+    value = ((0.5 / tau) * np.add.reduce(mass[1:-1] * (dx * dx), axis=-1)
+             + (0.5 * a0 * tau) * np.add.reduce(d * d, axis=-1))
+    if damped_start:
+        value -= np.add.reduce(f0_cells * np.log(y), axis=-1)
+    else:
+        w = y / slope_curr
+        value += (np.add.reduce(f0_cells * _spence_plain(w), axis=-1)
+                  + (tau * tau) * np.add.reduce(w - np.log(y), axis=-1))
+    return h * (float(value) if x_new.ndim == 1 else value)
+
+
+def _jittered(rng, M, jitter):
+    widths = 1.0 + jitter * rng.uniform(-1.0, 1.0, M)
+    x = np.concatenate(([0.0], np.cumsum(widths)))
+    return x / x[-1]
+
+
+@pytest.mark.parametrize("M", [1, 7, 64, 401])
+def test_step_functional_is_bitwise_the_plain_formula(rng, M):
+    # F written into a workspace gives the bits of the plain expressions,
+    # fresh or reused, for one trajectory and for a (k, M+1) stack, with
+    # Spence lanes in one, two or all three branches (w = y/y0 below 1/2,
+    # in [1/2, 2], above 2)
+    h = 1.0 / M
+    branches = set()
+    for jitter in (0.2, 0.6, 0.99):
+        x_curr = _jittered(rng, M, jitter)
+        slope_curr = np.diff(x_curr) / h
+        mass = rng.uniform(0.1, 3.0, M + 1)
+        f0_cells = rng.uniform(1e-4, 2.0, M)
+        tau, a0 = 10.0 ** rng.uniform(-4.0, 0.0), rng.uniform(0.0, 2.0)
+        xs = np.array([_jittered(rng, M, jitter) for _ in range(3)])
+        w = np.diff(xs) / h / slope_curr
+        branches.update(np.where(w < 0.5, -1, np.where(w > 2.0, 1, 0)).ravel().tolist())
+        args = (x_curr, slope_curr, mass, f0_cells, h, tau, a0)
+        for damped_start in (False, True):
+            for x_new in (xs[0], xs):
+                want = _step_functional_plain(x_new, *args, damped_start)
+                work = _kernels.Workspace(x_new.shape)
+                for got in (_kernels.step_functional(x_new, *args, damped_start),
+                            _kernels.step_functional(x_new, *args, damped_start, work),
+                            _kernels.step_functional(x_new, *args, damped_start, work)):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if M > 1:
+        assert branches == {-1, 0, 1}
+
+
+def test_spence_skips_only_the_branches_no_lane_needs():
+    # one lane per branch and the edges 1/2 and 2, alone and together
+    w = np.array([1e-9, 0.3, 0.5, 1.0, 2.0, 3.0, 1e9])
+    for lanes in ([3], [1, 3], [3, 5], [0, 6], list(range(7)), [2, 4]):
+        got = _kernels._spence(w[lanes])
+        assert got.tobytes() == _spence_plain(w[lanes]).tobytes()
+
+
 def test_import_pulls_in_numpy_and_stdlib_only():
     """The import footprint keeps start-up time and resident memory small:
     beyond the standard library, pmetraj imports numpy and nothing else (no

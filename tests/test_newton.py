@@ -255,8 +255,12 @@ def test_newton_budget_exhaustion_carries_report(monkeypatch):
 
 
 def test_newton_line_search_exhaustion_carries_report(monkeypatch):
-    # a functional that only grows: Armijo rejects every step length from 1
-    # down to MIN_OMEGA, and the error keeps the report
+    # a functional that only grows along the step: Armijo rejects every step
+    # length from 1 down to MIN_OMEGA, and the error keeps the report.  F
+    # is convex, so its gradient at every trial point is an ascent
+    # direction along the step, and the assemblies at trial points say so
+    # (twice the start's residual, reversed), else the convexity
+    # certificate would accept the first trial without evaluating F
     g = Grid(0.0, 1.0, 64)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
@@ -264,12 +268,28 @@ def test_newton_line_search_exhaustion_carries_report(monkeypatch):
     coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
     values = itertools.count()
     monkeypatch.setattr(_kernels, "step_functional", lambda *args: float(next(values)))
+    assemble, residuals = _kernels.residual_hessian, []
+
+    def ascending(*args):
+        out = assemble(*args)
+        if residuals:  # a trial point
+            np.multiply(residuals[0], -2.0, out=out[0])
+        residuals.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(_kernels, "residual_hessian", ascending)
     with pytest.raises(NonconvergenceError, match="line search") as err:
         newton_step(state, coeffs, spec, params)
     report = err.value.report
     assert report.stop == "line_search" and not report.converged
     assert report.lambda_history[0] >= LAMBDA_STAR and report.iterations == 0
     assert 2.0 ** -report.backtracks == MIN_OMEGA
+    # every trial point is assembled, and the residual norm is read at the
+    # last one, the shortest step tried
+    assert len(residuals) == report.backtracks + 2
+    norm = float(np.max(np.abs(residuals[-1])))
+    assert report.final_residual_norm == norm == 2.0 * float(np.max(np.abs(residuals[0])))
+    assert f"residual {norm:.3e})" in str(err.value)
 
 
 @pytest.mark.parametrize("key, m, certified", [

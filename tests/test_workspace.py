@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
-                     bootstrap, build_coefficients, hessian_coefficients,
+                     bootstrap, build_coefficients, eval_F, hessian_coefficients,
                      initial_data_from_key, make_problem, newton_step,
                      quadratic_bump, residual, run, solve_tridiagonal)
 from pmetraj import _kernels
@@ -80,6 +80,34 @@ def test_reused_workspace_assembles_bitwise_as_a_fresh_one(rng, damped_start):
         assert g.tobytes() == want_g[1:-1].tobytes()
         assert diag.tobytes() == want_diag.tobytes()
         assert off.tobytes() == want_off.tobytes()
+
+
+@pytest.mark.parametrize("damped_start", [False, True])
+def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
+    # the finite-difference oracles pass one workspace to calls on one
+    # trajectory and on stacks of probes: every call gives the bits of a
+    # fresh workspace, and the workspace keeps the stack's for the next
+    spec, params = _quad(16)
+    state = bootstrap(spec)
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                damped_start=damped_start)
+    X = spec.grid.nodes()
+    x = X.copy()
+    x[1:-1] += 0.2 * spec.grid.h * rng.uniform(-1.0, 1.0, spec.grid.M - 1)
+    stack = np.array([x, X, x[::-1] * -1.0 + 1.0])
+    work = Workspace(x.shape)
+    for y in (x, stack, x, stack):
+        got = [residual(y, state.x_curr, coeffs, spec, params, work),
+               *hessian_coefficients(y, coeffs, spec, params, work),
+               eval_F(y - X, state.x_curr, coeffs, spec, params, work)]
+        want = [residual(y, state.x_curr, coeffs, spec, params),
+                *hessian_coefficients(y, coeffs, spec, params),
+                eval_F(y - X, state.x_curr, coeffs, spec, params)]
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert work.for_shape(x.shape) is work
+    kept = work.for_shape(stack.shape)
+    assert kept.shape == stack.shape and work.for_shape(stack.shape) is kept
 
 
 def _quad(M=64, m=2.0):
@@ -190,4 +218,34 @@ def test_warm_newton_step_allocates_at_most_three_node_fields():
     finally:
         tracemalloc.stop()
     assert report.iterations == 3
+    assert peak - start <= 3 * 8 * (M + 1)
+
+
+def test_warm_far_phase_newton_step_allocates_at_most_three_node_fields(monkeypatch):
+    # far-phase iterations, and the evaluations of F their line search makes
+    # when the convexity certificate fails, write into the workspace too:
+    # 2.38 node fields at M = 4096 (17.6 when F formed its temporaries)
+    M = 4096
+    spec = make_problem(8.0, Grid(0.0, 1.0, M), initial_data_from_key("poly:1e-4,0,1"))
+    params = SolverParams(tau=10 * spec.grid.h)
+    state = advance(bootstrap(spec), spec, params)[0]
+    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+                                state.slope_curr, state.wide_curr, state.wide_prev)
+    newton_step(state, coeffs, spec, params)
+    calls, functional = [], _kernels.step_functional
+
+    def counting(*args):
+        calls.append(1)
+        return functional(*args)
+
+    monkeypatch.setattr(_kernels, "step_functional", counting)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        _, report = newton_step(state, coeffs, spec, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(lam >= LAMBDA_STAR for lam in report.lambda_history) >= 2
+    assert len(calls) >= 2
     assert peak - start <= 3 * 8 * (M + 1)
