@@ -142,12 +142,10 @@ def gradient_vs_fd(spec, params, x_curr, coeffs, x_new, work=None):
     """Max relative mismatch between h*residual and a fourth-order central
     difference of the functional, from one eval_F call on all 4(M-1)
     probes.  Both calls write into work, a Workspace for one trajectory
-    (fresh when not given)."""
+    (fresh workspaces when None)."""
     grid = spec.grid
     n = grid.M - 1
     x_hat = x_new - grid.nodes()
-    if work is None:
-        work = _kernels.Workspace(x_new.shape)
     g = functional.residual(x_new, x_curr, coeffs, spec, params, work)
     grad = grid.h * g[1:-1]
 
@@ -168,11 +166,9 @@ def hessian_vs_fd(spec, params, x_curr, coeffs, x_new, work=None):
     differences of the residual, from one residual call on all 2(M-1)
     probes.  The comparison is dense, so a coupling outside the tridiagonal
     counts too.  Both calls write into work, a Workspace for one trajectory
-    (fresh when not given)."""
+    (fresh workspaces when None)."""
     grid = spec.grid
     n = grid.M - 1
-    if work is None:
-        work = _kernels.Workspace(x_new.shape)
     diag, off = functional.hessian_coefficients(x_new, coeffs, spec, params, work)
     dense = np.diag(diag)
     dense += np.diag(off, 1) + np.diag(off, -1)

@@ -200,8 +200,9 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     3 x^n - 3 x^{n-1} + x^{n-2} (when state.x_prev2 is set), 2 x^n - x^{n-1}
     and x^n.
 
-    Every iteration writes the assembly and the solve into state.work (a
-    fresh Workspace when the state carries none), and the iterate into one
+    Every iteration writes the assembly, the solve and any evaluation of F
+    into state.work (a fresh Workspace when the state carries none), and
+    the far phase's copy of the step into its step; the iterate goes into one
     of two node fields of this step, the start and one more: the solution
     returned is one of them, which the next state keeps.
 
