@@ -175,22 +175,20 @@ def test_certified_far_steps_pass_armijo_on_F(monkeypatch, m, k):
     assert certified >= 10
 
 
-def test_far_phase_evaluates_F_rarely():
+def test_far_phase_evaluates_F_rarely(monkeypatch):
     # the far phase decides its steps from the gradient at the trial point:
     # 2 evaluations of F in 39 far-phase iterations over these 10 steps,
     # where the Armijo test on F made 49 (1.26 per iteration)
     spec = _spec(M_SMALL, 8.0, "poly:1e-4,0,1")
     params = SolverParams(tau=100 * spec.grid.h)
-    calls = []
-    functional = _kernels.step_functional
+    calls, functional = [], _kernels.step_functional
 
     def counting(*args):
         calls.append(1)
         return functional(*args)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels, "step_functional", counting)
-        result = run(RunConfig(spec=spec, params=params, t_final=10 * params.tau))
+    monkeypatch.setattr(_kernels, "step_functional", counting)
+    result = run(RunConfig(spec=spec, params=params, t_final=10 * params.tau))
     far = sum(lam >= LAMBDA_STAR for r in result.newton_reports for lam in r.lambda_history)
     assert far >= 20
     assert len(calls) <= 0.25 * far

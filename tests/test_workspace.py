@@ -94,7 +94,7 @@ def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
     X = spec.grid.nodes()
     x = X.copy()
     x[1:-1] += 0.2 * spec.grid.h * rng.uniform(-1.0, 1.0, spec.grid.M - 1)
-    stack = np.array([x, X, x[::-1] * -1.0 + 1.0])
+    stack = np.array([x, X, 1.0 - x[::-1]])
     work = Workspace(x.shape)
     for y in (x, stack, x, stack):
         got = [residual(y, state.x_curr, coeffs, spec, params, work),
