@@ -10,7 +10,17 @@ The Newton loop calls it; residual_interior and hessian_tridiag, behind
 functional.residual and functional.hessian_coefficients and so behind the
 finite-difference oracles, are views of it, so the oracles check the code
 Newton runs.  Every kernel indexes the nodes along the last axis, so one call
-takes a single trajectory or a (k, M+1) stack of candidates, one per row.
+takes a single trajectory or a stack of candidates of shape (..., M+1), one
+per row.  The coefficients may be stacked too, one state per row: x_curr,
+slope_curr, mass and f0_cells as arrays that broadcast against the stack
+along its leading axes, and tau and a0 as floats or as arrays that
+broadcast against x_new[..., :1].  The finite-difference oracles evaluate
+the probes of several states, each with its own coefficients, in one call
+this way, with the coefficients given an axis of length 1 rather than
+repeated per probe.  Every ufunc keeps its operands and their order
+whatever the shapes, and every sum runs along the last axis, so each row
+gives the bits of its own call with float coefficients, which is how
+Newton calls the kernels.
 
 The tridiagonal solve is odd-even cyclic reduction (Buzbee, Golub & Nielson
 1970): O(n) work in about log2(n) vectorized passes, stable without pivoting
@@ -152,8 +162,8 @@ def _reduction_plan(n):
 
 class Workspace:
     """Every buffer the assembly and the cyclic reduction write, for
-    trajectories of one shape: a node field (M+1,), or a stack (k, M+1) of
-    candidates for the assembly alone.
+    trajectories of one shape: a node field (M+1,), or a stack (..., M+1)
+    of candidates for the assembly and F alone.
 
     cells holds the five scratch cell fields of residual_hessian and mask
     its equal-slope lanes; g (the residual on the interior nodes), diag and
@@ -169,8 +179,8 @@ class Workspace:
     workspace is a fresh one of the same shape: the buffers hold nothing
     between calls, and copied views would no longer share their memory.
 
-    A caller that makes calls of two shapes, one trajectory and stacks of
-    its probes as the finite-difference oracles do, passes one workspace to
+    A caller that makes calls of two shapes, states and stacks of their
+    probes as the finite-difference oracles do, passes one workspace to
     all of them: for_shape gives the stack's, which this one keeps.
     """
 
@@ -285,8 +295,9 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     Every field is written into work, a Workspace of x_new's shape, and
     the three results are its buffers g, diag and off: they hold until the
     next call with the same work.  x_new may be a stack of shape
-    (k, M+1), one candidate per row; the results then have k rows, each
-    bitwise equal to its row's own call.
+    (..., M+1), one candidate per row, with per-row coefficients as the
+    module docstring says; the results then have its rows, each bitwise
+    equal to its row's own call.
     """
     y, d, z, flux, c = work.cells
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
@@ -313,13 +324,13 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     g, diag, off = work.g, work.diag, work.off
     tmp = y.reshape(-1)[:g.size].reshape(g.shape)  # contiguous, like g
     np.subtract(x_new[..., 1:-1], x_curr[..., 1:-1], out=g)
-    np.multiply(mass[1:-1], g, out=g)
+    np.multiply(mass[..., 1:-1], g, out=g)
     g /= tau
     g += np.divide(np.subtract(flux[..., 1:], flux[..., :-1], out=tmp), h, out=tmp)
     inv_h2 = 1.0 / (h * h)
     np.add(c[..., :-1], c[..., 1:], out=diag)
     diag *= inv_h2
-    diag += np.divide(mass[1:-1], tau, out=tmp)
+    diag += np.divide(mass[..., 1:-1], tau, out=tmp)
     np.multiply(c[..., 1:-1], -inv_h2, out=off)
     return g, diag, off
 
@@ -440,11 +451,12 @@ def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     work.for_shape(x_new.shape) (a fresh workspace when work is None), in
     the order of the plain expression, so the value is bitwise that of the
     expression; the assembly's results g, diag and off are left as they
-    are.  x_new may be a stack of shape (k, M+1), one candidate per row:
-    every sum runs along the last axis, so each of the k values is bitwise
-    equal to its row's own call; a 1-D x_new gives a float.  No
-    admissibility check: the Newton loop calls it only on admissible
-    iterates.
+    are.  x_new may be a stack of shape (..., M+1), one candidate per row,
+    with per-row coefficients as the module docstring says: every sum runs
+    along the last axis, kept as an axis of length 1 until the end, so each
+    value is bitwise equal to its row's own call; a 1-D x_new gives a
+    float.  No admissibility check: the Newton loop calls it only on
+    admissible iterates.
     """
     work = _fitted(work, x_new.shape)
     y, d, a, b, c = work.cells
@@ -452,19 +464,45 @@ def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     y /= h
     np.subtract(y, slope_curr, out=d)
     dx = a.reshape(-1)[:work.g.size].reshape(work.g.shape)  # contiguous, like g
-    np.subtract(x_new[..., 1:-1], x_curr[1:-1], out=dx)
-    value = ((0.5 / tau) * np.add.reduce(np.multiply(mass[1:-1], np.multiply(dx, dx, out=dx),
-                                                     out=dx), axis=-1)
-             + (0.5 * a0 * tau) * np.add.reduce(np.multiply(d, d, out=d), axis=-1))
+    np.subtract(x_new[..., 1:-1], x_curr[..., 1:-1], out=dx)
+    value = ((0.5 / tau) * _row_sum(np.multiply(mass[..., 1:-1], np.multiply(dx, dx, out=dx),
+                                                out=dx))
+             + (0.5 * a0 * tau) * _row_sum(np.multiply(d, d, out=d)))
     if damped_start:
-        value -= np.add.reduce(np.multiply(f0_cells, np.log(y, out=y), out=y), axis=-1)
+        value -= _row_sum(np.multiply(f0_cells, np.log(y, out=y), out=y))
     else:
         w = np.divide(y, slope_curr, out=d)
         # the tau^2 sum first: y is then free for the Spence passes
-        flow = (tau * tau) * np.add.reduce(np.subtract(w, np.log(y, out=y), out=y), axis=-1)
+        flow = (tau * tau) * _row_sum(np.subtract(w, np.log(y, out=y), out=y))
         s = _spence(w, (y, a, b, c, work.mask))
-        value += np.add.reduce(np.multiply(f0_cells, s, out=s), axis=-1) + flow
-    return h * (float(value) if x_new.ndim == 1 else value)
+        value += _row_sum(np.multiply(f0_cells, s, out=s)) + flow
+    return h * (float(value) if x_new.ndim == 1 else value[..., 0])
+
+
+def _row_sum(a):
+    """The sum of a along its last axis: for a stack, kept as an axis of
+    length 1 so that per-row coefficients of shape (..., 1) scale it row
+    by row; for one row a numpy scalar, whose arithmetic costs a fraction
+    of that of a one-element array (about 0.1 against 1.2 us an operation
+    at numpy 2.4)."""
+    return np.add.reduce(a, axis=-1, keepdims=a.ndim > 1)
+
+
+def step_constant(slope_curr, f0_cells, h, tau, a0, damped_start=False):
+    """The constant of the step that functional.eval_F adds to
+    step_functional: -h <f0, spence(1/y0)> - tau^2 h <1/y0, 1>
+    - a0 tau h |1 - y0|^2/2 with y0 = slope_curr, the last term alone when
+    damped_start.  Summed along the last axis: one value per row, with
+    tau and a0 per row as in the kernels; a float for one trajectory."""
+    y0 = slope_curr
+    constant = -0.5 * a0 * tau * h * _row_sum((1.0 - y0) ** 2)
+    if not damped_start:
+        if not np.all(y0 > 0.0):
+            raise ValueError("G needs positive base slopes")
+        inv_y0 = 1.0 / y0
+        constant -= h * (_row_sum(f0_cells * _spence(inv_y0))
+                         + tau * tau * _row_sum(inv_y0))
+    return float(constant) if y0.ndim == 1 else constant[..., 0]
 
 
 def _thomas_scalar(d, e, f):

@@ -144,14 +144,18 @@ def slope_derivative_W(y, y0):
 
 def _require_admissible(x, grid, label):
     """Raise DegenerateMeshError unless x, one trajectory or a stack of
-    rows, is admissible; for a stack, name the first bad row."""
+    rows, is admissible; for a stack, name the first bad row in C order, by
+    its index, or by its index tuple when the stack has two or more leading
+    axes."""
     ok = is_admissible(x, grid)
     if isinstance(ok, bool):
         if not ok:
             raise DegenerateMeshError(f"{label} is outside the admissible set")
     elif not ok.all():
+        row = tuple(int(i) for i in np.unravel_index(ok.argmin(), ok.shape))
         raise DegenerateMeshError(
-            f"{label} row {ok.argmin()} is outside the admissible set")
+            f"{label} row {row[0] if len(row) == 1 else row} is outside the "
+            f"admissible set")
 
 
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
@@ -239,17 +243,11 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     grid = spec.grid
     x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
     _require_admissible(x_new, grid, "displaced trajectory")
-    h, tau, y0 = grid.h, params.tau, coeffs.slope_curr
-    constant = -0.5 * params.a0 * tau * h * np.sum((1.0 - y0) ** 2)
-    if not coeffs.damped_start:
-        if not np.all(y0 > 0.0):
-            raise ValueError("G needs positive base slopes")
-        inv_y0 = 1.0 / y0
-        constant -= h * (np.sum(spec.f0_cells * _spence(inv_y0))
-                         + tau * tau * np.sum(inv_y0))
+    y0, f0, h, tau, a0 = coeffs.slope_curr, spec.f0_cells, grid.h, params.tau, params.a0
+    constant = _kernels.step_constant(y0, f0, h, tau, a0, coeffs.damped_start)
     return _kernels.step_functional(
-        x_new, np.asarray(x_curr, dtype=float), y0, coeffs.mass, spec.f0_cells,
-        h, tau, params.a0, coeffs.damped_start, work) + float(constant)
+        x_new, np.asarray(x_curr, dtype=float), y0, coeffs.mass, f0, h, tau, a0,
+        coeffs.damped_start, work) + constant
 
 
 # ---------------------------------------------------------------------------

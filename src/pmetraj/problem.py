@@ -169,12 +169,13 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
 def is_admissible(x: np.ndarray, grid: Grid) -> bool | np.ndarray:
     """Strictly increasing nodes with both endpoints pinned to the domain,
     along the last axis: a bool for one trajectory (shape (M+1,)), one bool
-    per row for a stack of trajectories (shape (k, M+1))."""
+    per row for a stack of trajectories (shape (..., M+1), the bools of
+    shape x.shape[:-1])."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != grid.M + 1:
+    if x.ndim == 0 or x.shape[-1] != grid.M + 1:
         raise ValueError(
             f"trajectory has shape {x.shape}, expected ({grid.M + 1},) or "
-            f"(k, {grid.M + 1})")
+            f"(..., {grid.M + 1})")
     ok = ((x[..., 1:] > x[..., :-1]).all(axis=-1)
           & (x[..., 0] == grid.x_left) & (x[..., -1] == grid.x_right))
     return bool(ok) if x.ndim == 1 else ok

@@ -181,14 +181,14 @@ def test_criterion_7_calculus_oracles():
         spec, params, x_curr, coeffs = checks._random_setup(
             rng, M=16, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
-        err, ok = checks.gradient_vs_fd(spec, params, x_curr, coeffs, x_new)
+        [(err, ok)] = checks.gradient_vs_fd([(spec, params, x_curr, coeffs, x_new)])
         grad_ok &= ok
         worst_g = max(worst_g, err)
     for i in range(20):
         spec, params, x_curr, coeffs = checks._random_setup(
             rng, M=24, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
-        err, ok = checks.hessian_vs_fd(spec, params, x_curr, coeffs, x_new)
+        [(err, ok)] = checks.hessian_vs_fd([(spec, params, x_curr, coeffs, x_new)])
         hess_ok &= ok
         worst_h = max(worst_h, err)
 

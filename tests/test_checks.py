@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import checks, functional
+from pmetraj import _kernels, checks, functional
 from pmetraj.checks import CheckResult
 from pmetraj.grid import Grid
 
@@ -88,16 +88,25 @@ def _states(M, count, seed=11):
         yield spec, params, x_curr, coeffs, checks.random_admissible(rng, spec.grid)
 
 
-def _record_calls(monkeypatch, name):
-    """Patch functional.<name> to record the shape of its first argument."""
+def _stacks(states, size):
+    """The indices of states in stacks of at most size, one flux form each,
+    as checks._fd_states forms them."""
+    for damped_start in (False, True):
+        indices = [i for i, state in enumerate(states) if state[3].damped_start == damped_start]
+        for start in range(0, len(indices), size):
+            yield indices[start:start + size]
+
+
+def _record_calls(monkeypatch, name, owner=functional):
+    """Patch owner.<name> to record the shape of its first argument."""
     shapes = []
-    original = getattr(functional, name)
+    original = getattr(owner, name)
 
     def recorder(*args, **kwargs):
         shapes.append(np.shape(args[0]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(functional, name, recorder)
+    monkeypatch.setattr(owner, name, recorder)
     return shapes
 
 
@@ -110,39 +119,75 @@ def _record_calls(monkeypatch, name):
     (checks.hessian_vs_fd, _hessian_loop, 24),
 ])
 def test_oracle_equals_reference_loop(oracle, loop, M):
-    for state in _states(M, 20):
-        assert oracle(*state) == loop(*state)
+    # each state of a stack gets the (err, ok) of its own loop, whatever
+    # the stack size: this is what lets the size be a constant
+    states = list(_states(M, 20))
+    want = [loop(*state) for state in states]
+    for size in (1, 5, 20):
+        got = [None] * len(states)
+        for stack in _stacks(states, size):
+            for i, result in zip(stack, oracle([states[i] for i in stack])):
+                got[i] = result
+        assert got == want
 
 
-def test_gradient_oracle_makes_one_eval_F_call(monkeypatch):
-    state = next(_states(16, 1))
-    shapes = _record_calls(monkeypatch, "eval_F")
-    assert checks.gradient_vs_fd(*state)[1]
-    assert shapes == [(4 * 15, 17)]
+def _one_flux_stack(M, size=5):
+    """size states of check_*_fd on M cells, all with the averaged flux."""
+    states = list(_states(M, 2 * size))
+    return [states[i] for i in next(_stacks(states, size))]
+
+
+def test_gradient_oracle_makes_one_residual_and_one_F_call(monkeypatch):
+    stack = _one_flux_stack(16)
+    residuals = _record_calls(monkeypatch, "residual_interior", _kernels)
+    values = _record_calls(monkeypatch, "step_functional", _kernels)
+    assert all(ok for _, ok in checks.gradient_vs_fd(stack))
+    assert residuals == [(5, 17)]
+    assert values == [(5, 4 * 15, 17)]
 
 
 def test_hessian_oracle_makes_one_residual_and_one_hessian_call(monkeypatch):
-    state = next(_states(24, 1))
-    residuals = _record_calls(monkeypatch, "residual")
-    hessians = _record_calls(monkeypatch, "hessian_coefficients")
-    assert checks.hessian_vs_fd(*state)[1]
-    assert residuals == [(2 * 23, 25)]
-    assert hessians == [(25,)]
+    stack = _one_flux_stack(24)
+    residuals = _record_calls(monkeypatch, "residual_interior", _kernels)
+    hessians = _record_calls(monkeypatch, "hessian_tridiag", _kernels)
+    assert all(ok for _, ok in checks.hessian_vs_fd(stack))
+    assert residuals == [(5, 2 * 23, 25)]
+    assert hessians == [(5, 25)]
+
+
+def test_oracles_reject_stacks_of_two_flux_forms():
+    states = list(_states(16, 2))
+    with pytest.raises(ValueError, match="flux form"):
+        checks.gradient_vs_fd(states)
 
 
 def test_hessian_oracle_catches_coupling_outside_the_tridiagonal(monkeypatch):
     state = next(_states(24, 1))
-    assert checks.hessian_vs_fd(*state)[1]
-    original = functional.residual
+    [(_, ok)] = checks.hessian_vs_fd([state])
+    assert ok
+    original = _kernels.residual_interior
 
     def coupled(x_new, *args, **kwargs):
         g = original(x_new, *args, **kwargs)
         g[..., 1:-3] += 1e-2 * np.asarray(x_new)[..., 3:-1]  # row j sees node j + 2
         return g
 
-    monkeypatch.setattr(functional, "residual", coupled)
-    err, ok = checks.hessian_vs_fd(*state)
+    monkeypatch.setattr(_kernels, "residual_interior", coupled)
+    [(err, ok)] = checks.hessian_vs_fd([state])
     assert not ok and err > 1e-6
+
+
+def test_run_all_makes_a_bounded_number_of_assembly_and_F_calls(monkeypatch):
+    # per sweep, 2 flux forms of FD_STACK = 5 states in stacks of 5: 4
+    # stacks, one assembly and one F call per gradient stack and two
+    # assemblies per Hessian stack; one call per state would make 60
+    # assemblies and 20 F calls
+    counts = {}
+    for name in ("residual_hessian", "step_functional"):
+        counts[name] = _record_calls(monkeypatch, name, _kernels)
+    assert all(result.ok for result in checks.run_all(0))
+    assert 0 < len(counts["residual_hessian"]) <= 12
+    assert 0 < len(counts["step_functional"]) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -237,40 +282,41 @@ def test_q1_sweep_names_first_counterexample(monkeypatch):
 # the finite-difference checks report their first failing state
 # ---------------------------------------------------------------------------
 
-def _first_state_above(seed, M, m_limit):
-    """The states check_*_fd visits from seed up to the first with m > m_limit,
-    and the index of that one."""
+def _first_state_above(seed, M, tau_limit):
+    """The states check_*_fd visits from seed up to the first with
+    tau > tau_limit, and the index of that one."""
     states = []
-    for spec, *rest in _states(M, 20, seed):
-        states.append((spec, *rest))
-        if spec.m > m_limit:
+    for spec, params, *rest in _states(M, 20, seed):
+        states.append((spec, params, *rest))
+        if params.tau > tau_limit:
             return states, len(states) - 1
     raise AssertionError("no state above the limit")
 
 
 @pytest.mark.parametrize("check, loop, patched, M", [
-    (checks.check_gradient_fd, _gradient_loop, "eval_F", 16),
-    (checks.check_hessian_fd, _hessian_loop, "residual", 24),
+    (checks.check_gradient_fd, _gradient_loop, "step_functional", 16),
+    (checks.check_hessian_fd, _hessian_loop, "residual_interior", 24),
 ])
 def test_fd_check_names_first_failing_state(monkeypatch, check, loop, patched, M):
-    # the functional (for the gradient oracle) or the residual (for the
-    # Hessian oracle) is wrong on states with m > 2 only
-    original = getattr(functional, patched)
+    # F (for the gradient oracle) or the residual (for the Hessian oracle)
+    # is wrong on the rows of states with tau > 0.01 only; a kernel sees
+    # tau as a float, or as one value per row of shape (..., 1)
+    original = getattr(_kernels, patched)
 
-    def wrong_above_2(x, x_curr, coeffs, spec, params, *args):
-        value = original(x, x_curr, coeffs, spec, params, *args)
-        if spec.m <= 2.0:
-            return value
-        if patched == "eval_F":  # d/dx_i of the added term is 1e-3
-            return value + 1e-3 * np.sum(np.asarray(x), axis=-1)
-        value[..., 1:-3] += 1e-2 * np.asarray(x)[..., 3:-1]  # row j sees node j + 2
+    def wrong_above(x, x_curr, slope_curr, mass, f0_cells, h, tau, *args):
+        value = original(x, x_curr, slope_curr, mass, f0_cells, h, tau, *args)
+        above = np.asarray(tau) > 0.01
+        if patched == "step_functional":  # d/dx_i of the added term is 1e-3
+            return value + np.where(above[..., 0] if above.ndim else above,
+                                    1e-3 * np.sum(x, axis=-1), 0.0)
+        value[..., 1:-3] += np.where(above, 1e-2 * x[..., 3:-1], 0.0)  # row j sees node j + 2
         return value
 
     seed = 3
-    states, first = _first_state_above(seed, M, 2.0)
+    states, first = _first_state_above(seed, M, 0.01)
     assert first >= 1
     passing = [loop(*state)[0] for state in states[:first]]
-    monkeypatch.setattr(functional, patched, wrong_above_2)
+    monkeypatch.setattr(_kernels, patched, wrong_above)
     err, ok = loop(*states[first])
     assert not ok
     spec, params = states[first][:2]
@@ -278,6 +324,41 @@ def test_fd_check_names_first_failing_state(monkeypatch, check, loop, patched, M
     assert result == CheckResult(
         result.name, False, f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")
     assert max(passing) <= 1e-6
+
+
+def test_fd_check_leaves_the_generator_where_the_failing_state_ends(monkeypatch):
+    # a 1.001 factor on the opening step's flux f0/y in the assembly, not
+    # in F: every odd-numbered state fails the gradient check.  The check
+    # names state 1 and leaves rng where drawing states 0 and 1 one at a
+    # time leaves it, so the sweeps after it draw what they drew before
+    original = _kernels.residual_hessian
+
+    def perturbed(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, work,
+                  damped_start=False):
+        if damped_start:
+            f0_cells = 1.001 * f0_cells
+        return original(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, work,
+                        damped_start)
+
+    seed = 5
+    reference = np.random.default_rng(seed)
+    drawn = []
+    for i in range(2):
+        spec, params, x_curr, coeffs = checks._random_setup(reference, 16,
+                                                            damped_start=i % 2 == 1)
+        drawn.append((spec, params, x_curr, coeffs,
+                      checks.random_admissible(reference, spec.grid)))
+    monkeypatch.setattr(_kernels, "residual_hessian", perturbed)
+    assert _gradient_loop(*drawn[0])[1]
+    err, ok = _gradient_loop(*drawn[1])
+    assert not ok
+    rng = np.random.default_rng(seed)
+    result = checks.check_gradient_fd(rng)
+    spec, params = drawn[1][:2]
+    assert result == CheckResult(
+        result.name, False, f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.random() == reference.random()
 
 
 @pytest.mark.parametrize("check, loop, M", [

@@ -223,6 +223,58 @@ def test_stacked_eval_F_and_residual_equal_row_calls(rng, damped_start):
         np.testing.assert_array_equal(row, residuals[k])
 
 
+@pytest.mark.parametrize("damped_start", [False, True])
+def test_kernels_take_per_row_coefficients(rng, damped_start):
+    # k states, each with its own x_curr, slope_curr, mass, f0_cells, tau
+    # and a0, stacked as rows: tau and a0 of shape (k, 1) against a (k, M+1)
+    # stack, every array with an axis more against a (k, r, M+1) stack of r
+    # candidates per state.  Each row gives the bits of its own state's call.
+    g = Grid(0.0, 1.0, 16)
+    X = g.nodes()
+    wave = X + 0.15 * np.sin(2.0 * np.pi * X)  # slopes 0.06 to 1.94
+    wave[0], wave[-1] = 0.0, 1.0
+    rows = []
+    for key in ("paper-quadratic", "constant:0.6", "poly:0.3,0.1"):
+        spec = make_problem(float(rng.uniform(1.3, 3.0)), g, initial_data_from_key(key))
+        params = SolverParams(tau=10.0 ** rng.uniform(-3.0, -1.0), a0=float(rng.uniform(0.0, 2.0)))
+        x_curr = random_admissible(rng, g)
+        coeffs = build_coefficients(x_curr, random_admissible(rng, g), spec, params,
+                                    damped_start=damped_start)
+        # x_curr itself puts every lane on the equal-slope branch
+        candidates = [x_curr, random_admissible(rng, g), wave]
+        rows.append((candidates, (x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells,
+                                  g.h, params.tau, params.a0)))
+    x_curr, slope_curr, mass, f0_cells, _, tau, a0 = (
+        np.array(column) for column in zip(*(state for _, state in rows)))
+    per_row = (x_curr, slope_curr, mass, f0_cells, g.h, tau[:, None], a0[:, None])
+    w = np.diff(wave) / g.h / slope_curr
+    assert w.min() < 0.5 and w.max() > 2.0  # Spence lanes in all three ranges
+
+    def calls(x, x_curr, slope_curr, mass, f0_cells, h, tau, a0):
+        coefficients = (slope_curr, mass, f0_cells, h, tau, a0)
+        return ([_kernels.residual_interior(x, x_curr, *coefficients, damped_start),
+                 *_kernels.hessian_tridiag(x, *coefficients, damped_start),
+                 _kernels.step_functional(x, x_curr, *coefficients, damped_start)],
+                _kernels.step_constant(slope_curr, f0_cells, h, tau, a0, damped_start))
+
+    flat = np.array([candidates[j] for j, (candidates, _) in enumerate(rows)])
+    stacked = np.array([candidates for candidates, _ in rows])
+    got_flat, constants = calls(flat, *per_row)
+    got_stacked, _ = calls(stacked, *(c[:, None] if isinstance(c, np.ndarray) else c
+                                      for c in per_row))
+    assert constants.shape == (3,)
+    for s, (candidates, state) in enumerate(rows):
+        want, constant = calls(candidates[s], *state)
+        assert type(want[-1]) is float and type(constant) is float
+        assert constants[s] == constant
+        for got, w in zip(got_flat, want):
+            assert np.asarray(got[s]).tobytes() == np.asarray(w).tobytes()
+        for j, x in enumerate(candidates):
+            for got, w in zip(got_stacked, calls(x, *state)[0]):
+                assert got.shape[:2] == (3, 3)
+                assert np.asarray(got[s, j]).tobytes() == np.asarray(w).tobytes()
+
+
 def test_stack_with_inadmissible_row_names_it(rng):
     g, spec, params, x_curr, coeffs = _setup(rng, M=16)
     xs = np.array([random_admissible(rng, g) for _ in range(4)])
@@ -231,12 +283,15 @@ def test_stack_with_inadmissible_row_names_it(rng):
         residual(xs, x_curr, coeffs, spec, params)
     with pytest.raises(DegenerateMeshError, match="row 2 "):
         eval_F(xs - g.nodes(), x_curr, coeffs, spec, params)
+    # with two leading axes, the row's index along each
+    with pytest.raises(DegenerateMeshError, match=r"row \(1, 0\) "):
+        residual(xs.reshape(2, 2, g.M + 1), x_curr, coeffs, spec, params)
 
 
 def test_gradient_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=16, m=float(rng.uniform(1.3, 2.8)))
-        err, ok = gradient_vs_fd(spec, params, x_curr, coeffs, random_admissible(rng, g))
+        [(err, ok)] = gradient_vs_fd([(spec, params, x_curr, coeffs, random_admissible(rng, g))])
         assert ok, f"gradient FD mismatch {err:.3e}"
 
 
@@ -259,7 +314,7 @@ def test_gradient_matches_fd_damped_mode(rng):
 def test_hessian_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=24, m=float(rng.uniform(1.3, 2.8)))
-        err, ok = hessian_vs_fd(spec, params, x_curr, coeffs, random_admissible(rng, g))
+        [(err, ok)] = hessian_vs_fd([(spec, params, x_curr, coeffs, random_admissible(rng, g))])
         assert ok, f"Hessian FD mismatch {err:.3e}"
 
 

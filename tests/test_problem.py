@@ -95,7 +95,12 @@ def test_is_admissible():
     rows = is_admissible(stack, g)
     assert type(rows) is np.ndarray and rows.shape == (4,)
     np.testing.assert_array_equal(rows, [is_admissible(x, g) for x in stack])
-    for shape in ((4,), (2, 4), (2, 2, 5), ()):
+    # and so does a stack with more leading axes: one bool per row
+    cube = np.array([stack, stack[::-1]])
+    rows = is_admissible(cube, g)
+    assert type(rows) is np.ndarray and rows.shape == (2, 4)
+    np.testing.assert_array_equal(rows, [[is_admissible(x, g) for x in s] for s in cube])
+    for shape in ((4,), (2, 4), (2, 2, 4), ()):
         with pytest.raises(ValueError):
             is_admissible(np.zeros(shape), g)
 
