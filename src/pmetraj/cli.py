@@ -118,8 +118,8 @@ def cmd_convergence(args) -> int:
                 domain=domain, params_base=params,
             )
             tag = f"{m:g}"
-            write_csv_atomic(out_dir / f"convergence_{tag}.csv",
-                             analysis.CSV_HEADER, analysis.report_rows(study.report))
+            write_csv_atomic(out_dir / f"convergence_{tag}.csv", analysis.CSV_HEADER,
+                             tuple(zip(*analysis.report_rows(study.report))))
             table = analysis.format_table(study.report)
             write_text_atomic(out_dir / f"convergence_{tag}.txt", table)
             print(table, end="")

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, functional, newton
-from .csvio import format_rows, write_csv_atomic
+from .csvio import format_columns, write_csv_atomic
 from .errors import ConfigurationError, EnergyViolationError, SolverError
 from .functional import SolverParams
 from .grid import d_forward, d_wide
@@ -160,8 +160,8 @@ def _write_snapshot(out_dir: Path, state: TrajectoryState, spec: ProblemSpec,
     i and X of every row as "i,X" strings: they depend on the grid alone, so
     run formats them once per run, and each snapshot formats only x and f."""
     f = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
-    rows = zip(labels, state.x_curr.tolist(), f.tolist())
-    write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"], rows)
+    write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"],
+                     (labels, state.x_curr.tolist(), f.tolist()))
 
 
 def _plan_steps(t_final: float, tau: float):
@@ -189,7 +189,8 @@ def run(config: RunConfig) -> RunResult:
     result.mass_trace.append((0, 0.0, m0))
 
     if out_dir is not None:
-        labels = format_rows(zip(range(spec.grid.M + 1), spec.grid.nodes().tolist()))
+        labels = format_columns((range(spec.grid.M + 1),
+                                 spec.grid.nodes().tolist())).splitlines()
         _write_snapshot(out_dir, state, spec, labels)
 
     n_full, tail = _plan_steps(config.t_final, params.tau)
@@ -215,10 +216,9 @@ def run(config: RunConfig) -> RunResult:
 
     result.final_state = dataclasses.replace(state, work=None)  # freed with the run
     if out_dir is not None:
-        write_csv_atomic(
-            out_dir / "energy.csv",
-            ["n", "t", "E_h", "dissipation_lhs", "dissipation_rhs"],
-            [row[:5] for row in result.energy_trace],
-        )
-        write_csv_atomic(out_dir / "mass.csv", ["n", "t", "mass"], result.mass_trace)
+        write_csv_atomic(out_dir / "energy.csv",
+                         ["n", "t", "E_h", "dissipation_lhs", "dissipation_rhs"],
+                         tuple(zip(*result.energy_trace))[:5])
+        write_csv_atomic(out_dir / "mass.csv", ["n", "t", "mass"],
+                         tuple(zip(*result.mass_trace)))
     return result

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, RunConfig, SolverParams, cli, functional,
+from pmetraj import (Grid, RunConfig, SolverParams, analysis, cli, functional,
                      initial_data_from_key, make_problem, quadratic_bump)
 from pmetraj.analysis import study_cell_counts
 from pmetraj.config import Config, parse_number
@@ -403,6 +403,31 @@ def test_cmd_convergence_writes_reports(tmp_path, capsys):
         assert float(rows[2][3]) != 0.0
         assert (out / f"convergence_{tag}.txt").exists()
     assert "m = 2" in capsys.readouterr().out
+
+
+def test_convergence_bytes_are_the_value_by_value_rendering(tmp_path, monkeypatch):
+    """convergence_<m>.csv of a two-level study is 17 significant digits of
+    every float of the study's report and "" where it has no order, row by
+    row: the order columns mix "" and floats."""
+    studies = []
+    original = analysis.convergence_study
+
+    def recording(*args, **kwargs):
+        studies.append(original(*args, **kwargs))
+        return studies[-1]
+
+    monkeypatch.setattr(analysis, "convergence_study", recording)
+    out = tmp_path / "study"
+    assert cli.main(["convergence", "--config", _write(tmp_path, STUDY_CONFIG, out=out)]) == 0
+    assert len(studies) == 2
+    for study in studies:
+        rows = analysis.report_rows(study.report)
+        assert len(rows) == 2 and rows[0][3] == "" and isinstance(rows[1][3], float)
+        lines = [",".join(analysis.CSV_HEADER)] + [
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in rows]
+        target = out / f"convergence_{study.report.m:g}.csv"
+        assert target.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_cmd_convergence_non_nested_reference(tmp_path, capsys):

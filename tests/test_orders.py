@@ -1,12 +1,22 @@
 """The scheme's orders: in time alone, against a solve with a much
-smaller step on the same grid, and in space and time together against an
-exact answer, the decay rate of a small cosine mode of the density.
+smaller step on the same grid, in space alone, against a solve on a much
+finer grid with the same small step, and in space and time together
+against an exact answer, the decay rate of a small cosine mode of the
+density.
 
 Time: at fixed M the spatial error is common to every step size, so the
 difference from a tau = h/64 solve is the temporal error of the larger
 step, and it must fall at second order.  This is the study that sees the
 extrapolated slope S_h: lagging it to max(W^n, tau^2) turns the orders at
 m = 2 into 2.46, 2.82 and 0.07, and at m = 8 into 1.08, 1.07 and 1.11.
+
+Space: with tau = 1/6400 the temporal error sits below the spatial error
+of M = 50 to 200 cells, so the difference from an M = 1600 solve at the
+shared nodes is the spatial error, in the trajectory and in the density,
+and it must fall at second order.  At M = 400 the temporal error starts to
+show (order 2.07 in x), so that pair is left out.  The trajectory never
+reads the wide slope at the walls; the density does, and first-order wall
+stencils in grid.d_wide turn its orders into 1.01 and 1.08.
 
 Mode: about the constant state f = 1 the porous medium equation linearises to
 the heat equation f_t = m f_xx, so the mode eps cos(pi X) of f0 decays at
@@ -25,7 +35,7 @@ import numpy as np
 import pytest
 
 from pmetraj import (Grid, RunConfig, SolverParams, initial_data_from_key,
-                     make_problem, run)
+                     make_problem, recover_density, run)
 
 EPS = 1e-6
 T_FINAL = 0.02
@@ -78,4 +88,33 @@ def test_time_refinement_is_second_order(m):
     reference = _final_nodes(m, TIME_REFERENCE)
     errors = [float(np.max(np.abs(_final_nodes(m, k) - reference))) for k in TIME_STEPS]
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errors[:-1], errors[1:])]
+    assert all(abs(p - 2.0) <= 0.15 for p in orders), (errors, orders)
+
+
+SPACE_TAU = 1 / 6400
+SPACE_M = [50, 100, 200]
+SPACE_REFERENCE = 1600
+
+
+def _final_fields(M):
+    """The nodes and the density at TIME_T_FINAL of the paper's quadratic
+    bump with m = 2 on M cells with tau = SPACE_TAU."""
+    spec = make_problem(2.0, Grid(0.0, 1.0, M), initial_data_from_key("paper-quadratic"))
+    result = run(RunConfig(spec=spec, params=SolverParams(tau=SPACE_TAU),
+                           t_final=TIME_T_FINAL))
+    x = result.final_state.x_curr
+    return x, recover_density(x, spec)
+
+
+def test_space_refinement_is_second_order():
+    # measured: max errors in x 1.51e-5, 3.78e-6, 9.33e-7, orders 2.003,
+    # 2.017; in f 5.19e-4, 1.28e-4, 3.15e-5, orders 2.024, 2.015
+    reference = _final_fields(SPACE_REFERENCE)
+    errors = []
+    for M in SPACE_M:
+        shared = slice(None, None, SPACE_REFERENCE // M)
+        errors.append([float(np.max(np.abs(field - ref[shared])))
+                       for field, ref in zip(_final_fields(M), reference)])
+    orders = [math.log2(e0 / e1) for coarse, fine in zip(errors[:-1], errors[1:])
+              for e0, e1 in zip(coarse, fine)]
     assert all(abs(p - 2.0) <= 0.15 for p in orders), (errors, orders)

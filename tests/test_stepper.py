@@ -202,6 +202,24 @@ def test_snapshot_bytes_are_the_value_by_value_rendering(tmp_path, monkeypatch):
         assert (tmp_path / f"snap_{n}.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_trace_bytes_are_the_value_by_value_rendering(tmp_path):
+    """energy.csv and mass.csv of a run whose last step is truncated are
+    str(n) and 17 significant digits of every float the run returned in
+    its traces, row by row."""
+    g, spec, params = _quad_setup(M=40)
+    result = run(RunConfig(spec=spec, params=params, t_final=7.5 * params.tau,
+                           output_dir=tmp_path))
+    assert len(result.newton_reports) == 8
+    assert result.energy_trace[-1][1] - result.energy_trace[-2][1] < params.tau
+    for name, rows in (("energy", [row[:5] for row in result.energy_trace]),
+                       ("mass", result.mass_trace)):
+        header = tmp_path.joinpath(f"{name}.csv").read_text().splitlines()[0]
+        lines = [header] + [
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in rows]
+        assert (tmp_path / f"{name}.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_snapshot_and_trace_schemas(tmp_path):
     g, spec, params = _quad_setup(M=10)
     run(RunConfig(spec=spec, params=params, t_final=2 * g.h,
