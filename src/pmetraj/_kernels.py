@@ -26,7 +26,12 @@ The tridiagonal solve is odd-even cyclic reduction (Buzbee, Golub & Nielson
 1970): O(n) work in about log2(n) vectorized passes, stable without pivoting
 because every reduced system is a Schur complement of the SPD input and hence
 SPD itself.  Once a level has at most SCALAR_BASE unknowns it is finished by
-a Thomas elimination on Python floats, which checks every pivot.
+a Thomas elimination on Python floats, which checks every pivot.  The
+Workspace pads the system once, with decoupled unit rows, to a length whose
+every level is odd (_padded_length, at most 3% longer), so one code path
+serves every n.  A real row gets the operations it would get unpadded plus
+subtractions of exact zeros: the same bits, save perhaps the sign of an
+entry of the solution that is exactly zero.
 
 Buffer rule: a Newton iteration, near phase or far, allocates no
 cell-sized array.  residual_hessian, step_functional and thomas_spd write
@@ -35,13 +40,14 @@ handed from state to state; a caller without one gets a fresh one for that
 call, so each kernel has one code path.  Every ufunc writes with out= in
 the order of the plain expression, so the results are bitwise those of the
 expression.  A result that is a workspace buffer holds until the next call
-with the same workspace; what a caller keeps (newton_step's solution, the
-residual of residual_interior) is a fresh array.  At M = 9600 a cell field
-is 77 KB, and the temporaries each iteration used to free left more than
-glibc's 128 KB trim threshold free at the top of the heap: the memory went
-back to the system and was faulted in again, some 60 minor page faults per
-near-phase iteration and 119 per iteration of a far-phase run, under 5
-now.
+of its kind with the same workspace (the solution, rhs, lies apart from
+the assembly's scratch and outlives assemblies and evaluations of F); what
+a caller keeps (newton_step's solution, the residual of residual_interior)
+is a fresh array.  At M = 9600 a cell field is 77 KB, and the temporaries
+each iteration used to free left more than glibc's 128 KB trim threshold
+free at the top of the heap: the memory went back to the system and was
+faulted in again, some 60 minor page faults per near-phase iteration and
+119 per iteration of a far-phase run, under 5 now.
 
 Measured per call as newton_step makes it, median of 30 alternating rounds
 (each the fastest of 3) on a 2-core Xeon with numpy 2.4, before -> after
@@ -84,36 +90,38 @@ SCALAR_BASE = 64
 EPS_SWITCH = 1e-8
 
 
-def _reduced_length(k):
-    """Stored length of a reduced system of k unknowns: one more, for the
-    decoupled unit row that pads it, when k is even and the system is
-    reduced again."""
-    return k + 1 if k > SCALAR_BASE and k % 2 == 0 else k
+def _padded_length(n):
+    """The length the cyclic reduction pads a system of n unknowns to:
+    (q + 1) 2^j - 1, with j the fewest halvings that leave q = n >> j at
+    most SCALAR_BASE.  Every level above the base then has an odd length,
+    so each kept row has two neighbours, and the base is n >> j long; the
+    padding is under n/32."""
+    j = 0
+    while n >> j > SCALAR_BASE:
+        j += 1
+    return ((n >> j) + 1 << j) - 1
 
 
 class _Level:
     """One level of the cyclic reduction, as views into a Workspace: its
-    system (d, e, f) of n unknowns, padded to an odd length, and the reduced
-    system on its odd rows, written into the next level's buffers.  The
-    level's solution replaces f, whose odd entries the reduction consumed."""
+    system (d, e, f) of an odd number of unknowns, and the reduced system on
+    its odd rows, written into the next level's buffers.  The level's
+    solution replaces f, whose odd entries the reduction consumed."""
 
     __slots__ = ("d", "d_even", "d_lo", "d_hi", "d_odd", "e_left", "e_left_hi",
-                 "e_right", "f_even", "f_lo", "f_hi", "f_odd", "x", "alpha",
-                 "beta", "beta_lo", "dk", "ek", "fk", "pad")
+                 "e_right", "f", "f_even", "f_lo", "f_hi", "f_odd", "alpha",
+                 "beta", "beta_lo", "dk", "ek", "fk")
 
-    def __init__(self, n, d, e, f, alpha, beta, d_next, e_next, f_next):
+    def __init__(self, d, e, f, alpha, beta, d_next, e_next, f_next):
         self.d, self.d_even, self.d_odd = d, d[0::2], d[1::2]
         self.d_lo, self.d_hi = self.d_even[:-1], self.d_even[1:]
         self.e_left, self.e_right = e[0::2], e[1::2]  # odd row i couples to i-1, i+1
         self.e_left_hi = self.e_left[1:]
-        self.f_even, self.f_odd, self.x = f[0::2], f[1::2], f[:n]
+        self.f, self.f_even, self.f_odd = f, f[0::2], f[1::2]
         self.f_lo, self.f_hi = self.f_even[:-1], self.f_even[1:]
-        k = self.e_left.shape[0]
+        k = d_next.shape[0]
         self.alpha, self.beta, self.beta_lo = alpha[:k], beta[:k], beta[:k - 1]
-        self.dk, self.ek, self.fk = d_next[:k], e_next[:k - 1], f_next[:k]
-        # the next level's pad slot, a decoupled unit row, rewritten every
-        # solve: the assembly shares the memory
-        self.pad = (d_next[k:], e_next[k - 1:], f_next[k:]) if d_next.shape[0] > k else None
+        self.dk, self.ek, self.fk = d_next, e_next, f_next
 
     def reduce(self):
         """The Schur complement on the odd rows: d[1::2] - alpha e_left -
@@ -130,9 +138,6 @@ class _Level:
         dk -= np.multiply(beta, self.e_right, out=alpha)
         fk -= np.multiply(beta, self.f_hi, out=alpha)
         np.negative(np.multiply(self.beta_lo, self.e_left_hi, out=self.ek), out=self.ek)
-        if self.pad is not None:
-            d_pad, e_pad, f_pad = self.pad
-            d_pad[0], e_pad[0], f_pad[0] = 1.0, 0.0, 0.0
 
     def back_substitute(self, x_odd):
         """The level's solution from that of the reduced system, x_odd."""
@@ -141,23 +146,18 @@ class _Level:
         self.f_hi -= np.multiply(self.e_right, x_odd, out=tmp)
         self.f_even /= self.d_even
         self.f_odd[:] = x_odd
-        return self.x
+        return self.f
 
 
 def _reduction_plan(n):
-    """The unknowns of every system in the cyclic reduction of n unknowns,
-    down to the base, and the lengths of its buffers: rhs, alpha, beta, then
-    the (d, e, f) of the padded copy of an even-length input, if any, and of
-    every reduced system."""
-    sizes = [n]
-    while sizes[-1] > SCALAR_BASE:
-        sizes.append(sizes[-1] // 2)
-    k = sizes[1] if len(sizes) > 1 else 0
-    lengths = [n, k, k] + [n + 1, n, n + 1] * (_reduced_length(n) > n)
-    for m in sizes[1:]:
-        p = _reduced_length(m)
-        lengths += [p, p - 1, p]
-    return sizes, lengths
+    """The buffer lengths of the cyclic reduction of a padded system of n
+    unknowns: alpha and beta, then the (d, e, f) of every reduced system
+    down to the base."""
+    lengths = []
+    while n > SCALAR_BASE:
+        n //= 2
+        lengths += [n, n - 1, n]
+    return lengths[:1] * 2 + lengths
 
 
 class Workspace:
@@ -168,16 +168,18 @@ class Workspace:
     cells holds the five scratch cell fields of residual_hessian and mask
     its equal-slope lanes; g (the residual on the interior nodes), diag and
     off are its results.  step_functional writes its temporaries into
-    cells and mask too.  A 1-D workspace also holds the cyclic
-    reduction of the n = M-1 interior unknowns (thomas_spd): rhs, the
-    right-hand side, which the solution replaces, and the buffers and views
-    of reduction(), made at the first solve.  The assembly scratch and the
-    reduction are views of one array: each is dead while the other runs.
-    newton_step's ordering guard reuses mask, and its far phase keeps the
-    Newton step in step (n floats of a 1-D workspace), which no kernel
-    writes, across the assemblies at its trial points.  A copy or an unpickled
-    workspace is a fresh one of the same shape: the buffers hold nothing
-    between calls, and copied views would no longer share their memory.
+    cells and mask too.  A 1-D workspace also holds the cyclic reduction of
+    the n = M-1 interior unknowns (thomas_spd): diag, off and rhs, the
+    right-hand side that the solution replaces, are the first n rows of
+    the system padded to _padded_length(n) with decoupled unit rows, whose
+    diag and off pads are set here, once; the reduced systems, made at the
+    first solve (reduction()), are views of the cell scratch, dead while
+    the assembly runs and the other way round.  rhs lies beside the cells,
+    so the solution holds across the assemblies and evaluations of F that
+    newton_step's far phase makes at its trial points.  newton_step's
+    ordering guard reuses mask.  A copy or an unpickled workspace is a
+    fresh one of the same shape: the buffers hold nothing between calls,
+    and copied views would no longer share their memory.
 
     A caller that makes calls of two shapes, states and stacks of their
     probes as the finite-difference oracles do, passes one workspace to
@@ -190,15 +192,19 @@ class Workspace:
         M, n = nodes - 1, nodes - 2
         cells = (*rows, M)
         size = math.prod(cells)
+        padded = n if rows else _padded_length(n)  # a stack is never solved
+        diag, off = np.ones((*rows, padded)), np.zeros((*rows, max(padded - 1, 0)))
         self.g = np.empty((*rows, n))
-        self.diag = np.empty((*rows, n))
-        self.off = np.empty((*rows, max(n - 1, 0)))
+        self.diag, self.off = diag[..., :n], off[..., :max(n - 1, 0)]
         self.mask = np.empty(cells, dtype=bool)
-        self._plan = None if rows else _reduction_plan(n)
-        self._flat = np.empty(max(5 * size, sum(self._plan[1]) if self._plan else 0))
+        self._plan = [] if rows else _reduction_plan(padded)
+        start = max(5 * size, sum(self._plan))
+        self._flat = np.empty(start + (0 if rows else padded))
         self.cells = tuple(self._flat[:5 * size].reshape(5, *cells))
-        self.rhs = None if rows else self._flat[:n]
-        self.step = None if rows else np.empty(n)
+        rhs = self._flat[start:]
+        self.rhs = None if rows else rhs[:n]
+        self._rhs_pad = rhs[n:]
+        self._system = (diag, off, rhs)
         self._reduction = None
         self._other = None
 
@@ -215,27 +221,19 @@ class Workspace:
         return Workspace, (self.shape,)
 
     def reduction(self):
-        """(pad0, levels, base): the padded copy (d, e, f) of an even-length
-        system, else None; one _Level per reduction, with the shared
-        elimination factors and every reduced system, padded as
-        _reduced_length says; and the (d, e, f) the scalar elimination
-        finishes."""
+        """(levels, base): one _Level per halving of the padded system, with
+        the shared elimination factors and every reduced system, and the
+        (d, e, f) the scalar elimination finishes."""
         if self._reduction is None:
-            sizes, lengths = self._plan
             views, start = [], 0
-            for length in lengths:
+            for length in self._plan:
                 views.append(self._flat[start:start + length])
                 start += length
-            alpha, beta = views[1:3]
-            systems = [tuple(views[i:i + 3]) for i in range(3, len(views), 3)]
-            pad0 = systems[0] if _reduced_length(sizes[0]) > sizes[0] else None
-            if pad0 is None:
-                systems.insert(0, (self.diag, self.off, self.rhs))
-            levels = [_Level(m, *system, alpha, beta, *reduced)
-                      for m, system, reduced in zip(sizes, systems, systems[1:])]
-            d, e, f = systems[-1]
-            m = sizes[-1]
-            self._reduction = (pad0, levels, (d[:m], e[:m - 1], f[:m]))
+            systems = [self._system] + [tuple(views[i:i + 3])
+                                        for i in range(2, len(views), 3)]
+            levels = [_Level(*system, *views[:2], *reduced)
+                      for system, reduced in zip(systems, systems[1:])]
+            self._reduction = (levels, systems[-1])
         return self._reduction
 
 
@@ -535,35 +533,33 @@ def thomas_spd(diag, off, rhs, work=None):
 
     Each level eliminates the even-indexed unknowns, leaving the Schur
     complement on the odd ones: again symmetric tridiagonal, half the size,
-    and SPD.  An even-length level is padded with one decoupled unit row so
-    every kept row has two neighbours.  A diagonal entry of a level, or a
+    and SPD.  The system is padded with decoupled unit rows to
+    _padded_length(n), so every level has an odd length and one code path
+    serves every n; each real row gets the operations it would get unpadded,
+    plus subtractions of exact zeros.  A diagonal entry of a level, or a
     pivot of the scalar elimination, that is not positive (NaN included)
     means the input was not SPD and raises ValueError.
 
     Every level is written into work, a 1-D Workspace for len(diag) + 2
-    nodes (fresh when not given), and the solution is work.rhs, or the f of
-    the padded copy of an even-length system, cut to n: it holds until the
-    next solve with the same work.  Inputs that are not work's own diag, off and rhs are copied
-    in, so the caller's arrays are only read.
+    nodes (fresh when not given), and the solution is work.rhs: it holds
+    until the next solve with the same work.  Inputs that are not work's own
+    diag, off and rhs are copied in, so the caller's arrays are only read;
+    the pad rows of rhs are reset on every solve, so a solve that met a NaN
+    leaves nothing behind.
     """
     if work is None:
         work = Workspace((diag.shape[0] + 2,))
-    pad0, levels, (d, e, x) = work.reduction()
-    if pad0 is not None:
-        n = diag.shape[0]
-        d0, e0, f0 = pad0
-        d0[:n], e0[:n - 1], f0[:n] = diag, off, rhs
-        d0[n], e0[n - 1], f0[n] = 1.0, 0.0, 0.0
-    else:
-        for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):
-            if given is not own:
-                own[:] = given
+    levels, (d, e, x) = work.reduction()
+    for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):
+        if given is not own:
+            own[:] = given
+    work._rhs_pad.fill(0.0)
     for level in levels:
         level.reduce()
     x[:] = _thomas_scalar(d.tolist(), e.tolist(), x.tolist())
     for level in reversed(levels):
         x = level.back_substitute(x)
-    return x
+    return work.rhs
 
 
 def backend_name() -> str:

@@ -185,7 +185,8 @@ def gradient_vs_fd(states, work=None):
     difference of F, and whether it is within FD_REL_TOL.  The states share
     the grid and the flux form: one residual call on the k states and one
     call of F on all 4k(M-1) probes, with per-row coefficients.  Both write
-    into work, a Workspace of shape (k, M+1) (fresh workspaces when None).
+    into work, a Workspace (for_shape serves either shape; fresh workspaces
+    when None).
     F is eval_F's: step_functional plus step_constant."""
     grid, damped_start, x_new, x_curr, coefficients = _rows(states)
     slope_curr, _, f0_cells, h, tau, a0 = coefficients
@@ -219,8 +220,8 @@ def hessian_vs_fd(states, work=None):
     comparison is dense, so a coupling outside the tridiagonal counts too.
     The states share the grid and the flux form: one Hessian call on the k
     states and one residual call on all 2k(M-1) probes, with per-row
-    coefficients.  Both write into work, a Workspace of shape (k, M+1)
-    (fresh workspaces when None)."""
+    coefficients.  Both write into work, a Workspace (for_shape serves
+    either shape; fresh workspaces when None)."""
     grid, damped_start, x_new, x_curr, coefficients = _rows(states)
     k, n = len(states), grid.M - 1
     functional._require_admissible(x_new, grid, "candidate trajectory")
@@ -250,7 +251,7 @@ def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     """name over FD_STATES random states on M cells, every odd-numbered one
     with the opening step's flux.  The states are drawn in turn, as one
     state at a time would draw them; then oracle runs on the states of each
-    flux form, FD_STACK at a time, with one workspace per stack shape.  The
+    flux form, FD_STACK at a time, through one workspace.  The
     check fails at the first state in draw order where oracle does, and
     sets rng back to where that state's draws ended, as a sweep that
     stopped there would leave it; else it passes with the worst relative
@@ -261,14 +262,11 @@ def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
         states.append((spec, params, x_curr, coeffs, random_admissible(rng, spec.grid)))
         ends.append(rng.bit_generator.state)
         stacks.setdefault(coeffs.damped_start, []).append(i)
-    results, works = [None] * FD_STATES, {}
+    results, work = [None] * FD_STATES, _kernels.Workspace((FD_STACK, M + 1))
     for indices in stacks.values():
         for start in range(0, len(indices), FD_STACK):
             stack = indices[start:start + FD_STACK]
-            if len(stack) not in works:
-                works[len(stack)] = _kernels.Workspace((len(stack), M + 1))
-            for i, result in zip(stack, oracle([states[i] for i in stack],
-                                               works[len(stack)])):
+            for i, result in zip(stack, oracle([states[i] for i in stack], work)):
                 results[i] = result
     for i, (err, ok) in enumerate(results):
         if not ok:

@@ -201,10 +201,11 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     and x^n.
 
     Every iteration writes the assembly, the solve and any evaluation of F
-    into state.work (a fresh Workspace when the state carries none), and
-    the far phase's copy of the step into its step; the iterate goes into one
-    of two node fields of this step, the start and one more: the solution
-    returned is one of them, which the next state keeps.
+    into state.work (a fresh Workspace when the state carries none); the
+    Newton step, the workspace's rhs, holds across the assemblies at the far
+    phase's trial points.  The iterate goes into one of two node fields of
+    this step, the start and one more: the solution returned is one of
+    them, which the next state keeps.
 
     Returns the admissible solution and a NewtonReport.  Raises
     NonconvergenceError (carrying the report) if the iteration budget runs out
@@ -264,17 +265,15 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
             omega, cand = _guarded_update(x, delta, 1.0, grid, spare, work.mask)
             x, spare, f_x, assembled = cand, x, None, False
         else:
-            step = work.step  # a copy: the assemblies at trial points reuse delta's memory
-            step[:] = delta
             armijo = ARMIJO_C * a * lam * lam  # ARMIJO_C h g^T H^{-1} g
             omega = 1.0
             while True:
-                omega, cand = _guarded_update(x, step, omega, grid, spare, work.mask)
+                omega, cand = _guarded_update(x, delta, omega, grid, spare, work.mask)
                 gi, diag, off = assemble(cand)
-                # F is convex, so F(cand) <= F(x) + omega h g(cand) . step:
-                # Armijo holds, with no evaluation of F, once h g(cand) . step
+                # F is convex, so F(cand) <= F(x) + omega h g(cand) . delta:
+                # Armijo holds, with no evaluation of F, once h g(cand) . delta
                 # <= -armijo
-                if grid.h * float(np.dot(gi, step)) <= -armijo:
+                if grid.h * float(np.dot(gi, delta)) <= -armijo:
                     f_x = None
                     break
                 if f_x is None:

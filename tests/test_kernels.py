@@ -15,13 +15,15 @@ from pmetraj import (Grid, SingularSystemError, SolverParams, bootstrap,
 from pmetraj import _kernels
 from pmetraj._kernels import EPS_SWITCH, SCALAR_BASE
 
-# Every padding path of the reduction: odd and even lengths, powers of two
-# and their neighbours, both sides of the scalar base (a system solved by
-# the scalar elimination alone, and one and two levels above it), and the
-# n = 9599 interior of the M = 9600 reference.
+# Both sides of the scalar base: systems the scalar elimination solves
+# alone (n <= 64, odd and even, powers of two and their neighbours), and
+# ones one, two and four levels above it that the reduction leaves
+# unpadded (65, 129, 1023) or pads with unit rows (66 -> 67,
+# 1024 and 1025 -> 1039, n = 4224 -> 4351, the largest share of padding,
+# 3.0%, and the n = 9599 interior of the M = 9600 reference -> 9727).
 SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17,
-         SCALAR_BASE - 1, SCALAR_BASE, SCALAR_BASE + 1, 2 * SCALAR_BASE + 1,
-         1023, 1024, 1025, 9599]
+         SCALAR_BASE - 1, SCALAR_BASE, SCALAR_BASE + 1, SCALAR_BASE + 2,
+         2 * SCALAR_BASE + 1, 1023, 1024, 1025, 4224, 9599]
 DENSE_MAX = 1025  # a dense 9599 x 9599 matrix would take 737 MB
 
 
@@ -90,6 +92,18 @@ def test_solve_scheme_hessian_matches_thomas(M):
     backward = np.max(np.abs(_matvec(diag, off, got) - rhs)) / (
         norm_a * np.max(np.abs(got)) + np.max(np.abs(rhs)))
     assert backward <= 1e-15
+
+
+def test_padding_leaves_odd_levels_and_the_unpadded_base():
+    # every level the reduction halves has an odd length, so each kept row
+    # has two neighbours; the base is n >> j long, as halving n j times
+    # leaves it, so it holds no pad row; and the pad is under n/32
+    for n in range(1, 20001):
+        padded = _kernels._padded_length(n)
+        assert n <= padded and padded - n < n / 32
+        sizes = [padded, *_kernels._reduction_plan(padded)[2::3]]
+        assert all(size % 2 == 1 for size in sizes[:-1])
+        assert sizes[-1] == n >> (len(sizes) - 1) <= SCALAR_BASE
 
 
 @pytest.mark.parametrize("n", [3, 16, 17, 1025])

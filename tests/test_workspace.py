@@ -15,8 +15,9 @@ from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
 from pmetraj import _kernels
 from pmetraj._kernels import SCALAR_BASE, Workspace
 
-# Both sides of the scalar base, padded (even) and unpadded (odd) inputs,
-# and levels that pad below an unpadded input (4 * 37 = 148).
+# Both sides of the scalar base, and systems the reduction leaves unpadded
+# (65) or pads with unit rows (66 -> 67, 148 and 149 -> 151, 1024 and
+# 1025 -> 1039), on one, two and four levels.
 SIZES = [5, SCALAR_BASE, SCALAR_BASE + 1, SCALAR_BASE + 2, 148, 149, 1024, 1025]
 
 
@@ -41,6 +42,42 @@ def test_reused_workspace_solves_bitwise_as_a_fresh_one(rng, n):
             assert a.tobytes() == b.tobytes()
         work.rhs[:] = rhs
         assert _kernels.thomas_spd(diag, off, work.rhs, work).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [SCALAR_BASE + 2, 149, 1025])
+def test_a_nan_solve_leaves_nothing_in_the_workspace(rng, n):
+    # the solve spreads a NaN of rhs into the pad rows; the next solve
+    # through the same workspace still gives the fresh call's bits
+    work = Workspace((n + 2,))
+    diag, off, rhs = _random_spd(rng, n)
+    rhs[n // 2] = np.nan
+    assert np.isnan(_kernels.thomas_spd(diag, off, rhs, work)).all()
+    diag, off, rhs = _random_spd(rng, n)
+    want = _kernels.thomas_spd(diag, off, rhs)
+    assert _kernels.thomas_spd(diag, off, rhs, work).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("damped_start", [False, True])
+def test_solution_holds_across_assemblies_and_F(rng, damped_start):
+    # newton_step's far phase steps along the solution, work.rhs, while it
+    # assembles and evaluates F at trial points in the same workspace
+    M = 1025
+    h = 1.0 / M
+    x_curr = np.linspace(0.0, 1.0, M + 1)
+    x_curr[1:-1] += 0.3 * h * rng.uniform(-1.0, 1.0, M - 1)
+    args = (np.diff(x_curr) / h, rng.uniform(0.5, 2.0, M + 1),
+            rng.uniform(1e-3, 1.0, M), h, 10.0 * h, 0.7)
+    work = Workspace((M + 1,))
+    g, diag, off = _kernels.residual_hessian(x_curr, x_curr, *args, work, damped_start)
+    delta = _kernels.thomas_spd(diag, off, np.negative(g, out=work.rhs), work)
+    assert delta is work.rhs
+    kept = delta.copy()
+    for _ in range(2):
+        x = x_curr.copy()
+        x[1:-1] += 0.2 * h * rng.uniform(-1.0, 1.0, M - 1)
+        _kernels.residual_hessian(x, x_curr, *args, work, damped_start)
+        _kernels.step_functional(x, x_curr, *args, damped_start, work)
+        assert delta.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
