@@ -533,12 +533,10 @@ def thomas_spd(diag, off, rhs, work=None):
 
     Each level eliminates the even-indexed unknowns, leaving the Schur
     complement on the odd ones: again symmetric tridiagonal, half the size,
-    and SPD.  The system is padded with decoupled unit rows to
-    _padded_length(n), so every level has an odd length and one code path
-    serves every n; each real row gets the operations it would get unpadded,
-    plus subtractions of exact zeros.  A diagonal entry of a level, or a
-    pivot of the scalar elimination, that is not positive (NaN included)
-    means the input was not SPD and raises ValueError.
+    and SPD.  Every level has an odd length, since the workspace pads the
+    system with decoupled unit rows (_padded_length).  A diagonal entry of
+    a level, or a pivot of the scalar elimination, that is not positive
+    (NaN included) means the input was not SPD and raises ValueError.
 
     Every level is written into work, a 1-D Workspace for len(diag) + 2
     nodes (fresh when not given), and the solution is work.rhs: it holds
