@@ -1,0 +1,57 @@
+"""Bitwise pins of the package's outputs: the sha256 of the check sweeps'
+results and of every file the committed solve config writes.
+
+A change that must not move the numerics keeps these digests.  A change
+that moves them on purpose re-pins them here and says why in CHANGES.md.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from pmetraj import checks, cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: sha256 of repr(checks.run_all(seed)) for seeds 0-9.
+RUN_ALL = (
+    "a6609e557dbe4e4e568a2d30bd64223ecf55ea53a5aaa29e82635aba2057398e",
+    "0cc78a1d1a3c5d36231413d9b11ce6ec9a6702b932feaaa3c91d3c581b2a96a6",
+    "10c224012681026484423f92b0c1176f96060c41f23d546387a770d312498e65",
+    "aa949d13781395725e56bb1ea43566d410a8b26163cdab4a2d6de458ea1f2eb1",
+    "56422dec5971115728b47faa098fc308873d7905ee7f160e0cabd1c79aa7b8a1",
+    "28b463169ac8888e49855bc49ce5a629a1ffd9685b64900e983325ec0d820076",
+    "a4cd51204fcf949872e7e984ed53f4d6e218f6e83fd7a38e98584654b47334c1",
+    "1b93fb40303812c55e2fb898cd4898e3a305a72d8d75611fe36157708d9f8165",
+    "81906294ec57207a798d3b2a7c9931a3ff3540819aefef272b55645e5eaef37b",
+    "6b637775a61de6df4639d636638c27d07f429a73cce2c399591504181c641ad3",
+)
+
+#: sha256 of each file `pmetraj solve --config configs/solve.cfg` writes.
+SOLVE_FILES = {
+    "energy.csv": "d44e1a373b64717798ad205f3671f291736474f56c205b0356114e0efeb23e8e",
+    "mass.csv": "39ad5d6fd8ba5c3c1a5dd9929a1c7b9f1ab25b0f2ee1235ae75b4ac5ecf173ff",
+    "snap_0.csv": "e7a71445c1333ad26fca796477f90d54be37ff59d65aedd33a5e10b41b19e85e",
+    "snap_2.csv": "ae277e8a1c80c6aeafa72576f89f515bb6149dce0b0e9c8acd5ba127119814d1",
+    "snap_4.csv": "29a2e7a95041df451f887c5f4a3fca004ae1786151e4b9393b13dc912ecafb4a",
+    "snap_6.csv": "9ba919b4824c867167d971cfa145aa665112fa90d7a177d4d53d23ab6f390f57",
+    "snap_8.csv": "6b913853322113b945554b2137d598bc11f73767ab26a4a9a554897a73f7fd1d",
+    "snap_10.csv": "808b9057d53ca2b61815515aa748cefa3cb7a35523cb1a3731e0ecb33901871d",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(len(RUN_ALL)))
+def test_check_sweeps_are_pinned(seed):
+    assert _sha256(repr(checks.run_all(seed)).encode()) == RUN_ALL[seed]
+
+
+def test_committed_solve_files_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PME_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["solve", "--config", str(CONFIGS / "solve.cfg")]) == 0
+    capsys.readouterr()
+    written = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert written == SOLVE_FILES
