@@ -6,11 +6,12 @@ All are whole-array numpy, and at the sizes in use their cost is the count of
 numpy calls more than the arithmetic.  So residual_hessian is the package's
 one assembly: the slopes, the equal-slope mask, z = d/y0 and log1p(z) are
 formed once, and the residual and both Hessian diagonals come from them.
-The Newton loop calls it; residual_interior and hessian_tridiag, behind
-functional.residual and functional.hessian_coefficients and so behind the
-finite-difference oracles, are views of it, so the oracles check the code
-Newton runs.  Every kernel indexes the nodes along the last axis, so one call
-takes a single trajectory or a stack of candidates of shape (..., M+1), one
+The Newton loop calls it; residual_interior and hessian_tridiag are views
+of it behind functional.residual and functional.hessian_coefficients, and
+the finite-difference oracles of checks call them directly on stacks of
+states and probes, so the oracles check the code Newton runs.  Every kernel
+indexes the nodes along the last axis, so one call takes a single
+trajectory or a stack of candidates of shape (..., M+1), one
 per row.  The coefficients may be stacked too, one state per row: x_curr,
 slope_curr, mass and f0_cells as arrays that broadcast against the stack
 along its leading axes, and tau and a0 as floats or as arrays that
@@ -35,7 +36,7 @@ entry of the solution that is exactly zero.
 
 Buffer rule: a Newton iteration, near phase or far, allocates no
 cell-sized array.  residual_hessian, step_functional and thomas_spd write
-every field into a Workspace, made once per run (stepper.bootstrap) and
+every field into a Workspace, made once per run (stepper.restart) and
 handed from state to state; a caller without one gets a fresh one for that
 call, so each kernel has one code path.  Every ufunc writes with out= in
 the order of the plain expression, so the results are bitwise those of the

@@ -183,14 +183,14 @@ def convergence_study(m: float,
 
     runs = {"reference": results[0]}
     ref_state = results[0].final_state
-    f_ref = recover_density(ref_state.x_curr, specs[0])
+    f_ref = recover_density(ref_state.x_curr, specs[0], ref_state.slope_curr, ref_state.wide_curr)
 
     records = []
     for M, spec, res in zip(m_list, specs[1:], results[1:]):
         runs[M] = res
         grid = spec.grid
         x = res.final_state.x_curr
-        f = recover_density(x, spec)
+        f = recover_density(x, spec, res.final_state.slope_curr, res.final_state.wide_curr)
         stride = reference_M // M
         f_l2, f_inf = density_error_norms(x, f, ref_state.x_curr, f_ref, stride)
         x_l2, x_inf = trajectory_error_norms(x, ref_state.x_curr, stride, grid)

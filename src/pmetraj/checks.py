@@ -74,9 +74,9 @@ def _random_setup(rng, M=24, damped_start=False):
         a0=float(rng.uniform(0.0, 2.0)),
     )
     x_curr = random_admissible(rng, grid)
-    x_prev = random_admissible(rng, grid)
-    coeffs = functional.build_coefficients(x_curr, x_prev, spec, params,
-                                           damped_start=damped_start)
+    wide_prev = d_wide(random_admissible(rng, grid), grid)
+    coeffs = functional.build_coefficients(d_forward(x_curr, grid), d_wide(x_curr, grid),
+                                           wide_prev, spec, params, damped_start=damped_start)
     return spec, params, x_curr, coeffs
 
 

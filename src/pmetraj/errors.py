@@ -22,8 +22,8 @@ class DataScaleError(ConfigurationError):
 
 
 class CoefficientOverflowError(SolverError):
-    """A scheme coefficient (the mass coefficient f0^(2-m) S_h^(m-1)/m) is
-    not a finite number."""
+    """A scheme coefficient (the mass coefficient f0^(2-m) S_h^(m-1)/m, or
+    its quotient by tau) is not a finite number."""
 
 
 class DegenerateMeshError(SolverError):

@@ -24,7 +24,6 @@ from . import _kernels
 from ._kernels import _LI2_SERIES, _spence
 from .errors import (CoefficientOverflowError, ConfigurationError,
                      DegenerateMeshError)
-from .grid import Grid, d_forward, d_wide
 from .problem import ProblemSpec, is_admissible
 
 
@@ -68,55 +67,49 @@ class SchemeCoefficients:
     damped_start: bool = False
 
 
-def compute_s_h(x_curr: np.ndarray, x_prev: np.ndarray, params: SolverParams,
-                grid: Grid, wide_curr: np.ndarray | None = None,
-                wide_prev: np.ndarray | None = None) -> np.ndarray:
+def compute_s_h(wide_curr: np.ndarray, wide_prev: np.ndarray, tau: float) -> np.ndarray:
     """Guarded extrapolated slope S_h = max(D~_h(1.5 x^n - 0.5 x^{n-1}), tau^2).
 
     d_wide is linear, so S_h is formed as max(1.5 W^n - 0.5 W^{n-1}, tau^2)
     from the wide slopes W^n = D~_h x^n (wide_curr) and W^{n-1} = D~_h
-    x^{n-1} (wide_prev), each computed from its trajectory when not given:
-    a caller that carries them gets the same bits as one that does not."""
-    if wide_curr is None:
-        wide_curr = d_wide(x_curr, grid)
-    if wide_prev is None:
-        wide_prev = d_wide(x_prev, grid)
-    return np.maximum(1.5 * wide_curr - 0.5 * wide_prev, params.tau ** 2)
+    x^{n-1} (wide_prev)."""
+    return np.maximum(1.5 * wide_curr - 0.5 * wide_prev, tau ** 2)
 
 
-def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec, tau: float) -> np.ndarray:
     """f0^(2-m) * S_h^(m-1) / m at every node (only interior slots are read),
     as spec.mass_factor * S_h^(m-1).
 
-    A large m can overflow the powers; a coefficient that is not finite
-    raises CoefficientOverflowError naming m."""
+    A large m can overflow the powers, and a small tau the quotient by tau
+    that the step forms: a coefficient or quotient that is not finite
+    raises CoefficientOverflowError naming m or tau."""
     s_h = np.asarray(s_h, dtype=float)
     if np.min(s_h) <= 0.0:
         raise ValueError("S_h must be positive (the tau^2 guard should ensure this)")
     m = spec.m
     with np.errstate(over="ignore", invalid="ignore"):
         mass = spec.mass_factor * s_h ** (m - 1.0)
-    if not np.max(mass) < math.inf:  # inf, or nan from inf * 0
+    top = float(np.max(mass))
+    if not top < math.inf:  # inf, or nan from inf * 0
         raise CoefficientOverflowError(
             f"mass coefficient f0^(2-m) S_h^(m-1)/m is not finite at m = {m:g}")
+    if not top / tau < math.inf:
+        raise CoefficientOverflowError(
+            "mass coefficient over the time step, f0^(2-m) S_h^(m-1)/(m tau), "
+            f"is not finite at tau = {tau:g}")
     return mass
 
 
-def build_coefficients(x_curr: np.ndarray, x_prev: np.ndarray, spec: ProblemSpec,
+def build_coefficients(slope_curr: np.ndarray, wide_curr: np.ndarray,
+                       wide_prev: np.ndarray, spec: ProblemSpec,
                        params: SolverParams,
-                       slope_curr: np.ndarray | None = None,
-                       wide_curr: np.ndarray | None = None,
-                       wide_prev: np.ndarray | None = None,
                        damped_start: bool = False) -> SchemeCoefficients:
-    """The step's coefficients, with the opening step's flux when
-    damped_start.  slope_curr = D_h x_curr and the wide slopes of
-    compute_s_h are computed when not given, to the same bits."""
-    s_h = compute_s_h(x_curr, x_prev, params, spec.grid, wide_curr, wide_prev)
+    """The step's coefficients from the base state's cell slopes slope_curr
+    = D_h x^n and the wide slopes of compute_s_h, with the opening step's
+    flux when damped_start."""
     return SchemeCoefficients(
-        mass=mass_coefficient(s_h, spec),
-        slope_curr=d_forward(x_curr, spec.grid) if slope_curr is None else slope_curr,
-        damped_start=damped_start,
-    )
+        mass=mass_coefficient(compute_s_h(wide_curr, wide_prev, params.tau), spec, params.tau),
+        slope_curr=slope_curr, damped_start=damped_start)
 
 
 def _secant(y, y0):

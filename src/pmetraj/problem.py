@@ -41,30 +41,27 @@ class ProblemSpec:
 
 @dataclass
 class TrajectoryState:
-    """The trajectory fields x^n, x^{n-1} at step n, plus what the next step
-    may reuse.
+    """The trajectory fields x^n, x^{n-1} at step n, with what the next step
+    reads of them: e_curr = E_h(x^n), the cell slopes slope_curr = D_h x^n
+    and the wide slopes wide_curr = D~_h x^n, wide_prev = D~_h x^{n-1}, all
+    formed by stepper.restart or handed on by stepper.advance.
 
     x_prev2 is x^{n-2} when the Newton start may extrapolate quadratically
     (newton.newton_step; stepper.advance sets it only after a step that
-    began in the near phase), None otherwise.  e_curr = E_h(x^n) and
-    slope_curr = D_h x^n are the energy and cell slopes the step that made
-    x^n already formed, and wide_curr = D~_h x^n and wide_prev = D~_h x^{n-1}
-    the wide slopes that S_h extrapolates; None means the next step computes
-    the field from x_curr or x_prev, to the same bits, so a state rebuilt
-    from the trajectories alone (a restart) steps exactly like the carried
-    one.  work is the run's _kernels.Workspace, which every Newton
-    iteration of the run writes into; None gives each step a fresh one.
+    began in the near phase), None otherwise.  work is the run's
+    _kernels.Workspace, which every Newton iteration of the run writes
+    into; None gives each step a fresh one.
     """
 
     n: int
     t: float
     x_curr: np.ndarray
     x_prev: np.ndarray
+    e_curr: float
+    slope_curr: np.ndarray
+    wide_curr: np.ndarray
+    wide_prev: np.ndarray
     x_prev2: np.ndarray | None = None
-    e_curr: float | None = None
-    slope_curr: np.ndarray | None = None
-    wide_curr: np.ndarray | None = None
-    wide_prev: np.ndarray | None = None
     work: _kernels.Workspace | None = None
 
 

@@ -70,14 +70,27 @@ class RunResult:
     min_slopes: list = field(default_factory=list)
 
 
+def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
+            x_prev: np.ndarray, x_prev2: np.ndarray | None = None) -> TrajectoryState:
+    """The state at step n and time t of x^n = x_curr, x^{n-1} = x_prev and
+    (for a quadratic Newton start) x^{n-2} = x_prev2, with every field the
+    next step reads formed once, and a fresh Workspace for the run.  The
+    cell slopes are checked positive before the energy is formed from them:
+    a crossing x_curr raises DegenerateMeshError naming the first cell."""
+    grid = spec.grid
+    slope = d_forward(x_curr, grid)
+    min_cell_slope(slope)
+    return TrajectoryState(n=n, t=t, x_curr=x_curr, x_prev=x_prev, x_prev2=x_prev2,
+                           e_curr=discrete_energy(x_curr, spec, slope), slope_curr=slope,
+                           wide_curr=d_wide(x_curr, grid), wide_prev=d_wide(x_prev, grid),
+                           work=_kernels.Workspace(x_curr.shape))
+
+
 def bootstrap(spec: ProblemSpec) -> TrajectoryState:
-    """Initial state: trajectory equals the reference map, and the undefined
-    pre-initial field is set equal to it so the extrapolated slope collapses
-    to the initial slope.  It carries the workspace the run's Newton
-    iterations share, which advance hands on from state to state."""
+    """The restart at n = 0 from the reference map, with x^{-1} = x^0 so
+    that the extrapolated slope collapses to the initial slope."""
     x0 = spec.grid.nodes()
-    return TrajectoryState(n=0, t=0.0, x_curr=x0.copy(), x_prev=x0.copy(),
-                           work=_kernels.Workspace(x0.shape))
+    return restart(spec, 0, 0.0, x0, x0.copy())
 
 
 def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
@@ -94,27 +107,23 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     Around the Newton solve every field is formed once: the new cell slopes
     D_h x^{n+1} (one min reduction gives the least slope and checks that all
     are positive) feed the energy, the dissipation bound and the mass, and
-    the new wide slopes D~_h x^{n+1} the density.  The returned state
-    carries the energy and both slope kinds to the next step, which then
-    forms S_h without differencing x^n or x^{n-1} again.
+    the new wide slopes D~_h x^{n+1} the density; the returned state
+    carries the energy and both slope kinds to the next step.
     """
     grid = spec.grid
-    coeffs = functional.build_coefficients(state.x_curr, state.x_prev, spec, params,
-                                           state.slope_curr, state.wide_curr,
-                                           state.wide_prev, damped_start=state.n == 0)
+    coeffs = functional.build_coefficients(state.slope_curr, state.wide_curr,
+                                           state.wide_prev, spec, params,
+                                           damped_start=state.n == 0)
     x_new, report = newton.newton_step(state, coeffs, spec, params)
 
-    e_old = state.e_curr
-    if e_old is None:
-        e_old = discrete_energy(state.x_curr, spec)
     slope_new = d_forward(x_new, grid)
     min_slope = min_cell_slope(slope_new)
     e_new = discrete_energy(x_new, spec, slope_new)
     dslope = slope_new - coeffs.slope_curr
     rhs = -params.a0 * params.tau * grid.h * float(np.dot(dslope, dslope))
     del dslope  # not kept alive beside the density
-    lhs = e_new - e_old
-    rounding = ENERGY_ROUNDING * (max(abs(e_old), abs(e_new)) + spec.energy_scale)
+    lhs = e_new - state.e_curr
+    rounding = ENERGY_ROUNDING * (max(abs(state.e_curr), abs(e_new)) + spec.energy_scale)
     if lhs > rhs + ENERGY_SLACK + rounding:
         raise EnergyViolationError(
             f"energy change {lhs:.6e} exceeds dissipation bound {rhs:.6e}"
@@ -180,13 +189,12 @@ def run(config: RunConfig) -> RunResult:
     out_dir = Path(config.output_dir) if config.output_dir is not None else None
 
     state = bootstrap(spec)
-    e0 = discrete_energy(state.x_curr, spec)
-    m0 = discrete_mass(state.x_curr, recover_density(state.x_curr, spec))
+    f_init = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
     # final_state is set when the run ends: holding the initial state here
     # would keep its two node fields alive through every step
     result = RunResult(final_state=None)
-    result.energy_trace.append((0, 0.0, e0, 0.0, 0.0, True))
-    result.mass_trace.append((0, 0.0, m0))
+    result.energy_trace.append((0, 0.0, state.e_curr, 0.0, 0.0, True))
+    result.mass_trace.append((0, 0.0, discrete_mass(state.x_curr, f_init)))
 
     if out_dir is not None:
         labels = format_columns((range(spec.grid.M + 1),

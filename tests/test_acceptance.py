@@ -104,7 +104,7 @@ def test_criterion_3_unique_solvability(studies):
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state, _ = advance(bootstrap(spec), spec, params)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_ref, _ = newton_step(state, coeffs, spec, params)
     rng = np.random.default_rng(11)
     start = state.x_curr.copy()

@@ -55,7 +55,7 @@ def test_tracer_sees_the_residual_kernel(perfbench_path):
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     tracer = tracing.Tracer().install()
     try:
         functional.residual(state.x_curr, state.x_curr, coeffs, spec, params)
@@ -74,9 +74,10 @@ def test_tracer_sees_the_layers_of_one_step(perfbench_path):
     g = Grid(0.0, 1.0, 8)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
+    state = bootstrap(spec)
     tracer = tracing.Tracer().install()
     try:
-        _, diag = stepper.advance(bootstrap(spec), spec, params)
+        _, diag = stepper.advance(state, spec, params)
     finally:
         tracer.restore()
     spans = tracer.spans

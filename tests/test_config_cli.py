@@ -345,6 +345,39 @@ def test_cmd_solve_overflowing_mass_coefficient_is_one_error_line(tmp_path, caps
     assert "mass coefficient" in err and "m = 1e+06" in err
 
 
+def _tiny_tau_config(m, data, M, tau):
+    return (SOLVE_CONFIG.replace("m = 2", f"m = {m}")
+            .replace("paper-quadratic", data).replace("M = 100", f"M = {M}")
+            .replace("tau = 1/100", f"tau = {tau}")
+            .replace("t_final = 0.1", f"t_final = {tau}"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, data, M, tau", [
+    (8, "poly:1e-4,0,1", 20, "1e-300"),
+    (2, "paper-quadratic", 100, "1e-320"),
+], ids=["m8-near-vacuum", "m2-subnormal"])
+def test_cmd_solve_tiny_tau_is_one_error_line(tmp_path, capsys, m, data, M, tau):
+    # mass/tau overflowed in the Hessian assembly: an overflow warning, an
+    # infinite diagonal and exit 0
+    text = _tiny_tau_config(m, data, M, tau)
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: step 1 (t = ")
+    assert "mass coefficient over the time step" in err and "at tau = " in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_solve_small_tau_still_steps(tmp_path, capsys):
+    # at tau = 1e-200 mass/tau is finite: the one step leaves x^0 in place
+    text = _tiny_tau_config(8, "poly:1e-4,0,1", 20, "1e-200")
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert (tmp_path / "o" / "snap_1.csv").read_bytes() == \
+        (tmp_path / "o" / "snap_0.csv").read_bytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_cmd_solve_huge_M_names_its_line(tmp_path, capsys):
     # a 401-digit M has no float mesh width: once an OverflowError traceback

@@ -68,7 +68,7 @@ def test_newton_solution_minimises_F(damped_start):
     state = bootstrap(spec)
     if not damped_start:
         state = advance(state, spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=damped_start)
     x_new, _ = newton_step(state, coeffs, spec, params)
     X = spec.grid.nodes()
@@ -86,7 +86,7 @@ def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
     state = bootstrap(spec)
     for _ in range(step - 1):
         state = advance(state, spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=step == 1)
     iterates = []
     assemble = _kernels.residual_hessian

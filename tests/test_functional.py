@@ -7,7 +7,7 @@ import pytest
 from pmetraj import _kernels
 from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
                      SolverParams, LAMBDA_STAR, build_coefficients,
-                     compute_s_h, d_centered_to_nodes, d_forward, eval_F,
+                     compute_s_h, d_centered_to_nodes, d_forward, d_wide, eval_F,
                      g_convex_integral, hessian_coefficients,
                      initial_data_from_key, make_problem, mass_coefficient,
                      q1_oracle, quadratic_bump, residual, secant_ratio_R,
@@ -43,19 +43,21 @@ def test_mass_coefficient_overflow_names_m():
     g = Grid(0.0, 1.0, 8)
     spec = make_problem(1e6, g, quadratic_bump)  # f0 <= 1/2, so f0^(2-m) = inf
     with pytest.raises(CoefficientOverflowError, match="m = 1e\\+06"):
-        mass_coefficient(np.ones(9), spec)
+        mass_coefficient(np.ones(9), spec, 0.01)
 
 
 def test_s_h_reference_state():
     g = Grid(0.0, 1.0, 8)
     p = SolverParams(tau=0.01)
-    np.testing.assert_allclose(compute_s_h(g.nodes(), g.nodes(), p, g), np.ones(9))
+    unit = d_wide(g.nodes(), g)
+    np.testing.assert_allclose(compute_s_h(unit, unit, p.tau), np.ones(9))
 
 
 def test_s_h_guard_active_everywhere():
     g = Grid(0.0, 1.0, 8)
     p = SolverParams(tau=2.0)  # tau^2 = 4 dominates any unit slope
-    np.testing.assert_allclose(compute_s_h(g.nodes(), g.nodes(), p, g), np.full(9, 4.0))
+    unit = d_wide(g.nodes(), g)
+    np.testing.assert_allclose(compute_s_h(unit, unit, p.tau), np.full(9, 4.0))
 
 
 def test_s_h_guard_pointwise():
@@ -64,8 +66,7 @@ def test_s_h_guard_pointwise():
     p = SolverParams(tau=0.3)
     x_prev = np.array([0.0, 0.1, 0.2, 0.3, 0.35, 0.65, 0.95, 0.96, 0.97, 0.99, 1.0])
     assert np.all(np.diff(x_prev) > 0)
-    s = compute_s_h(g.nodes(), x_prev, p, g)
-    from pmetraj import d_wide
+    s = compute_s_h(d_wide(g.nodes(), g), d_wide(x_prev, g), p.tau)
     extrapolated = d_wide(1.5 * g.nodes() - 0.5 * x_prev, g)
     assert extrapolated[5] < p.tau ** 2
     assert s[5] == p.tau ** 2
@@ -76,23 +77,22 @@ def test_s_h_first_step_collapses_extrapolation():
     g = Grid(0.0, 1.0, 6)
     p = SolverParams(tau=0.01)
     x0 = np.array([0.0, 0.1, 0.3, 0.55, 0.7, 0.9, 1.0])
-    from pmetraj import d_wide
-    np.testing.assert_allclose(compute_s_h(x0, x0, p, g),
+    np.testing.assert_allclose(compute_s_h(d_wide(x0, g), d_wide(x0, g), p.tau),
                                np.maximum(d_wide(x0, g), p.tau ** 2))
 
 
 def test_mass_coefficient_values():
     g = Grid(0.0, 1.0, 4)
     spec_unit = make_problem(2.0, g, initial_data_from_key("constant:1"))
-    np.testing.assert_allclose(mass_coefficient(np.ones(5), spec_unit), np.full(5, 0.5))
+    np.testing.assert_allclose(mass_coefficient(np.ones(5), spec_unit, 0.01), np.full(5, 0.5))
     # m = 2 cancels f0 entirely
     spec_any = make_problem(2.0, g, initial_data_from_key("constant:0.41"))
-    np.testing.assert_allclose(mass_coefficient(np.ones(5), spec_any), np.full(5, 0.5))
+    np.testing.assert_allclose(mass_coefficient(np.ones(5), spec_any, 0.01), np.full(5, 0.5))
     spec_53 = make_problem(5.0 / 3.0, g, initial_data_from_key("constant:0.5"))
-    np.testing.assert_allclose(mass_coefficient(np.ones(5), spec_53),
+    np.testing.assert_allclose(mass_coefficient(np.ones(5), spec_53, 0.01),
                                np.full(5, 0.5 ** (1.0 / 3.0) * 0.6))
     with pytest.raises(ValueError):
-        mass_coefficient(np.zeros(5), spec_unit)
+        mass_coefficient(np.zeros(5), spec_unit, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,8 @@ def test_mass_coefficient_guard_lower_bound():
     g = Grid(0.0, 1.0, 8)
     p = SolverParams(tau=0.4)
     spec = make_problem(1.7, g, quadratic_bump)
-    s = compute_s_h(g.nodes(), g.nodes(), p, g)
-    mass = mass_coefficient(s, spec)
+    s = compute_s_h(d_wide(g.nodes(), g), d_wide(g.nodes(), g), p.tau)
+    mass = mass_coefficient(s, spec, p.tau)
     bound = spec.f0_nodes ** (2.0 - spec.m) * p.tau ** (2.0 * (spec.m - 1.0)) / spec.m
     assert np.all(mass >= bound * (1 - 1e-14))
     assert np.all(mass > 0)
@@ -177,7 +177,8 @@ def _setup(rng, M=24, m=2.0, a0=1.0, damped_start=False):
     spec = make_problem(m, g, quadratic_bump)
     params = SolverParams(tau=g.h, a0=a0)
     x_curr = random_admissible(rng, g)
-    coeffs = build_coefficients(x_curr, random_admissible(rng, g), spec, params,
+    coeffs = build_coefficients(d_forward(x_curr, g), d_wide(x_curr, g),
+                                d_wide(random_admissible(rng, g), g), spec, params,
                                 damped_start=damped_start)
     return g, spec, params, x_curr, coeffs
 
@@ -187,7 +188,7 @@ def test_residual_zero_for_stationary_constant():
     spec = make_problem(2.0, g, initial_data_from_key("constant:0.8"))
     params = SolverParams(tau=g.h)
     X = g.nodes()
-    coeffs = build_coefficients(X, X, spec, params)
+    coeffs = build_coefficients(d_forward(X, g), d_wide(X, g), d_wide(X, g), spec, params)
     np.testing.assert_array_equal(residual(X, X, coeffs, spec, params), np.zeros(17))
 
 
@@ -238,7 +239,8 @@ def test_kernels_take_per_row_coefficients(rng, damped_start):
         spec = make_problem(float(rng.uniform(1.3, 3.0)), g, initial_data_from_key(key))
         params = SolverParams(tau=10.0 ** rng.uniform(-3.0, -1.0), a0=float(rng.uniform(0.0, 2.0)))
         x_curr = random_admissible(rng, g)
-        coeffs = build_coefficients(x_curr, random_admissible(rng, g), spec, params,
+        coeffs = build_coefficients(d_forward(x_curr, g), d_wide(x_curr, g),
+                                    d_wide(random_admissible(rng, g), g), spec, params,
                                     damped_start=damped_start)
         # x_curr itself puts every lane on the equal-slope branch
         candidates = [x_curr, random_admissible(rng, g), wave]
@@ -336,7 +338,7 @@ def test_eval_F_zero_at_rest():
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     X = g.nodes()
-    coeffs = build_coefficients(X, X, spec, params)
+    coeffs = build_coefficients(d_forward(X, g), d_wide(X, g), d_wide(X, g), spec, params)
     assert eval_F(np.zeros(13), X, coeffs, spec, params) == 0.0
 
 

@@ -77,7 +77,7 @@ def test_solve_scheme_hessian_matches_thomas(M):
     spec = make_problem(2.0, Grid(0.0, 1.0, M), quadratic_bump)
     params = SolverParams(tau=spec.grid.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x = state.x_curr.copy()
     x[1:-1] += 1e-3 * spec.grid.h * np.sin(np.pi * x[1:-1])
     rhs = -residual(x, state.x_curr, coeffs, spec, params)[1:-1]
@@ -223,7 +223,7 @@ def test_public_residual_and_hessian_run_the_newton_assembly(rng, monkeypatch):
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     shapes = []
     assemble = _kernels.residual_hessian
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -9,10 +10,9 @@ from pmetraj import (Grid, LAMBDA_STAR, NonconvergenceError,
                      build_coefficients, eval_F, hessian_coefficients,
                      initial_data_from_key, make_problem,
                      newton_decrement_lambda, newton_step, quadratic_bump,
-                     residual, self_concordance_a, solve_tridiagonal)
+                     residual, restart, self_concordance_a, solve_tridiagonal)
 from pmetraj import _kernels
 from pmetraj.newton import MIN_OMEGA, TOL_LAMBDA, _guarded_update
-from pmetraj.problem import TrajectoryState
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_newton_constant_density_is_immediate():
     spec = make_problem(2.0, g, initial_data_from_key("constant:1"))
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     # the residual is exactly 0, so the certified stop fires on the first
     # decrement and the full step leaves every node's bits unchanged
@@ -145,7 +145,7 @@ def test_newton_first_step_postconditions():
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.converged and report.stop == "lambda"
     delta, lam = _newton_step_at(x_new, state, coeffs, spec, params)
@@ -160,7 +160,7 @@ def test_newton_quadratic_phase():
     spec = make_problem(5.0 / 3.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     _, report = newton_step(state, coeffs, spec, params)
     hist = report.lambda_history
     assert len(hist) >= 2
@@ -175,7 +175,7 @@ def test_newton_functional_decreases_along_iterates():
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     X = g.nodes()
 
     def F(y):
@@ -213,7 +213,7 @@ def test_newton_unique_solution_from_perturbed_start(rng):
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_a, _ = newton_step(state, coeffs, spec, params)
     start = state.x_curr.copy()
     start[1:-1] += 0.2 * g.h * rng.uniform(-1.0, 1.0, g.M - 1)
@@ -240,7 +240,7 @@ def test_newton_budget_exhaustion_carries_report(monkeypatch):
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h, newton_max_iter=2)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     residuals = _record_residuals(monkeypatch)
     with pytest.raises(NonconvergenceError) as err:
         newton_step(state, coeffs, spec, params)
@@ -265,7 +265,7 @@ def test_newton_line_search_exhaustion_carries_report(monkeypatch):
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     values = itertools.count()
     monkeypatch.setattr(_kernels, "step_functional", lambda *args: float(next(values)))
     assemble, residuals = _kernels.residual_hessian, []
@@ -306,7 +306,7 @@ def test_newton_stop_reasons(key, m, certified):
     spec = make_problem(m, g, initial_data_from_key(key))
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=True)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.converged and report.stop == "lambda"
@@ -324,7 +324,7 @@ def test_newton_extrapolated_start_is_used_when_admissible():
     params = SolverParams(tau=g.h)
     state = advance(bootstrap(spec), spec, params)[0]
     assert np.all(np.diff(2.0 * state.x_curr - state.x_prev) > 0.0)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_pred, report = newton_step(state, coeffs, spec, params)
     assert report.start == "linear" and report.converged
     x_base, base = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
@@ -342,10 +342,10 @@ def test_newton_falls_back_to_current_when_extrapolation_crosses():
     x_prev = x_curr.copy()
     x_prev[20] -= 0.9 * g.h
     x_prev[21] += 0.9 * g.h
-    state = TrajectoryState(n=1, t=g.h, x_curr=x_curr, x_prev=x_prev)
+    state = restart(spec, 1, g.h, x_curr, x_prev)
     assert np.all(np.diff(x_prev) > 0.0)
     assert not np.all(np.diff(2.0 * x_curr - x_prev) > 0.0)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.start == "current" and report.converged
     x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
@@ -360,11 +360,10 @@ def test_newton_quadratic_start_is_used_after_a_near_phase_step():
     for _ in range(6):  # steps 1-4 begin in the far phase at this M
         state = advance(state, spec, params)[0]
     assert state.x_prev2 is not None
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_quad, quad = newton_step(state, coeffs, spec, params)
     assert quad.start == "quadratic" and quad.converged
-    linear_state = TrajectoryState(n=state.n, t=state.t, x_curr=state.x_curr,
-                                   x_prev=state.x_prev)
+    linear_state = dataclasses.replace(state, x_prev2=None)
     x_lin, lin = newton_step(linear_state, coeffs, spec, params)
     assert lin.start == "linear"
     assert quad.lambda_history[0] < lin.lambda_history[0]  # a closer start
@@ -381,10 +380,9 @@ def test_newton_falls_back_to_linear_when_quadratic_crosses():
     x_prev = x_curr.copy()
     x_prev[20] -= 0.4 * g.h
     x_prev[21] += 0.4 * g.h
-    state = TrajectoryState(n=2, t=2 * g.h, x_curr=x_curr, x_prev=x_prev,
-                            x_prev2=x_prev.copy())
+    state = restart(spec, 2, 2 * g.h, x_curr, x_prev, x_prev.copy())
     assert not np.all(np.diff(3.0 * (x_curr - x_prev) + x_prev) > 0.0)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.start == "linear" and report.converged
     x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
@@ -396,7 +394,7 @@ def test_final_residual_norm_is_read_at_the_last_assembled_iterate(monkeypatch):
     spec = make_problem(5.0 / 3.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     residuals = _record_residuals(monkeypatch)
     _, report = newton_step(state, coeffs, spec, params)
     assert report.converged and report.iterations >= 2
@@ -415,7 +413,7 @@ def test_newton_assembles_once_per_iteration(monkeypatch, damped_start):
     state = bootstrap(spec)
     if not damped_start:
         state = advance(state, spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=damped_start)
     calls = {"residual_hessian": 0, "residual_interior": 0, "hessian_tridiag": 0}
     for name in calls:

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (LAMBDA_STAR, Grid, NonconvergenceError, RunConfig, SolverParams, _kernels,
-                     advance, bootstrap, build_coefficients, compute_s_h, discrete_mass,
-                     functional, initial_data_from_key,
-                     make_problem, newton_step, quadratic_bump,
-                     recover_density, run, stepper)
+from pmetraj import (LAMBDA_STAR, DegenerateMeshError, Grid, NonconvergenceError, RunConfig,
+                     SolverParams, _kernels, advance, bootstrap, build_coefficients,
+                     compute_s_h, d_forward, d_wide, discrete_energy, discrete_mass,
+                     functional, initial_data_from_key, make_problem, newton_step,
+                     quadratic_bump, recover_density, restart, run, stepper)
+from pmetraj.checks import random_admissible
 from pmetraj.errors import EnergyViolationError
-from pmetraj.problem import TrajectoryState
 
 
 def _quad_setup(M=200, m=2.0, **kw):
@@ -27,7 +27,7 @@ def test_bootstrap_state():
     assert state.n == 0 and state.t == 0.0
     np.testing.assert_array_equal(state.x_curr, g.nodes())
     np.testing.assert_array_equal(state.x_prev, g.nodes())
-    np.testing.assert_allclose(compute_s_h(state.x_curr, state.x_prev, params, g),
+    np.testing.assert_allclose(compute_s_h(state.wide_curr, state.wide_prev, params.tau),
                                np.maximum(1.0, params.tau ** 2))
     np.testing.assert_allclose(recover_density(state.x_curr, spec), spec.f0_nodes,
                                rtol=1e-13)
@@ -239,8 +239,9 @@ def test_csv_roundtrip_restart_is_bitwise(tmp_path):
     """A continuous run equals one restarted from states whose trajectories
     went through the 17-significant-digit snapshot format: at n = 1 from
     x^1 and x^0, and at n = 3, after a near-phase step, from x^3, x^2 and
-    x^1, with the quadratic Newton start.  Neither restart carries the
-    energy or the cell slopes, so the carried ones must be the same bits."""
+    x^1, with the quadratic Newton start.  Each restart forms the energy
+    and the slopes from the trajectories it read, so the carried ones must
+    be the same bits."""
     g, spec, params = _quad_setup(M=400)
     states = [bootstrap(spec)]
     for _ in range(4):
@@ -255,14 +256,12 @@ def test_csv_roundtrip_restart_is_bitwise(tmp_path):
         x_read.append(np.array([float(r[2]) for r in rows]))
         np.testing.assert_array_equal(x_read[n], states[n].x_curr)  # exact round-trip
 
-    restarted = TrajectoryState(n=1, t=params.tau, x_curr=x_read[1],
-                                x_prev=x_read[0])
+    restarted = restart(spec, 1, params.tau, x_read[1], x_read[0])
     replay, _ = advance(restarted, spec, params)
     np.testing.assert_array_equal(replay.x_curr, states[2].x_curr)
 
     assert states[3].x_prev2 is not None
-    restarted = TrajectoryState(n=3, t=3 * params.tau, x_curr=x_read[3],
-                                x_prev=x_read[2], x_prev2=x_read[1])
+    restarted = restart(spec, 3, 3 * params.tau, x_read[3], x_read[2], x_read[1])
     replay, diag = advance(restarted, spec, params)
     assert diag.report.start == "quadratic"
     np.testing.assert_array_equal(replay.x_curr, states[4].x_curr)
@@ -312,11 +311,10 @@ def test_extrapolated_start_halves_iterations_with_same_trajectory():
 
     state = bootstrap(spec)
     for _ in range(20):
-        coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
-                                    damped_start=state.n == 0)
+        coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev,
+                                    spec, params, damped_start=state.n == 0)
         x_new, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
-        state = TrajectoryState(n=state.n + 1, t=state.t + params.tau,
-                                x_curr=x_new, x_prev=state.x_curr)
+        state = restart(spec, state.n + 1, state.t + params.tau, x_new, state.x_curr)
     assert np.max(np.abs(result.final_state.x_curr - state.x_curr)) <= 1e-12
 
 
@@ -366,33 +364,51 @@ def test_truncated_final_step_after_quadratic_starts():
 
 
 def test_carried_slopes_give_the_bits_of_fresh_ones():
-    """The cell and wide slopes a step carries are the bits the next step
-    would compute from the trajectories: build_coefficients fed them equals
-    the call that forms them, and advance from a state that carries nothing
-    (a restart) follows the carried run bitwise, step after step."""
+    """The energy and the cell and wide slopes a step carries are the bits
+    a restart computes from the trajectories, and advance from the
+    restarted state follows the carried run bitwise, step after step."""
     g, spec, params = _quad_setup(M=400, m=5.0 / 3.0)
     carried = bootstrap(spec)
     for _ in range(3):
         carried, _ = advance(carried, spec, params)
-    assert carried.wide_curr is not None and carried.wide_prev is not None
-    fed = build_coefficients(carried.x_curr, carried.x_prev, spec, params,
-                             carried.slope_curr, carried.wide_curr, carried.wide_prev)
-    fresh = build_coefficients(carried.x_curr, carried.x_prev, spec, params)
-    np.testing.assert_array_equal(fed.mass, fresh.mass)
-    np.testing.assert_array_equal(fed.slope_curr, fresh.slope_curr)
+    restarted = restart(spec, carried.n, carried.t, carried.x_curr, carried.x_prev,
+                        carried.x_prev2)
+    for name in ("slope_curr", "wide_curr", "wide_prev"):
+        np.testing.assert_array_equal(getattr(restarted, name), getattr(carried, name))
+    assert restarted.e_curr == carried.e_curr
 
-    bare = dataclasses.replace(carried, e_curr=None, slope_curr=None,
-                               wide_curr=None, wide_prev=None)
     for _ in range(4):
         wide_curr = carried.wide_curr.copy()
         carried, diag_c = advance(carried, spec, params)
-        bare, diag_b = advance(bare, spec, params)
-        np.testing.assert_array_equal(bare.x_curr, carried.x_curr)
-        np.testing.assert_array_equal(bare.wide_curr, carried.wide_curr)
-        assert (bare.e_curr, diag_b.dissipation_rhs, diag_b.mass) == \
+        restarted, diag_r = advance(restarted, spec, params)
+        np.testing.assert_array_equal(restarted.x_curr, carried.x_curr)
+        np.testing.assert_array_equal(restarted.wide_curr, carried.wide_curr)
+        assert (restarted.e_curr, diag_r.dissipation_rhs, diag_r.mass) == \
             (carried.e_curr, diag_c.dissipation_rhs, diag_c.mass)
         # the carried wide slopes are handed on, never written to
         np.testing.assert_array_equal(carried.wide_prev, wide_curr)
+
+
+def test_restart_fields_are_fresh_slopes_and_energy(rng):
+    g, spec, params = _quad_setup(M=64)
+    x_curr, x_prev, x_prev2 = (random_admissible(rng, g) for _ in range(3))
+    state = restart(spec, 2, 2 * params.tau, x_curr, x_prev, x_prev2)
+    assert (state.n, state.t) == (2, 2 * params.tau)
+    assert state.x_curr is x_curr and state.x_prev is x_prev and state.x_prev2 is x_prev2
+    np.testing.assert_array_equal(state.slope_curr, d_forward(x_curr, g))
+    np.testing.assert_array_equal(state.wide_curr, d_wide(x_curr, g))
+    np.testing.assert_array_equal(state.wide_prev, d_wide(x_prev, g))
+    assert state.e_curr == discrete_energy(x_curr, spec)
+    assert state.work is not None and state.work is not bootstrap(spec).work
+
+
+@pytest.mark.filterwarnings("error")
+def test_restart_names_the_first_crossed_cell():
+    g, spec, params = _quad_setup(M=16)
+    x_curr = g.nodes()
+    x_curr[5], x_curr[6] = x_curr[6], x_curr[5]
+    with pytest.raises(DegenerateMeshError, match="at cell 5 "):
+        restart(spec, 1, params.tau, x_curr, g.nodes())
 
 
 def test_step_mass_is_the_trapezoid_of_the_density():

@@ -126,7 +126,7 @@ def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
     # fresh workspace, and the workspace keeps the stack's for the next
     spec, params = _quad(16)
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=damped_start)
     X = spec.grid.nodes()
     x = X.copy()
@@ -164,7 +164,7 @@ def _unchanged_after(first, second):
 def test_no_result_aliases_a_reused_buffer(rng):
     spec, params = _quad()
     state = bootstrap(spec)
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     xs = [state.x_curr.copy() for _ in range(2)]
     for x in xs:
         x[1:-1] += 0.1 * spec.grid.h * rng.uniform(-1.0, 1.0, spec.grid.M - 1)
@@ -187,9 +187,8 @@ def test_no_result_aliases_a_reused_buffer(rng):
     # newton_step through one workspace, that of two consecutive states
     state_1 = advance(state, spec, params)[0]
     assert state_1.work is state.work is not None
-    coeffs_1 = build_coefficients(state_1.x_curr, state_1.x_prev, spec, params,
-                                  state_1.slope_curr, state_1.wide_curr,
-                                  state_1.wide_prev)
+    coeffs_1 = build_coefficients(state_1.slope_curr, state_1.wide_curr, state_1.wide_prev,
+                                  spec, params)
     assert _unchanged_after(lambda: [newton_step(state, coeffs, spec, params)[0]],
                             lambda: newton_step(state_1, coeffs_1, spec, params))
 
@@ -244,8 +243,7 @@ def test_warm_newton_step_allocates_at_most_three_node_fields():
     state = bootstrap(spec)
     for _ in range(3):
         state = advance(state, spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
-                                state.slope_curr, state.wide_curr, state.wide_prev)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     newton_step(state, coeffs, spec, params)
     tracemalloc.start()
     try:
@@ -266,8 +264,7 @@ def test_warm_far_phase_newton_step_allocates_at_most_three_node_fields(monkeypa
     spec = make_problem(8.0, Grid(0.0, 1.0, M), initial_data_from_key("poly:1e-4,0,1"))
     params = SolverParams(tau=10 * spec.grid.h)
     state = advance(bootstrap(spec), spec, params)[0]
-    coeffs = build_coefficients(state.x_curr, state.x_prev, spec, params,
-                                state.slope_curr, state.wide_curr, state.wide_prev)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     newton_step(state, coeffs, spec, params)
     calls, functional = [], _kernels.step_functional
 
