@@ -189,12 +189,13 @@ def run(config: RunConfig) -> RunResult:
     out_dir = Path(config.output_dir) if config.output_dir is not None else None
 
     state = bootstrap(spec)
-    f_init = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
+    m0 = discrete_mass(state.x_curr, recover_density(state.x_curr, spec, state.slope_curr,
+                                                     state.wide_curr))
     # final_state is set when the run ends: holding the initial state here
     # would keep its two node fields alive through every step
     result = RunResult(final_state=None)
     result.energy_trace.append((0, 0.0, state.e_curr, 0.0, 0.0, True))
-    result.mass_trace.append((0, 0.0, discrete_mass(state.x_curr, f_init)))
+    result.mass_trace.append((0, 0.0, m0))
 
     if out_dir is not None:
         labels = format_columns((range(spec.grid.M + 1),
