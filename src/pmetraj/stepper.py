@@ -73,10 +73,9 @@ class RunResult:
 def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
             x_prev: np.ndarray, x_prev2: np.ndarray | None = None) -> TrajectoryState:
     """The state at step n and time t of x^n = x_curr, x^{n-1} = x_prev and
-    (for a quadratic Newton start) x^{n-2} = x_prev2, with every field the
-    next step reads formed once, and a fresh Workspace for the run.  The
-    cell slopes are checked positive before the energy is formed from them:
-    a crossing x_curr raises DegenerateMeshError naming the first cell."""
+    x^{n-2} = x_prev2 (for a quadratic Newton start), with every field the
+    next step reads and a fresh Workspace.  A crossing x_curr raises
+    DegenerateMeshError naming its first cell, before the energy is formed."""
     grid = spec.grid
     slope = d_forward(x_curr, grid)
     min_cell_slope(slope)
