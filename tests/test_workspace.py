@@ -283,3 +283,22 @@ def test_warm_far_phase_newton_step_allocates_at_most_three_node_fields(monkeypa
     assert sum(lam >= LAMBDA_STAR for lam in report.lambda_history) >= 2
     assert len(calls) >= 2
     assert peak - start <= 3 * 8 * (M + 1)
+
+
+def test_run_peak_memory_in_node_fields():
+    # the peak of a short near-vacuum run above what it starts with, in node
+    # fields of M + 1 floats: 20.40 at M = 2e4 (20.17 at M = 1e5), so the
+    # bound holds today's peak and a change that raises it re-sets the bound
+    M = 20_000
+    spec = make_problem(8.0, Grid(0.0, 1.0, M), initial_data_from_key("poly:1e-4,0,1"))
+    params = SolverParams(tau=10 * spec.grid.h)
+    config = RunConfig(spec=spec, params=params, t_final=3 * params.tau)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.final_state.n == 3
+    assert (peak - start) / (8 * (M + 1)) <= 20.9
