@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, functional
-from .functional import SolverParams
+from .functional import SchemeCoefficients, SolverParams
 from .grid import Grid, d_centered_to_nodes, d_forward, d_wide
-from .problem import make_problem, quadratic_bump
+from .problem import ProblemSpec, make_problem, quadratic_bump
 
 
 #: Samples drawn by each analytic sign sweep; these constants set how hard
@@ -57,27 +57,59 @@ class CheckResult:
     detail: str = ""
 
 
-def random_admissible(rng: np.random.Generator, grid: Grid) -> np.ndarray:
-    """Strictly increasing nodes with pinned endpoints, jittered cell widths."""
-    gaps = 1.0 + WIDTH_JITTER * rng.uniform(-1.0, 1.0, grid.M)
-    x = np.concatenate(([0.0], np.cumsum(gaps)))
-    x /= x[-1]
+def _admissible_nodes(grid: Grid, jitter: np.ndarray) -> np.ndarray:
+    """Strictly increasing nodes with pinned endpoints from cell widths 1 +
+    WIDTH_JITTER * jitter, jitter in [-1, 1) of shape (..., M): the nodes
+    along the last axis, each row bitwise what its own call gives."""
+    gaps = 1.0 + WIDTH_JITTER * jitter
+    x = np.zeros(gaps.shape[:-1] + (grid.M + 1,))
+    np.cumsum(gaps, axis=-1, out=x[..., 1:])
+    x /= x[..., -1:]
     return grid.x_left + (grid.x_right - grid.x_left) * x
 
 
-def _random_setup(rng, M=24, damped_start=False):
+def random_admissible(rng: np.random.Generator, grid: Grid) -> np.ndarray:
+    """Strictly increasing nodes with pinned endpoints, jittered cell widths."""
+    return _admissible_nodes(grid, rng.uniform(-1.0, 1.0, grid.M))
+
+
+def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
+    """Doubles u in [0, 1) mapped onto [low, high) as Generator.uniform maps
+    its own draws."""
+    return low + (high - low) * u
+
+
+def _draw_states(rng, M: int) -> list:
+    """The FD_STATES random states (spec, params, x_curr, coeffs, x_new) of a
+    finite-difference check on M cells, every odd-numbered one with the
+    opening step's flux.  One draw of FD_STATES rows of 3 + 3M doubles takes
+    what drawing the states one at a time takes, in the same order (m, tau,
+    a0, then the cell widths of x_curr, of the trajectory behind it and of
+    x_new), and each state gets the bits it would get alone: its fields are
+    rows of stacks formed by the library's own code (make_problem with a
+    column of exponents, d_forward, d_wide, compute_s_h, mass_coefficient),
+    and every rule of make_problem, SolverParams and mass_coefficient is
+    checked on every row."""
     grid = Grid(0.0, 1.0, M)
-    m = rng.uniform(1.3, 3.0)
-    spec = make_problem(m, grid, quadratic_bump)
-    params = SolverParams(
-        tau=10.0 ** rng.uniform(-3.0, -1.0),
-        a0=float(rng.uniform(0.0, 2.0)),
-    )
-    x_curr = random_admissible(rng, grid)
-    wide_prev = d_wide(random_admissible(rng, grid), grid)
-    coeffs = functional.build_coefficients(d_forward(x_curr, grid), d_wide(x_curr, grid),
-                                           wide_prev, spec, params, damped_start=damped_start)
-    return spec, params, x_curr, coeffs
+    u = rng.random((FD_STATES, 3 + 3 * M))
+    stack = make_problem(_uniform(1.3, 3.0, u[:, :1]), grid, quadratic_bump)
+    # Python's power: numpy's array power can differ from it in the last bit
+    taus = [10.0 ** e for e in _uniform(-3.0, -1.0, u[:, 1]).tolist()]
+    params = [SolverParams(tau=tau, a0=a0)
+              for tau, a0 in zip(taus, _uniform(0.0, 2.0, u[:, 2]).tolist())]
+    nodes = _admissible_nodes(grid, _uniform(-1.0, 1.0, u[:, 3:]).reshape(FD_STATES, 3, M))
+    x_curr, x_new = nodes[:, 0], nodes[:, 2]
+    wide = d_wide(nodes[:, :2], grid)
+    tau = np.array(taus)[:, None]
+    mass = functional.mass_coefficient(
+        functional.compute_s_h(wide[:, 0], wide[:, 1], tau), stack, tau)
+    return [(ProblemSpec(m=m, grid=grid, f0_nodes=stack.f0_nodes, f0_cells=stack.f0_cells,
+                         f0_min=stack.f0_min, mass_factor=factor,
+                         energy_scale=stack.energy_scale),
+             p, xc, SchemeCoefficients(mass=ma, slope_curr=slope, damped_start=i % 2 == 1), xn)
+            for i, (m, factor, p, xc, ma, slope, xn) in enumerate(zip(
+                stack.m[:, 0].tolist(), stack.mass_factor, params, x_curr, mass,
+                d_forward(x_curr, grid), x_new))]
 
 
 def _verdict(name: str, failures) -> CheckResult:
@@ -248,29 +280,26 @@ def hessian_vs_fd(states, work=None):
 
 
 def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
-    """name over FD_STATES random states on M cells, every odd-numbered one
-    with the opening step's flux.  The states are drawn in turn, as one
-    state at a time would draw them; then oracle runs on the states of each
-    flux form, FD_STACK at a time, through one workspace.  The
-    check fails at the first state in draw order where oracle does, and
-    sets rng back to where that state's draws ended, as a sweep that
-    stopped there would leave it; else it passes with the worst relative
-    error."""
-    states, ends, stacks = [], [], {}
-    for i in range(FD_STATES):
-        spec, params, x_curr, coeffs = _random_setup(rng, M, damped_start=i % 2 == 1)
-        states.append((spec, params, x_curr, coeffs, random_admissible(rng, spec.grid)))
-        ends.append(rng.bit_generator.state)
-        stacks.setdefault(coeffs.damped_start, []).append(i)
+    """name over the FD_STATES random states of _draw_states on M cells.
+    oracle runs on the states of each flux form, FD_STACK at a time,
+    through one workspace.  The check fails at the first state in draw
+    order where oracle does, and sets rng to where that state's draws end
+    (the sweep's start advanced by its 3 + 3M doubles per state), as a
+    sweep that stopped there would leave it; else it passes with the worst
+    relative error."""
+    start = rng.bit_generator.state
+    states = _draw_states(rng, M)
     results, work = [None] * FD_STATES, _kernels.Workspace((FD_STACK, M + 1))
-    for indices in stacks.values():
-        for start in range(0, len(indices), FD_STACK):
-            stack = indices[start:start + FD_STACK]
+    for first in (0, 1):  # the averaged flux, then the opening step's
+        indices = range(first, FD_STATES, 2)
+        for begin in range(0, len(indices), FD_STACK):
+            stack = indices[begin:begin + FD_STACK]
             for i, result in zip(stack, oracle([states[i] for i in stack], work)):
                 results[i] = result
     for i, (err, ok) in enumerate(results):
         if not ok:
-            rng.bit_generator.state = ends[i]
+            rng.bit_generator.state = start
+            rng.random((i + 1) * (3 + 3 * M))
             spec, params = states[i][:2]
             return CheckResult(name, False,
                                f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")

@@ -72,31 +72,43 @@ def compute_s_h(wide_curr: np.ndarray, wide_prev: np.ndarray, tau: float) -> np.
 
     d_wide is linear, so S_h is formed as max(1.5 W^n - 0.5 W^{n-1}, tau^2)
     from the wide slopes W^n = D~_h x^n (wide_curr) and W^{n-1} = D~_h
-    x^{n-1} (wide_prev)."""
+    x^{n-1} (wide_prev).  Stacks of wide slopes, one per row, take tau as a
+    column."""
     return np.maximum(1.5 * wide_curr - 0.5 * wide_prev, tau ** 2)
+
+
+def _require_finite(values: np.ndarray, cause, message: str) -> None:
+    """Raise CoefficientOverflowError(message.format(c)) unless every entry
+    of values is finite, with c the cause (a float, or one per entry) of the
+    first entry that is inf or nan."""
+    bad = ~(values < math.inf)
+    if bad.any():
+        cause = np.ravel(cause)[int(np.flatnonzero(bad)[0])] if np.ndim(cause) else cause
+        raise CoefficientOverflowError(message.format(cause))
 
 
 def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec, tau: float) -> np.ndarray:
     """f0^(2-m) * S_h^(m-1) / m at every node (only interior slots are read),
-    as spec.mass_factor * S_h^(m-1).
+    as spec.mass_factor * S_h^(m-1).  For a stack of problems (ProblemSpec),
+    S_h has one row per problem and tau is a column.
 
     A large m can overflow the powers, and a small tau the quotient by tau
     that the step forms: a coefficient or quotient that is not finite
-    raises CoefficientOverflowError naming m or tau."""
+    raises CoefficientOverflowError naming m or tau, of the first such row
+    of a stack."""
     s_h = np.asarray(s_h, dtype=float)
     if np.min(s_h) <= 0.0:
         raise ValueError("S_h must be positive (the tau^2 guard should ensure this)")
     m = spec.m
     with np.errstate(over="ignore", invalid="ignore"):
         mass = spec.mass_factor * s_h ** (m - 1.0)
-    top = float(np.max(mass))
-    if not top < math.inf:  # inf, or nan from inf * 0
-        raise CoefficientOverflowError(
-            f"mass coefficient f0^(2-m) S_h^(m-1)/m is not finite at m = {m:g}")
-    if not top / tau < math.inf:
-        raise CoefficientOverflowError(
-            "mass coefficient over the time step, f0^(2-m) S_h^(m-1)/(m tau), "
-            f"is not finite at tau = {tau:g}")
+        top = np.max(mass, axis=-1, keepdims=True)
+        # inf, or nan from inf * 0
+        _require_finite(top, m, "mass coefficient f0^(2-m) S_h^(m-1)/m is not finite "
+                                "at m = {:g}")
+        _require_finite(top / tau, tau, "mass coefficient over the time step, "
+                                        "f0^(2-m) S_h^(m-1)/(m tau), is not finite at "
+                                        "tau = {:g}")
     return mass
 
 

@@ -2,7 +2,9 @@
 
 Node fields live on the M+1 integer points X_i, cell fields on the M
 half-integer points X_{i-1/2}; the half-integer value at i-1/2 is stored
-at array slot i-1.
+at array slot i-1.  d_forward and d_wide difference along the last axis, so
+a stack of node fields, one per row, gives a stack of results, each row
+bitwise the result of its own call.
 """
 from __future__ import annotations
 
@@ -54,9 +56,11 @@ class Grid:
 
 
 def _require_node_field(l: np.ndarray, grid: Grid) -> np.ndarray:
+    """l as floats, with M+1 node values along its last axis."""
     l = np.asarray(l, dtype=float)
-    if l.shape != (grid.M + 1,):
-        raise ValueError(f"field has length {l.shape}, expected {grid.M + 1} node values")
+    if l.ndim == 0 or l.shape[-1] != grid.M + 1:
+        raise ValueError(f"field has shape {l.shape}, expected {grid.M + 1} node values "
+                         "along the last axis")
     return l
 
 
@@ -70,7 +74,7 @@ def _require_cell_field(phi: np.ndarray, grid: Grid) -> np.ndarray:
 def d_forward(l: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward difference node -> cell: (l_i - l_{i-1})/h at i-1/2."""
     l = _require_node_field(l, grid)
-    out = np.subtract(l[1:], l[:-1])
+    out = np.subtract(l[..., 1:], l[..., :-1])
     out /= grid.h
     return out
 
@@ -98,9 +102,12 @@ def d_wide(l: np.ndarray, grid: Grid) -> np.ndarray:
     if grid.M < 2:
         raise ValueError("d_wide needs M >= 2")
     two_h = 2.0 * grid.h
-    out = np.empty(grid.M + 1)
-    np.subtract(l[2:], l[:-2], out=out[1:-1])
-    out[1:-1] /= two_h
-    out[0] = (4.0 * l[1] - l[2] - 3.0 * l[0]) / two_h
-    out[-1] = (l[-3] - 4.0 * l[-2] + 3.0 * l[-1]) / two_h
+    out = np.empty(l.shape)
+    np.subtract(l[..., 2:], l[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= two_h
+    # the end stencils index the transposes, which gives floats for one
+    # field and arrays for a stack
+    lt, ends = l.T, out.T
+    ends[0] = (4.0 * lt[1] - lt[2] - 3.0 * lt[0]) / two_h
+    ends[-1] = (lt[-3] - 4.0 * lt[-2] + 3.0 * lt[-1]) / two_h
     return out

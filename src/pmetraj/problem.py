@@ -28,6 +28,11 @@ class ProblemSpec:
     energy_scale = h * sum(f0_cells) is the scale of the rounding error of
     E_h = -h sum f0 ln(D_h x): each term carries an error of about eps f0
     from its slope, however close ln(D_h x) is to 0.
+
+    A stack of k problems on one grid that differ only in m (make_problem
+    with a column of exponents) has m of shape (k, 1) and mass_factor of
+    shape (k, M+1); functional.mass_coefficient takes it with a row of S_h
+    per problem.
     """
 
     m: float
@@ -108,18 +113,24 @@ def initial_data_from_key(key: str) -> Callable[[np.ndarray], np.ndarray]:
 SCALE_LIMIT = math.sqrt(sys.float_info.max)
 
 
-def require_exponent(m: float) -> None:
+def require_exponent(m) -> None:
     """The exponent rule of make_problem, m > 1, for a caller that checks a
-    list of exponents before it builds the first problem."""
-    if not m > 1.0:
-        raise ConfigurationError(f"exponent must exceed 1, got {m!r}", key="m")
+    list of exponents before it builds the first problem; for an array of
+    exponents, the error names the first that breaks it."""
+    for value in np.ravel(m).tolist():
+        if not value > 1.0:
+            raise ConfigurationError(f"exponent must exceed 1, got {value!r}", key="m")
 
 
 def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -> ProblemSpec:
     """Sample f0 on the grid and validate m > 1, M >= 2, the mesh width (h^2
     and 1/h^2 scale the Hessian's entries), strict positivity and the data
     scales (SCALE_LIMIT); a ConfigurationError names "m", "M", "domain" or
-    "initial_data"."""
+    "initial_data".
+
+    m may also be a column of k exponents, shape (k, 1): the spec is then the
+    stack of k problems of ProblemSpec, sampled once, each row of its
+    mass_factor bitwise that of its own call."""
     require_exponent(m)
     if grid.M < 2:
         # the extrapolated slope S_h uses the wide difference, which needs two cells
@@ -149,7 +160,7 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
         raise DataScaleError(
             f"domain length times max f0 = {length:.6g} * {f0_max:.6g} exceeds "
             f"{SCALE_LIMIT:.3g}", key="domain")
-    m = float(m)
+    m = float(m) if np.ndim(m) == 0 else np.asarray(m, dtype=float)
     with np.errstate(over="ignore"):  # an overflow fails at the first step
         mass_factor = f0_nodes ** (2.0 - m) / m
     return ProblemSpec(

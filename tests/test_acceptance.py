@@ -16,6 +16,7 @@ from pmetraj import checks
 from pmetraj.stepper import ENERGY_SLACK
 
 from conftest import REFERENCE_M, T_EVAL
+from reference_states import random_setup
 
 TABLE = {
     5.0 / 3.0: {
@@ -178,15 +179,13 @@ def test_criterion_7_calculus_oracles():
     # every odd-numbered state runs the opening step's flux, as in
     # checks._fd_states; the flag takes no draw from rng
     for i in range(20):
-        spec, params, x_curr, coeffs = checks._random_setup(
-            rng, M=16, damped_start=i % 2 == 1)
+        spec, params, x_curr, coeffs = random_setup(rng, M=16, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
         [(err, ok)] = checks.gradient_vs_fd([(spec, params, x_curr, coeffs, x_new)])
         grad_ok &= ok
         worst_g = max(worst_g, err)
     for i in range(20):
-        spec, params, x_curr, coeffs = checks._random_setup(
-            rng, M=24, damped_start=i % 2 == 1)
+        spec, params, x_curr, coeffs = random_setup(rng, M=24, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
         [(err, ok)] = checks.hessian_vs_fd([(spec, params, x_curr, coeffs, x_new)])
         hess_ok &= ok

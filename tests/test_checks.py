@@ -9,6 +9,7 @@ import pytest
 from pmetraj import _kernels, checks, functional
 from pmetraj.checks import CheckResult
 from pmetraj.grid import Grid
+from reference_states import random_setup
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +84,7 @@ def _states(M, count, seed=11):
     step's flux."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        spec, params, x_curr, coeffs = checks._random_setup(rng, M=M,
-                                                            damped_start=i % 2 == 1)
+        spec, params, x_curr, coeffs = random_setup(rng, M=M, damped_start=i % 2 == 1)
         yield spec, params, x_curr, coeffs, checks.random_admissible(rng, spec.grid)
 
 
@@ -108,6 +108,60 @@ def _record_calls(monkeypatch, name, owner=functional):
 
     monkeypatch.setattr(owner, name, recorder)
     return shapes
+
+
+# ---------------------------------------------------------------------------
+# one draw per sweep gives the states drawn one at a time
+# ---------------------------------------------------------------------------
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+def _one_at_a_time(M, seed):
+    """The FD_STATES states of check_*_fd on M cells drawn one at a time
+    from seed, and the generator after them."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for i in range(checks.FD_STATES):
+        spec, params, x_curr, coeffs = random_setup(rng, M, damped_start=i % 2 == 1)
+        states.append((spec, params, x_curr, coeffs, checks.random_admissible(rng, spec.grid)))
+    return states, rng
+
+
+@pytest.mark.parametrize("M", [16, 24])
+def test_drawn_states_equal_states_drawn_one_at_a_time(M):
+    # every field a state hands the oracles, with both flux forms
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        states = checks._draw_states(rng, M)
+        want, reference = _one_at_a_time(M, seed)
+        assert len(states) == len(want)
+        for (spec, params, x_curr, coeffs, x_new), (w_spec, w_params, w_x_curr, w_coeffs,
+                                                    w_x_new) in zip(states, want):
+            assert spec.grid == w_spec.grid
+            assert (spec.m.hex(), params.tau.hex(), params.a0.hex()) == (
+                w_spec.m.hex(), w_params.tau.hex(), w_params.a0.hex())
+            assert coeffs.damped_start == w_coeffs.damped_start
+            for got, expected in [(x_curr, w_x_curr), (x_new, w_x_new),
+                                  (coeffs.slope_curr, w_coeffs.slope_curr),
+                                  (coeffs.mass, w_coeffs.mass),
+                                  (spec.mass_factor, w_spec.mass_factor)]:
+                assert _bits(got) == _bits(expected)
+        assert {c.damped_start for _, _, _, c, _ in states} == {False, True}
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("check, M", [
+    (checks.check_gradient_fd, 16),
+    (checks.check_hessian_fd, 24),
+])
+def test_passing_fd_check_leaves_the_generator_where_its_states_end(check, M):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        assert check(rng).ok
+        assert rng.bit_generator.state == _one_at_a_time(M, seed)[1].bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +398,7 @@ def test_fd_check_leaves_the_generator_where_the_failing_state_ends(monkeypatch)
     reference = np.random.default_rng(seed)
     drawn = []
     for i in range(2):
-        spec, params, x_curr, coeffs = checks._random_setup(reference, 16,
-                                                            damped_start=i % 2 == 1)
+        spec, params, x_curr, coeffs = random_setup(reference, 16, damped_start=i % 2 == 1)
         drawn.append((spec, params, x_curr, coeffs,
                       checks.random_admissible(reference, spec.grid)))
     monkeypatch.setattr(_kernels, "residual_hessian", perturbed)

@@ -46,6 +46,29 @@ def test_mass_coefficient_overflow_names_m():
         mass_coefficient(np.ones(9), spec, 0.01)
 
 
+def test_mass_coefficient_of_a_stack_equals_its_rows_and_names_the_first_bad_row():
+    g = Grid(0.0, 1.0, 8)
+    m = np.array([[1.5], [2.0], [3.7]])
+    stack = make_problem(m, g, quadratic_bump)
+    rng = np.random.default_rng(4)
+    s_h = rng.uniform(0.5, 2.0, (3, 9))
+    tau = np.array([[0.01], [0.02], [0.03]])
+    mass = mass_coefficient(compute_s_h(s_h, s_h[::-1], tau), stack, tau)
+    for i in range(3):
+        spec = make_problem(float(m[i, 0]), g, quadratic_bump)
+        np.testing.assert_array_equal(spec.mass_factor, stack.mass_factor[i])
+        np.testing.assert_array_equal(
+            mass[i], mass_coefficient(compute_s_h(s_h[i], s_h[2 - i], float(tau[i, 0])),
+                                      spec, float(tau[i, 0])))
+    for bad, match in [(np.array([[2.0], [1e6], [1e7]]), "at m = 1e\\+06"),
+                       (np.array([[2.0], [8.0], [1e7]]), "at m = 1e\\+07")]:
+        with pytest.raises(CoefficientOverflowError, match=match):
+            mass_coefficient(np.ones((3, 9)), make_problem(bad, g, quadratic_bump), tau)
+    tiny = np.array([[0.01], [1e-310], [1e-320]])
+    with pytest.raises(CoefficientOverflowError, match="at tau = 1e-310"):
+        mass_coefficient(np.ones((3, 9)), stack, tiny)
+
+
 def test_s_h_reference_state():
     g = Grid(0.0, 1.0, 8)
     p = SolverParams(tau=0.01)

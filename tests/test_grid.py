@@ -86,6 +86,17 @@ def test_d_wide_quadratic_exact_all_nodes(rng):
                                    rtol=1e-9, atol=1e-10)
 
 
+def test_differences_of_a_stack_equal_those_of_its_rows(rng):
+    g = Grid(0.0, 1.0, 6)
+    stack = rng.standard_normal((2, 3, 7))
+    for op in (d_forward, d_wide):
+        out = op(stack, g)
+        for index in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[index], op(stack[index], g))
+    with pytest.raises(ValueError):
+        d_wide(stack[..., :-1], g)
+
+
 def test_d_wide_needs_two_cells():
     g = Grid(0.0, 1.0, 1)
     with pytest.raises(ValueError):

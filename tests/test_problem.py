@@ -36,6 +36,14 @@ def test_make_problem_rejects_nonpositive_data():
         make_problem(1.0, g, quadratic_bump)
 
 
+def test_make_problem_with_a_column_of_exponents_names_the_first_bad_one():
+    g = Grid(0.0, 1.0, 16)
+    stack = make_problem(np.array([[1.5], [2.0]]), g, quadratic_bump)
+    assert stack.m.shape == (2, 1) and stack.mass_factor.shape == (2, 17)
+    with pytest.raises(ConfigurationError, match="got 0.5"):
+        make_problem(np.array([[2.0], [0.5], [1.0]]), g, quadratic_bump)
+
+
 def test_make_problem_rejects_one_cell_grid():
     # a Grid of one cell is valid, but S_h's wide difference needs two cells
     with pytest.raises(ConfigurationError, match="M = 1"):
