@@ -161,17 +161,13 @@ def _located(exc: SolverError, n: int, t: float) -> SolverError:
     return located
 
 
-def _density(state: TrajectoryState, spec: ProblemSpec) -> np.ndarray:
-    """The density at the state's nodes, from the slopes it carries."""
-    return recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
-
-
 def _write_snapshot(out_dir: Path, state: TrajectoryState, f: np.ndarray,
                     labels: list[str]) -> None:
-    """snap_<n>.csv: reference node, trajectory and density f at every node.
-    labels holds the columns i and X of every row as "i,X" strings: they
-    depend on the grid alone, so run formats them once per run, and each
-    snapshot formats only x and f."""
+    """snap_<n>.csv: reference node, trajectory and density f at every node,
+    f formed by run from the slopes the state carries.  labels holds the
+    columns i and X of every row as "i,X" strings: they depend on the grid
+    alone, so run formats them once per run, and each snapshot formats only
+    x and f."""
     write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"],
                      (labels, state.x_curr.tolist(), f.tolist()))
 
@@ -192,7 +188,8 @@ def run(config: RunConfig) -> RunResult:
     out_dir = Path(config.output_dir) if config.output_dir is not None else None
 
     state = bootstrap(spec)
-    f = _density(state, spec)  # for the initial mass and snap_0.csv
+    # the initial density, formed once for the initial mass and snap_0.csv
+    f = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
     # final_state is set when the run ends: holding the initial state here
     # would keep its two node fields alive through every step
     result = RunResult(final_state=None)
@@ -224,7 +221,8 @@ def run(config: RunConfig) -> RunResult:
         if out_dir is not None:
             periodic = config.snapshot_every > 0 and state.n % config.snapshot_every == 0
             if periodic or state.n == total_steps:
-                _write_snapshot(out_dir, state, _density(state, spec), labels)
+                _write_snapshot(out_dir, state, recover_density(
+                    state.x_curr, spec, state.slope_curr, state.wide_curr), labels)
 
     result.final_state = dataclasses.replace(state, work=None)  # freed with the run
     if out_dir is not None:

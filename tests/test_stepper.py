@@ -202,6 +202,22 @@ def test_snapshot_bytes_are_the_value_by_value_rendering(tmp_path, monkeypatch):
         assert (tmp_path / f"snap_{n}.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_run_forms_the_initial_density_once(tmp_path, monkeypatch):
+    # for the initial mass and snap_0.csv alike, and every snapshot step
+    # forms its own: one density per advance, one per later snapshot
+    g, spec, params = _quad_setup(M=40)
+    events = []
+    for name in ("advance", "recover_density"):
+        def recording(*args, _name=name, _original=getattr(stepper, name)):
+            events.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(stepper, name, recording)
+    run(RunConfig(spec=spec, params=params, t_final=4 * params.tau,
+                  snapshot_every=2, output_dir=tmp_path))
+    assert events[:events.index("advance")] == ["recover_density"]
+    assert events.count("advance") == 4 and events.count("recover_density") == 1 + 4 + 2
+
+
 def test_trace_bytes_are_the_value_by_value_rendering(tmp_path):
     """energy.csv and mass.csv of a run whose last step is truncated are
     str(n) and 17 significant digits of every float the run returned in
