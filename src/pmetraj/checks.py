@@ -293,10 +293,11 @@ def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     sweep that stopped there would leave it; else it passes with the worst
     relative error."""
     start = rng.bit_generator.state
-    states = _draw_states(rng, M)
+    states, stacks = _draw_states(rng, M), {}
+    for i, (_, _, _, coeffs, _) in enumerate(states):
+        stacks.setdefault(coeffs.damped_start, []).append(i)
     results, work = [None] * FD_STATES, _kernels.Workspace((FD_STACK, M + 1))
-    for first in (0, 1):  # the averaged flux, then the opening step's
-        indices = range(first, FD_STATES, 2)
+    for indices in stacks.values():
         for begin in range(0, len(indices), FD_STACK):
             stack = indices[begin:begin + FD_STACK]
             for i, result in zip(stack, oracle([states[i] for i in stack], work)):
