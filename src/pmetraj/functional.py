@@ -77,13 +77,13 @@ def compute_s_h(wide_curr: np.ndarray, wide_prev: np.ndarray, tau: float) -> np.
     return np.maximum(1.5 * wide_curr - 0.5 * wide_prev, tau ** 2)
 
 
-def _require_finite(values: np.ndarray, cause, message: str) -> None:
-    """Raise CoefficientOverflowError(message.format(c)) unless every entry
-    of values is finite, with c the cause (a float, or one per entry) of the
-    first entry that is inf or nan."""
-    bad = ~(values < math.inf)
-    if bad.any():
-        cause = np.ravel(cause)[int(np.flatnonzero(bad)[0])] if np.ndim(cause) else cause
+def _require_finite(values, cause, message: str) -> None:
+    """Raise CoefficientOverflowError(message.format(c)) unless values, a
+    float or an array, are all finite, with c the cause (a float, or one
+    per value) of the first that is inf or nan."""
+    ok = values < math.inf
+    if not ok.all():
+        cause = np.ravel(cause)[int(np.argmin(ok))] if np.ndim(cause) else cause
         raise CoefficientOverflowError(message.format(cause))
 
 
@@ -102,7 +102,8 @@ def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec, tau: float) -> np.ndarr
     m = spec.m
     with np.errstate(over="ignore", invalid="ignore"):
         mass = spec.mass_factor * s_h ** (m - 1.0)
-        top = np.max(mass, axis=-1, keepdims=True)
+        # a float for one problem, a column for a stack, shaped as tau
+        top = mass.max(axis=-1, keepdims=mass.ndim > 1)
         # inf, or nan from inf * 0
         _require_finite(top, m, "mass coefficient f0^(2-m) S_h^(m-1)/m is not finite "
                                 "at m = {:g}")
