@@ -79,13 +79,16 @@ def _g_second_loop(rng, samples=1000):
     return CheckResult(name, True)
 
 
-def _states(M, count, seed=11):
-    """The states of check_*_fd: every odd-numbered one has the opening
-    step's flux."""
-    rng = np.random.default_rng(seed)
+def _states_from(rng, M, count):
+    """The states of check_*_fd drawn one at a time from rng: every
+    odd-numbered one has the opening step's flux."""
     for i in range(count):
         spec, params, x_curr, coeffs = random_setup(rng, M=M, damped_start=i % 2 == 1)
         yield spec, params, x_curr, coeffs, checks.random_admissible(rng, spec.grid)
+
+
+def _states(M, count, seed=11):
+    return _states_from(np.random.default_rng(seed), M, count)
 
 
 def _stacks(states, size):
@@ -119,24 +122,13 @@ def _bits(value):
     return value.dtype, value.shape, value.tobytes()
 
 
-def _one_at_a_time(M, seed):
-    """The FD_STATES states of check_*_fd on M cells drawn one at a time
-    from seed, and the generator after them."""
-    rng = np.random.default_rng(seed)
-    states = []
-    for i in range(checks.FD_STATES):
-        spec, params, x_curr, coeffs = random_setup(rng, M, damped_start=i % 2 == 1)
-        states.append((spec, params, x_curr, coeffs, checks.random_admissible(rng, spec.grid)))
-    return states, rng
-
-
 @pytest.mark.parametrize("M", [16, 24])
 def test_drawn_states_equal_states_drawn_one_at_a_time(M):
     # every field a state hands the oracles, with both flux forms
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        states = checks._draw_states(rng, M)
-        want, reference = _one_at_a_time(M, seed)
+        states, reference = checks._draw_states(rng, M), np.random.default_rng(seed)
+        want = list(_states_from(reference, M, checks.FD_STATES))
         assert len(states) == len(want)
         for (spec, params, x_curr, coeffs, x_new), (w_spec, w_params, w_x_curr, w_coeffs,
                                                     w_x_new) in zip(states, want):
@@ -159,9 +151,10 @@ def test_drawn_states_equal_states_drawn_one_at_a_time(M):
 ])
 def test_passing_fd_check_leaves_the_generator_where_its_states_end(check, M):
     for seed in range(3):
-        rng = np.random.default_rng(seed)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         assert check(rng).ok
-        assert rng.bit_generator.state == _one_at_a_time(M, seed)[1].bit_generator.state
+        list(_states_from(reference, M, checks.FD_STATES))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
