@@ -8,12 +8,12 @@ secant building blocks, and direct summation for the discrete identities.
 Each sweep is evaluated on arrays: a sign sweep draws all its samples at once
 and makes one call.  A finite-difference check draws its FD_STATES states in
 one draw, a row of doubles per state, and forms their fields as stacks with
-the library's own code (_draw_states), each state with the bits it would
-have if drawn alone.  It then evaluates the states of each flux form in
-stacks of FD_STACK: the oracle makes one kernel call on the stack's states
-and one on all their probes, (k, M+1) and (k, r, M+1), with the states'
-coefficients as per-row arrays (see _kernels), and returns each state's
-error with the bits of its own call.  A failing sweep still reports its
+the library's own code (_draw_states), every field the oracles read with
+the bits it would have if drawn alone.  It then evaluates the states of
+each flux form in stacks of FD_STACK: the oracle makes one kernel call on
+the stack's states and one on all their probes, (k, M+1) and (k, r, M+1),
+with the states' coefficients as per-row arrays (see _kernels), and
+returns each state's error with the bits of its own call.  A failing sweep still reports its
 first counterexample in sample or draw order, and a failing
 finite-difference check sets the generator to where that state's draws
 end, so the sweeps after it draw what they would draw after a
@@ -87,11 +87,11 @@ def _draw_states(rng, M: int) -> list:
     opening step's flux.  One draw of FD_STATES rows of 3 + 3M doubles takes
     what drawing the states one at a time takes, in the same order (m, tau,
     a0, then the cell widths of x_curr, of the trajectory behind it and of
-    x_new), and each state gets the bits it would get alone: its fields are
-    rows of stacks formed by the library's own code (make_problem with a
-    column of exponents, d_forward, d_wide, compute_s_h, mass_coefficient),
-    and every rule of make_problem, SolverParams and mass_coefficient is
-    checked on every row."""
+    x_new), and every field the oracles read gets the bits it would get
+    alone: the fields are rows of stacks formed by the library's own code
+    (make_problem with a column of exponents, d_forward, d_wide,
+    compute_s_h, mass_coefficient), and every rule of make_problem,
+    SolverParams and mass_coefficient is checked on every row."""
     grid = Grid(0.0, 1.0, M)
     u = rng.random((FD_STATES, 3 + 3 * M))
     stack = make_problem(_uniform(1.3, 3.0, u[:, :1]), grid, quadratic_bump)
