@@ -11,7 +11,8 @@ dissipated unconditionally.
 from ._kernels import backend_name
 from .analysis import (ConvergenceReport, ErrorRecord, StudyResult,
                        convergence_study, density_error_norms,
-                       observed_orders, trajectory_error_norms)
+                       observed_orders, refinement_study,
+                       trajectory_error_norms)
 from .errors import (CoefficientOverflowError, ConfigurationError,
                      DataScaleError, DegenerateMeshError, EnergyViolationError,
                      NonconvergenceError, SingularSystemError, SolverError,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -17,9 +18,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .functional import SolverParams
 from .grid import Grid, domain_length
-from .problem import (ProblemSpec, initial_data_from_key, make_problem,
-                      recover_density)
-from .stepper import RunConfig, RunResult, run
+from .problem import initial_data_from_key, make_problem, recover_density
+from .stepper import RunConfig, run
 
 NORM_KEYS = ("f_l2", "f_inf", "x_l2", "x_inf")
 
@@ -48,7 +48,7 @@ class ConvergenceReport:
 @dataclass
 class StudyResult:
     report: ConvergenceReport
-    runs: dict = field(default_factory=dict)  # "reference" and each coarse M -> RunResult
+    runs: dict = field(default_factory=dict)  # "reference" and each level -> RunResult
 
 
 def _check_nested(coarse_len: int, reference_len: int, stride: int):
@@ -99,21 +99,15 @@ def observed_orders(records: list) -> dict:
     return orders
 
 
-def _run_case(spec: ProblemSpec, t_eval: float,
-              params_base: SolverParams) -> RunResult:
-    """One solve of spec with tau = h (linear refinement)."""
-    params = dataclasses.replace(params_base, tau=spec.grid.h)
-    return run(RunConfig(spec=spec, params=params, t_final=t_eval))
-
-
 def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
                       length: float) -> list:
     """The coarse cell counts of a refinement study on a domain of the given
     length, coarsest first, once the study's keys are checked: every h tiles
     the domain in at least 2 cells, no two give the same count, every coarse
-    count divides reference_M, and t_eval is a whole number of at least one
-    step (tau = h) at every resolution.  A bad key raises ConfigurationError
-    with key "h_list", "reference_M" or "t_eval".
+    count is a proper divisor of reference_M, which fits a float, and t_eval
+    is a whole number of at least one step (tau = h) at every resolution.  A
+    bad key raises ConfigurationError with key "h_list", "reference_M" or
+    "t_eval".
     """
     if not h_list:
         raise ConfigurationError("needs at least one mesh width", key="h_list")
@@ -139,7 +133,14 @@ def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
     if reference_M < 2:
         raise ConfigurationError(f"need at least 2 cells, got {reference_M}",
                                  key="reference_M")
+    if not reference_M <= sys.float_info.max:  # an int compares exactly
+        raise ConfigurationError(
+            f"too large: reference_M exceeds the float range ({sys.float_info.max:.6g})",
+            key="reference_M")
     for M in m_list:
+        if M == reference_M:
+            raise ConfigurationError(f"coarse cell count {M} equals the reference count",
+                                     key="reference_M")
         if reference_M % M != 0:
             raise ConfigurationError(f"coarse cell count {M} does not divide the reference "
                                      f"count {reference_M}", key="reference_M")
@@ -156,6 +157,60 @@ def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
     return m_list
 
 
+def refinement_study(m: float,
+                     levels: list,
+                     reference: tuple,
+                     t_eval: float,
+                     initial_data: Union[str, Callable],
+                     domain=(0.0, 1.0),
+                     params_base: Optional[SolverParams] = None) -> StudyResult:
+    """Error records and observed orders of coarse (M, tau) levels, coarsest
+    first, against one reference (M, tau), all run to t_eval: a time study
+    is levels at one M, a space study levels at one tau.  `initial_data` is
+    a catalog key or a sampling callable.  Everything is checked before the
+    first run; a level that repeats one before it, or whose M does not
+    divide the reference's, raises ConfigurationError with key "levels".
+    `runs` holds "reference" and each level's (M, tau)."""
+    if params_base is None:
+        params_base = SolverParams(tau=1.0)
+    reference_M, pairs = reference[0], [tuple(reference)]
+    for M, tau in levels:
+        if (M, tau) in pairs:
+            raise ConfigurationError(f"(M={M}, tau={tau}) repeats an earlier level or the "
+                                     "reference", key="levels")
+        if not (M >= 1 and reference_M % M == 0):
+            raise ConfigurationError(f"M={M} does not divide the reference's M={reference_M}",
+                                     key="levels")
+        pairs.append((M, tau))
+
+    f0 = initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data
+    specs = {M: make_problem(m, Grid(domain[0], domain[1], M), f0) for M, _ in pairs}
+    configs = [RunConfig(spec=specs[M], params=dataclasses.replace(params_base, tau=tau),
+                         t_final=t_eval) for M, tau in pairs]
+    results = [run(config) for config in configs]
+
+    runs = {"reference": results[0]}
+    ref_state = results[0].final_state
+    f_ref = recover_density(ref_state.x_curr, specs[reference_M], ref_state.slope_curr,
+                            ref_state.wide_curr)
+
+    records = []
+    for (M, tau), res in zip(pairs[1:], results[1:]):
+        runs[(M, tau)] = res
+        spec, x = specs[M], res.final_state.x_curr
+        f = recover_density(x, spec, res.final_state.slope_curr, res.final_state.wide_curr)
+        stride = reference_M // M
+        f_l2, f_inf = density_error_norms(x, f, ref_state.x_curr, f_ref, stride)
+        x_l2, x_inf = trajectory_error_norms(x, ref_state.x_curr, stride, spec.grid)
+        records.append(ErrorRecord(h=spec.grid.h, tau=tau,
+                                   err_f_l2=f_l2, err_f_inf=f_inf,
+                                   err_x_l2=x_l2, err_x_inf=x_inf))
+
+    report = ConvergenceReport(m=m, t_eval=t_eval, records=records,
+                               orders=observed_orders(records))
+    return StudyResult(report=report, runs=runs)
+
+
 def convergence_study(m: float,
                       h_list: list,
                       reference_M: int,
@@ -163,44 +218,16 @@ def convergence_study(m: float,
                       initial_data: Union[str, Callable],
                       domain=(0.0, 1.0),
                       params_base: Optional[SolverParams] = None) -> StudyResult:
-    """Run the reference once and every coarse resolution with tau = h, then
-    assemble per-resolution error records and observed orders.
-
-    `initial_data` is a catalog key or a sampling callable.  The domain
-    (grid.domain_length), the study's keys (study_cell_counts) and every
-    problem (make_problem) are checked before the first run; a bad one
-    raises ConfigurationError.
-    """
-    if params_base is None:
-        params_base = SolverParams(tau=1.0)
+    """refinement_study with tau = h, one level per mesh width in h_list, the
+    study's keys checked first (study_cell_counts); `runs` holds "reference"
+    and each coarse M."""
     length = domain_length(*domain)
     m_list = study_cell_counts(h_list, reference_M, t_eval, length)
-
-    f0 = initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data
-    specs = [make_problem(m, Grid(domain[0], domain[1], M), f0)
-             for M in [reference_M] + m_list]
-    results = [_run_case(spec, t_eval, params_base) for spec in specs]
-
-    runs = {"reference": results[0]}
-    ref_state = results[0].final_state
-    f_ref = recover_density(ref_state.x_curr, specs[0], ref_state.slope_curr, ref_state.wide_curr)
-
-    records = []
-    for M, spec, res in zip(m_list, specs[1:], results[1:]):
-        runs[M] = res
-        grid = spec.grid
-        x = res.final_state.x_curr
-        f = recover_density(x, spec, res.final_state.slope_curr, res.final_state.wide_curr)
-        stride = reference_M // M
-        f_l2, f_inf = density_error_norms(x, f, ref_state.x_curr, f_ref, stride)
-        x_l2, x_inf = trajectory_error_norms(x, ref_state.x_curr, stride, grid)
-        records.append(ErrorRecord(h=grid.h, tau=grid.h,
-                                   err_f_l2=f_l2, err_f_inf=f_inf,
-                                   err_x_l2=x_l2, err_x_inf=x_inf))
-
-    report = ConvergenceReport(m=m, t_eval=t_eval, records=records,
-                               orders=observed_orders(records))
-    return StudyResult(report=report, runs=runs)
+    study = refinement_study(m, [(M, length / M) for M in m_list],
+                             (reference_M, length / reference_M), t_eval,
+                             initial_data, domain, params_base)
+    study.runs = {k if k == "reference" else k[0]: res for k, res in study.runs.items()}
+    return study
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +243,8 @@ def report_rows(report: ConvergenceReport) -> list:
     for k, rec in enumerate(report.records):
         row = [rec.h, rec.tau]
         for key in NORM_KEYS:
-            row.append(rec.norm(key))
-            if k == 0:
-                row.append("")
-            else:
-                o = report.orders[key][k - 1]
-                row.append("" if math.isnan(o) else o)
+            o = report.orders[key][k - 1] if k else math.nan
+            row += [rec.norm(key), "" if math.isnan(o) else o]
         rows.append(row)
     return rows
 
@@ -232,14 +255,9 @@ def format_table(report: ConvergenceReport) -> str:
     header = (f"{'h':>12} {'tau':>12} {'err_f_L2':>10} {'ord':>6} {'err_f_inf':>10}"
               f" {'ord':>6} {'err_x_L2':>10} {'ord':>6} {'err_x_inf':>10} {'ord':>6}")
     lines = [f"m = {report.m:g}, t = {report.t_eval:g}", header]
-    for k, rec in enumerate(report.records):
-        cells = [f"{rec.h:>12.6g}", f"{rec.tau:>12.6g}"]
-        for key in NORM_KEYS:
-            cells.append(f"{rec.norm(key):>10.4g}")
-            if k == 0:
-                cells.append(f"{'-':>6}")
-            else:
-                o = report.orders[key][k - 1]
-                cells.append(f"{'-':>6}" if math.isnan(o) else f"{o:>6.3f}")
+    for row in report_rows(report):
+        cells = [f"{row[0]:>12.6g}", f"{row[1]:>12.6g}"]
+        for err, o in zip(row[2::2], row[3::2]):
+            cells += [f"{err:>10.4g}", f"{'-':>6}" if o == "" else f"{o:>6.3f}"]
         lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"

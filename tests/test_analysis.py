@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (ConfigurationError, Grid, RunConfig, SolverParams,
-                     convergence_study, density_error_norms, make_problem,
-                     observed_orders, quadratic_bump, run,
-                     trajectory_error_norms)
+from pmetraj import (ConfigurationError, Grid, analysis, convergence_study,
+                     density_error_norms, observed_orders, quadratic_bump,
+                     refinement_study, trajectory_error_norms)
 from pmetraj.analysis import (CSV_HEADER, ErrorRecord, format_table,
                               report_rows)
 
@@ -163,26 +162,47 @@ def test_report_rows_and_table():
     assert "2.000" in table and "m = 2" in table
 
 
-def _final_x(M, steps):
-    spec = make_problem(2.0, Grid(0.0, 1.0, M), quadratic_bump)
-    config = RunConfig(spec=spec, params=SolverParams(tau=0.05 / steps), t_final=0.05)
-    return run(config).final_state.x_curr
-
-
-def _orders(errors):
-    return [math.log2(coarse / fine) for coarse, fine in zip(errors[:-1], errors[1:])]
-
-
 def test_second_order_in_time_and_in_space_separately():
     # the published table fixes tau = h; here each half of the claim is
     # checked alone, against a reference that shares the other resolution
     M, steps = 200, (10, 20, 40)
-    ref = _final_x(M, 320)
-    in_time = [trajectory_error_norms(_final_x(M, n), ref, 1, Grid(0.0, 1.0, M))[1]
-               for n in steps]
+    in_time = refinement_study(2.0, [(M, 0.05 / n) for n in steps], (M, 0.05 / 320),
+                               0.05, quadratic_bump)
     n, cells = 40, (50, 100, 200)
-    ref = _final_x(800, n)
-    in_space = [trajectory_error_norms(_final_x(c, n), ref, 800 // c,
-                                       Grid(0.0, 1.0, c))[1] for c in cells]
-    for orders in (_orders(in_time), _orders(in_space)):
+    in_space = refinement_study(2.0, [(c, 0.05 / n) for c in cells], (800, 0.05 / n),
+                                0.05, quadratic_bump)
+    for orders in (in_time.report.orders["x_inf"], in_space.report.orders["x_inf"]):
         assert all(abs(p - 2.0) <= 0.2 for p in orders), orders
+
+
+def test_refinement_study_in_time_keeps_every_level():
+    # levels at one M: one record per level, each with its own tau
+    study = refinement_study(2.0, [(20, 0.05), (20, 0.025)], (20, 0.0125), 0.1,
+                             "paper-quadratic")
+    recs = study.report.records
+    assert [(r.h, r.tau) for r in recs] == [(0.05, 0.05), (0.05, 0.025)]
+    assert recs[1].err_x_inf < recs[0].err_x_inf
+    assert len(study.report.orders["x_inf"]) == 1
+    assert set(study.runs) == {"reference", (20, 0.05), (20, 0.025)}
+    assert [study.runs[key].final_state.n for key in ((20, 0.05), (20, 0.025), "reference")] \
+        == [2, 4, 8]
+
+
+@pytest.mark.parametrize("levels, reference, reason", [
+    ([(30, 0.05)], (100, 0.01), "M=30 does not divide"),
+    ([(20, 0.05), (20, 0.05)], (40, 0.025), "repeats"),
+    ([(20, 0.05), (40, 0.025)], (40, 0.025), "repeats"),
+], ids=["not-dividing", "repeated", "the-reference"])
+def test_refinement_study_rejects_bad_levels_before_the_first_run(monkeypatch, levels,
+                                                                  reference, reason):
+    calls = []
+    original = analysis.run
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(analysis, "run", counting)
+    with pytest.raises(ConfigurationError, match=reason) as info:
+        refinement_study(2.0, levels, reference, 0.1, "paper-quadratic")
+    assert info.value.key == "levels" and calls == []

@@ -95,6 +95,25 @@ def test_tracer_sees_the_layers_of_one_step(perfbench_path):
         assert [spans[c][0] for c in children(k)] == ["kernels.thomas_spd"]
 
 
+def test_tracer_sees_every_run_of_a_study(perfbench_path):
+    """A traced convergence_study records one stepper.run span per
+    resolution directly under its own span, and the reference's time as
+    analysis.reference_s, from which perfbench forms
+    analysis.reference_share."""
+    import tracing
+    tracer = tracing.Tracer().install()
+    try:
+        analysis.convergence_study(2.0, [1 / 10, 1 / 20], 40, 0.1, "paper-quadratic")
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    study = [k for k, span in enumerate(spans) if span[0] == "analysis.convergence_study"]
+    assert len(study) == 1 and spans[study[0]][3] == -1
+    runs = [span for span in spans if span[0] == "stepper.run" and span[3] == study[0]]
+    assert len(runs) == 3
+    assert 0.0 < tracer.counts["analysis.reference_s"] <= spans[study[0]][2] - spans[study[0]][1]
+
+
 def test_host_clock_installs_and_restores(perfbench_path):
     import hostspeed
     clock = hostspeed.HostClock()

@@ -476,6 +476,8 @@ def test_cmd_convergence_non_nested_reference(tmp_path, capsys):
     ("h_list = 1/10, 1/20", "h_list = ,", "study.h_list: needs at least one mesh width"),
     ("h_list = 1/10, 1/20", "h_list = 1/10, 0.1, 1/20", "study.h_list: h=0.1 gives M=10 a second time"),
     ("reference_M = 80", "reference_M = 0", "study.reference_M: need at least 2 cells"),
+    ("reference_M = 80", "reference_M = 20",
+     "study.reference_M: coarse cell count 20 equals the reference count"),
     ("t_eval = 0.1", "t_eval = 1e-12", "study.t_eval: t_eval=1e-12 is shorter than one step"),
     ("m = 5/3, 2", "m = 2, 1", "problem.m: exponent must exceed 1, got 1.0"),
 ])
@@ -491,6 +493,21 @@ def test_cmd_convergence_bad_study_names_line(tmp_path, capsys, old, new, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"case.cfg:{line}: {key}" in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_convergence_huge_reference_M_names_its_line(tmp_path, capsys):
+    # a 400-digit reference_M has no float step count: once an
+    # OverflowError traceback from study_cell_counts
+    new = "reference_M = 1" + "0" * 400
+    text = STUDY_CONFIG.replace("reference_M = 80", new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"case.cfg:{line}: study.reference_M: too large" in err
     assert not (tmp_path / "s").exists()
 
 

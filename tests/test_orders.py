@@ -27,15 +27,16 @@ nonlinear terms, of order eps^2, sit far below the discretisation error,
 so the rate's error is that of the scheme, and with tau = h it must fall
 at second order.  The terms quadratic in eps (among them the
 extrapolated slope S_h) do not reach this rate, so the oracle checks the
-linear part of the scheme only.
+linear part of the scheme only.  The time and the space study run through
+analysis.refinement_study.
 """
 import math
 
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, RunConfig, SolverParams, initial_data_from_key,
-                     make_problem, recover_density, run)
+from pmetraj import Grid, RunConfig, SolverParams, make_problem, run
+from pmetraj.analysis import refinement_study
 
 EPS = 1e-6
 T_FINAL = 0.02
@@ -71,23 +72,15 @@ TIME_STEPS = [1, 2, 4, 8]  # tau = h/k
 TIME_REFERENCE = 64
 
 
-def _final_nodes(m, k):
-    """The nodes at TIME_T_FINAL of the paper's quadratic bump on TIME_M
-    cells with tau = h/k."""
-    grid = Grid(0.0, 1.0, TIME_M)
-    spec = make_problem(m, grid, initial_data_from_key("paper-quadratic"))
-    result = run(RunConfig(spec=spec, params=SolverParams(tau=grid.h / k),
-                           t_final=TIME_T_FINAL))
-    return result.final_state.x_curr
-
-
 @pytest.mark.parametrize("m", [2.0, 8.0])
 def test_time_refinement_is_second_order(m):
     # measured at m = 2: max errors 8.04e-5, 1.96e-5, 4.71e-6, 1.13e-6,
     # orders 2.038, 2.054, 2.064; at m = 8 orders 1.991, 1.999, 2.014
-    reference = _final_nodes(m, TIME_REFERENCE)
-    errors = [float(np.max(np.abs(_final_nodes(m, k) - reference))) for k in TIME_STEPS]
-    orders = [math.log2(e0 / e1) for e0, e1 in zip(errors[:-1], errors[1:])]
+    h = 1.0 / TIME_M
+    study = refinement_study(m, [(TIME_M, h / k) for k in TIME_STEPS],
+                             (TIME_M, h / TIME_REFERENCE), TIME_T_FINAL, "paper-quadratic")
+    errors = [rec.err_x_inf for rec in study.report.records]
+    orders = study.report.orders["x_inf"]
     assert all(abs(p - 2.0) <= 0.15 for p in orders), (errors, orders)
 
 
@@ -96,25 +89,11 @@ SPACE_M = [50, 100, 200]
 SPACE_REFERENCE = 1600
 
 
-def _final_fields(M):
-    """The nodes and the density at TIME_T_FINAL of the paper's quadratic
-    bump with m = 2 on M cells with tau = SPACE_TAU."""
-    spec = make_problem(2.0, Grid(0.0, 1.0, M), initial_data_from_key("paper-quadratic"))
-    result = run(RunConfig(spec=spec, params=SolverParams(tau=SPACE_TAU),
-                           t_final=TIME_T_FINAL))
-    x = result.final_state.x_curr
-    return x, recover_density(x, spec)
-
-
 def test_space_refinement_is_second_order():
     # measured: max errors in x 1.51e-5, 3.78e-6, 9.33e-7, orders 2.003,
     # 2.017; in f 5.19e-4, 1.28e-4, 3.15e-5, orders 2.024, 2.015
-    reference = _final_fields(SPACE_REFERENCE)
-    errors = []
-    for M in SPACE_M:
-        shared = slice(None, None, SPACE_REFERENCE // M)
-        errors.append([float(np.max(np.abs(field - ref[shared])))
-                       for field, ref in zip(_final_fields(M), reference)])
-    orders = [math.log2(e0 / e1) for coarse, fine in zip(errors[:-1], errors[1:])
-              for e0, e1 in zip(coarse, fine)]
+    study = refinement_study(2.0, [(M, SPACE_TAU) for M in SPACE_M],
+                             (SPACE_REFERENCE, SPACE_TAU), TIME_T_FINAL, "paper-quadratic")
+    errors = [(rec.err_x_inf, rec.err_f_inf) for rec in study.report.records]
+    orders = study.report.orders["x_inf"] + study.report.orders["f_inf"]
     assert all(abs(p - 2.0) <= 0.15 for p in orders), (errors, orders)
