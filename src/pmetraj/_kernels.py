@@ -150,17 +150,6 @@ class _Level:
         return self.f
 
 
-def _reduction_plan(n):
-    """The buffer lengths of the cyclic reduction of a padded system of n
-    unknowns: alpha and beta, then the (d, e, f) of every reduced system
-    down to the base."""
-    lengths = []
-    while n > SCALAR_BASE:
-        n //= 2
-        lengths += [n, n - 1, n]
-    return lengths[:1] * 2 + lengths
-
-
 class Workspace:
     """Every buffer the assembly and the cyclic reduction write, for
     trajectories of one shape: a node field (M+1,), or a stack (..., M+1)
@@ -198,11 +187,9 @@ class Workspace:
         self.g = np.empty((*rows, n))
         self.diag, self.off = diag[..., :n], off[..., :max(n - 1, 0)]
         self.mask = np.empty(cells, dtype=bool)
-        self._plan = [] if rows else _reduction_plan(padded)
-        start = max(5 * size, sum(self._plan))
-        self._flat = np.empty(start + (0 if rows else padded))
+        self._flat = np.empty(5 * size + (0 if rows else padded))
         self.cells = tuple(self._flat[:5 * size].reshape(5, *cells))
-        rhs = self._flat[start:]
+        rhs = self._flat[5 * size:]
         self.rhs = None if rows else rhs[:n]
         self._rhs_pad = rhs[n:]
         self._system = (diag, off, rhs)
@@ -222,19 +209,24 @@ class Workspace:
         return Workspace, (self.shape,)
 
     def reduction(self):
-        """(levels, base): one _Level per halving of the padded system, with
-        the shared elimination factors and every reduced system, and the
-        (d, e, f) the scalar elimination finishes."""
+        """(levels, base): one _Level per halving of the padded system, and
+        the (d, e, f) the scalar elimination finishes.  The levels' shared
+        elimination factors alpha and beta, then every reduced system, are
+        carved from the cell scratch in turn.  Halving the padded length p
+        leaves reduced systems of under p unknowns in all, so these buffers
+        take under 4p doubles: less than the five cell fields, 5(n + 1)
+        doubles for n unknowns, as p < n + n/32."""
         if self._reduction is None:
-            views, start = [], 0
-            for length in self._plan:
-                views.append(self._flat[start:start + length])
-                start += length
-            systems = [self._system] + [tuple(views[i:i + 3])
-                                        for i in range(2, len(views), 3)]
-            levels = [_Level(*system, *views[:2], *reduced)
-                      for system, reduced in zip(systems, systems[1:])]
-            self._reduction = (levels, systems[-1])
+            p, flat = self._system[0].shape[0], self._flat
+            alpha, beta = flat[:p // 2], flat[p // 2:p // 2 * 2]
+            start, levels, system = p // 2 * 2, [], self._system
+            while p > SCALAR_BASE:
+                p //= 2
+                d_end, e_end, f_end = start + p, start + 2 * p - 1, start + 3 * p - 1
+                reduced = (flat[start:d_end], flat[d_end:e_end], flat[e_end:f_end])
+                levels.append(_Level(*system, alpha, beta, *reduced))
+                system, start = reduced, f_end
+            self._reduction = (levels, system)
         return self._reduction
 
 

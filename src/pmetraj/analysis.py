@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .functional import SolverParams
-from .grid import Grid, domain_length
+from .grid import Grid, domain_length, require_cell_count
 from .problem import initial_data_from_key, make_problem, recover_density
 from .stepper import RunConfig, run
 
@@ -104,10 +103,10 @@ def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
     """The coarse cell counts of a refinement study on a domain of the given
     length, coarsest first, once the study's keys are checked: every h tiles
     the domain in at least 2 cells, no two give the same count, every coarse
-    count is a proper divisor of reference_M, which fits a float, and t_eval
-    is a whole number of at least one step (tau = h) at every resolution.  A
-    bad key raises ConfigurationError with key "h_list", "reference_M" or
-    "t_eval".
+    count is a proper divisor of reference_M, whose nodes numpy can hold
+    (require_cell_count), and t_eval is a whole number of at least one step
+    (tau = h) at every resolution.  A bad key raises ConfigurationError with
+    key "h_list", "reference_M" or "t_eval".
     """
     if not h_list:
         raise ConfigurationError("needs at least one mesh width", key="h_list")
@@ -133,10 +132,7 @@ def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
     if reference_M < 2:
         raise ConfigurationError(f"need at least 2 cells, got {reference_M}",
                                  key="reference_M")
-    if not reference_M <= sys.float_info.max:  # an int compares exactly
-        raise ConfigurationError(
-            f"too large: reference_M exceeds the float range ({sys.float_info.max:.6g})",
-            key="reference_M")
+    require_cell_count(reference_M, "reference_M")
     for M in m_list:
         if M == reference_M:
             raise ConfigurationError(f"coarse cell count {M} equals the reference count",

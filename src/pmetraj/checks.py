@@ -9,14 +9,14 @@ Each sweep is evaluated on arrays: a sign sweep draws all its samples at once
 and makes one call.  A finite-difference check draws its FD_STATES states in
 one draw, a row of doubles per state, and forms their fields as stacks with
 the library's own code (_draw_states), every field the oracles read with
-the bits it would have if drawn alone.  It then evaluates the states of
-each flux form in stacks of FD_STACK: the oracle makes one kernel call on
-the stack's states and one on all their probes, (k, M+1) and (k, r, M+1),
+the bits it would have if drawn alone.  It then makes one oracle call per
+flux form, on all the states of that form: the oracle makes one kernel
+call on the states and one on all their probes, (k, M+1) and (k, r, M+1),
 with the states' coefficients as per-row arrays (see _kernels), and
-returns each state's error with the bits of its own call.  A failing sweep still reports its
-first counterexample in sample or draw order, and a failing
-finite-difference check sets the generator to where that state's draws
-end, so the sweeps after it draw what they would draw after a
+returns each state's error with the bits of its own call.  A failing sweep
+still reports its first counterexample in sample or draw order, and a
+failing finite-difference check sets the generator to where that state's
+draws end, so the sweeps after it draw what they would draw after a
 state-by-state check.
 """
 from __future__ import annotations
@@ -44,12 +44,6 @@ GRADIENT_STEP = 5e-4
 HESSIAN_STEP = 1e-6
 #: Relative jitter of the cell widths of random_admissible.
 WIDTH_JITTER = 0.3
-#: States of one flux form per stacked oracle call (see _fd_states).  In
-#: perfbench `check`, 8 alternating runs each on a 2-core Xeon, op_ms_p50
-#: went from 13.9 ms one state at a time to 11.8, 10.2 and 9.7 ms with
-#: stacks of 2, 5 and 10, and peak_rss_mb rose by 0.16, 0.49 and 1.0 MB:
-#: at 5 the stacks' buffers stay near half a megabyte.
-FD_STACK = 5
 
 
 @dataclass
@@ -223,7 +217,8 @@ def gradient_vs_fd(states, work=None):
     the grid and the flux form: one residual call on the k states and one
     call of F on all 4k(M-1) probes, with per-row coefficients.  Both write
     into work, a Workspace (for_shape serves either shape; fresh workspaces
-    when None).
+    when None).  check_gradient_fd passes the 10 states of a flux form at
+    M = 16, so F sees a (10, 60, 17) stack.
     F is eval_F's: step_functional plus step_constant."""
     grid, damped_start, x_new, x_curr, coefficients = _rows(states)
     slope_curr, _, f0_cells, h, tau, a0 = coefficients
@@ -258,7 +253,9 @@ def hessian_vs_fd(states, work=None):
     The states share the grid and the flux form: one Hessian call on the k
     states and one residual call on all 2k(M-1) probes, with per-row
     coefficients.  Both write into work, a Workspace (for_shape serves
-    either shape; fresh workspaces when None)."""
+    either shape; fresh workspaces when None).  check_hessian_fd passes the
+    10 states of a flux form at M = 24, so the residual sees a (10, 46, 25)
+    stack."""
     grid, damped_start, x_new, x_curr, coefficients = _rows(states)
     k, n = len(states), grid.M - 1
     functional._require_admissible(x_new, grid, "candidate trajectory")
@@ -286,22 +283,17 @@ def hessian_vs_fd(states, work=None):
 
 def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     """name over the FD_STATES random states of _draw_states on M cells.
-    oracle runs on the states of each flux form, FD_STACK at a time,
-    through one workspace.  The check fails at the first state in draw
-    order where oracle does, and sets rng to where that state's draws end
-    (the sweep's start advanced by its 3 + 3M doubles per state), as a
-    sweep that stopped there would leave it; else it passes with the worst
-    relative error."""
+    oracle runs once on the states of each flux form, the even- and the
+    odd-numbered ones, through one workspace.  The check fails at the first
+    state in draw order where oracle does, and sets rng to where that
+    state's draws end (the sweep's start advanced by its 3 + 3M doubles per
+    state), as a sweep that stopped there would leave it; else it passes
+    with the worst relative error."""
     start = rng.bit_generator.state
-    states, stacks = _draw_states(rng, M), {}
-    for i, (_, _, _, coeffs, _) in enumerate(states):
-        stacks.setdefault(coeffs.damped_start, []).append(i)
-    results, work = [None] * FD_STATES, _kernels.Workspace((FD_STACK, M + 1))
-    for indices in stacks.values():
-        for begin in range(0, len(indices), FD_STACK):
-            stack = indices[begin:begin + FD_STACK]
-            for i, result in zip(stack, oracle([states[i] for i in stack], work)):
-                results[i] = result
+    states, results = _draw_states(rng, M), [None] * FD_STATES
+    work = _kernels.Workspace((len(states[::2]), M + 1))
+    for form in (slice(0, None, 2), slice(1, None, 2)):
+        results[form] = oracle(states[form], work)
     for i, (err, ok) in enumerate(results):
         if not ok:
             rng.bit_generator.state = start

@@ -181,6 +181,11 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's own error names the size it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 1
     except OSError as exc:
         # Config.load reports read errors as ConfigurationError, so an
         # OSError here comes from writing outputs; its text names the path.

@@ -9,7 +9,6 @@ bitwise the result of its own call.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,21 @@ def domain_length(x_left: float, x_right: float) -> float:
     return x_right - x_left
 
 
+def require_cell_count(M: int, key: str) -> None:
+    """Reject a cell count whose M + 1 nodes no numpy array of doubles can
+    hold: their bytes must be an intp.  The bound is far inside the float
+    range, so the mesh width length / M is finite too."""
+    limit = np.iinfo(np.intp).max // 8
+    if not M + 1 <= limit:  # an int compares exactly
+        raise ConfigurationError(
+            f"too large: {key} + 1 nodes exceed numpy's array limit ({limit} doubles)",
+            key=key)
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [x_left, x_right] with M cells; 1 <= M <= the largest
-    float, since the mesh width divides by it."""
+    """Uniform grid on [x_left, x_right] with M cells, M >= 1 and M + 1 nodes
+    within numpy's array limit (require_cell_count)."""
 
     x_left: float
     x_right: float
@@ -38,9 +48,7 @@ class Grid:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigurationError(f"needs at least one cell, got M = {self.M}", key="M")
-        if not self.M <= sys.float_info.max:  # an int compares exactly
-            raise ConfigurationError(
-                f"too large: M exceeds the float range ({sys.float_info.max:.6g})", key="M")
+        require_cell_count(self.M, "M")
         domain_length(self.x_left, self.x_right)
 
     @property

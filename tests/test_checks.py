@@ -225,16 +225,16 @@ def test_hessian_oracle_catches_coupling_outside_the_tridiagonal(monkeypatch):
 
 
 def test_run_all_makes_a_bounded_number_of_assembly_and_F_calls(monkeypatch):
-    # per sweep, 2 flux forms of FD_STACK = 5 states in stacks of 5: 4
-    # stacks, one assembly and one F call per gradient stack and two
-    # assemblies per Hessian stack; one call per state would make 60
-    # assemblies and 20 F calls
+    # one oracle call per flux form of each sweep: the gradient oracle makes
+    # one assembly and one F call per form, the Hessian oracle two
+    # assemblies, so 6 assemblies and 2 F calls; one call per state would
+    # make 60 assemblies and 20 F calls
     counts = {}
     for name in ("residual_hessian", "step_functional"):
         counts[name] = _record_calls(monkeypatch, name, _kernels)
     assert all(result.ok for result in checks.run_all(0))
-    assert 0 < len(counts["residual_hessian"]) <= 12
-    assert 0 < len(counts["step_functional"]) <= 4
+    assert len(counts["residual_hessian"]) == 6
+    assert len(counts["step_functional"]) == 2
 
 
 # ---------------------------------------------------------------------------

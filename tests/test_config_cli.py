@@ -391,6 +391,37 @@ def test_cmd_solve_huge_M_names_its_line(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_cmd_solve_M_beyond_the_array_limit_names_its_line(tmp_path, capsys):
+    # 1e21 cells fit a float but no numpy array holds their nodes: once
+    # numpy's "Maximum allowed size exceeded" traceback from Grid.nodes
+    new = "M = 1" + "0" * 21
+    text = SOLVE_CONFIG.replace("M = 100", new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "o")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"case.cfg:{line}: discretization.M: too large" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_solve_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a cell count numpy can index may still not fit in memory (M = 1e14
+    # asks for 728 TiB of nodes); the allocation is faked, never made
+    def nodes(self):
+        raise MemoryError("Unable to allocate 728. TiB for an array with shape "
+                          "(100000000000001,) and data type float64")
+
+    monkeypatch.setattr(Grid, "nodes", nodes)
+    rc = cli.main(["solve", "--config", _write(tmp_path, SOLVE_CONFIG, out=tmp_path / "o")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: out of memory: Unable to allocate 728. TiB")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
 def test_cmd_solve_unwritable_output_is_one_error_line(tmp_path, monkeypatch,
                                                       capsys, below):
@@ -501,6 +532,21 @@ def test_cmd_convergence_huge_reference_M_names_its_line(tmp_path, capsys):
     # a 400-digit reference_M has no float step count: once an
     # OverflowError traceback from study_cell_counts
     new = "reference_M = 1" + "0" * 400
+    text = STUDY_CONFIG.replace("reference_M = 80", new)
+    line = text.splitlines().index(new) + 1
+    rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"case.cfg:{line}: study.reference_M: too large" in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_convergence_reference_M_beyond_the_array_limit_names_its_line(tmp_path,
+                                                                           capsys):
+    # once numpy's "Maximum allowed size exceeded" traceback from Grid.nodes
+    new = "reference_M = 1" + "0" * 21
     text = STUDY_CONFIG.replace("reference_M = 80", new)
     line = text.splitlines().index(new) + 1
     rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])

@@ -97,13 +97,17 @@ def test_solve_scheme_hessian_matches_thomas(M):
 def test_padding_leaves_odd_levels_and_the_unpadded_base():
     # every level the reduction halves has an odd length, so each kept row
     # has two neighbours; the base is n >> j long, as halving n j times
-    # leaves it, so it holds no pad row; and the pad is under n/32
+    # leaves it, so it holds no pad row; the pad is under n/32; and alpha,
+    # beta and the reduced systems fit in the five cell fields of M = n + 1
     for n in range(1, 20001):
         padded = _kernels._padded_length(n)
         assert n <= padded and padded - n < n / 32
-        sizes = [padded, *_kernels._reduction_plan(padded)[2::3]]
+        sizes = [padded]
+        while sizes[-1] > SCALAR_BASE:
+            sizes.append(sizes[-1] // 2)
         assert all(size % 2 == 1 for size in sizes[:-1])
         assert sizes[-1] == n >> (len(sizes) - 1) <= SCALAR_BASE
+        assert padded // 2 * 2 + sum(3 * size - 1 for size in sizes[1:]) <= 5 * (n + 1)
 
 
 @pytest.mark.parametrize("n", [3, 16, 17, 1025])

@@ -12,7 +12,7 @@ from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
                      bootstrap, build_coefficients, eval_F, hessian_coefficients,
                      initial_data_from_key, make_problem, newton_step,
                      quadratic_bump, residual, run, solve_tridiagonal)
-from pmetraj import _kernels
+from pmetraj import _kernels, checks
 from pmetraj._kernels import SCALAR_BASE, Workspace
 
 # Both sides of the scalar base, and systems the reduction leaves unpadded
@@ -302,3 +302,20 @@ def test_run_peak_memory_in_node_fields():
         tracemalloc.stop()
     assert result.final_state.n == 3
     assert (peak - start) / (8 * (M + 1)) <= 20.9
+
+
+def test_check_sweeps_peak_memory():
+    # the peak of a warm checks.run_all(0): 1115 KB (1114 KB at seeds 1-4),
+    # most of it the finite-difference sweeps' probe stacks and their
+    # workspaces, one oracle call per flux form on its 10 states; the bound
+    # holds today's peak with a 15% margin
+    checks.run_all(0)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        results = checks.run_all(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(result.ok for result in results)
+    assert peak - start <= 1.25 * 2 ** 20
