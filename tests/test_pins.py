@@ -1,5 +1,6 @@
 """Bitwise pins of the package's outputs: the sha256 of the check sweeps'
-results and of every file the committed solve config writes.
+results, of every file the committed solve config writes, and of the
+stdout and files of the committed refinement study.
 
 A change that must not move the numerics keeps these digests.  A change
 that moves them on purpose re-pins them here and says why in CHANGES.md.
@@ -9,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from pmetraj import checks, cli
+from pmetraj import analysis, checks, cli
+from pmetraj.config import Config
+from pmetraj.csvio import write_csv_atomic, write_text_atomic
+
+from conftest import H_LIST, REFERENCE_M, STUDY_M, T_EVAL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,6 +44,17 @@ SOLVE_FILES = {
     "snap_10.csv": "808b9057d53ca2b61815515aa748cefa3cb7a35523cb1a3731e0ecb33901871d",
 }
 
+#: sha256 of the stdout of `pmetraj convergence --config configs/table.cfg`.
+TABLE_STDOUT = "248a466834d6bf3f5366bdeef68d652c6b9eb26ce54eb4f9ca50dcc3c424f768"
+
+#: sha256 of each file that command writes.
+TABLE_FILES = {
+    "convergence_1.66667.csv": "2da4175b53c827dfd9b344f6d26ec683c0a052ff57a6b621d7ad87aea6df42ae",
+    "convergence_1.66667.txt": "38a898cc3cd25b48194e723afe4fac9ca9287d6d74e29f54080a0334c63db390",
+    "convergence_2.csv": "986af5c8391f910358cda9bab8518b286eadb36f89e81bd0af9eb7700f1ad521",
+    "convergence_2.txt": "f5126ca916cf094e50e8090b3ccdea32ae2ace89292895a08d68ea2d207a63d0",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -55,3 +71,31 @@ def test_committed_solve_files_are_pinned(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     written = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
     assert written == SOLVE_FILES
+
+
+def test_table_config_runs_the_session_study():
+    cfg = Config.load(CONFIGS / "table.cfg")
+    assert cfg.get_number_list("problem", "m") == list(STUDY_M)
+    assert cfg.get_str("problem", "domain") == "0,1"
+    assert cfg.get_str("problem", "initial_data") == "paper-quadratic"
+    assert cfg.get_number_list("study", "h_list") == H_LIST
+    assert cfg.get_int("study", "reference_M") == REFERENCE_M
+    assert cfg.get_number("study", "t_eval") == T_EVAL
+    assert cfg.get_number("discretization", "A0") == 1.0
+    assert "newton" not in cfg.sections
+
+
+def test_table_study_is_pinned(studies, tmp_path):
+    # the session study is the one table.cfg configures (test above),
+    # formatted and written as cmd_convergence does
+    stdout = ""
+    for m, study in studies.items():
+        tag = f"{m:g}"
+        write_csv_atomic(tmp_path / f"convergence_{tag}.csv", analysis.CSV_HEADER,
+                         tuple(zip(*analysis.report_rows(study.report))))
+        table = analysis.format_table(study.report)
+        write_text_atomic(tmp_path / f"convergence_{tag}.txt", table)
+        stdout += table
+    assert _sha256(stdout.encode()) == TABLE_STDOUT
+    written = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert written == TABLE_FILES
