@@ -6,10 +6,10 @@ All are whole-array numpy, and at the sizes in use their cost is the count of
 numpy calls more than the arithmetic.  So residual_hessian is the package's
 one assembly: the slopes, the equal-slope mask, z = d/y0 and log1p(z) are
 formed once, and the residual and both Hessian diagonals come from them.
-The Newton loop calls it; residual_interior and hessian_tridiag are views
-of it behind functional.residual and functional.hessian_coefficients, and
-the finite-difference oracles of checks call them directly on stacks of
-states and probes, so the oracles check the code Newton runs.  Every kernel
+The Newton loop and the finite-difference oracles of checks call it and
+step_functional, so the oracles check the code Newton runs;
+residual_interior and hessian_tridiag are views of it behind
+functional.residual and functional.hessian_coefficients.  Every kernel
 indexes the nodes along the last axis, so one call takes a single
 trajectory or a stack of candidates of shape (..., M+1), one
 per row.  The coefficients may be stacked too, one state per row: x_curr,
@@ -17,8 +17,9 @@ slope_curr, mass and f0_cells as arrays that broadcast against the stack
 along its leading axes, and tau and a0 as floats or as arrays that
 broadcast against x_new[..., :1].  The finite-difference oracles evaluate
 the probes of several states, each with its own coefficients, in one call
-this way, with the coefficients given an axis of length 1 rather than
-repeated per probe.  Every ufunc keeps its operands and their order
+this way: a probe-major stack (r, k, M+1) of r probes of each of k states
+takes the states' (k, ...) coefficients as they are, not repeated per
+probe.  Every ufunc keeps its operands and their order
 whatever the shapes, and every sum runs along the last axis, so each row
 gives the bits of its own call with float coefficients, which is how
 Newton calls the kernels.
@@ -37,14 +38,15 @@ entry of the solution that is exactly zero.
 Buffer rule: a Newton iteration, near phase or far, allocates no
 cell-sized array.  residual_hessian, step_functional and thomas_spd write
 every field into a Workspace, made once per run (stepper.restart) and
-handed from state to state; a caller without one gets a fresh one for that
-call, so each kernel has one code path.  Every ufunc writes with out= in
-the order of the plain expression, so the results are bitwise those of the
-expression.  A result that is a workspace buffer holds until the next call
-of its kind with the same workspace (the solution, rhs, lies apart from
-the assembly's scratch and outlives assemblies and evaluations of F); what
-a caller keeps (newton_step's solution, the residual of residual_interior)
-is a fresh array.  At M = 9600 a cell field is 77 KB, and the temporaries
+handed from state to state; the views residual_interior and
+hessian_tridiag, and step_functional and thomas_spd when given none, make
+a fresh one for the call, so each kernel has one code path.  Every ufunc
+writes with out= in the order of the plain expression, so the results are
+bitwise those of the expression.  A result that is a workspace buffer
+holds until the next call of its kind with the same workspace (the
+solution, rhs, lies apart from the assembly's scratch and outlives
+assemblies and evaluations of F); what a caller keeps (newton_step's
+solution, the residual of residual_interior) is a fresh array.  At M = 9600 a cell field is 77 KB, and the temporaries
 each iteration used to free left more than glibc's 128 KB trim threshold
 free at the top of the heap: the memory went back to the system and was
 faulted in again, some 60 minor page faults per near-phase iteration and
@@ -327,30 +329,21 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
 
 
 def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
-                      h, tau, a0, damped_start=False, work=None):
+                      h, tau, a0, damped_start=False):
     """The residual of residual_hessian on every node, end slots 0, a fresh
-    array; the assembly writes into work.for_shape(x_new.shape), or into a
-    fresh workspace when work is None."""
+    array; the assembly writes into a fresh workspace."""
     g = np.zeros_like(x_new)
     g[..., 1:-1] = residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells,
-                                    h, tau, a0, _fitted(work, x_new.shape),
-                                    damped_start)[0]
+                                    h, tau, a0, Workspace(x_new.shape), damped_start)[0]
     return g
 
 
-def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0,
-                    damped_start=False, work=None):
-    """The diagonal and off-diagonal of residual_hessian, the buffers of
-    work.for_shape(x_new.shape) (valid until its next assembly), or of a
-    fresh workspace when work is None.  They do not depend on the base
-    trajectory, so x_new stands in for it."""
+def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0, damped_start=False):
+    """The diagonal and off-diagonal of residual_hessian, the buffers of a
+    fresh workspace.  They do not depend on the base trajectory, so x_new
+    stands in for it."""
     return residual_hessian(x_new, x_new, slope_curr, mass, f0_cells,
-                            h, tau, a0, _fitted(work, x_new.shape), damped_start)[1:]
-
-
-def _fitted(work, shape):
-    """work.for_shape(shape), or a fresh Workspace when work is None."""
-    return Workspace(shape) if work is None else work.for_shape(shape)
+                            h, tau, a0, Workspace(x_new.shape), damped_start)[1:]
 
 
 _PI2_6 = math.pi ** 2 / 6.0
@@ -429,8 +422,8 @@ def _spence(w, out=None):
 def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
                     damped_start=False, work=None):
     """The convex step functional F at x_new, the only formula of F in the
-    package: the Newton line search minimises it, and functional.eval_F adds
-    a constant of the step to it for the finite-difference oracles.
+    package: the Newton line search minimises it, and functional.eval_F and
+    the gradient oracle of checks add step_constant to it.
 
     F(x) = h [ sum mass (x - x_curr)^2/(2 tau) + a0 tau/2 sum d^2
                + sum f0 spence(y/y0) + tau^2 sum (y/y0 - ln y) ]
@@ -439,7 +432,8 @@ def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     by h.
 
     Every temporary is written into the cell scratch and the mask of
-    work.for_shape(x_new.shape) (a fresh workspace when work is None), in
+    work.for_shape(x_new.shape) (a fresh workspace when work is None: the
+    oracles pass the workspace of their states, eval_F none), in
     the order of the plain expression, so the value is bitwise that of the
     expression; the assembly's results g, diag and off are left as they
     are.  x_new may be a stack of shape (..., M+1), one candidate per row,
@@ -449,7 +443,7 @@ def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     float.  No admissibility check: the Newton loop calls it only on
     admissible iterates.
     """
-    work = _fitted(work, x_new.shape)
+    work = Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
     y, d, a, b, c = work.cells
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
     y /= h
@@ -480,8 +474,8 @@ def _row_sum(a):
 
 
 def step_constant(slope_curr, f0_cells, h, tau, a0, damped_start=False):
-    """The constant of the step that functional.eval_F adds to
-    step_functional: -h <f0, spence(1/y0)> - tau^2 h <1/y0, 1>
+    """The constant of the step that functional.eval_F and the gradient
+    oracle add to step_functional: -h <f0, spence(1/y0)> - tau^2 h <1/y0, 1>
     - a0 tau h |1 - y0|^2/2 with y0 = slope_curr, the last term alone when
     damped_start.  Summed along the last axis: one value per row, with
     tau and a0 per row as in the kernels; a float for one trajectory."""

@@ -10,10 +10,11 @@ and makes one call.  A finite-difference check draws its FD_STATES states in
 one draw, a row of doubles per state, and forms their fields as stacks with
 the library's own code (_draw_states), every field the oracles read with
 the bits it would have if drawn alone.  It then makes one oracle call per
-flux form, on all the states of that form: the oracle makes one kernel
-call on the states and one on all their probes, (k, M+1) and (k, r, M+1),
-with the states' coefficients as per-row arrays (see _kernels), and
-returns each state's error with the bits of its own call.  A failing sweep
+flux form, on all the states of that form.  The oracles make Newton's
+kernel calls, residual_hessian and step_functional, on probe-major stacks
+(r, k, M+1) of r probes of each of k states, against which the states'
+per-row coefficients (see _kernels) broadcast as they are; each state's
+error has the bits of its own call.  A failing sweep
 still reports its first counterexample in sample or draw order, and a
 failing finite-difference check sets the generator to where that state's
 draws end, so the sweeps after it draw what they would draw after a
@@ -187,7 +188,7 @@ def _rows(states):
     the flux form, as rows: the grid, the flux form, x_new and x_curr of
     shape (k, M+1), and the kernels' coefficients (slope_curr, mass,
     f0_cells, h, tau, a0), k rows each but h, with tau and a0 of shape
-    (k, 1)."""
+    (k, 1), as a probe-major (r, k, M+1) stack takes them."""
     specs, params, x_curr, coeffs, x_new = zip(*states)
     grid, damped_start = specs[0].grid, coeffs[0].damped_start
     if any(s.grid != grid for s in specs) or any(c.damped_start != damped_start
@@ -199,12 +200,6 @@ def _rows(states):
         np.array([[p.tau] for p in params]), np.array([[p.a0] for p in params]))
 
 
-def _per_probe(coefficients):
-    """Row coefficients of _rows for a (k, r, M+1) stack of r probes per
-    state: every array gains an axis of length 1 after the first."""
-    return tuple(c[:, None] if isinstance(c, np.ndarray) else c for c in coefficients)
-
-
 def _verdicts(errors):
     """(err, err <= FD_REL_TOL) for each state's relative error."""
     return [(err, err <= FD_REL_TOL) for err in errors.tolist()]
@@ -214,35 +209,37 @@ def gradient_vs_fd(states, work=None):
     """For each state (spec, params, x_curr, coeffs, x_new), the max
     relative mismatch between h*residual and a fourth-order central
     difference of F, and whether it is within FD_REL_TOL.  The states share
-    the grid and the flux form: one residual call on the k states and one
-    call of F on all 4k(M-1) probes, with per-row coefficients.  Both write
-    into work, a Workspace (for_shape serves either shape; fresh workspaces
-    when None).  check_gradient_fd passes the 10 states of a flux form at
-    M = 16, so F sees a (10, 60, 17) stack.
+    the grid and the flux form: one residual_hessian call on the k states
+    and one step_functional call on their probe-major (4(M-1), k, M+1)
+    stack of probes, with per-row coefficients.  Both write into work, a
+    Workspace (for_shape serves either shape; fresh when None).
+    check_gradient_fd passes the 10 states of a flux form at M = 16, so F
+    sees a (60, 10, 17) stack.
     F is eval_F's: step_functional plus step_constant."""
     grid, damped_start, x_new, x_curr, coefficients = _rows(states)
     slope_curr, _, f0_cells, h, tau, a0 = coefficients
-    k, n, X = len(states), grid.M - 1, grid.nodes()
+    n, X = grid.M - 1, grid.nodes()
     functional._require_admissible(x_new, grid, "candidate trajectory")
     functional._require_admissible(x_curr, grid, "base trajectory")
-    g = _kernels.residual_interior(x_new, x_curr, *coefficients, damped_start, work)
-    grad = h * g[:, 1:-1]
+    if work is None:
+        work = _kernels.Workspace(x_new.shape)
+    grad = h * _kernels.residual_hessian(x_new, x_curr, *coefficients,
+                                         work.for_shape(x_new.shape), damped_start)[0]
 
-    # probes[s, i - 1, j] is state s's x_new - X with node i moved by
+    # probes[i - 1, j, s] is state s's x_new - X with node i moved by
     # shifts[j], then X added back, as eval_F adds it
     shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * GRADIENT_STEP
-    probes = np.tile((x_new - X)[:, None, None], (1, n, 4, 1))
+    probes = np.tile(x_new - X, (n, 4, 1, 1))
     nodes = np.arange(1, grid.M)
-    probes[:, nodes - 1, :, nodes] += shifts
-    probes = probes.reshape(k, 4 * n, grid.M + 1)
+    probes[nodes - 1, :, :, nodes] += shifts[:, None]
+    probes = probes.reshape(4 * n, len(states), grid.M + 1)
     probes += X
     functional._require_admissible(probes, grid, "displaced trajectory")
-    f = _kernels.step_functional(probes, x_curr[:, None], *_per_probe(coefficients),
-                                 damped_start, work)
-    f += _kernels.step_constant(slope_curr, f0_cells, h, tau, a0, damped_start)[:, None]
-    f = f.reshape(k, n, 4)
-    fd = (f[..., 0] - 8.0 * f[..., 1] + 8.0 * f[..., 2] - f[..., 3]) / (12.0 * GRADIENT_STEP)
-    return _verdicts(np.max(np.abs(fd - grad), axis=-1) / np.max(np.abs(grad), axis=-1))
+    f = _kernels.step_functional(probes, x_curr, *coefficients, damped_start, work)
+    f += _kernels.step_constant(slope_curr, f0_cells, h, tau, a0, damped_start)
+    f = f.reshape(n, 4, -1)
+    fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * GRADIENT_STEP)
+    return _verdicts(np.max(np.abs(fd.T - grad), axis=-1) / np.max(np.abs(grad), axis=-1))
 
 
 def hessian_vs_fd(states, work=None):
@@ -250,33 +247,31 @@ def hessian_vs_fd(states, work=None):
     relative mismatch between the assembled tridiagonal and central
     differences of the residual, and whether it is within FD_REL_TOL.  The
     comparison is dense, so a coupling outside the tridiagonal counts too.
-    The states share the grid and the flux form: one Hessian call on the k
-    states and one residual call on all 2k(M-1) probes, with per-row
-    coefficients.  Both write into work, a Workspace (for_shape serves
-    either shape; fresh workspaces when None).  check_hessian_fd passes the
-    10 states of a flux form at M = 24, so the residual sees a (10, 46, 25)
-    stack."""
+    The states share the grid and the flux form: one residual_hessian call,
+    with per-row coefficients, on a probe-major (1 + 2(M-1), k, M+1) stack
+    whose row 0 is the states, whose diagonals are the Hessian (they do
+    not depend on the base trajectory), and whose other rows are the
+    probes.  It writes into work.for_shape of that stack, work a Workspace
+    (fresh when None).  check_hessian_fd passes the 10 states of a flux
+    form at M = 24, so the assembly sees a (47, 10, 25) stack."""
     grid, damped_start, x_new, x_curr, coefficients = _rows(states)
-    k, n = len(states), grid.M - 1
-    functional._require_admissible(x_new, grid, "candidate trajectory")
+    n = grid.M - 1
     functional._require_admissible(x_curr, grid, "base trajectory")
-    diag, off = _kernels.hessian_tridiag(x_new, *coefficients, damped_start, work)
-    dense = np.zeros((k, n, n))
-    i = np.arange(n)
-    dense[:, i, i] = diag
-    dense[:, i[:-1], i[1:]] = off
-    dense[:, i[1:], i[:-1]] = off
 
-    # probes[s, 0, j] and probes[s, 1, j] are state s's x_new with node
-    # j + 1 moved by +HESSIAN_STEP and -HESSIAN_STEP
-    probes = np.tile(x_new[:, None, None], (1, 2, n, 1))
-    probes[:, 0, i, i + 1] += HESSIAN_STEP
-    probes[:, 1, i, i + 1] -= HESSIAN_STEP
-    probes = probes.reshape(k, 2 * n, grid.M + 1)
-    functional._require_admissible(probes, grid, "candidate trajectory")
-    g = _kernels.residual_interior(probes, x_curr[:, None], *_per_probe(coefficients),
-                                   damped_start, work)[..., 1:-1]
-    fd = ((g[:, :n] - g[:, n:]) / (2.0 * HESSIAN_STEP)).transpose(0, 2, 1)  # d g_i / d x_j
+    # stack[1 + j] and stack[1 + n + j] are x_new with node j + 1 moved by
+    # +HESSIAN_STEP and -HESSIAN_STEP
+    stack = np.tile(x_new, (1 + 2 * n, 1, 1))
+    i = np.arange(n)
+    stack[1 + i, :, i + 1] += HESSIAN_STEP
+    stack[1 + n + i, :, i + 1] -= HESSIAN_STEP
+    functional._require_admissible(stack, grid, "candidate trajectory")
+    work = _kernels.Workspace(stack.shape) if work is None else work.for_shape(stack.shape)
+    g, diag, off = _kernels.residual_hessian(stack, x_curr, *coefficients, work, damped_start)
+    dense = np.zeros((len(states), n, n))
+    dense[:, i, i] = diag[0]
+    dense[:, i[:-1], i[1:]] = off[0]
+    dense[:, i[1:], i[:-1]] = off[0]
+    fd = ((g[1:1 + n] - g[1 + n:]) / (2.0 * HESSIAN_STEP)).transpose(1, 2, 0)  # d g_i / d x_j
     return _verdicts(np.max(np.abs(fd - dense), axis=(1, 2))
                      / np.max(np.abs(dense), axis=(1, 2)))
 

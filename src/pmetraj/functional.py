@@ -165,42 +165,36 @@ def _require_admissible(x, grid, label):
 
 
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-             spec: ProblemSpec, params: SolverParams,
-             work: _kernels.Workspace | None = None) -> np.ndarray:
+             spec: ProblemSpec, params: SolverParams) -> np.ndarray:
     """Scheme residual g on nodes, with the flux form coeffs.damped_start
     selects; g = 0 is exactly one time step of the scheme and g equals the
     gradient of eval_F divided by the weight h.
 
     x_new may also be a stack of candidates, one per row (shape (k, M+1));
     the residuals come back as the rows of a (k, M+1) array, each bitwise
-    equal to the residual of its row alone.  The assembly writes into
-    work.for_shape(x_new.shape), a fresh workspace when work is None."""
+    equal to the residual of its row alone."""
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     _require_admissible(x_curr, spec.grid, "base trajectory")
     return _kernels.residual_interior(
         np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float),
         coeffs.slope_curr, coeffs.mass, spec.f0_cells, spec.grid.h,
-        params.tau, params.a0, coeffs.damped_start, work)
+        params.tau, params.a0, coeffs.damped_start)
 
 
 def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
-                         spec: ProblemSpec, params: SolverParams,
-                         work: _kernels.Workspace | None = None):
+                         spec: ProblemSpec, params: SolverParams):
     """Assembled interior tridiagonal (diag of length M-1, offdiag of length M-2)
-    of the exact derivative of the residual; SPD on the admissible set.
-    Fresh arrays when work is None, else buffers of work.for_shape, valid
-    until its next assembly."""
+    of the exact derivative of the residual; SPD on the admissible set."""
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     return _kernels.hessian_tridiag(
         np.asarray(x_new, dtype=float), coeffs.slope_curr, coeffs.mass,
-        spec.f0_cells, spec.grid.h, params.tau, params.a0, coeffs.damped_start,
-        work)
+        spec.f0_cells, spec.grid.h, params.tau, params.a0, coeffs.damped_start)
 
 
 # ---------------------------------------------------------------------------
 # Convex functional in closed form: _kernels.step_functional is its one
 # formula, minimised by the Newton line search; eval_F adds the per-step
-# constant and is what the finite-difference oracles difference
+# constant, _kernels.step_constant, as the finite-difference oracles do
 # ---------------------------------------------------------------------------
 
 def g_convex_integral(x: float, x0: float) -> float:
@@ -226,8 +220,7 @@ def g_convex_second(x: float, x0: float) -> float:
 
 
 def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-           spec: ProblemSpec, params: SolverParams,
-           work: _kernels.Workspace | None = None):
+           spec: ProblemSpec, params: SolverParams):
     """Value of the convex step functional at displacement x_hat = x_new - X.
 
     F is _kernels.step_functional at X + x_hat (the function the Newton line
@@ -243,8 +236,7 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
 
     A 1-D x_hat gives a float.  A stack of displacements, one per row (shape
     (k, M+1)), gives the k values as an array, each bitwise equal to the
-    float of its row alone.  step_functional writes into
-    work.for_shape(x_new.shape), a fresh workspace when work is None.
+    float of its row alone.
     """
     grid = spec.grid
     x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
@@ -253,7 +245,7 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     constant = _kernels.step_constant(y0, f0, h, tau, a0, coeffs.damped_start)
     return _kernels.step_functional(
         x_new, np.asarray(x_curr, dtype=float), y0, coeffs.mass, f0, h, tau, a0,
-        coeffs.damped_start, work) + constant
+        coeffs.damped_start) + constant
 
 
 # ---------------------------------------------------------------------------

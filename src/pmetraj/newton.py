@@ -150,13 +150,11 @@ def self_concordance_a(spec: ProblemSpec) -> float:
     return spec.grid.h * spec.f0_min / (2.0 * C_NEWTON ** 2)
 
 
-def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float, grid: Grid,
-                    cand: np.ndarray | None = None, mask: np.ndarray | None = None):
+def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float,
+                    cand: np.ndarray, mask: np.ndarray):
     """Apply x += omega*delta on the interior, halving omega while the update
     would cross nodes.  The candidate is written into cand and the ordering
-    test into mask (M bools), each fresh when not given."""
-    if cand is None:
-        cand = np.empty_like(x)
+    test into mask (M bools)."""
     cand[0], cand[-1] = x[0], x[-1]
     inner = cand[1:-1]
     for _ in range(MAX_GUARD_HALVINGS + 1):
@@ -262,13 +260,13 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
         if lam < LAMBDA_STAR:
             if (lam / (1.0 - lam)) ** 2 < TOL_LAMBDA:
                 finish("lambda")
-            omega, cand = _guarded_update(x, delta, 1.0, grid, spare, work.mask)
+            omega, cand = _guarded_update(x, delta, 1.0, spare, work.mask)
             x, spare, f_x, assembled = cand, x, None, False
         else:
             armijo = ARMIJO_C * a * lam * lam  # ARMIJO_C h g^T H^{-1} g
             omega = 1.0
             while True:
-                omega, cand = _guarded_update(x, delta, omega, grid, spare, work.mask)
+                omega, cand = _guarded_update(x, delta, omega, spare, work.mask)
                 gi, diag, off = assemble(cand)
                 # F is convex, so F(cand) <= F(x) + omega h g(cand) . delta:
                 # Armijo holds, with no evaluation of F, once h g(cand) . delta

@@ -185,21 +185,22 @@ def _one_flux_stack(M, size=5):
 
 
 def test_gradient_oracle_makes_one_residual_and_one_F_call(monkeypatch):
+    # Newton's kernels: one assembly on the states, one F on the
+    # probe-major stack of their probes
     stack = _one_flux_stack(16)
-    residuals = _record_calls(monkeypatch, "residual_interior", _kernels)
+    residuals = _record_calls(monkeypatch, "residual_hessian", _kernels)
     values = _record_calls(monkeypatch, "step_functional", _kernels)
     assert all(ok for _, ok in checks.gradient_vs_fd(stack))
     assert residuals == [(5, 17)]
-    assert values == [(5, 4 * 15, 17)]
+    assert values == [(4 * 15, 5, 17)]
 
 
-def test_hessian_oracle_makes_one_residual_and_one_hessian_call(monkeypatch):
+def test_hessian_oracle_makes_one_assembly(monkeypatch):
+    # the states (row 0) and their probes in one probe-major stack
     stack = _one_flux_stack(24)
-    residuals = _record_calls(monkeypatch, "residual_interior", _kernels)
-    hessians = _record_calls(monkeypatch, "hessian_tridiag", _kernels)
+    assemblies = _record_calls(monkeypatch, "residual_hessian", _kernels)
     assert all(ok for _, ok in checks.hessian_vs_fd(stack))
-    assert residuals == [(5, 2 * 23, 25)]
-    assert hessians == [(5, 25)]
+    assert assemblies == [(1 + 2 * 23, 5, 25)]
 
 
 def test_oracles_reject_stacks_of_two_flux_forms():
@@ -212,29 +213,32 @@ def test_hessian_oracle_catches_coupling_outside_the_tridiagonal(monkeypatch):
     state = next(_states(24, 1))
     [(_, ok)] = checks.hessian_vs_fd([state])
     assert ok
-    original = _kernels.residual_interior
+    original = _kernels.residual_hessian
 
     def coupled(x_new, *args, **kwargs):
-        g = original(x_new, *args, **kwargs)
-        g[..., 1:-3] += 1e-2 * np.asarray(x_new)[..., 3:-1]  # row j sees node j + 2
-        return g
+        g, diag, off = original(x_new, *args, **kwargs)
+        g[..., :-2] += 1e-2 * np.asarray(x_new)[..., 3:-1]  # row of node j sees node j + 2
+        return g, diag, off
 
-    monkeypatch.setattr(_kernels, "residual_interior", coupled)
+    monkeypatch.setattr(_kernels, "residual_hessian", coupled)
     [(err, ok)] = checks.hessian_vs_fd([state])
     assert not ok and err > 1e-6
 
 
 def test_run_all_makes_a_bounded_number_of_assembly_and_F_calls(monkeypatch):
     # one oracle call per flux form of each sweep: the gradient oracle makes
-    # one assembly and one F call per form, the Hessian oracle two
-    # assemblies, so 6 assemblies and 2 F calls; one call per state would
-    # make 60 assemblies and 20 F calls
+    # one assembly and one F call per form, the Hessian oracle one
+    # assembly, so 4 assemblies and 2 F calls, all of Newton's kernels and
+    # none through the views; one call per state would make 40 assemblies
+    # and 20 F calls
     counts = {}
-    for name in ("residual_hessian", "step_functional"):
+    for name in ("residual_hessian", "step_functional", "residual_interior",
+                 "hessian_tridiag"):
         counts[name] = _record_calls(monkeypatch, name, _kernels)
     assert all(result.ok for result in checks.run_all(0))
-    assert len(counts["residual_hessian"]) == 6
+    assert len(counts["residual_hessian"]) == 4
     assert len(counts["step_functional"]) == 2
+    assert counts["residual_interior"] == counts["hessian_tridiag"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +346,7 @@ def _first_state_above(seed, M, tau_limit):
 
 @pytest.mark.parametrize("check, loop, patched, M", [
     (checks.check_gradient_fd, _gradient_loop, "step_functional", 16),
-    (checks.check_hessian_fd, _hessian_loop, "residual_interior", 24),
+    (checks.check_hessian_fd, _hessian_loop, "residual_hessian", 24),
 ])
 def test_fd_check_names_first_failing_state(monkeypatch, check, loop, patched, M):
     # F (for the gradient oracle) or the residual (for the Hessian oracle)
@@ -356,7 +360,8 @@ def test_fd_check_names_first_failing_state(monkeypatch, check, loop, patched, M
         if patched == "step_functional":  # d/dx_i of the added term is 1e-3
             return value + np.where(above[..., 0] if above.ndim else above,
                                     1e-3 * np.sum(x, axis=-1), 0.0)
-        value[..., 1:-3] += np.where(above, 1e-2 * x[..., 3:-1], 0.0)  # row j sees node j + 2
+        g = value[0]  # the row of node j sees node j + 2
+        g[..., :-2] += np.where(above, 1e-2 * x[..., 3:-1], 0.0)
         return value
 
     seed = 3

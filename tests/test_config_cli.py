@@ -1,4 +1,6 @@
 import csv
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,16 @@ def test_readme_config_block_lists_the_schema():
         elif "=" in entry:
             keys.add(entry.split("=", 1)[0].strip())
     assert documented == cli._SCHEMA
+
+
+def test_package_runs_as_a_module(monkeypatch, capsys):
+    # `python3 -m pmetraj check --seed 0`, in process
+    monkeypatch.setattr(sys, "argv", ["pmetraj", "check", "--seed", "0"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("pmetraj", run_name="__main__")
+    assert stop.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(line.startswith("PASS  ") for line in lines)
 
 
 def test_committed_solve_config_runs(tmp_path, monkeypatch, capsys):

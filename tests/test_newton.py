@@ -103,7 +103,7 @@ def test_guarded_update_halves_until_admissible():
     g = Grid(0.0, 1.0, 4)
     x = g.nodes()
     delta = np.array([0.0, -1.0, 0.0])  # full step would cross node 0
-    omega, cand = _guarded_update(x, delta, 1.0, g)
+    omega, cand = _guarded_update(x, delta, 1.0, np.empty_like(x), np.empty(g.M, dtype=bool))
     assert omega < 1.0
     assert np.all(np.diff(cand) > 0)
 
@@ -192,11 +192,13 @@ def test_newton_functional_decreases_along_iterates():
         lam = newton_decrement_lambda(gvec, delta, a, g)
         if lam < TOL_LAMBDA:
             break
-        omega, cand = _guarded_update(x, delta, 1.0, g)
+        omega, cand = _guarded_update(x, delta, 1.0, np.empty_like(x),
+                                      np.empty(g.M, dtype=bool))
         if lam >= LAMBDA_STAR:  # far phase: halve until Armijo holds
             far += 1
             while F(cand) > values[-1] - 1e-4 * omega * a * lam ** 2:
-                omega, cand = _guarded_update(x, delta, 0.5 * omega, g)
+                omega, cand = _guarded_update(x, delta, 0.5 * omega, np.empty_like(x),
+                                              np.empty(g.M, dtype=bool))
         x = cand
         values.append(F(x))
     assert far >= 1 and len(values) > far + 2

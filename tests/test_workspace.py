@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
-                     bootstrap, build_coefficients, eval_F, hessian_coefficients,
+                     bootstrap, build_coefficients, hessian_coefficients,
                      initial_data_from_key, make_problem, newton_step,
                      quadratic_bump, residual, run, solve_tridiagonal)
 from pmetraj import _kernels, checks
@@ -128,18 +128,19 @@ def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
     state = bootstrap(spec)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=damped_start)
+    args = (coeffs.slope_curr, coeffs.mass, spec.f0_cells, spec.grid.h, params.tau, params.a0)
     X = spec.grid.nodes()
     x = X.copy()
     x[1:-1] += 0.2 * spec.grid.h * rng.uniform(-1.0, 1.0, spec.grid.M - 1)
     stack = np.array([x, X, 1.0 - x[::-1]])
     work = Workspace(x.shape)
     for y in (x, stack, x, stack):
-        got = [residual(y, state.x_curr, coeffs, spec, params, work),
-               *hessian_coefficients(y, coeffs, spec, params, work),
-               eval_F(y - X, state.x_curr, coeffs, spec, params, work)]
-        want = [residual(y, state.x_curr, coeffs, spec, params),
-                *hessian_coefficients(y, coeffs, spec, params),
-                eval_F(y - X, state.x_curr, coeffs, spec, params)]
+        got = [*_kernels.residual_hessian(y, state.x_curr, *args, work.for_shape(y.shape),
+                                          damped_start),
+               _kernels.step_functional(y, state.x_curr, *args, damped_start, work)]
+        want = [_kernels.residual_interior(y, state.x_curr, *args, damped_start)[..., 1:-1],
+                *_kernels.hessian_tridiag(y, *args, damped_start),
+                _kernels.step_functional(y, state.x_curr, *args, damped_start)]
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert work.for_shape(x.shape) is work
@@ -305,10 +306,10 @@ def test_run_peak_memory_in_node_fields():
 
 
 def test_check_sweeps_peak_memory():
-    # the peak of a warm checks.run_all(0): 1115 KB (1114 KB at seeds 1-4),
+    # the peak of a warm checks.run_all(0): 1036 KB (1035 KB at seeds 1-4),
     # most of it the finite-difference sweeps' probe stacks and their
     # workspaces, one oracle call per flux form on its 10 states; the bound
-    # holds today's peak with a 15% margin
+    # holds today's peak with a 6% margin
     checks.run_all(0)
     tracemalloc.start()
     try:
@@ -318,4 +319,4 @@ def test_check_sweeps_peak_memory():
     finally:
         tracemalloc.stop()
     assert all(result.ok for result in results)
-    assert peak - start <= 1.25 * 2 ** 20
+    assert peak - start <= 1.07 * 2 ** 20
