@@ -46,11 +46,12 @@ bitwise those of the expression.  A result that is a workspace buffer
 holds until the next call of its kind with the same workspace (the
 solution, rhs, lies apart from the assembly's scratch and outlives
 assemblies and evaluations of F); what a caller keeps (newton_step's
-solution, the residual of residual_interior) is a fresh array.  At M = 9600 a cell field is 77 KB, and the temporaries
-each iteration used to free left more than glibc's 128 KB trim threshold
-free at the top of the heap: the memory went back to the system and was
-faulted in again, some 60 minor page faults per near-phase iteration and
-119 per iteration of a far-phase run, under 5 now.
+solution, the residual of residual_interior) is a fresh array.  At
+M = 9600 a cell field is 77 KB, and the temporaries each iteration used to
+free left more than glibc's 128 KB trim threshold free at the top of the
+heap: the memory went back to the system and was faulted in again, some
+60 minor page faults per near-phase iteration and 119 per iteration of a
+far-phase run, under 5 now.
 
 Measured per call as newton_step makes it, median of 30 alternating rounds
 (each the fastest of 3) on a 2-core Xeon with numpy 2.4, before -> after

@@ -221,10 +221,8 @@ def gradient_vs_fd(states, work=None):
     n, X = grid.M - 1, grid.nodes()
     functional._require_admissible(x_new, grid, "candidate trajectory")
     functional._require_admissible(x_curr, grid, "base trajectory")
-    if work is None:
-        work = _kernels.Workspace(x_new.shape)
-    grad = h * _kernels.residual_hessian(x_new, x_curr, *coefficients,
-                                         work.for_shape(x_new.shape), damped_start)[0]
+    work = _kernels.Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
+    grad = h * _kernels.residual_hessian(x_new, x_curr, *coefficients, work, damped_start)[0]
 
     # probes[i - 1, j, s] is state s's x_new - X with node i moved by
     # shifts[j], then X added back, as eval_F adds it
