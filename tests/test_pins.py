@@ -1,6 +1,9 @@
 """Bitwise pins of the package's outputs: the sha256 of the check sweeps'
-results, of every file the committed solve config writes, and of the
-stdout and files of the committed refinement study.
+results, of every file the committed solve config writes, of the stdout
+and files of the committed refinement study, of tridiagonal solutions over
+the sizes the cyclic reduction pads differently, and of the final
+trajectories and Newton iteration totals of the near-vacuum corners of the
+accepted-input envelope.
 
 A change that must not move the numerics keeps these digests.  A change
 that moves them on purpose re-pins them here and says why in CHANGES.md.
@@ -8,9 +11,11 @@ that moves them on purpose re-pins them here and says why in CHANGES.md.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pmetraj import analysis, checks, cli
+from pmetraj import (Grid, RunConfig, SolverParams, _kernels, analysis, checks,
+                     cli, initial_data_from_key, make_problem, stepper)
 from pmetraj.config import Config
 from pmetraj.csvio import write_csv_atomic, write_text_atomic
 
@@ -99,3 +104,49 @@ def test_table_study_is_pinned(studies, tmp_path):
     assert _sha256(stdout.encode()) == TABLE_STDOUT
     written = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
     assert written == TABLE_FILES
+
+
+#: Unknown counts of the tridiagonal pin: every size up to 400, then sizes
+#: at and around the powers of two and the run sizes (M - 1 of M = 9600,
+#: 2e4 and 1e5).
+THOMAS_SIZES = (*range(1, 401), 511, 1023, 1024, 1025, 2047, 4224, 8191, 9599,
+                19999, 99999)
+
+#: sha256 of the solutions of thomas_spd on two diagonally dominant systems
+#: per size in THOMAS_SIZES (diag U(2, 4), off U(-0.9, 0.9), rhs standard
+#: normal, generator seed 7), concatenated in draw order.
+THOMAS_SOLUTIONS = "02b23f0645ffdefd9f33a13bf866d8b5d1c766dfa69887bb6f38780f493d0a6a"
+
+#: (m, tau in units of h): (sha256 of the final x_curr, Newton iterations in
+#: all) of 10 steps at M = 400 from poly:1e-4,0,1.
+NEAR_VACUUM = {
+    (1.05, 1): ("fd9165c272223733333131360b387533cd0f741778a5418d3633f9f1d0d46fb6", 69),
+    (1.05, 100): ("0ea7603d33735de69e11df390fbc21f1d52076d364a3d398cfc390e2dbea356a", 55),
+    (8.0, 1): ("0fa1f7d74fc5aab11fccd0641d5a4c94a1f9d8553ba01814c1e40a26a8cf5f66", 36),
+    (8.0, 100): ("c5f080386172fa737346b66fa98d8acff54c1cf5c5b2283bf9f4eb3929495990", 60),
+}
+
+
+def test_tridiagonal_solutions_are_pinned():
+    rng, digest = np.random.default_rng(7), hashlib.sha256()
+    for n in THOMAS_SIZES:
+        work = _kernels.Workspace((n + 2,))
+        for _ in range(2):
+            diag, off = rng.uniform(2.0, 4.0, n), rng.uniform(-0.9, 0.9, n - 1)
+            rhs = rng.standard_normal(n)
+            fresh = _kernels.thomas_spd(diag, off, rhs).tobytes()
+            assert _kernels.thomas_spd(diag, off, rhs, work).tobytes() == fresh
+            digest.update(fresh)
+    assert digest.hexdigest() == THOMAS_SOLUTIONS
+
+
+@pytest.mark.parametrize("m, k", NEAR_VACUUM)
+def test_near_vacuum_corners_are_pinned(m, k):
+    M = 400
+    spec = make_problem(m, Grid(0.0, 1.0, M), initial_data_from_key("poly:1e-4,0,1"))
+    tau = k / M
+    result = stepper.run(RunConfig(spec=spec, params=SolverParams(tau=tau),
+                                   t_final=10 * tau))
+    assert result.final_state.n == 10
+    assert (_sha256(result.final_state.x_curr.tobytes()),
+            sum(r.iterations for r in result.newton_reports)) == NEAR_VACUUM[m, k]
