@@ -10,16 +10,17 @@ The Newton loop and the finite-difference oracles of checks call it and
 step_functional, so the oracles check the code Newton runs;
 residual_interior and hessian_tridiag are views of it behind
 functional.residual and functional.hessian_coefficients.  Every kernel
+reads the step's coefficients (mass, slope_curr, f0_cells, h, tau, a0 and
+the flux form damped_start) from one record, coeffs: a
+functional.SchemeCoefficients, or any object with its fields.  Every kernel
 indexes the nodes along the last axis, so one call takes a single
-trajectory or a stack of candidates of shape (..., M+1), one
-per row.  The coefficients may be stacked too, one state per row: x_curr,
-slope_curr, mass and f0_cells as arrays that broadcast against the stack
-along its leading axes, and tau and a0 as floats or as arrays that
-broadcast against x_new[..., :1].  The finite-difference oracles evaluate
-the probes of several states, each with its own coefficients, in one call
-this way: a probe-major stack (r, k, M+1) of r probes of each of k states
-takes the states' (k, ...) coefficients as they are, not repeated per
-probe.  Every ufunc keeps its operands and their order
+trajectory or a stack of candidates of shape (..., M+1), one per row.  The
+record may be stacked too, one state per row (checks._rows): slope_curr,
+mass and f0_cells as (k, ...) rows that broadcast, as x_curr does, against
+the stack along its leading axes, and tau and a0 as (k, 1) columns that
+broadcast against x_new[..., :1].  A probe-major stack (r, k, M+1) of r
+probes of each of k states so takes the states' stacked record as it is,
+not repeated per probe.  Every ufunc keeps its operands and their order
 whatever the shapes, and every sum runs along the last axis, so each row
 gives the bits of its own call with float coefficients, which is how
 Newton calls the kernels.
@@ -273,8 +274,7 @@ def _secant_terms(y, y0, d, out=None):
     return r, w
 
 
-def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
-                     work, damped_start=False):
+def residual_hessian(x_new, x_curr, coeffs, work):
     """The scheme residual on the interior nodes, and the diagonal and
     off-diagonal of its tridiagonal derivative, at x_new in one pass.
 
@@ -289,16 +289,18 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     Every field is written into work, a Workspace of x_new's shape, and
     the three results are its buffers g, diag and off: they hold until the
     next call with the same work.  x_new may be a stack of shape
-    (..., M+1), one candidate per row, with per-row coefficients as the
+    (..., M+1), one candidate per row, with stacked coefficients as the
     module docstring says; the results then have its rows, each bitwise
     equal to its row's own call.
     """
+    slope_curr, mass, f0_cells, h, tau = (coeffs.slope_curr, coeffs.mass, coeffs.f0_cells,
+                                          coeffs.h, coeffs.tau)
     y, d, z, flux, c = work.cells
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
     y /= h
     np.subtract(y, slope_curr, out=d)
-    a0_tau, tau2 = a0 * tau, tau * tau
-    if damped_start:
+    a0_tau, tau2 = coeffs.a0 * tau, tau * tau
+    if coeffs.damped_start:
         np.divide(f0_cells, y, out=flux)
         flux -= np.multiply(d, a0_tau, out=z)
         np.divide(f0_cells, np.multiply(y, y, out=c), out=c)
@@ -329,22 +331,19 @@ def residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     return g, diag, off
 
 
-def residual_interior(x_new, x_curr, slope_curr, mass, f0_cells,
-                      h, tau, a0, damped_start=False):
+def residual_interior(x_new, x_curr, coeffs):
     """The residual of residual_hessian on every node, end slots 0, a fresh
     array; the assembly writes into a fresh workspace."""
     g = np.zeros_like(x_new)
-    g[..., 1:-1] = residual_hessian(x_new, x_curr, slope_curr, mass, f0_cells,
-                                    h, tau, a0, Workspace(x_new.shape), damped_start)[0]
+    g[..., 1:-1] = residual_hessian(x_new, x_curr, coeffs, Workspace(x_new.shape))[0]
     return g
 
 
-def hessian_tridiag(x_new, slope_curr, mass, f0_cells, h, tau, a0, damped_start=False):
+def hessian_tridiag(x_new, coeffs):
     """The diagonal and off-diagonal of residual_hessian, the buffers of a
     fresh workspace.  They do not depend on the base trajectory, so x_new
     stands in for it."""
-    return residual_hessian(x_new, x_new, slope_curr, mass, f0_cells,
-                            h, tau, a0, Workspace(x_new.shape), damped_start)[1:]
+    return residual_hessian(x_new, x_new, coeffs, Workspace(x_new.shape))[1:]
 
 
 _PI2_6 = math.pi ** 2 / 6.0
@@ -420,8 +419,7 @@ def _spence(w, out=None):
     return p
 
 
-def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
-                    damped_start=False, work=None):
+def step_functional(x_new, x_curr, coeffs, work=None):
     """The convex step functional F at x_new, the only formula of F in the
     package: the Newton line search minimises it, and functional.eval_F and
     the gradient oracle of checks add step_constant to it.
@@ -438,12 +436,13 @@ def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     the order of the plain expression, so the value is bitwise that of the
     expression; the assembly's results g, diag and off are left as they
     are.  x_new may be a stack of shape (..., M+1), one candidate per row,
-    with per-row coefficients as the module docstring says: every sum runs
+    with stacked coefficients as the module docstring says: every sum runs
     along the last axis, kept as an axis of length 1 until the end, so each
     value is bitwise equal to its row's own call; a 1-D x_new gives a
     float.  No admissibility check: the Newton loop calls it only on
     admissible iterates.
     """
+    slope_curr, f0_cells, h, tau = coeffs.slope_curr, coeffs.f0_cells, coeffs.h, coeffs.tau
     work = Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
     y, d, a, b, c = work.cells
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
@@ -451,10 +450,10 @@ def step_functional(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0,
     np.subtract(y, slope_curr, out=d)
     dx = a.reshape(-1)[:work.g.size].reshape(work.g.shape)  # contiguous, like g
     np.subtract(x_new[..., 1:-1], x_curr[..., 1:-1], out=dx)
-    value = ((0.5 / tau) * _row_sum(np.multiply(mass[..., 1:-1], np.multiply(dx, dx, out=dx),
-                                                out=dx))
-             + (0.5 * a0 * tau) * _row_sum(np.multiply(d, d, out=d)))
-    if damped_start:
+    value = ((0.5 / tau) * _row_sum(np.multiply(coeffs.mass[..., 1:-1],
+                                                np.multiply(dx, dx, out=dx), out=dx))
+             + (0.5 * coeffs.a0 * tau) * _row_sum(np.multiply(d, d, out=d)))
+    if coeffs.damped_start:
         value -= _row_sum(np.multiply(f0_cells, np.log(y, out=y), out=y))
     else:
         w = np.divide(y, slope_curr, out=d)
@@ -474,19 +473,19 @@ def _row_sum(a):
     return np.add.reduce(a, axis=-1, keepdims=a.ndim > 1)
 
 
-def step_constant(slope_curr, f0_cells, h, tau, a0, damped_start=False):
+def step_constant(coeffs):
     """The constant of the step that functional.eval_F and the gradient
     oracle add to step_functional: -h <f0, spence(1/y0)> - tau^2 h <1/y0, 1>
     - a0 tau h |1 - y0|^2/2 with y0 = slope_curr, the last term alone when
     damped_start.  Summed along the last axis: one value per row, with
     tau and a0 per row as in the kernels; a float for one trajectory."""
-    y0 = slope_curr
-    constant = -0.5 * a0 * tau * h * _row_sum((1.0 - y0) ** 2)
-    if not damped_start:
+    y0, h, tau = coeffs.slope_curr, coeffs.h, coeffs.tau
+    constant = -0.5 * coeffs.a0 * tau * h * _row_sum((1.0 - y0) ** 2)
+    if not coeffs.damped_start:
         if not np.all(y0 > 0.0):
             raise ValueError("G needs positive base slopes")
         inv_y0 = 1.0 / y0
-        constant -= h * (_row_sum(f0_cells * _spence(inv_y0))
+        constant -= h * (_row_sum(coeffs.f0_cells * _spence(inv_y0))
                          + tau * tau * _row_sum(inv_y0))
     return float(constant) if y0.ndim == 1 else constant[..., 0]
 

@@ -1,9 +1,9 @@
 """Property sweeps behind the `check` command.
 
-Each check returns (name, ok, detail); the sweep oracles here are independent
-of the assembly path they audit: finite differences of F (eval_F's value)
-for gradients and of the residual for Hessians, analytic signs for the
-secant building blocks, and direct summation for the discrete identities.
+Each check returns (name, ok, detail).  The calculus oracles run Newton's
+kernels and audit them by independent differencing: finite differences of
+F (eval_F's value) for gradients and of the residual for Hessians; analytic
+signs audit the secant building blocks, direct summation the identities.
 
 Each sweep is evaluated on arrays: a sign sweep draws all its samples at once
 and makes one call.  A finite-difference check draws its FD_STATES states in
@@ -13,8 +13,8 @@ the bits it would have if drawn alone.  It then makes one oracle call per
 flux form, on all the states of that form.  The oracles make Newton's
 kernel calls, residual_hessian and step_functional, on probe-major stacks
 (r, k, M+1) of r probes of each of k states, against which the states'
-per-row coefficients (see _kernels) broadcast as they are; each state's
-error has the bits of its own call.  A failing sweep
+coefficients, stacked into one record (_rows, see _kernels), broadcast as
+they are; each state's error has the bits of its own call.  A failing sweep
 still reports its first counterexample in sample or draw order, and a
 failing finite-difference check sets the generator to where that state's
 draws end, so the sweeps after it draw what they would draw after a
@@ -77,7 +77,7 @@ def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
 
 
 def _draw_states(rng, M: int) -> list:
-    """The FD_STATES random states (spec, params, x_curr, coeffs, x_new) of a
+    """The FD_STATES random states (spec, x_curr, coeffs, x_new) of a
     finite-difference check on M cells, every odd-numbered one with the
     opening step's flux.  One draw of FD_STATES rows of 3 + 3M doubles takes
     what drawing the states one at a time takes, in the same order (m, tau,
@@ -106,7 +106,8 @@ def _draw_states(rng, M: int) -> list:
     return [(ProblemSpec(m=m, grid=grid, f0_nodes=stack.f0_nodes, f0_cells=stack.f0_cells,
                          f0_min=stack.f0_min, mass_factor=factor,
                          energy_scale=stack.energy_scale),
-             p, xc, SchemeCoefficients(mass=ma, slope_curr=slope, damped_start=i % 2 == 1), xn)
+             xc, SchemeCoefficients(mass=ma, slope_curr=slope, f0_cells=stack.f0_cells,
+                                    h=grid.h, tau=p.tau, a0=p.a0, damped_start=i % 2 == 1), xn)
             for i, (m, factor, p, xc, ma, slope, xn) in enumerate(zip(
                 stack.m[:, 0].tolist(), stack.mass_factor, params, x_curr, mass,
                 d_forward(x_curr, grid), x_new))]
@@ -184,20 +185,21 @@ def check_branch_continuity() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _rows(states):
-    """States (spec, params, x_curr, coeffs, x_new) that share the grid and
-    the flux form, as rows: the grid, the flux form, x_new and x_curr of
-    shape (k, M+1), and the kernels' coefficients (slope_curr, mass,
-    f0_cells, h, tau, a0), k rows each but h, with tau and a0 of shape
-    (k, 1), as a probe-major (r, k, M+1) stack takes them."""
-    specs, params, x_curr, coeffs, x_new = zip(*states)
+    """The coefficients of k states (spec, x_curr, coeffs, x_new) that share
+    the grid and the flux form, stacked into one SchemeCoefficients as a
+    probe-major (r, k, M+1) stack takes them: slope_curr, mass and f0_cells
+    as (k, ...) rows, tau and a0 as (k, 1) columns."""
+    specs, _, coeffs, _ = zip(*states)
     grid, damped_start = specs[0].grid, coeffs[0].damped_start
     if any(s.grid != grid for s in specs) or any(c.damped_start != damped_start
                                                  for c in coeffs):
         raise ValueError("the states of one stack must share the grid and the flux form")
-    return grid, damped_start, np.array(x_new, dtype=float), np.array(x_curr, dtype=float), (
-        np.array([c.slope_curr for c in coeffs]), np.array([c.mass for c in coeffs]),
-        np.array([s.f0_cells for s in specs]), grid.h,
-        np.array([[p.tau] for p in params]), np.array([[p.a0] for p in params]))
+    return SchemeCoefficients(
+        mass=np.array([c.mass for c in coeffs]),
+        slope_curr=np.array([c.slope_curr for c in coeffs]),
+        f0_cells=np.array([c.f0_cells for c in coeffs]), h=grid.h,
+        tau=np.array([[c.tau] for c in coeffs]), a0=np.array([[c.a0] for c in coeffs]),
+        damped_start=damped_start)
 
 
 def _verdicts(errors):
@@ -206,23 +208,23 @@ def _verdicts(errors):
 
 
 def gradient_vs_fd(states, work=None):
-    """For each state (spec, params, x_curr, coeffs, x_new), the max
+    """For each state (spec, x_curr, coeffs, x_new), the max
     relative mismatch between h*residual and a fourth-order central
     difference of F, and whether it is within FD_REL_TOL.  The states share
     the grid and the flux form: one residual_hessian call on the k states
     and one step_functional call on their probe-major (4(M-1), k, M+1)
-    stack of probes, with per-row coefficients.  Both write into work, a
+    stack of probes, with stacked coefficients.  Both write into work, a
     Workspace (for_shape serves either shape; fresh when None).
     check_gradient_fd passes the 10 states of a flux form at M = 16, so F
     sees a (60, 10, 17) stack.
     F is eval_F's: step_functional plus step_constant."""
-    grid, damped_start, x_new, x_curr, coefficients = _rows(states)
-    slope_curr, _, f0_cells, h, tau, a0 = coefficients
+    grid, coeffs = states[0][0].grid, _rows(states)
+    x_curr, x_new = (np.array([state[i] for state in states], dtype=float) for i in (1, 3))
     n, X = grid.M - 1, grid.nodes()
     functional._require_admissible(x_new, grid, "candidate trajectory")
     functional._require_admissible(x_curr, grid, "base trajectory")
     work = _kernels.Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
-    grad = h * _kernels.residual_hessian(x_new, x_curr, *coefficients, work, damped_start)[0]
+    grad = grid.h * _kernels.residual_hessian(x_new, x_curr, coeffs, work)[0]
 
     # probes[i - 1, j, s] is state s's x_new - X with node i moved by
     # shifts[j], then X added back, as eval_F adds it
@@ -233,26 +235,27 @@ def gradient_vs_fd(states, work=None):
     probes = probes.reshape(4 * n, len(states), grid.M + 1)
     probes += X
     functional._require_admissible(probes, grid, "displaced trajectory")
-    f = _kernels.step_functional(probes, x_curr, *coefficients, damped_start, work)
-    f += _kernels.step_constant(slope_curr, f0_cells, h, tau, a0, damped_start)
+    f = _kernels.step_functional(probes, x_curr, coeffs, work)
+    f += _kernels.step_constant(coeffs)
     f = f.reshape(n, 4, -1)
     fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * GRADIENT_STEP)
     return _verdicts(np.max(np.abs(fd.T - grad), axis=-1) / np.max(np.abs(grad), axis=-1))
 
 
 def hessian_vs_fd(states, work=None):
-    """For each state (spec, params, x_curr, coeffs, x_new), the max
+    """For each state (spec, x_curr, coeffs, x_new), the max
     relative mismatch between the assembled tridiagonal and central
     differences of the residual, and whether it is within FD_REL_TOL.  The
     comparison is dense, so a coupling outside the tridiagonal counts too.
     The states share the grid and the flux form: one residual_hessian call,
-    with per-row coefficients, on a probe-major (1 + 2(M-1), k, M+1) stack
+    with stacked coefficients, on a probe-major (1 + 2(M-1), k, M+1) stack
     whose row 0 is the states, whose diagonals are the Hessian (they do
     not depend on the base trajectory), and whose other rows are the
     probes.  It writes into work.for_shape of that stack, work a Workspace
     (fresh when None).  check_hessian_fd passes the 10 states of a flux
     form at M = 24, so the assembly sees a (47, 10, 25) stack."""
-    grid, damped_start, x_new, x_curr, coefficients = _rows(states)
+    grid, coeffs = states[0][0].grid, _rows(states)
+    x_curr, x_new = (np.array([state[i] for state in states], dtype=float) for i in (1, 3))
     n = grid.M - 1
     functional._require_admissible(x_curr, grid, "base trajectory")
 
@@ -264,7 +267,7 @@ def hessian_vs_fd(states, work=None):
     stack[1 + n + i, :, i + 1] -= HESSIAN_STEP
     functional._require_admissible(stack, grid, "candidate trajectory")
     work = _kernels.Workspace(stack.shape) if work is None else work.for_shape(stack.shape)
-    g, diag, off = _kernels.residual_hessian(stack, x_curr, *coefficients, work, damped_start)
+    g, diag, off = _kernels.residual_hessian(stack, x_curr, coeffs, work)
     dense = np.zeros((len(states), n, n))
     dense[:, i, i] = diag[0]
     dense[:, i[:-1], i[1:]] = off[0]
@@ -291,9 +294,9 @@ def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
         if not ok:
             rng.bit_generator.state = start
             rng.random((i + 1) * (3 + 3 * M))
-            spec, params = states[i][:2]
+            spec, _, coeffs = states[i][:3]
             return CheckResult(name, False,
-                               f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")
+                               f"relative error {err:.3e} at m={spec.m!r}, tau={coeffs.tau!r}")
     return CheckResult(name, True,
                        f"worst relative error {max(err for err, _ in results):.3e}")
 

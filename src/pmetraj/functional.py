@@ -55,16 +55,22 @@ class SolverParams:
 
 @dataclass
 class SchemeCoefficients:
-    """Per-step frozen quantities: the mass coefficient (formed from the
-    guarded slope S_h), the cell slopes of the step's base state, and the
-    step's flux form.  damped_start selects the fully implicit first-order
+    """The coefficients of one step, the one record every kernel of
+    _kernels reads: with the base trajectory they fix F, its gradient (the
+    residual) and its Hessian (the tridiagonal).  mass is formed from the
+    guarded slope S_h; damped_start selects the fully implicit first-order
     flux of the opening step (L-stable, so the incompatible-corner transient
-    of rough initial data cannot ring); the residual, its Hessian, F and
-    Newton all read it from here."""
+    of rough initial data cannot ring).  build_coefficients fills one per
+    step; checks._rows stacks those of k states, the arrays as (k, ...) rows
+    and tau and a0 as (k, 1) columns."""
 
     mass: np.ndarray        # node field; interior entries feed the scheme
     slope_curr: np.ndarray  # cell field, D_h of the base state
-    damped_start: bool = False
+    f0_cells: np.ndarray    # cell field, f0 at the cell midpoints
+    h: float
+    tau: float
+    a0: float
+    damped_start: bool
 
 
 def compute_s_h(wide_curr: np.ndarray, wide_prev: np.ndarray, tau: float) -> np.ndarray:
@@ -118,11 +124,12 @@ def build_coefficients(slope_curr: np.ndarray, wide_curr: np.ndarray,
                        params: SolverParams,
                        damped_start: bool = False) -> SchemeCoefficients:
     """The step's coefficients from the base state's cell slopes slope_curr
-    = D_h x^n and the wide slopes of compute_s_h, with the opening step's
-    flux when damped_start."""
+    = D_h x^n and the wide slopes of compute_s_h, spec and params, with the
+    opening step's flux when damped_start."""
     return SchemeCoefficients(
         mass=mass_coefficient(compute_s_h(wide_curr, wide_prev, params.tau), spec, params.tau),
-        slope_curr=slope_curr, damped_start=damped_start)
+        slope_curr=slope_curr, f0_cells=spec.f0_cells, h=spec.grid.h, tau=params.tau,
+        a0=params.a0, damped_start=damped_start)
 
 
 def _secant(y, y0):
@@ -165,10 +172,10 @@ def _require_admissible(x, grid, label):
 
 
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-             spec: ProblemSpec, params: SolverParams) -> np.ndarray:
-    """Scheme residual g on nodes, with the flux form coeffs.damped_start
-    selects; g = 0 is exactly one time step of the scheme and g equals the
-    gradient of eval_F divided by the weight h.
+             spec: ProblemSpec) -> np.ndarray:
+    """Scheme residual g on nodes with the step's coefficients coeffs, the
+    flux form among them; g = 0 is exactly one time step of the scheme and
+    g equals the gradient of eval_F divided by the weight h.
 
     x_new may also be a stack of candidates, one per row (shape (k, M+1));
     the residuals come back as the rows of a (k, M+1) array, each bitwise
@@ -176,19 +183,15 @@ def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     _require_admissible(x_new, spec.grid, "candidate trajectory")
     _require_admissible(x_curr, spec.grid, "base trajectory")
     return _kernels.residual_interior(
-        np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float),
-        coeffs.slope_curr, coeffs.mass, spec.f0_cells, spec.grid.h,
-        params.tau, params.a0, coeffs.damped_start)
+        np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float), coeffs)
 
 
 def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
-                         spec: ProblemSpec, params: SolverParams):
+                         spec: ProblemSpec):
     """Assembled interior tridiagonal (diag of length M-1, offdiag of length M-2)
-    of the exact derivative of the residual; SPD on the admissible set."""
+    of the exact derivative of the residual with coeffs; SPD on the admissible set."""
     _require_admissible(x_new, spec.grid, "candidate trajectory")
-    return _kernels.hessian_tridiag(
-        np.asarray(x_new, dtype=float), coeffs.slope_curr, coeffs.mass,
-        spec.f0_cells, spec.grid.h, params.tau, params.a0, coeffs.damped_start)
+    return _kernels.hessian_tridiag(np.asarray(x_new, dtype=float), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +223,8 @@ def g_convex_second(x: float, x0: float) -> float:
 
 
 def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
-           spec: ProblemSpec, params: SolverParams):
-    """Value of the convex step functional at displacement x_hat = x_new - X.
+           spec: ProblemSpec):
+    """Value of the convex step functional of coeffs at displacement x_hat = x_new - X.
 
     F is _kernels.step_functional at X + x_hat (the function the Newton line
     search minimises) plus a closed-form constant of the step,
@@ -241,11 +244,8 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     grid = spec.grid
     x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
     _require_admissible(x_new, grid, "displaced trajectory")
-    y0, f0, h, tau, a0 = coeffs.slope_curr, spec.f0_cells, grid.h, params.tau, params.a0
-    constant = _kernels.step_constant(y0, f0, h, tau, a0, coeffs.damped_start)
-    return _kernels.step_functional(
-        x_new, np.asarray(x_curr, dtype=float), y0, coeffs.mass, f0, h, tau, a0,
-        coeffs.damped_start) + constant
+    constant = _kernels.step_constant(coeffs)
+    return _kernels.step_functional(x_new, np.asarray(x_curr, dtype=float), coeffs) + constant
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,8 @@ def _extrapolated_start(state: TrajectoryState, x_curr: np.ndarray, grid: Grid):
 def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
                 spec: ProblemSpec, params: SolverParams,
                 x_init: np.ndarray | None = None):
-    """Solve one implicit step, in the flux form coeffs.damped_start selects,
+    """Solve one implicit step with the step's coefficients coeffs (the
+    flux form among them), which every call of the assembly and of F reads,
     from x_init when given, else from the first admissible of
     3 x^n - 3 x^{n-1} + x^{n-2} (when state.x_prev2 is set), 2 x^n - x^{n-1}
     and x^n.
@@ -225,16 +226,6 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     work = state.work if state.work is not None else _kernels.Workspace(x_curr.shape)
     spare = np.empty_like(x)  # the iterate buffer x does not hold
 
-    def assemble(y):
-        return _kernels.residual_hessian(
-            y, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, work, coeffs.damped_start)
-
-    def functional_value(y):
-        return _kernels.step_functional(
-            y, x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells, grid.h,
-            params.tau, params.a0, coeffs.damped_start, work)
-
     def finish(stop):  # the residual norm at the last assembled point
         report.stop = stop
         # diag is free once the step is solved
@@ -252,7 +243,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     assembled = False  # whether gi, diag and off already hold x's assembly
     for _ in range(params.newton_max_iter):
         if not assembled:
-            gi, diag, off = assemble(x)
+            gi, diag, off = _kernels.residual_hessian(x, x_curr, coeffs, work)
         delta = solve_tridiagonal(diag, off, np.negative(gi, out=work.rhs), work)
         lam = newton_decrement_lambda(gi, delta, a, grid)
         report.lambda_history.append(lam)
@@ -267,7 +258,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
             omega = 1.0
             while True:
                 omega, cand = _guarded_update(x, delta, omega, spare, work.mask)
-                gi, diag, off = assemble(cand)
+                gi, diag, off = _kernels.residual_hessian(cand, x_curr, coeffs, work)
                 # F is convex, so F(cand) <= F(x) + omega h g(cand) . delta:
                 # Armijo holds, with no evaluation of F, once h g(cand) . delta
                 # <= -armijo
@@ -275,8 +266,8 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
                     f_x = None
                     break
                 if f_x is None:
-                    f_x = functional_value(x)
-                f_cand = functional_value(cand)
+                    f_x = _kernels.step_functional(x, x_curr, coeffs, work)
+                f_cand = _kernels.step_functional(cand, x_curr, coeffs, work)
                 if f_cand <= f_x - omega * armijo:
                     f_x = f_cand
                     break

@@ -58,12 +58,15 @@ def test_tracer_sees_the_residual_kernel(perfbench_path):
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     tracer = tracing.Tracer().install()
     try:
-        functional.residual(state.x_curr, state.x_curr, coeffs, spec, params)
+        functional.residual(state.x_curr, state.x_curr, coeffs, spec)
+        functional.hessian_coefficients(state.x_curr, coeffs, spec)
     finally:
         tracer.restore()
     assert [span[0] for span in tracer.spans] == [
-        "functional.residual", "kernels.residual_interior"]
+        "functional.residual", "kernels.residual_interior",
+        "functional.hessian_coefficients", "kernels.hessian_tridiag"]
     assert tracer.counts["residual.cells"] == g.M
+    assert tracer.counts["hessian.cells"] == g.M
 
 
 def test_tracer_sees_the_layers_of_one_step(perfbench_path):

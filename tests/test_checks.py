@@ -1,6 +1,7 @@
 """The property sweeps behind `pmetraj check`: each batched oracle and sweep
 against the per-probe or per-sample loop it replaced, the number of calls
 each one makes, and the defects each one must catch."""
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,10 @@ from reference_states import random_setup
 # reference loops: one call per probe or per sample
 # ---------------------------------------------------------------------------
 
-def _gradient_loop(spec, params, x_curr, coeffs, x_new, rel_tol=1e-6, step=5e-4):
+def _gradient_loop(spec, x_curr, coeffs, x_new, rel_tol=1e-6, step=5e-4):
     grid = spec.grid
     x_hat = x_new - grid.nodes()
-    g = functional.residual(x_new, x_curr, coeffs, spec, params)
+    g = functional.residual(x_new, x_curr, coeffs, spec)
     grad = grid.h * g[1:-1]
     fd = np.empty_like(grad)
     for i in range(1, grid.M):
@@ -27,15 +28,15 @@ def _gradient_loop(spec, params, x_curr, coeffs, x_new, rel_tol=1e-6, step=5e-4)
         for k in (-2.0, -1.0, 1.0, 2.0):
             xp = x_hat.copy()
             xp[i] += k * step
-            probes.append(functional.eval_F(xp, x_curr, coeffs, spec, params))
+            probes.append(functional.eval_F(xp, x_curr, coeffs, spec))
         fd[i - 1] = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * step)
     err = float(np.max(np.abs(fd - grad))) / float(np.max(np.abs(grad)))
     return err, err <= rel_tol
 
 
-def _hessian_loop(spec, params, x_curr, coeffs, x_new, rel_tol=1e-6, step=1e-6):
+def _hessian_loop(spec, x_curr, coeffs, x_new, rel_tol=1e-6, step=1e-6):
     n = spec.grid.M - 1
-    diag, off = functional.hessian_coefficients(x_new, coeffs, spec, params)
+    diag, off = functional.hessian_coefficients(x_new, coeffs, spec)
     dense = np.diag(diag)
     dense += np.diag(off, 1) + np.diag(off, -1)
     fd = np.empty((n, n))
@@ -44,8 +45,8 @@ def _hessian_loop(spec, params, x_curr, coeffs, x_new, rel_tol=1e-6, step=1e-6):
         xp[j + 1] += step
         xm = x_new.copy()
         xm[j + 1] -= step
-        gp = functional.residual(xp, x_curr, coeffs, spec, params)[1:-1]
-        gm = functional.residual(xm, x_curr, coeffs, spec, params)[1:-1]
+        gp = functional.residual(xp, x_curr, coeffs, spec)[1:-1]
+        gm = functional.residual(xm, x_curr, coeffs, spec)[1:-1]
         fd[:, j] = (gp - gm) / (2.0 * step)
     err = float(np.max(np.abs(fd - dense))) / float(np.max(np.abs(dense)))
     return err, err <= rel_tol
@@ -83,8 +84,8 @@ def _states_from(rng, M, count):
     """The states of check_*_fd drawn one at a time from rng: every
     odd-numbered one has the opening step's flux."""
     for i in range(count):
-        spec, params, x_curr, coeffs = random_setup(rng, M=M, damped_start=i % 2 == 1)
-        yield spec, params, x_curr, coeffs, checks.random_admissible(rng, spec.grid)
+        spec, _, x_curr, coeffs = random_setup(rng, M=M, damped_start=i % 2 == 1)
+        yield spec, x_curr, coeffs, checks.random_admissible(rng, spec.grid)
 
 
 def _states(M, count, seed=11):
@@ -95,7 +96,7 @@ def _stacks(states, size):
     """The indices of states in stacks of at most size, one flux form each,
     as checks._fd_states forms them."""
     for damped_start in (False, True):
-        indices = [i for i, state in enumerate(states) if state[3].damped_start == damped_start]
+        indices = [i for i, state in enumerate(states) if state[2].damped_start == damped_start]
         for start in range(0, len(indices), size):
             yield indices[start:start + size]
 
@@ -130,18 +131,20 @@ def test_drawn_states_equal_states_drawn_one_at_a_time(M):
         states, reference = checks._draw_states(rng, M), np.random.default_rng(seed)
         want = list(_states_from(reference, M, checks.FD_STATES))
         assert len(states) == len(want)
-        for (spec, params, x_curr, coeffs, x_new), (w_spec, w_params, w_x_curr, w_coeffs,
-                                                    w_x_new) in zip(states, want):
+        for (spec, x_curr, coeffs, x_new), (w_spec, w_x_curr, w_coeffs,
+                                            w_x_new) in zip(states, want):
             assert spec.grid == w_spec.grid
-            assert (spec.m.hex(), params.tau.hex(), params.a0.hex()) == (
-                w_spec.m.hex(), w_params.tau.hex(), w_params.a0.hex())
+            assert (spec.m.hex(), coeffs.tau.hex(), coeffs.a0.hex()) == (
+                w_spec.m.hex(), w_coeffs.tau.hex(), w_coeffs.a0.hex())
             assert coeffs.damped_start == w_coeffs.damped_start
             for got, expected in [(x_curr, w_x_curr), (x_new, w_x_new),
                                   (coeffs.slope_curr, w_coeffs.slope_curr),
                                   (coeffs.mass, w_coeffs.mass),
+                                  (coeffs.f0_cells, w_coeffs.f0_cells),
+                                  (coeffs.h, w_coeffs.h),
                                   (spec.mass_factor, w_spec.mass_factor)]:
                 assert _bits(got) == _bits(expected)
-        assert {c.damped_start for _, _, _, c, _ in states} == {False, True}
+        assert {c.damped_start for _, _, c, _ in states} == {False, True}
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -337,9 +340,9 @@ def _first_state_above(seed, M, tau_limit):
     """The states check_*_fd visits from seed up to the first with
     tau > tau_limit, and the index of that one."""
     states = []
-    for spec, params, *rest in _states(M, 20, seed):
-        states.append((spec, params, *rest))
-        if params.tau > tau_limit:
+    for state in _states(M, 20, seed):
+        states.append(state)
+        if state[2].tau > tau_limit:
             return states, len(states) - 1
     raise AssertionError("no state above the limit")
 
@@ -354,9 +357,9 @@ def test_fd_check_names_first_failing_state(monkeypatch, check, loop, patched, M
     # tau as a float, or as one value per row of shape (..., 1)
     original = getattr(_kernels, patched)
 
-    def wrong_above(x, x_curr, slope_curr, mass, f0_cells, h, tau, *args):
-        value = original(x, x_curr, slope_curr, mass, f0_cells, h, tau, *args)
-        above = np.asarray(tau) > 0.01
+    def wrong_above(x, x_curr, coeffs, *args):
+        value = original(x, x_curr, coeffs, *args)
+        above = np.asarray(coeffs.tau) > 0.01
         if patched == "step_functional":  # d/dx_i of the added term is 1e-3
             return value + np.where(above[..., 0] if above.ndim else above,
                                     1e-3 * np.sum(x, axis=-1), 0.0)
@@ -371,10 +374,10 @@ def test_fd_check_names_first_failing_state(monkeypatch, check, loop, patched, M
     monkeypatch.setattr(_kernels, patched, wrong_above)
     err, ok = loop(*states[first])
     assert not ok
-    spec, params = states[first][:2]
+    spec, _, coeffs = states[first][:3]
     result = check(np.random.default_rng(seed))
     assert result == CheckResult(
-        result.name, False, f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")
+        result.name, False, f"relative error {err:.3e} at m={spec.m!r}, tau={coeffs.tau!r}")
     assert max(passing) <= 1e-6
 
 
@@ -385,29 +388,26 @@ def test_fd_check_leaves_the_generator_where_the_failing_state_ends(monkeypatch)
     # time leaves it, so the sweeps after it draw what they drew before
     original = _kernels.residual_hessian
 
-    def perturbed(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, work,
-                  damped_start=False):
-        if damped_start:
-            f0_cells = 1.001 * f0_cells
-        return original(x_new, x_curr, slope_curr, mass, f0_cells, h, tau, a0, work,
-                        damped_start)
+    def perturbed(x_new, x_curr, coeffs, work):
+        if coeffs.damped_start:
+            coeffs = dataclasses.replace(coeffs, f0_cells=1.001 * coeffs.f0_cells)
+        return original(x_new, x_curr, coeffs, work)
 
     seed = 5
     reference = np.random.default_rng(seed)
     drawn = []
     for i in range(2):
-        spec, params, x_curr, coeffs = random_setup(reference, 16, damped_start=i % 2 == 1)
-        drawn.append((spec, params, x_curr, coeffs,
-                      checks.random_admissible(reference, spec.grid)))
+        spec, _, x_curr, coeffs = random_setup(reference, 16, damped_start=i % 2 == 1)
+        drawn.append((spec, x_curr, coeffs, checks.random_admissible(reference, spec.grid)))
     monkeypatch.setattr(_kernels, "residual_hessian", perturbed)
     assert _gradient_loop(*drawn[0])[1]
     err, ok = _gradient_loop(*drawn[1])
     assert not ok
     rng = np.random.default_rng(seed)
     result = checks.check_gradient_fd(rng)
-    spec, params = drawn[1][:2]
+    spec, _, coeffs = drawn[1][:3]
     assert result == CheckResult(
-        result.name, False, f"relative error {err:.3e} at m={spec.m!r}, tau={params.tau!r}")
+        result.name, False, f"relative error {err:.3e} at m={spec.m!r}, tau={coeffs.tau!r}")
     assert rng.bit_generator.state == reference.bit_generator.state
     assert rng.random() == reference.random()
 

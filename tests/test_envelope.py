@@ -72,7 +72,7 @@ def test_newton_solution_minimises_F(damped_start):
                                 damped_start=damped_start)
     x_new, _ = newton_step(state, coeffs, spec, params)
     X = spec.grid.nodes()
-    base, mid, best = (eval_F(x - X, state.x_curr, coeffs, spec, params)
+    base, mid, best = (eval_F(x - X, state.x_curr, coeffs, spec)
                        for x in (state.x_curr, 0.5 * (state.x_curr + x_new), x_new))
     assert best < mid < base
 
@@ -101,7 +101,7 @@ def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
     X = spec.grid.nodes()
 
     def F(x):
-        return eval_F(x - X, state.x_curr, coeffs, spec, params)
+        return eval_F(x - X, state.x_curr, coeffs, spec)
 
     far = [k for k, lam in enumerate(report.lambda_history) if lam >= LAMBDA_STAR]
     assert len(far) >= 2
@@ -164,11 +164,11 @@ def test_certified_far_steps_pass_armijo_on_F(monkeypatch, m, k):
         elif event[0] == "trial" and lam >= LAMBDA_STAR:
             _, x, step, omega, cand = event
             armijo = newton.ARMIJO_C * a * lam * lam
-            g = residual(cand, x_curr, coeffs, spec, params)[1:-1]
+            g = residual(cand, x_curr, coeffs, spec)[1:-1]
             evaluated = i + 1 < len(events) and events[i + 1][0] == "F"
             assert (h * float(np.dot(g, step)) <= -armijo) is not evaluated
             if not evaluated:
-                f_x, f_cand = (eval_F(y - X, x_curr, coeffs, spec, params)
+                f_x, f_cand = (eval_F(y - X, x_curr, coeffs, spec)
                                for y in (x, cand))
                 assert f_cand <= f_x - omega * armijo
                 certified += 1

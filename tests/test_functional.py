@@ -6,7 +6,7 @@ import pytest
 
 from pmetraj import _kernels
 from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
-                     SolverParams, LAMBDA_STAR, build_coefficients,
+                     SchemeCoefficients, SolverParams, LAMBDA_STAR, build_coefficients,
                      compute_s_h, d_centered_to_nodes, d_forward, d_wide, eval_F,
                      g_convex_integral, hessian_coefficients,
                      initial_data_from_key, make_problem, mass_coefficient,
@@ -212,12 +212,12 @@ def test_residual_zero_for_stationary_constant():
     params = SolverParams(tau=g.h)
     X = g.nodes()
     coeffs = build_coefficients(d_forward(X, g), d_wide(X, g), d_wide(X, g), spec, params)
-    np.testing.assert_array_equal(residual(X, X, coeffs, spec, params), np.zeros(17))
+    np.testing.assert_array_equal(residual(X, X, coeffs, spec), np.zeros(17))
 
 
 def test_residual_equal_states_leaves_only_secant_term(rng):
     g, spec, params, x_curr, coeffs = _setup(rng)
-    got = residual(x_curr, x_curr, coeffs, spec, params)
+    got = residual(x_curr, x_curr, coeffs, spec)
     expected = d_centered_to_nodes(spec.f0_cells / d_forward(x_curr, g), g)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -227,7 +227,7 @@ def test_residual_rejects_inadmissible(rng):
     bad = x_curr.copy()
     bad[3] = bad[2]
     with pytest.raises(DegenerateMeshError):
-        residual(bad, x_curr, coeffs, spec, params)
+        residual(bad, x_curr, coeffs, spec)
 
 
 @pytest.mark.parametrize("damped_start", [False, True])
@@ -236,12 +236,12 @@ def test_stacked_eval_F_and_residual_equal_row_calls(rng, damped_start):
     X = g.nodes()
     # x_curr itself puts every cell of one row on the equal-slope branch
     xs = np.array([random_admissible(rng, g) for _ in range(6)] + [x_curr])
-    values = eval_F(xs - X, x_curr, coeffs, spec, params)
-    residuals = residual(xs, x_curr, coeffs, spec, params)
+    values = eval_F(xs - X, x_curr, coeffs, spec)
+    residuals = residual(xs, x_curr, coeffs, spec)
     assert values.shape == (7,) and residuals.shape == (7, 17)
     for k, x in enumerate(xs):
-        value = eval_F(x - X, x_curr, coeffs, spec, params)
-        row = residual(x, x_curr, coeffs, spec, params)
+        value = eval_F(x - X, x_curr, coeffs, spec)
+        row = residual(x, x_curr, coeffs, spec)
         assert type(value) is float and value == values[k]
         assert type(row) is np.ndarray and row.shape == (17,)
         np.testing.assert_array_equal(row, residuals[k])
@@ -267,26 +267,28 @@ def test_kernels_take_per_row_coefficients(rng, damped_start):
                                     damped_start=damped_start)
         # x_curr itself puts every lane on the equal-slope branch
         candidates = [x_curr, random_admissible(rng, g), wave]
-        rows.append((candidates, (x_curr, coeffs.slope_curr, coeffs.mass, spec.f0_cells,
-                                  g.h, params.tau, params.a0)))
-    x_curr, slope_curr, mass, f0_cells, _, tau, a0 = (
-        np.array(column) for column in zip(*(state for _, state in rows)))
-    per_row = (x_curr, slope_curr, mass, f0_cells, g.h, tau[:, None], a0[:, None])
+        rows.append((candidates, (x_curr, coeffs)))
+    x_curr, slope_curr, mass, f0_cells, tau, a0 = (
+        np.array(column) for column in zip(*((x, c.slope_curr, c.mass, c.f0_cells, c.tau, c.a0)
+                                             for _, (x, c) in rows)))
+
+    def per_row(lead):  # the states' coefficients as rows, lead indexing each array
+        return x_curr[lead], SchemeCoefficients(
+            mass=mass[lead], slope_curr=slope_curr[lead], f0_cells=f0_cells[lead], h=g.h,
+            tau=tau[:, None][lead], a0=a0[:, None][lead], damped_start=damped_start)
     w = np.diff(wave) / g.h / slope_curr
     assert w.min() < 0.5 and w.max() > 2.0  # Spence lanes in all three ranges
 
-    def calls(x, x_curr, slope_curr, mass, f0_cells, h, tau, a0):
-        coefficients = (slope_curr, mass, f0_cells, h, tau, a0)
-        return ([_kernels.residual_interior(x, x_curr, *coefficients, damped_start),
-                 *_kernels.hessian_tridiag(x, *coefficients, damped_start),
-                 _kernels.step_functional(x, x_curr, *coefficients, damped_start)],
-                _kernels.step_constant(slope_curr, f0_cells, h, tau, a0, damped_start))
+    def calls(x, x_curr, coeffs):
+        return ([_kernels.residual_interior(x, x_curr, coeffs),
+                 *_kernels.hessian_tridiag(x, coeffs),
+                 _kernels.step_functional(x, x_curr, coeffs)],
+                _kernels.step_constant(coeffs))
 
     flat = np.array([candidates[j] for j, (candidates, _) in enumerate(rows)])
     stacked = np.array([candidates for candidates, _ in rows])
-    got_flat, constants = calls(flat, *per_row)
-    got_stacked, _ = calls(stacked, *(c[:, None] if isinstance(c, np.ndarray) else c
-                                      for c in per_row))
+    got_flat, constants = calls(flat, *per_row(...))
+    got_stacked, _ = calls(stacked, *per_row((slice(None), None)))
     assert constants.shape == (3,)
     for s, (candidates, state) in enumerate(rows):
         want, constant = calls(candidates[s], *state)
@@ -305,18 +307,18 @@ def test_stack_with_inadmissible_row_names_it(rng):
     xs = np.array([random_admissible(rng, g) for _ in range(4)])
     xs[2, 5] = xs[2, 4]
     with pytest.raises(DegenerateMeshError, match="row 2 "):
-        residual(xs, x_curr, coeffs, spec, params)
+        residual(xs, x_curr, coeffs, spec)
     with pytest.raises(DegenerateMeshError, match="row 2 "):
-        eval_F(xs - g.nodes(), x_curr, coeffs, spec, params)
+        eval_F(xs - g.nodes(), x_curr, coeffs, spec)
     # with two leading axes, the row's index along each
     with pytest.raises(DegenerateMeshError, match=r"row \(1, 0\) "):
-        residual(xs.reshape(2, 2, g.M + 1), x_curr, coeffs, spec, params)
+        residual(xs.reshape(2, 2, g.M + 1), x_curr, coeffs, spec)
 
 
 def test_gradient_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=16, m=float(rng.uniform(1.3, 2.8)))
-        [(err, ok)] = gradient_vs_fd([(spec, params, x_curr, coeffs, random_admissible(rng, g))])
+        [(err, ok)] = gradient_vs_fd([(spec, x_curr, coeffs, random_admissible(rng, g))])
         assert ok, f"gradient FD mismatch {err:.3e}"
 
 
@@ -325,12 +327,12 @@ def test_gradient_matches_fd_damped_mode(rng):
     g, spec, params, x_curr, coeffs = _setup(rng, M=16, damped_start=True)
     x_new = random_admissible(rng, g)
     x_hat = x_new - g.nodes()
-    gvec = residual(x_new, x_curr, coeffs, spec, params)
+    gvec = residual(x_new, x_curr, coeffs, spec)
     direction = np.zeros(g.M + 1)
     direction[1:-1] = np.sin(np.pi * g.nodes()[1:-1])
     eps = 1e-6
-    fp = eval_F(x_hat + eps * direction, x_curr, coeffs, spec, params)
-    fm = eval_F(x_hat - eps * direction, x_curr, coeffs, spec, params)
+    fp = eval_F(x_hat + eps * direction, x_curr, coeffs, spec)
+    fm = eval_F(x_hat - eps * direction, x_curr, coeffs, spec)
     fd = (fp - fm) / (2 * eps)
     analytic = g.h * float(np.dot(gvec[1:-1], direction[1:-1]))
     assert fd == pytest.approx(analytic, rel=1e-6)
@@ -339,14 +341,14 @@ def test_gradient_matches_fd_damped_mode(rng):
 def test_hessian_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=24, m=float(rng.uniform(1.3, 2.8)))
-        [(err, ok)] = hessian_vs_fd([(spec, params, x_curr, coeffs, random_admissible(rng, g))])
+        [(err, ok)] = hessian_vs_fd([(spec, x_curr, coeffs, random_admissible(rng, g))])
         assert ok, f"Hessian FD mismatch {err:.3e}"
 
 
 def test_hessian_quadratic_form_positive(rng):
     for _ in range(10):
         g, spec, params, x_curr, coeffs = _setup(rng)
-        diag, off = hessian_coefficients(random_admissible(rng, g), coeffs, spec, params)
+        diag, off = hessian_coefficients(random_admissible(rng, g), coeffs, spec)
         v = rng.standard_normal(g.M - 1)
         quad = float(np.sum(diag * v * v) + 2.0 * np.sum(off * v[:-1] * v[1:]))
         assert quad > 0.0
@@ -362,7 +364,7 @@ def test_eval_F_zero_at_rest():
     params = SolverParams(tau=g.h)
     X = g.nodes()
     coeffs = build_coefficients(d_forward(X, g), d_wide(X, g), d_wide(X, g), spec, params)
-    assert eval_F(np.zeros(13), X, coeffs, spec, params) == 0.0
+    assert eval_F(np.zeros(13), X, coeffs, spec) == 0.0
 
 
 @pytest.mark.parametrize("damped_start", [False, True])
@@ -372,7 +374,7 @@ def test_eval_F_at_zero_is_the_mass_term(rng, damped_start):
     g, spec, params, x_curr, coeffs = _setup(rng, M=16, damped_start=damped_start)
     X = g.nodes()
     mass_term = 0.5 / params.tau * g.h * np.sum(coeffs.mass[1:-1] * (X - x_curr)[1:-1] ** 2)
-    value = eval_F(np.zeros(g.M + 1), x_curr, coeffs, spec, params)
+    value = eval_F(np.zeros(g.M + 1), x_curr, coeffs, spec)
     assert value == pytest.approx(mass_term, rel=1e-12, abs=0)
 
 
@@ -389,8 +391,8 @@ def test_eval_F_makes_one_step_functional_call(rng, monkeypatch, damped_start):
 
     monkeypatch.setattr(_kernels, "step_functional", counting)
     xs = np.array([random_admissible(rng, g) for _ in range(3)]) - g.nodes()
-    eval_F(xs[0], x_curr, coeffs, spec, params)
-    eval_F(xs, x_curr, coeffs, spec, params)
+    eval_F(xs[0], x_curr, coeffs, spec)
+    eval_F(xs, x_curr, coeffs, spec)
     assert shapes == [(17,), (3, 17)]
 
 
@@ -398,12 +400,12 @@ def test_eval_F_directional_fd(rng):
     g, spec, params, x_curr, coeffs = _setup(rng, M=16)
     x_new = random_admissible(rng, g)
     x_hat = x_new - g.nodes()
-    gvec = residual(x_new, x_curr, coeffs, spec, params)
+    gvec = residual(x_new, x_curr, coeffs, spec)
     direction = np.zeros(g.M + 1)
     direction[1:-1] = rng.standard_normal(g.M - 1)
     direction /= np.max(np.abs(direction))
     eps = 2e-4
-    probes = [eval_F(x_hat + k * eps * direction, x_curr, coeffs, spec, params)
+    probes = [eval_F(x_hat + k * eps * direction, x_curr, coeffs, spec)
               for k in (-2, -1, 1, 2)]
     fd = (probes[0] - 8 * probes[1] + 8 * probes[2] - probes[3]) / (12 * eps)
     analytic = g.h * float(np.dot(gvec[1:-1], direction[1:-1]))
@@ -506,7 +508,7 @@ def test_eval_F_convex_part_matches_scalar_g(rng):
                 + tau * tau * h * np.sum(-np.log1p(yhat) + yhat / y0))
         cells = h * spec.f0_cells * np.array(
             [g_convex_integral(float(a), float(b)) for a, b in zip(yhat, y0)])
-        convex = eval_F(x_hat, x_curr, coeffs, spec, params) - rest
+        convex = eval_F(x_hat, x_curr, coeffs, spec) - rest
         # relative to the size of the summands, which may cancel
         scale = float(np.sum(np.abs(cells))) + abs(rest)
         assert abs(convex - float(np.sum(cells))) <= 1e-13 * scale

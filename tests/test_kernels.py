@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pmetraj
-from pmetraj import (Grid, SingularSystemError, SolverParams, bootstrap,
+from pmetraj import (Grid, SchemeCoefficients, SingularSystemError, SolverParams, bootstrap,
                      build_coefficients, hessian_coefficients, make_problem,
                      quadratic_bump, residual, solve_tridiagonal)
 from pmetraj import _kernels
@@ -80,8 +80,8 @@ def test_solve_scheme_hessian_matches_thomas(M):
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x = state.x_curr.copy()
     x[1:-1] += 1e-3 * spec.grid.h * np.sin(np.pi * x[1:-1])
-    rhs = -residual(x, state.x_curr, coeffs, spec, params)[1:-1]
-    diag, off = hessian_coefficients(x, coeffs, spec, params)
+    rhs = -residual(x, state.x_curr, coeffs, spec)[1:-1]
+    diag, off = hessian_coefficients(x, coeffs, spec)
     got = solve_tridiagonal(diag, off, rhs)
     want = _thomas_reference(diag, off, rhs)
     np.testing.assert_allclose(got, want, rtol=1e-10,
@@ -200,19 +200,16 @@ def test_fused_assembly_is_bitwise_equal(rng, equal_cells, damped_start):
     y = np.diff(xs) / h
     near = np.abs(y - slope_curr) <= EPS_SWITCH * np.maximum(y, slope_curr)
     assert near.sum(axis=1).tolist() == [equal_cells, 0, 0, 9600]
-    tau, a0 = 10.0 * h, 0.7
+    coeffs = SchemeCoefficients(mass=mass, slope_curr=slope_curr, f0_cells=f0_cells, h=h,
+                                tau=10.0 * h, a0=0.7, damped_start=damped_start)
     for stack in (xs, xs[1:3]):  # with and without equal-slope lanes
-        g = _kernels.residual_interior(
-            stack, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
-        diag, off = _kernels.hessian_tridiag(
-            stack, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+        g = _kernels.residual_interior(stack, x_curr, coeffs)
+        diag, off = _kernels.hessian_tridiag(stack, coeffs)
         assert g.shape == stack.shape
         assert diag.shape == (len(stack), 9599) and off.shape == (len(stack), 9598)
         for k, x in enumerate(stack):
-            want_g = _kernels.residual_interior(
-                x, x_curr, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
-            want_diag, want_off = _kernels.hessian_tridiag(
-                x, slope_curr, mass, f0_cells, h, tau, a0, damped_start)
+            want_g = _kernels.residual_interior(x, x_curr, coeffs)
+            want_diag, want_off = _kernels.hessian_tridiag(x, coeffs)
             for got, want in ((g[k], want_g), (diag[k], want_diag), (off[k], want_off)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -237,9 +234,9 @@ def test_public_residual_and_hessian_run_the_newton_assembly(rng, monkeypatch):
 
     monkeypatch.setattr(_kernels, "residual_hessian", recording)
     x = state.x_curr
-    residual(x, state.x_curr, coeffs, spec, params)
-    residual(np.array([x, x, x]), state.x_curr, coeffs, spec, params)
-    hessian_coefficients(x, coeffs, spec, params)
+    residual(x, state.x_curr, coeffs, spec)
+    residual(np.array([x, x, x]), state.x_curr, coeffs, spec)
+    hessian_coefficients(x, coeffs, spec)
     assert shapes == [(17,), (3, 17), (17,)]
 
 
@@ -305,12 +302,14 @@ def test_step_functional_is_bitwise_the_plain_formula(rng, M):
         branches.update(np.where(w < 0.5, -1, np.where(w > 2.0, 1, 0)).ravel().tolist())
         args = (x_curr, slope_curr, mass, f0_cells, h, tau, a0)
         for damped_start in (False, True):
+            coeffs = SchemeCoefficients(mass=mass, slope_curr=slope_curr, f0_cells=f0_cells,
+                                        h=h, tau=tau, a0=a0, damped_start=damped_start)
             for x_new in (xs[0], xs):
                 want = _step_functional_plain(x_new, *args, damped_start)
                 work = _kernels.Workspace(x_new.shape)
-                for got in (_kernels.step_functional(x_new, *args, damped_start),
-                            _kernels.step_functional(x_new, *args, damped_start, work),
-                            _kernels.step_functional(x_new, *args, damped_start, work)):
+                for got in (_kernels.step_functional(x_new, x_curr, coeffs),
+                            _kernels.step_functional(x_new, x_curr, coeffs, work),
+                            _kernels.step_functional(x_new, x_curr, coeffs, work)):
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     if M > 1:
         assert branches == {-1, 0, 1}

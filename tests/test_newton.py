@@ -128,11 +128,11 @@ def test_newton_constant_density_is_immediate():
     assert x_new.tobytes() == state.x_curr.tobytes()
 
 
-def _newton_step_at(x, state, coeffs, spec, params):
+def _newton_step_at(x, state, coeffs, spec):
     """One more Newton step from x, assembled with the public residual and
     Hessian: the step delta and the decrement lambda measured at x."""
-    gvec = residual(x, state.x_curr, coeffs, spec, params)[1:-1]
-    diag, off = hessian_coefficients(x, coeffs, spec, params)
+    gvec = residual(x, state.x_curr, coeffs, spec)[1:-1]
+    diag, off = hessian_coefficients(x, coeffs, spec)
     delta = solve_tridiagonal(diag, off, -gvec)
     lam = newton_decrement_lambda(gvec, delta, self_concordance_a(spec), spec.grid)
     return delta, lam
@@ -148,7 +148,7 @@ def test_newton_first_step_postconditions():
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.converged and report.stop == "lambda"
-    delta, lam = _newton_step_at(x_new, state, coeffs, spec, params)
+    delta, lam = _newton_step_at(x_new, state, coeffs, spec)
     assert lam < TOL_LAMBDA
     assert np.max(np.abs(delta)) <= 1e-10 * g.h
     assert np.all(np.diff(x_new) > 0.0)
@@ -179,15 +179,15 @@ def test_newton_functional_decreases_along_iterates():
     X = g.nodes()
 
     def F(y):
-        return eval_F(y - X, state.x_curr, coeffs, spec, params)
+        return eval_F(y - X, state.x_curr, coeffs, spec)
 
     x = state.x_curr.copy()
     values = [F(x)]
     a = self_concordance_a(spec)
     far = 0
     for _ in range(30):
-        gvec = residual(x, state.x_curr, coeffs, spec, params)[1:-1]
-        diag, off = hessian_coefficients(x, coeffs, spec, params)
+        gvec = residual(x, state.x_curr, coeffs, spec)[1:-1]
+        diag, off = hessian_coefficients(x, coeffs, spec)
         delta = solve_tridiagonal(diag, off, -gvec)
         lam = newton_decrement_lambda(gvec, delta, a, g)
         if lam < TOL_LAMBDA:
@@ -207,7 +207,7 @@ def test_newton_functional_decreases_along_iterates():
     x_newton, _ = newton_step(state, coeffs, spec, params)
     assert np.max(np.abs(x - x_newton)) <= 1e-12
     # the minimizer beats the zero displacement (x_new = X) as well
-    assert values[-1] <= eval_F(np.zeros(g.M + 1), state.x_curr, coeffs, spec, params)
+    assert values[-1] <= eval_F(np.zeros(g.M + 1), state.x_curr, coeffs, spec)
 
 
 def test_newton_unique_solution_from_perturbed_start(rng):
@@ -314,7 +314,7 @@ def test_newton_stop_reasons(key, m, certified):
     assert report.converged and report.stop == "lambda"
     lam = report.lambda_history[-1]
     assert (lam / (1.0 - lam)) ** 2 < TOL_LAMBDA
-    delta, lam_after = _newton_step_at(x_new, state, coeffs, spec, params)
+    delta, lam_after = _newton_step_at(x_new, state, coeffs, spec)
     assert np.max(np.abs(delta)) <= 1e-10 * g.h
     if certified == "lambda":
         assert lam_after < TOL_LAMBDA

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
-                     bootstrap, build_coefficients, hessian_coefficients,
+from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SchemeCoefficients, SolverParams,
+                     advance, bootstrap, build_coefficients, hessian_coefficients,
                      initial_data_from_key, make_problem, newton_step,
                      quadratic_bump, residual, run, solve_tridiagonal)
 from pmetraj import _kernels, checks
@@ -65,18 +65,19 @@ def test_solution_holds_across_assemblies_and_F(rng, damped_start):
     h = 1.0 / M
     x_curr = np.linspace(0.0, 1.0, M + 1)
     x_curr[1:-1] += 0.3 * h * rng.uniform(-1.0, 1.0, M - 1)
-    args = (np.diff(x_curr) / h, rng.uniform(0.5, 2.0, M + 1),
-            rng.uniform(1e-3, 1.0, M), h, 10.0 * h, 0.7)
+    coeffs = SchemeCoefficients(slope_curr=np.diff(x_curr) / h, mass=rng.uniform(0.5, 2.0, M + 1),
+                                f0_cells=rng.uniform(1e-3, 1.0, M), h=h, tau=10.0 * h, a0=0.7,
+                                damped_start=damped_start)
     work = Workspace((M + 1,))
-    g, diag, off = _kernels.residual_hessian(x_curr, x_curr, *args, work, damped_start)
+    g, diag, off = _kernels.residual_hessian(x_curr, x_curr, coeffs, work)
     delta = _kernels.thomas_spd(diag, off, np.negative(g, out=work.rhs), work)
     assert delta is work.rhs
     kept = delta.copy()
     for _ in range(2):
         x = x_curr.copy()
         x[1:-1] += 0.2 * h * rng.uniform(-1.0, 1.0, M - 1)
-        _kernels.residual_hessian(x, x_curr, *args, work, damped_start)
-        _kernels.step_functional(x, x_curr, *args, damped_start, work)
+        _kernels.residual_hessian(x, x_curr, coeffs, work)
+        _kernels.step_functional(x, x_curr, coeffs, work)
         assert delta.tobytes() == kept.tobytes()
 
 
@@ -105,15 +106,16 @@ def test_reused_workspace_assembles_bitwise_as_a_fresh_one(rng, damped_start):
     slope_curr = np.diff(x_curr) / h
     mass = rng.uniform(0.5, 2.0, M + 1)
     f0_cells = rng.uniform(1e-3, 1.0, M)
-    args = (slope_curr, mass, f0_cells, h, 10.0 * h, 0.7)
+    coeffs = SchemeCoefficients(mass=mass, slope_curr=slope_curr, f0_cells=f0_cells, h=h,
+                                tau=10.0 * h, a0=0.7, damped_start=damped_start)
     work = Workspace((M + 1,))
     for moved in (True, False, True):
         x = x_curr.copy()
         if moved:
             x[1:-1] += 0.2 * h * rng.uniform(-1.0, 1.0, M - 1)
-        g, diag, off = _kernels.residual_hessian(x, x_curr, *args, work, damped_start)
-        want_g = _kernels.residual_interior(x, x_curr, *args, damped_start)
-        want_diag, want_off = _kernels.hessian_tridiag(x, *args, damped_start)
+        g, diag, off = _kernels.residual_hessian(x, x_curr, coeffs, work)
+        want_g = _kernels.residual_interior(x, x_curr, coeffs)
+        want_diag, want_off = _kernels.hessian_tridiag(x, coeffs)
         assert g.tobytes() == want_g[1:-1].tobytes()
         assert diag.tobytes() == want_diag.tobytes()
         assert off.tobytes() == want_off.tobytes()
@@ -128,19 +130,17 @@ def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
     state = bootstrap(spec)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=damped_start)
-    args = (coeffs.slope_curr, coeffs.mass, spec.f0_cells, spec.grid.h, params.tau, params.a0)
     X = spec.grid.nodes()
     x = X.copy()
     x[1:-1] += 0.2 * spec.grid.h * rng.uniform(-1.0, 1.0, spec.grid.M - 1)
     stack = np.array([x, X, 1.0 - x[::-1]])
     work = Workspace(x.shape)
     for y in (x, stack, x, stack):
-        got = [*_kernels.residual_hessian(y, state.x_curr, *args, work.for_shape(y.shape),
-                                          damped_start),
-               _kernels.step_functional(y, state.x_curr, *args, damped_start, work)]
-        want = [_kernels.residual_interior(y, state.x_curr, *args, damped_start)[..., 1:-1],
-                *_kernels.hessian_tridiag(y, *args, damped_start),
-                _kernels.step_functional(y, state.x_curr, *args, damped_start)]
+        got = [*_kernels.residual_hessian(y, state.x_curr, coeffs, work.for_shape(y.shape)),
+               _kernels.step_functional(y, state.x_curr, coeffs, work)]
+        want = [_kernels.residual_interior(y, state.x_curr, coeffs)[..., 1:-1],
+                *_kernels.hessian_tridiag(y, coeffs),
+                _kernels.step_functional(y, state.x_curr, coeffs)]
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert work.for_shape(x.shape) is work
@@ -171,10 +171,10 @@ def test_no_result_aliases_a_reused_buffer(rng):
         x[1:-1] += 0.1 * spec.grid.h * rng.uniform(-1.0, 1.0, spec.grid.M - 1)
 
     def residual_at(x):
-        return lambda: [residual(x, state.x_curr, coeffs, spec, params)]
+        return lambda: [residual(x, state.x_curr, coeffs, spec)]
 
     def hessian_at(x):
-        return lambda: list(hessian_coefficients(x, coeffs, spec, params))
+        return lambda: list(hessian_coefficients(x, coeffs, spec))
 
     systems = [_random_spd(rng, 100) for _ in range(2)]
 
