@@ -58,6 +58,11 @@ def _check_nested(coarse_len: int, reference_len: int, stride: int):
         )
 
 
+def _weighted_norms(e, w):
+    """The L2 norm sqrt(<e e, w>/2) of the error e with weights w, and its max norm."""
+    return math.sqrt(0.5 * float(np.sum(e * e * w))), float(np.max(np.abs(e)))
+
+
 def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: int):
     """L2/inf density error at shared labels, weighted by the coarse
     trajectory's deformed spacings h_{x_i} = x_{i+1} - x_{i-1} (half cells at
@@ -70,8 +75,7 @@ def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: in
     w[1:-1] = coarse_x[2:] - coarse_x[:-2]
     w[0] = coarse_x[1] - coarse_x[0]
     w[-1] = coarse_x[-1] - coarse_x[-2]
-    l2 = math.sqrt(0.5 * float(np.sum(e * e * w)))
-    return l2, float(np.max(np.abs(e)))
+    return _weighted_norms(e, w)
 
 
 def trajectory_error_norms(coarse_x, reference_x, stride: int, grid: Grid):
@@ -83,8 +87,7 @@ def trajectory_error_norms(coarse_x, reference_x, stride: int, grid: Grid):
     e = reference_x[::stride] - coarse_x
     w = np.full_like(coarse_x, 2.0 * grid.h)
     w[0] = w[-1] = grid.h
-    l2 = math.sqrt(0.5 * float(np.sum(e * e * w)))
-    return l2, float(np.max(np.abs(e)))
+    return _weighted_norms(e, w)
 
 
 def observed_orders(records: list) -> dict:

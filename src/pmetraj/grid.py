@@ -25,14 +25,16 @@ def domain_length(x_left: float, x_right: float) -> float:
     return x_right - x_left
 
 
+_MAX_DOUBLES = np.iinfo(np.intp).max // 8
+
+
 def require_cell_count(M: int, key: str) -> None:
     """Reject a cell count whose M + 1 nodes no numpy array of doubles can
     hold: their bytes must be an intp.  The bound is far inside the float
     range, so the mesh width length / M is finite too."""
-    limit = np.iinfo(np.intp).max // 8
-    if not M + 1 <= limit:  # an int compares exactly
+    if not M + 1 <= _MAX_DOUBLES:  # an int compares exactly
         raise ConfigurationError(
-            f"too large: {key} + 1 nodes exceed numpy's array limit ({limit} doubles)",
+            f"too large: {key} + 1 nodes exceed numpy's array limit ({_MAX_DOUBLES} doubles)",
             key=key)
 
 
