@@ -276,6 +276,7 @@ def test_kernels_take_per_row_coefficients(rng, damped_start):
         return x_curr[lead], SchemeCoefficients(
             mass=mass[lead], slope_curr=slope_curr[lead], f0_cells=f0_cells[lead], h=g.h,
             tau=tau[:, None][lead], a0=a0[:, None][lead], damped_start=damped_start)
+
     w = np.diff(wave) / g.h / slope_curr
     assert w.min() < 0.5 and w.max() > 2.0  # Spence lanes in all three ranges
 
