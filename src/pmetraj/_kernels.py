@@ -178,6 +178,12 @@ class Workspace:
     A caller that makes calls of two shapes, states and stacks of their
     probes as the finite-difference oracles do, passes one workspace to
     all of them: for_shape gives the stack's, which this one keeps.
+
+    The cells are dead once a step's Newton solve returns, and
+    stepper.advance forms the step's density and its pair sums there
+    (after_step()).  What advance leaves in the cells holds until the next
+    assembly, so stepper.run writes a snapshot's density before the next
+    advance.
     """
 
     def __init__(self, shape):
@@ -211,6 +217,13 @@ class Workspace:
 
     def __reduce__(self):
         return Workspace, (self.shape,)
+
+    def after_step(self):
+        """(f, pair) of a 1-D workspace: a node field and the cell field
+        after it, carved from the cell scratch, for what a step forms after
+        its last assembly and solve."""
+        nodes = self.shape[-1]
+        return self._flat[:nodes], self._flat[nodes:2 * nodes - 1]
 
     def reduction(self):
         """(levels, base): one _Level per halving of the padded system, and

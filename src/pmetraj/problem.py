@@ -207,7 +207,8 @@ def min_cell_slope(slope: np.ndarray, message: str = _ENERGY_SLOPE) -> float:
 
 def recover_density(x: np.ndarray, spec: ProblemSpec,
                     cells: np.ndarray | None = None,
-                    wide: np.ndarray | None = None) -> np.ndarray:
+                    wide: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Density at nodes from the conservation map f = f0 / (wide slope of x).
 
     The cell slopes D_h x (cells) and the wide slopes D~_h x (wide) are
@@ -219,19 +220,27 @@ def recover_density(x: np.ndarray, spec: ProblemSpec,
     one-sided slope of d_wide is kept where it is positive and replaced by
     D_h x of the wall cell where it is not, so every admissible trajectory
     has a positive density.  A given wide is never written to: it is copied
-    before a wall slope is replaced."""
+    before a wall slope is replaced.
+
+    The density is written into out when given (a node field, which
+    stepper.advance carves from the run's workspace), else into a fresh
+    array; the copy of wide, when the wall rule needs one, is made there
+    too."""
     if cells is None:
         cells = d_forward(x, spec.grid)
         min_cell_slope(cells, _DENSITY_SLOPE)
     if wide is None:
         wide = d_wide(x, spec.grid)
     if not (wide[0] > 0.0 and wide[-1] > 0.0):
-        wide = wide.copy()
+        if out is None:
+            out = np.empty_like(wide)
+        out[...] = wide
+        wide = out
         if not wide[0] > 0.0:
             wide[0] = cells[0]
         if not wide[-1] > 0.0:
             wide[-1] = cells[-1]
-    return spec.f0_nodes / wide
+    return np.divide(spec.f0_nodes, wide, out=out)
 
 
 def discrete_energy(x: np.ndarray, spec: ProblemSpec,

@@ -59,6 +59,9 @@ class StepDiagnostics:
     dissipation_rhs: float
     mass: float
     min_slope: float
+    #: f^{n+1} at the nodes; in the cells of the state's workspace when it
+    #: carries one, so it holds only until the next step's assembly
+    density: np.ndarray
 
 
 @dataclass
@@ -107,19 +110,26 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     D_h x^{n+1} (one min reduction gives the least slope and checks that all
     are positive) feed the energy, the dissipation bound and the mass, and
     the new wide slopes D~_h x^{n+1} the density; the returned state
-    carries the energy and both slope kinds to the next step.
+    carries the energy and both slope kinds to the next step.  The step's
+    coefficients are dropped once Newton returns, and the density and the
+    pair sums of the mass go into the cells of the state's workspace,
+    which the solve leaves dead (Workspace.after_step; fresh arrays for a
+    state that carries none), so the step holds no more node fields after
+    Newton than in it.
     """
     grid = spec.grid
     coeffs = functional.build_coefficients(state.slope_curr, state.wide_curr,
                                            state.wide_prev, spec, params,
                                            damped_start=state.n == 0)
     x_new, report = newton.newton_step(state, coeffs, spec, params)
+    factor = -coeffs.a0 * coeffs.tau * coeffs.h  # of the dissipation bound
+    del coeffs  # its mass is not kept alive beside the new fields
 
     slope_new = d_forward(x_new, grid)
     min_slope = min_cell_slope(slope_new)
     e_new = discrete_energy(x_new, spec, slope_new)
-    dslope = slope_new - coeffs.slope_curr
-    rhs = -params.a0 * params.tau * grid.h * float(np.dot(dslope, dslope))
+    dslope = slope_new - state.slope_curr
+    rhs = factor * float(np.dot(dslope, dslope))
     del dslope  # not kept alive beside the density
     lhs = e_new - state.e_curr
     rounding = ENERGY_ROUNDING * (max(abs(state.e_curr), abs(e_new)) + spec.energy_scale)
@@ -128,7 +138,9 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
             f"energy change {lhs:.6e} exceeds dissipation bound {rhs:.6e}"
         )
     wide_new = d_wide(x_new, grid)
-    f_new = recover_density(x_new, spec, slope_new, wide_new)
+    f_new, pairs = (None, None) if state.work is None else state.work.after_step()
+    f_new = recover_density(x_new, spec, slope_new, wide_new, out=f_new)
+    pairs = np.add(f_new[:-1], f_new[1:], out=pairs)
 
     # The next step may start from the quadratic extrapolation only after a
     # step that began in the near phase: with tau up to 100 h near vacuum it
@@ -147,8 +159,9 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
         dissipation_lhs=lhs,
         dissipation_rhs=rhs,
         # the trapezoid of discrete_mass, with x_{i+1} - x_i = h y_i
-        mass=0.5 * grid.h * float(np.dot(f_new[:-1] + f_new[1:], slope_new)),
+        mass=0.5 * grid.h * float(np.dot(pairs, slope_new)),
         min_slope=min_slope,
+        density=f_new,
     )
     return new_state, diag
 
@@ -164,10 +177,10 @@ def _located(exc: SolverError, n: int, t: float) -> SolverError:
 def _write_snapshot(out_dir: Path, state: TrajectoryState, f: np.ndarray,
                     labels: list[str]) -> None:
     """snap_<n>.csv: reference node, trajectory and density f at every node,
-    f formed by run from the slopes the state carries.  labels holds the
-    columns i and X of every row as "i,X" strings: they depend on the grid
-    alone, so run formats them once per run, and each snapshot formats only
-    x and f."""
+    f formed from the slopes the state carries (by run at n = 0, by advance
+    after).  labels holds the columns i and X of every row as "i,X"
+    strings: they depend on the grid alone, so run formats them once per
+    run, and each snapshot formats only x and f."""
     write_csv_atomic(out_dir / f"snap_{state.n}.csv", ["i", "X", "x", "f"],
                      (labels, state.x_curr.tolist(), f.tolist()))
 
@@ -221,8 +234,8 @@ def run(config: RunConfig) -> RunResult:
         if out_dir is not None:
             periodic = config.snapshot_every > 0 and state.n % config.snapshot_every == 0
             if periodic or state.n == total_steps:
-                _write_snapshot(out_dir, state, recover_density(
-                    state.x_curr, spec, state.slope_curr, state.wide_curr), labels)
+                # before the next advance writes over the density
+                _write_snapshot(out_dir, state, diag.density, labels)
 
     result.final_state = dataclasses.replace(state, work=None)  # freed with the run
     if out_dir is not None:

@@ -20,4 +20,4 @@ def random_setup(rng, M, damped_start):
     wide_prev = d_wide(random_admissible(rng, grid), grid)
     coeffs = functional.build_coefficients(d_forward(x_curr, grid), d_wide(x_curr, grid),
                                            wide_prev, spec, params, damped_start=damped_start)
-    return spec, params, x_curr, coeffs
+    return spec, x_curr, coeffs

@@ -179,13 +179,13 @@ def test_criterion_7_calculus_oracles():
     # every odd-numbered state runs the opening step's flux, as in
     # checks._fd_states; the flag takes no draw from rng
     for i in range(20):
-        spec, params, x_curr, coeffs = random_setup(rng, M=16, damped_start=i % 2 == 1)
+        spec, x_curr, coeffs = random_setup(rng, M=16, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
         [(err, ok)] = checks.gradient_vs_fd([(spec, x_curr, coeffs, x_new)])
         grad_ok &= ok
         worst_g = max(worst_g, err)
     for i in range(20):
-        spec, params, x_curr, coeffs = random_setup(rng, M=24, damped_start=i % 2 == 1)
+        spec, x_curr, coeffs = random_setup(rng, M=24, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
         [(err, ok)] = checks.hessian_vs_fd([(spec, x_curr, coeffs, x_new)])
         hess_ok &= ok

@@ -84,7 +84,7 @@ def _states_from(rng, M, count):
     """The states of check_*_fd drawn one at a time from rng: every
     odd-numbered one has the opening step's flux."""
     for i in range(count):
-        spec, _, x_curr, coeffs = random_setup(rng, M=M, damped_start=i % 2 == 1)
+        spec, x_curr, coeffs = random_setup(rng, M=M, damped_start=i % 2 == 1)
         yield spec, x_curr, coeffs, checks.random_admissible(rng, spec.grid)
 
 
@@ -397,7 +397,7 @@ def test_fd_check_leaves_the_generator_where_the_failing_state_ends(monkeypatch)
     reference = np.random.default_rng(seed)
     drawn = []
     for i in range(2):
-        spec, _, x_curr, coeffs = random_setup(reference, 16, damped_start=i % 2 == 1)
+        spec, x_curr, coeffs = random_setup(reference, 16, damped_start=i % 2 == 1)
         drawn.append((spec, x_curr, coeffs, checks.random_admissible(reference, spec.grid)))
     monkeypatch.setattr(_kernels, "residual_hessian", perturbed)
     assert _gradient_loop(*drawn[0])[1]

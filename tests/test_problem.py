@@ -172,6 +172,22 @@ def test_recover_density_copies_a_given_wide_slope_before_the_wall_fix():
     np.testing.assert_array_equal(wide, kept)  # the wall fix went to a copy
 
 
+@pytest.mark.parametrize("x", [[0.0, 0.3, 0.5, 0.999, 1.0], [0.0, 0.2, 0.5, 0.8, 1.0]])
+def test_recover_density_into_out_is_the_fresh_density(x):
+    # with and without the wall fix: out holds the fresh call's bits, the
+    # wall fix's copy of wide goes there too, and the given wide is kept
+    g = Grid(0.0, 1.0, 4)
+    spec = make_problem(2.0, g, quadratic_bump)
+    x = np.array(x)
+    wide = d_wide(x, g)
+    kept = wide.copy()
+    out = np.full(5, np.nan)
+    f = recover_density(x, spec, np.diff(x) / g.h, wide, out=out)
+    assert f is out
+    assert f.tobytes() == recover_density(x, spec).tobytes()
+    assert wide.tobytes() == kept.tobytes()
+
+
 def test_min_cell_slope_names_the_first_bad_cell():
     assert min_cell_slope(np.array([2.0, 0.5, 3.0])) == 0.5
     with pytest.raises(DegenerateMeshError, match="at cell 1 in energy evaluation"):

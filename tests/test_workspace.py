@@ -2,6 +2,7 @@
 bits of a fresh call, no result aliases a buffer a later call writes, and a
 warm Newton solve allocates only the node fields of its own step."""
 import copy
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SchemeCoefficients, SolverParams,
                      advance, bootstrap, build_coefficients, hessian_coefficients,
                      initial_data_from_key, make_problem, newton_step,
-                     quadratic_bump, residual, run, solve_tridiagonal)
+                     quadratic_bump, recover_density, residual, run, solve_tridiagonal)
 from pmetraj import _kernels, checks
 from pmetraj._kernels import SCALAR_BASE, Workspace
 
@@ -234,6 +235,39 @@ def test_run_shares_one_workspace_and_frees_it():
     np.testing.assert_array_equal(result.final_state.x_curr, state.x_curr)
 
 
+@pytest.mark.parametrize("key, m", [("paper-quadratic", 2.0), ("poly:1e-3,0,1", 8.0)])
+def test_a_state_without_a_workspace_steps_as_the_carried_state(key, m):
+    # a run's final_state carries no workspace, so its next step forms the
+    # density and the mass's pair sums in fresh arrays, not in the cells:
+    # the step gives the bits of one more step of the state the run carried
+    spec = make_problem(m, Grid(0.0, 1.0, 101), initial_data_from_key(key))
+    params = SolverParams(tau=10.0 * spec.grid.h)
+    bare = run(RunConfig(spec=spec, params=params, t_final=3 * params.tau)).final_state
+    carried = bootstrap(spec)
+    for _ in range(3):
+        carried = advance(carried, spec, params)[0]
+    assert bare.work is None and carried.work is not None
+    got, got_diag = advance(bare, spec, params)
+    want, want_diag = advance(carried, spec, params)
+    assert got.work is None
+    assert got.x_curr.tobytes() == want.x_curr.tobytes()
+    assert got.e_curr == want.e_curr and got_diag.mass == want_diag.mass
+    densities = [recover_density(s.x_curr, spec, s.slope_curr, s.wide_curr) for s in (got, want)]
+    assert densities[0].tobytes() == densities[1].tobytes()
+
+
+def test_step_density_lies_in_the_workspace_cells():
+    # advance's density is the state's, in the cells of the state's
+    # workspace when it carries one and in a fresh array when not
+    spec, params = _quad(64)
+    state = advance(bootstrap(spec), spec, params)[0]
+    for work in (state.work, None):
+        new_state, diag = advance(dataclasses.replace(state, work=work), spec, params)
+        want = recover_density(new_state.x_curr, spec)
+        assert diag.density.tobytes() == want.tobytes()
+        assert (work is not None) == np.shares_memory(diag.density, state.work.cells[0])
+
+
 def test_warm_newton_step_allocates_at_most_three_node_fields():
     # a warm solve allocates its start, the second iterate buffer and a few
     # bool masks: 2.36 node fields at M = 4096, so the bound is 3 (the
@@ -287,22 +321,27 @@ def test_warm_far_phase_newton_step_allocates_at_most_three_node_fields(monkeypa
 
 
 def test_run_peak_memory_in_node_fields():
-    # the peak of a short near-vacuum run above what it starts with, in node
-    # fields of M + 1 floats: 20.40 at M = 2e4 (20.17 at M = 1e5), so the
-    # bound holds today's peak and a change that raises it re-sets the bound
+    # the peak of a short run above what it starts with, in node fields of
+    # M + 1 floats, at M = 2e4: 18.22 near vacuum (tau = 10h; 17.18 at
+    # M = 1e5) and 18.40 for the quadratic bump (tau = h), whose state
+    # carries x^{n-2} (18.19 at M = 1e5, 5 steps).  The peak is Newton's
+    # own: after it, advance holds no coefficients and forms the density
+    # and the mass in the workspace's cells.  Each bound holds today's peak
+    # with 2.5% to spare, and a change that raises it re-sets the bound
     M = 20_000
-    spec = make_problem(8.0, Grid(0.0, 1.0, M), initial_data_from_key("poly:1e-4,0,1"))
-    params = SolverParams(tau=10 * spec.grid.h)
-    config = RunConfig(spec=spec, params=params, t_final=3 * params.tau)
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        result = run(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.final_state.n == 3
-    assert (peak - start) / (8 * (M + 1)) <= 20.9
+    for key, m, k, bound in [("poly:1e-4,0,1", 8.0, 10, 18.7), ("paper-quadratic", 2.0, 1, 18.9)]:
+        spec = make_problem(m, Grid(0.0, 1.0, M), initial_data_from_key(key))
+        params = SolverParams(tau=k * spec.grid.h)
+        config = RunConfig(spec=spec, params=params, t_final=3 * params.tau)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.final_state.n == 3
+        assert (peak - start) / (8 * (M + 1)) <= bound, key
 
 
 def test_check_sweeps_peak_memory():
