@@ -37,6 +37,10 @@ RUN_ALL = (
     "6b637775a61de6df4639d636638c27d07f429a73cce2c399591504181c641ad3",
 )
 
+#: sha256 of repr(checks.run_all(seed)) for seeds 10-39, concatenated in
+#: seed order.
+RUN_ALL_10_39 = "c47f541d691dad35640adbda337621f911b5b53d1a59e3a296c2041d6e2a5d18"
+
 #: sha256 of each file `pmetraj solve --config configs/solve.cfg` writes.
 SOLVE_FILES = {
     "energy.csv": "d44e1a373b64717798ad205f3671f291736474f56c205b0356114e0efeb23e8e",
@@ -68,6 +72,13 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize("seed", range(len(RUN_ALL)))
 def test_check_sweeps_are_pinned(seed):
     assert _sha256(repr(checks.run_all(seed)).encode()) == RUN_ALL[seed]
+
+
+def test_check_sweeps_of_seeds_10_to_39_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(10, 40):
+        digest.update(repr(checks.run_all(seed)).encode())
+    assert digest.hexdigest() == RUN_ALL_10_39
 
 
 def test_committed_solve_files_are_pinned(tmp_path, monkeypatch, capsys):
