@@ -15,12 +15,13 @@ the flux form damped_start) from one record, coeffs: a
 functional.SchemeCoefficients, or any object with its fields.  Every kernel
 indexes the nodes along the last axis, so one call takes a single
 trajectory or a stack of candidates of shape (..., M+1), one per row.  The
-record may be stacked too, one state per row (checks._rows): slope_curr,
-mass and f0_cells as (k, ...) rows that broadcast, as x_curr does, against
-the stack along its leading axes, and tau and a0 as (k, 1) columns that
-broadcast against x_new[..., :1].  A probe-major stack (r, k, M+1) of r
-probes of each of k states so takes the states' stacked record as it is,
-not repeated per probe.  Every ufunc keeps its operands and their order
+record may be stacked too, one state per row (the batch of a flux form in
+checks._draw_states): slope_curr and mass as (k, ...) rows, and f0_cells
+as rows or one field shared by every row, that broadcast, as x_curr does,
+against the stack along its leading axes, and tau and a0 as (k, 1) columns
+that broadcast against x_new[..., :1].  A probe-major stack (r, k, M+1) of
+r probes of each of k states so takes the states' stacked record as it
+is, not repeated per probe.  Every ufunc keeps its operands and their order
 whatever the shapes, and every sum runs along the last axis, so each row
 gives the bits of its own call with float coefficients, which is how
 Newton calls the kernels.

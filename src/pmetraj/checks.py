@@ -9,12 +9,13 @@ Each sweep is evaluated on arrays: a sign sweep draws all its samples at once
 and makes one call.  A finite-difference check draws its FD_STATES states in
 one draw, a row of doubles per state, and forms their fields as stacks with
 the library's own code (_draw_states), every field the oracles read with
-the bits it would have if drawn alone.  It then makes one oracle call per
-flux form, on all the states of that form.  The oracles make Newton's
-kernel calls, residual_hessian and step_functional, on probe-major stacks
-(r, k, M+1) of r probes of each of k states, against which the states'
-coefficients, stacked into one record (_rows, see _kernels), broadcast as
-they are; each state's error has the bits of its own call.  A failing sweep
+the bits it would have if drawn alone, and keeps them as one batch per flux
+form: (k, M+1) rows of trajectories and one stacked coefficient record
+(see _kernels).  It then makes one oracle call per batch.  The oracles make
+Newton's kernel calls, residual_hessian and step_functional, on
+probe-major stacks (r, k, M+1) of r probes of each of k states, against
+which the batch's record broadcasts as it is, and return each row's
+relative error, with the bits of its own call.  A failing sweep
 still reports its first counterexample in sample or draw order, and a
 failing finite-difference check sets the generator to where that state's
 draws end, so the sweeps after it draw what they would draw after a
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, functional
-from .functional import SchemeCoefficients, SolverParams
+from .functional import SchemeCoefficients
 from .grid import Grid, d_centered_to_nodes, d_forward, d_wide
-from .problem import ProblemSpec, make_problem, quadratic_bump
+from .problem import make_problem, quadratic_bump
 
 
 #: Samples drawn by each analytic sign sweep; these constants set how hard
@@ -77,40 +78,39 @@ def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
 
 
 def _draw_states(rng, M: int) -> list:
-    """The FD_STATES random states (spec, x_curr, coeffs, x_new) of a
-    finite-difference check on M cells, every odd-numbered one with the
-    opening step's flux.  One draw of FD_STATES rows of 3 + 3M doubles takes
-    what drawing the states one at a time takes, in the same order (m, tau,
-    a0, then the cell widths of x_curr, of the trajectory behind it and of
-    x_new), and every field the oracles read gets the bits it would get
-    alone: the fields are rows of stacks formed by the library's own code
-    (make_problem with a column of exponents, d_forward, d_wide,
-    compute_s_h, mass_coefficient), and every rule of make_problem,
-    SolverParams and mass_coefficient is checked on every row."""
+    """The FD_STATES random states of a finite-difference check on M cells,
+    as one batch (m, x_curr, x_new, coeffs) per flux form: the even-numbered
+    states, then the odd-numbered ones with the opening step's flux.  m is
+    the batch's exponents, x_curr and x_new its (k, M+1) rows, and coeffs
+    one record stacked as the kernels take it (see _kernels): mass and
+    slope_curr as (k, ...) rows, tau and a0 as (k, 1) columns and the
+    shared f0_cells as is.  One draw of FD_STATES rows of 3 + 3M doubles
+    takes what drawing the states one at a time takes, in the same order
+    (m, tau, a0, then the cell widths of x_curr, of the trajectory behind
+    it and of x_new), and every field the oracles read gets the bits it
+    would get alone: the fields are rows of stacks formed by the library's
+    own code (make_problem with a column of exponents, d_forward, d_wide,
+    compute_s_h, mass_coefficient), and every rule of make_problem and
+    mass_coefficient is checked on every row."""
     grid = Grid(0.0, 1.0, M)
     u = rng.random((FD_STATES, 3 + 3 * M))
     stack = make_problem(_uniform(1.3, 3.0, u[:, :1]), grid, quadratic_bump)
     # Python's power: numpy's array power can differ from it in the last bit
-    taus = [10.0 ** e for e in _uniform(-3.0, -1.0, u[:, 1]).tolist()]
-    params = [SolverParams(tau=tau, a0=a0)
-              for tau, a0 in zip(taus, _uniform(0.0, 2.0, u[:, 2]).tolist())]
+    tau = np.array([[10.0 ** e] for e in _uniform(-3.0, -1.0, u[:, 1]).tolist()])
     nodes = _admissible_nodes(grid, _uniform(-1.0, 1.0, u[:, 3:]).reshape(FD_STATES, 3, M))
     x_curr, x_new = nodes[:, 0], nodes[:, 2]
     wide = d_wide(nodes[:, :2], grid)
-    tau = np.array(taus)[:, None]
     # S_h's floor tau^2 is numpy's tau * tau here, which can differ from a
     # lone state's tau ** 2 in the last bit; in these states the floor has
     # won only at end nodes (40 of 12,000 states), whose mass no kernel reads
     mass = functional.mass_coefficient(
         functional.compute_s_h(wide[:, 0], wide[:, 1], tau), stack, tau)
-    return [(ProblemSpec(m=m, grid=grid, f0_nodes=stack.f0_nodes, f0_cells=stack.f0_cells,
-                         f0_min=stack.f0_min, mass_factor=factor,
-                         energy_scale=stack.energy_scale),
-             xc, SchemeCoefficients(mass=ma, slope_curr=slope, f0_cells=stack.f0_cells,
-                                    h=grid.h, tau=p.tau, a0=p.a0, damped_start=i % 2 == 1), xn)
-            for i, (m, factor, p, xc, ma, slope, xn) in enumerate(zip(
-                stack.m[:, 0].tolist(), stack.mass_factor, params, x_curr, mass,
-                d_forward(x_curr, grid), x_new))]
+    slope, a0 = d_forward(x_curr, grid), _uniform(0.0, 2.0, u[:, 2:3])
+    return [(stack.m[odd::2, 0], x_curr[odd::2], x_new[odd::2],
+             SchemeCoefficients(mass=mass[odd::2], slope_curr=slope[odd::2],
+                                f0_cells=stack.f0_cells, h=grid.h, tau=tau[odd::2],
+                                a0=a0[odd::2], damped_start=bool(odd)))
+            for odd in (0, 1)]
 
 
 def _verdict(name: str, failures) -> CheckResult:
@@ -184,78 +184,50 @@ def check_branch_continuity() -> CheckResult:
 # calculus oracles
 # ---------------------------------------------------------------------------
 
-def _rows(states):
-    """The coefficients of k states (spec, x_curr, coeffs, x_new) that share
-    the grid and the flux form, stacked into one SchemeCoefficients as a
-    probe-major (r, k, M+1) stack takes them: slope_curr, mass and f0_cells
-    as (k, ...) rows, tau and a0 as (k, 1) columns."""
-    specs, _, coeffs, _ = zip(*states)
-    grid, damped_start = specs[0].grid, coeffs[0].damped_start
-    if any(s.grid != grid for s in specs) or any(c.damped_start != damped_start
-                                                 for c in coeffs):
-        raise ValueError("the states of one stack must share the grid and the flux form")
-    return SchemeCoefficients(
-        mass=np.array([c.mass for c in coeffs]),
-        slope_curr=np.array([c.slope_curr for c in coeffs]),
-        f0_cells=np.array([c.f0_cells for c in coeffs]), h=grid.h,
-        tau=np.array([[c.tau] for c in coeffs]), a0=np.array([[c.a0] for c in coeffs]),
-        damped_start=damped_start)
-
-
-def _verdicts(errors):
-    """(err, err <= FD_REL_TOL) for each state's relative error."""
-    return [(err, err <= FD_REL_TOL) for err in errors.tolist()]
-
-
-def gradient_vs_fd(states, work=None):
-    """For each state (spec, x_curr, coeffs, x_new), the max
+def gradient_vs_fd(x_curr, x_new, coeffs, grid, work=None):
+    """For each row of the (k, M+1) stacks x_curr and x_new, the max
     relative mismatch between h*residual and a fourth-order central
-    difference of F, and whether it is within FD_REL_TOL.  The states share
-    the grid and the flux form: one residual_hessian call on the k states
-    and one step_functional call on their probe-major (4(M-1), k, M+1)
-    stack of probes, with stacked coefficients.  Both write into work, a
-    Workspace (for_shape serves either shape; fresh when None).
-    check_gradient_fd passes the 10 states of a flux form at M = 16, so F
-    sees a (60, 10, 17) stack.
+    difference of F, with coeffs the rows' record (stacked as _draw_states
+    stacks it, or one state's as it is).  One residual_hessian call on the
+    rows and one step_functional call on their probe-major (4(M-1), k, M+1)
+    stack of probes.  Both write into work, a Workspace (for_shape serves
+    either shape; fresh when None).  check_gradient_fd passes the 10 states
+    of a flux form at M = 16, so F sees a (60, 10, 17) stack.
     F is eval_F's: step_functional plus step_constant."""
-    grid, coeffs = states[0][0].grid, _rows(states)
-    x_curr, x_new = (np.array([state[i] for state in states], dtype=float) for i in (1, 3))
     n, X = grid.M - 1, grid.nodes()
     functional._require_admissible(x_new, grid, "candidate trajectory")
     functional._require_admissible(x_curr, grid, "base trajectory")
     work = _kernels.Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
     grad = grid.h * _kernels.residual_hessian(x_new, x_curr, coeffs, work)[0]
 
-    # probes[i - 1, j, s] is state s's x_new - X with node i moved by
+    # probes[i - 1, j, s] is row s's x_new - X with node i moved by
     # shifts[j], then X added back, as eval_F adds it
     shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * GRADIENT_STEP
     probes = np.tile(x_new - X, (n, 4, 1, 1))
     nodes = np.arange(1, grid.M)
     probes[nodes - 1, :, :, nodes] += shifts[:, None]
-    probes = probes.reshape(4 * n, len(states), grid.M + 1)
+    probes = probes.reshape(4 * n, *x_new.shape)
     probes += X
     functional._require_admissible(probes, grid, "displaced trajectory")
     f = _kernels.step_functional(probes, x_curr, coeffs, work)
     f += _kernels.step_constant(coeffs)
     f = f.reshape(n, 4, -1)
     fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * GRADIENT_STEP)
-    return _verdicts(np.max(np.abs(fd.T - grad), axis=-1) / np.max(np.abs(grad), axis=-1))
+    return np.max(np.abs(fd.T - grad), axis=-1) / np.max(np.abs(grad), axis=-1)
 
 
-def hessian_vs_fd(states, work=None):
-    """For each state (spec, x_curr, coeffs, x_new), the max
+def hessian_vs_fd(x_curr, x_new, coeffs, grid, work=None):
+    """For each row of the (k, M+1) stacks x_curr and x_new, the max
     relative mismatch between the assembled tridiagonal and central
-    differences of the residual, and whether it is within FD_REL_TOL.  The
-    comparison is dense, so a coupling outside the tridiagonal counts too.
-    The states share the grid and the flux form: one residual_hessian call,
-    with stacked coefficients, on a probe-major (1 + 2(M-1), k, M+1) stack
-    whose row 0 is the states, whose diagonals are the Hessian (they do
-    not depend on the base trajectory), and whose other rows are the
-    probes.  It writes into work.for_shape of that stack, work a Workspace
-    (fresh when None).  check_hessian_fd passes the 10 states of a flux
-    form at M = 24, so the assembly sees a (47, 10, 25) stack."""
-    grid, coeffs = states[0][0].grid, _rows(states)
-    x_curr, x_new = (np.array([state[i] for state in states], dtype=float) for i in (1, 3))
+    differences of the residual, with coeffs the rows' record as in
+    gradient_vs_fd.  The comparison is dense, so a coupling outside the
+    tridiagonal counts too.  One residual_hessian call on a probe-major
+    (1 + 2(M-1), k, M+1) stack whose row 0 is x_new, whose diagonals are
+    the Hessian (they do not depend on the base trajectory), and whose
+    other rows are the probes.  It writes into work.for_shape of that
+    stack, work a Workspace (fresh when None).  check_hessian_fd passes the
+    10 states of a flux form at M = 24, so the assembly sees a
+    (47, 10, 25) stack."""
     n = grid.M - 1
     functional._require_admissible(x_curr, grid, "base trajectory")
 
@@ -268,37 +240,37 @@ def hessian_vs_fd(states, work=None):
     functional._require_admissible(stack, grid, "candidate trajectory")
     work = _kernels.Workspace(stack.shape) if work is None else work.for_shape(stack.shape)
     g, diag, off = _kernels.residual_hessian(stack, x_curr, coeffs, work)
-    dense = np.zeros((len(states), n, n))
+    dense = np.zeros((len(x_new), n, n))
     dense[:, i, i] = diag[0]
     dense[:, i[:-1], i[1:]] = off[0]
     dense[:, i[1:], i[:-1]] = off[0]
     fd = ((g[1:1 + n] - g[1 + n:]) / (2.0 * HESSIAN_STEP)).transpose(1, 2, 0)  # d g_i / d x_j
-    return _verdicts(np.max(np.abs(fd - dense), axis=(1, 2))
-                     / np.max(np.abs(dense), axis=(1, 2)))
+    return np.max(np.abs(fd - dense), axis=(1, 2)) / np.max(np.abs(dense), axis=(1, 2))
 
 
 def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     """name over the FD_STATES random states of _draw_states on M cells.
-    oracle runs once on the states of each flux form, the even- and the
-    odd-numbered ones, through one workspace.  The check fails at the first
-    state in draw order where oracle does, and sets rng to where that
-    state's draws end (the sweep's start advanced by its 3 + 3M doubles per
-    state), as a sweep that stopped there would leave it; else it passes
-    with the worst relative error."""
+    oracle runs once on the batch of each flux form, the even- and the
+    odd-numbered states, through one workspace.  The check fails at the
+    first state in draw order whose relative error exceeds FD_REL_TOL (or
+    is nan), and sets rng to where that state's draws end (the sweep's
+    start advanced by its 3 + 3M doubles per state), as a sweep that
+    stopped there would leave it; else it passes with the worst relative
+    error."""
     start = rng.bit_generator.state
-    states, results = _draw_states(rng, M), [None] * FD_STATES
-    work = _kernels.Workspace((len(states[::2]), M + 1))
-    for form in (slice(0, None, 2), slice(1, None, 2)):
-        results[form] = oracle(states[form], work)
-    for i, (err, ok) in enumerate(results):
-        if not ok:
-            rng.bit_generator.state = start
-            rng.random((i + 1) * (3 + 3 * M))
-            spec, _, coeffs = states[i][:3]
-            return CheckResult(name, False,
-                               f"relative error {err:.3e} at m={spec.m!r}, tau={coeffs.tau!r}")
-    return CheckResult(name, True,
-                       f"worst relative error {max(err for err, _ in results):.3e}")
+    batches, errors, grid = _draw_states(rng, M), np.empty(FD_STATES), Grid(0.0, 1.0, M)
+    work = _kernels.Workspace(batches[0][1].shape)
+    for odd, (_, x_curr, x_new, coeffs) in enumerate(batches):
+        errors[odd::2] = oracle(x_curr, x_new, coeffs, grid, work)
+    failed = np.flatnonzero(~(errors <= FD_REL_TOL))
+    if failed.size:
+        i = int(failed[0])
+        rng.bit_generator.state = start
+        rng.random((i + 1) * (3 + 3 * M))
+        (m, _, _, coeffs), row = batches[i % 2], i // 2
+        return CheckResult(name, False, f"relative error {errors[i]:.3e} at "
+                                        f"m={float(m[row])!r}, tau={float(coeffs.tau[row, 0])!r}")
+    return CheckResult(name, True, f"worst relative error {errors.max():.3e}")
 
 
 def check_gradient_fd(rng) -> CheckResult:

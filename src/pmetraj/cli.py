@@ -108,16 +108,18 @@ def cmd_convergence(args) -> int:
         out_dir = _output_dir(cfg)
         if not m_values:  # the list parser drops empty tokens
             cfg.fail("problem", "m", "needs at least one exponent")
-        for m in m_values:  # every exponent, before the first study writes
+        tags = [f"{m:g}" for m in m_values]  # each study's file names
+        for i, m in enumerate(m_values):  # every exponent, before the first study writes
             require_exponent(m)
+            if tags[i] in tags[:i]:
+                cfg.fail("problem", "m", f"m={m} writes convergence_{tags[i]}.* a second time")
         params = _build_params(cfg, tau=1.0)
 
-        for m in m_values:
+        for m, tag in zip(m_values, tags):
             study = analysis.convergence_study(
                 m, h_list, reference_M, t_eval, initial_key,
                 domain=domain, params_base=params,
             )
-            tag = f"{m:g}"
             write_csv_atomic(out_dir / f"convergence_{tag}.csv", analysis.CSV_HEADER,
                              tuple(zip(*analysis.report_rows(study.report))))
             table = analysis.format_table(study.report)

@@ -37,10 +37,10 @@ class Config:
     @classmethod
     def load(cls, path) -> "Config":
         cfg = cls(path)
-        try:
-            text = cfg.path.read_text()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        try:  # utf-8-sig: a byte-order mark is not part of line 1
+            text = cfg.path.read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"{cfg.path}: cannot read config: {exc}") from exc
         section = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()

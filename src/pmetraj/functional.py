@@ -61,8 +61,9 @@ class SchemeCoefficients:
     guarded slope S_h; damped_start selects the fully implicit first-order
     flux of the opening step (L-stable, so the incompatible-corner transient
     of rough initial data cannot ring).  build_coefficients fills one per
-    step; checks._rows stacks those of k states, the arrays as (k, ...) rows
-    and tau and a0 as (k, 1) columns."""
+    step; checks._draw_states forms one for a batch of k states, mass and
+    slope_curr as (k, ...) rows, tau and a0 as (k, 1) columns and the
+    shared f0_cells as it is."""
 
     mass: np.ndarray        # node field; interior entries feed the scheme
     slope_curr: np.ndarray  # cell field, D_h of the base state

@@ -181,13 +181,15 @@ def test_criterion_7_calculus_oracles():
     for i in range(20):
         spec, x_curr, coeffs = random_setup(rng, M=16, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
-        [(err, ok)] = checks.gradient_vs_fd([(spec, x_curr, coeffs, x_new)])
+        [err] = checks.gradient_vs_fd(x_curr[None], x_new[None], coeffs, spec.grid)
+        ok = err <= checks.FD_REL_TOL
         grad_ok &= ok
         worst_g = max(worst_g, err)
     for i in range(20):
         spec, x_curr, coeffs = random_setup(rng, M=24, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
-        [(err, ok)] = checks.hessian_vs_fd([(spec, x_curr, coeffs, x_new)])
+        [err] = checks.hessian_vs_fd(x_curr[None], x_new[None], coeffs, spec.grid)
+        ok = err <= checks.FD_REL_TOL
         hess_ok &= ok
         worst_h = max(worst_h, err)
 

@@ -92,13 +92,20 @@ def _states(M, count, seed=11):
     return _states_from(np.random.default_rng(seed), M, count)
 
 
-def _stacks(states, size):
-    """The indices of states in stacks of at most size, one flux form each,
-    as checks._fd_states forms them."""
-    for damped_start in (False, True):
-        indices = [i for i, state in enumerate(states) if state[2].damped_start == damped_start]
-        for start in range(0, len(indices), size):
-            yield indices[start:start + size]
+def _sub_batch(batch, rows):
+    """x_curr, x_new and the record of the rows of a batch (m, x_curr,
+    x_new, coeffs) of checks._draw_states."""
+    _, x_curr, x_new, coeffs = batch
+    return x_curr[rows], x_new[rows], dataclasses.replace(
+        coeffs, mass=coeffs.mass[rows], slope_curr=coeffs.slope_curr[rows],
+        tau=coeffs.tau[rows], a0=coeffs.a0[rows])
+
+
+def _error_of(oracle, spec, x_curr, coeffs, x_new):
+    """oracle's relative error on one state, passed as a batch of one row
+    with its unstacked record."""
+    [err] = oracle(x_curr[None], x_new[None], coeffs, spec.grid)
+    return err
 
 
 def _record_calls(monkeypatch, name, owner=functional):
@@ -125,26 +132,28 @@ def _bits(value):
 
 @pytest.mark.parametrize("M", [16, 24])
 def test_drawn_states_equal_states_drawn_one_at_a_time(M):
-    # every field a state hands the oracles, with both flux forms
+    # every field a batch hands the oracles, row by row, with both flux forms
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        states, reference = checks._draw_states(rng, M), np.random.default_rng(seed)
+        batches, reference = checks._draw_states(rng, M), np.random.default_rng(seed)
         want = list(_states_from(reference, M, checks.FD_STATES))
-        assert len(states) == len(want)
-        for (spec, x_curr, coeffs, x_new), (w_spec, w_x_curr, w_coeffs,
-                                            w_x_new) in zip(states, want):
-            assert spec.grid == w_spec.grid
-            assert (spec.m.hex(), coeffs.tau.hex(), coeffs.a0.hex()) == (
-                w_spec.m.hex(), w_coeffs.tau.hex(), w_coeffs.a0.hex())
-            assert coeffs.damped_start == w_coeffs.damped_start
-            for got, expected in [(x_curr, w_x_curr), (x_new, w_x_new),
-                                  (coeffs.slope_curr, w_coeffs.slope_curr),
-                                  (coeffs.mass, w_coeffs.mass),
-                                  (coeffs.f0_cells, w_coeffs.f0_cells),
-                                  (coeffs.h, w_coeffs.h),
-                                  (spec.mass_factor, w_spec.mass_factor)]:
-                assert _bits(got) == _bits(expected)
-        assert {c.damped_start for _, _, c, _ in states} == {False, True}
+        assert len(batches) == 2
+        for odd, (m, x_curr, x_new, coeffs) in enumerate(batches):
+            rows = want[odd::2]
+            assert coeffs.damped_start == bool(odd)
+            assert len(m) == len(x_curr) == len(x_new) == len(rows)
+            assert coeffs.tau.shape == coeffs.a0.shape == (len(rows), 1)
+            for row, (w_spec, w_x_curr, w_coeffs, w_x_new) in enumerate(rows):
+                assert w_coeffs.damped_start == bool(odd)
+                assert (float(m[row]).hex(), float(coeffs.tau[row, 0]).hex(),
+                        float(coeffs.a0[row, 0]).hex()) == (
+                    w_spec.m.hex(), w_coeffs.tau.hex(), w_coeffs.a0.hex())
+                for got, expected in [(x_curr[row], w_x_curr), (x_new[row], w_x_new),
+                                      (coeffs.slope_curr[row], w_coeffs.slope_curr),
+                                      (coeffs.mass[row], w_coeffs.mass),
+                                      (coeffs.f0_cells, w_coeffs.f0_cells),
+                                      (coeffs.h, w_coeffs.h)]:
+                    assert _bits(got) == _bits(expected)
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -169,53 +178,48 @@ def test_passing_fd_check_leaves_the_generator_where_its_states_end(check, M):
     (checks.hessian_vs_fd, _hessian_loop, 24),
 ])
 def test_oracle_equals_reference_loop(oracle, loop, M):
-    # each state of a stack gets the (err, ok) of its own loop, whatever
-    # the stack size: this is what lets the size be a constant
-    states = list(_states(M, 20))
-    want = [loop(*state) for state in states]
-    for size in (1, 5, 20):
-        got = [None] * len(states)
-        for stack in _stacks(states, size):
-            for i, result in zip(stack, oracle([states[i] for i in stack])):
-                got[i] = result
-        assert got == want
+    # each row of a batch gets the error of its own loop, whatever the
+    # batch size: this is what lets the size be a constant
+    seed, grid = 11, Grid(0.0, 1.0, M)
+    batches = checks._draw_states(np.random.default_rng(seed), M)
+    want = [loop(*state)[0] for state in _states(M, checks.FD_STATES, seed)]
+    for size in (1, 5, 10):
+        got = np.empty(checks.FD_STATES)
+        for odd, batch in enumerate(batches):
+            for start in range(0, len(batch[1]), size):
+                rows = slice(start, start + size)
+                got[odd::2][rows] = oracle(*_sub_batch(batch, rows), grid)
+        assert got.tolist() == want
 
 
-def _one_flux_stack(M, size=5):
-    """size states of check_*_fd on M cells, all with the averaged flux."""
-    states = list(_states(M, 2 * size))
-    return [states[i] for i in next(_stacks(states, size))]
+def _one_flux_batch(M, size=5):
+    """x_curr, x_new and the record of the first size states of check_*_fd
+    on M cells, all with the averaged flux."""
+    return _sub_batch(checks._draw_states(np.random.default_rng(11), M)[0], slice(0, size))
 
 
 def test_gradient_oracle_makes_one_residual_and_one_F_call(monkeypatch):
     # Newton's kernels: one assembly on the states, one F on the
     # probe-major stack of their probes
-    stack = _one_flux_stack(16)
+    batch = _one_flux_batch(16)
     residuals = _record_calls(monkeypatch, "residual_hessian", _kernels)
     values = _record_calls(monkeypatch, "step_functional", _kernels)
-    assert all(ok for _, ok in checks.gradient_vs_fd(stack))
+    assert np.all(checks.gradient_vs_fd(*batch, Grid(0.0, 1.0, 16)) <= checks.FD_REL_TOL)
     assert residuals == [(5, 17)]
     assert values == [(4 * 15, 5, 17)]
 
 
 def test_hessian_oracle_makes_one_assembly(monkeypatch):
     # the states (row 0) and their probes in one probe-major stack
-    stack = _one_flux_stack(24)
+    batch = _one_flux_batch(24)
     assemblies = _record_calls(monkeypatch, "residual_hessian", _kernels)
-    assert all(ok for _, ok in checks.hessian_vs_fd(stack))
+    assert np.all(checks.hessian_vs_fd(*batch, Grid(0.0, 1.0, 24)) <= checks.FD_REL_TOL)
     assert assemblies == [(1 + 2 * 23, 5, 25)]
-
-
-def test_oracles_reject_stacks_of_two_flux_forms():
-    states = list(_states(16, 2))
-    with pytest.raises(ValueError, match="flux form"):
-        checks.gradient_vs_fd(states)
 
 
 def test_hessian_oracle_catches_coupling_outside_the_tridiagonal(monkeypatch):
     state = next(_states(24, 1))
-    [(_, ok)] = checks.hessian_vs_fd([state])
-    assert ok
+    assert _error_of(checks.hessian_vs_fd, *state) <= checks.FD_REL_TOL
     original = _kernels.residual_hessian
 
     def coupled(x_new, *args, **kwargs):
@@ -224,8 +228,7 @@ def test_hessian_oracle_catches_coupling_outside_the_tridiagonal(monkeypatch):
         return g, diag, off
 
     monkeypatch.setattr(_kernels, "residual_hessian", coupled)
-    [(err, ok)] = checks.hessian_vs_fd([state])
-    assert not ok and err > 1e-6
+    assert _error_of(checks.hessian_vs_fd, *state) > 1e-6
 
 
 def test_run_all_makes_a_bounded_number_of_assembly_and_F_calls(monkeypatch):

@@ -101,6 +101,28 @@ def test_config_syntax_errors(tmp_path):
         Config.load(path)
 
 
+@pytest.mark.parametrize("content", [b"# caf\xe9\n[problem]\nm = 2\n", None],
+                         ids=["latin-1", "missing"])
+def test_unreadable_config_is_one_error_line(tmp_path, capsys, content):
+    # a file that is not UTF-8 once ended in a UnicodeDecodeError traceback
+    path = tmp_path / "case.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: cannot read config: ")
+
+
+def test_config_with_byte_order_mark_parses(tmp_path):
+    # the mark once made line 1 read '\ufeff[problem]'
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"\xef\xbb\xbf[problem]\nm = 2\n")
+    cfg = Config.load(path)
+    assert cfg.get_number("problem", "m") == 2.0
+    assert cfg.sections["problem"]["m"].line == 2
+
+
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[problem]\nm = 2\nmm = 3\n")
@@ -523,13 +545,18 @@ def test_cmd_convergence_non_nested_reference(tmp_path, capsys):
      "study.reference_M: coarse cell count 20 equals the reference count"),
     ("t_eval = 0.1", "t_eval = 1e-12", "study.t_eval: t_eval=1e-12 is shorter than one step"),
     ("m = 5/3, 2", "m = 2, 1", "problem.m: exponent must exceed 1, got 1.0"),
+    ("m = 5/3, 2", "m = 2, 2", "problem.m: m=2.0 writes convergence_2.* a second time"),
+    ("m = 5/3, 2", "m = 1.6666666, 1.66666667",
+     "problem.m: m=1.66666667 writes convergence_1.66667.* a second time"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cmd_convergence_bad_study_names_line(tmp_path, capsys, old, new, key):
     # each used to give a traceback (ZeroDivisionError, or ValueError from
     # Grid), an error without its line, or a run with an empty table, of
     # zero steps, or with one resolution twice and an order of 0; a bad
-    # exponent anywhere in the m list fails before the first study writes
+    # exponent anywhere in the m list fails before the first study writes,
+    # as does one whose file tag repeats an earlier one's (its study once
+    # overwrote the earlier study's files)
     text = STUDY_CONFIG.replace(old, new)
     line = text.splitlines().index(new) + 1
     rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=tmp_path / "s")])

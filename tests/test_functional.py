@@ -12,7 +12,7 @@ from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
                      initial_data_from_key, make_problem, mass_coefficient,
                      q1_oracle, quadratic_bump, residual, secant_ratio_R,
                      slope_derivative_W)
-from pmetraj.checks import gradient_vs_fd, hessian_vs_fd, random_admissible
+from pmetraj.checks import FD_REL_TOL, gradient_vs_fd, hessian_vs_fd, random_admissible
 from pmetraj.functional import _LI2_SERIES, _spence, g_convex_second
 
 
@@ -319,8 +319,8 @@ def test_stack_with_inadmissible_row_names_it(rng):
 def test_gradient_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=16, m=float(rng.uniform(1.3, 2.8)))
-        [(err, ok)] = gradient_vs_fd([(spec, x_curr, coeffs, random_admissible(rng, g))])
-        assert ok, f"gradient FD mismatch {err:.3e}"
+        [err] = gradient_vs_fd(x_curr[None], random_admissible(rng, g)[None], coeffs, g)
+        assert err <= FD_REL_TOL, f"gradient FD mismatch {err:.3e}"
 
 
 def test_gradient_matches_fd_damped_mode(rng):
@@ -342,8 +342,8 @@ def test_gradient_matches_fd_damped_mode(rng):
 def test_hessian_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=24, m=float(rng.uniform(1.3, 2.8)))
-        [(err, ok)] = hessian_vs_fd([(spec, x_curr, coeffs, random_admissible(rng, g))])
-        assert ok, f"Hessian FD mismatch {err:.3e}"
+        [err] = hessian_vs_fd(x_curr[None], random_admissible(rng, g)[None], coeffs, g)
+        assert err <= FD_REL_TOL, f"Hessian FD mismatch {err:.3e}"
 
 
 def test_hessian_quadratic_form_positive(rng):

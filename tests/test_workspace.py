@@ -345,10 +345,10 @@ def test_run_peak_memory_in_node_fields():
 
 
 def test_check_sweeps_peak_memory():
-    # the peak of a warm checks.run_all(0): 1036 KB (1035 KB at seeds 1-4),
-    # most of it the finite-difference sweeps' probe stacks and their
-    # workspaces, one oracle call per flux form on its 10 states; the bound
-    # holds today's peak with a 6% margin
+    # the peak of a warm checks.run_all(0): 1007 KB (1005-1006 KB at seeds
+    # 1-4), most of it the finite-difference sweeps' probe stacks and their
+    # workspaces, one oracle call per flux form on its batch of 10 states;
+    # the bound holds that peak with a 6% margin
     checks.run_all(0)
     tracemalloc.start()
     try:
@@ -358,4 +358,4 @@ def test_check_sweeps_peak_memory():
     finally:
         tracemalloc.stop()
     assert all(result.ok for result in results)
-    assert peak - start <= 1.07 * 2 ** 20
+    assert peak - start <= 1.04 * 2 ** 20
