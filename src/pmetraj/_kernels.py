@@ -44,16 +44,20 @@ handed from state to state; the views residual_interior and
 hessian_tridiag, and step_functional and thomas_spd when given none, make
 a fresh one for the call, so each kernel has one code path.  Every ufunc
 writes with out= in the order of the plain expression, so the results are
-bitwise those of the expression.  A result that is a workspace buffer
-holds until the next call of its kind with the same workspace (the
-solution, rhs, lies apart from the assembly's scratch and outlives
-assemblies and evaluations of F); what a caller keeps (newton_step's
-solution, the residual of residual_interior) is a fresh array.  At
-M = 9600 a cell field is 77 KB, and the temporaries each iteration used to
-free left more than glibc's 128 KB trim threshold free at the top of the
-heap: the memory went back to the system and was faulted in again, some
-60 minor page faults per near-phase iteration and 119 per iteration of a
-far-phase run, under 5 now.
+bitwise those of the expression.  The scratch is four cell fields (the
+assembly forms two of its fields in the buffers of its results diag and
+off, and F's Spence passes take three), or the cyclic reduction's
+buffers where those are larger: at M = 1e5 a workspace holds 8.18 node
+fields, against 9.17 with the five cell fields of scratch it had before.
+A result that is a workspace buffer holds until the next call of its
+kind with the same workspace (the solution, rhs, lies apart from the
+assembly's scratch and outlives assemblies and evaluations of F); what a
+caller keeps (newton_step's solution, the residual of residual_interior)
+is a fresh array.  At M = 9600 a cell field is 77 KB, and the temporaries
+each iteration used to free left more than glibc's 128 KB trim threshold
+free at the top of the heap: the memory went back to the system and was
+faulted in again, some 60 minor page faults per near-phase iteration and
+119 per iteration of a far-phase run, under 5 now.
 
 Measured per call as newton_step makes it, median of 30 alternating rounds
 (each the fastest of 3) on a 2-core Xeon with numpy 2.4, before -> after
@@ -108,6 +112,17 @@ def _padded_length(n):
     return ((n >> j) + 1 << j) - 1
 
 
+def _reduction_doubles(p):
+    """The doubles Workspace.reduction() carves from the cell scratch for a
+    system padded to p unknowns: alpha and beta, then every reduced
+    system."""
+    doubles = p // 2 * 2
+    while p > SCALAR_BASE:
+        p //= 2
+        doubles += 3 * p - 1
+    return doubles
+
+
 class _Level:
     """One level of the cyclic reduction, as views into a Workspace: its
     system (d, e, f) of an odd number of unknowns, and the reduced system on
@@ -160,21 +175,29 @@ class Workspace:
     trajectories of one shape: a node field (M+1,), or a stack (..., M+1)
     of candidates for the assembly and F alone.
 
-    cells holds the five scratch cell fields of residual_hessian and mask
-    its equal-slope lanes; g (the residual on the interior nodes), diag and
-    off are its results.  step_functional writes its temporaries into
-    cells and mask too.  A 1-D workspace also holds the cyclic reduction of
-    the n = M-1 interior unknowns (thomas_spd): diag, off and rhs, the
+    cells holds four scratch cell fields and mask the equal-slope lanes.
+    residual_hessian forms y, d and z in the first three cells, and its
+    results are g (the residual on the interior nodes), diag and off; its
+    other two fields lie under those results: flux in the buffer whose
+    leading doubles diag takes, contiguous like g (g reads flux before
+    diag is written), and c in the one whose [..., 1:-1] is off (diag
+    reads c before off is scaled in place).  step_functional writes its temporaries into the four cells
+    and mask.  A 1-D workspace also holds the cyclic reduction of the
+    n = M-1 interior unknowns (thomas_spd): diag, off and rhs, the
     right-hand side that the solution replaces, are the first n rows of
-    the system padded to _padded_length(n) with decoupled unit rows, whose
-    diag and off pads are set here, once; the reduced systems, made at the
-    first solve (reduction()), are views of the cell scratch, dead while
-    the assembly runs and the other way round.  rhs lies beside the cells,
-    so the solution holds across the assemblies and evaluations of F that
-    newton_step's far phase makes at its trial points.  newton_step's
-    ordering guard reuses mask.  A copy or an unpickled workspace is a
-    fresh one of the same shape: the buffers hold nothing between calls,
-    and copied views would no longer share their memory.
+    the system padded to _padded_length(n) = p with decoupled unit rows,
+    whose pads are set here, so the buffers of diag and off are max(p, M)
+    wide.  The last cell's flux and c land on the first pad row, and
+    thomas_spd resets that row on every solve.  The reduced systems, made
+    at the first solve (reduction()), are views of the cell scratch, dead
+    while the assembly runs and the other way round; the scratch is four
+    cell fields or the reduction's buffers, whichever is larger (under
+    4.125 cell fields).  rhs lies beside the cells, so the solution holds
+    across the assemblies and evaluations of F that newton_step's far
+    phase makes at its trial points.  newton_step's ordering guard reuses
+    mask.  A copy or an unpickled workspace is a fresh one of the same
+    shape: the buffers hold nothing between calls, and copied views would
+    no longer share their memory.
 
     A caller that makes calls of two shapes, states and stacks of their
     probes as the finite-difference oracles do, passes one workspace to
@@ -194,16 +217,20 @@ class Workspace:
         cells = (*rows, M)
         size = math.prod(cells)
         padded = n if rows else _padded_length(n)  # a stack is never solved
-        diag, off = np.ones((*rows, padded)), np.zeros((*rows, max(padded - 1, 0)))
+        width = max(padded, M)
+        diag, off = np.ones((*rows, width)), np.zeros((*rows, width))
         self.g = np.empty((*rows, n))
-        self.diag, self.off = diag[..., :n], off[..., :max(n - 1, 0)]
+        self.flux, self.c = diag[..., :M], off[..., :M]
+        self.diag = diag.reshape(-1)[:self.g.size].reshape(self.g.shape)  # contiguous, like g
+        self.off = self.c[..., 1:-1]
         self.mask = np.empty(cells, dtype=bool)
-        self._flat = np.empty(5 * size + (0 if rows else padded))
-        self.cells = tuple(self._flat[:5 * size].reshape(5, *cells))
-        rhs = self._flat[5 * size:]
+        scratch = 4 * size if rows else max(4 * size, _reduction_doubles(padded))
+        self._flat = np.empty(scratch + (0 if rows else padded))
+        self.cells = tuple(self._flat[:4 * size].reshape(4, *cells))
+        rhs = self._flat[scratch:]
         self.rhs = None if rows else rhs[:n]
         self._rhs_pad = rhs[n:]
-        self._system = (diag, off, rhs)
+        self._system = (diag[..., :padded], off[..., 1:padded], rhs)
         self._reduction = None
         self._other = None
 
@@ -230,10 +257,12 @@ class Workspace:
         """(levels, base): one _Level per halving of the padded system, and
         the (d, e, f) the scalar elimination finishes.  The levels' shared
         elimination factors alpha and beta, then every reduced system, are
-        carved from the cell scratch in turn.  Halving the padded length p
-        leaves reduced systems of under p unknowns in all, so these buffers
-        take under 4p doubles: less than the five cell fields, 5(n + 1)
-        doubles for n unknowns, as p < n + n/32."""
+        carved from the cell scratch in turn, _reduction_doubles(p) of them
+        for the padded length p.  Halving p leaves reduced systems of under
+        p unknowns in all, so these buffers take under 4p doubles: under
+        4.125 cell fields, 4.125(n + 1) doubles for n unknowns, as
+        p < n + n/32.  The scratch holds the larger of them and the four
+        cell fields of the assembly and F."""
         if self._reduction is None:
             p, flat = self._system[0].shape[0], self._flat
             alpha, beta = flat[:p // 2], flat[p // 2:p // 2 * 2]
@@ -302,14 +331,17 @@ def residual_hessian(x_new, x_curr, coeffs, work):
 
     Every field is written into work, a Workspace of x_new's shape, and
     the three results are its buffers g, diag and off: they hold until the
-    next call with the same work.  x_new may be a stack of shape
-    (..., M+1), one candidate per row, with stacked coefficients as the
-    module docstring says; the results then have its rows, each bitwise
-    equal to its row's own call.
+    next call with the same work.  flux and c are formed under diag and off
+    (work.flux and work.c), so g is formed before diag, and off scales c
+    in place.  x_new may be a stack of shape (..., M+1), one candidate per
+    row, with stacked coefficients as the module docstring says; the
+    results then have its rows, each bitwise equal to its row's own
+    call.
     """
     slope_curr, mass, f0_cells, h, tau = (coeffs.slope_curr, coeffs.mass, coeffs.f0_cells,
                                           coeffs.h, coeffs.tau)
-    y, d, z, flux, c = work.cells
+    y, d, z = work.cells[:3]
+    flux, c = work.flux, work.c
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
     y /= h
     np.subtract(y, slope_curr, out=d)
@@ -341,7 +373,7 @@ def residual_hessian(x_new, x_curr, coeffs, work):
     np.add(c[..., :-1], c[..., 1:], out=diag)
     diag *= inv_h2
     diag += np.divide(mass[..., 1:-1], tau, out=tmp)
-    np.multiply(c[..., 1:-1], -inv_h2, out=off)
+    np.multiply(off, -inv_h2, out=off)
     return g, diag, off
 
 
@@ -390,20 +422,22 @@ def _spence(w, out=None):
 
     The passes of the reflection and the inversion run only when some lane
     is in their range, and give the same bits as running them on every
-    lane.  out is (a, b, c, e, lanes), four float buffers and a bool one of
-    w's shape, fresh when not given; the result comes back in e.
+    lane; the reflection forms ln w a second time rather than keep it
+    beside the series.  out is (a, b, c, lanes), three float buffers and a
+    bool one of w's shape, fresh when not given; the result comes back in
+    c.
     """
     w = np.asarray(w, dtype=float)
     if out is None:
-        out = (*(np.empty(w.shape) for _ in range(4)), np.empty(w.shape, dtype=bool))
-    ln_w, u, t, p, lanes = out
+        out = (*(np.empty(w.shape) for _ in range(3)), np.empty(w.shape, dtype=bool))
+    u, t, p, lanes = out
     any_low = np.less(w, 0.5, out=lanes).any()
     any_high = np.greater(w, 2.0, out=lanes).any()
 
     def ln_1mw():  # ln(1 - w) on the reflection lanes, in t
         return np.log1p(np.negative(np.minimum(w, 0.5, out=t), out=t), out=t)
 
-    np.negative(np.log(w, out=ln_w), out=u)
+    np.negative(np.log(w, out=u), out=u)
     if any_high:  # lanes holds w > 2
         w_high = np.maximum(w, 2.0, out=t)
         np.copyto(u, np.log1p(np.divide(-1.0, w_high, out=p), out=p), where=lanes)
@@ -422,7 +456,7 @@ def _spence(w, out=None):
     p += 1.0
     p *= u
     if any_low:  # lanes holds w < 1/2: pi^2/6 - ln(1 - w) ln w - series
-        offset = np.multiply(ln_1mw(), ln_w, out=t)
+        offset = np.multiply(ln_1mw(), np.log(w, out=u), out=t)
         np.copyto(p, np.subtract(np.subtract(_PI2_6, offset, out=t), p, out=t),
                   where=lanes)
     if any_high:  # -pi^2/6 - ln^2(w - 1)/2 - series
@@ -458,7 +492,7 @@ def step_functional(x_new, x_curr, coeffs, work=None):
     """
     slope_curr, f0_cells, h, tau = coeffs.slope_curr, coeffs.f0_cells, coeffs.h, coeffs.tau
     work = Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
-    y, d, a, b, c = work.cells
+    y, d, a, b = work.cells
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
     y /= h
     np.subtract(y, slope_curr, out=d)
@@ -473,7 +507,7 @@ def step_functional(x_new, x_curr, coeffs, work=None):
         w = np.divide(y, slope_curr, out=d)
         # the tau^2 sum first: y is then free for the Spence passes
         flow = (tau * tau) * _row_sum(np.subtract(w, np.log(y, out=y), out=y))
-        s = _spence(w, (y, a, b, c, work.mask))
+        s = _spence(w, (y, a, b, work.mask))
         value += _row_sum(np.multiply(f0_cells, s, out=s)) + flow
     return h * (float(value) if x_new.ndim == 1 else value[..., 0])
 
@@ -544,7 +578,8 @@ def thomas_spd(diag, off, rhs, work=None):
     until the next solve with the same work.  Inputs that are not work's own
     diag, off and rhs are copied in, so the caller's arrays are only read;
     the pad rows of rhs are reset on every solve, so a solve that met a NaN
-    leaves nothing behind.
+    leaves nothing behind, and so is the first pad row of diag and off, on
+    which the assembly forms its last cell's flux and c.
     """
     if work is None:
         work = Workspace((diag.shape[0] + 2,))
@@ -552,6 +587,7 @@ def thomas_spd(diag, off, rhs, work=None):
     for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):
         if given is not own:
             own[:] = given
+    work.flux[-1], work.c[-1] = 1.0, 0.0  # the first pad row of diag and off
     work._rhs_pad.fill(0.0)
     for level in levels:
         level.reduce()

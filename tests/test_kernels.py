@@ -98,7 +98,8 @@ def test_padding_leaves_odd_levels_and_the_unpadded_base():
     # every level the reduction halves has an odd length, so each kept row
     # has two neighbours; the base is n >> j long, as halving n j times
     # leaves it, so it holds no pad row; the pad is under n/32; and alpha,
-    # beta and the reduced systems fit in the five cell fields of M = n + 1
+    # beta and the reduced systems take what the workspace's cell scratch
+    # is sized by, which is at most 4.12 cell fields of M = n + 1
     for n in range(1, 20001):
         padded = _kernels._padded_length(n)
         assert n <= padded and padded - n < n / 32
@@ -107,7 +108,19 @@ def test_padding_leaves_odd_levels_and_the_unpadded_base():
             sizes.append(sizes[-1] // 2)
         assert all(size % 2 == 1 for size in sizes[:-1])
         assert sizes[-1] == n >> (len(sizes) - 1) <= SCALAR_BASE
-        assert padded // 2 * 2 + sum(3 * size - 1 for size in sizes[1:]) <= 5 * (n + 1)
+        plan = padded // 2 * 2 + sum(3 * size - 1 for size in sizes[1:])
+        assert _kernels._reduction_doubles(padded) == plan
+        assert max(4 * (n + 1), plan) <= 4.12 * (n + 1)
+    # in the workspace itself the reduction's buffers lie in the scratch,
+    # apart from rhs, and the scratch is four cell fields or the plan
+    for n in range(1, 20001, 83):
+        work = _kernels.Workspace((n + 2,))
+        levels, _ = work.reduction()
+        rhs = work._system[2]
+        assert work._flat.size - rhs.size == max(4 * (n + 1), _kernels._reduction_doubles(rhs.size))
+        for level in levels:
+            for carved in (level.alpha, level.beta, level.dk, level.ek, level.fk):
+                assert not np.shares_memory(carved, rhs)
 
 
 @pytest.mark.parametrize("n", [3, 16, 17, 1025])

@@ -82,6 +82,26 @@ def test_solution_holds_across_assemblies_and_F(rng, damped_start):
         assert delta.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize("M", [67, 149, 150, 1025, 1026])
+def test_assembled_system_solves_in_place_as_copies(rng, M):
+    # the assembly forms its last cell's flux and c on the first pad row of
+    # diag and off (n = 66, 148, 149, 1024 and 1025 pad to 67, 151, 151,
+    # 1039 and 1039), so the solve of the workspace's own system resets it
+    h = 1.0 / M
+    x_curr = np.linspace(0.0, 1.0, M + 1)
+    x_curr[1:-1] += 0.3 * h * rng.uniform(-1.0, 1.0, M - 1)
+    coeffs = SchemeCoefficients(slope_curr=np.diff(x_curr) / h, mass=rng.uniform(0.5, 2.0, M + 1),
+                                f0_cells=rng.uniform(1e-3, 1.0, M), h=h, tau=10.0 * h, a0=0.7,
+                                damped_start=False)
+    x = x_curr.copy()
+    x[1:-1] += 0.1 * h * rng.uniform(-1.0, 1.0, M - 1)
+    work = Workspace((M + 1,))
+    g, diag, off = _kernels.residual_hessian(x, x_curr, coeffs, work)
+    want = _kernels.thomas_spd(diag.copy(), off.copy(), -g)
+    got = _kernels.thomas_spd(diag, off, np.negative(g, out=work.rhs), work)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                    lambda w: pickle.loads(pickle.dumps(w))])
 def test_copied_workspace_solves_as_a_fresh_one(rng, clone):
@@ -322,14 +342,15 @@ def test_warm_far_phase_newton_step_allocates_at_most_three_node_fields(monkeypa
 
 def test_run_peak_memory_in_node_fields():
     # the peak of a short run above what it starts with, in node fields of
-    # M + 1 floats, at M = 2e4: 18.22 near vacuum (tau = 10h; 17.18 at
-    # M = 1e5) and 18.40 for the quadratic bump (tau = h), whose state
-    # carries x^{n-2} (18.19 at M = 1e5, 5 steps).  The peak is Newton's
+    # M + 1 floats, at M = 2e4: 17.31 near vacuum (tau = 10h; 16.20 at
+    # M = 1e5) and 17.49 for the quadratic bump (tau = h), whose state
+    # carries x^{n-2} (17.20 at M = 1e5, 5 steps).  The peak is Newton's
     # own: after it, advance holds no coefficients and forms the density
-    # and the mass in the workspace's cells.  Each bound holds today's peak
-    # with 2.5% to spare, and a change that raises it re-sets the bound
+    # and the mass in the workspace's cells, whose scratch is four cell
+    # fields.  Each bound holds today's peak with about 2.5% to spare, and
+    # a change that raises it re-sets the bound
     M = 20_000
-    for key, m, k, bound in [("poly:1e-4,0,1", 8.0, 10, 18.7), ("paper-quadratic", 2.0, 1, 18.9)]:
+    for key, m, k, bound in [("poly:1e-4,0,1", 8.0, 10, 17.8), ("paper-quadratic", 2.0, 1, 17.9)]:
         spec = make_problem(m, Grid(0.0, 1.0, M), initial_data_from_key(key))
         params = SolverParams(tau=k * spec.grid.h)
         config = RunConfig(spec=spec, params=params, t_final=3 * params.tau)
@@ -344,9 +365,26 @@ def test_run_peak_memory_in_node_fields():
         assert (peak - start) / (8 * (M + 1)) <= bound, key
 
 
+def test_workspace_holds_at_most_eight_and_a_half_node_fields():
+    # a 1-D workspace after its first solve: g, diag, off, the mask, rhs and
+    # the cell scratch, which the reduction shares with the assembly and F
+    # (four cell fields, 8.42 node fields in all at M = 2e4; five cell
+    # fields made it 9.33)
+    M = 20_000
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        work = Workspace((M + 1,))
+        work.reduction()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (held - start) / (8 * (M + 1)) <= 8.6
+
+
 def test_check_sweeps_peak_memory():
-    # the peak of a warm checks.run_all(0): 1007 KB (1005-1006 KB at seeds
-    # 1-4), most of it the finite-difference sweeps' probe stacks and their
+    # the peak of a warm checks.run_all(0): 929 KB (the same at seeds 1-4),
+    # most of it the finite-difference sweeps' probe stacks and their
     # workspaces, one oracle call per flux form on its batch of 10 states;
     # the bound holds that peak with a 6% margin
     checks.run_all(0)
@@ -358,4 +396,4 @@ def test_check_sweeps_peak_memory():
     finally:
         tracemalloc.stop()
     assert all(result.ok for result in results)
-    assert peak - start <= 1.04 * 2 ** 20
+    assert peak - start <= 0.96 * 2 ** 20
