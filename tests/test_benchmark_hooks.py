@@ -134,7 +134,9 @@ def test_tracer_sees_every_file_a_run_writes(perfbench_path, tmp_path, snapshot_
     """Snapshots, energy.csv and mass.csv all go through the writer that
     the tracer wraps: one csvio span per file, and csvio.bytes the files'
     total size.  A run without an output directory writes and records
-    nothing."""
+    nothing.  Each of the two runs' 8 steps is one stepper.advance span
+    directly under its stepper.run span, so the run looks advance up by
+    name at every step."""
     import tracing
     g = Grid(0.0, 1.0, 20)
     spec = make_problem(2.0, g, quadratic_bump)
@@ -153,3 +155,6 @@ def test_tracer_sees_every_file_a_run_writes(perfbench_path, tmp_path, snapshot_
     assert len(snapshots) == (4 if snapshot_every else 2)
     assert len(_csv_spans(tracer)) == len(files) == len(snapshots) + 2
     assert tracer.counts["csvio.bytes"] == sum(p.stat().st_size for p in files)
+    runs = [k for k, span in enumerate(tracer.spans) if span[0] == "stepper.run"]
+    steps = [span[3] for span in tracer.spans if span[0] == "stepper.advance"]
+    assert len(runs) == 2 and steps == [runs[0]] * 8 + [runs[1]] * 8

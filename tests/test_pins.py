@@ -3,7 +3,7 @@ results, of every file the committed solve config writes, of the stdout
 and files of the committed refinement study, of tridiagonal solutions over
 the sizes the cyclic reduction pads differently, and of the final
 trajectories and Newton iteration totals of the near-vacuum corners of the
-accepted-input envelope.
+accepted-input envelope, of a far-phase run and of the quadratic bump.
 
 A change that must not move the numerics keeps these digests.  A change
 that moves them on purpose re-pins them here and says why in CHANGES.md.
@@ -128,13 +128,23 @@ THOMAS_SIZES = (*range(1, 401), 511, 1023, 1024, 1025, 2047, 4224, 8191, 9599,
 #: normal, generator seed 7), concatenated in draw order.
 THOMAS_SOLUTIONS = "02b23f0645ffdefd9f33a13bf866d8b5d1c766dfa69887bb6f38780f493d0a6a"
 
-#: (m, tau in units of h): (sha256 of the final x_curr, Newton iterations in
-#: all) of 10 steps at M = 400 from poly:1e-4,0,1.
+#: (data key, M, m, tau in units of h, steps): (sha256 of the final x_curr,
+#: Newton iterations in all).  The near-vacuum corners of the envelope at
+#: M = 400, then the far-phase path (every step begins in the far phase)
+#: and the quadratic bump at M = 2e4.
 NEAR_VACUUM = {
-    (1.05, 1): ("fd9165c272223733333131360b387533cd0f741778a5418d3633f9f1d0d46fb6", 69),
-    (1.05, 100): ("0ea7603d33735de69e11df390fbc21f1d52076d364a3d398cfc390e2dbea356a", 55),
-    (8.0, 1): ("0fa1f7d74fc5aab11fccd0641d5a4c94a1f9d8553ba01814c1e40a26a8cf5f66", 36),
-    (8.0, 100): ("c5f080386172fa737346b66fa98d8acff54c1cf5c5b2283bf9f4eb3929495990", 60),
+    ("poly:1e-4,0,1", 400, 1.05, 1, 10):
+        ("fd9165c272223733333131360b387533cd0f741778a5418d3633f9f1d0d46fb6", 69),
+    ("poly:1e-4,0,1", 400, 1.05, 100, 10):
+        ("0ea7603d33735de69e11df390fbc21f1d52076d364a3d398cfc390e2dbea356a", 55),
+    ("poly:1e-4,0,1", 400, 8.0, 1, 10):
+        ("0fa1f7d74fc5aab11fccd0641d5a4c94a1f9d8553ba01814c1e40a26a8cf5f66", 36),
+    ("poly:1e-4,0,1", 400, 8.0, 100, 10):
+        ("c5f080386172fa737346b66fa98d8acff54c1cf5c5b2283bf9f4eb3929495990", 60),
+    ("poly:1e-4,0,1", 20_000, 8.0, 10, 3):
+        ("0c7b47cb9a44722709c4fa9a85d126c029e2868adac4762eff06d7654d71945b", 11),
+    ("paper-quadratic", 20_000, 2.0, 1, 3):
+        ("4ac3bd0ef341a347209f25fb14a832b776abb9394963e54b45e81ecee9c26cdf", 8),
 }
 
 
@@ -151,13 +161,14 @@ def test_tridiagonal_solutions_are_pinned():
     assert digest.hexdigest() == THOMAS_SOLUTIONS
 
 
-@pytest.mark.parametrize("m, k", NEAR_VACUUM)
-def test_near_vacuum_corners_are_pinned(m, k):
-    M = 400
-    spec = make_problem(m, Grid(0.0, 1.0, M), initial_data_from_key("poly:1e-4,0,1"))
+@pytest.mark.parametrize("key, M, m, k, steps", NEAR_VACUUM,
+                         ids=[f"{m}-{k}" for _, _, m, k, _ in NEAR_VACUUM])
+def test_near_vacuum_corners_are_pinned(key, M, m, k, steps):
+    spec = make_problem(m, Grid(0.0, 1.0, M), initial_data_from_key(key))
     tau = k / M
     result = stepper.run(RunConfig(spec=spec, params=SolverParams(tau=tau),
-                                   t_final=10 * tau))
-    assert result.final_state.n == 10
+                                   t_final=steps * tau))
+    assert result.final_state.n == steps
     assert (_sha256(result.final_state.x_curr.tobytes()),
-            sum(r.iterations for r in result.newton_reports)) == NEAR_VACUUM[m, k]
+            sum(r.iterations for r in result.newton_reports)) == \
+        NEAR_VACUUM[key, M, m, k, steps]
