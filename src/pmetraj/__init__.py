@@ -28,6 +28,6 @@ from .newton import (LAMBDA_STAR, NewtonReport, newton_decrement_lambda,
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
                       discrete_mass, initial_data_from_key, is_admissible,
                       make_problem, quadratic_bump, recover_density)
-from .stepper import RunConfig, RunResult, advance, bootstrap, restart, run
+from .stepper import RunConfig, RunResult, advance, bootstrap, restart, run, steps
 
 __version__ = "0.1.0"

@@ -206,8 +206,8 @@ class Workspace:
     The cells are dead once a step's Newton solve returns, and
     stepper.advance forms the step's density and its pair sums there
     (after_step()).  What advance leaves in the cells holds until the next
-    assembly, so stepper.run writes a snapshot's density before the next
-    advance.
+    assembly: the docstring of stepper.steps says how long that is in a
+    stream of steps.
     """
 
     def __init__(self, shape):

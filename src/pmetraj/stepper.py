@@ -59,8 +59,8 @@ class StepDiagnostics:
     dissipation_rhs: float
     mass: float
     min_slope: float
-    #: f^{n+1} at the nodes; in the cells of the state's workspace when it
-    #: carries one, so it holds only until the next step's assembly
+    #: f^{n+1} at the nodes, in the cells of the state's workspace when it
+    #: carries one: it holds only as long as the docstring of steps says
     density: np.ndarray
 
 
@@ -196,8 +196,28 @@ def _plan_steps(t_final: float, tau: float):
     return n_full, t_final - n_full * tau
 
 
-def run(config: RunConfig) -> RunResult:
+def steps(config: RunConfig, state: TrajectoryState):
+    """(state, StepDiagnostics) of each step of config's plan after state.
+
+    The plan comes from (t_final, tau), truncated last step included, and
+    starts at state.n, so a restarted state continues it.  diag.density
+    holds only until the next step is requested.  Errors arrive located
+    (_located), raised from the step's SolverError.  advance is looked up
+    at every step, so a wrapper set on stepper.advance sees each one.
+    """
     spec, params = config.spec, config.params
+    n_full, tail = _plan_steps(config.t_final, params.tau)
+    for n in range(state.n, n_full + (tail > 0.0)):
+        step_params = params if n < n_full else dataclasses.replace(params, tau=tail)
+        try:
+            state, diag = advance(state, spec, step_params)
+        except SolverError as exc:
+            raise _located(exc, state.n + 1, state.t + step_params.tau) from exc
+        yield state, diag
+
+
+def run(config: RunConfig) -> RunResult:
+    spec = config.spec
     out_dir = Path(config.output_dir) if config.output_dir is not None else None
 
     state = bootstrap(spec)
@@ -215,27 +235,20 @@ def run(config: RunConfig) -> RunResult:
         _write_snapshot(out_dir, state, f, labels)
     del f  # not kept alive through the steps
 
-    n_full, tail = _plan_steps(config.t_final, params.tau)
-    total_steps = n_full + (1 if tail > 0.0 else 0)
-    for k in range(total_steps):
-        step_params = params
-        if k == n_full:  # truncated final step lands exactly on t_final
-            step_params = dataclasses.replace(params, tau=tail)
-        try:
-            state, diag = advance(state, spec, step_params)
-        except SolverError as exc:
-            raise _located(exc, state.n + 1, state.t + step_params.tau) from exc
+    snapped = 0  # the step of the last snapshot written
+    for state, diag in steps(config, state):
         # advance raises on a step that breaks the dissipation bound
         result.energy_trace.append((state.n, state.t, diag.energy,
                                     diag.dissipation_lhs, diag.dissipation_rhs, True))
         result.mass_trace.append((state.n, state.t, diag.mass))
         result.newton_reports.append(diag.report)
         result.min_slopes.append(diag.min_slope)
-        if out_dir is not None:
-            periodic = config.snapshot_every > 0 and state.n % config.snapshot_every == 0
-            if periodic or state.n == total_steps:
-                # before the next advance writes over the density
-                _write_snapshot(out_dir, state, diag.density, labels)
+        if (out_dir is not None and config.snapshot_every > 0
+                and state.n % config.snapshot_every == 0):
+            _write_snapshot(out_dir, state, diag.density, labels)
+            snapped = state.n
+    if out_dir is not None and state.n != snapped:  # no step follows: its density holds
+        _write_snapshot(out_dir, state, diag.density, labels)
 
     result.final_state = dataclasses.replace(state, work=None)  # freed with the run
     if out_dir is not None:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, SolverParams, convergence_study, make_problem,
-                     quadratic_bump)
+from pmetraj import RunConfig, bootstrap, convergence_study, steps
 
 #: The refinement study of the acceptance gate (test_acceptance.py): both
 #: exponents of the published table at t = 0.05 with tau = h and a0 = 1,
@@ -18,24 +17,17 @@ def rng():
     return np.random.default_rng(20260809)
 
 
-@pytest.fixture
-def quad_spec():
-    def factory(M=32, m=2.0):
-        return make_problem(m, Grid(0.0, 1.0, M), quadratic_bump)
-    return factory
-
-
-@pytest.fixture
-def params_for():
-    def factory(grid, **kw):
-        kw.setdefault("tau", grid.h)
-        return SolverParams(**kw)
-    return factory
-
-
 @pytest.fixture(scope="session")
 def studies():
     """The acceptance study, run once per session for every test that reads
     its runs."""
     return {m: convergence_study(m, H_LIST, REFERENCE_M, T_EVAL, "paper-quadratic")
             for m in STUDY_M}
+
+
+def state_after(spec, params, n):
+    """The state n steps of tau after the bootstrap, read from the stream."""
+    state = bootstrap(spec)
+    for state, _ in steps(RunConfig(spec=spec, params=params, t_final=n * params.tau), state):
+        pass
+    return state

@@ -15,7 +15,7 @@ from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
 from pmetraj import checks
 from pmetraj.stepper import ENERGY_SLACK
 
-from conftest import REFERENCE_M, T_EVAL
+from conftest import REFERENCE_M, T_EVAL, state_after
 from reference_states import random_setup
 
 TABLE = {
@@ -144,9 +144,7 @@ def test_criterion_5_constant_state_stationary():
     g = Grid(0.0, 1.0, 64)
     spec = make_problem(2.0, g, initial_data_from_key("constant:1"))
     params = SolverParams(tau=0.01)
-    state = bootstrap(spec)
-    for _ in range(100):
-        state, _ = advance(state, spec, params)
+    state = state_after(spec, params, 100)
     drift = float(np.max(np.abs(state.x_curr - g.nodes())))
     f = recover_density(state.x_curr, spec)
     f_gap = float(np.max(np.abs(f - 1.0)))

@@ -134,9 +134,7 @@ def test_tracer_sees_every_file_a_run_writes(perfbench_path, tmp_path, snapshot_
     """Snapshots, energy.csv and mass.csv all go through the writer that
     the tracer wraps: one csvio span per file, and csvio.bytes the files'
     total size.  A run without an output directory writes and records
-    nothing.  Each of the two runs' 8 steps is one stepper.advance span
-    directly under its stepper.run span, so the run looks advance up by
-    name at every step."""
+    nothing.  Each of a run's 8 steps is one stepper.advance span under it."""
     import tracing
     g = Grid(0.0, 1.0, 20)
     spec = make_problem(2.0, g, quadratic_bump)

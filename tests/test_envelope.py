@@ -9,11 +9,12 @@ step functional F on every iteration it runs.
 import numpy as np
 import pytest
 
-from pmetraj import (LAMBDA_STAR, Grid, RunConfig, SolverParams, advance,
-                     bootstrap, build_coefficients, eval_F,
-                     initial_data_from_key, make_problem, newton_step,
-                     residual, run)
+from pmetraj import (LAMBDA_STAR, Grid, RunConfig, SolverParams,
+                     build_coefficients, eval_F, initial_data_from_key,
+                     make_problem, newton_step, residual, run)
 from pmetraj import _kernels, newton
+
+from conftest import state_after
 
 MAX_ITERS_PER_STEP = 20
 M_SMALL = 400
@@ -65,9 +66,7 @@ def test_newton_solution_minimises_F(damped_start):
     # F falls from the base through the midpoint to Newton's answer
     spec = _spec(M_SMALL, 2.0, "poly:1e-3,0,1")
     params = SolverParams(tau=10 * spec.grid.h)
-    state = bootstrap(spec)
-    if not damped_start:
-        state = advance(state, spec, params)[0]
+    state = state_after(spec, params, 0 if damped_start else 1)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=damped_start)
     x_new, _ = newton_step(state, coeffs, spec, params)
@@ -83,9 +82,7 @@ def test_far_phase_decreases_F_near_vacuum(monkeypatch, step):
     # current iterate
     spec = _spec(M_SMALL, 2.0, "poly:1e-4,0,1")
     params = SolverParams(tau=100 * spec.grid.h)
-    state = bootstrap(spec)
-    for _ in range(step - 1):
-        state = advance(state, spec, params)[0]
+    state = state_after(spec, params, step - 1)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=step == 1)
     iterates = []
@@ -139,9 +136,7 @@ def _record_far_phase(monkeypatch, spec, params, steps):
     monkeypatch.setattr(newton, "newton_decrement_lambda", deciding)
     monkeypatch.setattr(newton, "_guarded_update", trying)
     monkeypatch.setattr(_kernels, "step_functional", evaluating)
-    state = bootstrap(spec)
-    for _ in range(steps):
-        state = advance(state, spec, params)[0]
+    state_after(spec, params, steps)
     return events
 
 

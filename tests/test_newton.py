@@ -14,6 +14,8 @@ from pmetraj import (Grid, LAMBDA_STAR, NonconvergenceError,
 from pmetraj import _kernels
 from pmetraj.newton import MIN_OMEGA, TOL_LAMBDA, _guarded_update
 
+from conftest import state_after
+
 
 # ---------------------------------------------------------------------------
 # Tridiagonal solver
@@ -358,9 +360,7 @@ def test_newton_quadratic_start_is_used_after_a_near_phase_step():
     g = Grid(0.0, 1.0, 100)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
-    state = bootstrap(spec)
-    for _ in range(6):  # steps 1-4 begin in the far phase at this M
-        state = advance(state, spec, params)[0]
+    state = state_after(spec, params, 6)  # steps 1-4 begin in the far phase at this M
     assert state.x_prev2 is not None
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_quad, quad = newton_step(state, coeffs, spec, params)
@@ -412,9 +412,7 @@ def test_newton_assembles_once_per_iteration(monkeypatch, damped_start):
     g = Grid(0.0, 1.0, 400)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
-    state = bootstrap(spec)
-    if not damped_start:
-        state = advance(state, spec, params)[0]
+    state = state_after(spec, params, 0 if damped_start else 1)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
                                 damped_start=damped_start)
     calls = {"residual_hessian": 0, "residual_interior": 0, "hessian_tridiag": 0}

@@ -129,9 +129,8 @@ THOMAS_SIZES = (*range(1, 401), 511, 1023, 1024, 1025, 2047, 4224, 8191, 9599,
 THOMAS_SOLUTIONS = "02b23f0645ffdefd9f33a13bf866d8b5d1c766dfa69887bb6f38780f493d0a6a"
 
 #: (data key, M, m, tau in units of h, steps): (sha256 of the final x_curr,
-#: Newton iterations in all).  The near-vacuum corners of the envelope at
-#: M = 400, then the far-phase path (every step begins in the far phase)
-#: and the quadratic bump at M = 2e4.
+#: Newton iterations in all) of the near-vacuum corners at M = 400, then of
+#: a run whose every step begins in the far phase and the bump at M = 2e4.
 NEAR_VACUUM = {
     ("poly:1e-4,0,1", 400, 1.05, 1, 10):
         ("fd9165c272223733333131360b387533cd0f741778a5418d3633f9f1d0d46fb6", 69),

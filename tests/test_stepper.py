@@ -9,9 +9,11 @@ from pmetraj import (LAMBDA_STAR, DegenerateMeshError, Grid, NonconvergenceError
                      SolverParams, _kernels, advance, bootstrap, build_coefficients,
                      compute_s_h, d_forward, d_wide, discrete_energy, discrete_mass,
                      functional, initial_data_from_key, make_problem, newton_step,
-                     quadratic_bump, recover_density, restart, run, stepper)
+                     quadratic_bump, recover_density, restart, run, stepper, steps)
 from pmetraj.checks import random_admissible
 from pmetraj.errors import EnergyViolationError
+
+from conftest import state_after
 
 
 def _quad_setup(M=200, m=2.0, **kw):
@@ -37,9 +39,7 @@ def test_advance_constant_density_stationary():
     g = Grid(0.0, 1.0, 64)
     spec = make_problem(2.0, g, initial_data_from_key("constant:1"))
     params = SolverParams(tau=0.01)
-    state = bootstrap(spec)
-    for _ in range(3):
-        state, diag = advance(state, spec, params)
+    for state, _ in steps(RunConfig(spec=spec, params=params, t_final=0.03), bootstrap(spec)):
         np.testing.assert_array_equal(state.x_curr, g.nodes())
     assert state.n == 3
     assert state.t == pytest.approx(0.03)
@@ -47,9 +47,8 @@ def test_advance_constant_density_stationary():
 
 def test_advance_enforces_dissipation_bound():
     g, spec, params = _quad_setup(M=200)
-    state = bootstrap(spec)
-    for _ in range(10):
-        state, diag = advance(state, spec, params)
+    config = RunConfig(spec=spec, params=params, t_final=10 * params.tau)
+    for _, diag in steps(config, bootstrap(spec)):
         assert diag.dissipation_lhs <= diag.dissipation_rhs + 1e-10
         assert diag.dissipation_rhs <= 0.0
         assert diag.min_slope > 0.0
@@ -75,12 +74,12 @@ def test_advance_chooses_the_opening_flux_once(monkeypatch):
 
     monkeypatch.setattr(functional, "build_coefficients", building)
     monkeypatch.setattr(_kernels, "residual_hessian", assembling)
-    state = bootstrap(spec)
-    for n in range(3):
-        first = len(assembled)
-        state, diag = advance(state, spec, params)
+    config = RunConfig(spec=spec, params=params, t_final=3 * params.tau)
+    first = 0
+    for n, (_, diag) in enumerate(steps(config, bootstrap(spec))):
         assert built[n] is (n == 0)
         assert assembled[first:] == [n == 0] * diag.report.iterations
+        first = len(assembled)
     assert built == [True, False, False]
     assert all(type(flag) is bool for flag in assembled)
 
@@ -106,13 +105,15 @@ def test_run_expected_step_count_and_energy_monotone():
     assert result.final_state.t == pytest.approx(0.05)
 
 
-def test_run_error_names_step_and_time():
+@pytest.mark.parametrize("drive", [run, lambda config: list(steps(config, bootstrap(config.spec)))],
+                         ids=["run", "steps"])
+def test_run_error_names_step_and_time(drive):
     # near-vacuum data needs far more than two Newton iterations per step
     g = Grid(0.0, 1.0, 40)
     spec = make_problem(2.0, g, initial_data_from_key("poly:1e-4,0,1"))
     params = SolverParams(tau=0.005, newton_max_iter=2)
     with pytest.raises(NonconvergenceError) as err:
-        run(RunConfig(spec=spec, params=params, t_final=0.05))
+        drive(RunConfig(spec=spec, params=params, t_final=0.05))
     assert str(err.value).startswith("step 1 (t = 0.005): ")
     assert isinstance(err.value.__cause__, NonconvergenceError)
     report = err.value.report
@@ -174,23 +175,16 @@ def test_snapshot_cadence(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_snapshot_bytes_are_the_value_by_value_rendering(tmp_path, monkeypatch):
+def test_snapshot_bytes_are_the_value_by_value_rendering(tmp_path):
     """Every snap_<n>.csv, the truncated last step's too, is str(i) and
     17 significant digits of X, x and f, row by row: the columns i and X,
     formatted once per run, are the same bytes in every snapshot."""
     g, spec, params = _quad_setup(M=40)
-    states = {}
-    original = stepper.advance
-
-    def recording(*args):
-        new_state, diag = original(*args)
-        states[new_state.n] = new_state
-        return new_state, diag
-
-    monkeypatch.setattr(stepper, "advance", recording)
-    run(RunConfig(spec=spec, params=params, t_final=7.5 * params.tau,
-                  snapshot_every=3, output_dir=tmp_path))
-    states[0] = bootstrap(spec)
+    config = RunConfig(spec=spec, params=params, t_final=7.5 * params.tau,
+                       snapshot_every=3, output_dir=tmp_path)
+    run(config)
+    states = {0: bootstrap(spec)}
+    states.update((state.n, state) for state, _ in steps(config, states[0]))
     assert sorted(p.name for p in tmp_path.glob("snap_*.csv")) == [
         "snap_0.csv", "snap_3.csv", "snap_6.csv", "snap_8.csv"]
     for n in (0, 3, 6, 8):
@@ -260,12 +254,11 @@ def test_csv_roundtrip_restart_is_bitwise(tmp_path):
     and the slopes from the trajectories it read, so the carried ones must
     be the same bits."""
     g, spec, params = _quad_setup(M=400)
+    config = RunConfig(spec=spec, params=params, t_final=4 * params.tau,
+                       snapshot_every=1, output_dir=tmp_path)
+    run(config)
     states = [bootstrap(spec)]
-    for _ in range(4):
-        states.append(advance(states[-1], spec, params)[0])
-
-    run(RunConfig(spec=spec, params=params, t_final=3 * params.tau,
-                  snapshot_every=1, output_dir=tmp_path))
+    states += [state for state, _ in steps(config, states[0])]
     x_read = [states[0].x_curr.copy()]
     for n in (1, 2, 3):
         with open(tmp_path / f"snap_{n}.csv") as fh:
@@ -299,9 +292,7 @@ def test_advance_across_exponents(m):
     g = Grid(0.0, 1.0, 100)
     spec = make_problem(m, g, quadratic_bump)
     params = SolverParams(tau=g.h)
-    state = bootstrap(spec)
-    for _ in range(5):
-        state, diag = advance(state, spec, params)
+    for _, diag in steps(RunConfig(spec=spec, params=params, t_final=5 * g.h), bootstrap(spec)):
         assert diag.report.converged
         assert diag.min_slope > 0.0
         assert diag.dissipation_lhs <= diag.dissipation_rhs + 1e-10
@@ -356,10 +347,9 @@ def test_far_phase_step_hands_on_a_linear_start():
     g = Grid(0.0, 1.0, 400)
     spec = make_problem(8.0, g, initial_data_from_key("poly:1e-3,0,1"))
     params = SolverParams(tau=10 * g.h)
-    state = bootstrap(spec)
+    config = RunConfig(spec=spec, params=params, t_final=10 * params.tau)
     far = prev_far = 0
-    for _ in range(10):
-        state, diag = advance(state, spec, params)
+    for _, diag in steps(config, bootstrap(spec)):
         if prev_far:
             assert diag.report.start == "linear"
         prev_far = diag.report.lambda_history[0] >= LAMBDA_STAR
@@ -380,30 +370,35 @@ def test_truncated_final_step_after_quadratic_starts():
     assert result.final_state.t == pytest.approx(t_final, abs=1e-14)
 
 
-def test_carried_slopes_give_the_bits_of_fresh_ones():
+@pytest.mark.parametrize("m, key, k", [(5.0 / 3.0, "paper-quadratic", 1),
+                                       (8.0, "poly:1e-4,0,1", 10), (1.05, "poly:1e-4,0,1", 100)],
+                         ids=["bump", "far-phase", "near-vacuum"])
+def test_carried_slopes_give_the_bits_of_fresh_ones(m, key, k):
     """The energy and the cell and wide slopes a step carries are the bits
-    a restart computes from the trajectories, and advance from the
-    restarted state follows the carried run bitwise, step after step."""
-    g, spec, params = _quad_setup(M=400, m=5.0 / 3.0)
-    carried = bootstrap(spec)
-    for _ in range(3):
-        carried, _ = advance(carried, spec, params)
+    a restart computes from the trajectories, and the restarted state's
+    stream follows the carried one bitwise, truncated last step included."""
+    spec = make_problem(m, Grid(0.0, 1.0, 400), initial_data_from_key(key))
+    params = SolverParams(tau=k * spec.grid.h)
+    carried = state_after(spec, params, 3)
     restarted = restart(spec, carried.n, carried.t, carried.x_curr, carried.x_prev,
                         carried.x_prev2)
     for name in ("slope_curr", "wide_curr", "wide_prev"):
         np.testing.assert_array_equal(getattr(restarted, name), getattr(carried, name))
     assert restarted.e_curr == carried.e_curr
 
-    for _ in range(4):
-        wide_curr = carried.wide_curr.copy()
-        carried, diag_c = advance(carried, spec, params)
-        restarted, diag_r = advance(restarted, spec, params)
+    config = RunConfig(spec=spec, params=params, t_final=7.5 * params.tau)
+    wide_curr = carried.wide_curr.copy()
+    for (carried, diag_c), (restarted, diag_r) in zip(steps(config, carried),
+                                                      steps(config, restarted)):
+        assert (restarted.n, restarted.t) == (carried.n, carried.t)
         np.testing.assert_array_equal(restarted.x_curr, carried.x_curr)
         np.testing.assert_array_equal(restarted.wide_curr, carried.wide_curr)
         assert (restarted.e_curr, diag_r.dissipation_rhs, diag_r.mass) == \
             (carried.e_curr, diag_c.dissipation_rhs, diag_c.mass)
         # the carried wide slopes are handed on, never written to
         np.testing.assert_array_equal(carried.wide_prev, wide_curr)
+        wide_curr = carried.wide_curr.copy()
+    assert carried.n == 8  # 7 full steps, then the truncated one
 
 
 def test_restart_fields_are_fresh_slopes_and_energy(rng):

@@ -12,9 +12,11 @@ import pytest
 from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SchemeCoefficients, SolverParams,
                      advance, bootstrap, build_coefficients, hessian_coefficients,
                      initial_data_from_key, make_problem, newton_step,
-                     quadratic_bump, recover_density, residual, run, solve_tridiagonal)
+                     quadratic_bump, recover_density, residual, run, solve_tridiagonal, steps)
 from pmetraj import _kernels, checks
 from pmetraj._kernels import SCALAR_BASE, Workspace
+
+from conftest import state_after
 
 # Both sides of the scalar base, and systems the reduction leaves unpadded
 # (65) or pads with unit rows (66 -> 67, 148 and 149 -> 151, 1024 and
@@ -228,9 +230,9 @@ def test_states_kept_from_a_run_stay_unchanged(key, m):
     spec = make_problem(m, Grid(0.0, 1.0, 101), initial_data_from_key(key))
     params = SolverParams(tau=10.0 * spec.grid.h)
     names = ("x_curr", "x_prev", "x_prev2", "slope_curr", "wide_curr", "wide_prev")
-    state, kept, far = bootstrap(spec), [], 0
-    for _ in range(6):
-        state, diag = advance(state, spec, params)
+    config = RunConfig(spec=spec, params=params, t_final=6 * params.tau)
+    kept, far = [], 0
+    for state, diag in steps(config, bootstrap(spec)):
         far += sum(lam >= LAMBDA_STAR for lam in diag.report.lambda_history)
         fields = [getattr(state, name) for name in names]
         kept.append((fields, [None if f is None else f.copy() for f in fields]))
@@ -244,15 +246,12 @@ def test_states_kept_from_a_run_stay_unchanged(key, m):
 
 def test_run_shares_one_workspace_and_frees_it():
     spec, params = _quad()
-    seen = []
-    result = run(RunConfig(spec=spec, params=params, t_final=3 * params.tau))
-    state = bootstrap(spec)
-    for _ in range(3):
-        state = advance(state, spec, params)[0]
-        seen.append(state.work)
-    assert all(w is seen[0] for w in seen) and seen[0] is not None
+    config = RunConfig(spec=spec, params=params, t_final=3 * params.tau)
+    result = run(config)
+    states = [state for state, _ in steps(config, bootstrap(spec))]
+    assert all(s.work is states[0].work for s in states) and states[0].work is not None
     assert result.final_state.work is None
-    np.testing.assert_array_equal(result.final_state.x_curr, state.x_curr)
+    np.testing.assert_array_equal(result.final_state.x_curr, states[-1].x_curr)
 
 
 @pytest.mark.parametrize("key, m", [("paper-quadratic", 2.0), ("poly:1e-3,0,1", 8.0)])
@@ -263,9 +262,7 @@ def test_a_state_without_a_workspace_steps_as_the_carried_state(key, m):
     spec = make_problem(m, Grid(0.0, 1.0, 101), initial_data_from_key(key))
     params = SolverParams(tau=10.0 * spec.grid.h)
     bare = run(RunConfig(spec=spec, params=params, t_final=3 * params.tau)).final_state
-    carried = bootstrap(spec)
-    for _ in range(3):
-        carried = advance(carried, spec, params)[0]
+    carried = state_after(spec, params, 3)
     assert bare.work is None and carried.work is not None
     got, got_diag = advance(bare, spec, params)
     want, want_diag = advance(carried, spec, params)
@@ -295,9 +292,7 @@ def test_warm_newton_step_allocates_at_most_three_node_fields():
     # before the workspace)
     M = 4096
     spec, params = _quad(M)
-    state = bootstrap(spec)
-    for _ in range(3):
-        state = advance(state, spec, params)[0]
+    state = state_after(spec, params, 3)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     newton_step(state, coeffs, spec, params)
     tracemalloc.start()
