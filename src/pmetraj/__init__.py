@@ -10,9 +10,9 @@ dissipated unconditionally.
 
 from ._kernels import backend_name
 from .analysis import (ConvergenceReport, ErrorRecord, StudyResult,
-                       convergence_study, density_error_norms,
-                       observed_orders, refinement_study,
-                       trajectory_error_norms)
+                       convergence_studies, convergence_study,
+                       density_error_norms, observed_orders,
+                       refinement_study, run_many, trajectory_error_norms)
 from .errors import (CoefficientOverflowError, ConfigurationError,
                      DataScaleError, DegenerateMeshError, EnergyViolationError,
                      NonconvergenceError, SingularSystemError, SolverError,

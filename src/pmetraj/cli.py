@@ -115,11 +115,13 @@ def cmd_convergence(args) -> int:
                 cfg.fail("problem", "m", f"m={m} writes convergence_{tags[i]}.* a second time")
         params = _build_params(cfg, tau=1.0)
 
-        for m, tag in zip(m_values, tags):
-            study = analysis.convergence_study(
-                m, h_list, reference_M, t_eval, initial_key,
-                domain=domain, params_base=params,
-            )
+        # every run of every study is made here; a study whose run failed
+        # raises when reached, after the studies before it have written
+        studies = analysis.convergence_studies(
+            m_values, h_list, reference_M, t_eval, initial_key,
+            domain=domain, params_base=params,
+        )
+        for tag, study in zip(tags, studies):
             write_csv_atomic(out_dir / f"convergence_{tag}.csv", analysis.CSV_HEADER,
                              tuple(zip(*analysis.report_rows(study.report))))
             table = analysis.format_table(study.report)

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from pmetraj import RunConfig, bootstrap, convergence_study, steps
+from pmetraj import RunConfig, bootstrap, convergence_studies, steps
 
 #: The refinement study of the acceptance gate (test_acceptance.py): both
 #: exponents of the published table at t = 0.05 with tau = h and a0 = 1,
@@ -20,9 +22,25 @@ def rng():
 @pytest.fixture(scope="session")
 def studies():
     """The acceptance study, run once per session for every test that reads
-    its runs."""
-    return {m: convergence_study(m, H_LIST, REFERENCE_M, T_EVAL, "paper-quadratic")
-            for m in STUDY_M}
+    its runs; the runs of both studies are mapped in one call."""
+    return dict(zip(STUDY_M, convergence_studies(STUDY_M, H_LIST, REFERENCE_M, T_EVAL,
+                                                 "paper-quadratic")))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child forked in this process while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
 
 
 def state_after(spec, params, n):

@@ -1,11 +1,14 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-The published refinement table (errors and observed orders for m = 5/3 and
-m = 2 at t = 0.05, tau = h) is the external yardstick: every order must match
-within +/-0.20 and every error within a factor of two.  The reference runs at
+The published refinement table (analysis.PUBLISHED_TABLE: errors and observed
+orders for m = 5/3 and m = 2 at t = 0.05, tau = h) is the external
+yardstick: every order must match within +/-0.20 and every error within a
+factor of two.  The reference runs at
 the nested resolution M = 9600 (stride 48/24/12/6); its own error sits >=39x
 below the finest coarse error, so the windows are unaffected.
 """
+from pathlib import Path
+
 import numpy as np
 
 from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
@@ -13,41 +16,11 @@ from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
                      make_problem, newton_step, quadratic_bump,
                      recover_density, run)
 from pmetraj import checks
+from pmetraj.analysis import PUBLISHED_TABLE
 from pmetraj.stepper import ENERGY_SLACK
 
 from conftest import REFERENCE_M, T_EVAL, state_after
 from reference_states import random_setup
-
-TABLE = {
-    5.0 / 3.0: {
-        "errors": {
-            "f_l2": [1.506e-4, 3.620e-5, 8.495e-6, 1.887e-6],
-            "f_inf": [3.277e-4, 8.421e-5, 2.033e-5, 4.695e-6],
-            "x_l2": [7.593e-5, 1.871e-5, 4.464e-6, 1.000e-6],
-            "x_inf": [7.844e-5, 1.934e-5, 4.617e-6, 1.036e-6],
-        },
-        "orders": {
-            "f_l2": [2.056, 2.092, 2.170],
-            "f_inf": [1.960, 2.050, 2.114],
-            "x_l2": [2.021, 2.067, 2.158],
-            "x_inf": [2.020, 2.066, 2.156],
-        },
-    },
-    2.0: {
-        "errors": {
-            "f_l2": [1.502e-4, 3.599e-5, 8.431e-6, 1.853e-6],
-            "f_inf": [3.279e-4, 8.370e-5, 2.005e-5, 4.563e-6],
-            "x_l2": [7.642e-5, 1.873e-5, 4.458e-6, 9.871e-7],
-            "x_inf": [7.902e-5, 1.938e-5, 4.615e-6, 1.024e-6],
-        },
-        "orders": {
-            "f_l2": [2.061, 2.094, 2.186],
-            "f_inf": [1.970, 2.061, 2.136],
-            "x_l2": [2.028, 2.071, 2.175],
-            "x_inf": [2.028, 2.070, 2.172],
-        },
-    },
-}
 
 ORDER_WINDOW = 0.20
 ERROR_FACTOR = 2.0
@@ -69,7 +42,7 @@ def _all_runs(studies):
 def test_criterion_1_refinement_table(studies):
     worst_err, worst_ord = 1.0, 0.0
     ok = True
-    for m, data in TABLE.items():
+    for m, data in PUBLISHED_TABLE.items():
         report = studies[m].report
         for key, targets in data["errors"].items():
             for rec, target in zip(report.records, targets):
@@ -83,6 +56,13 @@ def test_criterion_1_refinement_table(studies):
     _verdict("criterion 1: refinement table reproduced "
              f"(m in {{5/3, 2}}, h in 1/200..1/1600, reference 1/{REFERENCE_M})",
              ok, f"worst error factor {worst_err:.3f}, worst order gap {worst_ord:.3f}")
+
+
+def test_the_benchmark_checks_against_the_published_m2_row(monkeypatch):
+    # perfbench keeps its own copy of the row (workloads.TABLE_M2)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    assert workloads.TABLE_M2 == PUBLISHED_TABLE[2.0]
 
 
 def test_criterion_2_energy_dissipation(studies):

@@ -1,11 +1,15 @@
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
 
-from pmetraj import (ConfigurationError, Grid, analysis, convergence_study,
-                     density_error_norms, observed_orders, quadratic_bump,
-                     refinement_study, trajectory_error_norms)
+from pmetraj import (ConfigurationError, Grid, NonconvergenceError, RunConfig,
+                     SolverParams, analysis, convergence_study,
+                     density_error_norms, make_problem, observed_orders,
+                     quadratic_bump, refinement_study, run, run_many,
+                     trajectory_error_norms)
 from pmetraj.analysis import (CSV_HEADER, ErrorRecord, format_table,
                               report_rows)
 
@@ -193,7 +197,7 @@ def test_refinement_study_in_time_keeps_every_level():
     ([(20, 0.05), (20, 0.05)], (40, 0.025), "repeats"),
     ([(20, 0.05), (40, 0.025)], (40, 0.025), "repeats"),
 ], ids=["not-dividing", "repeated", "the-reference"])
-def test_refinement_study_rejects_bad_levels_before_the_first_run(monkeypatch, levels,
+def test_refinement_study_rejects_bad_levels_before_the_first_run(monkeypatch, forks, levels,
                                                                   reference, reason):
     calls = []
     original = analysis.run
@@ -205,4 +209,172 @@ def test_refinement_study_rejects_bad_levels_before_the_first_run(monkeypatch, l
     monkeypatch.setattr(analysis, "run", counting)
     with pytest.raises(ConfigurationError, match=reason) as info:
         refinement_study(2.0, levels, reference, 0.1, "paper-quadratic")
-    assert info.value.key == "levels" and calls == []
+    assert info.value.key == "levels" and calls == [] and forks == []
+
+
+# ---------------------------------------------------------------------------
+# run_many: independent runs over the available cores
+# ---------------------------------------------------------------------------
+
+#: A study whose levels' M times steps (5000 + 20000) reach
+#: MIN_FORK_CELL_STEPS beside the reference's 80000: run_many forks one
+#: child for the levels where it may fork at all.  Two runs of 20,000
+#: cell-steps each, as below, fork one child for the second.
+FORKED_STUDY = (2.0, [(1000, 1 / 1000), (2000, 1 / 2000)], (4000, 1 / 4000), 0.005,
+                "paper-quadratic")
+
+
+def _forking() -> bool:
+    """Whether run_many forks here for two runs (see its docstring)."""
+    return analysis._worker_count(2) == 2
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _config(M, steps, max_iter=100):
+    """The quadratic bump at m = 2 over `steps` steps of tau = h."""
+    spec = make_problem(2.0, Grid(0.0, 1.0, M), quadratic_bump)
+    return RunConfig(spec=spec, params=SolverParams(tau=1.0 / M, newton_max_iter=max_iter),
+                     t_final=steps / M)
+
+
+def test_forked_study_is_bitwise_the_in_process_one(monkeypatch, forks):
+    forking = _forking()
+    forked = refinement_study(*FORKED_STUDY)
+    assert len(forks) == forking
+    _no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one CPU
+    in_process = refinement_study(*FORKED_STUDY)
+    assert len(forks) == forking  # one CPU forks nothing
+    _no_child_left()
+    assert forked.report == in_process.report
+    # each run's x, traces and Newton reports, bit for bit
+    for key, result in in_process.runs.items():
+        assert pickle.dumps(forked.runs[key]) == pickle.dumps(result)
+
+
+def test_run_many_returns_the_results_in_input_order(forks):
+    sizes = [(1000, 5), (4000, 20), (2000, 10)]  # the largest, run here, second
+    results = run_many([_config(M, steps) for M, steps in sizes])
+    assert len(forks) == _forking()
+    _no_child_left()
+    assert [(r.final_state.x_curr.size - 1, len(r.newton_reports)) for r in results] == sizes
+
+
+def test_a_nested_call_forks_nothing(monkeypatch, forks):
+    # each run notes how many processes a run_many call made inside it may
+    # use: here as many as forking allows, in the forked child one
+    forking, original = _forking(), analysis.run
+
+    def noting(config):
+        result = original(config)
+        result.workers = analysis._worker_count(2)
+        return result
+
+    monkeypatch.setattr(analysis, "run", noting)
+    results = run_many([_config(2000, 10), _config(1000, 20)])
+    assert len(forks) == forking
+    _no_child_left()
+    assert [result.workers for result in results] == [2 if forking else 1, 1]
+
+
+def test_no_fork_without_the_calls_or_where_fork_would_warn(monkeypatch):
+    cores = min(2, len(os.sched_getaffinity(0)))
+    monkeypatch.setattr(analysis, "_FORK_WARNS_WITH_THREADS", True)  # Python >= 3.12
+    monkeypatch.setattr(analysis, "_thread_count", lambda: 2)
+    assert analysis._worker_count(2) == 1
+    monkeypatch.setattr(analysis, "_thread_count", lambda: 1)
+    assert analysis._worker_count(2) == cores
+    monkeypatch.delattr(os, "fork")
+    assert analysis._worker_count(2) == 1
+
+
+def test_a_childs_nonconvergence_reaches_the_caller_unchanged(monkeypatch, forks):
+    configs = [_config(20000, 4), _config(2000, 10, max_iter=1)]
+    with pytest.raises(NonconvergenceError) as expected:
+        run(configs[1])
+    here = []
+    original = analysis.run
+
+    def recording(config):
+        here.append(config)
+        return original(config)
+
+    monkeypatch.setattr(analysis, "run", recording)
+    with pytest.raises(NonconvergenceError) as got:
+        run_many(configs)
+    assert len(forks) == _forking()
+    _no_child_left()
+    # this process made only the larger run where a child made the other
+    assert here == configs[:1] if _forking() else here == configs
+    assert str(got.value) == str(expected.value)
+    assert pickle.dumps(got.value.report) == pickle.dumps(expected.value.report)
+
+
+def test_the_first_failure_in_input_order_is_raised(monkeypatch, forks):
+    configs = [_config(2000, 10, max_iter=1), _config(4000, 20, max_iter=1)]
+    for order in (configs, configs[::-1]):  # the first made by a child, then here
+        with pytest.raises(NonconvergenceError) as expected:
+            run(order[0])
+        with pytest.raises(NonconvergenceError) as got:
+            run_many(order)
+        _no_child_left()
+        assert str(got.value) == str(expected.value)
+        assert pickle.dumps(got.value.report) == pickle.dumps(expected.value.report)
+    assert len(forks) == 2 * _forking()
+    # in one process, no run is made after the first that fails
+    made, original = [], analysis.run
+
+    def recording(config):
+        made.append(config)
+        return original(config)
+
+    monkeypatch.setattr(analysis, "run", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(NonconvergenceError):
+        run_many(configs)
+    assert made == configs[:1]
+
+
+def test_a_child_that_dies_without_its_results_has_its_runs_made_here(monkeypatch, forks):
+    configs = [_config(2000, 10), _config(1000, 20)]
+    expected = [pickle.dumps(run(config)) for config in configs]
+
+    def dying(*args, **kwargs):
+        os._exit(1)
+
+    monkeypatch.setattr(pickle, "dump", dying)  # the child exits before it writes
+    results = run_many(configs)
+    assert len(forks) == _forking()
+    _no_child_left()
+    assert [pickle.dumps(result) for result in results] == expected
+
+
+def test_runs_are_made_here_when_fork_fails(monkeypatch):
+    configs = [_config(2000, 10), _config(1000, 20)]
+    expected = [pickle.dumps(run(config)) for config in configs]
+
+    def failing():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing)
+    assert [pickle.dumps(result) for result in run_many(configs)] == expected
+
+
+def test_an_interrupt_here_leaves_no_child(monkeypatch, forks):
+    parent, original = os.getpid(), analysis.run
+
+    def interrupted(config):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return original(config)
+
+    monkeypatch.setattr(analysis, "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_many([_config(2000, 10), _config(1000, 20)])
+    assert len(forks) == _forking()
+    _no_child_left()
+

@@ -508,13 +508,14 @@ def test_convergence_bytes_are_the_value_by_value_rendering(tmp_path, monkeypatc
     every float of the study's report and "" where it has no order, row by
     row: the order columns mix "" and floats."""
     studies = []
-    original = analysis.convergence_study
+    original = analysis.convergence_studies
 
     def recording(*args, **kwargs):
-        studies.append(original(*args, **kwargs))
-        return studies[-1]
+        for study in original(*args, **kwargs):
+            studies.append(study)
+            yield study
 
-    monkeypatch.setattr(analysis, "convergence_study", recording)
+    monkeypatch.setattr(analysis, "convergence_studies", recording)
     out = tmp_path / "study"
     assert cli.main(["convergence", "--config", _write(tmp_path, STUDY_CONFIG, out=out)]) == 0
     assert len(studies) == 2
@@ -526,6 +527,28 @@ def test_convergence_bytes_are_the_value_by_value_rendering(tmp_path, monkeypatc
             for row in rows]
         target = out / f"convergence_{study.report.m:g}.csv"
         assert target.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_convergence_keeps_the_files_of_the_studies_before_a_failing_one(tmp_path,
+                                                                            capsys):
+    # with 3 Newton iterations the m = 8 study runs and the m = 2 one fails
+    # at its reference's first step; the runs of both are made together,
+    # on two processes where run_many forks, and the m = 8 files are written
+    # before the m = 2 error is reported
+    text = STUDY_CONFIG.replace("m = 5/3, 2", "m = 8, 2").replace(
+        "h_list = 1/10, 1/20", "h_list = 1/100, 1/200").replace(
+        "reference_M = 80", "reference_M = 800").replace(
+        "t_eval = 0.1", "t_eval = 0.05") + "\n[newton]\nmax_iter = 3\n"
+    out = tmp_path / "s"
+    rc = cli.main(["convergence", "--config", _write(tmp_path, text, out=out)])
+    assert rc == 1
+    stdout, err = capsys.readouterr()
+    assert err.count("\n") == 1
+    assert err.startswith("error: step 1 (t = 0.00125): Newton did not converge in 3 ")
+    assert sorted(p.name for p in out.iterdir()) == ["convergence_8.csv",
+                                                      "convergence_8.txt"]
+    assert stdout == (out / "convergence_8.txt").read_text()
 
 
 def test_cmd_convergence_non_nested_reference(tmp_path, capsys):

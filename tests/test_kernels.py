@@ -339,14 +339,17 @@ def test_spence_skips_only_the_branches_no_lane_needs():
 def test_import_pulls_in_numpy_and_stdlib_only():
     """The import footprint keeps start-up time and resident memory small:
     beyond the standard library, pmetraj imports numpy and nothing else (no
-    compiled-kernel or LAPACK wrapper packages)."""
+    compiled-kernel or LAPACK wrapper packages), and none of the standard
+    library's process pools: run_many forks with os and pickle alone."""
     code = ("import sys; before = set(sys.modules); import pmetraj; "
             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(sorted(m for m in new - set(sys.stdlib_module_names) "
             "if not m.startswith('_'))); "
-            "print(pmetraj.backend_name())")
+            "print(pmetraj.backend_name()); "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'multiprocessing', 'concurrent'}))")
     src = os.path.dirname(os.path.dirname(pmetraj.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["['numpy', 'pmetraj']", "numpy"]
+    assert out.stdout.splitlines() == ["['numpy', 'pmetraj']", "numpy", "[]"]
