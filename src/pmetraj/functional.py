@@ -104,7 +104,7 @@ def mass_coefficient(s_h: np.ndarray, spec: ProblemSpec, tau: float) -> np.ndarr
     raises CoefficientOverflowError naming m or tau, of the first such row
     of a stack."""
     s_h = np.asarray(s_h, dtype=float)
-    if np.min(s_h) <= 0.0:
+    if s_h.min() <= 0.0:
         raise ValueError("S_h must be positive (the tau^2 guard should ensure this)")
     m = spec.m
     with np.errstate(over="ignore", invalid="ignore"):
@@ -138,7 +138,7 @@ def _secant(y, y0):
     positive slopes; floats for two scalars."""
     scalar = np.isscalar(y) and np.isscalar(y0)
     y, y0 = np.asarray(y, dtype=float), np.asarray(y0, dtype=float)
-    if np.any(y <= 0.0) or np.any(y0 <= 0.0):
+    if (y <= 0.0).any() or (y0 <= 0.0).any():
         raise DegenerateMeshError("secant ratio requires positive slopes")
     r, w = _kernels._secant_terms(y, y0, y - y0)
     return (float(r), float(w)) if scalar else (r, w)
@@ -261,9 +261,8 @@ def q1_oracle(x, x0):
     W(y, y0) = -q1'(y).  Scalars in, floats out; arrays broadcast, and each
     lane takes the series or the closed form as its own scalar call would.
     """
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if not (np.all(x > 0.0) and np.all(x0 > 0.0)):
+    x, x0 = np.asarray(x, dtype=float), np.asarray(x0, dtype=float)
+    if not ((x > 0.0).all() and (x0 > 0.0).all()):
         raise ValueError("q1 needs positive arguments")
     u = (x - x0) / x0
     near = np.abs(u) < 5e-3

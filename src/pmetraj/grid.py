@@ -97,7 +97,7 @@ def d_centered_to_nodes(phi: np.ndarray, grid: Grid) -> np.ndarray:
     """
     phi = _require_cell_field(phi, grid)
     out = np.zeros(grid.M + 1)
-    out[1:-1] = np.diff(phi) / grid.h
+    out[1:-1] = np.subtract(phi[1:], phi[:-1]) / grid.h
     return out
 
 

@@ -229,7 +229,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     def finish(stop):  # the residual norm at the last assembled point
         report.stop = stop
         # diag is free once the step is solved
-        report.final_residual_norm = float(np.max(np.abs(gi, out=work.diag)))
+        report.final_residual_norm = float(np.abs(gi, out=work.diag).max())
 
     def failure(stop, message):
         finish(stop)

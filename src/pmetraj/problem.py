@@ -198,7 +198,7 @@ def min_cell_slope(slope: np.ndarray, message: str = _ENERGY_SLOPE) -> float:
     """The least cell slope D_h x, which must be positive: one min
     reduction, and only when it fails a scan for the first cell that is not
     positive (or nan), named in the DegenerateMeshError."""
-    least = float(np.min(slope))
+    least = float(slope.min())
     if not least > 0.0:
         i = int(np.flatnonzero(~(slope > 0.0))[0])
         raise DegenerateMeshError(message.format(i, i + 1))
@@ -266,4 +266,4 @@ def discrete_mass(x: np.ndarray, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if x.shape != f.shape:
         raise ValueError("trajectory and density must have equal length")
-    return float(np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(x)))
+    return float(np.add.reduce(0.5 * (f[:-1] + f[1:]) * np.subtract(x[1:], x[:-1])))

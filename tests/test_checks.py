@@ -477,3 +477,23 @@ def test_identity_check_equals_reference_loop(monkeypatch, check, loop, operator
         assert result == loop(reference, 40)
         assert result.ok != broken
         assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("check, operator, factor, detail", [
+    (checks.check_summation_by_parts, "d_centered_to_nodes", 1.01,
+     "mismatch 2.740e+02 at M=110"),
+    # a d_wide doubled, as if its interior divided by h, not 2h (the sweep
+    # reads the interior only)
+    (checks.check_wide_slope_norm, "d_wide", 2.0,
+     "||wide||=113.2543549459358 > ||forward||=111.39061908040321 at M=70"),
+], ids=["summation_by_parts", "wide_slope_norm"])
+def test_identity_sweep_audits_the_library_operator(monkeypatch, check, operator, factor,
+                                                    detail):
+    """Each identity sweep calls the library's own operator on every draw,
+    with its default trials: a slightly wrong operator makes it fail, so a
+    sweep that inlined the operator would not pass here."""
+    assert check(np.random.default_rng(0)).ok
+    original = getattr(checks, operator)
+    monkeypatch.setattr(checks, operator, lambda v, grid: factor * original(v, grid))
+    result = check(np.random.default_rng(0))
+    assert not result.ok and result.detail == detail

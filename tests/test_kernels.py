@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import pmetraj
-from pmetraj import (Grid, SchemeCoefficients, SingularSystemError, SolverParams, bootstrap,
-                     build_coefficients, hessian_coefficients, make_problem,
+from pmetraj import (Grid, RunConfig, SchemeCoefficients, SingularSystemError, SolverParams,
+                     bootstrap, build_coefficients, hessian_coefficients, make_problem,
                      quadratic_bump, residual, solve_tridiagonal)
-from pmetraj import _kernels
+from pmetraj import _kernels, checks, stepper
 from pmetraj._kernels import EPS_SWITCH, SCALAR_BASE
 
 # Both sides of the scalar base: systems the scalar elimination solves
@@ -353,3 +353,26 @@ def test_import_pulls_in_numpy_and_stdlib_only():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["['numpy', 'pmetraj']", "numpy", "[]"]
+
+
+def test_hot_paths_reduce_with_ufuncs_not_numpy_wrappers(monkeypatch):
+    """The check sweeps and a run's steps reduce with the ufunc
+    (np.add.reduce, np.maximum.reduce) or the array's own min, max, all or
+    any, and difference with np.subtract, as _kernels._row_sum does: numpy's
+    Python-level wrappers cost two to three times the call on these short fields.
+    Neither the package nor numpy on its behalf calls them here."""
+    calls = set()
+
+    def recorder(name, original):
+        def call(*args, **kwargs):
+            calls.add((name, sys._getframe(1).f_code.co_name))
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("sum", "min", "max", "all", "any", "diff"):
+        monkeypatch.setattr(np, name, recorder(name, getattr(np, name)))
+    checks.run_all(0)
+    spec = make_problem(2.0, Grid(0.0, 1.0, 64), quadratic_bump)
+    result = stepper.run(RunConfig(spec=spec, params=SolverParams(tau=1 / 64), t_final=3 / 64))
+    assert result.final_state.n == 3
+    assert calls == set()

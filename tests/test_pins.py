@@ -3,7 +3,8 @@ results, of every file the committed solve config writes, of the stdout
 and files of the committed refinement study, of tridiagonal solutions over
 the sizes the cyclic reduction pads differently, and of the final
 trajectories and Newton iteration totals of the near-vacuum corners of the
-accepted-input envelope, of a far-phase run and of the quadratic bump.
+accepted-input envelope, of a far-phase run and of the quadratic bump at
+M = 2e4 and 1e5.
 
 A change that must not move the numerics keeps these digests.  A change
 that moves them on purpose re-pins them here and says why in CHANGES.md.
@@ -130,7 +131,8 @@ THOMAS_SOLUTIONS = "02b23f0645ffdefd9f33a13bf866d8b5d1c766dfa69887bb6f38780f493d
 
 #: (data key, M, m, tau in units of h, steps): (sha256 of the final x_curr,
 #: Newton iterations in all) of the near-vacuum corners at M = 400, then of
-#: a run whose every step begins in the far phase and the bump at M = 2e4.
+#: a run whose every step begins in the far phase and the bump at M = 2e4,
+#: then the same two at M = 1e5, the envelope's largest M.
 NEAR_VACUUM = {
     ("poly:1e-4,0,1", 400, 1.05, 1, 10):
         ("fd9165c272223733333131360b387533cd0f741778a5418d3633f9f1d0d46fb6", 69),
@@ -144,6 +146,10 @@ NEAR_VACUUM = {
         ("0c7b47cb9a44722709c4fa9a85d126c029e2868adac4762eff06d7654d71945b", 11),
     ("paper-quadratic", 20_000, 2.0, 1, 3):
         ("4ac3bd0ef341a347209f25fb14a832b776abb9394963e54b45e81ecee9c26cdf", 8),
+    ("poly:1e-4,0,1", 100_000, 8.0, 10, 3):
+        ("afdc2a7caebe465178b43faf4e4ef42d60cd48cef5ceaa79d4f39ef564cd1364", 11),
+    ("paper-quadratic", 100_000, 2.0, 1, 5):
+        ("5092933b507366e9396ed59809d446b1c33134a2716a435a532966d274dcaae1", 12),
 }
 
 
@@ -161,7 +167,8 @@ def test_tridiagonal_solutions_are_pinned():
 
 
 @pytest.mark.parametrize("key, M, m, k, steps", NEAR_VACUUM,
-                         ids=[f"{m}-{k}" for _, _, m, k, _ in NEAR_VACUUM])
+                         ids=[f"{m}-{k}" + (f"-M{M}" if M > 20_000 else "")
+                              for _, M, m, k, _ in NEAR_VACUUM])
 def test_near_vacuum_corners_are_pinned(key, M, m, k, steps):
     spec = make_problem(m, Grid(0.0, 1.0, M), initial_data_from_key(key))
     tau = k / M
