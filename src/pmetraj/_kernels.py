@@ -32,7 +32,7 @@ because every reduced system is a Schur complement of the SPD input and hence
 SPD itself.  Once a level has at most SCALAR_BASE unknowns it is finished by
 a Thomas elimination on Python floats, which checks every pivot.  The
 Workspace pads the system once, with decoupled unit rows, to a length whose
-every level is odd (_padded_length, at most 3% longer), so one code path
+every level is odd (_halvings, at most 3% longer), so one code path
 serves every n.  A real row gets the operations it would get unpadded plus
 subtractions of exact zeros: the same bits, save perhaps the sign of an
 entry of the solution that is exactly zero.
@@ -48,9 +48,8 @@ bitwise those of the expression.  The scratch is four cell fields (the
 assembly forms two of its fields in the buffers of its results diag and
 off, and F's Spence passes take three), or the cyclic reduction's
 buffers where those are larger: at M = 1e5 a workspace holds 8.18 node
-fields, against 9.17 with the five cell fields of scratch it had before.
-A result that is a workspace buffer holds until the next call of its
-kind with the same workspace (the solution, rhs, lies apart from the
+fields.  A result that is a workspace buffer holds until the next call
+of its kind with the same workspace (the solution, rhs, lies apart from the
 assembly's scratch and outlives assemblies and evaluations of F); what a
 caller keeps (newton_step's solution, the residual of residual_interior)
 is a fresh array.  At M = 9600 a cell field is 77 KB, and the temporaries
@@ -58,21 +57,6 @@ each iteration used to free left more than glibc's 128 KB trim threshold
 free at the top of the heap: the memory went back to the system and was
 faulted in again, some 60 minor page faults per near-phase iteration and
 119 per iteration of a far-phase run, under 5 now.
-
-Measured per call as newton_step makes it, median of 30 alternating rounds
-(each the fastest of 3) on a 2-core Xeon with numpy 2.4, before -> after
-the workspace: assembly 49 -> 48 us at M = 400, 524 -> 279 us at M = 9600
-and 6.2 -> 3.4 ms at M = 1e5; solve of H delta = -g (negation included)
-95 -> 75 us at n = 399, 429 -> 341 us at n = 9599 and 4.9 -> 2.5 ms at
-n = 99999.  The host is shared and its speed drifts, so the absolute times
-moved by up to 40% between runs of this comparison; the assembly at
-M = 400 stayed even, and every other median was faster in every run.
-step_functional in the workspace, before -> after, median of 10
-alternating runs (each the fastest of 3): at a far-phase iterate of
-M = 400 to 1e5, m = 8, poly:1e-4,0,1, tau = 10h, where every Spence lane
-is in [1/2, 2], 68 -> 38 us, 963 -> 233 us and 14.2 -> 2.4 ms; on states
-with lanes in all three branches 67 -> 68 us, 922 -> 552 us and
-14.0 -> 5.6 ms.  The assembly beside it takes 45 us, 318 us and 3.8 ms.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed directly and enters log1p(d/y0)/d and the linear terms, so the
@@ -100,27 +84,20 @@ SCALAR_BASE = 64
 EPS_SWITCH = 1e-8
 
 
-def _padded_length(n):
-    """The length the cyclic reduction pads a system of n unknowns to:
-    (q + 1) 2^j - 1, with j the fewest halvings that leave q = n >> j at
-    most SCALAR_BASE.  Every level above the base then has an odd length,
+def _halvings(n):
+    """(p, sizes), the plan of the cyclic reduction of n unknowns: the padded
+    length p = (q + 1) 2^j - 1, with j the fewest halvings that leave
+    q = n >> j at most SCALAR_BASE, and the sizes p >> k of its reduced
+    systems, k = 1..j.  Every level above the base then has an odd length,
     so each kept row has two neighbours, and the base is n >> j long; the
-    padding is under n/32."""
+    padding is under n/32.  The reduced systems hold under p unknowns in
+    all, so with alpha and beta they take under 4p doubles: under 4.125
+    cell fields, 4.125(n + 1) doubles, as p < n + n/32."""
     j = 0
     while n >> j > SCALAR_BASE:
         j += 1
-    return ((n >> j) + 1 << j) - 1
-
-
-def _reduction_doubles(p):
-    """The doubles Workspace.reduction() carves from the cell scratch for a
-    system padded to p unknowns: alpha and beta, then every reduced
-    system."""
-    doubles = p // 2 * 2
-    while p > SCALAR_BASE:
-        p //= 2
-        doubles += 3 * p - 1
-    return doubles
+    p = ((n >> j) + 1 << j) - 1
+    return p, [p >> k for k in range(1, j + 1)]
 
 
 class _Level:
@@ -181,23 +158,26 @@ class Workspace:
     other two fields lie under those results: flux in the buffer whose
     leading doubles diag takes, contiguous like g (g reads flux before
     diag is written), and c in the one whose [..., 1:-1] is off (diag
-    reads c before off is scaled in place).  step_functional writes its temporaries into the four cells
-    and mask.  A 1-D workspace also holds the cyclic reduction of the
-    n = M-1 interior unknowns (thomas_spd): diag, off and rhs, the
-    right-hand side that the solution replaces, are the first n rows of
-    the system padded to _padded_length(n) = p with decoupled unit rows,
-    whose pads are set here, so the buffers of diag and off are max(p, M)
-    wide.  The last cell's flux and c land on the first pad row, and
-    thomas_spd resets that row on every solve.  The reduced systems, made
-    at the first solve (reduction()), are views of the cell scratch, dead
-    while the assembly runs and the other way round; the scratch is four
-    cell fields or the reduction's buffers, whichever is larger (under
-    4.125 cell fields).  rhs lies beside the cells, so the solution holds
-    across the assemblies and evaluations of F that newton_step's far
-    phase makes at its trial points.  newton_step's ordering guard reuses
-    mask.  A copy or an unpickled workspace is a fresh one of the same
-    shape: the buffers hold nothing between calls, and copied views would
-    no longer share their memory.
+    reads c before off is scaled in place).  step_functional writes its
+    temporaries into the four cells and mask.  A 1-D workspace also holds
+    the cyclic reduction of the n = M-1 interior unknowns (thomas_spd):
+    diag, off and rhs, the right-hand side that the solution replaces, are
+    the first n rows of the system padded to p with decoupled unit rows
+    (_halvings(n) plans p and the reduced systems' sizes), whose pads are
+    set here, so the buffers of diag and off are max(p, M) wide.  The last
+    cell's flux and c land on the first pad row, and thomas_spd resets that
+    row on every solve.  The reduction is carved here: levels, one _Level
+    per halving, and base, the (d, e, f) the scalar elimination finishes.
+    Their shared elimination factors alpha and beta, then every reduced
+    system, are views of the cell scratch, dead while the assembly runs and
+    the other way round; the scratch is four cell fields or the
+    reduction's buffers, whichever is larger (under 4.125 cell fields).
+    rhs lies beside the cells, so the solution holds across the
+    assemblies and evaluations of F that newton_step's far phase makes at
+    its trial points.  newton_step's ordering guard reuses mask.  A copy
+    or an unpickled workspace is a fresh one of the same shape: the
+    buffers hold nothing between calls, and copied views would no longer
+    share their memory.
 
     A caller that makes calls of two shapes, states and stacks of their
     probes as the finite-difference oracles do, passes one workspace to
@@ -216,7 +196,8 @@ class Workspace:
         M, n = nodes - 1, nodes - 2
         cells = (*rows, M)
         size = math.prod(cells)
-        padded = n if rows else _padded_length(n)  # a stack is never solved
+        padded, sizes = (0, []) if rows else _halvings(n)  # a stack is never solved
+        half = padded // 2
         width = max(padded, M)
         diag, off = np.ones((*rows, width)), np.zeros((*rows, width))
         self.g = np.empty((*rows, n))
@@ -224,15 +205,22 @@ class Workspace:
         self.diag = diag.reshape(-1)[:self.g.size].reshape(self.g.shape)  # contiguous, like g
         self.off = self.c[..., 1:-1]
         self.mask = np.empty(cells, dtype=bool)
-        scratch = 4 * size if rows else max(4 * size, _reduction_doubles(padded))
-        self._flat = np.empty(scratch + (0 if rows else padded))
-        self.cells = tuple(self._flat[:4 * size].reshape(4, *cells))
-        rhs = self._flat[scratch:]
-        self.rhs = None if rows else rhs[:n]
-        self._rhs_pad = rhs[n:]
-        self._system = (diag[..., :padded], off[..., 1:padded], rhs)
-        self._reduction = None
+        scratch = max(4 * size, 2 * half + sum(3 * k - 1 for k in sizes))
+        self._flat = flat = np.empty(scratch + padded)
+        self.cells = tuple(flat[:4 * size].reshape(4, *cells))
         self._other = None
+        if rows:
+            return
+        rhs = flat[scratch:]
+        self.rhs, self._rhs_pad = rhs[:n], rhs[n:]
+        alpha, beta, start = flat[:half], flat[half:2 * half], 2 * half
+        system, self.levels = (diag[:padded], off[1:padded], rhs), []
+        for k in sizes:
+            d_end, e_end, f_end = start + k, start + 2 * k - 1, start + 3 * k - 1
+            reduced = (flat[start:d_end], flat[d_end:e_end], flat[e_end:f_end])
+            self.levels.append(_Level(*system, alpha, beta, *reduced))
+            system, start = reduced, f_end
+        self.base = system
 
     def for_shape(self, shape):
         """This workspace if shape is its own, else the one of that shape it
@@ -252,29 +240,6 @@ class Workspace:
         its last assembly and solve."""
         nodes = self.shape[-1]
         return self._flat[:nodes], self._flat[nodes:2 * nodes - 1]
-
-    def reduction(self):
-        """(levels, base): one _Level per halving of the padded system, and
-        the (d, e, f) the scalar elimination finishes.  The levels' shared
-        elimination factors alpha and beta, then every reduced system, are
-        carved from the cell scratch in turn, _reduction_doubles(p) of them
-        for the padded length p.  Halving p leaves reduced systems of under
-        p unknowns in all, so these buffers take under 4p doubles: under
-        4.125 cell fields, 4.125(n + 1) doubles for n unknowns, as
-        p < n + n/32.  The scratch holds the larger of them and the four
-        cell fields of the assembly and F."""
-        if self._reduction is None:
-            p, flat = self._system[0].shape[0], self._flat
-            alpha, beta = flat[:p // 2], flat[p // 2:p // 2 * 2]
-            start, levels, system = p // 2 * 2, [], self._system
-            while p > SCALAR_BASE:
-                p //= 2
-                d_end, e_end, f_end = start + p, start + 2 * p - 1, start + 3 * p - 1
-                reduced = (flat[start:d_end], flat[d_end:e_end], flat[e_end:f_end])
-                levels.append(_Level(*system, alpha, beta, *reduced))
-                system, start = reduced, f_end
-            self._reduction = (levels, system)
-        return self._reduction
 
 
 def _secant_terms(y, y0, d, out=None):
@@ -570,7 +535,7 @@ def thomas_spd(diag, off, rhs, work=None):
     Each level eliminates the even-indexed unknowns, leaving the Schur
     complement on the odd ones: again symmetric tridiagonal, half the size,
     and SPD.  Every level has an odd length, since the workspace pads the
-    system with decoupled unit rows (_padded_length).  A diagonal entry of
+    system with decoupled unit rows (_halvings).  A diagonal entry of
     a level, or a pivot of the scalar elimination, that is not positive
     (NaN included) means the input was not SPD and raises ValueError.
 
@@ -584,7 +549,7 @@ def thomas_spd(diag, off, rhs, work=None):
     """
     if work is None:
         work = Workspace((diag.shape[0] + 2,))
-    levels, (d, e, x) = work.reduction()
+    levels, (d, e, x) = work.levels, work.base
     for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):
         if given is not own:
             own[:] = given

@@ -14,7 +14,7 @@ from .csvio import write_csv_atomic, write_text_atomic
 from .errors import ConfigurationError, SolverError
 from .functional import SolverParams
 from .grid import Grid
-from .problem import initial_data_from_key, make_problem, require_exponent
+from .problem import initial_data_from_key, make_problem
 
 #: Every config parameter, as "section.name", and the key of the
 #: ConfigurationError a library object rejects it with (None: no object owns it).
@@ -109,8 +109,7 @@ def cmd_convergence(args) -> int:
         if not m_values:  # the list parser drops empty tokens
             cfg.fail("problem", "m", "needs at least one exponent")
         tags = [f"{m:g}" for m in m_values]  # each study's file names
-        for i, m in enumerate(m_values):  # every exponent, before the first study writes
-            require_exponent(m)
+        for i, m in enumerate(m_values):  # every tag, before the first study writes
             if tags[i] in tags[:i]:
                 cfg.fail("problem", "m", f"m={m} writes convergence_{tags[i]}.* a second time")
         params = _build_params(cfg, tau=1.0)

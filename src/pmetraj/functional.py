@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import _LI2_SERIES, _spence
+from ._kernels import _spence
 from .errors import (CoefficientOverflowError, ConfigurationError,
                      DegenerateMeshError)
 from .problem import ProblemSpec, is_admissible

@@ -123,6 +123,9 @@ def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray,
             f"inconsistent tridiagonal system: diag {n}, offdiag {offdiag.shape[0]}, "
             f"rhs {rhs.shape[0]}"
         )
+    if work is not None and work.shape != (n + 2,):
+        raise ValueError(f"workspace of shape {work.shape} for a system of {n} "
+                         f"unknowns, which needs ({n + 2},)")
     try:
         return _kernels.thomas_spd(diag, offdiag, rhs, work)
     except ValueError as exc:

@@ -113,15 +113,6 @@ def initial_data_from_key(key: str) -> Callable[[np.ndarray], np.ndarray]:
 SCALE_LIMIT = math.sqrt(sys.float_info.max)
 
 
-def require_exponent(m) -> None:
-    """The exponent rule of make_problem, m > 1, for a caller that checks a
-    list of exponents before it builds the first problem; for an array of
-    exponents, the error names the first that breaks it."""
-    for value in np.ravel(m).tolist():
-        if not value > 1.0:
-            raise ConfigurationError(f"exponent must exceed 1, got {value!r}", key="m")
-
-
 def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -> ProblemSpec:
     """Sample f0 on the grid and validate m > 1, M >= 2, the mesh width (h^2
     and 1/h^2 scale the Hessian's entries), strict positivity and the data
@@ -130,8 +121,11 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
 
     m may also be a column of k exponents, shape (k, 1): the spec is then the
     stack of k problems of ProblemSpec, sampled once, each row of its
-    mass_factor bitwise that of its own call."""
-    require_exponent(m)
+    mass_factor bitwise that of its own call; an error names the first
+    exponent of the column that is not above 1."""
+    for value in np.ravel(m).tolist():
+        if not value > 1.0:
+            raise ConfigurationError(f"exponent must exceed 1, got {value!r}", key="m")
     if grid.M < 2:
         # the extrapolated slope S_h uses the wide difference, which needs two cells
         raise ConfigurationError(f"the scheme needs at least 2 cells, got M = {grid.M}",

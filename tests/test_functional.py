@@ -13,7 +13,8 @@ from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
                      q1_oracle, quadratic_bump, residual, secant_ratio_R,
                      slope_derivative_W)
 from pmetraj.checks import FD_REL_TOL, gradient_vs_fd, hessian_vs_fd, random_admissible
-from pmetraj.functional import _LI2_SERIES, _spence, g_convex_second
+from pmetraj._kernels import _LI2_SERIES
+from pmetraj.functional import _spence, g_convex_second
 
 
 # ---------------------------------------------------------------------------

@@ -97,30 +97,40 @@ def test_solve_scheme_hessian_matches_thomas(M):
 def test_padding_leaves_odd_levels_and_the_unpadded_base():
     # every level the reduction halves has an odd length, so each kept row
     # has two neighbours; the base is n >> j long, as halving n j times
-    # leaves it, so it holds no pad row; the pad is under n/32; and alpha,
-    # beta and the reduced systems take what the workspace's cell scratch
-    # is sized by, which is at most 4.12 cell fields of M = n + 1
+    # leaves it, so it holds no pad row; the pad is under n/32; the plan's
+    # sizes are those of halving the padded length in turn; and alpha, beta
+    # and the reduced systems take what the workspace's cell scratch is
+    # sized by, which is at most 4.12 cell fields of M = n + 1
     for n in range(1, 20001):
-        padded = _kernels._padded_length(n)
+        padded, planned = _kernels._halvings(n)
         assert n <= padded and padded - n < n / 32
         sizes = [padded]
         while sizes[-1] > SCALAR_BASE:
             sizes.append(sizes[-1] // 2)
+        assert planned == sizes[1:]
         assert all(size % 2 == 1 for size in sizes[:-1])
         assert sizes[-1] == n >> (len(sizes) - 1) <= SCALAR_BASE
         plan = padded // 2 * 2 + sum(3 * size - 1 for size in sizes[1:])
-        assert _kernels._reduction_doubles(padded) == plan
         assert max(4 * (n + 1), plan) <= 4.12 * (n + 1)
-    # in the workspace itself the reduction's buffers lie in the scratch,
-    # apart from rhs, and the scratch is four cell fields or the plan
+    # in the workspace itself alpha, beta and every reduced system are
+    # pairwise disjoint runs of the scratch, so apart from rhs beside it,
+    # and the scratch is four cell fields or the plan
+    def run(a, flat):  # the doubles of flat that a contiguous view of it takes
+        start = (a.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
+        return start, start + a.size
+
     for n in range(1, 20001, 83):
         work = _kernels.Workspace((n + 2,))
-        levels, _ = work.reduction()
-        rhs = work._system[2]
-        assert work._flat.size - rhs.size == max(4 * (n + 1), _kernels._reduction_doubles(rhs.size))
-        for level in levels:
-            for carved in (level.alpha, level.beta, level.dk, level.ek, level.fk):
-                assert not np.shares_memory(carved, rhs)
+        padded, planned = _kernels._halvings(n)
+        scratch = max(4 * (n + 1), padded // 2 * 2 + sum(3 * k - 1 for k in planned))
+        assert work._flat.size == scratch + padded
+        assert [level.dk.size for level in work.levels] == planned
+        assert work.base[0].size == n >> len(planned)
+        carved = [work.levels[0].alpha, work.levels[0].beta] if work.levels else []
+        carved += [a for level in work.levels for a in (level.dk, level.ek, level.fk)]
+        runs = sorted(run(a, work._flat) for a in carved)
+        assert all(0 <= lo <= hi <= scratch for lo, hi in runs)
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
 
 
 @pytest.mark.parametrize("n", [3, 16, 17, 1025])

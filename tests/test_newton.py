@@ -53,10 +53,13 @@ def test_tridiagonal_singular_raises():
 
 
 def test_tridiagonal_shape_validation():
-    for diag, off, rhs in ((np.ones(3), np.zeros(3), np.ones(3)),
-                           (np.ones(3), np.zeros(2), np.ones(4))):
+    # a workspace of another size once failed in the copy-in, reported as a
+    # SingularSystemError of a system that is not singular
+    for diag, off, rhs, work in ((np.ones(3), np.zeros(3), np.ones(3), None),
+                                 (np.ones(3), np.zeros(2), np.ones(4), None),
+                                 (np.ones(5), np.zeros(4), np.ones(5), _kernels.Workspace((12,)))):
         with pytest.raises(ValueError):
-            solve_tridiagonal(diag, off, rhs)
+            solve_tridiagonal(diag, off, rhs, work)
 
 
 # ---------------------------------------------------------------------------

@@ -361,16 +361,15 @@ def test_run_peak_memory_in_node_fields():
 
 
 def test_workspace_holds_at_most_eight_and_a_half_node_fields():
-    # a 1-D workspace after its first solve: g, diag, off, the mask, rhs and
-    # the cell scratch, which the reduction shares with the assembly and F
-    # (four cell fields, 8.42 node fields in all at M = 2e4; five cell
+    # a 1-D workspace with its reduction carved: g, diag, off, the mask, rhs
+    # and the cell scratch, which the reduction shares with the assembly
+    # and F (four cell fields, 8.42 node fields in all at M = 2e4; five cell
     # fields made it 9.33)
     M = 20_000
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
         work = Workspace((M + 1,))
-        work.reduction()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
