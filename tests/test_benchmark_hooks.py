@@ -156,3 +156,28 @@ def test_tracer_sees_every_file_a_run_writes(perfbench_path, tmp_path, snapshot_
     runs = [k for k, span in enumerate(tracer.spans) if span[0] == "stepper.run"]
     steps = [span[3] for span in tracer.spans if span[0] == "stepper.advance"]
     assert len(runs) == 2 and steps == [runs[0]] * 8 + [runs[1]] * 8
+
+
+def test_tracer_sees_every_csv_a_convergence_writes(perfbench_path, tmp_path, capsys):
+    """A traced `pmetraj convergence` of two exponents on two levels
+    records one csvio span under cli.main per CSV it writes, through the
+    writer cli looks up; the text tables go through write_text_atomic and
+    are not counted."""
+    import tracing
+    cfg = tmp_path / "study.cfg"
+    out_dir = tmp_path / "out"
+    cfg.write_text("[problem]\nm = 5/3, 2\ninitial_data = paper-quadratic\n"
+                   "[study]\nh_list = 1/10, 1/20\nreference_M = 40\nt_eval = 0.1\n"
+                   f"[output]\ndir = {out_dir}\n")
+    tracer = tracing.Tracer().install()
+    try:
+        assert cli.main(["convergence", "--config", str(cfg)]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    csvs = sorted(out_dir.glob("*.csv"))
+    assert [p.name for p in csvs] == ["convergence_1.66667.csv", "convergence_2.csv"]
+    main = [k for k, span in enumerate(tracer.spans) if span[0] == "cli.main"]
+    assert len(main) == 1
+    assert [span[3] for span in _csv_spans(tracer)] == main * len(csvs)
+    assert tracer.counts["csvio.bytes"] == sum(p.stat().st_size for p in csvs)

@@ -1,5 +1,7 @@
 import csv
+import os
 import runpy
+import stat
 import sys
 from pathlib import Path
 
@@ -467,10 +469,31 @@ def test_cmd_solve_unwritable_output_is_one_error_line(tmp_path, monkeypatch,
                    _write(tmp_path, SOLVE_CONFIG, out=tmp_path / "ignored")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: cannot write outputs: ")
     assert str(blocker) in err
     assert blocker.read_text() == "not a directory\n"
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_the_umask_leaves(tmp_path, capsys, umask):
+    # every file solve and convergence write is created 0o666 & ~umask, as
+    # open() would make it, not private to the user
+    previous = os.umask(umask)
+    try:
+        solve_out, study_out = tmp_path / "solve", tmp_path / "study"
+        assert cli.main(["solve", "--config",
+                         _write(tmp_path, SOLVE_CONFIG, out=solve_out)]) == 0
+        assert cli.main(["convergence", "--config",
+                         _write(tmp_path, STUDY_CONFIG, out=study_out)]) == 0
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    files = sorted(solve_out.iterdir()) + sorted(study_out.iterdir())
+    assert sorted({p.suffix for p in files}) == [".csv", ".txt"]
+    assert len(files) == 5 + 4  # snapshots 0, 5, 10, energy, mass; 2 studies
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in files} == {
+        p.name: 0o666 & ~umask for p in files}
 
 
 def test_cmd_solve_env_output_override(tmp_path, monkeypatch):

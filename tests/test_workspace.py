@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SchemeCoefficients, SolverParams,
-                     advance, bootstrap, build_coefficients, hessian_coefficients,
+                     advance, bootstrap, build_coefficients, eval_F, hessian_coefficients,
                      initial_data_from_key, make_problem, newton_step,
                      quadratic_bump, recover_density, residual, run, solve_tridiagonal, steps)
 from pmetraj import _kernels, checks
@@ -174,6 +174,38 @@ def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
 def _quad(M=64, m=2.0):
     spec = make_problem(m, Grid(0.0, 1.0, M), quadratic_bump)
     return spec, SolverParams(tau=spec.grid.h)
+
+
+@pytest.mark.parametrize("damped_start", [False, True])
+def test_one_off_calls_carve_no_reduction_and_give_the_newton_bits(monkeypatch,
+                                                                   damped_start):
+    # residual, hessian_coefficients and eval_F, given no workspace, assemble
+    # a one-row stack, whose workspace carves no cyclic reduction, and give
+    # the bits of the assembly and F in the 1-D workspace Newton uses
+    spec, params = _quad(200)
+    state = state_after(spec, params, 3)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev,
+                                spec, params, damped_start=damped_start)
+    nodes = spec.grid.nodes()
+    x_hat = state.x_curr - nodes + 1e-3 * spec.grid.h * np.sin(np.pi * nodes) ** 2
+    x = nodes + x_hat
+    work = Workspace(x.shape)
+    want_g = _kernels.residual_hessian(x, state.x_curr, coeffs, work)[0].copy()
+    want_diag, want_off = (a.copy() for a in _kernels.residual_hessian(x, x, coeffs, work)[1:])
+    want_F = (_kernels.step_functional(x, state.x_curr, coeffs, work)
+              + _kernels.step_constant(coeffs))
+
+    def no_level(*args):
+        raise AssertionError("a one-off call carved a cyclic reduction")
+
+    monkeypatch.setattr(_kernels, "_Level", no_level)
+    g = residual(x, state.x_curr, coeffs, spec)
+    diag, off = hessian_coefficients(x, coeffs, spec)
+    value = eval_F(x_hat, state.x_curr, coeffs, spec)
+    assert g.shape == x.shape and g[0] == g[-1] == 0.0
+    assert g[1:-1].tobytes() == want_g.tobytes()
+    assert diag.tobytes() == want_diag.tobytes() and off.tobytes() == want_off.tobytes()
+    assert type(value) is float and value == want_F
 
 
 def _unchanged_after(first, second):
