@@ -2,11 +2,9 @@
 truncated outputs).
 
 ``format_columns`` makes a file's body from equal-length columns with one
-``%``: each column's field is picked once.  A 1-D float64 ndarray takes
-``"%.17g"`` from its dtype, 17 significant digits that round-trip float64
-exactly, and gives its values with one ``tolist()``.  Any other column is
-scanned for the types of its values: ``"%.17g"`` when every value is a float
-(or float subclass such as ``np.float64``), ``"%s"``, the value's ``str``,
+``%``: each column's field is picked once, ``"%.17g"`` when every value is
+a float (or float subclass such as ``np.float64``), 17 significant digits
+that round-trip float64 exactly, and ``"%s"``, the value's ``str``,
 otherwise.  Only a column that mixes floats with other types is converted,
 its floats rendered by ``"%.17g"`` first; a column of strings is written as
 it is.  The columns are interleaved into one flat list, and the row
@@ -20,30 +18,19 @@ does so for the snapshot columns ``i`` and ``X``, once per run, and reuses
 the formatted ``X`` as ``snap_0.csv``'s x column, since x^0 is the reference
 map.
 
-``write_text_atomic`` encodes the text once and writes it with ``os.write``
-into a temporary beside the target, which is then renamed over it: one
-write per file where the text wrapper of ``os.fdopen`` wrote 8 KB chunks.
-The temporary is named after the target and the process id (a name that is
-taken, by a leftover of an earlier run, moves on to the next), created with
-mode 0o666, so a file gets ``0o666 & ~umask`` (0644 under umask 022), and
-removed on any failure.  The directory is made only when the open reports
-it missing.  On a 2-core Xeon (ext4), writing an M = 450 snapshot's
-28.6 KB went 160-198 -> 115-128 us over an existing file and 92-115 ->
-46-56 us into a new one (medians of 400; the rename over a file is some
-60-80 us of it), against about 450 us to format its 902 floats; the
-eight files of such a solve, formatting included, went 8.5 -> 7.1 ms
-(-17%, medians of 200 interleaved rounds into new directories).
+``write_text_atomic`` encodes the text and writes it, in one write, into a
+new temporary beside the target, which is then renamed over it.  The
+temporary is opened with ``open(..., "xb")``, so it is never an existing
+file, and a file gets ``0o666 & ~umask`` (0644 under umask 022).  It is
+named after the target and the process id (a name that is taken, by a
+leftover of an earlier run, moves on to the next) and removed on any
+failure.  The directory is made only when the open reports it missing.
 """
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-import numpy as np
-
-#: Flags of the temporary's open: a new file of our own, never a symlink's
-#: target, not inherited by a child process.
-_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
 #: Names a writer tries before it gives up on a directory full of leftovers.
 _ATTEMPTS = 100
 
@@ -57,18 +44,13 @@ def format_columns(columns) -> str:
     n, k = (lengths.pop() if lengths else 0), len(columns)
     fields, flat = [], [None] * (n * k)
     for j, column in enumerate(columns):
-        if (isinstance(column, np.ndarray) and column.dtype == np.float64
-                and column.ndim == 1):
+        is_float = [issubclass(t, float) for t in set(map(type, column))]
+        if all(is_float):
             fields.append("%.17g")
-            column = column.tolist()
         else:
-            is_float = [issubclass(t, float) for t in set(map(type, column))]
-            if all(is_float):
-                fields.append("%.17g")
-            else:
-                fields.append("%s")
-                if any(is_float):
-                    column = ["%.17g" % v if isinstance(v, float) else v for v in column]
+            fields.append("%s")
+            if any(is_float):
+                column = ["%.17g" % v if isinstance(v, float) else v for v in column]
         flat[j::k] = column
     return (",".join(fields) + "\n") * n % tuple(flat)
 
@@ -77,14 +59,14 @@ def write_csv_atomic(path: Path, header: list[str], columns) -> None:
     write_text_atomic(path, ",".join(header) + "\n" + format_columns(columns))
 
 
-def _create_temporary(path: Path) -> tuple[int, Path]:
-    """(fd, name) of a new file beside path, named after it and the process;
-    the directory is made if the first open finds it missing."""
+def _create_temporary(path: Path):
+    """(file, name) of a new binary file beside path, named after it and the
+    process; the directory is made if the first open finds it missing."""
     made_dir = False
     for attempt in range(_ATTEMPTS):
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{attempt}.tmp")
         try:
-            return os.open(tmp, _CREATE, 0o666), tmp
+            return open(tmp, "xb"), tmp
         except FileExistsError:
             continue
         except FileNotFoundError:
@@ -97,14 +79,10 @@ def _create_temporary(path: Path) -> tuple[int, Path]:
 
 def write_text_atomic(path: Path, text: str) -> None:
     path = Path(path)
-    data = memoryview(text.encode())
-    fd, tmp = _create_temporary(path)
+    fh, tmp = _create_temporary(path)
     try:
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        with fh:
+            fh.write(text.encode())
         os.replace(tmp, path)
     except BaseException:
         try:

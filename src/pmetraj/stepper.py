@@ -174,12 +174,12 @@ def _located(exc: SolverError, n: int, t: float) -> SolverError:
     return located
 
 
-def _write_snapshot(out_dir: Path, n: int, x: np.ndarray | list[str], f: np.ndarray,
+def _write_snapshot(out_dir: Path, n: int, x: list, f: list,
                     labels: list[str]) -> None:
     """snap_<n>.csv: reference node, trajectory x and density f at every
     node.  labels holds the columns i and X of every row as "i,X" strings:
     they depend on the grid alone, so run formats them once per run, and
-    each snapshot formats only x and f, passed as arrays (x as strings at
+    each snapshot formats only x and f, lists of floats (x is of strings at
     n = 0, where it is the reference map X that run formatted)."""
     write_csv_atomic(out_dir / f"snap_{n}.csv", ["i", "X", "x", "f"], (labels, x, f))
 
@@ -231,9 +231,9 @@ def run(config: RunConfig) -> RunResult:
     if out_dir is not None:
         # x^0 is the reference map X, formatted once for the labels and the
         # x column of snap_0.csv
-        nodes = format_columns((state.x_curr,)).splitlines()
+        nodes = format_columns((state.x_curr.tolist(),)).splitlines()
         labels = format_columns((range(spec.grid.M + 1), nodes)).splitlines()
-        _write_snapshot(out_dir, 0, nodes, f, labels)
+        _write_snapshot(out_dir, 0, nodes, f.tolist(), labels)
     del f  # not kept alive through the steps
 
     snapped = 0  # the step of the last snapshot written
@@ -246,10 +246,12 @@ def run(config: RunConfig) -> RunResult:
         result.min_slopes.append(diag.min_slope)
         if (out_dir is not None and config.snapshot_every > 0
                 and state.n % config.snapshot_every == 0):
-            _write_snapshot(out_dir, state.n, state.x_curr, diag.density, labels)
+            _write_snapshot(out_dir, state.n, state.x_curr.tolist(),
+                            diag.density.tolist(), labels)
             snapped = state.n
     if out_dir is not None and state.n != snapped:  # no step follows: its density holds
-        _write_snapshot(out_dir, state.n, state.x_curr, diag.density, labels)
+        _write_snapshot(out_dir, state.n, state.x_curr.tolist(),
+                        diag.density.tolist(), labels)
 
     result.final_state = dataclasses.replace(state, work=None)  # freed with the run
     if out_dir is not None:

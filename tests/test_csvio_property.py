@@ -1,4 +1,4 @@
-"""Property test of the CSV writer's two paths: skipped where hypothesis is
+"""Property test of the CSV writer's float columns: skipped where hypothesis is
 not installed, and run from a fixed seed where it is, so the suite draws
 the same examples on every run."""
 import numpy as np
@@ -18,8 +18,8 @@ from test_csvio import _reference_csv  # noqa: E402
 @given(arrays(np.float64, st.integers(0, 40), elements=st.floats()))
 def test_array_and_list_columns_give_the_loops_bytes(values):
     # any float64 values, nan, infinities, zeros and subnormals among
-    # them: the dtype path of arrays, the type scan of the same values as
-    # lists, and the value-by-value loop give the same bytes
+    # them: as arrays, as lists, and through the value-by-value loop they
+    # give the same bytes
     header = ["x", "y"]
     lists = (values.tolist(), values[::-1].tolist())
     by_array = format_columns((values, values[::-1]))
