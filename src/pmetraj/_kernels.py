@@ -38,13 +38,16 @@ subtractions of exact zeros: the same bits, save perhaps the sign of an
 entry of the solution that is exactly zero.
 
 Buffer rule: a Newton iteration, near phase or far, allocates no
-cell-sized array.  residual_hessian, step_functional and thomas_spd write
-every field into a Workspace, made once per run (stepper.restart) and
-handed from state to state; the views residual_interior and
-hessian_tridiag, and step_functional and thomas_spd when given none, make
-a fresh one for the call, so each kernel has one code path (the first
-three take one trajectory as a one-row stack, whose workspace carves no
-cyclic reduction: _one_off).  Every ufunc
+cell-sized array.  Every kernel writes into the Workspace it is handed,
+one of its input's shape, and makes none: residual_hessian,
+step_functional and thomas_spd take it as an argument.  Workspaces are
+made by the callers that own them: stepper.restart, once per run, handed
+from state to state; _one_off, for the one-off calls of residual_interior,
+hessian_tridiag and functional.eval_F, which take one trajectory as a
+one-row stack whose workspace carves no cyclic reduction;
+newton.solve_tridiagonal when given none; each finite-difference sweep of
+checks, for its states and (Workspace.for_shape) their probes; and
+newton_step on a state that carries none.  Every ufunc
 writes with out= in the order of the plain expression, so the results are
 bitwise those of the expression.  The scratch is four cell fields (the
 assembly forms two of its fields in the buffers of its results diag and
@@ -54,11 +57,9 @@ fields.  A result that is a workspace buffer holds until the next call
 of its kind with the same workspace (the solution, rhs, lies apart from the
 assembly's scratch and outlives assemblies and evaluations of F); what a
 caller keeps (newton_step's solution, the residual of residual_interior)
-is a fresh array.  At M = 9600 a cell field is 77 KB, and the temporaries
-each iteration used to free left more than glibc's 128 KB trim threshold
-free at the top of the heap: the memory went back to the system and was
-faulted in again, some 60 minor page faults per near-phase iteration and
-119 per iteration of a far-phase run, under 5 now.
+is a fresh array.  A cell field at M = 9600 is 77 KB, and temporaries of
+that size, once freed, go back to the system and are faulted in again on
+the next iteration.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed directly and enters log1p(d/y0)/d and the linear terms, so the
@@ -182,8 +183,9 @@ class Workspace:
     share their memory.
 
     A caller that makes calls of two shapes, states and stacks of their
-    probes as the finite-difference oracles do, passes one workspace to
-    all of them: for_shape gives the stack's, which this one keeps.
+    probes as the finite-difference oracles do, keeps one workspace and
+    hands each call its for_shape of the call's shape: this one, or the
+    stack's, which this one keeps.
 
     The cells are dead once a step's Newton solve returns, and
     stepper.advance forms the step's density and its pair sums there
@@ -446,7 +448,7 @@ def _spence(w, out=None):
     return p
 
 
-def step_functional(x_new, x_curr, coeffs, work=None):
+def step_functional(x_new, x_curr, coeffs, work):
     """The convex step functional F at x_new, the only formula of F in the
     package: the Newton line search minimises it, and functional.eval_F and
     the gradient oracle of checks add step_constant to it.
@@ -457,25 +459,17 @@ def step_functional(x_new, x_curr, coeffs, work=None):
     the last two sums by -sum f0 ln y.  The residual is its gradient divided
     by h.
 
-    Every temporary is written into the cell scratch and the mask of
-    work.for_shape(x_new.shape) (when work is None, a fresh one of
-    _one_off, which evaluates one trajectory as a one-row stack: the
-    oracles pass the workspace of their states, eval_F none), in
-    the order of the plain expression, so the value is bitwise that of the
-    expression; the assembly's results g, diag and off are left as they
-    are.  x_new may be a stack of shape (..., M+1), one candidate per row,
-    with stacked coefficients as the module docstring says: every sum runs
-    along the last axis, kept as an axis of length 1 until the end, so each
-    value is bitwise equal to its row's own call; a 1-D x_new gives a
-    float.  No admissibility check: the Newton loop calls it only on
-    admissible iterates.
+    Every temporary is written into the cell scratch and the mask of work,
+    a Workspace of x_new's shape, in the order of the plain expression, so
+    the value is bitwise that of the expression; the assembly's results g,
+    diag and off are left as they are.  x_new may be a stack of shape
+    (..., M+1), one candidate per row, with stacked coefficients as the
+    module docstring says: every sum runs along the last axis, kept as an
+    axis of length 1 until the end, so each value is bitwise equal to its
+    row's own call; a 1-D x_new gives a float.  No admissibility check:
+    the Newton loop calls it only on admissible iterates.
     """
     slope_curr, f0_cells, h, tau = coeffs.slope_curr, coeffs.f0_cells, coeffs.h, coeffs.tau
-    one_off = work is None and x_new.ndim == 1
-    if work is None:
-        x_new, work = _one_off(x_new)
-    else:
-        work = work.for_shape(x_new.shape)
     y, d, a, b = work.cells
     np.subtract(x_new[..., 1:], x_new[..., :-1], out=y)
     y /= h
@@ -493,8 +487,7 @@ def step_functional(x_new, x_curr, coeffs, work=None):
         flow = (tau * tau) * _row_sum(np.subtract(w, np.log(y, out=y), out=y))
         s = _spence(w, (y, a, b, work.mask))
         value += _row_sum(np.multiply(f0_cells, s, out=s)) + flow
-    value = h * (float(value) if x_new.ndim == 1 else value[..., 0])
-    return float(value[0]) if one_off else value
+    return h * (float(value) if x_new.ndim == 1 else value[..., 0])
 
 
 def _row_sum(a):
@@ -546,7 +539,7 @@ def _thomas_scalar(d, e, f):
     return x
 
 
-def thomas_spd(diag, off, rhs, work=None):
+def thomas_spd(diag, off, rhs, work):
     """Solve the SPD tridiagonal system (diagonal `diag`, off-diagonal `off`)
     by odd-even cyclic reduction down to SCALAR_BASE unknowns and a scalar
     Thomas elimination of the rest (`newton.solve_tridiagonal` looks the
@@ -560,15 +553,14 @@ def thomas_spd(diag, off, rhs, work=None):
     (NaN included) means the input was not SPD and raises ValueError.
 
     Every level is written into work, a 1-D Workspace for len(diag) + 2
-    nodes (fresh when not given), and the solution is work.rhs: it holds
+    nodes, and the solution is work.rhs: it holds
     until the next solve with the same work.  Inputs that are not work's own
-    diag, off and rhs are copied in, so the caller's arrays are only read;
+    diag, off and rhs are copied in, as floats, so the caller's arrays are
+    only read;
     the pad rows of rhs are reset on every solve, so a solve that met a NaN
     leaves nothing behind, and so is the first pad row of diag and off, on
     which the assembly forms its last cell's flux and c.
     """
-    if work is None:
-        work = Workspace((diag.shape[0] + 2,))
     levels, (d, e, x) = work.levels, work.base
     for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):
         if given is not own:

@@ -19,7 +19,7 @@ state's draws end, as a state-by-state check would.
 
 The identity sweeps call the library's d_forward, d_wide and
 d_centered_to_nodes on every trial.  All sweeps reduce as _kernels._row_sum
-does.  Of a run_all: identity sweeps 43%, FD checks 47%, sign sweeps 10%.
+does.
 """
 from __future__ import annotations
 
@@ -190,9 +190,10 @@ def gradient_vs_fd(x_curr, x_new, coeffs, grid, work=None):
     difference of F, with coeffs the rows' record (stacked as _draw_states
     stacks it, or one state's as it is).  One residual_hessian call on the
     rows and one step_functional call on their probe-major (4(M-1), k, M+1)
-    stack of probes.  Both write into work, a Workspace (for_shape serves
-    either shape; fresh when None).  check_gradient_fd passes the 10 states
-    of a flux form at M = 16, so F sees a (60, 10, 17) stack.
+    stack of probes.  Both write into work, a Workspace (fresh when None):
+    the assembly into work.for_shape of the rows, F into that of the
+    probes.  check_gradient_fd passes the 10 states of a flux form at
+    M = 16, so F sees a (60, 10, 17) stack.
     F is eval_F's: step_functional plus step_constant."""
     n, X = grid.M - 1, grid.nodes()
     functional._require_admissible(x_new, grid, "candidate trajectory")
@@ -209,7 +210,7 @@ def gradient_vs_fd(x_curr, x_new, coeffs, grid, work=None):
     probes = probes.reshape(4 * n, *x_new.shape)
     probes += X
     functional._require_admissible(probes, grid, "displaced trajectory")
-    f = _kernels.step_functional(probes, x_curr, coeffs, work)
+    f = _kernels.step_functional(probes, x_curr, coeffs, work.for_shape(probes.shape))
     f += _kernels.step_constant(coeffs)
     f = f.reshape(n, 4, -1)
     fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * GRADIENT_STEP)

@@ -58,8 +58,10 @@ def _parse_domain(cfg: Config):
 
 
 def _build_params(cfg: Config, tau: float) -> SolverParams:
-    return SolverParams(tau=tau, a0=cfg.get_number("discretization", "A0", 1.0),
-                        newton_max_iter=cfg.get_int("newton", "max_iter", 100))
+    """The solver parameters at tau; an unset key takes SolverParams' default."""
+    return SolverParams(tau=tau, a0=cfg.get_number("discretization", "A0", SolverParams.a0),
+                        newton_max_iter=cfg.get_int("newton", "max_iter",
+                                                    SolverParams.newton_max_iter))
 
 
 def _output_dir(cfg: Config) -> Path:
@@ -81,7 +83,8 @@ def cmd_solve(args) -> int:
             spec=make_problem(m_values[0], grid, f0),
             params=_build_params(cfg, cfg.get_number("discretization", "tau")),
             t_final=cfg.get_number("discretization", "t_final"),
-            snapshot_every=cfg.get_int("output", "snapshot_every", 0),
+            snapshot_every=cfg.get_int("output", "snapshot_every",
+                                       stepper.RunConfig.snapshot_every),
             output_dir=out_dir,
         )
     result = stepper.run(config)

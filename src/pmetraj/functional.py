@@ -245,8 +245,10 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     grid = spec.grid
     x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
     _require_admissible(x_new, grid, "displaced trajectory")
-    constant = _kernels.step_constant(coeffs)
-    return _kernels.step_functional(x_new, np.asarray(x_curr, dtype=float), coeffs) + constant
+    stack, work = _kernels._one_off(x_new)
+    value = (_kernels.step_functional(stack, np.asarray(x_curr, dtype=float), coeffs, work)
+             + _kernels.step_constant(coeffs))
+    return float(value[0]) if x_new.ndim == 1 else value
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,9 @@ Vandenberghe 3.1.3): once h g(c) . delta <= -ARMIJO_C h g^T H^{-1} g the
 Armijo test holds, c is accepted without evaluating F, and its assembly is
 reused.  Only when that certificate fails are F(x) (when not known from the
 step before) and F(c) evaluated, in the run's workspace, for the Armijo test
-itself.  On the seed-1 perfbench stress deck that takes the evaluations of F
-from 1,026 to 192 with the same 1,449 assemblies; the certificate passed
-648 of the 744 far-phase trial points, each one the test on F passes too,
-so the steps and the solutions are bitwise those of the test on F alone.
+itself.  A trial point the certificate accepts passes the test on F too,
+so the steps are those of the test on F alone, with most evaluations of F
+spared.
 
 The iteration has one stop rule: it ends after the full near-phase step once
 (lambda/(1 - lambda))^2 < TOL_LAMBDA.  The rule is certified: a is scaled so
@@ -111,24 +110,23 @@ class NewtonReport:
 def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray,
                       work: _kernels.Workspace | None = None) -> np.ndarray:
     """Solve the symmetric tridiagonal system with diagonal `diag` and
-    off-diagonal entries `offdiag` (one fewer).  The solution is a buffer
-    of work (a fresh workspace when not given), valid until its next
-    solve."""
-    diag = np.ascontiguousarray(diag, dtype=float)
-    offdiag = np.ascontiguousarray(offdiag, dtype=float)
-    rhs = np.ascontiguousarray(rhs, dtype=float)
-    n = diag.shape[0]
-    if offdiag.shape[0] != n - 1 or rhs.shape[0] != n:
-        raise ValueError(
-            f"inconsistent tridiagonal system: diag {n}, offdiag {offdiag.shape[0]}, "
-            f"rhs {rhs.shape[0]}"
-        )
-    if work is not None and work.shape != (n + 2,):
+    off-diagonal entries `offdiag` (one fewer), arrays or sequences of
+    numbers.  The solution is a buffer of work (a fresh workspace when not
+    given), valid until its next solve."""
+    n = len(diag)
+    if len(offdiag) != n - 1 or len(rhs) != n:
+        raise ValueError(f"inconsistent tridiagonal system: diag {n}, offdiag "
+                         f"{len(offdiag)}, rhs {len(rhs)}")
+    if work is None:
+        work = _kernels.Workspace((n + 2,))
+    elif work.shape != (n + 2,):
         raise ValueError(f"workspace of shape {work.shape} for a system of {n} "
                          f"unknowns, which needs ({n + 2},)")
     try:
         return _kernels.thomas_spd(diag, offdiag, rhs, work)
     except ValueError as exc:
+        if str(exc) != _kernels._NONPOSITIVE_PIVOT:
+            raise  # an entry the copy-in could not take as a float
         raise SingularSystemError(str(exc)) from exc
 
 

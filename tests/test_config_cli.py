@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pmetraj import (Grid, RunConfig, SolverParams, analysis, cli, functional,
-                     initial_data_from_key, make_problem, quadratic_bump)
+                     initial_data_from_key, make_problem, quadratic_bump, stepper)
 from pmetraj.analysis import study_cell_counts
 from pmetraj.config import Config, parse_number
 from pmetraj.errors import ConfigurationError
@@ -504,6 +504,30 @@ def test_cmd_solve_env_output_override(tmp_path, monkeypatch):
     assert rc == 0
     assert (env_out / "energy.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_cmd_solve_unset_keys_take_the_library_defaults(tmp_path, monkeypatch):
+    # with A0, max_iter and snapshot_every unset, stepper.run gets the
+    # RunConfig that SolverParams' and RunConfig's own defaults give
+    class Captured(Exception):
+        pass
+
+    def capture(config):
+        seen.append(config)
+        raise Captured
+
+    seen = []
+    monkeypatch.delenv("PME_OUTPUT_DIR", raising=False)
+    monkeypatch.setattr(stepper, "run", capture)
+    text = "\n".join(line for line in SOLVE_CONFIG.splitlines()
+                     if not line.startswith(("A0 ", "max_iter ", "snapshot_every ")))
+    with pytest.raises(Captured):
+        cli.main(["solve", "--config", _write(tmp_path, text, out=tmp_path / "out")])
+    [got] = seen
+    want = RunConfig(spec=got.spec, params=SolverParams(tau=1 / 100), t_final=0.1,
+                     output_dir=tmp_path / "out")
+    assert got == want
+    assert got.spec.m == 2.0 and got.spec.grid == Grid(0.0, 1.0, 100)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def test_kernels_take_per_row_coefficients(rng, damped_start):
     def calls(x, x_curr, coeffs):
         return ([_kernels.residual_interior(x, x_curr, coeffs),
                  *_kernels.hessian_tridiag(x, coeffs),
-                 _kernels.step_functional(x, x_curr, coeffs)],
+                 _kernels.step_functional(x, x_curr, coeffs, _kernels.Workspace(x.shape))],
                 _kernels.step_constant(coeffs))
 
     flat = np.array([candidates[j] for j, (candidates, _) in enumerate(rows)])
@@ -395,7 +395,7 @@ def test_eval_F_makes_one_step_functional_call(rng, monkeypatch, damped_start):
     xs = np.array([random_admissible(rng, g) for _ in range(3)]) - g.nodes()
     eval_F(xs[0], x_curr, coeffs, spec)
     eval_F(xs, x_curr, coeffs, spec)
-    assert shapes == [(17,), (3, 17)]
+    assert shapes == [(1, 17), (3, 17)]
 
 
 def test_eval_F_directional_fd(rng):

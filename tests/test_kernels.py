@@ -331,7 +331,8 @@ def test_step_functional_is_bitwise_the_plain_formula(rng, M):
             for x_new in (xs[0], xs):
                 want = _step_functional_plain(x_new, *args, damped_start)
                 work = _kernels.Workspace(x_new.shape)
-                for got in (_kernels.step_functional(x_new, x_curr, coeffs),
+                for got in (_kernels.step_functional(x_new, x_curr, coeffs,
+                                                     _kernels.Workspace(x_new.shape)),
                             _kernels.step_functional(x_new, x_curr, coeffs, work),
                             _kernels.step_functional(x_new, x_curr, coeffs, work)):
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -160,7 +160,7 @@ def test_tridiagonal_solutions_are_pinned():
         for _ in range(2):
             diag, off = rng.uniform(2.0, 4.0, n), rng.uniform(-0.9, 0.9, n - 1)
             rhs = rng.standard_normal(n)
-            fresh = _kernels.thomas_spd(diag, off, rhs).tobytes()
+            fresh = _kernels.thomas_spd(diag, off, rhs, _kernels.Workspace((n + 2,))).tobytes()
             assert _kernels.thomas_spd(diag, off, rhs, work).tobytes() == fresh
             digest.update(fresh)
     assert digest.hexdigest() == THOMAS_SOLUTIONS

@@ -38,7 +38,7 @@ def test_reused_workspace_solves_bitwise_as_a_fresh_one(rng, n):
     for _ in range(2):
         diag, off, rhs = _random_spd(rng, n)
         kept = [a.copy() for a in (diag, off, rhs)]
-        want = _kernels.thomas_spd(diag, off, rhs)
+        want = _kernels.thomas_spd(diag, off, rhs, Workspace((n + 2,)))
         got = _kernels.thomas_spd(diag, off, rhs, work)
         assert got.tobytes() == want.tobytes()
         for a, b in zip((diag, off, rhs), kept):
@@ -56,7 +56,7 @@ def test_a_nan_solve_leaves_nothing_in_the_workspace(rng, n):
     rhs[n // 2] = np.nan
     assert np.isnan(_kernels.thomas_spd(diag, off, rhs, work)).all()
     diag, off, rhs = _random_spd(rng, n)
-    want = _kernels.thomas_spd(diag, off, rhs)
+    want = _kernels.thomas_spd(diag, off, rhs, Workspace((n + 2,)))
     assert _kernels.thomas_spd(diag, off, rhs, work).tobytes() == want.tobytes()
 
 
@@ -99,7 +99,7 @@ def test_assembled_system_solves_in_place_as_copies(rng, M):
     x[1:-1] += 0.1 * h * rng.uniform(-1.0, 1.0, M - 1)
     work = Workspace((M + 1,))
     g, diag, off = _kernels.residual_hessian(x, x_curr, coeffs, work)
-    want = _kernels.thomas_spd(diag.copy(), off.copy(), -g)
+    want = _kernels.thomas_spd(diag.copy(), off.copy(), -g, Workspace((M + 1,)))
     got = _kernels.thomas_spd(diag, off, np.negative(g, out=work.rhs), work)
     assert got.tobytes() == want.tobytes()
 
@@ -115,7 +115,7 @@ def test_copied_workspace_solves_as_a_fresh_one(rng, clone):
     twin = clone(work)
     assert twin.shape == work.shape
     diag, off, rhs = _random_spd(rng, n)
-    want = _kernels.thomas_spd(diag, off, rhs)
+    want = _kernels.thomas_spd(diag, off, rhs, Workspace((n + 2,)))
     assert _kernels.thomas_spd(diag, off, rhs, twin).tobytes() == want.tobytes()
 
 
@@ -160,10 +160,10 @@ def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
     work = Workspace(x.shape)
     for y in (x, stack, x, stack):
         got = [*_kernels.residual_hessian(y, state.x_curr, coeffs, work.for_shape(y.shape)),
-               _kernels.step_functional(y, state.x_curr, coeffs, work)]
+               _kernels.step_functional(y, state.x_curr, coeffs, work.for_shape(y.shape))]
         want = [_kernels.residual_interior(y, state.x_curr, coeffs)[..., 1:-1],
                 *_kernels.hessian_tridiag(y, coeffs),
-                _kernels.step_functional(y, state.x_curr, coeffs)]
+                _kernels.step_functional(y, state.x_curr, coeffs, Workspace(y.shape))]
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert work.for_shape(x.shape) is work
@@ -423,3 +423,67 @@ def test_check_sweeps_peak_memory():
         tracemalloc.stop()
     assert all(result.ok for result in results)
     assert peak - start <= 0.96 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# who makes a workspace: the kernels write into the one they are handed
+# ---------------------------------------------------------------------------
+
+def _made(monkeypatch):
+    """The shapes of the Workspaces made from now on, in order."""
+    shapes, init = [], Workspace.__init__
+
+    def counting(self, shape):
+        shapes.append(tuple(shape))
+        init(self, shape)
+
+    monkeypatch.setattr(Workspace, "__init__", counting)
+    return shapes
+
+
+def test_kernels_take_the_workspace_their_caller_hands_them():
+    spec, params = _quad(16)
+    state = bootstrap(spec)
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
+    with pytest.raises(TypeError):
+        _kernels.step_functional(state.x_curr, state.x_curr, coeffs)
+    with pytest.raises(TypeError):
+        _kernels.thomas_spd(np.full(3, 2.0), np.zeros(2), np.ones(3))
+
+
+def test_workspaces_are_made_by_their_owners(monkeypatch):
+    # a run's one (restart), a check sweep's one and its probes' (for_shape),
+    # and one per one-off call
+    spec, params = _quad(64)
+    made = _made(monkeypatch)
+    stream = list(steps(RunConfig(spec=spec, params=params, t_final=5 * params.tau),
+                        bootstrap(spec)))
+    assert len(stream) == 5 and made == [(65,)]
+    made.clear()
+    assert all(result.ok for result in checks.run_all(0))
+    assert made == [(10, 17), (60, 10, 17), (10, 25), (47, 10, 25)]
+    state = stream[-1][0]
+    coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
+    x = state.x_curr
+    for call in (lambda: eval_F(x - spec.grid.nodes(), x, coeffs, spec),
+                 lambda: residual(x, x, coeffs, spec),
+                 lambda: hessian_coefficients(x, coeffs, spec),
+                 lambda: solve_tridiagonal(np.full(3, 2.0), np.zeros(2), np.ones(3))):
+        made.clear()
+        call()
+        assert len(made) == 1
+
+
+def test_solve_tridiagonal_takes_lists_and_int_arrays_as_floats(rng):
+    # the solve's copy-in converts them: the bits of the float-array call
+    n = 2 * SCALAR_BASE + 5
+    system = (rng.integers(5, 9, n), rng.integers(-2, 3, n - 1), rng.integers(-9, 10, n))
+    want = solve_tridiagonal(*(a.astype(float) for a in system)).tobytes()
+    assert solve_tridiagonal(*system).tobytes() == want
+    assert solve_tridiagonal(*(a.tolist() for a in system)).tobytes() == want
+    with pytest.raises(ValueError) as exc:
+        solve_tridiagonal(np.ones(3), np.zeros(3), np.ones(3))
+    assert str(exc.value) == "inconsistent tridiagonal system: diag 3, offdiag 3, rhs 3"
+    # an entry that is not a number is not a singular system
+    with pytest.raises(ValueError, match="could not convert"):
+        solve_tridiagonal(["a", 2.0], [0.0], [1.0, 1.0])
