@@ -46,7 +46,7 @@ from state to state; _one_off, for the one-off calls of residual_interior,
 hessian_tridiag and functional.eval_F, which take one trajectory as a
 one-row stack whose workspace carves no cyclic reduction;
 newton.solve_tridiagonal when given none; each finite-difference sweep of
-checks, for its states and (Workspace.for_shape) their probes; and
+checks, which keeps one workspace per shape its oracle uses; and
 newton_step on a state that carries none.  Every ufunc
 writes with out= in the order of the plain expression, so the results are
 bitwise those of the expression.  The scratch is four cell fields (the
@@ -182,11 +182,6 @@ class Workspace:
     buffers hold nothing between calls, and copied views would no longer
     share their memory.
 
-    A caller that makes calls of two shapes, states and stacks of their
-    probes as the finite-difference oracles do, keeps one workspace and
-    hands each call its for_shape of the call's shape: this one, or the
-    stack's, which this one keeps.
-
     The cells are dead once a step's Newton solve returns, and
     stepper.advance forms the step's density and its pair sums there
     (after_step()).  What advance leaves in the cells holds until the next
@@ -212,7 +207,6 @@ class Workspace:
         scratch = max(4 * size, 2 * half + sum(3 * k - 1 for k in sizes))
         self._flat = flat = np.empty(scratch + padded)
         self.cells = tuple(flat[:4 * size].reshape(4, *cells))
-        self._other = None
         if rows:
             return
         rhs = flat[scratch:]
@@ -225,15 +219,6 @@ class Workspace:
             self.levels.append(_Level(*system, alpha, beta, *reduced))
             system, start = reduced, f_end
         self.base = system
-
-    def for_shape(self, shape):
-        """This workspace if shape is its own, else the one of that shape it
-        keeps, made at the first call for that shape."""
-        if shape == self.shape:
-            return self
-        if self._other is None or self._other.shape != shape:
-            self._other = Workspace(shape)
-        return self._other
 
     def __reduce__(self):
         return Workspace, (self.shape,)

@@ -23,6 +23,7 @@ does.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,22 +185,21 @@ def check_branch_continuity() -> CheckResult:
 # calculus oracles
 # ---------------------------------------------------------------------------
 
-def gradient_vs_fd(x_curr, x_new, coeffs, grid, work=None):
+def gradient_vs_fd(x_curr, x_new, coeffs, grid, workspace):
     """For each row of the (k, M+1) stacks x_curr and x_new, the max
     relative mismatch between h*residual and a fourth-order central
     difference of F, with coeffs the rows' record (stacked as _draw_states
     stacks it, or one state's as it is).  One residual_hessian call on the
     rows and one step_functional call on their probe-major (4(M-1), k, M+1)
-    stack of probes.  Both write into work, a Workspace (fresh when None):
-    the assembly into work.for_shape of the rows, F into that of the
-    probes.  check_gradient_fd passes the 10 states of a flux form at
-    M = 16, so F sees a (60, 10, 17) stack.
+    stack of probes.  Each writes into workspace(shape), workspace a
+    callable from the shape of the stack to a Workspace of it.
+    check_gradient_fd passes the 10 states of a flux form at M = 16, so F
+    sees a (60, 10, 17) stack.
     F is eval_F's: step_functional plus step_constant."""
     n, X = grid.M - 1, grid.nodes()
     functional._require_admissible(x_new, grid, "candidate trajectory")
     functional._require_admissible(x_curr, grid, "base trajectory")
-    work = _kernels.Workspace(x_new.shape) if work is None else work.for_shape(x_new.shape)
-    grad = grid.h * _kernels.residual_hessian(x_new, x_curr, coeffs, work)[0]
+    grad = grid.h * _kernels.residual_hessian(x_new, x_curr, coeffs, workspace(x_new.shape))[0]
 
     # probes[i - 1, j, s] is row s's x_new - X with node i moved by
     # shifts[j], then X added back, as eval_F adds it
@@ -210,14 +210,14 @@ def gradient_vs_fd(x_curr, x_new, coeffs, grid, work=None):
     probes = probes.reshape(4 * n, *x_new.shape)
     probes += X
     functional._require_admissible(probes, grid, "displaced trajectory")
-    f = _kernels.step_functional(probes, x_curr, coeffs, work.for_shape(probes.shape))
+    f = _kernels.step_functional(probes, x_curr, coeffs, workspace(probes.shape))
     f += _kernels.step_constant(coeffs)
     f = f.reshape(n, 4, -1)
     fd = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * GRADIENT_STEP)
     return np.maximum.reduce(np.abs(fd.T - grad), axis=-1) / np.maximum.reduce(np.abs(grad), axis=-1)
 
 
-def hessian_vs_fd(x_curr, x_new, coeffs, grid, work=None):
+def hessian_vs_fd(x_curr, x_new, coeffs, grid, workspace):
     """For each row of the (k, M+1) stacks x_curr and x_new, the max
     relative mismatch between the assembled tridiagonal and central
     differences of the residual, with coeffs the rows' record as in
@@ -225,10 +225,10 @@ def hessian_vs_fd(x_curr, x_new, coeffs, grid, work=None):
     tridiagonal counts too.  One residual_hessian call on a probe-major
     (1 + 2(M-1), k, M+1) stack whose row 0 is x_new, whose diagonals are
     the Hessian (they do not depend on the base trajectory), and whose
-    other rows are the probes.  It writes into work.for_shape of that
-    stack, work a Workspace (fresh when None).  check_hessian_fd passes the
-    10 states of a flux form at M = 24, so the assembly sees a
-    (47, 10, 25) stack."""
+    other rows are the probes.  It writes into workspace(shape) of that
+    stack, workspace as in gradient_vs_fd.  check_hessian_fd passes the 10
+    states of a flux form at M = 24, so the assembly sees a (47, 10, 25)
+    stack."""
     n = grid.M - 1
     functional._require_admissible(x_curr, grid, "base trajectory")
 
@@ -239,8 +239,7 @@ def hessian_vs_fd(x_curr, x_new, coeffs, grid, work=None):
     stack[1 + i, :, i + 1] += HESSIAN_STEP
     stack[1 + n + i, :, i + 1] -= HESSIAN_STEP
     functional._require_admissible(stack, grid, "candidate trajectory")
-    work = _kernels.Workspace(stack.shape) if work is None else work.for_shape(stack.shape)
-    g, diag, off = _kernels.residual_hessian(stack, x_curr, coeffs, work)
+    g, diag, off = _kernels.residual_hessian(stack, x_curr, coeffs, workspace(stack.shape))
     dense = np.zeros((len(x_new), n, n))
     dense[:, i, i] = diag[0]
     dense[:, i[:-1], i[1:]] = off[0]
@@ -252,7 +251,8 @@ def hessian_vs_fd(x_curr, x_new, coeffs, grid, work=None):
 def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     """name over the FD_STATES random states of _draw_states on M cells.
     oracle runs once on the batch of each flux form, the even- and the
-    odd-numbered states, through one workspace.  The check fails at the
+    odd-numbered states, and both batches share the one workspace of each
+    shape it uses (a Workspace cache, one per sweep).  The check fails at the
     first state in draw order whose relative error exceeds FD_REL_TOL (or
     is nan), and sets rng to where that state's draws end (the sweep's
     start advanced by its 3 + 3M doubles per state), as a sweep that
@@ -260,9 +260,9 @@ def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     error."""
     start = rng.bit_generator.state
     batches, errors, grid = _draw_states(rng, M), np.empty(FD_STATES), Grid(0.0, 1.0, M)
-    work = _kernels.Workspace(batches[0][1].shape)
+    workspace = functools.lru_cache(_kernels.Workspace)
     for odd, (_, x_curr, x_new, coeffs) in enumerate(batches):
-        errors[odd::2] = oracle(x_curr, x_new, coeffs, grid, work)
+        errors[odd::2] = oracle(x_curr, x_new, coeffs, grid, workspace)
     failed = np.flatnonzero(~(errors <= FD_REL_TOL))
     if failed.size:
         i = int(failed[0])

@@ -15,7 +15,7 @@ from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
                      bootstrap, build_coefficients, initial_data_from_key,
                      make_problem, newton_step, quadratic_bump,
                      recover_density, run)
-from pmetraj import checks
+from pmetraj import _kernels, checks
 from pmetraj.analysis import PUBLISHED_TABLE
 from pmetraj.stepper import ENERGY_SLACK
 
@@ -159,14 +159,16 @@ def test_criterion_7_calculus_oracles():
     for i in range(20):
         spec, x_curr, coeffs = random_setup(rng, M=16, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
-        [err] = checks.gradient_vs_fd(x_curr[None], x_new[None], coeffs, spec.grid)
+        [err] = checks.gradient_vs_fd(x_curr[None], x_new[None], coeffs, spec.grid,
+                                       _kernels.Workspace)
         ok = err <= checks.FD_REL_TOL
         grad_ok &= ok
         worst_g = max(worst_g, err)
     for i in range(20):
         spec, x_curr, coeffs = random_setup(rng, M=24, damped_start=i % 2 == 1)
         x_new = checks.random_admissible(rng, spec.grid)
-        [err] = checks.hessian_vs_fd(x_curr[None], x_new[None], coeffs, spec.grid)
+        [err] = checks.hessian_vs_fd(x_curr[None], x_new[None], coeffs, spec.grid,
+                                      _kernels.Workspace)
         ok = err <= checks.FD_REL_TOL
         hess_ok &= ok
         worst_h = max(worst_h, err)

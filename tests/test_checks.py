@@ -104,7 +104,7 @@ def _sub_batch(batch, rows):
 def _error_of(oracle, spec, x_curr, coeffs, x_new):
     """oracle's relative error on one state, passed as a batch of one row
     with its unstacked record."""
-    [err] = oracle(x_curr[None], x_new[None], coeffs, spec.grid)
+    [err] = oracle(x_curr[None], x_new[None], coeffs, spec.grid, _kernels.Workspace)
     return err
 
 
@@ -188,7 +188,8 @@ def test_oracle_equals_reference_loop(oracle, loop, M):
         for odd, batch in enumerate(batches):
             for start in range(0, len(batch[1]), size):
                 rows = slice(start, start + size)
-                got[odd::2][rows] = oracle(*_sub_batch(batch, rows), grid)
+                got[odd::2][rows] = oracle(*_sub_batch(batch, rows), grid,
+                                           _kernels.Workspace)
         assert got.tolist() == want
 
 
@@ -204,7 +205,8 @@ def test_gradient_oracle_makes_one_residual_and_one_F_call(monkeypatch):
     batch = _one_flux_batch(16)
     residuals = _record_calls(monkeypatch, "residual_hessian", _kernels)
     values = _record_calls(monkeypatch, "step_functional", _kernels)
-    assert np.all(checks.gradient_vs_fd(*batch, Grid(0.0, 1.0, 16)) <= checks.FD_REL_TOL)
+    errors = checks.gradient_vs_fd(*batch, Grid(0.0, 1.0, 16), _kernels.Workspace)
+    assert np.all(errors <= checks.FD_REL_TOL)
     assert residuals == [(5, 17)]
     assert values == [(4 * 15, 5, 17)]
 
@@ -213,7 +215,8 @@ def test_hessian_oracle_makes_one_assembly(monkeypatch):
     # the states (row 0) and their probes in one probe-major stack
     batch = _one_flux_batch(24)
     assemblies = _record_calls(monkeypatch, "residual_hessian", _kernels)
-    assert np.all(checks.hessian_vs_fd(*batch, Grid(0.0, 1.0, 24)) <= checks.FD_REL_TOL)
+    errors = checks.hessian_vs_fd(*batch, Grid(0.0, 1.0, 24), _kernels.Workspace)
+    assert np.all(errors <= checks.FD_REL_TOL)
     assert assemblies == [(1 + 2 * 23, 5, 25)]
 
 

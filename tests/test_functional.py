@@ -320,7 +320,8 @@ def test_stack_with_inadmissible_row_names_it(rng):
 def test_gradient_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=16, m=float(rng.uniform(1.3, 2.8)))
-        [err] = gradient_vs_fd(x_curr[None], random_admissible(rng, g)[None], coeffs, g)
+        [err] = gradient_vs_fd(x_curr[None], random_admissible(rng, g)[None], coeffs, g,
+                               _kernels.Workspace)
         assert err <= FD_REL_TOL, f"gradient FD mismatch {err:.3e}"
 
 
@@ -343,7 +344,8 @@ def test_gradient_matches_fd_damped_mode(rng):
 def test_hessian_matches_fd(rng):
     for _ in range(5):
         g, spec, params, x_curr, coeffs = _setup(rng, M=24, m=float(rng.uniform(1.3, 2.8)))
-        [err] = hessian_vs_fd(x_curr[None], random_admissible(rng, g)[None], coeffs, g)
+        [err] = hessian_vs_fd(x_curr[None], random_admissible(rng, g)[None], coeffs, g,
+                              _kernels.Workspace)
         assert err <= FD_REL_TOL, f"Hessian FD mismatch {err:.3e}"
 
 

@@ -146,9 +146,9 @@ def test_reused_workspace_assembles_bitwise_as_a_fresh_one(rng, damped_start):
 
 @pytest.mark.parametrize("damped_start", [False, True])
 def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
-    # the finite-difference oracles pass one workspace to calls on one
-    # trajectory and on stacks of probes: every call gives the bits of a
-    # fresh workspace, and the workspace keeps the stack's for the next
+    # a check sweep keeps one workspace per shape and hands it to calls on
+    # one trajectory and on stacks of probes: every call gives the bits of
+    # a fresh workspace
     spec, params = _quad(16)
     state = bootstrap(spec)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params,
@@ -157,18 +157,16 @@ def test_one_workspace_serves_a_trajectory_and_stacks_of_it(rng, damped_start):
     x = X.copy()
     x[1:-1] += 0.2 * spec.grid.h * rng.uniform(-1.0, 1.0, spec.grid.M - 1)
     stack = np.array([x, X, 1.0 - x[::-1]])
-    work = Workspace(x.shape)
+    works = {y.shape: Workspace(y.shape) for y in (x, stack)}
     for y in (x, stack, x, stack):
-        got = [*_kernels.residual_hessian(y, state.x_curr, coeffs, work.for_shape(y.shape)),
-               _kernels.step_functional(y, state.x_curr, coeffs, work.for_shape(y.shape))]
+        work = works[y.shape]
+        got = [*_kernels.residual_hessian(y, state.x_curr, coeffs, work),
+               _kernels.step_functional(y, state.x_curr, coeffs, work)]
         want = [_kernels.residual_interior(y, state.x_curr, coeffs)[..., 1:-1],
                 *_kernels.hessian_tridiag(y, coeffs),
                 _kernels.step_functional(y, state.x_curr, coeffs, Workspace(y.shape))]
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert work.for_shape(x.shape) is work
-    kept = work.for_shape(stack.shape)
-    assert kept.shape == stack.shape and work.for_shape(stack.shape) is kept
 
 
 def _quad(M=64, m=2.0):
@@ -409,10 +407,10 @@ def test_workspace_holds_at_most_eight_and_a_half_node_fields():
 
 
 def test_check_sweeps_peak_memory():
-    # the peak of a warm checks.run_all(0): 929 KB (the same at seeds 1-4),
+    # the peak of a warm checks.run_all(0): 914 KB (the same at seeds 1-4),
     # most of it the finite-difference sweeps' probe stacks and their
     # workspaces, one oracle call per flux form on its batch of 10 states;
-    # the bound holds that peak with a 6% margin
+    # the bound holds that peak with a 7% margin
     checks.run_all(0)
     tracemalloc.start()
     try:
@@ -452,8 +450,8 @@ def test_kernels_take_the_workspace_their_caller_hands_them():
 
 
 def test_workspaces_are_made_by_their_owners(monkeypatch):
-    # a run's one (restart), a check sweep's one and its probes' (for_shape),
-    # and one per one-off call
+    # a run's one (restart), one per shape a check sweep's oracle uses (both
+    # flux forms share them), and one per one-off call
     spec, params = _quad(64)
     made = _made(monkeypatch)
     stream = list(steps(RunConfig(spec=spec, params=params, t_final=5 * params.tau),
@@ -461,7 +459,7 @@ def test_workspaces_are_made_by_their_owners(monkeypatch):
     assert len(stream) == 5 and made == [(65,)]
     made.clear()
     assert all(result.ok for result in checks.run_all(0))
-    assert made == [(10, 17), (60, 10, 17), (10, 25), (47, 10, 25)]
+    assert made == [(10, 17), (60, 10, 17), (47, 10, 25)]
     state = stream[-1][0]
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x = state.x_curr
