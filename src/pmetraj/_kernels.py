@@ -73,6 +73,8 @@ import math
 
 import numpy as np
 
+from .errors import SingularSystemError
+
 _NONPOSITIVE_PIVOT = "nonpositive pivot in tridiagonal elimination"
 
 #: Cyclic reduction stops at a level of at most this many unknowns and
@@ -130,7 +132,7 @@ class _Level:
         -beta[:-1] e_left[1:], with alpha = e_left/d_even[:-1] and beta =
         e_right/d_even[1:]; alpha, once used, takes the beta products."""
         if not self.d.min() > 0.0:
-            raise ValueError(_NONPOSITIVE_PIVOT)
+            raise SingularSystemError(_NONPOSITIVE_PIVOT)
         alpha, beta, dk, fk = self.alpha, self.beta, self.dk, self.fk
         np.divide(self.e_left, self.d_lo, out=alpha)
         np.divide(self.e_right, self.d_hi, out=beta)
@@ -504,17 +506,17 @@ def step_constant(coeffs):
 
 def _thomas_scalar(d, e, f):
     """Thomas elimination on Python floats: lists in, list out.  A pivot
-    that is not positive (NaN included) raises ValueError."""
+    that is not positive (NaN included) raises SingularSystemError."""
     piv = d[0]
     if not piv > 0.0:
-        raise ValueError(_NONPOSITIVE_PIVOT)
+        raise SingularSystemError(_NONPOSITIVE_PIVOT)
     xi = f[0] / piv
     x, ratios = [xi], []
     for d_i, e_i, f_i in zip(d[1:], e, f[1:]):
         ratio = e_i / piv
         piv = d_i - e_i * ratio
         if not piv > 0.0:
-            raise ValueError(_NONPOSITIVE_PIVOT)
+            raise SingularSystemError(_NONPOSITIVE_PIVOT)
         xi = (f_i - e_i * xi) / piv
         x.append(xi)
         ratios.append(ratio)
@@ -535,16 +537,15 @@ def thomas_spd(diag, off, rhs, work):
     and SPD.  Every level has an odd length, since the workspace pads the
     system with decoupled unit rows (_halvings).  A diagonal entry of
     a level, or a pivot of the scalar elimination, that is not positive
-    (NaN included) means the input was not SPD and raises ValueError.
+    (NaN included) raises SingularSystemError: the input was not SPD.
 
     Every level is written into work, a 1-D Workspace for len(diag) + 2
-    nodes, and the solution is work.rhs: it holds
-    until the next solve with the same work.  Inputs that are not work's own
-    diag, off and rhs are copied in, as floats, so the caller's arrays are
-    only read;
-    the pad rows of rhs are reset on every solve, so a solve that met a NaN
-    leaves nothing behind, and so is the first pad row of diag and off, on
-    which the assembly forms its last cell's flux and c.
+    nodes, and the solution is work.rhs: it holds until the next solve with
+    the same work.  Inputs that are not work's own diag, off and rhs are
+    copied in, as floats, so the caller's arrays are only read; the pad rows
+    of rhs are reset on every solve, so a solve that met a NaN leaves
+    nothing behind, and so is the first pad row of diag and off, on which
+    the assembly forms its last cell's flux and c.
     """
     levels, (d, e, x) = work.levels, work.base
     for given, own in ((diag, work.diag), (off, work.off), (rhs, work.rhs)):

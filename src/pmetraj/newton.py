@@ -9,9 +9,9 @@ phase: from a far-phase step it overshoots.  On the M = 9600 reference of
 the m = 2 refinement study it takes 1.44 iterations per step, the linear
 start 2.006.  The step is the unique minimiser of a strictly convex
 functional, so the start changes the iteration count, not the answer.
-Admissibility of the base and the start is checked once at entry: the
-ordering guard keeps every later iterate inside the admissible set, so the
-loop calls the assembly kernels unchecked.
+The base x^n is admissible in every state (stepper.restart rejects any
+other); the start is checked once at entry, and the ordering guard keeps
+every later iterate admissible, so the loop calls the kernels unchecked.
 
 Each iteration assembles the residual and the SPD tridiagonal linearization
 in one pass (_kernels.residual_hessian), solves it, and measures the scaled
@@ -58,8 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import (DegenerateMeshError, NonconvergenceError,
-                     SingularSystemError, SpdViolationError)
+from .errors import DegenerateMeshError, NonconvergenceError, SpdViolationError
 from .functional import SchemeCoefficients, SolverParams
 from .grid import Grid
 from .problem import ProblemSpec, TrajectoryState, is_admissible
@@ -98,13 +97,14 @@ class NewtonReport:
     final_residual_norm: float = math.inf
     damped_steps: int = 0
     backtracks: int = 0  # Armijo halvings of the far-phase line search
-    converged: bool = False
     #: the first iterate: "quadratic" (3 x^n - 3 x^{n-1} + x^{n-2}),
     #: "linear" (2 x^n - x^{n-1}), "current" (x^n) or "given" (x_init)
     start: str = ""
     #: why the iteration ended: "lambda" when it converged, "line_search" or
     #: "max_iter" when it raised
     stop: str = ""
+    #: whether the iteration converged, read off stop (a property, not a field)
+    converged = property(lambda self: self.stop == "lambda")
 
 
 def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray,
@@ -112,7 +112,8 @@ def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray,
     """Solve the symmetric tridiagonal system with diagonal `diag` and
     off-diagonal entries `offdiag` (one fewer), arrays or sequences of
     numbers.  The solution is a buffer of work (a fresh workspace when not
-    given), valid until its next solve."""
+    given), valid until its next solve.  A nonpositive or NaN pivot raises
+    SingularSystemError from the kernel."""
     n = len(diag)
     if len(offdiag) != n - 1 or len(rhs) != n:
         raise ValueError(f"inconsistent tridiagonal system: diag {n}, offdiag "
@@ -122,12 +123,7 @@ def solve_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, rhs: np.ndarray,
     elif work.shape != (n + 2,):
         raise ValueError(f"workspace of shape {work.shape} for a system of {n} "
                          f"unknowns, which needs ({n + 2},)")
-    try:
-        return _kernels.thomas_spd(diag, offdiag, rhs, work)
-    except ValueError as exc:
-        if str(exc) != _kernels._NONPOSITIVE_PIVOT:
-            raise  # an entry the copy-in could not take as a float
-        raise SingularSystemError(str(exc)) from exc
+    return _kernels.thomas_spd(diag, offdiag, rhs, work)
 
 
 def newton_decrement_lambda(g: np.ndarray, delta: np.ndarray, a: float,
@@ -198,7 +194,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     flux form among them), which every call of the assembly and of F reads,
     from x_init when given, else from the first admissible of
     3 x^n - 3 x^{n-1} + x^{n-2} (when state.x_prev2 is set), 2 x^n - x^{n-1}
-    and x^n.
+    and x^n, which is admissible in every state of stepper.restart or advance.
 
     Every iteration writes the assembly, the solve and any evaluation of F
     into state.work (a fresh Workspace when the state carries none); the
@@ -213,8 +209,6 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     """
     grid = spec.grid
     x_curr = np.asarray(state.x_curr, dtype=float)
-    if not is_admissible(x_curr, grid):
-        raise DegenerateMeshError("base trajectory is outside the admissible set")
     if x_init is None:
         x, start = _extrapolated_start(state, x_curr, grid)
     else:
@@ -282,7 +276,6 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
         if omega < 1.0:
             report.damped_steps += 1
         if report.stop:
-            report.converged = True
             return x, report
 
     raise failure("max_iter", f"Newton did not converge in {params.newton_max_iter} iterations")

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import _kernels, functional, newton
 from .csvio import format_columns, write_csv_atomic
-from .errors import ConfigurationError, EnergyViolationError, SolverError
+from .errors import (ConfigurationError, DegenerateMeshError, EnergyViolationError,
+                     SolverError)
 from .functional import SolverParams
 from .grid import d_forward, d_wide
 from .newton import NewtonReport
@@ -78,10 +79,14 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     """The state at step n and time t of x^n = x_curr, x^{n-1} = x_prev and
     x^{n-2} = x_prev2 (for a quadratic Newton start), with every field the
     next step reads and a fresh Workspace.  A crossing x_curr raises
-    DegenerateMeshError naming its first cell, before the energy is formed."""
+    DegenerateMeshError naming its first cell, before the energy is formed,
+    and so does one whose ends are not the domain's (newton_step trusts both)."""
     grid = spec.grid
     slope = d_forward(x_curr, grid)
     min_cell_slope(slope)
+    if not (x_curr[0] == grid.x_left and x_curr[-1] == grid.x_right):
+        raise DegenerateMeshError(f"end nodes {x_curr[0]:.17g}, {x_curr[-1]:.17g} are "
+                                  "not the domain's ends")
     return TrajectoryState(n=n, t=t, x_curr=x_curr, x_prev=x_prev, x_prev2=x_prev2,
                            e_curr=discrete_energy(x_curr, spec, slope), slope_curr=slope,
                            wide_curr=d_wide(x_curr, grid), wide_prev=d_wide(x_prev, grid),

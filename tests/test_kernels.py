@@ -167,7 +167,7 @@ def _raised_in_scalar_base(monkeypatch):
     def recording(*args):
         try:
             return scalar(*args)
-        except ValueError:
+        except SingularSystemError:
             raised.append(len(args[0]))
             raise
 
@@ -182,6 +182,28 @@ def test_indefinite_caught_in_scalar_base(monkeypatch, n):
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(diag, off, np.ones(n))
     assert len(raised) == 1 and raised[0] <= SCALAR_BASE
+
+
+@pytest.mark.parametrize("case", ["scalar base", "reduced level", "nan"])
+def test_thomas_spd_raises_singular_where_the_pivot_fails(monkeypatch, rng, case):
+    # the kernel raises SingularSystemError itself, at the pivot it finds:
+    # no other error is mapped onto it, so it carries no cause
+    raised = _raised_in_scalar_base(monkeypatch)
+    if case == "scalar base":
+        n = SCALAR_BASE - 1
+        diag, off = _shifted_laplacian(n)
+        rhs = np.ones(n)
+    elif case == "reduced level":  # the first reduced diagonal is 1 - 2 * 0.81
+        n = 1025
+        diag, off, rhs = np.ones(n), np.full(n - 1, 0.9), np.ones(n)
+    else:
+        n = 9
+        diag, off, rhs = _random_spd(rng, n)
+        diag[4] = np.nan
+    with pytest.raises(SingularSystemError) as err:
+        _kernels.thomas_spd(diag, off, rhs, _kernels.Workspace((n + 2,)))
+    assert err.value.__cause__ is None
+    assert len(raised) == (case != "reduced level")
 
 
 @pytest.mark.parametrize("n", [SCALAR_BASE + 1, 2 * SCALAR_BASE + 1])

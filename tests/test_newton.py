@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, LAMBDA_STAR, NonconvergenceError,
+from pmetraj import (Grid, LAMBDA_STAR, NewtonReport, NonconvergenceError,
                      SingularSystemError, SolverParams, advance, bootstrap,
                      build_coefficients, eval_F, hessian_coefficients,
-                     initial_data_from_key, make_problem,
+                     initial_data_from_key, is_admissible, make_problem,
                      newton_decrement_lambda, newton_step, quadratic_bump,
                      residual, restart, self_concordance_a, solve_tridiagonal)
-from pmetraj import _kernels
+from pmetraj import _kernels, newton
 from pmetraj.newton import MIN_OMEGA, TOL_LAMBDA, _guarded_update
 
 from conftest import state_after
@@ -357,6 +357,46 @@ def test_newton_falls_back_to_current_when_extrapolation_crosses():
     assert report.start == "current" and report.converged
     x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
     assert np.max(np.abs(x_new - x_base)) <= 1e-12
+
+
+def test_an_advance_checks_admissibility_once_with_an_admissible_quadratic_start(monkeypatch):
+    # the base trajectory is admissible by construction (restart, advance):
+    # only the start is checked
+    g = Grid(0.0, 1.0, 100)
+    spec = make_problem(2.0, g, quadratic_bump)
+    params = SolverParams(tau=g.h)
+    state = state_after(spec, params, 6)
+    calls = []
+
+    def recording(x, grid):
+        calls.append(x.shape)
+        return is_admissible(x, grid)
+
+    monkeypatch.setattr(newton, "is_admissible", recording)
+    _, diag = advance(state, spec, params)
+    assert diag.report.start == "quadratic" and len(calls) == 1
+
+
+def test_converged_is_read_off_the_stop():
+    g = Grid(0.0, 1.0, 100)
+    spec = make_problem(2.0, g, quadratic_bump)
+    state = bootstrap(spec)
+    reports = []
+    for budget in (100, 1):
+        params = SolverParams(tau=g.h, newton_max_iter=budget)
+        coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev,
+                                    spec, params)
+        try:
+            reports.append(newton_step(state, coeffs, spec, params)[1])
+        except NonconvergenceError as exc:
+            reports.append(exc.report)
+    reports.append(NewtonReport(stop="line_search"))
+    assert [r.stop for r in reports] == ["lambda", "max_iter", "line_search"]
+    for report in reports:
+        assert report.converged == (report.stop == "lambda")
+    assert "converged" not in {f.name for f in dataclasses.fields(NewtonReport)}
+    with pytest.raises(AttributeError):
+        reports[0].converged = False
 
 
 def test_newton_quadratic_start_is_used_after_a_near_phase_step():

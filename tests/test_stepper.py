@@ -423,6 +423,16 @@ def test_restart_names_the_first_crossed_cell():
         restart(spec, 1, params.tau, x_curr, g.nodes())
 
 
+def test_restart_rejects_an_unpinned_end():
+    # newton_step trusts the base trajectory's ends, so restart, which makes
+    # every state that advance does not, checks them
+    g, spec, params = _quad_setup(M=16)
+    x_curr = g.nodes()
+    x_curr[-1] = g.x_right - g.h / 4  # still ordered
+    with pytest.raises(DegenerateMeshError, match="end nodes"):
+        restart(spec, 1, params.tau, x_curr, g.nodes())
+
+
 def test_step_mass_is_the_trapezoid_of_the_density():
     g, spec, params = _quad_setup(M=200)
     state, diag = advance(bootstrap(spec), spec, params)

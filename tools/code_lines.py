@@ -1,26 +1,35 @@
 """Count the code lines of the pmetraj package, docstrings and comments
 excluded.
 
-    python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py [DIR] [--against REV]
 
 prints, for each module of DIR (default: src/pmetraj of this checkout),
 the lines that hold code, then their total.  A line holds code when a
 token other than a comment or a line break starts on it or spans it
 (every line of a multi-line string counts), and it is not part of a
 docstring: the string that opens a module, class or function body.  Blank
-lines and comment-only lines do not count.  To count another revision,
-extract its package and pass the directory:
+lines and comment-only lines do not count.
 
-    git archive REV src/pmetraj | tar -x -C /tmp/rev
-    python3 tools/code_lines.py /tmp/rev/src/pmetraj
+With --against REV, the package of the git revision REV (a commit, a
+branch, HEAD) is counted beside it: `git archive` extracts REV's
+src/pmetraj into a temporary directory, and each module's count at REV and
+in DIR is printed, "-" where a side has no such module, then both totals
+and the change in the total.
 
-Only the standard library is used (ast and tokenize).
+Only the standard library and git are used (ast, tokenize, tarfile).
 """
+import argparse
 import ast
 import io
+import subprocess
 import sys
+import tarfile
+import tempfile
 import tokenize
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "src/pmetraj"
 
 #: Tokens that hold no code.
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -47,14 +56,47 @@ def code_lines(source):
     return len(lines - docstring_lines(source))
 
 
+def counts(root):
+    """{module file name: code lines} of the modules in root."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(root).glob("*.py"))}
+
+
+def counts_at(rev):
+    """counts() of the package at the git revision rev."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, PACKAGE], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        return counts(Path(tmp, PACKAGE))
+
+
 def main(argv):
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "pmetraj"
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Count the code lines of each module.")
+    parser.add_argument("dir", nargs="?", default=ROOT / PACKAGE,
+                        help="the package directory (default: src/pmetraj here)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also count the package at this git revision")
+    args = parser.parse_args(argv)
+    tree = counts(args.dir)
+    if args.against is None:
+        for name, count in tree.items():
+            print(f"{count:6d}  {name}")
+        print(f"{sum(tree.values()):6d}  total")
+        return 0
+    try:
+        before = counts_at(args.against)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: git archive {args.against}: {exc.stderr.decode().strip()}",
+              file=sys.stderr)
+        return 2
+    print(f"{'at REV':>6}  {'tree':>6}  module ({args.against} against the tree)")
+    for name in sorted(before.keys() | tree.keys()):
+        print(f"{before.get(name, '-'):>6}  {tree.get(name, '-'):>6}  {name}")
+    total_before, total_tree = sum(before.values()), sum(tree.values())
+    print(f"{total_before:6d}  {total_tree:6d}  total")
+    print(f"change in the total: {total_tree - total_before:+d}")
     return 0
 
 
