@@ -365,58 +365,37 @@ def run_many(configs: list) -> list:
 # Refinement studies
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _StudyPlan:
-    m: float
-    t_eval: float
-    pairs: list    # (M, tau) of the reference, then of each level
-    specs: dict    # M -> ProblemSpec
-    configs: list  # RunConfig of each pair
-
-
-def _study_plan(m, levels, reference, t_eval, initial_data, domain,
-                params_base) -> _StudyPlan:
-    """Every run of a refinement study, checked (see refinement_study)."""
+def _study_plan(m, pairs, t_eval, initial_data, domain, params_base) -> list:
+    """The RunConfig of each (M, tau) of pairs, which the caller checked,
+    the reference first, each run to t_eval; one ProblemSpec per M."""
     if params_base is None:
         params_base = SolverParams(tau=1.0)
-    reference_M, pairs = reference[0], [tuple(reference)]
-    for M, tau in levels:
-        if (M, tau) in pairs:
-            raise ConfigurationError(f"(M={M}, tau={tau}) repeats an earlier level or the "
-                                     "reference", key="levels")
-        if not (M >= 1 and reference_M % M == 0):
-            raise ConfigurationError(f"M={M} does not divide the reference's M={reference_M}",
-                                     key="levels")
-        pairs.append((M, tau))
-
     f0 = initial_data_from_key(initial_data) if isinstance(initial_data, str) else initial_data
     specs = {M: make_problem(m, Grid(domain[0], domain[1], M), f0) for M, _ in pairs}
-    configs = [RunConfig(spec=specs[M], params=dataclasses.replace(params_base, tau=tau),
-                         t_final=t_eval) for M, tau in pairs]
-    return _StudyPlan(m=m, t_eval=t_eval, pairs=pairs, specs=specs, configs=configs)
+    return [RunConfig(spec=specs[M], params=dataclasses.replace(params_base, tau=tau),
+                      t_final=t_eval) for M, tau in pairs]
 
 
-def _study_result(plan: _StudyPlan, results: list) -> StudyResult:
-    """The error records and orders of a planned study from its runs' results."""
-    reference_M = plan.pairs[0][0]
+def _study_result(m, configs: list, results: list) -> StudyResult:
+    """The error records and orders of a study from the RunConfig of each
+    run, the reference first (_study_plan), and their results."""
+    reference, ref_state = configs[0].spec, results[0].final_state
     runs = {"reference": results[0]}
-    ref_state = results[0].final_state
-    f_ref = recover_density(ref_state.x_curr, plan.specs[reference_M], ref_state.slope_curr,
+    f_ref = recover_density(ref_state.x_curr, reference, ref_state.slope_curr,
                             ref_state.wide_curr)
 
     records = []
-    for (M, tau), res in zip(plan.pairs[1:], results[1:]):
-        runs[(M, tau)] = res
-        spec, x = plan.specs[M], res.final_state.x_curr
-        f = recover_density(x, spec, res.final_state.slope_curr, res.final_state.wide_curr)
-        stride = reference_M // M
-        f_l2, f_inf = density_error_norms(x, f, ref_state.x_curr, f_ref, stride)
-        x_l2, x_inf = trajectory_error_norms(x, ref_state.x_curr, stride, spec.grid)
-        records.append(ErrorRecord(h=spec.grid.h, tau=tau,
-                                   err_f_l2=f_l2, err_f_inf=f_inf,
-                                   err_x_l2=x_l2, err_x_inf=x_inf))
+    for config, res in zip(configs[1:], results[1:]):
+        spec, tau, state = config.spec, config.params.tau, res.final_state
+        runs[(spec.grid.M, tau)] = res
+        f = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
+        stride = reference.grid.M // spec.grid.M
+        records.append(ErrorRecord(
+            spec.grid.h, tau,
+            *density_error_norms(state.x_curr, f, ref_state.x_curr, f_ref, stride),
+            *trajectory_error_norms(state.x_curr, ref_state.x_curr, stride, spec.grid)))
 
-    report = ConvergenceReport(m=plan.m, t_eval=plan.t_eval, records=records,
+    report = ConvergenceReport(m=m, t_eval=configs[0].t_final, records=records,
                                orders=observed_orders(records))
     return StudyResult(report=report, runs=runs)
 
@@ -432,12 +411,22 @@ def refinement_study(m: float,
     first, against one reference (M, tau), all run to t_eval: a time study
     is levels at one M, a space study levels at one tau.  `initial_data` is
     a catalog key or a sampling callable.  Everything is checked before the
-    first run; a level that repeats one before it, or whose M does not
-    divide the reference's, raises ConfigurationError with key "levels".
-    The runs are independent and go through run_many.
+    first run: the levels here, where a level that repeats one before it,
+    or whose M does not divide the reference's, raises ConfigurationError
+    with key "levels", the rest as _study_plan makes the RunConfigs that
+    are the study.  The runs are independent and go through run_many.
     `runs` holds "reference" and each level's (M, tau)."""
-    plan = _study_plan(m, levels, reference, t_eval, initial_data, domain, params_base)
-    return _study_result(plan, run_many(plan.configs))
+    reference_M, pairs = reference[0], [tuple(reference)]
+    for M, tau in levels:
+        if (M, tau) in pairs:
+            raise ConfigurationError(f"(M={M}, tau={tau}) repeats an earlier level or the "
+                                     "reference", key="levels")
+        if not (M >= 1 and reference_M % M == 0):
+            raise ConfigurationError(f"M={M} does not divide the reference's M={reference_M}",
+                                     key="levels")
+        pairs.append((M, tau))
+    configs = _study_plan(m, pairs, t_eval, initial_data, domain, params_base)
+    return _study_result(m, configs, run_many(configs))
 
 
 def convergence_study(m: float,
@@ -447,9 +436,9 @@ def convergence_study(m: float,
                       initial_data: Union[str, Callable],
                       domain=(0.0, 1.0),
                       params_base: Optional[SolverParams] = None) -> StudyResult:
-    """refinement_study with tau = h, one level per mesh width in h_list, the
-    study's keys checked first (study_cell_counts); `runs` holds "reference"
-    and each coarse M."""
+    """refinement_study with tau = h, one level per coarse count of
+    study_cell_counts, which checks the study's keys once and before the
+    first run; `runs` holds "reference" and each coarse M."""
     return next(convergence_studies([m], h_list, reference_M, t_eval, initial_data,
                                     domain, params_base))
 
@@ -464,20 +453,22 @@ def convergence_studies(m_values: list,
     """convergence_study of each exponent in m_values, in order, with the
     runs of every study mapped together, as one run_many call maps them.
 
-    Every study is checked and every run made before this returns; the
-    studies are then yielded one at a time.  A study with a failing run
-    raises, when it is reached, the exception of its first failing run in
-    input order, so the studies before it are yielded first."""
+    The keys are checked once for every study (study_cell_counts), each
+    study is the RunConfigs of one exponent from those counts (_study_plan),
+    and every run is made before this returns; the studies are then
+    yielded one at a time.  A study with a failing run raises, when it is
+    reached, the exception of its first failing run in input order, so the
+    studies before it are yielded first."""
     length = domain_length(*domain)
     m_list = study_cell_counts(h_list, reference_M, t_eval, length)
-    plans = [_study_plan(m, [(M, length / M) for M in m_list],
-                         (reference_M, length / reference_M), t_eval, initial_data,
-                         domain, params_base) for m in m_values]
-    outcomes = iter(_outcomes([config for plan in plans for config in plan.configs]))
+    pairs = [(M, length / M) for M in [reference_M] + m_list]
+    plans = [(m, _study_plan(m, pairs, t_eval, initial_data, domain, params_base))
+             for m in m_values]
+    outcomes = iter(_outcomes([config for _, configs in plans for config in configs]))
 
     def studies():
-        for plan in plans:
-            study = _study_result(plan, _results([next(outcomes) for _ in plan.configs]))
+        for m, configs in plans:
+            study = _study_result(m, configs, _results([next(outcomes) for _ in configs]))
             study.runs = {k if k == "reference" else k[0]: res
                           for k, res in study.runs.items()}
             yield study

@@ -9,9 +9,13 @@ phase: from a far-phase step it overshoots.  On the M = 9600 reference of
 the m = 2 refinement study it takes 1.44 iterations per step, the linear
 start 2.006.  The step is the unique minimiser of a strictly convex
 functional, so the start changes the iteration count, not the answer.
-The base x^n is admissible in every state (stepper.restart rejects any
-other); the start is checked once at entry, and the ordering guard keeps
-every later iterate admissible, so the loop calls the kernels unchecked.
+Every state's x^n, x^{n-1} and x^{n-2} are float arrays and x^n is
+admissible (stepper.restart converts them and rejects any other x^n), so
+they are read as they are; the start is checked once at entry, and the
+ordering guard keeps every later iterate admissible, so the loop calls the
+kernels unchecked.  There is no other start, as none could change the
+answer: to begin at an admissible y, hand in a state whose x^{n-1} is
+2 x^n - y (a linear start equal to y up to rounding).
 
 Each iteration assembles the residual and the SPD tridiagonal linearization
 in one pass (_kernels.residual_hessian), solves it, and measures the scaled
@@ -98,7 +102,7 @@ class NewtonReport:
     damped_steps: int = 0
     backtracks: int = 0  # Armijo halvings of the far-phase line search
     #: the first iterate: "quadratic" (3 x^n - 3 x^{n-1} + x^{n-2}),
-    #: "linear" (2 x^n - x^{n-1}), "current" (x^n) or "given" (x_init)
+    #: "linear" (2 x^n - x^{n-1}) or "current" (x^n)
     start: str = ""
     #: why the iteration ended: "lambda" when it converged, "line_search" or
     #: "max_iter" when it raised
@@ -166,12 +170,13 @@ def _guarded_update(x: np.ndarray, delta: np.ndarray, omega: float,
     )
 
 
-def _extrapolated_start(state: TrajectoryState, x_curr: np.ndarray, grid: Grid):
+def _extrapolated_start(state: TrajectoryState, grid: Grid):
     """The first admissible of 3 x^n - 3 x^{n-1} + x^{n-2} (when x^{n-2} is
     carried), 2 x^n - x^{n-1} and x^n, with its NewtonReport.start name.
 
     Every candidate is formed in one buffer, and the end values stay exact:
     3(b - b) + b == 2b - b == b."""
+    x_curr = state.x_curr
     x = np.empty_like(x_curr)
     if state.x_prev2 is not None:
         np.subtract(x_curr, state.x_prev, out=x)
@@ -188,13 +193,13 @@ def _extrapolated_start(state: TrajectoryState, x_curr: np.ndarray, grid: Grid):
 
 
 def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
-                spec: ProblemSpec, params: SolverParams,
-                x_init: np.ndarray | None = None):
+                spec: ProblemSpec, params: SolverParams):
     """Solve one implicit step with the step's coefficients coeffs (the
     flux form among them), which every call of the assembly and of F reads,
-    from x_init when given, else from the first admissible of
-    3 x^n - 3 x^{n-1} + x^{n-2} (when state.x_prev2 is set), 2 x^n - x^{n-1}
-    and x^n, which is admissible in every state of stepper.restart or advance.
+    from the first admissible of 3 x^n - 3 x^{n-1} + x^{n-2} (when
+    state.x_prev2 is set), 2 x^n - x^{n-1} and x^n, which is admissible in
+    every state of stepper.restart or advance.  The state's node fields are
+    float arrays (restart converts them) and are read as they are.
 
     Every iteration writes the assembly, the solve and any evaluation of F
     into state.work (a fresh Workspace when the state carries none); the
@@ -207,15 +212,8 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     NonconvergenceError (carrying the report) if the iteration budget runs out
     or the far-phase line search finds no decrease of F.
     """
-    grid = spec.grid
-    x_curr = np.asarray(state.x_curr, dtype=float)
-    if x_init is None:
-        x, start = _extrapolated_start(state, x_curr, grid)
-    else:
-        start = "given"
-        x = np.array(x_init, dtype=float)
-        if not is_admissible(x, grid):
-            raise DegenerateMeshError("Newton starting point is outside the admissible set")
+    grid, x_curr = spec.grid, state.x_curr
+    x, start = _extrapolated_start(state, grid)
     a = self_concordance_a(spec)
     report = NewtonReport(start=start)
     work = state.work if state.work is not None else _kernels.Workspace(x_curr.shape)

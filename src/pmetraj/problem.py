@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
+from .config import parse_number
 from .errors import ConfigurationError, DataScaleError, DegenerateMeshError
 from .grid import Grid, d_forward, d_wide
 
@@ -78,21 +79,23 @@ def quadratic_bump(x: np.ndarray) -> np.ndarray:
 def initial_data_from_key(key: str) -> Callable[[np.ndarray], np.ndarray]:
     """Resolve a catalog key to a sampling callable.
 
-    Accepted keys: ``paper-quadratic``, ``constant:<c>``, ``poly:<c0,c1,...>``.
+    Accepted keys: ``paper-quadratic``, ``constant:<c>``, ``poly:<c0,c1,...>``,
+    each number in the config's grammar (config.parse_number: a finite float
+    or a fraction a/b), or ConfigurationError with key "initial_data".
     """
     key = key.strip()
     if key == "paper-quadratic":
         return quadratic_bump
     if key.startswith("constant:"):
         try:
-            c = float(key.split(":", 1)[1])
+            c = parse_number(key.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigurationError(f"bad constant initial data {key!r}",
                                      key="initial_data") from exc
         return lambda x: np.full_like(np.asarray(x, dtype=float), c)
     if key.startswith("poly:"):
         try:
-            coeffs = [float(tok) for tok in key.split(":", 1)[1].split(",")]
+            coeffs = [parse_number(tok) for tok in key.split(":", 1)[1].split(",")]
         except ValueError as exc:
             raise ConfigurationError(f"bad polynomial initial data {key!r}",
                                      key="initial_data") from exc

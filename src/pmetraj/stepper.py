@@ -78,10 +78,16 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
             x_prev: np.ndarray, x_prev2: np.ndarray | None = None) -> TrajectoryState:
     """The state at step n and time t of x^n = x_curr, x^{n-1} = x_prev and
     x^{n-2} = x_prev2 (for a quadratic Newton start), with every field the
-    next step reads and a fresh Workspace.  A crossing x_curr raises
-    DegenerateMeshError naming its first cell, before the energy is formed,
-    and so does one whose ends are not the domain's (newton_step trusts both)."""
+    next step reads and a fresh Workspace.  Each trajectory, an array or a
+    sequence of numbers, is converted here to a float array (a float array
+    is kept as it is), the one conversion the run makes.  A crossing x_curr
+    raises DegenerateMeshError naming its first cell, before the energy is
+    formed, and so does one whose ends are not the domain's (newton_step
+    trusts both)."""
     grid = spec.grid
+    x_curr, x_prev = np.asarray(x_curr, dtype=float), np.asarray(x_prev, dtype=float)
+    if x_prev2 is not None:
+        x_prev2 = np.asarray(x_prev2, dtype=float)
     slope = d_forward(x_curr, grid)
     min_cell_slope(slope)
     if not (x_curr[0] == grid.x_left and x_curr[-1] == grid.x_right):

@@ -1,9 +1,16 @@
 import os
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pmetraj import RunConfig, bootstrap, convergence_studies, steps
+
+try:
+    import mpmath
+except ImportError:  # the mpmath tests skip; there is no precision to guard
+    mpmath = None
 
 #: The refinement study of the acceptance gate (test_acceptance.py): both
 #: exponents of the published table at t = 0.05 with tau = h and a0 = 1,
@@ -14,9 +21,35 @@ REFERENCE_M = 9600
 T_EVAL = 0.05
 
 
+def in_git_checkout():
+    """Whether the repository is a git checkout with a commit (the tools'
+    --against runs need one)."""
+    try:
+        return subprocess.run(["git", "rev-parse", "--verify", "HEAD"],
+                              cwd=Path(__file__).resolve().parent.parent,
+                              capture_output=True).returncode == 0
+    except OSError:  # no git
+        return False
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(autouse=True)
+def mp_precision_kept():
+    """Fail a test that leaves mpmath's working precision changed, which
+    every later mpmath user in the session would inherit (work under
+    mp.workdps instead); the precision is put back first."""
+    if mpmath is None:
+        yield
+        return
+    dps = mpmath.mp.dps
+    yield
+    left = mpmath.mp.dps
+    mpmath.mp.dps = dps
+    assert left == dps, f"the test left mpmath.mp.dps at {left}, not {dps}"
 
 
 @pytest.fixture(scope="session")

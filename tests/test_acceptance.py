@@ -7,6 +7,7 @@ factor of two.  The reference runs at
 the nested resolution M = 9600 (stride 48/24/12/6); its own error sits >=39x
 below the finest coarse error, so the windows are unaffected.
 """
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,10 @@ def test_criterion_3_unique_solvability(studies):
     start = state.x_curr.copy()
     start[1:-1] += 0.25 * g.h * rng.uniform(-1.0, 1.0, g.M - 1)
     assert np.all(np.diff(start) > 0.0)
-    x_again, _ = newton_step(state, coeffs, spec, params, x_init=start)
+    # a state whose linear start 2 x^n - x^{n-1} is the perturbed one
+    perturbed = dataclasses.replace(state, x_prev=2.0 * state.x_curr - start, x_prev2=None)
+    x_again, report = newton_step(perturbed, coeffs, spec, params)
+    assert report.start == "linear"
     gap = float(np.max(np.abs(x_ref - x_again)))
     _verdict("criterion 3: positive slopes everywhere and perturbed re-solve "
              "agreement to 1e-8",

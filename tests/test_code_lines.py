@@ -5,18 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import in_git_checkout
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _in_git_checkout():
-    try:
-        return subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
-                              capture_output=True).returncode == 0
-    except OSError:  # no git
-        return False
-
-
-@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a commit")
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a commit")
 def test_code_lines_against_head_prints_both_totals_and_the_change():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"),
                           "--against", "HEAD"], cwd=ROOT, capture_output=True, text=True,

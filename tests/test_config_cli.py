@@ -329,6 +329,12 @@ def test_cmd_solve_zero_denominator_names_line(tmp_path, capsys, old, new, key):
     ("paper-quadratic", "constant:x",
      "problem.initial_data: bad constant initial data 'constant:x'"),
     ("paper-quadratic", "bogus", "problem.initial_data: unknown initial data key 'bogus'"),
+    ("paper-quadratic", "constant:inf",
+     "problem.initial_data: bad constant initial data 'constant:inf'"),
+    ("paper-quadratic", "constant:nan",
+     "problem.initial_data: bad constant initial data 'constant:nan'"),
+    ("paper-quadratic", "poly:1,0,inf",
+     "problem.initial_data: bad polynomial initial data 'poly:1,0,inf'"),
     ("paper-quadratic", "poly:0,1",
      "problem.initial_data: initial density must be strictly positive"),
     ("tau = 1/100\nt_final = 0.1", "tau = 1e-10\nt_final = 1e300",
@@ -344,7 +350,9 @@ def test_cmd_solve_non_finite_number_names_line(tmp_path, capsys, old, new, key)
     # length times f0 beyond the float range) an overflow warning from the
     # Hessian assembly, the energy or the sampling of f0.  A rule the library
     # held alone (initial data) gave an error without its line, and a
-    # t_final/tau that overflows an OverflowError traceback after snap_0.csv
+    # t_final/tau that overflows an OverflowError traceback after snap_0.csv.
+    # A non-finite initial-data number was blamed on problem.domain, a key
+    # the file need not set, with no line number
     text = SOLVE_CONFIG.replace(old, new)
     name = key.split(":")[0].split(".")[1]
     line = next(i for i, entry in enumerate(text.splitlines(), start=1)

@@ -152,14 +152,14 @@ def test_secant_ratio_near_equal_oracle():
 
 def test_secant_ratio_matches_high_precision(rng):
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    for _ in range(50):
-        y0 = float(rng.uniform(0.05, 5.0))
-        y = y0 * (1.0 + float(rng.uniform(-0.5, 2.0)))
-        if y <= 0.0 or y == y0:
-            continue
-        exact = float((mp.log(y) - mp.log(y0)) / (mp.mpf(y) - mp.mpf(y0)))
-        assert secant_ratio_R(y, y0) == pytest.approx(exact, rel=1e-13)
+    with mp.workdps(40):
+        for _ in range(50):
+            y0 = float(rng.uniform(0.05, 5.0))
+            y = y0 * (1.0 + float(rng.uniform(-0.5, 2.0)))
+            if y <= 0.0 or y == y0:
+                continue
+            exact = float((mp.log(y) - mp.log(y0)) / (mp.mpf(y) - mp.mpf(y0)))
+            assert secant_ratio_R(y, y0) == pytest.approx(exact, rel=1e-13)
 
 
 def test_slope_derivative_values():
@@ -457,36 +457,36 @@ def test_g_second_derivative_consistency(rng):
 
 def test_spence_against_mpmath():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    # geometric sweep plus the branch edges 1/2 and 2 and the zero at w = 1
-    w = np.concatenate((np.geomspace(1e-12, 1e12, 481), [0.5, 1.0, 2.0]))
-    got = _spence(w)
-    for wi, gi in zip(w, got):
-        exact = float(mp.polylog(2, 1 - mp.mpf(float(wi))))
-        assert abs(gi - exact) <= 1e-15 * max(1.0, abs(exact)), wi
-    assert _spence(np.array([1.0]))[0] == 0.0
+    with mp.workdps(40):
+        # geometric sweep plus the branch edges 1/2 and 2 and the zero at w = 1
+        w = np.concatenate((np.geomspace(1e-12, 1e12, 481), [0.5, 1.0, 2.0]))
+        got = _spence(w)
+        for wi, gi in zip(w, got):
+            exact = float(mp.polylog(2, 1 - mp.mpf(float(wi))))
+            assert abs(gi - exact) <= 1e-15 * max(1.0, abs(exact)), wi
+        assert _spence(np.array([1.0]))[0] == 0.0
 
 
 def test_g_integral_against_mpmath_quadrature(rng):
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-
     def integrand(t, x0):
         s = 1 + t - x0
         return (mp.log(1 + t) - mp.log(x0)) / s if s != 0 else 1 / x0
 
-    for k in range(200):
-        x0 = float(rng.uniform(0.05, 5.0))
-        if k % 4 == 0:   # base slope within 1e-6 of 1 + x: the removable singularity
-            x = x0 - 1.0 + float(rng.uniform(-1e-6, 1e-6))
-        else:
-            x = float(rng.uniform(-0.95, 3.0))
-        if x <= -1.0 or x == 0.0:
-            continue
-        mx, mx0 = mp.mpf(x), mp.mpf(x0)
-        inner = [mx0 - 1] if min(x, 0.0) < x0 - 1.0 < max(x, 0.0) else []
-        exact = -mp.quad(lambda t: integrand(t, mx0), [0] + inner + [mx])
-        assert g_convex_integral(x, x0) == pytest.approx(float(exact), rel=1e-11, abs=1e-12)
+    with mp.workdps(30):
+        for k in range(200):
+            x0 = float(rng.uniform(0.05, 5.0))
+            if k % 4 == 0:   # base slope within 1e-6 of 1 + x: the removable singularity
+                x = x0 - 1.0 + float(rng.uniform(-1e-6, 1e-6))
+            else:
+                x = float(rng.uniform(-0.95, 3.0))
+            if x <= -1.0 or x == 0.0:
+                continue
+            mx, mx0 = mp.mpf(x), mp.mpf(x0)
+            inner = [mx0 - 1] if min(x, 0.0) < x0 - 1.0 < max(x, 0.0) else []
+            exact = -mp.quad(lambda t: integrand(t, mx0), [0] + inner + [mx])
+            assert g_convex_integral(x, x0) == pytest.approx(float(exact), rel=1e-11,
+                                                             abs=1e-12)
 
 
 def test_li2_series_coefficients_are_bernoulli():
@@ -533,20 +533,19 @@ def test_q1_oracle_values():
 
 def test_q1_oracle_against_mpmath(rng):
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-
     def q1(t, x0):
         return -(mp.log(t) - mp.log(x0)) / (t - x0)
 
-    for _ in range(30):
-        x0 = float(rng.uniform(0.1, 5.0))
-        x = x0 * (1.0 + float(rng.choice([1e-6, 1e-3, 0.3, 2.0]) * rng.choice([-0.4, 1.0])))
-        got = q1_oracle(x, x0)
-        want = (float(q1(mp.mpf(x), mp.mpf(x0))),
-                float(mp.diff(lambda t: q1(t, mp.mpf(x0)), mp.mpf(x))),
-                float(mp.diff(lambda t: q1(t, mp.mpf(x0)), mp.mpf(x), 2)))
-        for g_, w_ in zip(got, want):
-            assert g_ == pytest.approx(w_, rel=1e-9)
+    with mp.workdps(40):
+        for _ in range(30):
+            x0 = float(rng.uniform(0.1, 5.0))
+            x = x0 * (1.0 + float(rng.choice([1e-6, 1e-3, 0.3, 2.0]) * rng.choice([-0.4, 1.0])))
+            got = q1_oracle(x, x0)
+            want = (float(q1(mp.mpf(x), mp.mpf(x0))),
+                    float(mp.diff(lambda t: q1(t, mp.mpf(x0)), mp.mpf(x))),
+                    float(mp.diff(lambda t: q1(t, mp.mpf(x0)), mp.mpf(x), 2)))
+            for g_, w_ in zip(got, want):
+                assert g_ == pytest.approx(w_, rel=1e-9)
 
 
 def test_q1_oracle_arrays_equal_scalar_calls(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 
@@ -225,8 +226,17 @@ def test_newton_unique_solution_from_perturbed_start(rng):
     start = state.x_curr.copy()
     start[1:-1] += 0.2 * g.h * rng.uniform(-1.0, 1.0, g.M - 1)
     assert np.all(np.diff(start) > 0)
-    x_b, _ = newton_step(state, coeffs, spec, params, x_init=start)
+    # a state whose linear start 2 x^n - x^{n-1} is the perturbed one
+    perturbed = dataclasses.replace(state, x_prev=2.0 * state.x_curr - start, x_prev2=None)
+    x_b, report = newton_step(perturbed, coeffs, spec, params)
+    assert report.start == "linear"
     assert np.max(np.abs(x_a - x_b)) <= 1e-8
+
+
+def test_newton_step_takes_no_explicit_start():
+    # the start is always extrapolated from the state (NewtonReport.start)
+    assert list(inspect.signature(newton_step).parameters) == ["state", "coeffs", "spec",
+                                                               "params"]
 
 
 def _record_residuals(monkeypatch):
@@ -334,8 +344,9 @@ def test_newton_extrapolated_start_is_used_when_admissible():
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_pred, report = newton_step(state, coeffs, spec, params)
     assert report.start == "linear" and report.converged
-    x_base, base = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
-    assert base.start == "given"
+    at_current = dataclasses.replace(state, x_prev=state.x_curr, x_prev2=None)
+    x_base, base = newton_step(at_current, coeffs, spec, params)
+    assert base.start == "linear"
     assert report.lambda_history[0] < base.lambda_history[0]  # a closer start
     assert report.iterations <= base.iterations
     assert np.max(np.abs(x_pred - x_base)) <= 1e-12
@@ -355,7 +366,9 @@ def test_newton_falls_back_to_current_when_extrapolation_crosses():
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.start == "current" and report.converged
-    x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
+    at_current = dataclasses.replace(state, x_prev=state.x_curr, x_prev2=None)
+    x_base, base = newton_step(at_current, coeffs, spec, params)
+    assert base.start == "linear"
     assert np.max(np.abs(x_new - x_base)) <= 1e-12
 
 
@@ -430,7 +443,9 @@ def test_newton_falls_back_to_linear_when_quadratic_crosses():
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x_new, report = newton_step(state, coeffs, spec, params)
     assert report.start == "linear" and report.converged
-    x_base, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
+    at_current = dataclasses.replace(state, x_prev=state.x_curr, x_prev2=None)
+    x_base, base = newton_step(at_current, coeffs, spec, params)
+    assert base.start == "linear"
     assert np.max(np.abs(x_new - x_base)) <= 1e-12
 
 

@@ -18,12 +18,20 @@ def test_initial_data_catalog():
     np.testing.assert_allclose(initial_data_from_key("constant:0.75")(x), 0.75)
     np.testing.assert_allclose(initial_data_from_key("poly:0.5,0.25,-0.125")(x),
                                0.5 + 0.25 * x - 0.125 * x ** 2)
+    # the numbers take the config's grammar (config.parse_number)
+    np.testing.assert_array_equal(initial_data_from_key("poly:1/2,0,1")(x), 0.5 + x * x)
+    np.testing.assert_array_equal(initial_data_from_key("constant:3/4")(x), 0.75)
 
 
-@pytest.mark.parametrize("key", ["gaussian", "constant:abc", "poly:1,q", "poly:", "poly:,"])
+@pytest.mark.parametrize("key", ["gaussian", "constant:abc", "poly:1,q", "poly:", "poly:,",
+                                 "constant:inf", "constant:nan", "constant:-inf",
+                                 "poly:1,0,inf", "poly:nan,1"])
 def test_initial_data_bad_keys(key):
-    with pytest.raises(ConfigurationError):
+    # a non-finite number is refused as bad initial data before any
+    # sampling, not as a data scale of the domain
+    with pytest.raises(ConfigurationError) as err:
         initial_data_from_key(key)
+    assert err.value.key == "initial_data" and not isinstance(err.value, DataScaleError)
 
 
 def test_make_problem_rejects_nonpositive_data():

@@ -321,7 +321,9 @@ def test_extrapolated_start_halves_iterations_with_same_trajectory():
     for _ in range(20):
         coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev,
                                     spec, params, damped_start=state.n == 0)
-        x_new, _ = newton_step(state, coeffs, spec, params, x_init=state.x_curr)
+        at_current = dataclasses.replace(state, x_prev=state.x_curr, x_prev2=None)
+        x_new, report = newton_step(at_current, coeffs, spec, params)
+        assert report.start == "linear"
         state = restart(spec, state.n + 1, state.t + params.tau, x_new, state.x_curr)
     assert np.max(np.abs(result.final_state.x_curr - state.x_curr)) <= 1e-12
 
@@ -431,6 +433,52 @@ def test_restart_rejects_an_unpinned_end():
     x_curr[-1] = g.x_right - g.h / 4  # still ordered
     with pytest.raises(DegenerateMeshError, match="end nodes"):
         restart(spec, 1, params.tau, x_curr, g.nodes())
+
+
+def _stepped(spec, params, state, n):
+    """The final state of n more steps of tau after state."""
+    config = RunConfig(spec=spec, params=params, t_final=state.t + n * params.tau)
+    for state, _ in steps(config, state):
+        pass
+    return state
+
+
+def _assert_same_state(a, b):
+    for name in ("x_curr", "x_prev", "x_prev2", "slope_curr", "wide_curr", "wide_prev"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == np.float64 and x.tobytes() == y.tobytes(), name
+    assert a.e_curr == b.e_curr
+
+
+def test_restart_from_lists_gives_the_float_restart_and_its_steps():
+    # a list used to raise AttributeError at x_curr.shape
+    g, spec, params = _quad_setup(M=100)
+    state = state_after(spec, params, 6)
+    assert state.x_prev2 is not None
+    fields = (state.x_curr, state.x_prev, state.x_prev2)
+    floats = restart(spec, state.n, state.t, *fields)
+    lists = restart(spec, state.n, state.t, *(x.tolist() for x in fields))
+    _assert_same_state(lists, floats)
+    _assert_same_state(_stepped(spec, params, lists, 4), _stepped(spec, params, floats, 4))
+
+
+def test_restart_from_an_integer_array_gives_the_float_restart_and_its_steps():
+    g = Grid(0.0, 8.0, 8)  # integer nodes
+    spec = make_problem(2.0, g, initial_data_from_key("poly:1,1/8"))
+    params = SolverParams(tau=0.5)
+    x = np.arange(9)
+    floats = restart(spec, 1, params.tau, x.astype(float), x.astype(float))
+    ints = restart(spec, 1, params.tau, x, x.copy())
+    _assert_same_state(ints, floats)
+    _assert_same_state(_stepped(spec, params, ints, 3), _stepped(spec, params, floats, 3))
+
+
+def test_every_report_of_a_run_names_an_extrapolated_start(studies):
+    starts = {r.start for study in studies.values() for res in study.runs.values()
+              for r in res.newton_reports}
+    assert {"quadratic", "linear"} <= starts <= {"quadratic", "linear", "current"}
 
 
 def test_step_mass_is_the_trapezoid_of_the_density():

@@ -12,7 +12,8 @@ lines and comment-only lines do not count.
 
 With --against REV, the package of the git revision REV (a commit, a
 branch, HEAD) is counted beside it: `git archive` extracts REV's
-src/pmetraj into a temporary directory, and each module's count at REV and
+src/pmetraj into a temporary directory (package_at, which
+tools/settable_values.py shares), and each module's count at REV and
 in DIR is printed, "-" where a side has no such module, then both totals
 and the change in the total.
 
@@ -20,6 +21,7 @@ Only the standard library and git are used (ast, tokenize, tarfile).
 """
 import argparse
 import ast
+import contextlib
 import io
 import subprocess
 import sys
@@ -62,14 +64,17 @@ def counts(root):
             for path in sorted(Path(root).glob("*.py"))}
 
 
-def counts_at(rev):
-    """counts() of the package at the git revision rev."""
+@contextlib.contextmanager
+def package_at(rev):
+    """The package directory of the git revision rev, extracted with `git
+    archive` into a temporary directory that is removed on exit.  A bad rev
+    raises subprocess.CalledProcessError."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev, PACKAGE], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
-        return counts(Path(tmp, PACKAGE))
+        yield Path(tmp, PACKAGE)
 
 
 def main(argv):
@@ -86,7 +91,8 @@ def main(argv):
         print(f"{sum(tree.values()):6d}  total")
         return 0
     try:
-        before = counts_at(args.against)
+        with package_at(args.against) as package:
+            before = counts(package)
     except subprocess.CalledProcessError as exc:
         print(f"error: git archive {args.against}: {exc.stderr.decode().strip()}",
               file=sys.stderr)
