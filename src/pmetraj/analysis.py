@@ -376,7 +376,7 @@ def _study_plan(m, pairs, t_eval, initial_data, domain, params_base) -> list:
                       t_final=t_eval) for M, tau in pairs]
 
 
-def _study_result(m, configs: list, results: list) -> StudyResult:
+def _study_result(configs: list, results: list) -> StudyResult:
     """The error records and orders of a study from the RunConfig of each
     run, the reference first (_study_plan), and their results."""
     reference, ref_state = configs[0].spec, results[0].final_state
@@ -395,7 +395,7 @@ def _study_result(m, configs: list, results: list) -> StudyResult:
             *density_error_norms(state.x_curr, f, ref_state.x_curr, f_ref, stride),
             *trajectory_error_norms(state.x_curr, ref_state.x_curr, stride, spec.grid)))
 
-    report = ConvergenceReport(m=m, t_eval=configs[0].t_final, records=records,
+    report = ConvergenceReport(m=reference.m, t_eval=configs[0].t_final, records=records,
                                orders=observed_orders(records))
     return StudyResult(report=report, runs=runs)
 
@@ -426,7 +426,7 @@ def refinement_study(m: float,
                                      key="levels")
         pairs.append((M, tau))
     configs = _study_plan(m, pairs, t_eval, initial_data, domain, params_base)
-    return _study_result(m, configs, run_many(configs))
+    return _study_result(configs, run_many(configs))
 
 
 def convergence_study(m: float,
@@ -462,13 +462,12 @@ def convergence_studies(m_values: list,
     length = domain_length(*domain)
     m_list = study_cell_counts(h_list, reference_M, t_eval, length)
     pairs = [(M, length / M) for M in [reference_M] + m_list]
-    plans = [(m, _study_plan(m, pairs, t_eval, initial_data, domain, params_base))
-             for m in m_values]
-    outcomes = iter(_outcomes([config for _, configs in plans for config in configs]))
+    plans = [_study_plan(m, pairs, t_eval, initial_data, domain, params_base) for m in m_values]
+    outcomes = iter(_outcomes([config for configs in plans for config in configs]))
 
     def studies():
-        for m, configs in plans:
-            study = _study_result(m, configs, _results([next(outcomes) for _ in configs]))
+        for configs in plans:
+            study = _study_result(configs, _results([next(outcomes) for _ in configs]))
             study.runs = {k if k == "reference" else k[0]: res
                           for k, res in study.runs.items()}
             yield study

@@ -1,20 +1,20 @@
 """Count the settable values of the pmetraj package: the parameters that
 have a default and the fields of its dataclasses.
 
-    python3 tools/settable_values.py [DIR] [--against REV]
+    python3 tools/settable_values.py [--against REV]
 
-prints, for each module of DIR (default: src/pmetraj of this checkout),
-the parameters with a default value in every function and method, private
-ones and lambdas included (positional and keyword-only alike), and the
-fields of every class decorated with @dataclass or @dataclasses.dataclass
-(each annotated name of its body, ClassVar included), then both totals.
-Each is a value a caller can set, so a change of design shows in them as
-code lines show in tools/code_lines.py.
+prints, for each module of src/pmetraj in this checkout, the parameters
+with a default value in every function and method, private ones and
+lambdas included (positional and keyword-only alike), and the fields of
+every class decorated with @dataclass or @dataclasses.dataclass (each
+annotated name of its body, ClassVar included), then both totals. Each
+is a value a caller can set, so a change of design shows in them as code
+lines show in tools/code_lines.py.
 
 With --against REV, the package of the git revision REV is counted beside
 it, extracted by code_lines.package_at: each module's counts at REV and in
-DIR are printed, "-" where a side has no such module, then both totals and
-the change in each.
+the tree are printed, "-" where a side has no such module, then both
+totals and the change in each.
 
 Only the standard library and git are used.
 """
@@ -63,12 +63,10 @@ def _totals(table):
 
 def main(argv):
     parser = argparse.ArgumentParser(description="Count the settable values of each module.")
-    parser.add_argument("dir", nargs="?", default=ROOT / PACKAGE,
-                        help="the package directory (default: src/pmetraj here)")
     parser.add_argument("--against", metavar="REV",
                         help="also count the package at this git revision")
     args = parser.parse_args(argv)
-    tree = counts(args.dir)
+    tree = counts(ROOT / PACKAGE)
     if args.against is None:
         print(f"{'defaults':>8}  {'fields':>6}  module")
         for name, (defaults, fields) in tree.items():
