@@ -45,9 +45,11 @@ made by the callers that own them: stepper.restart, once per run, handed
 from state to state; _one_off, for the one-off calls of residual_interior,
 hessian_tridiag and functional.eval_F, which take one trajectory as a
 one-row stack whose workspace carves no cyclic reduction;
-newton.solve_tridiagonal when given none; each finite-difference sweep of
-checks, which keeps one workspace per shape its oracle uses; and
-newton_step on a state that carries none.  Every ufunc
+newton.solve_tridiagonal when given none; the finite-difference sweeps of
+checks, from a cache of one workspace per shape their oracles use that
+each thread keeps for its life (checks._Scratch: a workspace holds nothing
+between calls, and per thread, not per process, no two concurrent sweeps
+share a buffer); and newton_step on a state that carries none.  Every ufunc
 writes with out= in the order of the plain expression, so the results are
 bitwise those of the expression.  The scratch is four cell fields (the
 assembly forms two of its fields in the buffers of its results diag and
@@ -59,7 +61,8 @@ assembly's scratch and outlives assemblies and evaluations of F); what a
 caller keeps (newton_step's solution, the residual of residual_interior)
 is a fresh array.  A cell field at M = 9600 is 77 KB, and temporaries of
 that size, once freed, go back to the system and are faulted in again on
-the next iteration.
+the next iteration, as the sweeps' 1.1 MB of workspaces would be on every
+checks.run_all if each call made its own.
 
 Numerical note for the assembly: the slope increment d = D_h x_new - D_h x_curr
 is formed directly and enters log1p(d/y0)/d and the linear terms, so the

@@ -15,7 +15,10 @@ step_functional on probe-major (r, k, M+1) stacks of r probes of each of k
 states, and returns each row's relative error with the bits of its own
 call.  A failing sweep reports its first counterexample in sample or draw
 order; a failing finite-difference check leaves the generator where that
-state's draws end, as a state-by-state check would.
+state's draws end, as a state-by-state check would.  Both finite-difference
+checks write into the calling thread's workspaces (_Scratch), one per
+stack shape, which the thread keeps, so a warm run_all makes no workspace
+and takes no page fault for one.
 
 The identity sweeps call the library's d_forward, d_wide and
 d_centered_to_nodes on every trial.  All sweeps reduce as _kernels._row_sum
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,11 +252,29 @@ def hessian_vs_fd(x_curr, x_new, coeffs, grid, workspace):
     return np.maximum.reduce(np.abs(fd - dense), axis=(1, 2)) / np.maximum.reduce(np.abs(dense), axis=(1, 2))
 
 
+class _Scratch(threading.local):
+    """The calling thread's Workspace cache, workspace: an LRU callable from
+    a stack's shape to its Workspace, bounded to the three shapes a run_all
+    uses, (10, 17), (60, 10, 17) and (47, 10, 25).  It is kept for the
+    thread's life, so every run_all in a thread writes into the same
+    workspaces: freed after each call, their 1.1 MB would go back to the
+    system and be faulted in again by the next.  A Workspace holds nothing
+    from one call to the next, so every error keeps its bits.  It is per
+    thread, not per process, so concurrent sweeps never share a buffer."""
+
+    def __init__(self):
+        self.workspace = functools.lru_cache(maxsize=3)(_kernels.Workspace)
+
+
+_SCRATCH = _Scratch()
+
+
 def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     """name over the FD_STATES random states of _draw_states on M cells.
     oracle runs once on the batch of each flux form, the even- and the
-    odd-numbered states, and both batches share the one workspace of each
-    shape it uses (a Workspace cache, one per sweep).  The check fails at the
+    odd-numbered states, and both batches write into the one workspace of
+    each shape it uses, from the thread's cache (_Scratch), which every
+    later sweep in the thread reuses.  The check fails at the
     first state in draw order whose relative error exceeds FD_REL_TOL (or
     is nan), and sets rng to where that state's draws end (the sweep's
     start advanced by its 3 + 3M doubles per state), as a sweep that
@@ -260,7 +282,7 @@ def _fd_states(rng, name: str, M: int, oracle) -> CheckResult:
     error."""
     start = rng.bit_generator.state
     batches, errors, grid = _draw_states(rng, M), np.empty(FD_STATES), Grid(0.0, 1.0, M)
-    workspace = functools.lru_cache(_kernels.Workspace)
+    workspace = _SCRATCH.workspace
     for odd, (_, x_curr, x_new, coeffs) in enumerate(batches):
         errors[odd::2] = oracle(x_curr, x_new, coeffs, grid, workspace)
     failed = np.flatnonzero(~(errors <= FD_REL_TOL))

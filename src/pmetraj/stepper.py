@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -74,25 +75,55 @@ class RunResult:
     min_slopes: list = field(default_factory=list)
 
 
+def _trajectory(x, grid, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float array (a float array is kept as it is) and its cell
+    slopes D_h x.  Unless its nodes are finite and strictly increasing and
+    its ends are the domain's, DegenerateMeshError names the field name and
+    the first node or cell at fault."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise DegenerateMeshError(f"{name}: node {i} is {float(x.flat[i])!r}, not a "
+                                  "finite number")
+    slope = d_forward(x, grid)
+    min_cell_slope(slope, name + ": nonpositive cell slope at cell {0} (nodes {0} "
+                                 "and {1})")
+    if not (x[0] == grid.x_left and x[-1] == grid.x_right):
+        raise DegenerateMeshError(f"{name}: end nodes {x[0]:.17g}, {x[-1]:.17g} are "
+                                  "not the domain's ends")
+    return x, slope
+
+
 def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
             x_prev: np.ndarray, x_prev2: np.ndarray | None = None) -> TrajectoryState:
     """The state at step n and time t of x^n = x_curr, x^{n-1} = x_prev and
     x^{n-2} = x_prev2 (for a quadratic Newton start), with every field the
     next step reads and a fresh Workspace.  Each trajectory, an array or a
     sequence of numbers, is converted here to a float array (a float array
-    is kept as it is), the one conversion the run makes.  A crossing x_curr
-    raises DegenerateMeshError naming its first cell, before the energy is
-    formed, and so does one whose ends are not the domain's (newton_step
-    trusts both)."""
+    is kept as it is), the one conversion the run makes.
+
+    Every field is checked here, once, before the energy is formed:
+    newton_step and the steps after it trust them.  n must be a
+    nonnegative integer and t a nonnegative finite number, or
+    ConfigurationError names the field.  Each trajectory must have finite,
+    strictly increasing nodes and the domain's ends, or DegenerateMeshError
+    names it and its first node or cell at fault.  At n = 0 there is no
+    x^{-1}: the opening step's x_prev is x_curr (bootstrap), and any other
+    x_prev raises ConfigurationError, since its wide slopes would enter the
+    opening step's mass coefficient."""
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ConfigurationError(f"must be a nonnegative integer, got {n!r}", key="n")
+    if not 0.0 <= t < math.inf:
+        raise ConfigurationError(f"must be nonnegative and finite, got {t!r}", key="t")
     grid = spec.grid
-    x_curr, x_prev = np.asarray(x_curr, dtype=float), np.asarray(x_prev, dtype=float)
+    x_curr, slope = _trajectory(x_curr, grid, "x_curr")
+    x_prev = _trajectory(x_prev, grid, "x_prev")[0]
     if x_prev2 is not None:
-        x_prev2 = np.asarray(x_prev2, dtype=float)
-    slope = d_forward(x_curr, grid)
-    min_cell_slope(slope)
-    if not (x_curr[0] == grid.x_left and x_curr[-1] == grid.x_right):
-        raise DegenerateMeshError(f"end nodes {x_curr[0]:.17g}, {x_curr[-1]:.17g} are "
-                                  "not the domain's ends")
+        x_prev2 = _trajectory(x_prev2, grid, "x_prev2")[0]
+    if n == 0 and not np.array_equal(x_prev, x_curr):
+        raise ConfigurationError("must equal x_curr at n = 0, where there is no x^{-1}",
+                                 key="x_prev")
     return TrajectoryState(n=n, t=t, x_curr=x_curr, x_prev=x_prev, x_prev2=x_prev2,
                            e_curr=discrete_energy(x_curr, spec, slope), slope_curr=slope,
                            wide_curr=d_wide(x_curr, grid), wide_prev=d_wide(x_prev, grid),

@@ -11,7 +11,7 @@ from pmetraj import (LAMBDA_STAR, DegenerateMeshError, Grid, NonconvergenceError
                      functional, initial_data_from_key, make_problem, newton_step,
                      quadratic_bump, recover_density, restart, run, stepper, steps)
 from pmetraj.checks import random_admissible
-from pmetraj.errors import EnergyViolationError
+from pmetraj.errors import ConfigurationError, EnergyViolationError
 
 from conftest import state_after
 
@@ -434,6 +434,79 @@ def test_restart_rejects_an_unpinned_end():
     x_curr[-1] = g.x_right - g.h / 4  # still ordered
     with pytest.raises(DegenerateMeshError, match="end nodes"):
         restart(spec, 1, params.tau, x_curr, g.nodes())
+
+
+def _nan_at_3(x):
+    x[3] = math.nan
+    return x
+
+
+def _inf_at_3(x):
+    x[3] = math.inf
+    return x
+
+
+# Each case is refused by restart, before any step, with a message that
+# starts with the field's name: the steps trust every field restart takes.
+# The arguments are (n, t, x_curr, x_prev, x_prev2) on Grid(0, 1, 8), each
+# trajectory made from the reference nodes X (None: an admissible default).
+RESTART_REFUSALS = {
+    "x_prev reversed": ((1, 0.1, None, lambda X: X[::-1].copy(), None),
+                        DegenerateMeshError, "x_prev: nonpositive cell slope at cell 0 "),
+    "x_prev2 reversed": ((2, 0.2, None, None, lambda X: X[::-1].copy()),
+                         DegenerateMeshError, "x_prev2: nonpositive cell slope at cell 0 "),
+    "x_prev halved": ((1, 0.1, None, lambda X: 0.5 * X, None),
+                      DegenerateMeshError, "x_prev: end nodes 0, 0.5 are not"),
+    "x_prev2 halved": ((2, 0.2, None, None, lambda X: 0.5 * X),
+                       DegenerateMeshError, "x_prev2: end nodes 0, 0.5 are not"),
+    "x_prev nan": ((1, 0.1, None, _nan_at_3, None),
+                   DegenerateMeshError, "x_prev: node 3 is nan, not a finite number"),
+    "x_prev2 inf": ((2, 0.2, None, None, _inf_at_3),
+                    DegenerateMeshError, "x_prev2: node 3 is inf, not a finite number"),
+    "x_curr nan": ((1, 0.1, _nan_at_3, None, None),
+                   DegenerateMeshError, "x_curr: node 3 is nan, not a finite number"),
+    "n negative": ((-1, 0.1, None, None, None), ConfigurationError,
+                   "n: must be a nonnegative integer, got -1"),
+    "n fractional": ((1.5, 0.1, None, None, None), ConfigurationError,
+                     "n: must be a nonnegative integer, got 1.5"),
+    "n a float": ((1.0, 0.1, None, None, None), ConfigurationError,
+                  "n: must be a nonnegative integer, got 1.0"),
+    "t nan": ((1, math.nan, None, None, None), ConfigurationError,
+              "t: must be nonnegative and finite, got nan"),
+    "t negative": ((1, -1.0, None, None, None), ConfigurationError,
+                   "t: must be nonnegative and finite, got -1.0"),
+    "t infinite": ((1, math.inf, None, None, None), ConfigurationError,
+                   "t: must be nonnegative and finite, got inf"),
+    "x_prev at n = 0": ((0, 0.0, None, lambda X: X ** 1.5, None), ConfigurationError,
+                        "x_prev: must equal x_curr at n = 0"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", RESTART_REFUSALS)
+def test_restart_refuses_each_bad_field_naming_it(case, monkeypatch):
+    (n, t, *makers), error, message = RESTART_REFUSALS[case]
+    g, spec, params = _quad_setup(M=8, tau=0.1)
+    curr, prev, prev2 = (make(g.nodes()) if make else default for make, default in
+                         zip(makers, (g.nodes(), g.nodes() ** 1.2, g.nodes() ** 1.4)))
+    stepped = []
+    monkeypatch.setattr(stepper, "advance", lambda *a: stepped.append(a))
+    with pytest.raises(error) as exc:
+        state = restart(spec, n, t, curr, prev, prev2)
+        for _ in steps(RunConfig(spec=spec, params=params, t_final=1.0), state):
+            pass
+    assert str(exc.value).startswith(message)
+    assert not stepped
+
+
+def test_restart_takes_an_integral_n_and_a_zero_time():
+    # numpy's integers are integers, and a restart at n = 0 whose x_prev
+    # equals x_curr is the bootstrap state
+    g, spec, params = _quad_setup(M=8, tau=0.1)
+    X = g.nodes()
+    state = restart(spec, np.int64(0), 0.0, X, X.copy())
+    _assert_same_state(state, bootstrap(spec))
+    assert restart(spec, np.int64(2), 0.2, X, X ** 1.2, X ** 1.4).n == 2
 
 
 def _stepped(spec, params, state, n):

@@ -4,6 +4,8 @@ warm Newton solve allocates only the node fields of its own step."""
 import copy
 import dataclasses
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -407,10 +409,11 @@ def test_workspace_holds_at_most_eight_and_a_half_node_fields():
 
 
 def test_check_sweeps_peak_memory():
-    # the peak of a warm checks.run_all(0): 914 KB (the same at seeds 1-4),
-    # most of it the finite-difference sweeps' probe stacks and their
-    # workspaces, one oracle call per flux form on its batch of 10 states;
-    # the bound holds that peak with a 7% margin
+    # the peak of a warm checks.run_all(0): 285 KB (the same at seeds 1-4),
+    # most of it the finite-difference sweeps' probe stacks, one oracle call
+    # per flux form on its batch of 10 states; their workspaces are the
+    # thread's, made by its first run_all (913 KB when each sweep made its
+    # own); the bound holds that peak with a 7% margin
     checks.run_all(0)
     tracemalloc.start()
     try:
@@ -420,7 +423,45 @@ def test_check_sweeps_peak_memory():
     finally:
         tracemalloc.stop()
     assert all(result.ok for result in results)
-    assert peak - start <= 0.96 * 2 ** 20
+    assert peak - start <= 0.30 * 2 ** 20
+
+
+def _in_a_new_thread(call):
+    """call() run in a thread of its own, which starts with no workspace
+    cache and frees it when it ends; its result or exception."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = call()
+        except BaseException as exc:  # re-raised in the caller
+            out["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def test_check_sweeps_workspaces_held_by_the_thread():
+    # the bytes a thread's first run_all leaves held: its three workspaces,
+    # (10, 17), (60, 10, 17) and (47, 10, 25), 1172 KB in all (2 KB when
+    # each sweep freed its own); the bound holds them with a 7% margin
+    def held():
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            results = checks.run_all(0)
+            now, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(result.ok for result in results)
+        return now - start
+
+    assert _in_a_new_thread(held) <= 1.23 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +491,25 @@ def test_kernels_take_the_workspace_their_caller_hands_them():
 
 
 def test_workspaces_are_made_by_their_owners(monkeypatch):
-    # a run's one (restart), one per shape a check sweep's oracle uses (both
-    # flux forms share them), and one per one-off call
+    # a run's one (restart); one per shape the check sweeps' oracles use,
+    # made by a thread's first run_all and reused by every later one in the
+    # thread (both flux forms of both sweeps share them); and one per
+    # one-off call
     spec, params = _quad(64)
     made = _made(monkeypatch)
     stream = list(steps(RunConfig(spec=spec, params=params, t_final=5 * params.tau),
                         bootstrap(spec)))
     assert len(stream) == 5 and made == [(65,)]
-    made.clear()
-    assert all(result.ok for result in checks.run_all(0))
-    assert made == [(10, 17), (60, 10, 17), (47, 10, 25)]
+
+    def sweeps():
+        shapes = []
+        for seed in range(3):
+            made.clear()
+            assert all(result.ok for result in checks.run_all(seed))
+            shapes.append(list(made))
+        return shapes
+
+    assert _in_a_new_thread(sweeps) == [[(10, 17), (60, 10, 17), (47, 10, 25)], [], []]
     state = stream[-1][0]
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev, spec, params)
     x = state.x_curr
@@ -470,6 +520,42 @@ def test_workspaces_are_made_by_their_owners(monkeypatch):
         made.clear()
         call()
         assert len(made) == 1
+
+
+def test_concurrent_check_sweeps_keep_their_bits_and_their_own_workspaces(monkeypatch):
+    # two threads run checks.run_all on different seeds at once, three
+    # times each: each gets its seeds' serial results bitwise and makes its
+    # own three workspaces (a shared cache would leave one thread none)
+    seeds = {0: [1, 2, 3], 1: [4, 5, 6]}
+    want = {s: repr(checks.run_all(s)) for ss in seeds.values() for s in ss}
+    makers, init = [], Workspace.__init__
+
+    def recording(self, shape):
+        makers.append(threading.get_ident())
+        init(self, shape)
+
+    monkeypatch.setattr(Workspace, "__init__", recording)
+    barrier = threading.Barrier(2, timeout=60)
+    got, made = {}, {}
+
+    def sweep(k):
+        barrier.wait()
+        got.update({s: repr(checks.run_all(s)) for s in seeds[k]})
+        made[k] = makers.count(threading.get_ident())
+
+    threads = [threading.Thread(target=sweep, args=(k,)) for k in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave within each sweep
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+    assert made == {0: 3, 1: 3}
 
 
 def test_solve_tridiagonal_takes_lists_and_int_arrays_as_floats(rng):
