@@ -42,14 +42,15 @@ cell-sized array.  Every kernel writes into the Workspace it is handed,
 one of its input's shape, and makes none: residual_hessian,
 step_functional and thomas_spd take it as an argument.  Workspaces are
 made by the callers that own them: stepper.restart, once per run, handed
-from state to state; _one_off, for the one-off calls of residual_interior,
-hessian_tridiag and functional.eval_F, which take one trajectory as a
-one-row stack whose workspace carves no cyclic reduction;
-newton.solve_tridiagonal when given none; the finite-difference sweeps of
-checks, from a cache of one workspace per shape their oracles use that
-each thread keeps for its life (checks._Scratch: a workspace holds nothing
-between calls, and per thread, not per process, no two concurrent sweeps
-share a buffer); and newton_step on a state that carries none.  Every ufunc
+from state to state; the one-off entries residual_interior,
+hessian_tridiag and functional.eval_F, each a workspace of its input's
+shape, so one trajectory takes Newton's 1-D path and a stack the stack
+path; newton.solve_tridiagonal when given none; the finite-difference
+sweeps of checks, from a cache of one workspace per shape their oracles
+use that each thread keeps for its life (checks._Scratch: a workspace
+holds nothing between calls, and per thread, not per process, no two
+concurrent sweeps share a buffer); and newton_step on a state that
+carries none.  Every ufunc
 writes with out= in the order of the plain expression, so the results are
 bitwise those of the expression.  The scratch is four cell fields (the
 assembly forms two of its fields in the buffers of its results diag and
@@ -336,31 +337,19 @@ def residual_hessian(x_new, x_curr, coeffs, work):
     return g, diag, off
 
 
-def _one_off(x_new):
-    """(stack, work) of a call given no workspace: x_new as a stack, a 1-D
-    trajectory as the one-row stack (1, M+1), and a fresh workspace of its
-    shape.  A stack's workspace carves no cyclic reduction, and its row
-    gives the bits of the trajectory's own call."""
-    stack = x_new[np.newaxis] if x_new.ndim == 1 else x_new
-    return stack, Workspace(stack.shape)
-
-
 def residual_interior(x_new, x_curr, coeffs):
     """The residual of residual_hessian on every node, end slots 0, a fresh
-    array; the assembly writes into a fresh workspace (_one_off)."""
-    stack, work = _one_off(x_new)
-    g = np.zeros_like(stack)
-    g[..., 1:-1] = residual_hessian(stack, x_curr, coeffs, work)[0]
-    return g[0] if x_new.ndim == 1 else g
+    array; the assembly writes into a fresh workspace of x_new's shape."""
+    g = np.zeros_like(x_new)
+    g[..., 1:-1] = residual_hessian(x_new, x_curr, coeffs, Workspace(x_new.shape))[0]
+    return g
 
 
 def hessian_tridiag(x_new, coeffs):
     """The diagonal and off-diagonal of residual_hessian, the buffers of a
-    fresh workspace (_one_off).  They do not depend on the base trajectory,
-    so x_new stands in for it."""
-    stack, work = _one_off(x_new)
-    diag, off = residual_hessian(stack, stack, coeffs, work)[1:]
-    return (diag[0], off[0]) if x_new.ndim == 1 else (diag, off)
+    fresh workspace of x_new's shape.  They do not depend on the base
+    trajectory, so x_new stands in for it."""
+    return residual_hessian(x_new, x_new, coeffs, Workspace(x_new.shape))[1:]
 
 
 _PI2_6 = math.pi ** 2 / 6.0

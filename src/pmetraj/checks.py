@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels, functional
 from .functional import SchemeCoefficients
 from .grid import Grid, d_centered_to_nodes, d_forward, d_wide
-from .problem import make_problem, quadratic_bump
+from .problem import make_problem, quadratic_bump, require_admissible
 
 
 #: Samples drawn by each analytic sign sweep; these constants set how hard
@@ -199,10 +199,13 @@ def gradient_vs_fd(x_curr, x_new, coeffs, grid, workspace):
     callable from the shape of the stack to a Workspace of it.
     check_gradient_fd passes the 10 states of a flux form at M = 16, so F
     sees a (60, 10, 17) stack.
-    F is eval_F's: step_functional plus step_constant."""
+    F is eval_F's: step_functional plus step_constant.  x_new, x_curr and
+    the probes pass problem.require_admissible as the "candidate", "base"
+    and "displaced trajectory", so a DegenerateMeshError names the first
+    bad row and its fault."""
     n, X = grid.M - 1, grid.nodes()
-    functional._require_admissible(x_new, grid, "candidate trajectory")
-    functional._require_admissible(x_curr, grid, "base trajectory")
+    x_new = require_admissible(x_new, grid, "candidate trajectory")
+    x_curr = require_admissible(x_curr, grid, "base trajectory")
     grad = grid.h * _kernels.residual_hessian(x_new, x_curr, coeffs, workspace(x_new.shape))[0]
 
     # probes[i - 1, j, s] is row s's x_new - X with node i moved by
@@ -213,7 +216,7 @@ def gradient_vs_fd(x_curr, x_new, coeffs, grid, workspace):
     probes[nodes - 1, :, :, nodes] += shifts[:, None]
     probes = probes.reshape(4 * n, *x_new.shape)
     probes += X
-    functional._require_admissible(probes, grid, "displaced trajectory")
+    require_admissible(probes, grid, "displaced trajectory")
     f = _kernels.step_functional(probes, x_curr, coeffs, workspace(probes.shape))
     f += _kernels.step_constant(coeffs)
     f = f.reshape(n, 4, -1)
@@ -232,9 +235,11 @@ def hessian_vs_fd(x_curr, x_new, coeffs, grid, workspace):
     other rows are the probes.  It writes into workspace(shape) of that
     stack, workspace as in gradient_vs_fd.  check_hessian_fd passes the 10
     states of a flux form at M = 24, so the assembly sees a (47, 10, 25)
-    stack."""
+    stack.  x_new and x_curr pass problem.require_admissible as in
+    gradient_vs_fd, and the probes as the "probed trajectory"."""
     n = grid.M - 1
-    functional._require_admissible(x_curr, grid, "base trajectory")
+    x_new = require_admissible(x_new, grid, "candidate trajectory")
+    x_curr = require_admissible(x_curr, grid, "base trajectory")
 
     # stack[1 + j] and stack[1 + n + j] are x_new with node j + 1 moved by
     # +HESSIAN_STEP and -HESSIAN_STEP
@@ -242,7 +247,7 @@ def hessian_vs_fd(x_curr, x_new, coeffs, grid, workspace):
     i = np.arange(n)
     stack[1 + i, :, i + 1] += HESSIAN_STEP
     stack[1 + n + i, :, i + 1] -= HESSIAN_STEP
-    functional._require_admissible(stack, grid, "candidate trajectory")
+    require_admissible(stack, grid, "probed trajectory")
     g, diag, off = _kernels.residual_hessian(stack, x_curr, coeffs, workspace(stack.shape))
     dense = np.zeros((len(x_new), n, n))
     dense[:, i, i] = diag[0]

@@ -24,7 +24,7 @@ from . import _kernels
 from ._kernels import _spence
 from .errors import (CoefficientOverflowError, ConfigurationError,
                      DegenerateMeshError)
-from .problem import ProblemSpec, is_admissible
+from .problem import ProblemSpec, require_admissible
 
 
 @dataclass(frozen=True)
@@ -156,22 +156,6 @@ def slope_derivative_W(y, y0):
     return _secant(y, y0)[1]
 
 
-def _require_admissible(x, grid, label):
-    """Raise DegenerateMeshError unless x, one trajectory or a stack of
-    rows, is admissible; for a stack, name the first bad row in C order, by
-    its index, or by its index tuple when the stack has two or more leading
-    axes."""
-    ok = is_admissible(x, grid)
-    if isinstance(ok, bool):
-        if not ok:
-            raise DegenerateMeshError(f"{label} is outside the admissible set")
-    elif not ok.all():
-        row = tuple(int(i) for i in np.unravel_index(ok.argmin(), ok.shape))
-        raise DegenerateMeshError(
-            f"{label} row {row[0] if len(row) == 1 else row} is outside the "
-            f"admissible set")
-
-
 def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
              spec: ProblemSpec) -> np.ndarray:
     """Scheme residual g on nodes with the step's coefficients coeffs, the
@@ -180,19 +164,24 @@ def residual(x_new: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
 
     x_new may also be a stack of candidates, one per row (shape (k, M+1));
     the residuals come back as the rows of a (k, M+1) array, each bitwise
-    equal to the residual of its row alone."""
-    _require_admissible(x_new, spec.grid, "candidate trajectory")
-    _require_admissible(x_curr, spec.grid, "base trajectory")
-    return _kernels.residual_interior(
-        np.asarray(x_new, dtype=float), np.asarray(x_curr, dtype=float), coeffs)
+    equal to the residual of its row alone.  Both trajectories pass
+    problem.require_admissible, as the "candidate trajectory" and the "base
+    trajectory": a DegenerateMeshError names the first fault (and the row
+    of a stack)."""
+    grid = spec.grid
+    return _kernels.residual_interior(require_admissible(x_new, grid, "candidate trajectory"),
+                                      require_admissible(x_curr, grid, "base trajectory"),
+                                      coeffs)
 
 
 def hessian_coefficients(x_new: np.ndarray, coeffs: SchemeCoefficients,
                          spec: ProblemSpec):
     """Assembled interior tridiagonal (diag of length M-1, offdiag of length M-2)
-    of the exact derivative of the residual with coeffs; SPD on the admissible set."""
-    _require_admissible(x_new, spec.grid, "candidate trajectory")
-    return _kernels.hessian_tridiag(np.asarray(x_new, dtype=float), coeffs)
+    of the exact derivative of the residual with coeffs; SPD on the admissible set.
+    x_new, one trajectory or a stack as in residual, passes
+    problem.require_admissible as the "candidate trajectory"."""
+    return _kernels.hessian_tridiag(
+        require_admissible(x_new, spec.grid, "candidate trajectory"), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +229,16 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
 
     A 1-D x_hat gives a float.  A stack of displacements, one per row (shape
     (k, M+1)), gives the k values as an array, each bitwise equal to the
-    float of its row alone.
+    float of its row alone.  X + x_hat and x_curr pass
+    problem.require_admissible as the "displaced trajectory" and the "base
+    trajectory", and step_functional writes into a fresh workspace of
+    x_hat's shape.
     """
     grid = spec.grid
-    x_new = grid.nodes() + np.asarray(x_hat, dtype=float)
-    _require_admissible(x_new, grid, "displaced trajectory")
-    stack, work = _kernels._one_off(x_new)
-    value = (_kernels.step_functional(stack, np.asarray(x_curr, dtype=float), coeffs, work)
-             + _kernels.step_constant(coeffs))
-    return float(value[0]) if x_new.ndim == 1 else value
+    x_new = require_admissible(grid.nodes() + x_hat, grid, "displaced trajectory")
+    x_curr = require_admissible(x_curr, grid, "base trajectory")
+    return (_kernels.step_functional(x_new, x_curr, coeffs, _kernels.Workspace(x_new.shape))
+            + _kernels.step_constant(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,33 @@ def is_admissible(x: np.ndarray, grid: Grid) -> bool | np.ndarray:
     return bool(ok) if x.ndim == 1 else ok
 
 
+def require_admissible(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
+    """x as a float array (a float array is returned as it is) if it is
+    admissible, one trajectory or every row of a stack (is_admissible).
+    Else DegenerateMeshError names name, the first bad row of a stack in C
+    order (its index, or its index tuple when the stack has two or more
+    leading axes) and that trajectory's first fault: a node that is not
+    finite, a cell slope that is not positive, or ends that are not the
+    domain's."""
+    x = np.asarray(x, dtype=float)
+    bad = ~np.asarray(is_admissible(x, grid))
+    if not bad.any():
+        return x
+    row = tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+    if row:
+        name += f" row {row[0] if len(row) == 1 else row}"
+    y = x[row]
+    finite = np.isfinite(y)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise DegenerateMeshError(f"{name}: node {i} is {float(y[i])!r}, not a "
+                                  "finite number")
+    min_cell_slope(d_forward(y, grid), name + ": nonpositive cell slope at cell {0} "
+                                              "(nodes {0} and {1})")
+    raise DegenerateMeshError(f"{name}: end nodes {y[0]:.17g}, {y[-1]:.17g} are "
+                              "not the domain's ends")
+
+
 _ENERGY_SLOPE = "nonpositive cell slope at cell {0} in energy evaluation"
 _DENSITY_SLOPE = ("nonpositive cell slope between node {0} and node {1} "
                   "while recovering density")

@@ -14,13 +14,13 @@ import numpy as np
 
 from . import _kernels, functional, newton
 from .csvio import format_columns, write_csv_atomic
-from .errors import (ConfigurationError, DegenerateMeshError, EnergyViolationError,
-                     SolverError)
+from .errors import ConfigurationError, EnergyViolationError, SolverError
 from .functional import SolverParams
 from .grid import d_forward, d_wide
 from .newton import NewtonReport
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
-                      discrete_mass, min_cell_slope, recover_density)
+                      discrete_mass, min_cell_slope, recover_density,
+                      require_admissible)
 
 #: Absolute slack on the per-step dissipation inequality, absorbing the Newton
 #: stopping tolerance.
@@ -56,7 +56,6 @@ class RunConfig:
 @dataclass
 class StepDiagnostics:
     report: NewtonReport
-    energy: float
     dissipation_lhs: float
     dissipation_rhs: float
     mass: float
@@ -75,26 +74,6 @@ class RunResult:
     min_slopes: list = field(default_factory=list)
 
 
-def _trajectory(x, grid, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """x as a float array (a float array is kept as it is) and its cell
-    slopes D_h x.  Unless its nodes are finite and strictly increasing and
-    its ends are the domain's, DegenerateMeshError names the field name and
-    the first node or cell at fault."""
-    x = np.asarray(x, dtype=float)
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
-        raise DegenerateMeshError(f"{name}: node {i} is {float(x.flat[i])!r}, not a "
-                                  "finite number")
-    slope = d_forward(x, grid)
-    min_cell_slope(slope, name + ": nonpositive cell slope at cell {0} (nodes {0} "
-                                 "and {1})")
-    if not (x[0] == grid.x_left and x[-1] == grid.x_right):
-        raise DegenerateMeshError(f"{name}: end nodes {x[0]:.17g}, {x[-1]:.17g} are "
-                                  "not the domain's ends")
-    return x, slope
-
-
 def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
             x_prev: np.ndarray, x_prev2: np.ndarray | None = None) -> TrajectoryState:
     """The state at step n and time t of x^n = x_curr, x^{n-1} = x_prev and
@@ -106,26 +85,33 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     Every field is checked here, once, before the energy is formed:
     newton_step and the steps after it trust them.  n must be a
     nonnegative integer and t a nonnegative finite number, or
-    ConfigurationError names the field.  Each trajectory must have finite,
-    strictly increasing nodes and the domain's ends, or DegenerateMeshError
-    names it and its first node or cell at fault.  At n = 0 there is no
-    x^{-1}: the opening step's x_prev is x_curr (bootstrap), and any other
-    x_prev raises ConfigurationError, since its wide slopes would enter the
+    ConfigurationError names the field.  Each trajectory must be one node
+    field of shape (M+1,), or ValueError names it, and admissible with
+    finite nodes, or DegenerateMeshError (problem.require_admissible) names
+    it and its first node or cell at fault.  At n = 0 there is no x^{-1}:
+    the opening step's x_prev is x_curr (bootstrap), and any other x_prev
+    raises ConfigurationError, since its wide slopes would enter the
     opening step's mass coefficient."""
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ConfigurationError(f"must be a nonnegative integer, got {n!r}", key="n")
     if not 0.0 <= t < math.inf:
         raise ConfigurationError(f"must be nonnegative and finite, got {t!r}", key="t")
     grid = spec.grid
-    x_curr, slope = _trajectory(x_curr, grid, "x_curr")
-    x_prev = _trajectory(x_prev, grid, "x_prev")[0]
-    if x_prev2 is not None:
-        x_prev2 = _trajectory(x_prev2, grid, "x_prev2")[0]
+    fields = {"x_curr": x_curr, "x_prev": x_prev, "x_prev2": x_prev2}
+    for name, x in fields.items():
+        if x is not None:
+            if np.shape(x) != (grid.M + 1,):
+                raise ValueError(f"{name}: shape {np.shape(x)} is not ({grid.M + 1},)")
+            fields[name] = require_admissible(x, grid, name)
+    x_curr, x_prev, x_prev2 = fields.values()
     if n == 0 and not np.array_equal(x_prev, x_curr):
         raise ConfigurationError("must equal x_curr at n = 0, where there is no x^{-1}",
                                  key="x_prev")
+    # discrete_energy checks D_h x^n positive: an admissible x^n fails
+    # only where a slope underflows to 0
     return TrajectoryState(n=n, t=t, x_curr=x_curr, x_prev=x_prev, x_prev2=x_prev2,
-                           e_curr=discrete_energy(x_curr, spec, slope), slope_curr=slope,
+                           e_curr=discrete_energy(x_curr, spec),
+                           slope_curr=d_forward(x_curr, grid),
                            wide_curr=d_wide(x_curr, grid), wide_prev=d_wide(x_prev, grid),
                            work=_kernels.Workspace(x_curr.shape))
 
@@ -197,7 +183,6 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     )
     diag = StepDiagnostics(
         report=report,
-        energy=e_new,
         dissipation_lhs=lhs,
         dissipation_rhs=rhs,
         # the trapezoid of discrete_mass, with x_{i+1} - x_i = h y_i
@@ -227,9 +212,8 @@ def _write_snapshot(out_dir: Path, n: int, x: list, f: list,
 
 
 def _plan_steps(t_final: float, tau: float):
-    """Full steps plus one truncated step when tau does not divide t_final."""
-    if t_final <= 0.0:
-        return 0, 0.0
+    """Full steps plus one truncated step when tau does not divide t_final
+    (RunConfig's t_final, so t_final/tau is nonnegative and finite)."""
     n_full = int(round(t_final / tau))
     if abs(n_full * tau - t_final) <= 1e-9 * tau:
         return n_full, 0.0
@@ -281,7 +265,7 @@ def run(config: RunConfig) -> RunResult:
     snapped = 0  # the step of the last snapshot written
     for state, diag in steps(config, state):
         # advance raises on a step that breaks the dissipation bound
-        result.energy_trace.append((state.n, state.t, diag.energy,
+        result.energy_trace.append((state.n, state.t, state.e_curr,
                                     diag.dissipation_lhs, diag.dissipation_rhs, True))
         result.mass_trace.append((state.n, state.t, diag.mass))
         result.newton_reports.append(diag.report)

@@ -308,13 +308,66 @@ def test_stack_with_inadmissible_row_names_it(rng):
     g, spec, params, x_curr, coeffs = _setup(rng, M=16)
     xs = np.array([random_admissible(rng, g) for _ in range(4)])
     xs[2, 5] = xs[2, 4]
-    with pytest.raises(DegenerateMeshError, match="row 2 "):
+    with pytest.raises(DegenerateMeshError, match="row 2:"):
         residual(xs, x_curr, coeffs, spec)
-    with pytest.raises(DegenerateMeshError, match="row 2 "):
+    with pytest.raises(DegenerateMeshError, match="row 2:"):
         eval_F(xs - g.nodes(), x_curr, coeffs, spec)
     # with two leading axes, the row's index along each
-    with pytest.raises(DegenerateMeshError, match=r"row \(1, 0\) "):
+    with pytest.raises(DegenerateMeshError, match=r"row \(1, 0\):"):
         residual(xs.reshape(2, 2, g.M + 1), x_curr, coeffs, spec)
+
+
+def _nan_at_3(x):
+    x[3] = math.nan
+    return x
+
+
+def _crossed_at_4(x):
+    x[5] = x[4] - 0.01
+    return x
+
+
+# Every entry that takes trajectories from its caller: its call on a
+# candidate x, the name it gives x, and whether it takes stacks alone (the
+# finite-difference oracles), so that one trajectory is passed as row 0.
+_ENTRIES = {
+    "residual": (residual, "candidate trajectory", False),
+    "hessian_coefficients": (lambda x, x_curr, coeffs, spec:
+                             hessian_coefficients(x, coeffs, spec),
+                             "candidate trajectory", False),
+    "eval_F": (lambda x, x_curr, coeffs, spec:
+               eval_F(x - spec.grid.nodes(), x_curr, coeffs, spec),
+               "displaced trajectory", False),
+    "gradient_vs_fd": (lambda x, x_curr, coeffs, spec:
+                       gradient_vs_fd(x_curr[None], x, coeffs, spec.grid, _kernels.Workspace),
+                       "candidate trajectory", True),
+    "hessian_vs_fd": (lambda x, x_curr, coeffs, spec:
+                      hessian_vs_fd(x_curr[None], x, coeffs, spec.grid, _kernels.Workspace),
+                      "candidate trajectory", True),
+}
+# Each fault made from an admissible trajectory, and how it is named.
+_FAULTS = {
+    "nonfinite node": (_nan_at_3, ": node 3 is nan, not a finite number"),
+    "crossing cell": (_crossed_at_4, ": nonpositive cell slope at cell 4 (nodes 4 and 5)"),
+    "unpinned ends": (lambda x: 0.5 * x, ": end nodes 0, 0.5 are not the domain's ends"),
+    "stack row": (lambda x: np.array([x, x, _crossed_at_4(x.copy())]),
+                  " row 2: nonpositive cell slope at cell 4 (nodes 4 and 5)"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_each_entry_names_the_first_fault(rng, entry, fault):
+    call, name, stacks_only = _ENTRIES[entry]
+    make, message = _FAULTS[fault]
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    x = make(g.nodes() ** 1.2)
+    if stacks_only and x.ndim == 1:
+        x, name = x[None], name + " row 0"
+    with pytest.raises(DegenerateMeshError) as exc:
+        call(x, x_curr, coeffs, spec)
+    assert str(exc.value) == name + message
 
 
 def test_gradient_matches_fd(rng):
@@ -384,7 +437,8 @@ def test_eval_F_at_zero_is_the_mass_term(rng, damped_start):
 
 @pytest.mark.parametrize("damped_start", [False, True])
 def test_eval_F_makes_one_step_functional_call(rng, monkeypatch, damped_start):
-    # eval_F has no formula of its own: one kernel call per 1-D or stacked call
+    # eval_F has no formula of its own: one kernel call per 1-D or stacked
+    # call, on the trajectory or the stack as it is
     g, spec, params, x_curr, coeffs = _setup(rng, M=16, damped_start=damped_start)
     shapes = []
     original = _kernels.step_functional
@@ -397,7 +451,7 @@ def test_eval_F_makes_one_step_functional_call(rng, monkeypatch, damped_start):
     xs = np.array([random_admissible(rng, g) for _ in range(3)]) - g.nodes()
     eval_F(xs[0], x_curr, coeffs, spec)
     eval_F(xs, x_curr, coeffs, spec)
-    assert shapes == [(1, 17), (3, 17)]
+    assert shapes == [(17,), (3, 17)]
 
 
 def test_eval_F_directional_fd(rng):

@@ -264,8 +264,8 @@ def test_fused_assembly_is_bitwise_equal(rng, equal_cells, damped_start):
 def test_public_residual_and_hessian_run_the_newton_assembly(rng, monkeypatch):
     # functional.residual (one trajectory or a stack) and
     # hessian_coefficients, and so the finite-difference oracles, reach
-    # residual_hessian, the assembly the Newton loop calls; a one-off call
-    # on one trajectory assembles it as a one-row stack
+    # residual_hessian, the assembly the Newton loop calls, with the
+    # trajectory or the stack as it is
     g = Grid(0.0, 1.0, 16)
     spec = make_problem(2.0, g, quadratic_bump)
     params = SolverParams(tau=g.h)
@@ -283,7 +283,7 @@ def test_public_residual_and_hessian_run_the_newton_assembly(rng, monkeypatch):
     residual(x, state.x_curr, coeffs, spec)
     residual(np.array([x, x, x]), state.x_curr, coeffs, spec)
     hessian_coefficients(x, coeffs, spec)
-    assert shapes == [(1, 17), (3, 17), (1, 17)]
+    assert shapes == [(17,), (3, 17), (17,)]
 
 
 _PI2_6 = math.pi ** 2 / 6.0

@@ -465,6 +465,12 @@ RESTART_REFUSALS = {
                     DegenerateMeshError, "x_prev2: node 3 is inf, not a finite number"),
     "x_curr nan": ((1, 0.1, _nan_at_3, None, None),
                    DegenerateMeshError, "x_curr: node 3 is nan, not a finite number"),
+    "x_prev one node short": ((1, 0.1, None, lambda X: X[:-1] ** 1.2, None),
+                              ValueError, "x_prev: shape (8,) is not (9,)"),
+    "x_curr a scalar": ((1, 0.1, lambda X: 0.5, None, None),
+                        ValueError, "x_curr: shape () is not (9,)"),
+    "x_prev2 a stack": ((2, 0.2, None, None, lambda X: np.array([X ** 1.4, X ** 1.4])),
+                        ValueError, "x_prev2: shape (2, 9) is not (9,)"),
     "n negative": ((-1, 0.1, None, None, None), ConfigurationError,
                    "n: must be a nonnegative integer, got -1"),
     "n fractional": ((1.5, 0.1, None, None, None), ConfigurationError,

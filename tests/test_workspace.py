@@ -177,11 +177,10 @@ def _quad(M=64, m=2.0):
 
 
 @pytest.mark.parametrize("damped_start", [False, True])
-def test_one_off_calls_carve_no_reduction_and_give_the_newton_bits(monkeypatch,
-                                                                   damped_start):
-    # residual, hessian_coefficients and eval_F, given no workspace, assemble
-    # a one-row stack, whose workspace carves no cyclic reduction, and give
-    # the bits of the assembly and F in the 1-D workspace Newton uses
+def test_calls_without_a_workspace_give_the_newton_bits(damped_start):
+    # residual, hessian_coefficients and eval_F, given no workspace, make a
+    # fresh one of their input's shape and give the bits of the assembly
+    # and F in the 1-D workspace Newton uses
     spec, params = _quad(200)
     state = state_after(spec, params, 3)
     coeffs = build_coefficients(state.slope_curr, state.wide_curr, state.wide_prev,
@@ -194,11 +193,6 @@ def test_one_off_calls_carve_no_reduction_and_give_the_newton_bits(monkeypatch,
     want_diag, want_off = (a.copy() for a in _kernels.residual_hessian(x, x, coeffs, work)[1:])
     want_F = (_kernels.step_functional(x, state.x_curr, coeffs, work)
               + _kernels.step_constant(coeffs))
-
-    def no_level(*args):
-        raise AssertionError("a one-off call carved a cyclic reduction")
-
-    monkeypatch.setattr(_kernels, "_Level", no_level)
     g = residual(x, state.x_curr, coeffs, spec)
     diag, off = hessian_coefficients(x, coeffs, spec)
     value = eval_F(x_hat, state.x_curr, coeffs, spec)
