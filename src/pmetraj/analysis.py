@@ -21,6 +21,7 @@ import os
 import pickle
 import signal
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -274,37 +275,35 @@ def _run_bin(configs: list, indices) -> dict:
 
 
 def _fork_bin(configs: list, indices):
-    """(pid, read end of its pipe as a binary file) of a child that runs the
-    bin and writes its outcomes to the pipe, pickled; None if the pipe or
-    the fork cannot be made."""
+    """(pid, file) of a child that runs the bin, pickles its outcomes into
+    the file, an unlinked temporary, and exits; None if the file or the
+    fork cannot be made."""
     global _in_worker
     try:
-        read_fd, write_fd = os.pipe()
+        file = tempfile.TemporaryFile()
     except OSError:
         return None
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        file.close()
         return None
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
             _in_worker = True
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(_run_bin(configs, indices), pipe)
+            pickle.dump(_run_bin(configs, indices), file)
+            file.flush()
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    return pid, file
 
 
 def _outcomes(configs: list) -> list:
     """Each run's RunResult or exception in input order, None for a run not
-    made because one before it in its bin raised (see run_many)."""
+    made because one before it in its bin raised (see run_many).  Each
+    child is reaped before its file is read, so none waits on the caller."""
     bins = _bins(configs, _worker_count(len(configs)))
     own, children = list(bins[0]), []
     try:
@@ -316,17 +315,17 @@ def _outcomes(configs: list) -> list:
                 children.append((indices, *child))
         outcomes = _run_bin(configs, own)
         while children:
-            indices, pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
+            indices, pid, file = children[0]
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            # a child that died without its outcomes has its runs made here
-            outcomes.update(pickle.loads(payload) if status == 0 and payload
-                            else _run_bin(configs, indices))
+            with file:
+                file.seek(0)
+                # a child that died without its outcomes has its runs made here
+                outcomes.update(pickle.load(file) if status == 0
+                                else _run_bin(configs, indices))
     finally:
-        for _, pid, pipe in children:  # left only when an exception escapes
-            pipe.close()
+        for _, pid, file in children:  # left only when an exception escapes
+            file.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return [outcomes.get(i) for i in range(len(configs))]
@@ -345,7 +344,10 @@ def run_many(configs: list) -> list:
     The runs are packed into static longest-first bins by M times steps,
     one per process, min(len(configs), the CPUs of os.sched_getaffinity(0)):
     this process runs the largest bin itself, forked children the others,
-    each bin in input order, and the children's results come back pickled.
+    each bin in input order.  A child pickles its results into an unlinked
+    temporary file and exits; the caller reaps it, then reads the file.  A
+    bin whose file or fork cannot be made, or whose child exits nonzero, is
+    made by the caller.
     Everything runs in process instead with fewer than 2 CPUs, without
     os.fork or os.sched_getaffinity, inside a child, where the interpreter
     would warn of forking a threaded process (Python 3.12 and later), or

@@ -24,7 +24,7 @@ from . import _kernels
 from ._kernels import _spence
 from .errors import (CoefficientOverflowError, ConfigurationError,
                      DegenerateMeshError)
-from .problem import ProblemSpec, require_admissible
+from .problem import ProblemSpec, as_trajectories, require_admissible
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,7 @@ def eval_F(x_hat: np.ndarray, x_curr: np.ndarray, coeffs: SchemeCoefficients,
     x_hat's shape.
     """
     grid = spec.grid
+    x_hat = as_trajectories(x_hat, grid, "displaced trajectory")
     x_new = require_admissible(grid.nodes() + x_hat, grid, "displaced trajectory")
     x_curr = require_admissible(x_curr, grid, "base trajectory")
     return (_kernels.step_functional(x_new, x_curr, coeffs, _kernels.Workspace(x_new.shape))

@@ -171,16 +171,24 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
     )
 
 
+def as_trajectories(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
+    """x as a float array (a float array is returned as it is) of one
+    trajectory, shape (M+1,), or a stack of them, shape (..., M+1); else
+    ValueError names name and the shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != grid.M + 1:
+        raise ValueError(f"{name}: shape {x.shape} is not ({grid.M + 1},) or (..., {grid.M + 1})")
+    return x
+
+
 def is_admissible(x: np.ndarray, grid: Grid) -> bool | np.ndarray:
     """Strictly increasing nodes with both endpoints pinned to the domain,
     along the last axis: a bool for one trajectory (shape (M+1,)), one bool
     per row for a stack of trajectories (shape (..., M+1), the bools of
-    shape x.shape[:-1])."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != grid.M + 1:
-        raise ValueError(
-            f"trajectory has shape {x.shape}, expected ({grid.M + 1},) or "
-            f"(..., {grid.M + 1})")
+    shape x.shape[:-1]).  Another shape raises ValueError (as_trajectories).
+    Where h > 1 a cell slope D_h x of such a trajectory can still underflow
+    to 0; require_admissible refuses that too."""
+    x = as_trajectories(x, grid, "trajectory")
     ok = ((x[..., 1:] > x[..., :-1]).all(axis=-1)
           & (x[..., 0] == grid.x_left) & (x[..., -1] == grid.x_right))
     return bool(ok) if x.ndim == 1 else ok
@@ -188,14 +196,20 @@ def is_admissible(x: np.ndarray, grid: Grid) -> bool | np.ndarray:
 
 def require_admissible(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
     """x as a float array (a float array is returned as it is) if it is
-    admissible, one trajectory or every row of a stack (is_admissible).
-    Else DegenerateMeshError names name, the first bad row of a stack in C
-    order (its index, or its index tuple when the stack has two or more
-    leading axes) and that trajectory's first fault: a node that is not
-    finite, a cell slope that is not positive, or ends that are not the
-    domain's."""
-    x = np.asarray(x, dtype=float)
+    admissible, one trajectory or every row of a stack (is_admissible),
+    with every cell slope D_h x positive.  A shape that is neither raises
+    ValueError naming name (as_trajectories).  Else DegenerateMeshError
+    names name, the first bad row of a stack in C order (its index, or its
+    index tuple when the stack has two or more leading axes) and that
+    trajectory's first fault: a node that is not finite, a cell slope that
+    is not positive, or ends that are not the domain's.  An ordered
+    trajectory's slope (x_{i+1} - x_i)/h can underflow to 0 only where
+    h > 1, so only there is D_h x formed to test it."""
+    x = as_trajectories(x, grid, name)
     bad = ~np.asarray(is_admissible(x, grid))
+    if grid.h > 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # only on rows refused above
+            bad |= ~(d_forward(x, grid) > 0.0).all(axis=-1)
     if not bad.any():
         return x
     row = tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))

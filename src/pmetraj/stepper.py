@@ -107,11 +107,10 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     if n == 0 and not np.array_equal(x_prev, x_curr):
         raise ConfigurationError("must equal x_curr at n = 0, where there is no x^{-1}",
                                  key="x_prev")
-    # discrete_energy checks D_h x^n positive: an admissible x^n fails
-    # only where a slope underflows to 0
+    slope_curr = d_forward(x_curr, grid)  # positive: the gate refused any other
     return TrajectoryState(n=n, t=t, x_curr=x_curr, x_prev=x_prev, x_prev2=x_prev2,
-                           e_curr=discrete_energy(x_curr, spec),
-                           slope_curr=d_forward(x_curr, grid),
+                           e_curr=discrete_energy(x_curr, spec, slope_curr),
+                           slope_curr=slope_curr,
                            wide_curr=d_wide(x_curr, grid), wide_prev=d_wide(x_prev, grid),
                            work=_kernels.Workspace(x_curr.shape))
 

@@ -52,6 +52,18 @@ def mp_precision_kept():
     assert left == dps, f"the test left mpmath.mp.dps at {left}, not {dps}"
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Error a test that leaves a child process of this one behind, alive
+    or unreaped (run_many reaps every child it forks)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({'alive' if pid == 0 else f'pid {pid} unreaped'})")
+
+
 @pytest.fixture(scope="session")
 def studies():
     """The acceptance study, run once per session for every test that reads

@@ -1,6 +1,8 @@
 import math
 import os
 import pickle
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -357,11 +359,39 @@ def test_runs_are_made_here_when_fork_fails(monkeypatch):
     configs = [_config(2000, 10), _config(1000, 20)]
     expected = [pickle.dumps(run(config)) for config in configs]
 
-    def failing():
+    def failing(*args, **kwargs):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", failing)
-    assert [pickle.dumps(result) for result in run_many(configs)] == expected
+    # the child's file, made before the fork, or the fork itself
+    for module, name in [(os, "fork"), (tempfile, "TemporaryFile")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, failing)
+            assert [pickle.dumps(result) for result in run_many(configs)] == expected
+
+
+def test_a_child_exits_when_its_bin_ends(monkeypatch, forks):
+    # the child's outcomes pickle to more than a pipe's 64 KB, and it must
+    # not wait on the caller, whose own run comes after it has exited
+    if not _forking():
+        pytest.skip("run_many makes every run in process here")
+    parent, original, exited = os.getpid(), analysis.run, []
+
+    def polling(config):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 5.0
+            while not exited and time.monotonic() < deadline:
+                # WNOWAIT leaves the child for run_many to reap
+                info = os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                if info is None:
+                    time.sleep(0.01)
+                else:
+                    exited.append(info.si_status)
+        return original(config)
+
+    monkeypatch.setattr(analysis, "run", polling)
+    results = run_many([_config(4000, 20), _config(2000, 10)])
+    assert len(pickle.dumps(results[1])) > 65536
+    assert exited == [0]
 
 
 def test_an_interrupt_here_leaves_no_child(monkeypatch, forks):

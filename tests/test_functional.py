@@ -9,9 +9,9 @@ from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
                      SchemeCoefficients, SolverParams, LAMBDA_STAR, build_coefficients,
                      compute_s_h, d_centered_to_nodes, d_forward, d_wide, eval_F,
                      g_convex_integral, hessian_coefficients,
-                     initial_data_from_key, make_problem, mass_coefficient,
-                     q1_oracle, quadratic_bump, residual, secant_ratio_R,
-                     slope_derivative_W)
+                     initial_data_from_key, is_admissible, make_problem,
+                     mass_coefficient, q1_oracle, quadratic_bump, residual, restart,
+                     secant_ratio_R, slope_derivative_W)
 from pmetraj.checks import FD_REL_TOL, gradient_vs_fd, hessian_vs_fd, random_admissible
 from pmetraj._kernels import _LI2_SERIES
 from pmetraj.functional import _spence, g_convex_second
@@ -368,6 +368,80 @@ def test_each_entry_names_the_first_fault(rng, entry, fault):
     with pytest.raises(DegenerateMeshError) as exc:
         call(x, x_curr, coeffs, spec)
     assert str(exc.value) == name + message
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_cell_slope_that_underflows_to_0_is_refused_by_every_entry():
+    # with h = 2, D_h x at cell 0 is 5e-324/2, which rounds to 0, though
+    # the nodes are ordered
+    g = Grid(0.0, 16.0, 8)
+    spec = make_problem(2.0, g, initial_data_from_key("constant:1"))
+    X = g.nodes()
+    coeffs = build_coefficients(d_forward(X, g), d_wide(X, g), d_wide(X, g), spec,
+                                SolverParams(tau=g.h))
+    x = X.copy()
+    x[1] = 5e-324
+    assert is_admissible(x, g)
+    fault = ": nonpositive cell slope at cell 0 (nodes 0 and 1)"
+    with pytest.raises(DegenerateMeshError) as exc:
+        restart(spec, 1, g.h, x, X)
+    assert str(exc.value) == "x_curr" + fault
+    for entry, (call, name, stacks_only) in _ENTRIES.items():
+        row = " row 0" if stacks_only else ""
+        # eval_F's X + x_hat cannot hold node 1 at 5e-324: its base can
+        if entry != "eval_F":
+            with pytest.raises(DegenerateMeshError) as exc:
+                call(x[None] if stacks_only else x, X, coeffs, spec)
+            assert str(exc.value) == name + row + fault
+        if entry != "hessian_coefficients":  # it takes no base trajectory
+            with pytest.raises(DegenerateMeshError) as exc:
+                call(X[None] if stacks_only else X, x, coeffs, spec)
+            assert str(exc.value) == "base trajectory" + row + fault
+
+
+def _short(x):
+    return x[..., :-1]
+
+
+# Each entry called with one trajectory of the wrong shape on M = 16: the
+# call, the name it gives that trajectory, and the shape handed to it.
+_WRONG_SHAPES = {
+    "residual candidate": (lambda x, coeffs, spec: residual(_short(x), x, coeffs, spec),
+                           "candidate trajectory", (16,)),
+    "residual base": (lambda x, coeffs, spec: residual(x, _short(x), coeffs, spec),
+                      "base trajectory", (16,)),
+    "residual scalar": (lambda x, coeffs, spec: residual(0.5, x, coeffs, spec),
+                        "candidate trajectory", ()),
+    "hessian_coefficients": (lambda x, coeffs, spec:
+                             hessian_coefficients(_short(x), coeffs, spec),
+                             "candidate trajectory", (16,)),
+    "eval_F displacement": (lambda x, coeffs, spec: eval_F(np.zeros(16), x, coeffs, spec),
+                            "displaced trajectory", (16,)),
+    "eval_F base": (lambda x, coeffs, spec: eval_F(np.zeros(17), _short(x), coeffs, spec),
+                    "base trajectory", (16,)),
+    "gradient_vs_fd candidate": (lambda x, coeffs, spec: gradient_vs_fd(
+        x[None], _short(x[None]), coeffs, spec.grid, _kernels.Workspace),
+                                 "candidate trajectory", (1, 16)),
+    "gradient_vs_fd base": (lambda x, coeffs, spec: gradient_vs_fd(
+        _short(x[None]), x[None], coeffs, spec.grid, _kernels.Workspace),
+                            "base trajectory", (1, 16)),
+    "hessian_vs_fd candidate": (lambda x, coeffs, spec: hessian_vs_fd(
+        x[None], _short(x[None]), coeffs, spec.grid, _kernels.Workspace),
+                                "candidate trajectory", (1, 16)),
+    "hessian_vs_fd base": (lambda x, coeffs, spec: hessian_vs_fd(
+        _short(x[None]), x[None], coeffs, spec.grid, _kernels.Workspace),
+                           "base trajectory", (1, 16)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _WRONG_SHAPES)
+def test_each_entry_names_a_trajectory_of_the_wrong_shape(rng, case):
+    call, name, shape = _WRONG_SHAPES[case]
+    g, spec, params, x_curr, coeffs = _setup(rng, M=16)
+    with pytest.raises(ValueError) as exc:
+        call(x_curr, coeffs, spec)
+    assert str(exc.value) == f"{name}: shape {shape} is not (17,) or (..., 17)"
 
 
 def test_gradient_matches_fd(rng):
