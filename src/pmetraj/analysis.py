@@ -113,11 +113,16 @@ def _weighted_norms(e, w):
 def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: int):
     """L2/inf density error at shared labels, weighted by the coarse
     trajectory's deformed spacings h_{x_i} = x_{i+1} - x_{i-1} (half cells at
-    the ends)."""
-    coarse_x = np.asarray(coarse_x, dtype=float)
-    coarse_f = np.asarray(coarse_f, dtype=float)
-    _check_nested(coarse_x.shape[0], np.asarray(reference_x).shape[0], stride)
-    e = np.asarray(reference_f, dtype=float)[::stride] - coarse_f
+    the ends).  Each density must have its trajectory's shape, else
+    ValueError names coarse_f or reference_f; the reference must be a
+    stride-fold refinement of the coarse grid, else ConfigurationError."""
+    coarse_x, reference_x = np.asarray(coarse_x, dtype=float), np.asarray(reference_x)
+    coarse_f, reference_f = np.asarray(coarse_f, dtype=float), np.asarray(reference_f, dtype=float)
+    for name, f, x in (("coarse_f", coarse_f, coarse_x), ("reference_f", reference_f, reference_x)):
+        if f.shape != x.shape:
+            raise ValueError(f"{name}: shape {f.shape} is not its trajectory's {x.shape}")
+    _check_nested(coarse_x.shape[0], reference_x.shape[0], stride)
+    e = reference_f[::stride] - coarse_f
     w = np.empty_like(coarse_x)
     w[1:-1] = coarse_x[2:] - coarse_x[:-2]
     w[0] = coarse_x[1] - coarse_x[0]
@@ -127,9 +132,13 @@ def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: in
 
 def trajectory_error_norms(coarse_x, reference_x, stride: int, grid: Grid):
     """L2/inf trajectory error at shared labels with fixed weights
-    (2h interior, h at both ends)."""
+    (2h interior, h at both ends), h that of grid, the coarse grid.  A
+    coarse_x not of its shape (M+1,) raises ValueError; a reference that
+    is not a stride-fold refinement of it, ConfigurationError."""
     coarse_x = np.asarray(coarse_x, dtype=float)
     reference_x = np.asarray(reference_x, dtype=float)
+    if coarse_x.shape != (grid.M + 1,):
+        raise ValueError(f"coarse_x: shape {coarse_x.shape} is not ({grid.M + 1},)")
     _check_nested(coarse_x.shape[0], reference_x.shape[0], stride)
     e = reference_x[::stride] - coarse_x
     w = np.full_like(coarse_x, 2.0 * grid.h)

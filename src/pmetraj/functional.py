@@ -24,7 +24,8 @@ from . import _kernels
 from ._kernels import _spence
 from .errors import (CoefficientOverflowError, ConfigurationError,
                      DegenerateMeshError)
-from .problem import ProblemSpec, as_trajectories, require_admissible
+from .grid import as_trajectories
+from .problem import ProblemSpec, require_admissible
 
 
 @dataclass(frozen=True)

@@ -65,25 +65,21 @@ class Grid:
         return 0.5 * (x[:-1] + x[1:])
 
 
-def _require_node_field(l: np.ndarray, grid: Grid) -> np.ndarray:
-    """l as floats, with M+1 node values along its last axis."""
-    l = np.asarray(l, dtype=float)
-    if l.ndim == 0 or l.shape[-1] != grid.M + 1:
-        raise ValueError(f"field has shape {l.shape}, expected {grid.M + 1} node values "
-                         "along the last axis")
-    return l
-
-
-def _require_cell_field(phi: np.ndarray, grid: Grid) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (grid.M,):
-        raise ValueError(f"field has length {phi.shape}, expected {grid.M} cell values")
-    return phi
+def as_trajectories(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
+    """x as a float array (a float array is returned as it is) of one node
+    field, a trajectory of shape (M+1,), or a stack of them, shape
+    (..., M+1); else ValueError names name and the shape.  The one shape
+    check of every node field the package takes: the differences below
+    call it "field", problem.require_admissible the trajectory's name."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != grid.M + 1:
+        raise ValueError(f"{name}: shape {x.shape} is not ({grid.M + 1},) or (..., {grid.M + 1})")
+    return x
 
 
 def d_forward(l: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward difference node -> cell: (l_i - l_{i-1})/h at i-1/2."""
-    l = _require_node_field(l, grid)
+    l = as_trajectories(l, grid, "field")
     out = np.subtract(l[..., 1:], l[..., :-1])
     out /= grid.h
     return out
@@ -95,7 +91,9 @@ def d_centered_to_nodes(phi: np.ndarray, grid: Grid) -> np.ndarray:
     Defined on interior nodes only; the Dirichlet end slots are set to 0
     and must never enter norms or assembly.
     """
-    phi = _require_cell_field(phi, grid)
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (grid.M,):
+        raise ValueError(f"field: shape {phi.shape} is not ({grid.M},)")
     out = np.zeros(grid.M + 1)
     out[1:-1] = np.subtract(phi[1:], phi[:-1]) / grid.h
     return out
@@ -108,7 +106,7 @@ def d_wide(l: np.ndarray, grid: Grid) -> np.ndarray:
     one-sided stencils (4l_1 - l_2 - 3l_0)/2h and (l_{M-2} - 4l_{M-1} + 3l_M)/2h,
     exact for quadratics at every node.
     """
-    l = _require_node_field(l, grid)
+    l = as_trajectories(l, grid, "field")
     if grid.M < 2:
         raise ValueError("d_wide needs M >= 2")
     two_h = 2.0 * grid.h

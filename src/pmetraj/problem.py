@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .config import parse_number
 from .errors import ConfigurationError, DataScaleError, DegenerateMeshError
-from .grid import Grid, d_forward, d_wide
+from .grid import Grid, as_trajectories, d_forward, d_wide
 
 
 @dataclass(frozen=True)
@@ -171,23 +171,14 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
     )
 
 
-def as_trajectories(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
-    """x as a float array (a float array is returned as it is) of one
-    trajectory, shape (M+1,), or a stack of them, shape (..., M+1); else
-    ValueError names name and the shape."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != grid.M + 1:
-        raise ValueError(f"{name}: shape {x.shape} is not ({grid.M + 1},) or (..., {grid.M + 1})")
-    return x
-
-
 def is_admissible(x: np.ndarray, grid: Grid) -> bool | np.ndarray:
     """Strictly increasing nodes with both endpoints pinned to the domain,
     along the last axis: a bool for one trajectory (shape (M+1,)), one bool
     per row for a stack of trajectories (shape (..., M+1), the bools of
-    shape x.shape[:-1]).  Another shape raises ValueError (as_trajectories).
-    Where h > 1 a cell slope D_h x of such a trajectory can still underflow
-    to 0; require_admissible refuses that too."""
+    shape x.shape[:-1]).  Another shape raises ValueError naming the
+    "trajectory" (grid.as_trajectories).  Where h > 1 a cell slope D_h x
+    of such a trajectory can still underflow to 0; require_admissible, the
+    gate every trajectory the package is handed passes, refuses that too."""
     x = as_trajectories(x, grid, "trajectory")
     ok = ((x[..., 1:] > x[..., :-1]).all(axis=-1)
           & (x[..., 0] == grid.x_left) & (x[..., -1] == grid.x_right))
@@ -198,7 +189,7 @@ def require_admissible(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
     """x as a float array (a float array is returned as it is) if it is
     admissible, one trajectory or every row of a stack (is_admissible),
     with every cell slope D_h x positive.  A shape that is neither raises
-    ValueError naming name (as_trajectories).  Else DegenerateMeshError
+    ValueError naming name (grid.as_trajectories).  Else DegenerateMeshError
     names name, the first bad row of a stack in C order (its index, or its
     index tuple when the stack has two or more leading axes) and that
     trajectory's first fault: a node that is not finite, a cell slope that
@@ -221,25 +212,23 @@ def require_admissible(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
         i = int(np.flatnonzero(~finite)[0])
         raise DegenerateMeshError(f"{name}: node {i} is {float(y[i])!r}, not a "
                                   "finite number")
-    min_cell_slope(d_forward(y, grid), name + ": nonpositive cell slope at cell {0} "
-                                              "(nodes {0} and {1})")
+    min_cell_slope(d_forward(y, grid), name)
     raise DegenerateMeshError(f"{name}: end nodes {y[0]:.17g}, {y[-1]:.17g} are "
                               "not the domain's ends")
 
 
-_ENERGY_SLOPE = "nonpositive cell slope at cell {0} in energy evaluation"
-_DENSITY_SLOPE = ("nonpositive cell slope between node {0} and node {1} "
-                  "while recovering density")
-
-
-def min_cell_slope(slope: np.ndarray, message: str = _ENERGY_SLOPE) -> float:
+def min_cell_slope(slope: np.ndarray, name: str) -> float:
     """The least cell slope D_h x, which must be positive: one min
-    reduction, and only when it fails a scan for the first cell that is not
-    positive (or nan), named in the DegenerateMeshError."""
+    reduction, and only when it fails a scan for the first cell i that is
+    not positive (or nan).  The DegenerateMeshError reads "{name}:
+    nonpositive cell slope at cell i (nodes i and i+1)", the one wording
+    of this fault in the package, whether require_admissible or
+    stepper.advance finds it."""
     least = float(slope.min())
     if not least > 0.0:
         i = int(np.flatnonzero(~(slope > 0.0))[0])
-        raise DegenerateMeshError(message.format(i, i + 1))
+        raise DegenerateMeshError(f"{name}: nonpositive cell slope at cell {i} "
+                                  f"(nodes {i} and {i + 1})")
     return least
 
 
@@ -249,24 +238,24 @@ def recover_density(x: np.ndarray, spec: ProblemSpec,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Density at nodes from the conservation map f = f0 / (wide slope of x).
 
-    The cell slopes D_h x (cells) and the wide slopes D~_h x (wide) are
-    computed when not given.  Computed cell slopes must all be positive: a
-    trajectory whose nodes cross raises DegenerateMeshError naming the
-    first pair that does.  Given ones are the caller's, checked where they
-    were formed (min_cell_slope).  The interior wide slopes are then
-    averages of positive cell slopes.  At a wall node the second-order
-    one-sided slope of d_wide is kept where it is positive and replaced by
-    D_h x of the wall cell where it is not, so every admissible trajectory
-    has a positive density.  A given wide is never written to: it is copied
-    before a wall slope is replaced.
+    When the cell slopes D_h x (cells) are not given, x passes
+    require_admissible as the "trajectory" (a wrong shape raises
+    ValueError, a fault DegenerateMeshError naming it) and they are formed
+    from it.  Given ones are the caller's, checked where they were formed
+    (min_cell_slope).  The wide slopes D~_h x (wide) are computed when not
+    given.  The interior wide slopes are then averages of positive cell
+    slopes.  At a wall node the second-order one-sided slope of d_wide is
+    kept where it is positive and replaced by D_h x of the wall cell where
+    it is not, so every admissible trajectory has a positive density.  A
+    given wide is never written to: it is copied before a wall slope is
+    replaced.
 
     The density is written into out when given (a node field, which
     stepper.advance carves from the run's workspace), else into a fresh
     array; the copy of wide, when the wall rule needs one, is made there
     too."""
     if cells is None:
-        cells = d_forward(x, spec.grid)
-        min_cell_slope(cells, _DENSITY_SLOPE)
+        cells = d_forward(require_admissible(x, spec.grid, "trajectory"), spec.grid)
     if wide is None:
         wide = d_wide(x, spec.grid)
     if not (wide[0] > 0.0 and wide[-1] > 0.0):
@@ -285,16 +274,15 @@ def discrete_energy(x: np.ndarray, spec: ProblemSpec,
                     slope: np.ndarray | None = None) -> float:
     """Discrete free energy E_h(x) = -h * sum f0(cell) ln(D_h x).
 
-    The cell slopes D_h x are computed and checked positive
-    (min_cell_slope) when slope is not given; a given slope is the
-    caller's, checked where it was formed.  Matches the integral of f ln f
-    in trajectory coordinates up to the x-independent constant
-    h * sum f0 ln f0; the scheme dissipates it by at least
-    a0 * tau * ||D_h(x_new - x_old)||_2^2 per accepted step.
+    When slope is not given, x passes require_admissible as the
+    "trajectory" and its cell slopes D_h x are formed from it; a given
+    slope is the caller's, checked where it was formed (min_cell_slope).
+    Matches the integral of f ln f in trajectory coordinates up to the
+    x-independent constant h * sum f0 ln f0; the scheme dissipates it by
+    at least a0 * tau * ||D_h(x_new - x_old)||_2^2 per accepted step.
     """
     if slope is None:
-        slope = d_forward(x, spec.grid)
-        min_cell_slope(slope)
+        slope = d_forward(require_admissible(x, spec.grid, "trajectory"), spec.grid)
     return -spec.grid.h * float(np.dot(spec.f0_cells, np.log(slope)))
 
 

@@ -153,7 +153,7 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     del coeffs  # its mass is not kept alive beside the new fields
 
     slope_new = d_forward(x_new, grid)
-    min_slope = min_cell_slope(slope_new)
+    min_slope = min_cell_slope(slope_new, "new trajectory")
     e_new = discrete_energy(x_new, spec, slope_new)
     dslope = slope_new - state.slope_curr
     rhs = factor * float(np.dot(dslope, dslope))

@@ -80,6 +80,31 @@ def test_non_nested_grids_rejected():
         trajectory_error_norms(coarse.nodes(), ref.nodes(), 3, coarse)
 
 
+def test_trajectory_norms_refuse_a_grid_other_than_the_coarse_one():
+    # a constant error 0.005 reads 0.005 with the coarse grid's weights; with
+    # the reference grid's h it would read 0.00354
+    coarse, ref, stride = _nested_pair(M=4, stride=2)
+    xc, xr = coarse.nodes() + 0.005, ref.nodes()
+    assert trajectory_error_norms(xc, xr, stride, coarse)[0] == pytest.approx(0.005, rel=1e-13)
+    for grid in (ref, Grid(0.0, 1.0, 100)):
+        with pytest.raises(ValueError) as exc:
+            trajectory_error_norms(xc, xr, stride, grid)
+        assert str(exc.value) == f"coarse_x: shape (5,) is not ({grid.M + 1},)"
+
+
+@pytest.mark.parametrize("name, coarse_f, reference_f, shape, want", [
+    ("coarse_f", 1.0, np.ones(9), (), (5,)),              # no longer broadcast
+    ("reference_f", np.ones(5), np.ones(10), (10,), (9,)),  # strided to 5 values
+    ("reference_f", np.ones(5), np.ones(8), (8,), (9,)),    # strided to 4 values
+], ids=["scalar coarse_f", "reference_f one long", "reference_f one short"])
+def test_density_norms_refuse_a_density_not_of_its_trajectorys_shape(
+        name, coarse_f, reference_f, shape, want):
+    coarse, ref, stride = _nested_pair(M=4, stride=2)
+    with pytest.raises(ValueError) as exc:
+        density_error_norms(coarse.nodes(), coarse_f, ref.nodes(), reference_f, stride)
+    assert str(exc.value) == f"{name}: shape {shape} is not its trajectory's {want}"
+
+
 def test_observed_orders_values():
     recs = [ErrorRecord(h=0.01, tau=0.01, err_f_l2=4e-4, err_f_inf=4e-4,
                         err_x_l2=1e-3, err_x_inf=1e-3),

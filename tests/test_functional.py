@@ -7,11 +7,11 @@ import pytest
 from pmetraj import _kernels
 from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
                      SchemeCoefficients, SolverParams, LAMBDA_STAR, build_coefficients,
-                     compute_s_h, d_centered_to_nodes, d_forward, d_wide, eval_F,
-                     g_convex_integral, hessian_coefficients,
+                     compute_s_h, d_centered_to_nodes, d_forward, d_wide,
+                     discrete_energy, eval_F, g_convex_integral, hessian_coefficients,
                      initial_data_from_key, is_admissible, make_problem,
-                     mass_coefficient, q1_oracle, quadratic_bump, residual, restart,
-                     secant_ratio_R, slope_derivative_W)
+                     mass_coefficient, q1_oracle, quadratic_bump, recover_density,
+                     residual, restart, secant_ratio_R, slope_derivative_W)
 from pmetraj.checks import FD_REL_TOL, gradient_vs_fd, hessian_vs_fd, random_admissible
 from pmetraj._kernels import _LI2_SERIES
 from pmetraj.functional import _spence, g_convex_second
@@ -327,9 +327,10 @@ def _crossed_at_4(x):
     return x
 
 
-# Every entry that takes trajectories from its caller: its call on a
-# candidate x, the name it gives x, and whether it takes stacks alone (the
-# finite-difference oracles), so that one trajectory is passed as row 0.
+# Every entry that takes trajectories from its caller, the diagnostics
+# given a bare x among them: its call on a candidate x, the name it gives
+# x, and whether it takes stacks alone (the finite-difference oracles), so
+# that one trajectory is passed as row 0.
 _ENTRIES = {
     "residual": (residual, "candidate trajectory", False),
     "hessian_coefficients": (lambda x, x_curr, coeffs, spec:
@@ -344,7 +345,13 @@ _ENTRIES = {
     "hessian_vs_fd": (lambda x, x_curr, coeffs, spec:
                       hessian_vs_fd(x_curr[None], x, coeffs, spec.grid, _kernels.Workspace),
                       "candidate trajectory", True),
+    "recover_density": (lambda x, x_curr, coeffs, spec: recover_density(x, spec),
+                        "trajectory", False),
+    "discrete_energy": (lambda x, x_curr, coeffs, spec: discrete_energy(x, spec),
+                        "trajectory", False),
 }
+# The entries that take no base trajectory.
+_NO_BASE = ("hessian_coefficients", "recover_density", "discrete_energy")
 # Each fault made from an admissible trajectory, and how it is named.
 _FAULTS = {
     "nonfinite node": (_nan_at_3, ": node 3 is nan, not a finite number"),
@@ -393,7 +400,7 @@ def test_a_cell_slope_that_underflows_to_0_is_refused_by_every_entry():
             with pytest.raises(DegenerateMeshError) as exc:
                 call(x[None] if stacks_only else x, X, coeffs, spec)
             assert str(exc.value) == name + row + fault
-        if entry != "hessian_coefficients":  # it takes no base trajectory
+        if entry not in _NO_BASE:
             with pytest.raises(DegenerateMeshError) as exc:
                 call(X[None] if stacks_only else X, x, coeffs, spec)
             assert str(exc.value) == "base trajectory" + row + fault
@@ -431,6 +438,10 @@ _WRONG_SHAPES = {
     "hessian_vs_fd base": (lambda x, coeffs, spec: hessian_vs_fd(
         _short(x[None]), x[None], coeffs, spec.grid, _kernels.Workspace),
                            "base trajectory", (1, 16)),
+    "recover_density": (lambda x, coeffs, spec: recover_density(_short(x), spec),
+                        "trajectory", (16,)),
+    "discrete_energy": (lambda x, coeffs, spec: discrete_energy(x[:, None], spec),
+                        "trajectory", (17, 1)),
 }
 
 

@@ -40,6 +40,20 @@ def test_d_forward_length_mismatch():
         d_forward(np.zeros(5), g)
 
 
+@pytest.mark.parametrize("op, field, message", [
+    (d_forward, np.zeros(5), "field: shape (5,) is not (6,) or (..., 6)"),
+    (d_forward, 0.5, "field: shape () is not (6,) or (..., 6)"),
+    (d_wide, np.zeros((2, 7)), "field: shape (2, 7) is not (6,) or (..., 6)"),
+    (d_centered_to_nodes, np.zeros(6), "field: shape (6,) is not (5,)"),
+    (d_centered_to_nodes, np.zeros((1, 5)), "field: shape (1, 5) is not (5,)"),
+], ids=["d_forward short", "d_forward scalar", "d_wide long rows", "d_centered long",
+        "d_centered stack"])
+def test_a_field_of_the_wrong_shape_is_named(op, field, message):
+    with pytest.raises(ValueError) as exc:
+        op(field, Grid(0.0, 1.0, 5))
+    assert str(exc.value) == message
+
+
 def test_d_centered_constant_and_ends():
     g = Grid(0.0, 1.0, 6)
     out = d_centered_to_nodes(np.full(6, 2.0), g)

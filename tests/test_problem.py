@@ -139,21 +139,21 @@ def test_recover_density_names_degenerate_node():
     f = recover_density(x, spec)
     assert f[0] == spec.f0_nodes[0] / ((x[1] - x[0]) / g.h)
     assert np.all(f > 0.0)
-    # a trajectory that is not increasing still names the node: there the wall
-    # cell's slope is nonpositive too
+    # a trajectory that is not increasing is refused by the gate, which names
+    # its first crossing cell: here the wall cell
     crossed = np.array([0.0, -0.1, 0.5, 1.0])
-    with pytest.raises(DegenerateMeshError, match="node 0"):
+    with pytest.raises(DegenerateMeshError, match=r"^trajectory: .* at cell 0 \(nodes 0 and 1\)$"):
         recover_density(crossed, spec)
 
 
 def test_recover_density_rejects_crossed_interior_nodes():
-    # nodes 1 and 2 cross, yet every wide slope is positive: the cell slopes
-    # are checked first, so no density is returned
+    # nodes 1 and 2 cross, yet every wide slope is positive: the trajectory
+    # passes the gate first, so no density is returned
     g = Grid(0.0, 1.0, 3)
     spec = make_problem(2.0, g, quadratic_bump)
     x = np.array([0.0, 0.5, 0.4, 1.0])
     assert np.all(d_wide(x, g) > 0.0)
-    with pytest.raises(DegenerateMeshError, match="node 1 and node 2"):
+    with pytest.raises(DegenerateMeshError, match=r"^trajectory: .* at cell 1 \(nodes 1 and 2\)$"):
         recover_density(x, spec)
 
 
@@ -197,11 +197,12 @@ def test_recover_density_into_out_is_the_fresh_density(x):
 
 
 def test_min_cell_slope_names_the_first_bad_cell():
-    assert min_cell_slope(np.array([2.0, 0.5, 3.0])) == 0.5
-    with pytest.raises(DegenerateMeshError, match="at cell 1 in energy evaluation"):
-        min_cell_slope(np.array([1.0, -1.0, 0.0]))
+    assert min_cell_slope(np.array([2.0, 0.5, 3.0]), "x") == 0.5
+    with pytest.raises(DegenerateMeshError,
+                       match=r"^x: nonpositive cell slope at cell 1 \(nodes 1 and 2\)$"):
+        min_cell_slope(np.array([1.0, -1.0, 0.0]), "x")
     with pytest.raises(DegenerateMeshError, match="at cell 2 "):
-        min_cell_slope(np.array([1.0, 2.0, np.nan]))
+        min_cell_slope(np.array([1.0, 2.0, np.nan]), "x")
 
 
 def test_discrete_energy_reference_zero():

@@ -1,11 +1,11 @@
 """Count the code lines of the pmetraj package, docstrings and comments
 excluded.
 
-    python3 tools/code_lines.py [DIR] [--against REV]
+    python3 tools/code_lines.py [--against REV]
 
-prints, for each module of DIR (default: src/pmetraj of this checkout),
-the lines that hold code, then their total.  A line holds code when a
-token other than a comment or a line break starts on it or spans it
+prints, for each module of src/pmetraj in this checkout, the lines that
+hold code, then their total.  A line holds code when a token other than
+a comment or a line break starts on it or spans it
 (every line of a multi-line string counts), and it is not part of a
 docstring: the string that opens a module, class or function body.  Blank
 lines and comment-only lines do not count.
@@ -14,8 +14,8 @@ With --against REV, the package of the git revision REV (a commit, a
 branch, HEAD) is counted beside it: `git archive` extracts REV's
 src/pmetraj into a temporary directory (package_at, which
 tools/settable_values.py shares), and each module's count at REV and
-in DIR is printed, "-" where a side has no such module, then both totals
-and the change in the total.
+in the tree is printed, "-" where a side has no such module, then both
+totals and the change in the total.
 
 Only the standard library and git are used (ast, tokenize, tarfile).
 """
@@ -79,12 +79,10 @@ def package_at(rev):
 
 def main(argv):
     parser = argparse.ArgumentParser(description="Count the code lines of each module.")
-    parser.add_argument("dir", nargs="?", default=ROOT / PACKAGE,
-                        help="the package directory (default: src/pmetraj here)")
     parser.add_argument("--against", metavar="REV",
                         help="also count the package at this git revision")
     args = parser.parse_args(argv)
-    tree = counts(args.dir)
+    tree = counts(ROOT / PACKAGE)
     if args.against is None:
         for name, count in tree.items():
             print(f"{count:6d}  {name}")
