@@ -6,6 +6,16 @@ scheme whose implicit step is the gradient of a strictly convex functional,
 solved by a damped self-concordant Newton iteration; the density is recovered
 from the deformation gradient.  The discrete energy <f0 ln(D_h x), 1> is
 dissipated unconditionally.
+
+The names below are the package's API: runs and steps, the studies, the
+problem, the grid and its differences, the diagnostics, the error norms,
+the records and the errors.  How a step is solved (the functional F, its
+gradient and Hessian, the Newton decrement, the tridiagonal solve) is not
+part of it: checks and the tests import those from pmetraj.functional,
+pmetraj.newton and pmetraj._kernels.  Every entry that takes a node or cell
+field returns its result for a field of the right shape, given as an array
+or as a list of numbers, and refuses any other with a ValueError or a
+pmetraj error whose message starts with the argument's name.
 """
 
 from ._kernels import backend_name
@@ -17,14 +27,9 @@ from .errors import (CoefficientOverflowError, ConfigurationError,
                      DataScaleError, DegenerateMeshError, EnergyViolationError,
                      NonconvergenceError, SingularSystemError, SolverError,
                      SpdViolationError)
-from .functional import (SchemeCoefficients, SolverParams,
-                         build_coefficients, compute_s_h, eval_F,
-                         g_convex_integral, hessian_coefficients,
-                         mass_coefficient, q1_oracle, residual,
-                         secant_ratio_R, slope_derivative_W)
+from .functional import SolverParams
 from .grid import Grid, d_centered_to_nodes, d_forward, d_wide
-from .newton import (LAMBDA_STAR, NewtonReport, newton_decrement_lambda,
-                     newton_step, self_concordance_a, solve_tridiagonal)
+from .newton import NewtonReport
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
                       discrete_mass, initial_data_from_key, is_admissible,
                       make_problem, quadratic_bump, recover_density)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .functional import SolverParams
-from .grid import Grid, domain_length, require_cell_count
+from .grid import Grid, as_trajectory, domain_length, require_cell_count
 from .problem import initial_data_from_key, make_problem, recover_density
 from .stepper import RunConfig, _plan_steps, run
 
@@ -97,12 +97,18 @@ class StudyResult:
     runs: dict = field(default_factory=dict)  # "reference" and each level -> RunResult
 
 
-def _check_nested(coarse_len: int, reference_len: int, stride: int):
-    if stride < 1 or reference_len - 1 != stride * (coarse_len - 1):
-        raise ConfigurationError(
-            f"reference grid ({reference_len - 1} cells) is not a stride-{stride} "
-            f"refinement of the coarse grid ({coarse_len - 1} cells)"
-        )
+def _check_nested(coarse_x: np.ndarray, reference_x: np.ndarray, stride: int):
+    """The one check both error norms make of their trajectories: each is
+    one trajectory of at least 2 nodes, else ValueError names coarse_x or
+    reference_x, and the reference's cells are stride times the coarse
+    ones, else ConfigurationError with key reference_x."""
+    for name, x in (("coarse_x", coarse_x), ("reference_x", reference_x)):
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError(f"{name}: shape {x.shape} is not one trajectory's (n,), n >= 2")
+    cells, coarse = reference_x.size - 1, coarse_x.size - 1
+    if stride < 1 or cells != stride * coarse:
+        raise ConfigurationError(f"{cells} cells are not a stride-{stride} refinement of "
+                                 f"coarse_x's {coarse}", key="reference_x")
 
 
 def _weighted_norms(e, w):
@@ -113,15 +119,16 @@ def _weighted_norms(e, w):
 def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: int):
     """L2/inf density error at shared labels, weighted by the coarse
     trajectory's deformed spacings h_{x_i} = x_{i+1} - x_{i-1} (half cells at
-    the ends).  Each density must have its trajectory's shape, else
-    ValueError names coarse_f or reference_f; the reference must be a
-    stride-fold refinement of the coarse grid, else ConfigurationError."""
+    the ends).  The trajectories pass _check_nested (one trajectory each,
+    the reference a stride-fold refinement of the coarse grid) before each
+    density must have its trajectory's shape, else ValueError names
+    coarse_f or reference_f."""
     coarse_x, reference_x = np.asarray(coarse_x, dtype=float), np.asarray(reference_x)
     coarse_f, reference_f = np.asarray(coarse_f, dtype=float), np.asarray(reference_f, dtype=float)
+    _check_nested(coarse_x, reference_x, stride)
     for name, f, x in (("coarse_f", coarse_f, coarse_x), ("reference_f", reference_f, reference_x)):
         if f.shape != x.shape:
             raise ValueError(f"{name}: shape {f.shape} is not its trajectory's {x.shape}")
-    _check_nested(coarse_x.shape[0], reference_x.shape[0], stride)
     e = reference_f[::stride] - coarse_f
     w = np.empty_like(coarse_x)
     w[1:-1] = coarse_x[2:] - coarse_x[:-2]
@@ -133,13 +140,11 @@ def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: in
 def trajectory_error_norms(coarse_x, reference_x, stride: int, grid: Grid):
     """L2/inf trajectory error at shared labels with fixed weights
     (2h interior, h at both ends), h that of grid, the coarse grid.  A
-    coarse_x not of its shape (M+1,) raises ValueError; a reference that
-    is not a stride-fold refinement of it, ConfigurationError."""
-    coarse_x = np.asarray(coarse_x, dtype=float)
+    coarse_x not of its shape (M+1,) raises ValueError
+    (grid.as_trajectory); the reference must pass _check_nested."""
+    coarse_x = as_trajectory(coarse_x, grid, "coarse_x")
     reference_x = np.asarray(reference_x, dtype=float)
-    if coarse_x.shape != (grid.M + 1,):
-        raise ValueError(f"coarse_x: shape {coarse_x.shape} is not ({grid.M + 1},)")
-    _check_nested(coarse_x.shape[0], reference_x.shape[0], stride)
+    _check_nested(coarse_x, reference_x, stride)
     e = reference_x[::stride] - coarse_x
     w = np.full_like(coarse_x, 2.0 * grid.h)
     w[0] = w[-1] = grid.h

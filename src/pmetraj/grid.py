@@ -77,6 +77,16 @@ def as_trajectories(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
     return x
 
 
+def as_trajectory(x: np.ndarray, grid: Grid, name: str) -> np.ndarray:
+    """x as a float array (a float array is returned as it is) of one
+    trajectory, shape (M+1,); else ValueError names name and the shape.
+    The check of an entry that takes one trajectory, never a stack."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (grid.M + 1,):
+        raise ValueError(f"{name}: shape {x.shape} is not ({grid.M + 1},)")
+    return x
+
+
 def d_forward(l: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward difference node -> cell: (l_i - l_{i-1})/h at i-1/2."""
     l = as_trajectories(l, grid, "field")

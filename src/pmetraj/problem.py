@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .config import parse_number
 from .errors import ConfigurationError, DataScaleError, DegenerateMeshError
-from .grid import Grid, as_trajectories, d_forward, d_wide
+from .grid import Grid, as_trajectories, as_trajectory, d_forward, d_wide
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,10 @@ def recover_density(x: np.ndarray, spec: ProblemSpec,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Density at nodes from the conservation map f = f0 / (wide slope of x).
 
-    When the cell slopes D_h x (cells) are not given, x passes
-    require_admissible as the "trajectory" (a wrong shape raises
-    ValueError, a fault DegenerateMeshError naming it) and they are formed
+    When the cell slopes D_h x (cells) are not given, x must be one
+    trajectory (grid.as_trajectory: a stack or a wrong shape raises
+    ValueError) and pass require_admissible (a fault raises
+    DegenerateMeshError), both naming the "trajectory", and they are formed
     from it.  Given ones are the caller's, checked where they were formed
     (min_cell_slope).  The wide slopes D~_h x (wide) are computed when not
     given.  The interior wide slopes are then averages of positive cell
@@ -255,6 +256,7 @@ def recover_density(x: np.ndarray, spec: ProblemSpec,
     array; the copy of wide, when the wall rule needs one, is made there
     too."""
     if cells is None:
+        x = as_trajectory(x, spec.grid, "trajectory")
         cells = d_forward(require_admissible(x, spec.grid, "trajectory"), spec.grid)
     if wide is None:
         wide = d_wide(x, spec.grid)
@@ -274,22 +276,28 @@ def discrete_energy(x: np.ndarray, spec: ProblemSpec,
                     slope: np.ndarray | None = None) -> float:
     """Discrete free energy E_h(x) = -h * sum f0(cell) ln(D_h x).
 
-    When slope is not given, x passes require_admissible as the
-    "trajectory" and its cell slopes D_h x are formed from it; a given
-    slope is the caller's, checked where it was formed (min_cell_slope).
+    When slope is not given, x must be one trajectory (grid.as_trajectory)
+    and pass require_admissible, both naming the "trajectory", and its
+    cell slopes D_h x are formed from it; a given slope is the caller's,
+    checked where it was formed (min_cell_slope).
     Matches the integral of f ln f in trajectory coordinates up to the
     x-independent constant h * sum f0 ln f0; the scheme dissipates it by
     at least a0 * tau * ||D_h(x_new - x_old)||_2^2 per accepted step.
     """
     if slope is None:
+        x = as_trajectory(x, spec.grid, "trajectory")
         slope = d_forward(require_admissible(x, spec.grid, "trajectory"), spec.grid)
     return -spec.grid.h * float(np.dot(spec.f0_cells, np.log(slope)))
 
 
 def discrete_mass(x: np.ndarray, f: np.ndarray) -> float:
-    """Trapezoid of the density over the deformed nodes."""
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x.shape != f.shape:
-        raise ValueError("trajectory and density must have equal length")
+    """Trapezoid of the density f over the deformed nodes x.  x must be one
+    trajectory, 1-D, and f of its shape, else ValueError names x or f.
+    Nothing here knows the grid, so x sets the length: a short x and a
+    long f are both reported as an f that is not of x's shape."""
+    x, f = np.asarray(x, dtype=float), np.asarray(f, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x: shape {x.shape} is not one trajectory's (n,)")
+    if f.shape != x.shape:
+        raise ValueError(f"f: shape {f.shape} is not x's {x.shape}")
     return float(np.add.reduce(0.5 * (f[:-1] + f[1:]) * np.subtract(x[1:], x[:-1])))

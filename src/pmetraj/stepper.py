@@ -16,7 +16,7 @@ from . import _kernels, functional, newton
 from .csvio import format_columns, write_csv_atomic
 from .errors import ConfigurationError, EnergyViolationError, SolverError
 from .functional import SolverParams
-from .grid import d_forward, d_wide
+from .grid import as_trajectory, d_forward, d_wide
 from .newton import NewtonReport
 from .problem import (ProblemSpec, TrajectoryState, discrete_energy,
                       discrete_mass, min_cell_slope, recover_density,
@@ -86,12 +86,13 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     newton_step and the steps after it trust them.  n must be a
     nonnegative integer and t a nonnegative finite number, or
     ConfigurationError names the field.  Each trajectory must be one node
-    field of shape (M+1,), or ValueError names it, and admissible with
-    finite nodes, or DegenerateMeshError (problem.require_admissible) names
-    it and its first node or cell at fault.  At n = 0 there is no x^{-1}:
-    the opening step's x_prev is x_curr (bootstrap), and any other x_prev
-    raises ConfigurationError, since its wide slopes would enter the
-    opening step's mass coefficient."""
+    field of shape (M+1,), or ValueError (grid.as_trajectory) names it,
+    and admissible with finite nodes, or DegenerateMeshError
+    (problem.require_admissible) names it and its first node or cell at
+    fault.  At n = 0 there is no x^{-1}: the opening step's x_prev is
+    x_curr (bootstrap), and any other x_prev raises ConfigurationError,
+    since its wide slopes would enter the opening step's mass
+    coefficient."""
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ConfigurationError(f"must be a nonnegative integer, got {n!r}", key="n")
     if not 0.0 <= t < math.inf:
@@ -100,9 +101,7 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     fields = {"x_curr": x_curr, "x_prev": x_prev, "x_prev2": x_prev2}
     for name, x in fields.items():
         if x is not None:
-            if np.shape(x) != (grid.M + 1,):
-                raise ValueError(f"{name}: shape {np.shape(x)} is not ({grid.M + 1},)")
-            fields[name] = require_admissible(x, grid, name)
+            fields[name] = require_admissible(as_trajectory(x, grid, name), grid, name)
     x_curr, x_prev, x_prev2 = fields.values()
     if n == 0 and not np.array_equal(x_prev, x_curr):
         raise ConfigurationError("must equal x_curr at n = 0, where there is no x^{-1}",

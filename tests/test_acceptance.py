@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SolverParams, advance,
-                     bootstrap, build_coefficients, initial_data_from_key,
-                     make_problem, newton_step, quadratic_bump,
-                     recover_density, run)
+from pmetraj import (Grid, RunConfig, SolverParams, advance, bootstrap, initial_data_from_key,
+                     make_problem, quadratic_bump, recover_density, run)
+from pmetraj.functional import build_coefficients
+from pmetraj.newton import LAMBDA_STAR, newton_step
 from pmetraj import _kernels, checks
 from pmetraj.analysis import PUBLISHED_TABLE
 from pmetraj.stepper import ENERGY_SLACK
@@ -181,7 +181,7 @@ def test_criterion_7_calculus_oracles():
     for _ in range(1000):
         y = float(rng.uniform(1e-3, 10.0))
         y0 = float(rng.uniform(1e-3, 10.0))
-        from pmetraj import q1_oracle, slope_derivative_W
+        from pmetraj.functional import q1_oracle, slope_derivative_W
         from pmetraj.functional import g_convex_second
         _, d1, d2 = q1_oracle(y, y0)
         w = slope_derivative_W(y, y0)

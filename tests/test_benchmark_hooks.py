@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, SolverParams, _kernels, analysis, bootstrap,
-                     build_coefficients, checks, cli, config, functional,
-                     make_problem, newton, quadratic_bump, stepper)
+from pmetraj import (Grid, SolverParams, _kernels, analysis, bootstrap, checks, cli, config,
+                     functional, make_problem, newton, quadratic_bump, stepper)
+from pmetraj.functional import build_coefficients
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PATCHED_MODULES = (_kernels, analysis, checks, cli, config.Config, functional,

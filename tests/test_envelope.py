@@ -9,9 +9,9 @@ step functional F on every iteration it runs.
 import numpy as np
 import pytest
 
-from pmetraj import (LAMBDA_STAR, Grid, RunConfig, SolverParams,
-                     build_coefficients, eval_F, initial_data_from_key,
-                     make_problem, newton_step, residual, run)
+from pmetraj import Grid, RunConfig, SolverParams, initial_data_from_key, make_problem, run
+from pmetraj.functional import build_coefficients, eval_F, residual
+from pmetraj.newton import LAMBDA_STAR, newton_step
 from pmetraj import _kernels, newton
 
 from conftest import state_after

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from pmetraj import _kernels
-from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid,
-                     SchemeCoefficients, SolverParams, LAMBDA_STAR, build_coefficients,
-                     compute_s_h, d_centered_to_nodes, d_forward, d_wide,
-                     discrete_energy, eval_F, g_convex_integral, hessian_coefficients,
-                     initial_data_from_key, is_admissible, make_problem,
-                     mass_coefficient, q1_oracle, quadratic_bump, recover_density,
-                     residual, restart, secant_ratio_R, slope_derivative_W)
+from pmetraj import (CoefficientOverflowError, DegenerateMeshError, Grid, SolverParams,
+                     d_centered_to_nodes, d_forward, d_wide, discrete_energy,
+                     initial_data_from_key, is_admissible, make_problem, quadratic_bump,
+                     recover_density, restart)
+from pmetraj.functional import (SchemeCoefficients, build_coefficients, compute_s_h, eval_F,
+                                g_convex_integral, hessian_coefficients, mass_coefficient,
+                                q1_oracle, residual, secant_ratio_R, slope_derivative_W)
+from pmetraj.newton import LAMBDA_STAR
 from pmetraj.checks import FD_REL_TOL, gradient_vs_fd, hessian_vs_fd, random_admissible
 from pmetraj._kernels import _LI2_SERIES
 from pmetraj.functional import _spence, g_convex_second
@@ -352,6 +353,8 @@ _ENTRIES = {
 }
 # The entries that take no base trajectory.
 _NO_BASE = ("hessian_coefficients", "recover_density", "discrete_energy")
+# The entries that take one trajectory and never a stack (grid.as_trajectory).
+_ONE_TRAJECTORY = ("recover_density", "discrete_energy")
 # Each fault made from an admissible trajectory, and how it is named.
 _FAULTS = {
     "nonfinite node": (_nan_at_3, ": node 3 is nan, not a finite number"),
@@ -372,9 +375,13 @@ def test_each_entry_names_the_first_fault(rng, entry, fault):
     x = make(g.nodes() ** 1.2)
     if stacks_only and x.ndim == 1:
         x, name = x[None], name + " row 0"
-    with pytest.raises(DegenerateMeshError) as exc:
+    error, want = DegenerateMeshError, name + message
+    if entry in _ONE_TRAJECTORY and x.ndim == 2:
+        # a stack is refused by its shape, whatever its rows
+        error, want = ValueError, f"{name}: shape {x.shape} is not (17,)"
+    with pytest.raises(error) as exc:
         call(x, x_curr, coeffs, spec)
-    assert str(exc.value) == name + message
+    assert str(exc.value) == want
 
 
 @pytest.mark.filterwarnings("error")
@@ -452,7 +459,8 @@ def test_each_entry_names_a_trajectory_of_the_wrong_shape(rng, case):
     g, spec, params, x_curr, coeffs = _setup(rng, M=16)
     with pytest.raises(ValueError) as exc:
         call(x_curr, coeffs, spec)
-    assert str(exc.value) == f"{name}: shape {shape} is not (17,) or (..., 17)"
+    want = "(17,)" if case in _ONE_TRAJECTORY else "(17,) or (..., 17)"
+    assert str(exc.value) == f"{name}: shape {shape} is not {want}"
 
 
 def test_gradient_matches_fd(rng):

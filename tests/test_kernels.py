@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import pmetraj
-from pmetraj import (Grid, RunConfig, SchemeCoefficients, SingularSystemError, SolverParams,
-                     bootstrap, build_coefficients, hessian_coefficients, make_problem,
-                     quadratic_bump, residual, solve_tridiagonal)
+from pmetraj import (Grid, RunConfig, SingularSystemError, SolverParams, bootstrap, make_problem,
+                     quadratic_bump)
+from pmetraj.functional import (SchemeCoefficients, build_coefficients, hessian_coefficients,
+                                residual)
+from pmetraj.newton import solve_tridiagonal
 from pmetraj import _kernels, checks, stepper
 from pmetraj._kernels import EPS_SWITCH, SCALAR_BASE
 

@@ -35,9 +35,10 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from pmetraj import (Grid, SolverParams, advance, bootstrap, build_coefficients,
-                     eval_F, hessian_coefficients, initial_data_from_key, make_problem,
-                     newton_step, residual, restart, self_concordance_a)
+from pmetraj import (Grid, SolverParams, advance, bootstrap, initial_data_from_key, make_problem,
+                     restart)
+from pmetraj.functional import build_coefficients, eval_F, hessian_coefficients, residual
+from pmetraj.newton import newton_step, self_concordance_a
 from pmetraj.newton import TOL_LAMBDA
 
 mp = mpmath.mp

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, LAMBDA_STAR, NewtonReport, NonconvergenceError,
-                     SingularSystemError, SolverParams, advance, bootstrap,
-                     build_coefficients, eval_F, hessian_coefficients,
-                     initial_data_from_key, is_admissible, make_problem,
-                     newton_decrement_lambda, newton_step, quadratic_bump,
-                     residual, restart, self_concordance_a, solve_tridiagonal)
+from pmetraj import (Grid, NewtonReport, NonconvergenceError, SingularSystemError, SolverParams,
+                     advance, bootstrap, initial_data_from_key, is_admissible, make_problem,
+                     quadratic_bump, restart)
+from pmetraj.functional import build_coefficients, eval_F, hessian_coefficients, residual
+from pmetraj.newton import (LAMBDA_STAR, newton_decrement_lambda, newton_step, self_concordance_a,
+                            solve_tridiagonal)
 from pmetraj import _kernels, newton
 from pmetraj.newton import MIN_OMEGA, TOL_LAMBDA, _guarded_update
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from pmetraj import (LAMBDA_STAR, DegenerateMeshError, Grid, NonconvergenceError, RunConfig,
-                     SolverParams, _kernels, advance, bootstrap, build_coefficients,
-                     compute_s_h, d_forward, d_wide, discrete_energy, discrete_mass,
-                     functional, initial_data_from_key, make_problem, newton_step,
+from pmetraj import (DegenerateMeshError, Grid, NonconvergenceError, RunConfig, SolverParams,
+                     _kernels, advance, bootstrap, d_forward, d_wide, discrete_energy,
+                     discrete_mass, functional, initial_data_from_key, make_problem,
                      quadratic_bump, recover_density, restart, run, stepper, steps)
+from pmetraj.functional import build_coefficients, compute_s_h
+from pmetraj.newton import LAMBDA_STAR, newton_step
 from pmetraj.checks import random_admissible
 from pmetraj.errors import ConfigurationError, EnergyViolationError
 

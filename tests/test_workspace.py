@@ -11,10 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmetraj import (Grid, LAMBDA_STAR, RunConfig, SchemeCoefficients, SolverParams,
-                     advance, bootstrap, build_coefficients, eval_F, hessian_coefficients,
-                     initial_data_from_key, make_problem, newton_step,
-                     quadratic_bump, recover_density, residual, run, solve_tridiagonal, steps)
+from pmetraj import (Grid, RunConfig, SolverParams, advance, bootstrap, initial_data_from_key,
+                     make_problem, quadratic_bump, recover_density, run, steps)
+from pmetraj.functional import (SchemeCoefficients, build_coefficients, eval_F,
+                                hessian_coefficients, residual)
+from pmetraj.newton import LAMBDA_STAR, newton_step, solve_tridiagonal
 from pmetraj import _kernels, checks
 from pmetraj._kernels import SCALAR_BASE, Workspace
 
