@@ -49,8 +49,8 @@ path; newton.solve_tridiagonal when given none; the finite-difference
 sweeps of checks, from a cache of one workspace per shape their oracles
 use that each thread keeps for its life (checks._Scratch: a workspace
 holds nothing between calls, and per thread, not per process, no two
-concurrent sweeps share a buffer); and newton_step on a state that
-carries none.  Every ufunc
+concurrent sweeps share a buffer); and stepper.advance for a state that
+carries none (a run's final_state), which hands it on.  Every ufunc
 writes with out= in the order of the plain expression, so the results are
 bitwise those of the expression.  The scratch is four cell fields (the
 assembly forms two of its fields in the buffers of its results diag and

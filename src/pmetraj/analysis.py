@@ -4,7 +4,10 @@ checked against (PUBLISHED_TABLE).
 
 Coarse and reference runs share Lagrangian labels when the reference cell
 count is an integer multiple of the coarse one, so errors are formed by
-striding the reference arrays; no spatial interpolation ever enters.
+striding the reference arrays, the stride read from the two trajectories'
+cell counts; no spatial interpolation ever enters.  Every number a study
+reports comes from its error records: each holds its norms keyed by
+NORM_KEYS, and a report's observed orders are read from them.
 
 A study's runs are independent.  run_many makes them over the CPUs this
 process may use: it runs the largest of its longest-first bins itself and
@@ -72,15 +75,15 @@ PUBLISHED_TABLE = {
 
 @dataclass
 class ErrorRecord:
+    """The errors of one level (h, tau) against the reference, by norm:
+    norms maps each key of NORM_KEYS to its error."""
+
     h: float
     tau: float
-    err_f_l2: float
-    err_f_inf: float
-    err_x_l2: float
-    err_x_inf: float
+    norms: dict
 
     def norm(self, key: str) -> float:
-        return getattr(self, f"err_{key}")
+        return self.norms[key]
 
 
 @dataclass
@@ -88,7 +91,12 @@ class ConvergenceReport:
     m: float
     t_eval: float
     records: list = field(default_factory=list)
-    orders: dict = field(default_factory=dict)  # norm key -> list of log2 ratios
+
+    @property
+    def orders(self) -> dict:
+        """Norm key -> the log2 ratios between successive records
+        (observed_orders), read from the records at each call."""
+        return observed_orders(self.records)
 
 
 @dataclass
@@ -97,18 +105,22 @@ class StudyResult:
     runs: dict = field(default_factory=dict)  # "reference" and each level -> RunResult
 
 
-def _check_nested(coarse_x: np.ndarray, reference_x: np.ndarray, stride: int):
-    """The one check both error norms make of their trajectories: each is
-    one trajectory of at least 2 nodes, else ValueError names coarse_x or
-    reference_x, and the reference's cells are stride times the coarse
-    ones, else ConfigurationError with key reference_x."""
+def _check_nested(coarse_x: np.ndarray, reference_x: np.ndarray) -> int:
+    """The stride from the coarse trajectory's labels to the reference's,
+    after the one check both error norms make of their trajectories: each
+    is one trajectory of at least 2 nodes, else ValueError names coarse_x
+    or reference_x, and the reference's cells are a whole multiple, at
+    least 1, of the coarse ones, else ConfigurationError with key
+    reference_x."""
     for name, x in (("coarse_x", coarse_x), ("reference_x", reference_x)):
         if x.ndim != 1 or x.size < 2:
             raise ValueError(f"{name}: shape {x.shape} is not one trajectory's (n,), n >= 2")
     cells, coarse = reference_x.size - 1, coarse_x.size - 1
-    if stride < 1 or cells != stride * coarse:
-        raise ConfigurationError(f"{cells} cells are not a stride-{stride} refinement of "
-                                 f"coarse_x's {coarse}", key="reference_x")
+    stride, rest = divmod(cells, coarse)
+    if stride < 1 or rest:
+        raise ConfigurationError(f"{cells} cells are not a whole multiple of coarse_x's "
+                                 f"{coarse}", key="reference_x")
+    return stride
 
 
 def _weighted_norms(e, w):
@@ -116,16 +128,16 @@ def _weighted_norms(e, w):
     return math.sqrt(0.5 * float(np.add.reduce(e * e * w))), float(np.abs(e).max())
 
 
-def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: int):
+def density_error_norms(coarse_x, coarse_f, reference_x, reference_f):
     """L2/inf density error at shared labels, weighted by the coarse
     trajectory's deformed spacings h_{x_i} = x_{i+1} - x_{i-1} (half cells at
     the ends).  The trajectories pass _check_nested (one trajectory each,
-    the reference a stride-fold refinement of the coarse grid) before each
-    density must have its trajectory's shape, else ValueError names
-    coarse_f or reference_f."""
+    the reference's cells a whole multiple of the coarse ones, which fixes
+    the stride) before each density must have its trajectory's shape, else
+    ValueError names coarse_f or reference_f."""
     coarse_x, reference_x = np.asarray(coarse_x, dtype=float), np.asarray(reference_x)
     coarse_f, reference_f = np.asarray(coarse_f, dtype=float), np.asarray(reference_f, dtype=float)
-    _check_nested(coarse_x, reference_x, stride)
+    stride = _check_nested(coarse_x, reference_x)
     for name, f, x in (("coarse_f", coarse_f, coarse_x), ("reference_f", reference_f, reference_x)):
         if f.shape != x.shape:
             raise ValueError(f"{name}: shape {f.shape} is not its trajectory's {x.shape}")
@@ -137,14 +149,15 @@ def density_error_norms(coarse_x, coarse_f, reference_x, reference_f, stride: in
     return _weighted_norms(e, w)
 
 
-def trajectory_error_norms(coarse_x, reference_x, stride: int, grid: Grid):
+def trajectory_error_norms(coarse_x, reference_x, grid: Grid):
     """L2/inf trajectory error at shared labels with fixed weights
     (2h interior, h at both ends), h that of grid, the coarse grid.  A
     coarse_x not of its shape (M+1,) raises ValueError
-    (grid.as_trajectory); the reference must pass _check_nested."""
+    (grid.as_trajectory); the reference must pass _check_nested, which
+    gives the stride."""
     coarse_x = as_trajectory(coarse_x, grid, "coarse_x")
     reference_x = np.asarray(reference_x, dtype=float)
-    _check_nested(coarse_x, reference_x, stride)
+    stride = _check_nested(coarse_x, reference_x)
     e = reference_x[::stride] - coarse_x
     w = np.full_like(coarse_x, 2.0 * grid.h)
     w[0] = w[-1] = grid.h
@@ -393,8 +406,8 @@ def _study_plan(m, pairs, t_eval, initial_data, domain, params_base) -> list:
 
 
 def _study_result(configs: list, results: list) -> StudyResult:
-    """The error records and orders of a study from the RunConfig of each
-    run, the reference first (_study_plan), and their results."""
+    """The error records of a study from the RunConfig of each run, the
+    reference first (_study_plan), and their results."""
     reference, ref_state = configs[0].spec, results[0].final_state
     runs = {"reference": results[0]}
     f_ref = recover_density(ref_state.x_curr, reference, ref_state.slope_curr,
@@ -405,14 +418,11 @@ def _study_result(configs: list, results: list) -> StudyResult:
         spec, tau, state = config.spec, config.params.tau, res.final_state
         runs[(spec.grid.M, tau)] = res
         f = recover_density(state.x_curr, spec, state.slope_curr, state.wide_curr)
-        stride = reference.grid.M // spec.grid.M
-        records.append(ErrorRecord(
-            spec.grid.h, tau,
-            *density_error_norms(state.x_curr, f, ref_state.x_curr, f_ref, stride),
-            *trajectory_error_norms(state.x_curr, ref_state.x_curr, stride, spec.grid)))
+        norms = (*density_error_norms(state.x_curr, f, ref_state.x_curr, f_ref),
+                 *trajectory_error_norms(state.x_curr, ref_state.x_curr, spec.grid))
+        records.append(ErrorRecord(spec.grid.h, tau, dict(zip(NORM_KEYS, norms))))
 
-    report = ConvergenceReport(m=reference.m, t_eval=configs[0].t_final, records=records,
-                               orders=observed_orders(records))
+    report = ConvergenceReport(m=reference.m, t_eval=configs[0].t_final, records=records)
     return StudyResult(report=report, runs=runs)
 
 
@@ -500,11 +510,11 @@ CSV_HEADER = ["h", "tau", "err_f_L2", "order", "err_f_inf", "order",
 
 
 def report_rows(report: ConvergenceReport) -> list:
-    rows = []
+    orders, rows = report.orders, []
     for k, rec in enumerate(report.records):
         row = [rec.h, rec.tau]
         for key in NORM_KEYS:
-            o = report.orders[key][k - 1] if k else math.nan
+            o = orders[key][k - 1] if k else math.nan
             row += [rec.norm(key), "" if math.isnan(o) else o]
         rows.append(row)
     return rows

@@ -16,6 +16,7 @@ operator is symmetric positive definite on the admissible set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ class SolverParams:
     """Time step, regularization weight, and the Newton iteration budget.
 
     The stopping tolerance is the constant newton.TOL_LAMBDA.  tau^2 must
-    be finite: it guards S_h and weighs the tau^2 terms of the flux.  A bad
+    be finite: it guards S_h and weighs the tau^2 terms of the flux, and
+    newton_max_iter is an integer (numbers.Integral) of at least 1.  A bad
     field raises ConfigurationError keyed by the field's name."""
 
     tau: float
@@ -49,9 +51,9 @@ class SolverParams:
         if not 0.0 <= self.a0 < math.inf:
             raise ConfigurationError(f"must be nonnegative and finite, got {self.a0!r}",
                                      key="a0")
-        if self.newton_max_iter < 1:
-            raise ConfigurationError(f"must be at least 1, got {self.newton_max_iter!r}",
-                                     key="newton_max_iter")
+        if not (isinstance(self.newton_max_iter, numbers.Integral) and self.newton_max_iter >= 1):
+            raise ConfigurationError(f"must be at least 1 and an integer, got "
+                                     f"{self.newton_max_iter!r}", key="newton_max_iter")
 
 
 @dataclass

@@ -9,6 +9,7 @@ bitwise the result of its own call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +41,17 @@ def require_cell_count(M: int, key: str) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [x_left, x_right] with M cells, M >= 1 and M + 1 nodes
-    within numpy's array limit (require_cell_count)."""
+    """Uniform grid on [x_left, x_right] with M cells, M an integer >= 1
+    (numbers.Integral, as numpy's integers are) and M + 1 nodes within
+    numpy's array limit (require_cell_count)."""
 
     x_left: float
     x_right: float
     M: int
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ConfigurationError(f"needs at least one cell, got M = {self.M}", key="M")
+        if not (isinstance(self.M, numbers.Integral) and self.M >= 1):
+            raise ConfigurationError(f"must be an integer >= 1 (cells), got {self.M!r}", key="M")
         require_cell_count(self.M, "M")
         domain_length(self.x_left, self.x_right)
 

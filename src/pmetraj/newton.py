@@ -202,7 +202,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     float arrays (restart converts them) and are read as they are.
 
     Every iteration writes the assembly, the solve and any evaluation of F
-    into state.work (a fresh Workspace when the state carries none); the
+    into state.work, which every state of restart or advance carries; the
     Newton step, the workspace's rhs, holds across the assemblies at the far
     phase's trial points.  The iterate goes into one of two node fields of
     this step, the start and one more: the solution returned is one of
@@ -216,7 +216,7 @@ def newton_step(state: TrajectoryState, coeffs: SchemeCoefficients,
     x, start = _extrapolated_start(state, grid)
     a = self_concordance_a(spec)
     report = NewtonReport(start=start)
-    work = state.work if state.work is not None else _kernels.Workspace(x_curr.shape)
+    work = state.work
     spare = np.empty_like(x)  # the iterate buffer x does not hold
 
     def finish(stop):  # the residual norm at the last assembled point

@@ -56,7 +56,8 @@ class TrajectoryState:
     (newton.newton_step; stepper.advance sets it only after a step that
     began in the near phase), None otherwise.  work is the run's
     _kernels.Workspace, which every Newton iteration of the run writes
-    into; None gives each step a fresh one.
+    into.  A state with None there (a run's final_state) is given one by
+    its next stepper.advance, and the states after it carry that one.
     """
 
     n: int

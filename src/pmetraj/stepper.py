@@ -36,7 +36,8 @@ ENERGY_ROUNDING = 16.0 * np.finfo(float).eps
 @dataclass(frozen=True)
 class RunConfig:
     """One run.  t_final and t_final/tau must be nonnegative and finite,
-    snapshot_every nonnegative, or ConfigurationError names the field."""
+    snapshot_every a nonnegative integer (numbers.Integral), or
+    ConfigurationError names the field."""
 
     spec: ProblemSpec
     params: SolverParams
@@ -48,9 +49,9 @@ class RunConfig:
         if not 0.0 <= self.t_final / self.params.tau < math.inf:
             raise ConfigurationError("must be nonnegative with t_final/tau finite, got "
                                      f"{self.t_final!r}/{self.params.tau!r}", key="t_final")
-        if self.snapshot_every < 0:
-            raise ConfigurationError(f"must be nonnegative, got {self.snapshot_every!r}",
-                                     key="snapshot_every")
+        if not (isinstance(self.snapshot_every, numbers.Integral) and self.snapshot_every >= 0):
+            raise ConfigurationError(f"must be nonnegative and an integer, got "
+                                     f"{self.snapshot_every!r}", key="snapshot_every")
 
 
 @dataclass
@@ -139,11 +140,14 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
     carries the energy and both slope kinds to the next step.  The step's
     coefficients are dropped once Newton returns, and the density and the
     pair sums of the mass go into the cells of the state's workspace,
-    which the solve leaves dead (Workspace.after_step; fresh arrays for a
-    state that carries none), so the step holds no more node fields after
-    Newton than in it.
+    which the solve leaves dead (Workspace.after_step), so the step holds
+    no more node fields after Newton than in it.  A state that carries no
+    workspace (a run's final_state) is given one here, and the new state
+    carries it on.
     """
     grid = spec.grid
+    if state.work is None:
+        state = dataclasses.replace(state, work=_kernels.Workspace(state.x_curr.shape))
     coeffs = functional.build_coefficients(state.slope_curr, state.wide_curr,
                                            state.wide_prev, spec, params,
                                            damped_start=state.n == 0)
@@ -164,7 +168,7 @@ def advance(state: TrajectoryState, spec: ProblemSpec, params: SolverParams):
             f"energy change {lhs:.6e} exceeds dissipation bound {rhs:.6e}"
         )
     wide_new = d_wide(x_new, grid)
-    f_new, pairs = (None, None) if state.work is None else state.work.after_step()
+    f_new, pairs = state.work.after_step()
     f_new = recover_density(x_new, spec, slope_new, wide_new, out=f_new)
     pairs = np.add(f_new[:-1], f_new[1:], out=pairs)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pickle
@@ -12,8 +13,8 @@ from pmetraj import (ConfigurationError, Grid, NonconvergenceError, RunConfig,
                      density_error_norms, make_problem, observed_orders,
                      quadratic_bump, refinement_study, run, run_many,
                      trajectory_error_norms)
-from pmetraj.analysis import (CSV_HEADER, ErrorRecord, format_table,
-                              report_rows)
+from pmetraj.analysis import (CSV_HEADER, NORM_KEYS, ConvergenceReport, ErrorRecord,
+                              format_table, report_rows)
 
 
 def _nested_pair(M=4, stride=3):
@@ -22,23 +23,28 @@ def _nested_pair(M=4, stride=3):
     return coarse, ref, stride
 
 
+def _record(h, tau, *errors):
+    """The ErrorRecord of errors given in the order of NORM_KEYS."""
+    return ErrorRecord(h, tau, dict(zip(NORM_KEYS, errors)))
+
+
 def test_norms_zero_on_identical_inputs():
     coarse, ref, stride = _nested_pair()
     xc = coarse.nodes()
     xr = ref.nodes()
     f = np.ones(coarse.M + 1)
     fr = np.ones(ref.M + 1)
-    assert density_error_norms(xc, f, xr, fr, stride) == (0.0, 0.0)
-    assert trajectory_error_norms(xc, xr, stride, coarse) == (0.0, 0.0)
+    assert density_error_norms(xc, f, xr, fr) == (0.0, 0.0)
+    assert trajectory_error_norms(xc, xr, coarse) == (0.0, 0.0)
 
 
 def test_trajectory_norm_constant_error_telescopes():
     # weights h, 2h, ..., 2h, h on [0,1] sum to 2, so a constant error c gives
     # exactly |c| in the L2 norm
-    coarse, ref, stride = _nested_pair(M=10, stride=5)
+    coarse, ref, _ = _nested_pair(M=10, stride=5)
     xr = ref.nodes().copy()
     xc = coarse.nodes() - 0.37
-    l2, linf = trajectory_error_norms(xc, xr, stride, coarse)
+    l2, linf = trajectory_error_norms(xc, xr, coarse)
     assert l2 == pytest.approx(0.37, rel=1e-14)
     assert linf == pytest.approx(0.37, rel=1e-14)
 
@@ -53,7 +59,7 @@ def test_density_norm_hand_sum_oracle():
     e = np.array([0.5, 0.5, -1.0])
     w = np.array([0.4, 1.0, 0.6])  # x1-x0, x2-x0, x2-x1
     expected_l2 = math.sqrt(0.5 * np.sum(e * e * w))
-    l2, linf = density_error_norms(xc, fc, ref.nodes(), fr, 2)
+    l2, linf = density_error_norms(xc, fc, ref.nodes(), fr)
     assert l2 == pytest.approx(expected_l2, rel=1e-14)
     assert linf == 1.0
 
@@ -65,30 +71,39 @@ def test_norms_absolutely_homogeneous(rng):
     fc = rng.uniform(0.5, 1.5, 9)
     fr = rng.uniform(0.5, 1.5, 33)
     for s in (2.0, 10.0):
-        base_l2, base_inf = density_error_norms(xc, fc, ref.nodes(), fr, stride)
+        base_l2, base_inf = density_error_norms(xc, fc, ref.nodes(), fr)
         # move the coarse values so the pointwise error scales by exactly s
         fc_scaled = fc - (s - 1.0) * (fr[::stride] - fc)
-        scaled_l2, scaled_inf = density_error_norms(xc, fc_scaled, ref.nodes(), fr, stride)
+        scaled_l2, scaled_inf = density_error_norms(xc, fc_scaled, ref.nodes(), fr)
         assert scaled_l2 == pytest.approx(abs(s) * base_l2, rel=1e-12)
         assert scaled_inf == pytest.approx(abs(s) * base_inf, rel=1e-12)
 
 
-def test_non_nested_grids_rejected():
-    coarse = Grid(0.0, 1.0, 3)
-    ref = Grid(0.0, 1.0, 10)
-    with pytest.raises(ConfigurationError):
-        trajectory_error_norms(coarse.nodes(), ref.nodes(), 3, coarse)
+@pytest.mark.parametrize("coarse_M, reference_M", [(4, 10), (3, 10), (8, 4)],
+                         ids=["2.5 times", "10/3 times", "half"])
+def test_non_nested_grids_rejected(coarse_M, reference_M):
+    # the stride is read from the cell counts: a reference whose cells are
+    # no whole multiple >= 1 of the coarse ones is refused by both norms
+    coarse, ref = Grid(0.0, 1.0, coarse_M), Grid(0.0, 1.0, reference_M)
+    xc, xr = coarse.nodes(), ref.nodes()
+    for call in (lambda: trajectory_error_norms(xc, xr, coarse),
+                 lambda: density_error_norms(xc, np.ones_like(xc), xr, np.ones_like(xr))):
+        with pytest.raises(ConfigurationError) as exc:
+            call()
+        assert exc.value.key == "reference_x"
+        assert str(exc.value) == (f"reference_x: {reference_M} cells are not a whole "
+                                  f"multiple of coarse_x's {coarse_M}")
 
 
 def test_trajectory_norms_refuse_a_grid_other_than_the_coarse_one():
     # a constant error 0.005 reads 0.005 with the coarse grid's weights; with
     # the reference grid's h it would read 0.00354
-    coarse, ref, stride = _nested_pair(M=4, stride=2)
+    coarse, ref, _ = _nested_pair(M=4, stride=2)
     xc, xr = coarse.nodes() + 0.005, ref.nodes()
-    assert trajectory_error_norms(xc, xr, stride, coarse)[0] == pytest.approx(0.005, rel=1e-13)
+    assert trajectory_error_norms(xc, xr, coarse)[0] == pytest.approx(0.005, rel=1e-13)
     for grid in (ref, Grid(0.0, 1.0, 100)):
         with pytest.raises(ValueError) as exc:
-            trajectory_error_norms(xc, xr, stride, grid)
+            trajectory_error_norms(xc, xr, grid)
         assert str(exc.value) == f"coarse_x: shape (5,) is not ({grid.M + 1},)"
 
 
@@ -99,17 +114,17 @@ def test_trajectory_norms_refuse_a_grid_other_than_the_coarse_one():
 ], ids=["scalar coarse_f", "reference_f one long", "reference_f one short"])
 def test_density_norms_refuse_a_density_not_of_its_trajectorys_shape(
         name, coarse_f, reference_f, shape, want):
-    coarse, ref, stride = _nested_pair(M=4, stride=2)
+    coarse, ref, _ = _nested_pair(M=4, stride=2)
     with pytest.raises(ValueError) as exc:
-        density_error_norms(coarse.nodes(), coarse_f, ref.nodes(), reference_f, stride)
+        density_error_norms(coarse.nodes(), coarse_f, ref.nodes(), reference_f)
     assert str(exc.value) == f"{name}: shape {shape} is not its trajectory's {want}"
 
 
 def test_observed_orders_values():
-    recs = [ErrorRecord(h=0.01, tau=0.01, err_f_l2=4e-4, err_f_inf=4e-4,
-                        err_x_l2=1e-3, err_x_inf=1e-3),
-            ErrorRecord(h=0.005, tau=0.005, err_f_l2=1e-4, err_f_inf=4e-4,
-                        err_x_l2=0.0, err_x_inf=2.5e-4)]
+    recs = [ErrorRecord(h=0.01, tau=0.01,
+                        norms={"f_l2": 4e-4, "f_inf": 4e-4, "x_l2": 1e-3, "x_inf": 1e-3}),
+            ErrorRecord(h=0.005, tau=0.005,
+                        norms={"f_l2": 1e-4, "f_inf": 4e-4, "x_l2": 0.0, "x_inf": 2.5e-4})]
     orders = observed_orders(recs)
     assert orders["f_l2"] == [pytest.approx(2.0)]
     assert orders["f_inf"] == [pytest.approx(0.0)]      # equal errors
@@ -119,18 +134,17 @@ def test_observed_orders_values():
 
 def test_observed_orders_table_column():
     # published first column pair: 1.506e-4 -> 3.620e-5 prints as 2.056
-    recs = [ErrorRecord(0.005, 0.005, 1.506e-4, 1, 1, 1),
-            ErrorRecord(0.0025, 0.0025, 3.620e-5, 1, 1, 1)]
+    recs = [_record(0.005, 0.005, 1.506e-4, 1, 1, 1),
+            _record(0.0025, 0.0025, 3.620e-5, 1, 1, 1)]
     assert observed_orders(recs)["f_l2"][0] == pytest.approx(2.056, abs=2e-3)
 
 
 def test_observed_orders_scale_invariant(rng):
     errs = rng.uniform(1e-6, 1e-3, 4)
-    recs = [ErrorRecord(0.01 / 2**k, 0.01 / 2**k, e, e, e, e)
+    recs = [_record(0.01 / 2**k, 0.01 / 2**k, e, e, e, e)
             for k, e in enumerate(errs)]
     base = observed_orders(recs)
-    scaled = observed_orders([ErrorRecord(r.h, r.tau, 7 * r.err_f_l2, 7 * r.err_f_inf,
-                                          7 * r.err_x_l2, 7 * r.err_x_inf)
+    scaled = observed_orders([_record(r.h, r.tau, *(7 * r.norm(key) for key in NORM_KEYS))
                               for r in recs])
     for key in base:
         np.testing.assert_allclose(base[key], scaled[key], rtol=1e-12)
@@ -159,7 +173,7 @@ def test_convergence_study_accepts_callable_initial_data():
     from pmetraj import quadratic_bump
     by_key = convergence_study(2.0, [1.0 / 20], 40, 0.05, "paper-quadratic")
     by_fn = convergence_study(2.0, [1.0 / 20], 40, 0.05, quadratic_bump)
-    assert by_fn.report.records[0].err_f_l2 == by_key.report.records[0].err_f_l2
+    assert by_fn.report.records[0].norm("f_l2") == by_key.report.records[0].norm("f_l2")
 
 
 def test_convergence_study_rejects_bad_setups():
@@ -180,17 +194,30 @@ def test_convergence_study_rejects_bad_setups():
 
 
 def test_report_rows_and_table():
-    recs = [ErrorRecord(0.01, 0.01, 4e-4, 4e-4, 4e-4, 4e-4),
-            ErrorRecord(0.005, 0.005, 1e-4, 1e-4, 1e-4, 1e-4)]
-    from pmetraj.analysis import ConvergenceReport
-    rep = ConvergenceReport(m=2.0, t_eval=0.05, records=recs,
-                            orders=observed_orders(recs))
+    recs = [_record(0.01, 0.01, 4e-4, 4e-4, 4e-4, 4e-4),
+            _record(0.005, 0.005, 1e-4, 1e-4, 1e-4, 1e-4)]
+    rep = ConvergenceReport(m=2.0, t_eval=0.05, records=recs)
     rows = report_rows(rep)
     assert len(rows) == 2 and len(rows[0]) == len(CSV_HEADER)
     assert rows[0][3] == ""          # no order on the coarsest row
     assert rows[1][3] == pytest.approx(2.0)
     table = format_table(rep)
     assert "2.000" in table and "m = 2" in table
+
+
+def test_report_orders_are_read_from_its_records():
+    # a record holds its errors by norm key, and a report's orders are no
+    # field of their own: they are observed_orders of the records it holds
+    assert [f.name for f in dataclasses.fields(ErrorRecord)] == ["h", "tau", "norms"]
+    assert [f.name for f in dataclasses.fields(ConvergenceReport)] == ["m", "t_eval", "records"]
+    recs = [_record(0.01, 0.01, 4e-4, 4e-4, 1e-3, 1e-3),
+            _record(0.005, 0.005, 1e-4, 2e-4, 2.5e-4, 5e-4)]
+    rep = ConvergenceReport(2.0, 0.05, recs)
+    assert rep.orders == observed_orders(recs)
+    rep.records.append(_record(0.0025, 0.0025, 2.5e-5, 1e-4, 6.25e-5, 1.25e-4))
+    assert rep.orders == observed_orders(rep.records) != observed_orders(recs[:2])
+    with pytest.raises(AttributeError):
+        rep.orders = {}
 
 
 def test_second_order_in_time_and_in_space_separately():
@@ -212,7 +239,7 @@ def test_refinement_study_in_time_keeps_every_level():
                              "paper-quadratic")
     recs = study.report.records
     assert [(r.h, r.tau) for r in recs] == [(0.05, 0.05), (0.05, 0.025)]
-    assert recs[1].err_x_inf < recs[0].err_x_inf
+    assert recs[1].norm("x_inf") < recs[0].norm("x_inf")
     assert len(study.report.orders["x_inf"]) == 1
     assert set(study.runs) == {"reference", (20, 0.05), (20, 0.025)}
     assert [study.runs[key].final_state.n for key in ((20, 0.05), (20, 0.025), "reference")] \

@@ -209,6 +209,7 @@ def _run_config(tau=0.1, **kw):
 
 REJECTIONS = {
     "Grid-M": ("M", lambda: Grid(0.0, 1.0, 0)),
+    "Grid-M-not-integer": ("M", lambda: Grid(0.0, 1.0, 8.0)),
     "Grid-huge-M": ("M", lambda: Grid(0.0, 1.0, 10 ** 400)),
     "Grid-reversed": ("domain", lambda: Grid(1.0, 0.0, 4)),
     "Grid-too-wide": ("domain", lambda: Grid(-1e308, 1e308, 4)),
@@ -228,10 +229,14 @@ REJECTIONS = {
     "SolverParams-a0": ("a0", lambda: SolverParams(tau=0.1, a0=-1.0)),
     "SolverParams-max_iter": ("newton_max_iter",
                               lambda: SolverParams(tau=0.1, newton_max_iter=0)),
+    "SolverParams-max_iter-not-integer": ("newton_max_iter",
+                                          lambda: SolverParams(tau=0.1, newton_max_iter=2.5)),
     "RunConfig-t_final": ("t_final", lambda: _run_config(t_final=-1.0)),
     "RunConfig-steps": ("t_final", lambda: _run_config(tau=1e-10, t_final=1e300)),
     "RunConfig-snapshot_every": ("snapshot_every",
                                  lambda: _run_config(t_final=1.0, snapshot_every=-1)),
+    "RunConfig-snapshot_every-not-integer": (
+        "snapshot_every", lambda: _run_config(t_final=1.0, snapshot_every=1.5)),
     "study-h_list": ("h_list", lambda: study_cell_counts([], 40, 0.05, 1.0)),
     "study-reference_M": ("reference_M", lambda: study_cell_counts([0.05], 30, 0.05, 1.0)),
     "study-t_eval": ("t_eval", lambda: study_cell_counts([0.05], 40, 0.0, 1.0)),

@@ -79,17 +79,17 @@ _ENTRIES = {
     "d_forward l": (lambda v: d_forward(v, GRID), X, "field", "stacks"),
     "d_wide l": (lambda v: d_wide(v, GRID), X, "field", "stacks"),
     "d_centered_to_nodes phi": (lambda v: d_centered_to_nodes(v, GRID), CELLS, "field", None),
-    "trajectory_error_norms coarse_x": (lambda v: trajectory_error_norms(v, XR, 2, GRID),
+    "trajectory_error_norms coarse_x": (lambda v: trajectory_error_norms(v, XR, GRID),
                                         X, "coarse_x", None),
-    "trajectory_error_norms reference_x": (lambda v: trajectory_error_norms(X, v, 2, GRID),
+    "trajectory_error_norms reference_x": (lambda v: trajectory_error_norms(X, v, GRID),
                                            XR, "reference_x", None),
-    "density_error_norms coarse_x": (lambda v: density_error_norms(v, F, XR, FR, 2),
+    "density_error_norms coarse_x": (lambda v: density_error_norms(v, F, XR, FR),
                                      X, "coarse_x", None),
-    "density_error_norms coarse_f": (lambda v: density_error_norms(X, v, XR, FR, 2),
+    "density_error_norms coarse_f": (lambda v: density_error_norms(X, v, XR, FR),
                                      F, "coarse_f", None),
-    "density_error_norms reference_x": (lambda v: density_error_norms(X, F, v, FR, 2),
+    "density_error_norms reference_x": (lambda v: density_error_norms(X, F, v, FR),
                                         XR, "reference_x", None),
-    "density_error_norms reference_f": (lambda v: density_error_norms(X, F, XR, v, 2),
+    "density_error_norms reference_f": (lambda v: density_error_norms(X, F, XR, v),
                                         FR, "reference_f", None),
 }
 # An entry that knows no grid cannot tell a short field from a long
@@ -172,20 +172,19 @@ _PROBES = {
                                    "x: shape (2, 9) is not one trajectory's (n,)"),
     "discrete_mass short x": (lambda: discrete_mass(X[:-1], F),
                               "f: shape (9,) is not x's (8,)"),
-    "density norms 0-d coarse_x": (lambda: density_error_norms(0.5, 0.5, np.ones(3),
-                                                               np.ones(3), 2),
+    "density norms 0-d coarse_x": (lambda: density_error_norms(0.5, 0.5, np.ones(3), np.ones(3)),
                                    "coarse_x: shape () is not one trajectory's (n,), n >= 2"),
     "density norms stacked coarse_x": (
-        lambda: density_error_norms(np.stack([X, X]), F, XR, FR, 2),
+        lambda: density_error_norms(np.stack([X, X]), F, XR, FR),
         "coarse_x: shape (2, 9) is not one trajectory's (n,), n >= 2"),
     "density norms stacked reference_x": (
-        lambda: density_error_norms(X, F, XR[None], FR, 2),
+        lambda: density_error_norms(X, F, XR[None], FR),
         "reference_x: shape (1, 17) is not one trajectory's (n,), n >= 2"),
     "trajectory norms 0-d reference_x": (
-        lambda: trajectory_error_norms(X, 0.5, 2, GRID),
+        lambda: trajectory_error_norms(X, 0.5, GRID),
         "reference_x: shape () is not one trajectory's (n,), n >= 2"),
     "trajectory norms stacked reference_x": (
-        lambda: trajectory_error_norms(X, XR[None], 2, GRID),
+        lambda: trajectory_error_norms(X, XR[None], GRID),
         "reference_x: shape (1, 17) is not one trajectory's (n,), n >= 2"),
 }
 

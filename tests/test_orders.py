@@ -79,7 +79,7 @@ def test_time_refinement_is_second_order(m):
     h = 1.0 / TIME_M
     study = refinement_study(m, [(TIME_M, h / k) for k in TIME_STEPS],
                              (TIME_M, h / TIME_REFERENCE), TIME_T_FINAL, "paper-quadratic")
-    errors = [rec.err_x_inf for rec in study.report.records]
+    errors = [rec.norm("x_inf") for rec in study.report.records]
     orders = study.report.orders["x_inf"]
     assert all(abs(p - 2.0) <= 0.15 for p in orders), (errors, orders)
 
@@ -94,6 +94,6 @@ def test_space_refinement_is_second_order():
     # 2.017; in f 5.19e-4, 1.28e-4, 3.15e-5, orders 2.024, 2.015
     study = refinement_study(2.0, [(M, SPACE_TAU) for M in SPACE_M],
                              (SPACE_REFERENCE, SPACE_TAU), TIME_T_FINAL, "paper-quadratic")
-    errors = [(rec.err_x_inf, rec.err_f_inf) for rec in study.report.records]
+    errors = [(rec.norm("x_inf"), rec.norm("f_inf")) for rec in study.report.records]
     orders = study.report.orders["x_inf"] + study.report.orders["f_inf"]
     assert all(abs(p - 2.0) <= 0.15 for p in orders), (errors, orders)

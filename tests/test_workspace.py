@@ -283,9 +283,9 @@ def test_run_shares_one_workspace_and_frees_it():
 
 @pytest.mark.parametrize("key, m", [("paper-quadratic", 2.0), ("poly:1e-3,0,1", 8.0)])
 def test_a_state_without_a_workspace_steps_as_the_carried_state(key, m):
-    # a run's final_state carries no workspace, so its next step forms the
-    # density and the mass's pair sums in fresh arrays, not in the cells:
-    # the step gives the bits of one more step of the state the run carried
+    # a run's final_state carries no workspace, so its next step makes one,
+    # which the new state carries: the step gives the bits of one more step
+    # of the state the run carried
     spec = make_problem(m, Grid(0.0, 1.0, 101), initial_data_from_key(key))
     params = SolverParams(tau=10.0 * spec.grid.h)
     bare = run(RunConfig(spec=spec, params=params, t_final=3 * params.tau)).final_state
@@ -293,7 +293,7 @@ def test_a_state_without_a_workspace_steps_as_the_carried_state(key, m):
     assert bare.work is None and carried.work is not None
     got, got_diag = advance(bare, spec, params)
     want, want_diag = advance(carried, spec, params)
-    assert got.work is None
+    assert got.work is not None and got.work is not carried.work
     assert got.x_curr.tobytes() == want.x_curr.tobytes()
     assert got.e_curr == want.e_curr and got_diag.mass == want_diag.mass
     densities = [recover_density(s.x_curr, spec, s.slope_curr, s.wide_curr) for s in (got, want)]
@@ -302,7 +302,8 @@ def test_a_state_without_a_workspace_steps_as_the_carried_state(key, m):
 
 def test_step_density_lies_in_the_workspace_cells():
     # advance's density is the state's, in the cells of the state's
-    # workspace when it carries one and in a fresh array when not
+    # workspace when it carries one and in those of the one advance makes
+    # when not
     spec, params = _quad(64)
     state = advance(bootstrap(spec), spec, params)[0]
     for work in (state.work, None):
@@ -310,6 +311,7 @@ def test_step_density_lies_in_the_workspace_cells():
         want = recover_density(new_state.x_curr, spec)
         assert diag.density.tobytes() == want.tobytes()
         assert (work is not None) == np.shares_memory(diag.density, state.work.cells[0])
+        assert np.shares_memory(diag.density, new_state.work.cells[0])
 
 
 def test_warm_newton_step_allocates_at_most_three_node_fields():
@@ -486,15 +488,21 @@ def test_kernels_take_the_workspace_their_caller_hands_them():
 
 
 def test_workspaces_are_made_by_their_owners(monkeypatch):
-    # a run's one (restart); one per shape the check sweeps' oracles use,
-    # made by a thread's first run_all and reused by every later one in the
-    # thread (both flux forms of both sweeps share them); and one per
-    # one-off call
+    # a run's one (restart); one for a state without one (a run's
+    # final_state), made by its next step and carried by the states after
+    # it; one per shape the check sweeps' oracles use, made by a thread's
+    # first run_all and reused by every later one in the thread (both flux
+    # forms of both sweeps share them); and one per one-off call
     spec, params = _quad(64)
     made = _made(monkeypatch)
     stream = list(steps(RunConfig(spec=spec, params=params, t_final=5 * params.tau),
                         bootstrap(spec)))
     assert len(stream) == 5 and made == [(65,)]
+    made.clear()
+    bare = dataclasses.replace(stream[-1][0], work=None)
+    for _ in range(3):
+        bare = advance(bare, spec, params)[0]
+    assert made == [(65,)] and bare.work is not None
 
     def sweeps():
         shapes = []
