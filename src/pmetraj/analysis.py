@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require, require_count
 from .functional import SolverParams
 from .grid import Grid, as_trajectory, domain_length, require_cell_count
 from .problem import initial_data_from_key, make_problem, recover_density
@@ -166,12 +166,12 @@ def trajectory_error_norms(coarse_x, reference_x, grid: Grid):
 
 def observed_orders(records: list) -> dict:
     """log2(err_coarse/err_fine) between successive records for each norm;
-    NaN marks an undefined order (zero fine error)."""
+    NaN marks an undefined order (a zero error on either side)."""
     orders = {key: [] for key in NORM_KEYS}
     for prev, nxt in zip(records[:-1], records[1:]):
         for key in NORM_KEYS:
             e0, e1 = prev.norm(key), nxt.norm(key)
-            orders[key].append(math.log2(e0 / e1) if e1 > 0.0 else math.nan)
+            orders[key].append(math.log2(e0 / e1) if min(e0, e1) > 0.0 else math.nan)
     return orders
 
 
@@ -180,18 +180,17 @@ def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
     """The coarse cell counts of a refinement study on a domain of the given
     length, coarsest first, once the study's keys are checked: every h tiles
     the domain in at least 2 cells, no two give the same count, every coarse
-    count is a proper divisor of reference_M, whose nodes numpy can hold
-    (require_cell_count), and t_eval is a whole number of at least one step
-    (tau = h) at every resolution.  A bad key raises ConfigurationError with
-    key "h_list", "reference_M" or "t_eval".
+    count is a proper divisor of reference_M, an integer >= 2 whose nodes
+    numpy can hold (require_cell_count), and t_eval is a finite, whole
+    number of at least one step (tau = h) at every resolution.  A bad key
+    raises ConfigurationError with key "h_list", "reference_M" or "t_eval".
     """
     if not h_list:
         raise ConfigurationError("needs at least one mesh width", key="h_list")
+    for h in h_list:  # before sorted, which cannot order what it cannot compare
+        require(h, "h_list", "mesh widths must be positive", lambda h: h > 0.0)
     m_list = []
     for h in sorted(h_list, reverse=True):
-        if not h > 0.0:
-            raise ConfigurationError(f"mesh widths must be positive, got {h!r}",
-                                     key="h_list")
         cells = length / h
         if cells == math.inf:
             raise ConfigurationError(f"h={h} is too small for the domain of length "
@@ -206,10 +205,7 @@ def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
         if M in m_list:
             raise ConfigurationError(f"h={h} gives M={M} a second time", key="h_list")
         m_list.append(M)
-    if reference_M < 2:
-        raise ConfigurationError(f"need at least 2 cells, got {reference_M}",
-                                 key="reference_M")
-    require_cell_count(reference_M, "reference_M")
+    require_cell_count(require_count(reference_M, "reference_M", 2), "reference_M")
     for M in m_list:
         if M == reference_M:
             raise ConfigurationError(f"coarse cell count {M} equals the reference count",
@@ -217,8 +213,7 @@ def study_cell_counts(h_list: list, reference_M: int, t_eval: float,
         if reference_M % M != 0:
             raise ConfigurationError(f"coarse cell count {M} does not divide the reference "
                                      f"count {reference_M}", key="reference_M")
-    if not t_eval > 0.0:
-        raise ConfigurationError("must be positive", key="t_eval")
+    require(t_eval, "t_eval", "must be positive and finite", lambda t: 0.0 < t < math.inf)
     for M in m_list + [reference_M]:
         steps = t_eval * M / length
         if abs(steps - round(steps)) > 1e-9:
@@ -437,17 +432,20 @@ def refinement_study(m: float,
     first, against one reference (M, tau), all run to t_eval: a time study
     is levels at one M, a space study levels at one tau.  `initial_data` is
     a catalog key or a sampling callable.  Everything is checked before the
-    first run: the levels here, where a level that repeats one before it,
-    or whose M does not divide the reference's, raises ConfigurationError
-    with key "levels", the rest as _study_plan makes the RunConfigs that
-    are the study.  The runs are independent and go through run_many.
+    first run: the levels here, where a level whose M is not an integer
+    >= 1 (errors.require_count), that repeats one before it, or whose M
+    does not divide the reference's raises ConfigurationError with key
+    "levels", and a reference M that is not an integer >= 2 with key
+    "reference"; the rest as _study_plan makes the RunConfigs that are the
+    study.  The runs are independent and go through run_many.
     `runs` holds "reference" and each level's (M, tau)."""
-    reference_M, pairs = reference[0], [tuple(reference)]
+    reference_M, pairs = require_count(reference[0], "reference", 2), [tuple(reference)]
     for M, tau in levels:
+        require_count(M, "levels", 1)
         if (M, tau) in pairs:
             raise ConfigurationError(f"(M={M}, tau={tau}) repeats an earlier level or the "
                                      "reference", key="levels")
-        if not (M >= 1 and reference_M % M == 0):
+        if reference_M % M != 0:
             raise ConfigurationError(f"M={M} does not divide the reference's M={reference_M}",
                                      key="levels")
         pairs.append((M, tau))

@@ -1,4 +1,6 @@
-"""Exception hierarchy for the solver."""
+"""Exception hierarchy for the solver, and the two gates of every scalar
+input: require for a rule a comparison states, require_count for a count."""
+import numbers
 
 
 class SolverError(Exception):
@@ -14,6 +16,31 @@ class ConfigurationError(SolverError, ValueError):
     def __init__(self, reason: str, key: str | None = None):
         super().__init__(reason if key is None else f"{key}: {reason}")
         self.reason, self.key = reason, key
+
+
+def require(value, key: str, rule: str, test):
+    """value, when test(value) holds; otherwise ConfigurationError(key)
+    reading "{rule}, got {value!r}".  A value test cannot compare (test
+    raises TypeError or ValueError: a string, None, an array of more than
+    one element) is refused the same way, and so is an array of one
+    element, whose test gives an array, not one truth value; a 0-d array
+    passes as its scalar does."""
+    try:
+        ok = test(value)
+        if ok and not getattr(ok, "shape", ()):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError(f"{rule}, got {value!r}", key=key)
+
+
+def require_count(value, key: str, least: int):
+    """value, when it is an integer (numbers.Integral, as numpy's integers
+    and bool are) of at least least; otherwise ConfigurationError(key)
+    reading "must be an integer >= {least}, got {value!r}"."""
+    if isinstance(value, numbers.Integral) and value >= least:
+        return value
+    raise ConfigurationError(f"must be an integer >= {least}, got {value!r}", key=key)
 
 
 class DataScaleError(ConfigurationError):

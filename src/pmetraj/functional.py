@@ -16,15 +16,14 @@ operator is symmetric positive definite on the admissible set.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import _spence
-from .errors import (CoefficientOverflowError, ConfigurationError,
-                     DegenerateMeshError)
+from .errors import (CoefficientOverflowError, DegenerateMeshError, require,
+                     require_count)
 from .grid import as_trajectories
 from .problem import ProblemSpec, require_admissible
 
@@ -35,25 +34,18 @@ class SolverParams:
 
     The stopping tolerance is the constant newton.TOL_LAMBDA.  tau^2 must
     be finite: it guards S_h and weighs the tau^2 terms of the flux, and
-    newton_max_iter is an integer (numbers.Integral) of at least 1.  A bad
-    field raises ConfigurationError keyed by the field's name."""
+    newton_max_iter is an integer of at least 1 (errors.require_count).  A
+    bad field raises ConfigurationError keyed by the field's name."""
 
     tau: float
     a0: float = 1.0
     newton_max_iter: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:
-            raise ConfigurationError(f"must be positive and finite, got {self.tau!r}",
-                                     key="tau")
-        if not self.tau * self.tau < math.inf:
-            raise ConfigurationError("too large: tau^2 overflows", key="tau")
-        if not 0.0 <= self.a0 < math.inf:
-            raise ConfigurationError(f"must be nonnegative and finite, got {self.a0!r}",
-                                     key="a0")
-        if not (isinstance(self.newton_max_iter, numbers.Integral) and self.newton_max_iter >= 1):
-            raise ConfigurationError(f"must be at least 1 and an integer, got "
-                                     f"{self.newton_max_iter!r}", key="newton_max_iter")
+        require(self.tau, "tau", "must be positive and finite", lambda t: 0.0 < t < math.inf)
+        require(self.tau, "tau", "too large: tau^2 overflows", lambda t: t * t < math.inf)
+        require(self.a0, "a0", "must be nonnegative and finite", lambda a: 0.0 <= a < math.inf)
+        require_count(self.newton_max_iter, "newton_max_iter", 1)
 
 
 @dataclass

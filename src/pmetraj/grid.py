@@ -9,18 +9,18 @@ bitwise the result of its own call.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require, require_count
 
 
 def domain_length(x_left: float, x_right: float) -> float:
-    """x_right - x_left, which must be a positive finite number."""
-    if not x_right > x_left:
-        raise ConfigurationError("right end must exceed left end", key="domain")
+    """x_right - x_left, which must be a positive finite number, or
+    ConfigurationError keyed "domain"."""
+    require((x_left, x_right), "domain", "right end must exceed left end",
+            lambda ends: ends[1] - ends[0] > 0.0)
     if not x_right - x_left < math.inf:
         raise ConfigurationError("too wide: right - left overflows", key="domain")
     return x_right - x_left
@@ -42,17 +42,15 @@ def require_cell_count(M: int, key: str) -> None:
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [x_left, x_right] with M cells, M an integer >= 1
-    (numbers.Integral, as numpy's integers are) and M + 1 nodes within
-    numpy's array limit (require_cell_count)."""
+    (errors.require_count) and M + 1 nodes within numpy's array limit
+    (require_cell_count)."""
 
     x_left: float
     x_right: float
     M: int
 
     def __post_init__(self):
-        if not (isinstance(self.M, numbers.Integral) and self.M >= 1):
-            raise ConfigurationError(f"must be an integer >= 1 (cells), got {self.M!r}", key="M")
-        require_cell_count(self.M, "M")
+        require_cell_count(require_count(self.M, "M", 1), "M")
         domain_length(self.x_left, self.x_right)
 
     @property

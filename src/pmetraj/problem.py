@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .config import parse_number
-from .errors import ConfigurationError, DataScaleError, DegenerateMeshError
+from .errors import ConfigurationError, DataScaleError, DegenerateMeshError, require
 from .grid import Grid, as_trajectories, as_trajectory, d_forward, d_wide
 
 
@@ -127,9 +127,8 @@ def make_problem(m: float, grid: Grid, f0: Callable[[np.ndarray], np.ndarray]) -
     stack of k problems of ProblemSpec, sampled once, each row of its
     mass_factor bitwise that of its own call; an error names the first
     exponent of the column that is not above 1."""
-    for value in np.ravel(m).tolist():
-        if not value > 1.0:
-            raise ConfigurationError(f"exponent must exceed 1, got {value!r}", key="m")
+    for value in (np.ravel(m).tolist() if np.ndim(m) == 2 else [m]):
+        require(value, "m", "exponent must exceed 1", lambda v: v > 1.0)
     if grid.M < 2:
         # the extrapolated slope S_h uses the wide difference, which needs two cells
         raise ConfigurationError(f"the scheme needs at least 2 cells, got M = {grid.M}",

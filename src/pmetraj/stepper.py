@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -14,7 +13,8 @@ import numpy as np
 
 from . import _kernels, functional, newton
 from .csvio import format_columns, write_csv_atomic
-from .errors import ConfigurationError, EnergyViolationError, SolverError
+from .errors import (ConfigurationError, EnergyViolationError, SolverError, require,
+                     require_count)
 from .functional import SolverParams
 from .grid import as_trajectory, d_forward, d_wide
 from .newton import NewtonReport
@@ -36,7 +36,7 @@ ENERGY_ROUNDING = 16.0 * np.finfo(float).eps
 @dataclass(frozen=True)
 class RunConfig:
     """One run.  t_final and t_final/tau must be nonnegative and finite,
-    snapshot_every a nonnegative integer (numbers.Integral), or
+    snapshot_every an integer >= 0 (errors.require_count), or
     ConfigurationError names the field."""
 
     spec: ProblemSpec
@@ -46,12 +46,9 @@ class RunConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.t_final / self.params.tau < math.inf:
-            raise ConfigurationError("must be nonnegative with t_final/tau finite, got "
-                                     f"{self.t_final!r}/{self.params.tau!r}", key="t_final")
-        if not (isinstance(self.snapshot_every, numbers.Integral) and self.snapshot_every >= 0):
-            raise ConfigurationError(f"must be nonnegative and an integer, got "
-                                     f"{self.snapshot_every!r}", key="snapshot_every")
+        require(self.t_final, "t_final", "must be nonnegative with t_final/tau finite",
+                lambda t: 0.0 <= t / self.params.tau < math.inf)
+        require_count(self.snapshot_every, "snapshot_every", 0)
 
 
 @dataclass
@@ -84,8 +81,8 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     is kept as it is), the one conversion the run makes.
 
     Every field is checked here, once, before the energy is formed:
-    newton_step and the steps after it trust them.  n must be a
-    nonnegative integer and t a nonnegative finite number, or
+    newton_step and the steps after it trust them.  n must be an integer
+    >= 0 (errors.require_count) and t a nonnegative finite number, or
     ConfigurationError names the field.  Each trajectory must be one node
     field of shape (M+1,), or ValueError (grid.as_trajectory) names it,
     and admissible with finite nodes, or DegenerateMeshError
@@ -93,11 +90,9 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     fault.  At n = 0 there is no x^{-1}: the opening step's x_prev is
     x_curr (bootstrap), and any other x_prev raises ConfigurationError,
     since its wide slopes would enter the opening step's mass
-    coefficient."""
-    if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise ConfigurationError(f"must be a nonnegative integer, got {n!r}", key="n")
-    if not 0.0 <= t < math.inf:
-        raise ConfigurationError(f"must be nonnegative and finite, got {t!r}", key="t")
+    coefficient; so does any x_prev2, for there is no x^{-2} either."""
+    require_count(n, "n", 0)
+    require(t, "t", "must be nonnegative and finite", lambda t: 0.0 <= t < math.inf)
     grid = spec.grid
     fields = {"x_curr": x_curr, "x_prev": x_prev, "x_prev2": x_prev2}
     for name, x in fields.items():
@@ -107,6 +102,8 @@ def restart(spec: ProblemSpec, n: int, t: float, x_curr: np.ndarray,
     if n == 0 and not np.array_equal(x_prev, x_curr):
         raise ConfigurationError("must equal x_curr at n = 0, where there is no x^{-1}",
                                  key="x_prev")
+    if n == 0 and x_prev2 is not None:
+        raise ConfigurationError("must be None, as n = 0 has no x^{-2}", key="x_prev2")
     slope_curr = d_forward(x_curr, grid)  # positive: the gate refused any other
     return TrajectoryState(n=n, t=t, x_curr=x_curr, x_prev=x_prev, x_prev2=x_prev2,
                            e_curr=discrete_energy(x_curr, spec, slope_curr),

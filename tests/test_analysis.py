@@ -132,6 +132,15 @@ def test_observed_orders_values():
     assert orders["x_inf"] == [pytest.approx(2.0)]
 
 
+def test_observed_orders_zero_coarse_error_is_nan():
+    # log2(0) once raised "math domain error" for a coarse error of 0
+    recs = [_record(0.01, 0.01, 0.0, 0.0, 1e-3, 0.0),
+            _record(0.005, 0.005, 1e-4, 0.0, 2.5e-4, 0.0)]
+    orders = observed_orders(recs)
+    assert math.isnan(orders["f_l2"][0]) and math.isnan(orders["f_inf"][0])
+    assert orders["x_l2"] == [pytest.approx(2.0)] and math.isnan(orders["x_inf"][0])
+
+
 def test_observed_orders_table_column():
     # published first column pair: 1.506e-4 -> 3.620e-5 prints as 2.056
     recs = [_record(0.005, 0.005, 1.506e-4, 1, 1, 1),
@@ -187,7 +196,7 @@ def test_convergence_study_rejects_bad_setups():
         convergence_study(2.0, [1.0 / 20], 40, 1e-12, "paper-quadratic")
     with pytest.raises(ConfigurationError, match="must be positive"):
         convergence_study(2.0, [0.0], 40, 0.05, "paper-quadratic")
-    with pytest.raises(ConfigurationError, match="at least 2 cells"):
+    with pytest.raises(ConfigurationError, match="must be an integer >= 2, got 0"):
         convergence_study(2.0, [1.0 / 20], 0, 0.05, "paper-quadratic")
     with pytest.raises(ConfigurationError, match="at least one mesh width"):
         convergence_study(2.0, [], 40, 0.05, "paper-quadratic")
@@ -246,13 +255,17 @@ def test_refinement_study_in_time_keeps_every_level():
         == [2, 4, 8]
 
 
-@pytest.mark.parametrize("levels, reference, reason", [
-    ([(30, 0.05)], (100, 0.01), "M=30 does not divide"),
-    ([(20, 0.05), (20, 0.05)], (40, 0.025), "repeats"),
-    ([(20, 0.05), (40, 0.025)], (40, 0.025), "repeats"),
-], ids=["not-dividing", "repeated", "the-reference"])
+@pytest.mark.parametrize("levels, reference, reason, key", [
+    ([(30, 0.05)], (100, 0.01), "M=30 does not divide", "levels"),
+    ([(20, 0.05), (20, 0.05)], (40, 0.025), "repeats", "levels"),
+    ([(20, 0.05), (40, 0.025)], (40, 0.025), "repeats", "levels"),
+    # a float count was refused by Grid, under its key M
+    ([(20.0, 0.05)], (40, 0.025), r"^levels: must be an integer >= 1, got 20\.0$", "levels"),
+    ([(20, 0.05)], (40.0, 0.025), r"^reference: must be an integer >= 2, got 40\.0$",
+     "reference"),
+], ids=["not-dividing", "repeated", "the-reference", "float-level-M", "float-reference-M"])
 def test_refinement_study_rejects_bad_levels_before_the_first_run(monkeypatch, forks, levels,
-                                                                  reference, reason):
+                                                                  reference, reason, key):
     calls = []
     original = analysis.run
 
@@ -263,7 +276,7 @@ def test_refinement_study_rejects_bad_levels_before_the_first_run(monkeypatch, f
     monkeypatch.setattr(analysis, "run", counting)
     with pytest.raises(ConfigurationError, match=reason) as info:
         refinement_study(2.0, levels, reference, 0.1, "paper-quadratic")
-    assert info.value.key == "levels" and calls == [] and forks == []
+    assert info.value.key == key and calls == [] and forks == []
 
 
 # ---------------------------------------------------------------------------

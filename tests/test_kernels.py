@@ -1,9 +1,12 @@
 """The one assembly pass, the cyclic-reduction tridiagonal solve with its
-scalar base, and the numpy-only import footprint."""
+scalar base, the numpy-only import footprint, and the one module that
+imports numbers."""
+import ast
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +392,25 @@ def test_import_pulls_in_numpy_and_stdlib_only():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["['numpy', 'pmetraj']", "numpy", "[]"]
+
+
+def test_only_errors_imports_numbers():
+    """The count rule has one home: errors.require_count is the one
+    numbers.Integral test, and every integer field (M, newton_max_iter,
+    snapshot_every, restart's n, a study's counts) goes through it, so no
+    other module of the package imports numbers to spell out its own."""
+    importers = set()
+    for path in sorted(Path(pmetraj.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numbers" for name in names):
+                importers.add(path.name)
+    assert importers == {"errors.py"}
 
 
 def test_hot_paths_reduce_with_ufuncs_not_numpy_wrappers(monkeypatch):

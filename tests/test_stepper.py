@@ -473,15 +473,20 @@ RESTART_REFUSALS = {
     "x_prev2 a stack": ((2, 0.2, None, None, lambda X: np.array([X ** 1.4, X ** 1.4])),
                         ValueError, "x_prev2: shape (2, 9) is not (9,)"),
     "n negative": ((-1, 0.1, None, None, None), ConfigurationError,
-                   "n: must be a nonnegative integer, got -1"),
+                   "n: must be an integer >= 0, got -1"),
     "n fractional": ((1.5, 0.1, None, None, None), ConfigurationError,
-                     "n: must be a nonnegative integer, got 1.5"),
+                     "n: must be an integer >= 0, got 1.5"),
     "n a float": ((1.0, 0.1, None, None, None), ConfigurationError,
-                  "n: must be a nonnegative integer, got 1.0"),
+                  "n: must be an integer >= 0, got 1.0"),
     "t nan": ((1, math.nan, None, None, None), ConfigurationError,
               "t: must be nonnegative and finite, got nan"),
     "t negative": ((1, -1.0, None, None, None), ConfigurationError,
                    "t: must be nonnegative and finite, got -1.0"),
+    "t a string": ((1, "0.1", None, None, None), ConfigurationError,
+                   "t: must be nonnegative and finite, got '0.1'"),
+    # x_prev = x_curr at n = 0, so a quadratic start would be x_prev2 itself
+    "x_prev2 at n = 0": ((0, 0.0, None, lambda X: X.copy(), None), ConfigurationError,
+                         "x_prev2: must be None, as n = 0 has no x^{-2}"),
     "t infinite": ((1, math.inf, None, None, None), ConfigurationError,
                    "t: must be nonnegative and finite, got inf"),
     "x_prev at n = 0": ((0, 0.0, None, lambda X: X ** 1.5, None), ConfigurationError,
